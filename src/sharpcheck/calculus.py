@@ -640,22 +640,6 @@ def _make_exp_growth(d):
     return ManufacturedFunction("exp_growth", dict(), u, du, d2u)
 
 
-def _make_sinh_growth(d):
-    if d != 1:
-        raise ValueError("the sinh-growth input is one dimensional")
-
-    def u(X):
-        return np.sinh(X[:, 0])
-
-    def du(X):
-        return np.cosh(X[:, 0])[:, None]
-
-    def d2u(X):
-        return np.sinh(X[:, 0])[:, None, None]
-
-    return ManufacturedFunction("sinh_growth", dict(), u, du, d2u)
-
-
 def _make_slab_bump(d, centers, radii, amplitude=1.0):
     centers = np.asarray(centers, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -726,10 +710,6 @@ def _make_odd_bump(d, radius=1.0, amplitude=1.0):
                                 u, du, d2u)
 
 
-_LIBRARY = ("bump", "gaussian", "quadratic", "exp_growth", "sinh_growth",
-            "slab_bump", "odd_bump")
-
-
 def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
     """Library factory; ``d`` is the spatial dimension."""
     makers = {
@@ -737,12 +717,11 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
         "gaussian": _make_gaussian,
         "quadratic": _make_quadratic,
         "exp_growth": _make_exp_growth,
-        "sinh_growth": _make_sinh_growth,
         "slab_bump": _make_slab_bump,
         "odd_bump": _make_odd_bump,
     }
     if name not in makers:
-        raise ValueError(f"unknown manufactured input {name!r}; library: {', '.join(_LIBRARY)}")
+        raise ValueError(f"unknown manufactured input {name!r}; library: {', '.join(makers)}")
     return makers[name](d, **params)
 
 

@@ -12,7 +12,7 @@ values are all exact block operations on the finest grid.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,9 +223,14 @@ def conditional_average(f: DiscreteField, n: int) -> DiscreteField:
     return DiscreteField(f.filtration, level_average_values(f, n))
 
 
-def box_average(f: DiscreteField) -> float:
-    """Average over the whole bounding box (the sub-coarsest surrogate level)."""
-    return float(f.values.mean())
+def cell_blocks(values: np.ndarray, filt: Filtration, n: int) -> np.ndarray:
+    """Finest-grid values grouped by level-n cell, shape ``(cells, per_cell)``,
+    cells in row-major order."""
+    shape = []
+    for size, fct in zip(values.shape, filt.block_factors(n)):
+        shape.extend((size // fct, fct))
+    perm = list(range(0, 2 * filt.ndim, 2)) + list(range(1, 2 * filt.ndim, 2))
+    return values.reshape(shape).transpose(perm).reshape(filt.cell_count(n), -1)
 
 
 @dataclass

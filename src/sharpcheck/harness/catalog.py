@@ -137,16 +137,7 @@ def build_operator(params: dict):
     raise ValueError(f"unknown operator {kind!r}; choose linear, pucci or bellman")
 
 
-def _theta_probe(op, d: int) -> float:
-    # x-independent operators agree with themselves as the frozen model,
-    # so the measured oscillation distance is exactly zero
-    dirs = np.eye(d * d).reshape(-1, d, d)[: d * d]
-    dev = np.abs(op(dirs) - op(dirs))
-    return float(dev.max())
-
-
-def _fields(params: dict, h: float, lo, hi, time_axis=False, half_axis=None,
-            mf=None):
+def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None):
     """Grid, manufactured samples, finite differences and operator values."""
     grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
     u = mf.on_grid(grid)
@@ -207,6 +198,66 @@ def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
                          tuple(float(t.flat[k]) for t in terms), notes)
 
 
+# ---------------------------------------------------------------------------
+# inequality shapes shared by several entries; ``d2``, ``d1`` and ``uu`` are
+# the nonnegative Hessian, gradient and function magnitudes, ``fv`` the
+# operator image
+
+def _absorbed(equation, p, mass, d2, d1, uu, defect, notes=None) -> EquationCheck:
+    """All three derivative orders by the absorbed defect."""
+    return EquationCheck(equation, _integral(d2 ** p + d1 ** p + uu ** p, mass),
+                         (_integral(np.abs(defect) ** p, mass),), notes or {})
+
+
+def _gradient_pair(p, mass, d2, d1, fv, uu) -> EquationCheck:
+    """Hessian and gradient by the operator image plus the function."""
+    return EquationCheck("gradient_pair", _integral(d2 ** p + d1 ** p, mass),
+                         (_integral(np.abs(fv) ** p, mass), _integral(uu ** p, mass)))
+
+
+def _collar_hessian(equation, p, mass, d2, fv, uu, collar, tau0, u_scale=1.0,
+                    notes=None) -> EquationCheck:
+    """Hessian by the operator image, the scaled function and the
+    oscillation-budget collar term."""
+    return EquationCheck(equation, _integral(d2 ** p, mass),
+                         (_integral(np.abs(fv) ** p, mass),
+                          u_scale * _integral(uu ** p, mass),
+                          tau0 ** p * _integral(collar, mass)), notes or {})
+
+
+def _local_hessian(equation, p, inner, outer, d2, d1, fv, uu, gap) -> EquationCheck:
+    """Hessian on the inner region by the operator image and the inverse-gap
+    lower-order combination on the outer one."""
+    return EquationCheck(equation, _integral(d2 ** p, inner),
+                         (_integral(np.abs(fv) ** p, outer),
+                          _integral((gap ** -1 * d1 + (gap ** -2 + 1.0) * uu) ** p, outer)))
+
+
+def _gradient_interpolation(equation, p, inner, outer, d2, d1, uu, c2, c0,
+                            notes=None) -> EquationCheck:
+    """Gradient on the inner region between the Hessian and the function on
+    the outer one, with displayed coefficients ``c2`` and ``c0``."""
+    return EquationCheck(equation, _integral(d1 ** p, inner),
+                         (c2 * _integral(d2 ** p, outer), c0 * _integral(uu ** p, outer)),
+                         notes or {})
+
+
+def _mixed_absorbed(equation, grid, spec, orders, defect, notes=None) -> EquationCheck:
+    """Iterated norm of the derivative orders by that of the absorbed defect."""
+    return EquationCheck(equation, mixed_norm(GridFunction(grid, orders), spec),
+                         (mixed_norm(GridFunction(grid, np.abs(defect)), spec),),
+                         notes or {})
+
+
+def _mixed_pair(equation, grid, spec, e, d2, d1, fv, uu, inner, outer) -> EquationCheck:
+    """Iterated norms: Hessian and gradient (stacked in l^e) inside by the
+    operator image and the function outside."""
+    lhs = mixed_norm(GridFunction(grid, _stack(e, d2, d1) * inner), spec)
+    return EquationCheck(equation, lhs,
+                         (mixed_norm(GridFunction(grid, np.abs(fv) * outer), spec),
+                          mixed_norm(GridFunction(grid, uu * outer), spec)))
+
+
 def _check_zero_trace(u: GridFunction):
     scale = max(1.0, float(np.abs(u.values).max()))
     trace = float(np.abs(u.boundary_trace()).max())
@@ -230,8 +281,15 @@ def _axis_weight(q, axis: int = 0, hatted: bool = False):
 # ---------------------------------------------------------------------------
 # dyadic maximal bounds with analytic constants
 
-def _indicator_field(filt: Filtration):
-    return filt.sample(lambda X: (X[:, 0] < 1.0).astype(np.float64))
+def _indicator_maximal(params, h):
+    """Finest volume, the indicator of [0, 1) on [0, extent) and its dyadic
+    maximal function."""
+    n_max = _dyadic_level(h)
+    _need(n_max >= 0, "finest cells must align with the indicator endpoint")
+    filt = Filtration(full_space(1, int(params["n_min"]), n_max,
+                                (0.0,), (float(params["extent"]),)))
+    g = filt.sample(lambda X: (X[:, 0] < 1.0).astype(np.float64))
+    return filt.finest_volume, g.values, dyadic_maximal(g).values
 
 
 @_register(
@@ -247,15 +305,9 @@ def _indicator_field(filt: Filtration):
 )
 def _run_max_lp(params, h, seed):
     p = float(params["p"])
-    n_max = _dyadic_level(h)
-    _need(n_max >= 0, "finest cells must align with the indicator endpoint")
-    filt = Filtration(full_space(1, int(params["n_min"]), n_max,
-                                (0.0,), (float(params["extent"]),)))
-    g = _indicator_field(filt)
-    mg = dyadic_maximal(g)
-    vol = filt.finest_volume
-    lhs = float(((np.abs(mg.values) ** p).sum() * vol) ** (1.0 / p))
-    gnorm = float(((np.abs(g.values) ** p).sum() * vol) ** (1.0 / p))
+    vol, g, mg = _indicator_maximal(params, h)
+    lhs = float(((np.abs(mg) ** p).sum() * vol) ** (1.0 / p))
+    gnorm = float(((np.abs(g) ** p).sum() * vol) ** (1.0 / p))
     bound = p / (p - 1.0) * gnorm
     return [EquationCheck("maximal_lp", lhs, (bound,),
                           {"doob_constant": p / (p - 1.0), "input_norm": gnorm})]
@@ -272,20 +324,14 @@ def _run_max_lp(params, h, seed):
     min_spacing=2.0 ** -10,
 )
 def _run_max_weak(params, h, seed):
-    n_max = _dyadic_level(h)
-    _need(n_max >= 0, "finest cells must align with the indicator endpoint")
-    filt = Filtration(full_space(1, int(params["n_min"]), n_max,
-                                (0.0,), (float(params["extent"]),)))
-    g = _indicator_field(filt)
-    mg = dyadic_maximal(g).values
-    vol = filt.finest_volume
+    vol, g, mg = _indicator_maximal(params, h)
     worst = (0.0, (0.0,), 0.0)
     best_ratio = -1.0
     for v in np.unique(mg[mg > 0]):
         lam = float(v) * (1.0 - 1e-9)
         above = mg > lam
         measure = float(above.sum()) * vol
-        bound = float((g.values * above).sum()) * vol / lam
+        bound = float((g * above).sum()) * vol / lam
         ratio = measure / bound if bound > 0 else (np.inf if measure > 0 else 0.0)
         if ratio > best_ratio:
             best_ratio = ratio
@@ -351,6 +397,30 @@ def _osc_radii(grid, rho: float) -> tuple:
     return tuple(float(r) for r in base if r <= cap * (1 + 1e-9))
 
 
+def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_axis: bool):
+    """Hessian sharp function by covering maximals of ``|F|^e`` and of the
+    Hessian, amplified by ``nu ** (amp_power / gamma)``."""
+    grid, _, derivs, fv, d2, _ = _fields(params, h, lo, hi, mf, time_axis=time_axis)
+    nu, mu, xi, gamma = (float(params[k]) for k in ("nu", "mu", "xi", "gamma"))
+    rho = float(params["r0"]) / nu
+    alpha = 0.5
+    xip = xi / (xi - 1.0)
+    family = family_for_grid(grid, radii=_osc_radii(grid, rho))
+
+    hess = GridFunction(grid, derivs.d2u)
+    sharp = geometric_sharp(hess, family, gamma, rho,
+                            pair_budget=int(params["pair_budget"]), seed=seed)
+    amp = nu ** (amp_power / gamma)
+    t_f = amp * geometric_maximal(
+        GridFunction(grid, np.abs(fv) ** e), family).values ** (1.0 / e)
+    t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
+    ed = xip * e
+    t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
+        GridFunction(grid, d2 ** ed), family).values ** (1.0 / ed)
+    extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled)}
+    return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
+
+
 @_register(
     id="OSC",
     summary="Pointwise bound of the Hessian sharp function over small balls "
@@ -370,28 +440,9 @@ def _osc_radii(grid, rho: float) -> tuple:
 )
 def _run_osc(params, h, seed):
     d = int(params["d"])
-    L = 1.5
     mf = manufactured("bump", d, radius=float(params["radius"]))
-    grid, u, derivs, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf=mf)
-    nu, mu, xi, gamma = (float(params[k]) for k in ("nu", "mu", "xi", "gamma"))
-    rho = float(params["r0"]) / nu
-    alpha = 0.5
-    xip = xi / (xi - 1.0)
-    family = family_for_grid(grid, radii=_osc_radii(grid, rho))
-
-    hess = GridFunction(grid, derivs.d2u)
-    sharp = geometric_sharp(hess, family, gamma, rho,
-                            pair_budget=int(params["pair_budget"]), seed=seed)
-    amp = nu ** (d / gamma)
-    t_f = amp * geometric_maximal(
-        GridFunction(grid, np.abs(fv) ** d), family).values ** (1.0 / d)
-    t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
-    ed = xip * d
-    t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
-        GridFunction(grid, d2 ** ed), family).values ** (1.0 / ed)
-    extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled),
-             "theta_probe": _theta_probe(build_operator(params), d)}
-    return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
+    return _sharp_pointwise(params, h, seed, mf, (-1.5,) * d, (1.5,) * d,
+                            e=d, amp_power=d, time_axis=False)
 
 
 @_register(
@@ -414,26 +465,8 @@ def _run_osc_p(params, h, seed):
     d = int(params["d"])
     mf = with_time_profile(manufactured("bump", d, radius=float(params["radius"])),
                            t_center=0.7, t_radius=0.5)
-    grid, u, derivs, fv, d2, _ = _fields(params, h, (0.0,) + (-1.2,) * d,
-                                         (1.5,) + (1.2,) * d, time_axis=True, mf=mf)
-    nu, mu, xi, gamma = (float(params[k]) for k in ("nu", "mu", "xi", "gamma"))
-    rho = float(params["r0"]) / nu
-    alpha = 0.5
-    xip = xi / (xi - 1.0)
-    family = family_for_grid(grid, radii=_osc_radii(grid, rho))
-
-    hess = GridFunction(grid, derivs.d2u)
-    sharp = geometric_sharp(hess, family, gamma, rho,
-                            pair_budget=int(params["pair_budget"]), seed=seed)
-    amp = nu ** ((d + 2) / gamma)
-    t_f = amp * geometric_maximal(
-        GridFunction(grid, np.abs(fv) ** (d + 1)), family).values ** (1.0 / (d + 1))
-    t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
-    ed = xip * (d + 1)
-    t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
-        GridFunction(grid, d2 ** ed), family).values ** (1.0 / ed)
-    extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled)}
-    return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
+    return _sharp_pointwise(params, h, seed, mf, (0.0,) + (-1.2,) * d, (1.5,) + (1.2,) * d,
+                            e=d + 1, amp_power=d + 2, time_axis=True)
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +501,19 @@ def _run_interp(params, h, seed):
         lo, hi = (0.0,) + (-2.0,) * d, (2.0,) + (2.0,) * d
     else:
         lo, hi = (-2.0,) * d, (2.0,) * d
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi,
-                                          time_axis=parabolic, mf=mf)
+    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
     rho, gamma, p = (float(params[k]) for k in ("rho", "gamma", "p"))
     ed = d + 1 if parabolic else d
     # three windows at and above the threshold radius keep the covering
     # maxima representative without quadratic footprint cost
     family = family_for_grid(grid, radii=(rho, 1.42 * rho, 2.02 * rho))
 
-    cache = {}
-
-    def m_rho(arr, e, key=None):
-        if key is not None and (key, e) in cache:
-            return cache[(key, e)]
+    def m_rho(arr, e):
         f = GridFunction(grid, np.abs(arr) ** e)
-        out = geometric_maximal(f, family, rho=rho, mode="at_least").values
-        if key is not None:
-            cache[(key, e)] = out
-        return out
+        return geometric_maximal(f, family, rho=rho, mode="at_least").values
 
     uu = np.abs(u.values)
+    m_u = m_rho(uu, p)
     eq_a = _pointwise(
         "hessian_pointwise",
         m_rho(d2, gamma) ** (1.0 / gamma),
@@ -497,17 +523,11 @@ def _run_interp(params, h, seed):
     eq_b = _pointwise(
         "gradient_pointwise",
         m_rho(d1, p),
-        (np.sqrt(m_rho(d2, p) * m_rho(uu, p, key="u")),
-         rho ** -p * m_rho(uu, p, key="u")))
+        (np.sqrt(m_rho(d2, p) * m_u), rho ** -p * m_u))
 
-    w = _axis_weight(params["q"], axis=1 if parabolic else 0)
-    mass = node_masses(grid, w)
-    eq_c = EquationCheck(
-        "gradient_integral",
-        _integral(d1 ** p, mass),
-        (rho ** p * _integral(d2 ** p, mass),
-         rho ** -p * _integral(uu ** p, mass)),
-        {"rho": rho})
+    mass = node_masses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0))
+    eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, uu,
+                                   rho ** p, rho ** -p, {"rho": rho})
     return [eq_c, eq_a, eq_b]
 
 
@@ -544,20 +564,14 @@ def _run_interp_local(params, h, seed):
 
     inner = _ball_mask(grid, origin, rho / 2) * mass
     outer = _ball_mask(grid, origin, rho) * mass
-    eq_a = EquationCheck(
-        "local_gradient",
-        _integral(d1 ** p, inner),
-        (eps * rho ** p * _integral(d2 ** p, outer),
-         eps ** -1 * rho ** -p * _integral(uu ** p, outer)))
+    eq_a = _gradient_interpolation("local_gradient", p, inner, outer, d2, d1, uu,
+                                   eps * rho ** p, eps ** -1 * rho ** -p)
 
     small = _ball_mask(grid, origin, r) * mass
     big = _ball_mask(grid, origin, R) * mass
     gap = R - r
-    eq_b = EquationCheck(
-        "two_radius_gradient",
-        _integral(d1 ** p, small),
-        (eps * gap ** p * _integral(d2 ** p, big),
-         (eps * gap) ** -p * _integral(uu ** p, big)))
+    eq_b = _gradient_interpolation("two_radius_gradient", p, small, big, d2, d1, uu,
+                                   eps * gap ** p, (eps * gap) ** -p)
     return [eq_a, eq_b]
 
 
@@ -589,19 +603,12 @@ def _run_w2p_global(params, h, seed):
     L = R + r0 + 0.25
     mf = manufactured("bump", d, radius=float(params["radius"]),
                       amplitude=float(params["amplitude"]))
-    grid, u, derivs, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf=mf)
+    grid, u, derivs, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
     mass = node_masses(grid, _axis_weight(params["q"]))
-
     collar = _ball_mask(grid, (0.0,) * d, R + r0)
-    eq = EquationCheck(
-        "global_hessian",
-        _integral(d2 ** p, mass),
-        (_integral(np.abs(fv) ** p, mass),
-         r0 ** (-2 * p) * _integral(np.abs(u.values) ** p, mass),
-         tau0 ** p * _integral(collar, mass)),
-        {"theta_probe": _theta_probe(build_operator(params), d),
-         "u_term_scale": r0 ** (-2 * p)})
-    return [eq]
+    scale = r0 ** (-2 * p)
+    return [_collar_hessian("global_hessian", p, mass, d2, fv, np.abs(u.values), collar,
+                            tau0, scale, {"u_term_scale": scale})]
 
 
 @_register(
@@ -643,7 +650,17 @@ def _apriori_fields(params, h):
     d = int(params["d"])
     L = float(params["extent"])
     mf = manufactured("bump", d, radius=float(params["radius"]))
-    return _fields(params, h, (-L,) * d, (L,) * d, mf=mf)
+    return _fields(params, h, (-L,) * d, (L,) * d, mf)
+
+
+def _apriori_pair(params, fields, axis: int):
+    """Absorbed-defect form and gradient pair over the whole grid box."""
+    p = float(params["p"])
+    grid, u, _, fv, d2, d1 = fields
+    mass = node_masses(grid, _axis_weight(params["q"], axis=axis))
+    uu = np.abs(u.values)
+    return [_absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u.values),
+            _gradient_pair(p, mass, d2, d1, fv, uu)]
 
 
 @_register(
@@ -660,20 +677,7 @@ def _apriori_fields(params, h):
     ),
 )
 def _run_apriori(params, h, seed):
-    p = float(params["p"])
-    grid, u, derivs, fv, d2, d1 = _apriori_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"]))
-    uu = np.abs(u.values)
-    eq_full = EquationCheck(
-        "absorbed_zeroth",
-        _integral(d2 ** p + d1 ** p + uu ** p, mass),
-        (_integral(np.abs(fv - u.values) ** p, mass),),
-        {"theta_probe": _theta_probe(build_operator(params), int(params["d"]))})
-    eq_pair = EquationCheck(
-        "gradient_pair",
-        _integral(d2 ** p + d1 ** p, mass),
-        (_integral(np.abs(fv) ** p, mass), _integral(uu ** p, mass)))
-    return [eq_full, eq_pair]
+    return _apriori_pair(params, _apriori_fields(params, h), axis=0)
 
 
 @_register(
@@ -693,13 +697,9 @@ def _run_mixed(params, h, seed):
     p1, p2 = float(params["p1"]), float(params["p2"])
     grid, u, derivs, fv, d2, d1 = _apriori_fields(params, h)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-    stack = _stack(p1, d2, d1, u.values)
-    eq = EquationCheck(
-        "mixed_triple",
-        mixed_norm(GridFunction(grid, stack), spec),
-        (mixed_norm(GridFunction(grid, np.abs(fv - u.values)), spec),),
-        {"finiteness_hypothesis": "automatic on a truncated grid"})
-    return [eq]
+    return [_mixed_absorbed("mixed_triple", grid, spec, _stack(p1, d2, d1, u.values),
+                            fv - u.values,
+                            {"finiteness_hypothesis": "automatic on a truncated grid"})]
 
 
 @_register(
@@ -723,7 +723,7 @@ def _run_local_w2p(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf=mf)
+    grid, u, derivs, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     mass = node_masses(grid, _axis_weight(params["q"]))
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r) * mass
@@ -731,13 +731,9 @@ def _run_local_w2p(params, h, seed):
     uu = np.abs(u.values)
     gap = R - r
 
+    eq_a = _local_hessian("local_hessian", p, inner, outer, d2, d1, fv, uu, gap)
     f_int = _integral(np.abs(fv) ** p, outer)
     u_int = _integral(uu ** p, outer)
-    eq_a = EquationCheck(
-        "local_hessian",
-        _integral(d2 ** p, inner),
-        (f_int,
-         _integral((gap ** -1 * d1 + (gap ** -2 + 1.0) * uu) ** p, outer)))
     eq_b = EquationCheck(
         "two_radius_hessian",
         _integral(d2 ** p, inner),
@@ -769,18 +765,13 @@ def _run_local_mixed(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf=mf)
+    grid, u, derivs, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r)
     outer = _ball_mask(grid, origin, R)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-
-    eq = EquationCheck(
-        "local_mixed_pair",
-        mixed_norm(GridFunction(grid, _stack(p1, d2, d1) * inner), spec),
-        (mixed_norm(GridFunction(grid, np.abs(fv) * outer), spec),
-         mixed_norm(GridFunction(grid, np.abs(u.values) * outer), spec)))
-    return [eq]
+    return [_mixed_pair("local_mixed_pair", grid, spec, p1, d2, d1, fv, np.abs(u.values),
+                        inner, outer)]
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +789,7 @@ def _slab_fields(params, h, x1_extent=4.0, span=2.0, center=1.2,
     centers = (center,) + (0.0,) * (d - 1)
     rr = (radii[0],) + (radii[1],) * (d - 1)
     mf = manufactured("slab_bump", d, centers=centers, radii=rr)
-    return _fields(params, h, lo, hi, half_axis=0, mf=mf)
+    return _fields(params, h, lo, hi, mf, half_axis=0)
 
 
 @_register(
@@ -923,7 +914,7 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
     if kind not in ("odd_bump", "bump"):
         raise ValueError(f"unknown manufactured input {kind!r} for a boundary entry")
     mf = manufactured(kind, d, radius=radius)
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, half_axis=0, mf=mf)
+    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, half_axis=0)
     _check_zero_trace(u)
     return grid, u, derivs, fv, d2, d1
 
@@ -949,24 +940,10 @@ def _run_hs_dirichlet(params, h, seed):
                                                     kind=params["input"])
     mass = node_masses(grid, _axis_weight(params["q"]))
     uu = np.abs(u.values)
-    d = int(params["d"])
-
-    f_int = _integral(np.abs(fv) ** p, mass)
-    u_int = _integral(uu ** p, mass)
-    collar = _ball_mask(grid, (0.0,) * d, R + r0)
-    eq_a = EquationCheck(
-        "support_hessian",
-        _integral(d2 ** p, mass),
-        (f_int, u_int, tau0 ** p * _integral(collar, mass)))
-    eq_b = EquationCheck(
-        "gradient_pair",
-        _integral(d2 ** p + d1 ** p, mass),
-        (f_int, u_int))
-    eq_c = EquationCheck(
-        "absorbed_zeroth",
-        _integral(d2 ** p + d1 ** p + uu ** p, mass),
-        (_integral(np.abs(fv - u.values) ** p, mass),))
-    return [eq_a, eq_b, eq_c]
+    collar = _ball_mask(grid, (0.0,) * int(params["d"]), R + r0)
+    return [_collar_hessian("support_hessian", p, mass, d2, fv, uu, collar, tau0),
+            _gradient_pair(p, mass, d2, d1, fv, uu),
+            _absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u.values)]
 
 
 @_register(
@@ -994,10 +971,7 @@ def _run_hs_dirichlet_mixed(params, h, seed):
 
     hat_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                              weights=(HattedPowerX1(q, axis=0), None))
-    eq_a = EquationCheck(
-        "hatted_triple",
-        mixed_norm(GridFunction(grid, d2 + d1 + uu), hat_spec),
-        (mixed_norm(GridFunction(grid, np.abs(fv - u.values)), hat_spec),))
+    eq_a = _mixed_absorbed("hatted_triple", grid, hat_spec, d2 + d1 + uu, fv - u.values)
 
     plain_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                                weights=(PowerX1(q, axis=0), None))
@@ -1032,14 +1006,8 @@ def _run_hs_local(params, h, seed):
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r) * mass
     outer = _ball_mask(grid, origin, R) * mass
-    uu = np.abs(u.values)
-    gap = R - r
-    eq = EquationCheck(
-        "boundary_local_hessian",
-        _integral(d2 ** p, inner),
-        (_integral(np.abs(fv) ** p, outer),
-         _integral((gap ** -1 * d1 + (gap ** -2 + 1.0) * uu) ** p, outer)))
-    return [eq]
+    return [_local_hessian("boundary_local_hessian", p, inner, outer, d2, d1, fv,
+                           np.abs(u.values), R - r)]
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1025,7 @@ def _para_fields(params, h, box=1.4, t_extent=1.6):
         t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
     lo = (0.0,) + (-box,) * d
     hi = (t_extent,) + (box,) * d
-    return _fields(params, h, lo, hi, time_axis=True, mf=mf)
+    return _fields(params, h, lo, hi, mf, time_axis=True)
 
 
 def _para_validate(p):
@@ -1086,14 +1054,8 @@ def _run_para_global(params, h, seed):
     grid, u, derivs, fv, d2, d1 = _para_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1))
     collar = _cylinder_mask(grid, R + r0)
-    eq = EquationCheck(
-        "parabolic_hessian",
-        _integral(d2 ** p, mass),
-        (_integral(np.abs(fv) ** p, mass),
-         _integral(np.abs(u.values) ** p, mass),
-         tau0 ** p * _integral(collar, mass)),
-        {"theta_probe": _theta_probe(build_operator(params), int(params["d"]))})
-    return [eq]
+    return [_collar_hessian("parabolic_hessian", p, mass, d2, fv, np.abs(u.values), collar,
+                            tau0)]
 
 
 @_register(
@@ -1105,19 +1067,7 @@ def _run_para_global(params, h, seed):
     validate=lambda p: _para_validate(p),
 )
 def _run_para_apriori(params, h, seed):
-    p = float(params["p"])
-    grid, u, derivs, fv, d2, d1 = _para_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1))
-    uu = np.abs(u.values)
-    eq_full = EquationCheck(
-        "absorbed_zeroth",
-        _integral(d2 ** p + d1 ** p + uu ** p, mass),
-        (_integral(np.abs(fv - u.values) ** p, mass),))
-    eq_pair = EquationCheck(
-        "gradient_pair",
-        _integral(d2 ** p + d1 ** p, mass),
-        (_integral(np.abs(fv) ** p, mass), _integral(uu ** p, mass)))
-    return [eq_full, eq_pair]
+    return _apriori_pair(params, _para_fields(params, h), axis=1)
 
 
 @_register(
@@ -1138,11 +1088,8 @@ def _run_para_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
     grid, u, derivs, fv, d2, d1 = _para_fields(params, h)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
-    eq = EquationCheck(
-        "mixed_triple",
-        mixed_norm(GridFunction(grid, _stack(p0, d2, d1, u.values)), spec),
-        (mixed_norm(GridFunction(grid, np.abs(fv - u.values)), spec),))
-    return [eq]
+    return [_mixed_absorbed("mixed_triple", grid, spec, _stack(p0, d2, d1, u.values),
+                            fv - u.values)]
 
 
 @_register(
@@ -1168,12 +1115,8 @@ def _run_para_local_mixed(params, h, seed):
     inner = _cylinder_mask(grid, r)
     outer = _cylinder_mask(grid, R)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
-    eq = EquationCheck(
-        "local_mixed_pair",
-        mixed_norm(GridFunction(grid, _stack(p0, d2, d1) * inner), spec),
-        (mixed_norm(GridFunction(grid, np.abs(fv) * outer), spec),
-         mixed_norm(GridFunction(grid, np.abs(u.values) * outer), spec)))
-    return [eq]
+    return [_mixed_pair("local_mixed_pair", grid, spec, p0, d2, d1, fv, np.abs(u.values),
+                        inner, outer)]
 
 
 # ---------------------------------------------------------------------------
@@ -1184,22 +1127,16 @@ _PARA_HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
                      "radius": 1.1, "t_center": 0.7, "t_radius": 0.6}
 
 
-def _para_hs_fields(params, h, radius=None, box=1.3, t_extent=1.6):
+def _para_hs_fields(params, h, box=1.3, t_extent=1.6):
     d = int(params["d"])
-    radius = float(params["radius"]) if radius is None else radius
     mf = with_time_profile(
-        manufactured("odd_bump", d, radius=radius),
+        manufactured("odd_bump", d, radius=float(params["radius"])),
         t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
     lo = (0.0, 0.0) + (-box,) * (d - 1)
     hi = (t_extent, box) + (box,) * (d - 1)
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, time_axis=True,
-                                          half_axis=1, mf=mf)
+    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=True, half_axis=1)
     _check_zero_trace(u)
     return grid, u, derivs, fv, d2, d1
-
-
-def _half_cylinder_mask(grid, radius: float) -> np.ndarray:
-    return _cylinder_mask(grid, radius)
 
 
 @_register(
@@ -1220,14 +1157,9 @@ def _run_para_hs(params, h, seed):
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
     grid, u, derivs, fv, d2, d1 = _para_hs_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1))
-    collar = _half_cylinder_mask(grid, R + r0)
-    eq = EquationCheck(
-        "boundary_hessian",
-        _integral(d2 ** p, mass),
-        (_integral(np.abs(fv) ** p, mass),
-         _integral(np.abs(u.values) ** p, mass),
-         tau0 ** p * _integral(collar, mass)))
-    return [eq]
+    collar = _cylinder_mask(grid, R + r0)
+    return [_collar_hessian("boundary_hessian", p, mass, d2, fv, np.abs(u.values), collar,
+                            tau0)]
 
 
 @_register(
@@ -1242,12 +1174,7 @@ def _run_para_hs_full(params, h, seed):
     p = float(params["p"])
     grid, u, derivs, fv, d2, d1 = _para_hs_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1))
-    uu = np.abs(u.values)
-    eq = EquationCheck(
-        "boundary_absorbed",
-        _integral(d2 ** p + d1 ** p + uu ** p, mass),
-        (_integral(np.abs(fv - u.values) ** p, mass),))
-    return [eq]
+    return [_absorbed("boundary_absorbed", p, mass, d2, d1, np.abs(u.values), fv - u.values)]
 
 
 @_register(
@@ -1274,35 +1201,21 @@ def _run_para_hs_mixed(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     grid, u, derivs, fv, d2, d1 = _para_hs_fields(params, h)
     uu = np.abs(u.values)
-    defect = np.abs(fv - u.values)
-    inner = _half_cylinder_mask(grid, r)
-    outer = _half_cylinder_mask(grid, R)
+    inner = _cylinder_mask(grid, r)
+    outer = _cylinder_mask(grid, R)
     space = tuple(range(1, d + 1))
     wall = PowerX1(q, axis=1)
 
     t_outer = MixedNormSpec(groups=((0,), space), exponents=(p2, p1),
                             weights=(None, wall))
-    eq_a = EquationCheck(
-        "cylinder_time_outer",
-        mixed_norm(GridFunction(grid, _stack(p1, d2, d1) * inner), t_outer),
-        (mixed_norm(GridFunction(grid, np.abs(fv) * outer), t_outer),
-         mixed_norm(GridFunction(grid, uu * outer), t_outer)))
-
     x_outer = MixedNormSpec(groups=(space, (0,)), exponents=(p1, p2),
                             weights=(wall, None))
-    eq_b = EquationCheck(
-        "cylinder_space_outer",
-        mixed_norm(GridFunction(grid, _stack(p2, d2, d1) * inner), x_outer),
-        (mixed_norm(GridFunction(grid, np.abs(fv) * outer), x_outer),
-         mixed_norm(GridFunction(grid, uu * outer), x_outer)))
-
     triple = MixedNormSpec(groups=((0,), tuple(range(2, d + 1)), (1,)),
                            exponents=(p3, p2, p1), weights=(None, None, wall))
-    eq_c = EquationCheck(
-        "weighted_triple",
-        mixed_norm(GridFunction(grid, d2 + d1 + uu), triple),
-        (mixed_norm(GridFunction(grid, defect), triple),))
-    return [eq_a, eq_b, eq_c]
+    return [
+        _mixed_pair("cylinder_time_outer", grid, t_outer, p1, d2, d1, fv, uu, inner, outer),
+        _mixed_pair("cylinder_space_outer", grid, x_outer, p2, d2, d1, fv, uu, inner, outer),
+        _mixed_absorbed("weighted_triple", grid, triple, d2 + d1 + uu, fv - u.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -1329,14 +1242,10 @@ def _run_neg_exp(params, L, seed):
     u = mf.u(X).reshape(grid.shape)
     du = mf.du(X)[:, 0].reshape(grid.shape)
     d2 = mf.d2u(X)[:, 0, 0].reshape(grid.shape)
-    mass = node_masses(grid)
-    eq = EquationCheck(
-        "unbounded_zeroth",
-        _integral(np.abs(d2) ** p + np.abs(du) ** p + np.abs(u) ** p, mass),
-        (_integral(np.abs(d2 - u) ** p, mass),),
-        {"derivatives": "analytic",
-         "defect": "second derivative minus function vanishes identically"})
-    return [eq]
+    notes = {"derivatives": "analytic",
+             "defect": "second derivative minus function vanishes identically"}
+    return [_absorbed("unbounded_zeroth", p, node_masses(grid), np.abs(d2), np.abs(du),
+                      np.abs(u), d2 - u, notes)]
 
 
 # ---------------------------------------------------------------------------

@@ -172,31 +172,13 @@ def suite_to_json(suite_name: str, reports, seed: int) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def suite_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "spacing", "lhs", "rhs_sum", "n_emp", "trend", "verdict"])
-    for r in sorted(reports, key=lambda r: r.id):
-        s = r.primary
-        for k, x in enumerate(r.ladder):
-            writer.writerow([
-                r.id, repr(float(x)), repr(float(s.lhs[k])),
-                repr(float(sum(s.rhs_terms[k]))), repr(float(s.n_emp[k])),
-                s.trend, r.verdict,
-            ])
-    return buf.getvalue()
-
-
 def _doc_float(v) -> float:
     return float("inf") if v == "inf" else float(v)
 
 
 def csv_from_doc(doc: dict) -> str:
-    """CSV flattening of a parsed suite document.
-
-    Byte-identical to ``suite_to_csv`` applied to the reports the document
-    was serialized from.
-    """
+    """CSV flattening of a parsed suite document: one row per ladder value
+    of each entry's primary series."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "spacing", "lhs", "rhs_sum", "n_emp", "trend", "verdict"])
@@ -210,3 +192,8 @@ def csv_from_doc(doc: dict) -> str:
                 s["trend"], e["verdict"],
             ])
     return buf.getvalue()
+
+
+def suite_to_csv(reports) -> str:
+    return csv_from_doc(
+        {"entries": [report_to_dict(r) for r in sorted(reports, key=lambda r: r.id)]})

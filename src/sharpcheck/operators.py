@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage, signal
 
 from .calculus import Grid, GridFunction
-from .filtration import DiscreteField, level_average_values
+from .filtration import DiscreteField, _block_expand, cell_blocks, level_average_values
 
 # Cells per pairwise chunk in the generic double-average path.
 _PAIR_CHUNK = 1 << 22
@@ -71,27 +71,15 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
     start = max(m, filt.spec.n_min)
     out = np.zeros(filt.shape)
     for n in range(start, filt.spec.n_max + 1):
-        factors = filt.block_factors(n)
-        shape = []
-        for size, fct in zip(filt.shape, factors):
-            shape.extend((size // fct, fct))
-        perm = list(range(0, 2 * filt.ndim, 2)) + list(range(1, 2 * filt.ndim, 2))
-        blocks = u.values.reshape(shape).transpose(perm).reshape(filt.cell_count(n), -1)
+        blocks = cell_blocks(u.values, filt, n)
         if gamma == 1.0:
             per_cell = _pair_mean_sorted(blocks)
         else:
             per_cell = _pair_mean_power(blocks, gamma) ** (1.0 / gamma)
-        np.maximum(out, _expand_cells(per_cell, filt, n), out=out)
+        factors = filt.block_factors(n)
+        coarse = per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
+        np.maximum(out, _block_expand(coarse, factors), out=out)
     return DiscreteField(filt, out)
-
-
-def _expand_cells(per_cell: np.ndarray, filt, n: int) -> np.ndarray:
-    factors = filt.block_factors(n)
-    coarse = per_cell.reshape(tuple(s // f for s, f in zip(filt.shape, factors)))
-    for ax, f in enumerate(factors):
-        if f > 1:
-            coarse = np.repeat(coarse, f, axis=ax)
-    return coarse
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calculus import Grid, GridFunction
-from .filtration import DiscreteField, Filtration
+from .filtration import DiscreteField, Filtration, cell_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +295,7 @@ def beta_type_constant(w, beta: float, filt: Filtration | None = None) -> float:
     masses = cell_masses(w, filt)
     best = 0.0
     for n in filt.levels:
-        factors = filt.block_factors(n)
-        shape = []
-        for size, fct in zip(filt.shape, factors):
-            shape.extend((size // fct, fct))
-        perm = list(range(0, 2 * filt.ndim, 2)) + list(range(1, 2 * filt.ndim, 2))
-        blocks = masses.reshape(shape).transpose(perm).reshape(filt.cell_count(n), -1)
+        blocks = cell_blocks(masses, filt, n)
         m = blocks.shape[1]
         pref = np.cumsum(np.sort(blocks, axis=1)[:, ::-1], axis=1)
         ratio = pref / pref[:, -1:]
