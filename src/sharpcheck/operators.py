@@ -4,9 +4,11 @@ Dyadic variants act on piecewise-constant fields through exact block
 averages.  Geometric variants act on grid functions: shape averages are
 node-counting quadratures over balls, half balls, forward-in-time cylinders
 ``[t, t + r^2) x B_r`` and half cylinders, with shapes clipped to the grid
-box.  For every radius the per-center averages come from one FFT window sum
-and the sup over shapes containing a node from one running maximum filter,
-so results are identical to the brute-force definition up to FFT rounding.
+box.  For every radius the per-center averages come from one window sum
+through ``scipy.fft``, so they match the brute-force definition up to FFT
+rounding.  The sup over shapes containing a node is exact: the footprint is
+cut into chords, each chord is one running maximum, and a cylinder's
+forward time interval is one separable running maximum along time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage
 
 from .calculus import Grid, GridFunction
 from .filtration import DiscreteField, _block_expand, cell_blocks, level_average_values
@@ -154,16 +156,79 @@ def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
 
 
 def _window_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # correlation: out[c] = sum over offsets o in mask of values[c + o]
+    # correlation: out[c] = sum over offsets o in mask of values[c + o], as a
+    # "same"-mode FFT convolution with the reflected mask; axes where either
+    # input has one node are plain broadcasting and take no transform
     kernel = mask.astype(np.float64)[tuple(slice(None, None, -1) for _ in mask.shape)]
-    return signal.fftconvolve(values, kernel, mode="same")
+    axes = [a for a in range(values.ndim) if values.shape[a] != 1 and kernel.shape[a] != 1]
+    full = [n + k - 1 if a in axes else max(n, k)
+            for a, (n, k) in enumerate(zip(values.shape, kernel.shape))]
+    if axes:
+        fshape = [fft.next_fast_len(full[a], True) for a in axes]
+        spec = fft.rfftn(values, fshape, axes=axes) * fft.rfftn(kernel, fshape, axes=axes)
+        ret = fft.irfftn(spec, fshape, axes=axes)
+    else:
+        ret = values * kernel
+    return ret[tuple(slice((f - n) // 2, (f - n) // 2 + n)
+                     for f, n in zip(full, values.shape))].copy()
 
 
-def _covering_max(per_center: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # out[x] = max over centers c with x inside shape(c); c - x ranges over
-    # the reflected window
+def _shift_max(out: np.ndarray, src: np.ndarray, shift) -> None:
+    # out[x] = max(out[x], src[x + shift]) wherever x + shift is on the grid
+    dst, tail = [], []
+    for n, s in zip(out.shape, shift):
+        if abs(s) >= n:
+            return
+        dst.append(slice(max(0, -s), n - max(0, s)))
+        tail.append(slice(max(0, s), n - max(0, -s)))
+    view = out[tuple(dst)]
+    np.maximum(view, src[tuple(tail)], out=view)
+
+
+def _running_max(values: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
+    # out[i] = max of values[i + lo .. i + hi] along axis, -inf off the grid.
+    # The filter's origin must keep offset 0 inside the window, so a chord
+    # that misses 0 is filtered from its end nearest 0 and shifted there.
+    a = min(max(lo, 0), hi)
+    w = hi - lo + 1
+    run = ndimage.maximum_filter1d(values, w, axis=axis, mode="constant", cval=-np.inf,
+                                   origin=-(w // 2) - (lo - a))
+    if a == 0:
+        return run
+    out = np.full_like(run, -np.inf)
+    _shift_max(out, run, [a if ax == axis else 0 for ax in range(values.ndim)])
+    return out
+
+
+def _covering_max(per_center: np.ndarray, mask: np.ndarray, time_axis: bool) -> np.ndarray:
+    """Exact ``out[x] = max per_center[c]`` over centers ``c`` whose shape
+    contains ``x``; ``c - x`` ranges over the reflected window ``foot``.
+
+    Each row of ``foot`` along the last axis splits into contiguous chords
+    (one per row for balls); every distinct chord is one running maximum
+    (van Herk / Gil-Werman, O(1) per node), shifted into place over the
+    leading axes.  On a time grid the mask is a forward time interval times
+    a ball, so the interval is one running maximum along axis 0 first.
+    """
     foot = mask[tuple(slice(None, None, -1) for _ in mask.shape)]
-    return ndimage.maximum_filter(per_center, footprint=foot, mode="constant", cval=-np.inf)
+    vals = per_center
+    if time_axis:
+        steps = np.flatnonzero(foot.any(axis=tuple(range(1, foot.ndim)))) - foot.shape[0] // 2
+        vals = _running_max(per_center, int(steps[0]), int(steps[-1]), 0)
+        foot = foot.any(axis=0, keepdims=True)
+    mid = [s // 2 for s in foot.shape]
+    chords: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for lead in np.ndindex(foot.shape[:-1]):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], foot[lead], [0]))))
+        for lo, hi in zip(edges[::2], edges[1::2] - 1):
+            shift = tuple(i - m for i, m in zip(lead, mid)) + (0,)
+            chords.setdefault((int(lo) - mid[-1], int(hi) - mid[-1]), []).append(shift)
+    out = np.full(per_center.shape, -np.inf)
+    for (lo, hi), shifts in chords.items():
+        run = _running_max(vals, lo, hi, per_center.ndim - 1)
+        for shift in shifts:
+            _shift_max(out, run, shift)
+    return out
 
 
 def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> list[float]:
@@ -197,7 +262,7 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
         mask = _shape_offsets(h.grid, family, r)
         counts = np.rint(_window_sum(ones, mask))
         avg = np.maximum(_window_sum(absv, mask), 0.0) / counts
-        np.maximum(out, _covering_max(avg, mask), out=out)
+        np.maximum(out, _covering_max(avg, mask, h.grid.time_axis), out=out)
     return GridFunction(h.grid, out)
 
 
@@ -271,7 +336,8 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         nondiag = ordered - counts
         with np.errstate(invalid="ignore", divide="ignore"):
             per_center = np.where(cnt > 0, acc / np.maximum(cnt, 1.0) * nondiag / ordered, 0.0)
-        np.maximum(out, _covering_max(per_center ** (1.0 / gamma), mask), out=out)
+        np.maximum(out, _covering_max(per_center ** (1.0 / gamma), mask, grid.time_axis),
+                   out=out)
     result = GridFunction(grid, out)
     result.pair_budget = pair_budget
     result.subsampled = subsampled

@@ -6,6 +6,10 @@ contract 0 = all checks passed, 1 = a check failed or errored at runtime,
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +253,17 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(bad))
         assert code == 2
         assert "missing schema_version/entries" in err
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal costs most of a cold CLI start and the package needs
+    # none of it; run in a fresh interpreter so other tests' imports don't count
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, sharpcheck.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

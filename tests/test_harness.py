@@ -14,6 +14,7 @@ Frozen values used below:
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,15 @@ class TestCatalogRecipes:
         frozen = run_entry("PARA-GLOBAL", 0.2, t_radius=0.61)[0]
         assert with_dt.rhs_terms[0] != pytest.approx(frozen.rhs_terms[0], rel=1e-6)
         assert n_emp_of(with_dt) < 1.0
+
+    def test_covering_max_entries_bounded_at_default_ladders(self):
+        # INTERP and OSC at their own ladders, within a generous budget;
+        # OSC-P's default ladder takes about 12 s and stays out of this run
+        start = time.perf_counter()
+        for eid in ("INTERP", "OSC"):
+            r = run_estimate_check(EstimateSpec(id=eid))
+            assert r.verdict == BOUNDED and r.passed(), eid
+        assert time.perf_counter() - start < 20.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from sharpcheck.operators import (
     family_for_grid,
     geometric_maximal,
     geometric_sharp,
+    _covering_max,
+    _shape_offsets,
+    _window_sum,
 )
 
 
@@ -264,6 +267,79 @@ class TestGeometricMaximal:
             GeometricFamily("cube", (0.3,))
         with pytest.raises(ValueError, match="radius ladder"):
             GeometricFamily("ball", ())
+
+
+# ---------------------------------------------------------------------------
+# exact primitives: covering max and window sum
+
+def brute_covering_max(per_center, mask):
+    # out[x] = max of per_center[c] over the centers c whose shape c + mask
+    # (offsets about the mask's middle node) contains x
+    offsets = np.argwhere(mask) - np.array(mask.shape) // 2
+    out = np.full(per_center.shape, -np.inf)
+    for c in np.ndindex(per_center.shape):
+        xs = offsets + c
+        xs = xs[((xs >= 0) & (xs < per_center.shape)).all(axis=1)]
+        np.maximum.at(out, tuple(xs.T), per_center[c])
+    return out
+
+
+def family_masks(ndim):
+    # (mask, time_axis) for every shape family on a spacing-1/8 box; at
+    # r = 0.3 a cylinder's time extent is one node (r^2 < dt)
+    out = []
+    for shape, kw in (("ball", {}), ("half_ball", {"half_axis": 0}),
+                      ("cylinder", {"time_axis": True}),
+                      ("half_cylinder", {"time_axis": True, "half_axis": ndim - 1})):
+        if "time_axis" in kw and ndim < 2:
+            continue
+        grid = box_grid((0.0,) * ndim, (1.0,) * ndim, (9,) * ndim, **kw)
+        for r in (0.13, 0.3, 0.55):
+            out.append((_shape_offsets(grid, GeometricFamily(shape, (r,)), r), grid.time_axis))
+    return out
+
+
+def random_masks(rng, ndim, count):
+    out = []
+    for k in range(count):
+        dims = tuple(int(v) for v in 2 * rng.integers(0, 4, ndim) + 1)
+        if k % 2:
+            mask = rng.random(dims) < 0.5
+        else:                                   # one chord (or none) per row
+            mask = np.zeros(dims, dtype=bool)
+            for lead in np.ndindex(dims[:-1]):
+                a, b = sorted(rng.integers(0, dims[-1], 2))
+                mask[lead][a:b + 1] = rng.random() < 0.8
+        out.append((mask, False))
+    return out
+
+
+class TestExactPrimitives:
+
+    @pytest.mark.parametrize("shape", [(1,), (6,), (7,), (1, 5), (8, 1), (6, 7),
+                                       (4, 5, 3), (1, 6, 5)])
+    def test_covering_max_matches_brute_force(self, shape):
+        rng = np.random.default_rng(sum(shape) * 7 + len(shape))
+        per_center = rng.standard_normal(shape)
+        per_center[rng.random(shape) < 0.25] = -np.inf
+        cases = family_masks(len(shape)) + random_masks(rng, len(shape), 12)
+        for mask, time_axis in cases:
+            np.testing.assert_array_equal(_covering_max(per_center, mask, time_axis),
+                                          brute_covering_max(per_center, mask))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_window_sum_matches_fftconvolve_bitwise(self, ndim):
+        from scipy import signal
+
+        rng = np.random.default_rng(50 + ndim)
+        for _ in range(30):
+            shape = tuple(int(v) for v in rng.choice([1, 2, 5, 8, 13], ndim))
+            mask = rng.random(tuple(int(v) for v in 2 * rng.integers(0, 4, ndim) + 1)) < 0.6
+            values = rng.standard_normal(shape)
+            kernel = mask.astype(np.float64)[tuple(slice(None, None, -1) for _ in range(ndim))]
+            want = signal.fftconvolve(values, kernel, mode="same")
+            got = _window_sum(values, mask)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
