@@ -3,7 +3,8 @@
 Vertex-centered uniform grids over boxes, optionally with a leading time axis
 (independent spacing) and a half-space axis clipped at 0.  Derivatives use
 second-order central stencils inside and second-order one-sided stencils at
-faces, so they are exact on quadratics.  Operators act on Hessian fields:
+faces, so they are exact on quadratics.  An operator is a callable on stacks
+of Hessians (and their points) with declared ellipticity and Lipschitz bounds:
 linear trace forms, Bellman suprema over coefficient families, the extremal
 operators with eigenvalue bounds ``[delta, 1/delta]``, and tabulated
 callables.  The oscillation functional measures the averaged distance of an
@@ -115,21 +116,6 @@ class GridFunction:
         return np.take(self.values, 0, axis=ax)
 
 
-def grid_to_csv(f: GridFunction) -> str:
-    import io
-    buf = io.StringIO()
-    ndim = f.grid.ndim
-    buf.write(",".join(f"i{ax}" for ax in range(ndim)) + ",value\n")
-    flat = f.values.reshape(-1, *f.channels)
-    for idx, val in zip(np.ndindex(*f.grid.shape), flat):
-        if np.ndim(val) == 0:
-            cell = repr(float(val))
-        else:
-            cell = ";".join(repr(float(c)) for c in np.ravel(val))
-        buf.write(",".join(str(i) for i in idx) + f",{cell}\n")
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -225,102 +211,82 @@ def pucci_extremal(H: np.ndarray, delta: float, side: str = "max") -> np.ndarray
     raise ValueError(f"side must be 'max' or 'min', got {side!r}")
 
 
-def _coeff_at(coeff, X: np.ndarray, ds: int) -> np.ndarray:
-    if callable(coeff):
-        A = np.asarray(coeff(X), dtype=np.float64)
-    else:
-        A = np.asarray(coeff, dtype=np.float64)
+def _trace_form(coeff, H: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A(x) : H`` for a constant ``(ds, ds)`` coefficient or a callable
+    returning one matrix per point."""
+    ds = H.shape[-1]
+    A = np.asarray(coeff(X) if callable(coeff) else coeff, dtype=np.float64)
     if A.shape == (ds, ds):
         A = np.broadcast_to(A, (X.shape[0], ds, ds))
     if A.shape != (X.shape[0], ds, ds):
         raise ValueError(f"coefficient evaluated to shape {A.shape}, expected (n, {ds}, {ds})")
-    return A
+    return np.einsum("nij,nij->n", A, H)
 
 
 @dataclass
 class Operator:
-    """Second-order operator acting on Hessians, optionally x-dependent.
+    """Second-order operator ``fn(H, X)`` on Hessian stacks, optionally
+    x-dependent, with its ellipticity bound ``delta``, advertised Lipschitz
+    bound ``k_f`` in the Frobenius metric, advertised positive 1-homogeneity,
+    and the coefficient ``family`` of a Bellman operator (empty otherwise)."""
 
-    kind: ``linear`` (trace form), ``bellman`` (max of trace forms),
-    ``pucci_max`` / ``pucci_min`` (extremal), ``tabulated`` (callable).
-    ``k_f`` is the advertised Lipschitz bound in the Frobenius metric;
-    ``tau0`` and ``r0`` are the oscillation scale parameters carried along
-    with the operator; ``homogeneous`` advertises positive 1-homogeneity.
-    """
-
-    kind: str
+    fn: Callable
     delta: float
-    coeff: object = None
-    family: tuple = ()
-    fn: Callable | None = None
     k_f: float | None = None
-    r0: float = 1.0
-    tau0: float = 0.0
     homogeneous: bool = True
+    family: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("linear", "bellman", "pucci_max", "pucci_min", "tabulated"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.kind == "bellman" and not self.family:
-            raise ValueError("bellman operator needs a nonempty coefficient family")
-        if self.kind == "tabulated" and self.fn is None:
-            raise ValueError("tabulated operator needs a callable")
+        if not callable(self.fn):
+            raise ValueError("operator needs a callable")
 
     def __call__(self, H: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
         """Evaluate at Hessians ``H`` of shape ``(n, ds, ds)`` and points
-        ``X`` of shape ``(n, ndim)`` (ignored by x-independent kinds)."""
+        ``X`` of shape ``(n, ndim)`` (ignored by x-independent operators)."""
         H = np.asarray(H, dtype=np.float64)
-        n, ds = H.shape[0], H.shape[-1]
         if X is None:
-            X = np.zeros((n, ds))
-        if self.kind == "linear":
-            return np.einsum("nij,nij->n", _coeff_at(self.coeff, X, ds), H)
-        if self.kind == "bellman":
-            vals = np.stack([np.einsum("nij,nij->n", _coeff_at(c, X, ds), H)
-                             for c in self.family])
-            return vals.max(axis=0)
-        if self.kind == "pucci_max":
-            return pucci_extremal(H, self.delta, "max")
-        if self.kind == "pucci_min":
-            return pucci_extremal(H, self.delta, "min")
+            X = np.zeros((H.shape[0], H.shape[-1]))
         return np.asarray(self.fn(H, X), dtype=np.float64)
 
 
 def linear_operator(coeff, delta: float, **kw) -> Operator:
-    return Operator("linear", delta, coeff=coeff, **kw)
+    return Operator(lambda H, X: _trace_form(coeff, H, X), delta, **kw)
 
 
 def bellman_operator(family, delta: float, **kw) -> Operator:
-    return Operator("bellman", delta, family=tuple(family), **kw)
+    family = tuple(family)
+    if not family:
+        raise ValueError("bellman operator needs a nonempty coefficient family")
+    return Operator(lambda H, X: np.stack([_trace_form(c, H, X) for c in family]).max(axis=0),
+                    delta, family=family, **kw)
 
 
 def pucci_operator(delta: float, side: str = "max", d: int | None = None, **kw) -> Operator:
-    kind = "pucci_max" if side == "max" else "pucci_min"
+    if side not in ("max", "min"):
+        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
     if "k_f" not in kw and d is not None:
         kw["k_f"] = d / delta
-    return Operator(kind, delta, **kw)
+    return Operator(lambda H, X: pucci_extremal(H, delta, side), delta, **kw)
 
 
 def tabulated_operator(fn: Callable, delta: float, **kw) -> Operator:
-    return Operator("tabulated", delta, fn=fn, **kw)
+    return Operator(fn, delta, **kw)
 
 
 def bellman_argmax(op: Operator, H: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
     """Index of the coefficient achieving the Bellman max at each point."""
-    if op.kind != "bellman":
+    if not op.family:
         raise ValueError("argmax selection is only defined for bellman operators")
     H = np.asarray(H, dtype=np.float64)
-    n, ds = H.shape[0], H.shape[-1]
     if X is None:
-        X = np.zeros((n, ds))
-    vals = np.stack([np.einsum("nij,nij->n", _coeff_at(c, X, ds), H) for c in op.family])
-    return vals.argmax(axis=0)
+        X = np.zeros((H.shape[0], H.shape[-1]))
+    return np.stack([_trace_form(c, H, X) for c in op.family]).argmax(axis=0)
 
 
-def evaluate_operator(op: Operator, u: GridFunction, derivs: Derivatives | None = None,
-                      with_time: bool | None = None) -> GridFunction:
+def evaluate_operator(op: Operator, u: GridFunction,
+                      derivs: Derivatives | None = None) -> GridFunction:
     """``F(D2u, x)`` on the grid; adds the time derivative on time grids."""
     g = u.grid
     if derivs is None:
@@ -328,11 +294,7 @@ def evaluate_operator(op: Operator, u: GridFunction, derivs: Derivatives | None 
     H = derivs.d2u.reshape(-1, g.n_space, g.n_space)
     X = g.flat_nodes()
     vals = op(H, X).reshape(g.shape)
-    if with_time is None:
-        with_time = g.time_axis
-    if with_time:
-        if derivs.dt is None:
-            raise ValueError("time derivative requested on a grid without a time axis")
+    if g.time_axis:
         vals = derivs.dt + vals
     return GridFunction(g, vals)
 
@@ -359,16 +321,16 @@ class ClassReport:
     failures: list = field(default_factory=list)
 
 
-def check_operator_class(op: Operator, d: int, budget: int = 200, seed: int = 0,
-                         x_box: tuple = ((-1.0, 1.0),), rtol: float = 1e-9) -> ClassReport:
-    """Sampled verification of Lipschitz bound, zero normalization,
-    two-sided ellipticity quotients and (when advertised) homogeneity."""
+def check_operator_class(op: Operator, d: int, budget: int = 200,
+                         seed: int = 0) -> ClassReport:
+    """Sampled verification, at points of ``[-1, 1]^d`` and to relative
+    tolerance 1e-9, of Lipschitz bound, zero normalization, two-sided
+    ellipticity quotients and (when advertised) homogeneity."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    rtol = 1e-9
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in x_box] * (1 if len(x_box) > 1 else d))[:d]
-    hi = np.array([b[1] for b in x_box] * (1 if len(x_box) > 1 else d))[:d]
-    X = rng.uniform(lo, hi, size=(budget, d))
+    X = rng.uniform(-1.0, 1.0, size=(budget, d))
     M = symmetrize(rng.normal(size=(budget, d, d)) * rng.uniform(0.1, 10.0, size=(budget, 1, 1)))
     N = symmetrize(rng.normal(size=(budget, d, d)))
     failures = []
@@ -405,9 +367,9 @@ def check_operator_class(op: Operator, d: int, budget: int = 200, seed: int = 0,
 # ---------------------------------------------------------------------------
 # oscillation distance to an x-independent model
 
-def unit_hessian_directions(d: int, n_random: int = 16, seed: int = 0) -> np.ndarray:
+def unit_hessian_directions(d: int, seed: int = 0) -> np.ndarray:
     """Unit-Frobenius symmetric matrices: coordinate directions, the
-    normalized identity, and seeded random rotations of random spectra."""
+    normalized identity, and 16 seeded random rotations of random spectra."""
     dirs = []
     for i in range(d):
         E = np.zeros((d, d))
@@ -422,7 +384,7 @@ def unit_hessian_directions(d: int, n_random: int = 16, seed: int = 0) -> np.nda
     dirs.append(np.eye(d) / np.sqrt(d))
     dirs.append(-np.eye(d) / np.sqrt(d))
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(16):
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         s = rng.normal(size=d)
         s /= np.linalg.norm(s)
@@ -459,11 +421,11 @@ def shape_quadrature(center, radius: float, shape: str = "ball",
     return X
 
 
-def tau_ladder(tau0: float, steps: int = 21) -> np.ndarray:
-    """Geometric scan grid for the scale supremum; for ``tau0 = 0`` the base
-    drops to ``2**-10`` so the scan still covers small and large scales."""
+def tau_ladder(tau0: float) -> np.ndarray:
+    """21-step geometric scan grid for the scale supremum; for ``tau0 = 0`` the
+    base drops to ``2**-10`` so the scan still covers small and large scales."""
     base = tau0 if tau0 > 0 else 2.0 ** -10
-    return base * 2.0 ** np.arange(steps)
+    return base * 2.0 ** np.arange(21)
 
 
 @dataclass
@@ -476,7 +438,7 @@ class ThetaResult:
 
 def oscillation_theta(op: Operator, model: Callable, center, radius: float, *,
                       shape: str = "ball", tau0: float = 0.0, homogeneous: bool = False,
-                      density: int = 24, n_random_dirs: int = 16, seed: int = 0) -> ThetaResult:
+                      density: int = 24, seed: int = 0) -> ThetaResult:
     """Averaged worst-scale deviation of ``op`` from the x-independent
     ``model`` over a shape: max over unit Hessian directions of the shape
     average of ``sup_tau |F(tau u'', x) - model(tau u'')| / tau``.
@@ -486,7 +448,7 @@ def oscillation_theta(op: Operator, model: Callable, center, radius: float, *,
     """
     X = shape_quadrature(center, radius, shape=shape, density=density)
     d_space = X.shape[1] - (1 if shape in ("cylinder", "half_cylinder") else 0)
-    dirs = unit_hessian_directions(d_space, n_random=n_random_dirs, seed=seed)
+    dirs = unit_hessian_directions(d_space, seed=seed)
     taus = np.array([1.0]) if homogeneous else tau_ladder(tau0)
     per_dir = np.zeros(len(dirs))
     for k, U in enumerate(dirs):
@@ -500,11 +462,9 @@ def oscillation_theta(op: Operator, model: Callable, center, radius: float, *,
     return ThetaResult(float(per_dir.max()), per_dir, X.shape[0], taus)
 
 
-def homogenized_model(model: Callable, scale: float = 2.0 ** 20) -> Callable:
-    """Large-scale limit ``u'' -> F(scale u'') / scale`` of a convex model."""
-    def hom(H):
-        return model(np.asarray(H) * scale) / scale
-    return hom
+def homogenized_model(model: Callable) -> Callable:
+    """Large-scale limit ``u'' -> F(s u'') / s`` of a convex model at s = 2**20."""
+    return lambda H: model(np.asarray(H) * 2.0 ** 20) / 2.0 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +479,10 @@ class ManufacturedFunction:
     callbacks differentiate in the remaining axes only.
     """
 
-    name: str
-    params: dict
     u: Callable
     du: Callable
     d2u: Callable
     dt: Callable | None = None
-    time_dependent: bool = False
 
     def on_grid(self, grid: Grid) -> GridFunction:
         return GridFunction(grid, self.u(grid.flat_nodes()).reshape(grid.shape))
@@ -583,8 +540,7 @@ def _radial_bump(center, radius, amplitude):
 def _make_bump(d, center=None, radius=1.0, amplitude=1.0):
     center = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64)
     u, du, d2u = _radial_bump(center, radius, amplitude)
-    return ManufacturedFunction("bump", dict(center=tuple(center), radius=radius,
-                                             amplitude=amplitude), u, du, d2u)
+    return ManufacturedFunction(u, du, d2u)
 
 
 def _make_gaussian(d, center=None, sigma=1.0, amplitude=1.0):
@@ -604,24 +560,20 @@ def _make_gaussian(d, center=None, sigma=1.0, amplitude=1.0):
         base = u(X)[:, None, None]
         return base * (Y[:, :, None] * Y[:, None, :] / s2 ** 2 - np.eye(X.shape[1]) / s2)
 
-    return ManufacturedFunction("gaussian", dict(center=tuple(c), sigma=sigma,
-                                                 amplitude=amplitude), u, du, d2u)
+    return ManufacturedFunction(u, du, d2u)
 
 
-def _make_quadratic(d, A=None, b=None, c=0.0):
-    A = np.eye(d) if A is None else symmetrize(np.asarray(A, dtype=np.float64))
-    b = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64)
-
+def _make_quadratic(d):
     def u(X):
-        return 0.5 * np.einsum("ni,ij,nj->n", X, A, X) + X @ b + c
+        return 0.5 * (X ** 2).sum(axis=1)
 
     def du(X):
-        return X @ A + b
+        return X.copy()
 
     def d2u(X):
-        return np.broadcast_to(A, (X.shape[0], d, d)).copy()
+        return np.broadcast_to(np.eye(d), (X.shape[0], d, d)).copy()
 
-    return ManufacturedFunction("quadratic", dict(), u, du, d2u)
+    return ManufacturedFunction(u, du, d2u)
 
 
 def _make_exp_growth(d):
@@ -637,7 +589,7 @@ def _make_exp_growth(d):
     def d2u(X):
         return np.exp(X[:, 0])[:, None, None]
 
-    return ManufacturedFunction("exp_growth", dict(), u, du, d2u)
+    return ManufacturedFunction(u, du, d2u)
 
 
 def _make_slab_bump(d, centers, radii, amplitude=1.0):
@@ -683,7 +635,7 @@ def _make_slab_bump(d, centers, radii, amplitude=1.0):
                 out[:, i, j] = amplitude * fac * _others(g, {i, j})
         return out
 
-    return ManufacturedFunction("slab_bump", dict(amplitude=amplitude), u, du, d2u)
+    return ManufacturedFunction(u, du, d2u)
 
 
 def _make_odd_bump(d, radius=1.0, amplitude=1.0):
@@ -706,8 +658,7 @@ def _make_odd_bump(d, radius=1.0, amplitude=1.0):
         out[:, :, 0] += amplitude * B1
         return out
 
-    return ManufacturedFunction("odd_bump", dict(radius=radius, amplitude=amplitude),
-                                u, du, d2u)
+    return ManufacturedFunction(u, du, d2u)
 
 
 def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
@@ -755,5 +706,4 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
     def dt(X):
         return q1(X[:, 0]) * mf.u(X[:, 1:])
 
-    return ManufacturedFunction(mf.name + "+time", dict(profile=profile, **mf.params),
-                                u, du, d2u, dt=dt, time_dependent=True)
+    return ManufacturedFunction(u, du, d2u, dt=dt)

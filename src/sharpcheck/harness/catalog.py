@@ -95,6 +95,12 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 
 def _register(**kw):
+    """Add an entry; one with an ``operator`` parameter also builds its
+    operator when validated, so bad operator settings fail before a run."""
+    if "operator" in kw["defaults"]:
+        own = kw["validate"]
+        kw["validate"] = lambda params: (own(params), build_operator(params))
+
     def deco(fn):
         entry = CatalogEntry(runner=fn, **kw)
         ENTRIES[entry.id] = entry
@@ -816,38 +822,23 @@ def _run_hs_slab(params, h, seed):
     uu = np.abs(u.values)
     defect = np.abs(fv - u.values)
 
+    def pair(tag, inner, outer, hess, grad):
+        # ``hess`` and ``grad`` are the displayed coefficients of the rhs
+        # terms after the first; each outer integral is taken once
+        i2, i1, i0 = (_integral(a ** p, outer) for a in (d2, d1, uu))
+        return [EquationCheck(f"{tag}_hessian", _integral(d2 ** p, inner),
+                              (_integral(defect ** p, outer), hess[0] * i1, hess[1] * i0)),
+                EquationCheck(f"{tag}_gradient", _integral(d1 ** p, inner),
+                              (grad[0] * i2, grad[1] * i1, grad[2] * i0))]
+
     s_lo, s_hi = 2.0 ** -n, 2.0 ** (-n + 1)
     slab = ((x1 >= s_lo) & (x1 <= s_hi)).astype(np.float64) * mass
     wide = ((x1 >= s_lo / 2) & (x1 <= 2 * s_hi)).astype(np.float64) * mass
-    two_n = 2.0 ** (p * n)
-    eq_a = EquationCheck(
-        "slab_hessian",
-        _integral(d2 ** p, slab),
-        (_integral(defect ** p, wide),
-         two_n * _integral(d1 ** p, wide),
-         (two_n ** 2 + 1.0) * _integral(uu ** p, wide)))
-    eq_b = EquationCheck(
-        "slab_gradient",
-        _integral(d1 ** p, slab),
-        (eps / two_n * _integral(d2 ** p, wide),
-         eps * _integral(d1 ** p, wide),
-         two_n / eps * _integral(uu ** p, wide)))
-
     far = (x1 >= 2.0).astype(np.float64) * mass
     near = (x1 >= 1.0).astype(np.float64) * mass
-    eq_c = EquationCheck(
-        "far_hessian",
-        _integral(d2 ** p, far),
-        (_integral(defect ** p, near),
-         _integral(d1 ** p, near),
-         _integral(uu ** p, near)))
-    eq_d = EquationCheck(
-        "far_gradient",
-        _integral(d1 ** p, far),
-        (eps * _integral(d2 ** p, near),
-         eps * _integral(d1 ** p, near),
-         eps ** -1 * _integral(uu ** p, near)))
-    return [eq_a, eq_b, eq_c, eq_d]
+    two_n = 2.0 ** (p * n)
+    return (pair("slab", slab, wide, (two_n, two_n ** 2 + 1.0), (eps / two_n, eps, two_n / eps))
+            + pair("far", far, near, (1.0, 1.0), (eps, eps, eps ** -1)))
 
 
 @_register(
@@ -911,8 +902,6 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
     d = int(params["d"])
     lo = (0.0,) + (-box,) * (d - 1)
     hi = (box,) + (box,) * (d - 1)
-    if kind not in ("odd_bump", "bump"):
-        raise ValueError(f"unknown manufactured input {kind!r} for a boundary entry")
     mf = manufactured(kind, d, radius=radius)
     grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, half_axis=0)
     _check_zero_trace(u)
@@ -931,6 +920,8 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
         _need(p["p"] > p["d"], "the boundary bound needs p > d"),
         _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
                               "the half-space A_{p/d} class"),
+        _need(p["input"] in ("odd_bump", "bump"),
+              f"unknown manufactured input {p['input']!r} for a boundary entry"),
     ),
 )
 def _run_hs_dirichlet(params, h, seed):

@@ -162,6 +162,39 @@ class TestOperators:
         X = np.array([[0.0, 0.0], [np.pi / 2, 0.0], [-np.pi / 2, 0.0]])
         assert np.allclose(op(H, X), [2.0, 3.0, 1.0], rtol=1e-12)
 
+    def test_linear_forms_equal_the_trace_einsum(self):
+        rng = np.random.default_rng(4)
+        H = ca.symmetrize(rng.normal(size=(30, 2, 2)))
+        X = rng.normal(size=(30, 2))
+        const = ca.sample_elliptic_matrix(rng, 2, 0.5)
+        varying = lambda X: np.eye(2)[None] * (1 + 0.5 * np.sin(X[:, :1, None]))
+        np.testing.assert_array_equal(ca.linear_operator(const, 0.5)(H, X),
+                                      np.einsum("nij,nij->n", np.broadcast_to(const, H.shape), H))
+        np.testing.assert_array_equal(ca.linear_operator(varying, 0.4)(H, X),
+                                      np.einsum("nij,nij->n", varying(X), H))
+
+    def test_bellman_is_the_max_of_its_trace_forms(self):
+        rng = np.random.default_rng(5)
+        fam = tuple(ca.sample_elliptic_matrix(rng, 3, 0.5) for _ in range(4))
+        H = ca.symmetrize(rng.normal(size=(50, 3, 3)))
+        forms = np.stack([np.einsum("nij,nij->n", np.broadcast_to(A, H.shape), H) for A in fam])
+        np.testing.assert_array_equal(ca.bellman_operator(fam, 0.5)(H), forms.max(axis=0))
+
+    def test_invalid_constructions_raise(self):
+        with pytest.raises(ValueError, match="side"):
+            ca.pucci_operator(0.5, "mx")
+        with pytest.raises(ValueError, match="nonempty"):
+            ca.bellman_operator((), 0.5)
+        with pytest.raises(ValueError, match="callable"):
+            ca.tabulated_operator(None, 0.5)
+        with pytest.raises(ValueError, match="bellman"):
+            ca.bellman_argmax(ca.pucci_operator(0.5, "max"), np.eye(2)[None])
+
+    def test_pucci_sides_on_the_identity(self):
+        H = np.eye(2)[None]
+        assert ca.pucci_operator(0.5, "max")(H)[0] == 4.0
+        assert ca.pucci_operator(0.5, "min")(H)[0] == 1.0
+
     def test_bellman_argmax_reproduces_value(self):
         rng = np.random.default_rng(9)
         fam = tuple(ca.sample_elliptic_matrix(rng, 2, 0.5) for _ in range(5))

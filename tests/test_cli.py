@@ -154,6 +154,18 @@ class TestConfigDiagnostics:
                    "[suite]\nname = bad\nseed = 1\n\n[estimate:FS-LOCAL]\np = 0.25\n",
                    "line 5", "gamma*beta")
 
+    @pytest.mark.parametrize("section,line,needle", [
+        ("APRIORI", "operator = pucc", "unknown operator 'pucc'"),
+        ("APRIORI", "delta = 1.5", "delta must lie in (0, 1]"),
+        ("APRIORI", "delta = 0", "division by zero"),
+        ("HS-DIRICHLET", "input = quadratic", "unknown manufactured input 'quadratic'"),
+    ])
+    def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
+                                                         section, line, needle):
+        self.check(tmp_path, capsys,
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{line}\n",
+                   "line 5", needle)
+
     def test_bad_ladder_value(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n"

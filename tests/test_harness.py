@@ -251,6 +251,18 @@ class TestCatalogRecipes:
         checks = run_entry(eid, x)
         assert [(c.equation, len(c.rhs_terms)) for c in checks] == EQUATION_LAYOUT[eid]
 
+    def test_para_hs_mixed_space_outer_form_is_its_own_norm(self):
+        # at the defaults p1 = p2 and the two cylinder forms coincide; with
+        # p2 != p1 the space-outer iterated norm must differ
+        def lhs(**kw):
+            time_outer, space_outer, _ = run_entry("PARA-HS-MIXED", 0.1, **kw)
+            return time_outer.lhs, space_outer.lhs
+
+        t, x = lhs(p2=5.0)
+        assert abs(t - x) > 1e-4 * abs(t)
+        t, x = lhs()
+        assert x == pytest.approx(t, rel=1e-12)
+
     def test_parabolic_entry_uses_time_derivative(self):
         # dropping the time term must change the operator image integral
         with_dt = run_entry("PARA-GLOBAL", 0.2)[0]
