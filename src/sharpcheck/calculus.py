@@ -196,19 +196,89 @@ def symmetrize(H: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operators on Hessians
 
-def pucci_extremal(H: np.ndarray, delta: float, side: str = "max") -> np.ndarray:
-    """Extremal value of the trace form over coefficient matrices with
-    eigenvalues in ``[delta, 1/delta]``; closed form through eigenvalues."""
+# rows of a 2x2 stack per block of the closed-form eigenvalue kernel
+_BLOCK_ROWS = 2 ** 14
+# LAPACK's dsterf split tolerances, eps = dlamch('E') and eps**2
+_EPS = 2.0 ** -53
+_EPS2 = _EPS * _EPS
+
+
+def check_delta(delta: float) -> None:
+    """Reject an ellipticity bound outside ``(0, 1]`` before it divides."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    w = np.linalg.eigvalsh(np.asarray(H, dtype=np.float64))
-    pos = np.clip(w, 0.0, None).sum(axis=-1)
-    neg = np.clip(w, None, 0.0).sum(axis=-1)
+
+
+def _eigvalsh_2x2(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two eigenvalues of each matrix of a ``(m, 2, 2)`` stack, bit for
+    bit as ``np.linalg.eigvalsh`` returns them (in no particular order)."""
+    a, b, c = H[:, 0, 0], H[:, 1, 0], H[:, 1, 1]
+    aa, ac = np.abs(a), np.abs(c)
+    big = np.maximum(np.maximum(aa, np.abs(b)), ac)
+    unscaled = (big < 2.0 ** 400) & ((big > 2.0 ** -400) | (big == 0.0))
+    with np.errstate(all="ignore"):
+        # dsterf: an off-diagonal that passes either split test leaves a, c
+        e = b * b
+        split = ((np.abs(b) <= np.sqrt(aa) * np.sqrt(ac) * _EPS)
+                 | (e <= _EPS2 * np.abs(a * c)))
+        # dlae2(a, sqrt(e), c); unsplit rows have adf or ab nonzero
+        rte = np.sqrt(e)
+        sm = a + c
+        adf = np.abs(a - c)
+        ab = np.abs(rte + rte)
+        hi, lo = np.maximum(adf, ab), np.minimum(adf, ab)
+        ratio = lo / hi
+        rt = hi * np.sqrt(1.0 + ratio * ratio)
+        # sm = -0 takes dlae2's sm = 0 branch, rt1 = rt / 2, so not copysign
+        rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+        a_big = aa > ac
+        acmx, acmn = np.where(a_big, a, c), np.where(a_big, c, a)
+        rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (rte / rt1) * rte)
+    w1, w2 = np.where(split, a, rt1), np.where(split, c, rt2)
+    if not unscaled.all():
+        w = np.linalg.eigvalsh(H[~unscaled])
+        w1[~unscaled], w2[~unscaled] = w[:, 0], w[:, 1]
+    return w1, w2
+
+
+def _extremal(pos: np.ndarray, neg: np.ndarray, delta: float, side: str) -> np.ndarray:
     if side == "max":
         return pos / delta + neg * delta
-    if side == "min":
-        return pos * delta + neg / delta
-    raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+    return pos * delta + neg / delta
+
+
+def pucci_extremal(H: np.ndarray, delta: float, side: str = "max") -> np.ndarray:
+    """Extremal value of the trace form over coefficient matrices with
+    eigenvalues in ``[delta, 1/delta]``; closed form through eigenvalues.
+
+    The eigenvalues of 2x2 stacks come from a vectorised port of the path
+    ``np.linalg.eigvalsh`` takes through LAPACK: ``dsyevd`` (lower
+    triangle) reduces a 2x2 matrix to itself as a tridiagonal, ``dsterf``
+    applies its two split tests to the off-diagonal ``H[..., 1, 0]``, and
+    ``dlae2`` solves an unsplit matrix in closed form; the port keeps their
+    operation order, so the values are bit-identical.  Rows whose largest
+    entry lies outside ``(2**-400, 2**400)``, where LAPACK rescales, and
+    non-finite rows go to ``eigvalsh``, as do all other matrix sizes.  The
+    kernel runs over blocks of ``_BLOCK_ROWS`` rows, so its temporaries stay
+    small beside the one output array.
+    """
+    check_delta(delta)
+    if side not in ("max", "min"):
+        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+    H = np.asarray(H, dtype=np.float64)
+    if H.shape[-2:] != (2, 2):
+        w = np.linalg.eigvalsh(H)
+        return _extremal(np.clip(w, 0.0, None).sum(axis=-1),
+                         np.clip(w, None, 0.0).sum(axis=-1), delta, side)
+    stack = H.reshape(-1, 2, 2)
+    out = np.empty(stack.shape[0])
+    for i in range(0, stack.shape[0], _BLOCK_ROWS):
+        w1, w2 = _eigvalsh_2x2(stack[i:i + _BLOCK_ROWS])
+        pos = np.clip(w1, 0.0, None) + np.clip(w2, 0.0, None)
+        neg = np.clip(w1, None, 0.0) + np.clip(w2, None, 0.0)
+        out[i:i + _BLOCK_ROWS] = _extremal(pos, neg, delta, side)
+    # [()] gives a scalar for a single matrix, as eigvalsh's path does
+    return out.reshape(H.shape[:-2])[()]
 
 
 def _trace_form(coeff, H: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -237,8 +307,7 @@ class Operator:
     family: tuple = ()
 
     def __post_init__(self):
-        if not 0 < self.delta <= 1:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        check_delta(self.delta)
         if not callable(self.fn):
             raise ValueError("operator needs a callable")
 
@@ -266,6 +335,7 @@ def bellman_operator(family, delta: float, **kw) -> Operator:
 def pucci_operator(delta: float, side: str = "max", d: int | None = None, **kw) -> Operator:
     if side not in ("max", "min"):
         raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+    check_delta(delta)
     if "k_f" not in kw and d is not None:
         kw["k_f"] = d / delta
     return Operator(lambda H, X: pucci_extremal(H, delta, side), delta, **kw)
@@ -499,11 +569,16 @@ class ManufacturedFunction:
         return Derivatives(grid, du, d2u, dt)
 
 
-def _bump_profile(s: np.ndarray):
-    # g(s) = exp(-1/(1-s)) on s < 1, extended by 0, with two derivatives
+def _bump_parts(s: np.ndarray):
+    # g(s) = exp(-1/(1-s)) on s < 1, extended by 0, after its mask and 1 - s
     safe = s < 1.0 - 1e-8
     t = np.where(safe, 1.0 - s, 1.0)
-    g = np.where(safe, np.exp(-1.0 / t), 0.0)
+    return safe, t, np.where(safe, np.exp(-1.0 / t), 0.0)
+
+
+def _bump_profile(s: np.ndarray):
+    # g with its first two derivatives
+    safe, t, g = _bump_parts(s)
     g1 = np.where(safe, -g / t ** 2, 0.0)
     g2 = np.where(safe, g * (1.0 / t ** 4 - 2.0 / t ** 3), 0.0)
     return g, g1, g2
@@ -513,21 +588,22 @@ def _radial_bump(center, radius, amplitude):
     c = np.asarray(center, dtype=np.float64)
     R2 = float(radius) ** 2
 
-    def parts(X):
+    def scaled(X):
         Y = X - c
-        s = (Y ** 2).sum(axis=1) / R2
-        return Y, s, _bump_profile(s)
+        return Y, (Y ** 2).sum(axis=1) / R2
 
     def u(X):
-        _, _, (g, _, _) = parts(X)
-        return amplitude * g
+        _, s = scaled(X)
+        return amplitude * _bump_parts(s)[2]
 
     def du(X):
-        Y, _, (_, g1, _) = parts(X)
+        Y, s = scaled(X)
+        _, g1, _ = _bump_profile(s)
         return amplitude * g1[:, None] * (2.0 * Y / R2)
 
     def d2u(X):
-        Y, _, (_, g1, g2) = parts(X)
+        Y, s = scaled(X)
+        _, g1, g2 = _bump_profile(s)
         ds = Y.shape[1]
         grad_s = 2.0 * Y / R2
         out = amplitude * g2[:, None, None] * grad_s[:, :, None] * grad_s[:, None, :]
@@ -684,8 +760,7 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
         q1 = lambda t: np.zeros_like(t)
     elif profile == "bump":
         def q(t):
-            g, _, _ = _bump_profile(((t - t_center) / t_radius) ** 2)
-            return g
+            return _bump_parts(((t - t_center) / t_radius) ** 2)[2]
 
         def q1(t):
             s = ((t - t_center) / t_radius) ** 2

@@ -31,6 +31,7 @@ from ..calculus import (
     GridFunction,
     bellman_operator,
     box_grid,
+    check_delta,
     evaluate_operator,
     fd_derivatives,
     frobenius,
@@ -131,6 +132,7 @@ def build_operator(params: dict):
     """Operator factory shared by all PDE entries."""
     kind = params["operator"]
     delta = float(params["delta"])
+    check_delta(delta)
     d = int(params["d"])
     if kind == "linear":
         return linear_operator(np.eye(d), delta, k_f=math.sqrt(d))

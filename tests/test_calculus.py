@@ -7,6 +7,8 @@ Frozen closed-form values used below:
   oscillation value is eps * sqrt(d) * (ball average of |sin(x_1)|).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,135 @@ class TestPucci:
             ca.pucci_extremal(np.eye(2), 1.5)
 
 
+def eigvalsh_extremal(H, delta, side):
+    """The extremal operator through ``np.linalg.eigvalsh``: the definition
+    the 2x2 kernel must reproduce bit for bit."""
+    w = np.linalg.eigvalsh(H)
+    pos = np.clip(w, 0.0, None).sum(axis=-1)
+    neg = np.clip(w, None, 0.0).sum(axis=-1)
+    return pos / delta + neg * delta if side == "max" else pos * delta + neg / delta
+
+
+def assert_same_values(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _stack(a, b, c):
+    H = np.empty((len(a), 2, 2))
+    H[:, 0, 0], H[:, 1, 0], H[:, 0, 1], H[:, 1, 1] = a, b, b, c
+    return H
+
+
+def _kernel_class(name, n, rng):
+    """``n`` 2x2 matrices of one input class; all symmetric except "lower",
+    whose upper triangle the kernel must ignore, as LAPACK does."""
+    g = lambda: rng.normal(size=n)
+    sign = lambda: rng.choice([-1.0, 1.0], size=n)
+    if name == "normal":
+        return _stack(g(), g(), g())
+    if name == "scaled_1e307":
+        s = 10.0 ** rng.choice([-307, 307], size=n)
+        return _stack(g() * s, g() * s, g() * s)
+    if name == "band_edge":
+        s = 2.0 ** (rng.integers(390, 491, size=n) * sign())
+        return _stack(g() * s, g() * s, g() * s)
+    if name == "near_diagonal":
+        return _stack(g(), g() * 10.0 ** rng.uniform(-30, 0, size=n), g())
+    if name == "a_pm_c":
+        a = g()
+        return _stack(a, g() * rng.choice([1.0, 1e-18], size=n), a * sign())
+    if name == "integer":
+        return _stack(*rng.integers(-3, 4, size=(3, n)).astype(float))
+    if name == "split_edge":
+        # off-diagonals on either side of dsterf's two split thresholds
+        a, c = g(), g()
+        first = np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * 2.0 ** -53
+        second = np.sqrt(2.0 ** -106 * np.abs(a * c))
+        edge = np.where(rng.random(n) < 0.5, first, second)
+        return _stack(a, edge * rng.choice([1 - 2.0 ** -52, 1.0, 1 + 2.0 ** -52], size=n), c)
+    if name == "zero_diagonal":
+        return _stack(np.zeros(n) * sign(), g() * rng.choice([0.0, 1.0], size=n),
+                      g() * rng.choice([0.0, 1.0], size=n))
+    if name == "subnormal":
+        # 1e-160 squares to a subnormal, so sqrt(b * b) != |b|
+        tiny = rng.choice([0.0, -0.0, 5e-324, 1e-310, 2e-308, 1e-160], size=(3, n)) * sign()
+        return _stack(np.where(rng.random(n) < 0.5, tiny[0], g()), tiny[1], tiny[2])
+    if name == "inf":
+        vals = rng.choice([np.inf, -np.inf, np.nan, 1.0, 0.0], size=(3, n))
+        return _stack(*vals)
+    if name == "lower":
+        return rng.normal(size=(n, 2, 2))
+    raise ValueError(name)
+
+
+_KERNEL_CLASSES = ("normal", "scaled_1e307", "band_edge", "near_diagonal", "a_pm_c",
+                   "integer", "split_edge", "zero_diagonal", "subnormal", "inf", "lower")
+
+
+class TestPucciKernel:
+    """The closed-form 2x2 kernel against the ``eigvalsh`` definition."""
+
+    @pytest.mark.parametrize("name", _KERNEL_CLASSES)
+    def test_bit_identical_to_eigvalsh(self, name):
+        rng = np.random.default_rng(_KERNEL_CLASSES.index(name))
+        H = _kernel_class(name, ca._BLOCK_ROWS + 3, rng)   # crosses a block boundary
+        # overflow and inf - inf belong to the definition on these inputs
+        ieee = "ignore" if name in ("scaled_1e307", "inf") else "raise"
+        for delta in (0.3, 0.5, 1.0):
+            for side in ("max", "min"):
+                with np.errstate(over=ieee, invalid=ieee):
+                    want = eigvalsh_extremal(H, delta, side)
+                    got = ca.pucci_extremal(H, delta, side)
+                assert_same_values(got, want)
+        with np.errstate(invalid=ieee):
+            pairs = np.sort(np.stack(ca._eigvalsh_2x2(H), axis=-1), axis=-1)
+        assert_same_values(pairs, np.sort(np.linalg.eigvalsh(H), axis=-1))
+
+    def test_eigvalsh_only_for_rows_lapack_rescales(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(len(H)) or eigvalsh(H))
+        rng = np.random.default_rng(0)
+        H = _kernel_class("normal", 100, rng)
+        ca.pucci_extremal(H, 0.5)
+        assert calls == []
+        H[3, 1, 0] = 2.0 ** 400
+        H[50] = -1e300
+        H[70, 0, 0] = np.nan
+        H[80] = 2.0 ** -401
+        ca.pucci_extremal(H, 0.5)
+        assert calls == [4]
+
+    @pytest.mark.parametrize("shape", [(), (7,), (0,), (3, 5)])
+    def test_stack_shapes(self, shape):
+        rng = np.random.default_rng(1)
+        H = ca.symmetrize(rng.normal(size=shape + (2, 2)))
+        got = ca.pucci_extremal(H, 0.5, "max")
+        assert np.shape(got) == shape
+        assert_same_values(got, eigvalsh_extremal(H, 0.5, "max"))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_sizes_keep_eigvalsh(self, d):
+        rng = np.random.default_rng(d)
+        H = ca.symmetrize(rng.normal(size=(50, d, d)))
+        for side in ("max", "min"):
+            assert_same_values(ca.pucci_extremal(H, 0.4, side), eigvalsh_extremal(H, 0.4, side))
+
+    def test_peak_memory_no_higher_than_eigvalsh(self):
+        H = ca.symmetrize(np.random.default_rng(2).normal(size=(2 ** 20, 2, 2)))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for fn in (eigvalsh_extremal, ca.pucci_extremal):
+                tracemalloc.reset_peak()
+                fn(H, 0.5, "max")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+
 class TestOperators:
     def test_linear_constant_coefficient(self):
         op = ca.linear_operator(np.eye(2), delta=1.0)
@@ -183,6 +314,8 @@ class TestOperators:
     def test_invalid_constructions_raise(self):
         with pytest.raises(ValueError, match="side"):
             ca.pucci_operator(0.5, "mx")
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            ca.pucci_operator(0.0, "max", d=2)
         with pytest.raises(ValueError, match="nonempty"):
             ca.bellman_operator((), 0.5)
         with pytest.raises(ValueError, match="callable"):

@@ -157,7 +157,8 @@ class TestConfigDiagnostics:
     @pytest.mark.parametrize("section,line,needle", [
         ("APRIORI", "operator = pucc", "unknown operator 'pucc'"),
         ("APRIORI", "delta = 1.5", "delta must lie in (0, 1]"),
-        ("APRIORI", "delta = 0", "division by zero"),
+        ("APRIORI", "delta = 0", "delta must lie in (0, 1]"),
+        ("APRIORI", "operator = bellman\ndelta = 0", "delta must lie in (0, 1]"),
         ("HS-DIRICHLET", "input = quadratic", "unknown manufactured input 'quadratic'"),
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
