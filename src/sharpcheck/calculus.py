@@ -64,10 +64,6 @@ class Grid:
     def spacing(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / (self.shape[axis] - 1)
 
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(self.spacing(ax) for ax in range(self.ndim))
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         return np.linspace(self.lo[axis], self.hi[axis], self.shape[axis])
 

@@ -333,9 +333,7 @@ def spec_from_config(cfg: dict[str, str]) -> FiltrationSpec:
     half = ()
     if "half_axes" in cfg and cfg["half_axes"].strip():
         half = tuple(int(v) for v in cfg["half_axes"].split(","))
-    elif geometry == "half":
-        half = (0,)
-    elif geometry == "parabolic":
+    elif geometry in ("half", "parabolic"):
         half = (0,)
     if int(cfg.get("d", len(k))) != len(k):
         raise ValueError("bad filtration config: d does not match k")

@@ -280,10 +280,8 @@ def _validate_power_range(q, lower: float, upper: float, label: str):
               f"power weight exponent must lie in ({lower}, {upper}) for {label}, got {q}")
 
 
-def _axis_weight(q, axis: int = 0, hatted: bool = False):
-    if q is None:
-        return None
-    return HattedPowerX1(float(q), axis=axis) if hatted else PowerX1(float(q), axis=axis)
+def _axis_weight(q, axis: int = 0):
+    return None if q is None else PowerX1(float(q), axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +787,10 @@ _HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
                 "q": 0.25, "n": 0, "eps": 0.5}
 
 
-def _slab_fields(params, h, x1_extent=4.0, span=2.0, center=1.2,
-                 radii=(1.0, 1.6)):
+def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
     d = int(params["d"])
-    lo = (0.0,) + (-span,) * (d - 1)
-    hi = (x1_extent,) + (span,) * (d - 1)
+    lo = (0.0,) + (-2.0,) * (d - 1)
+    hi = (x1_extent,) + (2.0,) * (d - 1)
     centers = (center,) + (0.0,) * (d - 1)
     rr = (radii[0],) + (radii[1],) * (d - 1)
     mf = manufactured("slab_bump", d, centers=centers, radii=rr)
@@ -1120,13 +1117,13 @@ _PARA_HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
                      "radius": 1.1, "t_center": 0.7, "t_radius": 0.6}
 
 
-def _para_hs_fields(params, h, box=1.3, t_extent=1.6):
+def _para_hs_fields(params, h):
     d = int(params["d"])
     mf = with_time_profile(
         manufactured("odd_bump", d, radius=float(params["radius"])),
         t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
-    lo = (0.0, 0.0) + (-box,) * (d - 1)
-    hi = (t_extent, box) + (box,) * (d - 1)
+    lo = (0.0, 0.0) + (-1.3,) * (d - 1)
+    hi = (1.6, 1.3) + (1.3,) * (d - 1)
     grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=True, half_axis=1)
     _check_zero_trace(u)
     return grid, u, derivs, fv, d2, d1

@@ -5,10 +5,10 @@ averages.  Geometric variants act on grid functions: shape averages are
 node-counting quadratures over balls, half balls, forward-in-time cylinders
 ``[t, t + r^2) x B_r`` and half cylinders, with shapes clipped to the grid
 box.  For every radius the per-center averages come from one window sum
-through ``scipy.fft``, so they match the brute-force definition up to FFT
+through ``numpy.fft``, so they match the brute-force definition up to FFT
 rounding.  The sup over shapes containing a node is exact: the footprint is
-cut into chords, each chord is one running maximum, and a cylinder's
-forward time interval is one separable running maximum along time.
+cut into chords, each chord is one window maximum, and a cylinder's
+forward time interval is one separable window maximum along time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, ndimage
 
 from .calculus import Grid, GridFunction
 from .filtration import DiscreteField, _block_expand, cell_blocks, level_average_values
@@ -104,29 +103,25 @@ class GeometricFamily:
             raise ValueError("radius ladder must be nonempty and positive")
 
 
-def default_radii(grid: Grid, r_min: float | None = None, r_max: float | None = None,
-                  ratio: float = np.sqrt(2.0)) -> tuple[float, ...]:
+def default_radii(grid: Grid) -> tuple[float, ...]:
     """Geometric radius ladder from about two spacings up to the box size."""
-    hs = [grid.spacing(ax) for ax in grid.space_axes]
-    sides = [grid.hi[ax] - grid.lo[ax] for ax in grid.space_axes]
-    lo = 2.05 * max(hs) if r_min is None else r_min
-    hi = max(sides) if r_max is None else r_max
+    hi = max(grid.hi[ax] - grid.lo[ax] for ax in grid.space_axes)
     radii = []
-    r = lo
+    r = 2.05 * max(grid.spacing(ax) for ax in grid.space_axes)
     while r < hi * (1 + 1e-12):
         radii.append(r)
-        r *= ratio
+        r *= np.sqrt(2.0)
     if not radii:
         raise ValueError("empty radius ladder; box is smaller than two spacings")
     return tuple(radii)
 
 
-def family_for_grid(grid: Grid, radii=None, **kw) -> GeometricFamily:
+def family_for_grid(grid: Grid, radii=None) -> GeometricFamily:
     if grid.time_axis:
         shape = "half_cylinder" if grid.half_axis is not None else "cylinder"
     else:
         shape = "half_ball" if grid.half_axis is not None else "ball"
-    return GeometricFamily(shape, tuple(radii) if radii is not None else default_radii(grid, **kw))
+    return GeometricFamily(shape, tuple(radii) if radii is not None else default_radii(grid))
 
 
 def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
@@ -155,18 +150,43 @@ def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
     return mask
 
 
+def _fast_len(n: int) -> int:
+    # smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, True)
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _rfftn(x: np.ndarray, fshape, axes) -> np.ndarray:
+    # scipy.fft.rfftn's pass order: real on the last axis, then complex ascending
+    out = np.fft.rfft(x, fshape[-1], axes[-1])
+    for a, n in zip(axes[:-1], fshape):
+        out = np.fft.fft(out, n, a)
+    return out
+
+
 def _window_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # correlation: out[c] = sum over offsets o in mask of values[c + o], as a
     # "same"-mode FFT convolution with the reflected mask; axes where either
-    # input has one node are plain broadcasting and take no transform
+    # input has one node are plain broadcasting and take no transform.  The
+    # 1-D passes run in pocketfft's multi-axis order and scale by 1/N last,
+    # so the bits equal scipy.fft's.
     kernel = mask.astype(np.float64)[tuple(slice(None, None, -1) for _ in mask.shape)]
     axes = [a for a in range(values.ndim) if values.shape[a] != 1 and kernel.shape[a] != 1]
     full = [n + k - 1 if a in axes else max(n, k)
             for a, (n, k) in enumerate(zip(values.shape, kernel.shape))]
     if axes:
-        fshape = [fft.next_fast_len(full[a], True) for a in axes]
-        spec = fft.rfftn(values, fshape, axes=axes) * fft.rfftn(kernel, fshape, axes=axes)
-        ret = fft.irfftn(spec, fshape, axes=axes)
+        fshape = [_fast_len(full[a]) for a in axes]
+        spec = _rfftn(values, fshape, axes) * _rfftn(kernel, fshape, axes)
+        for a, n in zip(axes[:-1], fshape):
+            spec = np.fft.ifft(spec, n, a, norm="forward")
+        ret = np.fft.irfft(spec, fshape[-1], axes[-1], norm="forward")
+        ret *= 1.0 / np.prod(fshape)
     else:
         ret = values * kernel
     return ret[tuple(slice((f - n) // 2, (f - n) // 2 + n)
@@ -185,19 +205,24 @@ def _shift_max(out: np.ndarray, src: np.ndarray, shift) -> None:
     np.maximum(view, src[tuple(tail)], out=view)
 
 
-def _running_max(values: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
-    # out[i] = max of values[i + lo .. i + hi] along axis, -inf off the grid.
-    # The filter's origin must keep offset 0 inside the window, so a chord
-    # that misses 0 is filtered from its end nearest 0 and shifted there.
-    a = min(max(lo, 0), hi)
-    w = hi - lo + 1
-    run = ndimage.maximum_filter1d(values, w, axis=axis, mode="constant", cval=-np.inf,
-                                   origin=-(w // 2) - (lo - a))
-    if a == 0:
-        return run
-    out = np.full_like(run, -np.inf)
-    _shift_max(out, run, [a if ax == axis else 0 for ax in range(values.ndim)])
-    return out
+def _window_maxima(values: np.ndarray, windows, axis: int):
+    # Yield, per window (lo, hi) with lo <= hi, out[i] = max values[i + lo .. i + hi]
+    # along axis, -inf off the grid.  One sparse table (Bender & Farach-Colton)
+    # serves every window: level j holds the maxima of the -inf-padded values
+    # over 2**j consecutive nodes, and a window is the max of two overlapping
+    # slices of one level.  Clamping to [-n, n] keeps every on-grid node.
+    vals = values.swapaxes(0, axis)
+    n = len(vals)
+    windows = [(min(max(lo, -n), n), min(max(hi, -n), n)) for lo, hi in windows]
+    left, right = max([0] + [-lo for lo, _ in windows]), max([0] + [hi for _, hi in windows])
+    levels = [np.full((left + n + right,) + vals.shape[1:], -np.inf)]
+    levels[0][left:left + n] = vals
+    for j in range(max([1] + [hi - lo + 1 for lo, hi in windows]).bit_length() - 1):
+        levels.append(np.maximum(levels[-1][:-(1 << j)], levels[-1][1 << j:]))
+    for lo, hi in windows:
+        j = (hi - lo + 1).bit_length() - 1
+        a, b = left + lo, left + hi + 1 - (1 << j)
+        yield np.maximum(levels[j][a:a + n], levels[j][b:b + n]).swapaxes(0, axis)
 
 
 def _covering_max(per_center: np.ndarray, mask: np.ndarray, time_axis: bool) -> np.ndarray:
@@ -205,16 +230,16 @@ def _covering_max(per_center: np.ndarray, mask: np.ndarray, time_axis: bool) -> 
     contains ``x``; ``c - x`` ranges over the reflected window ``foot``.
 
     Each row of ``foot`` along the last axis splits into contiguous chords
-    (one per row for balls); every distinct chord is one running maximum
-    (van Herk / Gil-Werman, O(1) per node), shifted into place over the
-    leading axes.  On a time grid the mask is a forward time interval times
-    a ball, so the interval is one running maximum along axis 0 first.
+    (one per row for balls); every distinct chord is one window maximum,
+    shifted into place over the leading axes.  On a time grid the mask is a
+    forward time interval times a ball, so the interval is one window
+    maximum along axis 0 first.
     """
     foot = mask[tuple(slice(None, None, -1) for _ in mask.shape)]
     vals = per_center
     if time_axis:
         steps = np.flatnonzero(foot.any(axis=tuple(range(1, foot.ndim)))) - foot.shape[0] // 2
-        vals = _running_max(per_center, int(steps[0]), int(steps[-1]), 0)
+        vals, = _window_maxima(per_center, [(int(steps[0]), int(steps[-1]))], 0)
         foot = foot.any(axis=0, keepdims=True)
     mid = [s // 2 for s in foot.shape]
     chords: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -224,8 +249,8 @@ def _covering_max(per_center: np.ndarray, mask: np.ndarray, time_axis: bool) -> 
             shift = tuple(i - m for i, m in zip(lead, mid)) + (0,)
             chords.setdefault((int(lo) - mid[-1], int(hi) - mid[-1]), []).append(shift)
     out = np.full(per_center.shape, -np.inf)
-    for (lo, hi), shifts in chords.items():
-        run = _running_max(vals, lo, hi, per_center.ndim - 1)
+    runs = _window_maxima(vals, chords, per_center.ndim - 1)
+    for run, shifts in zip(runs, chords.values()):
         for shift in shifts:
             _shift_max(out, run, shift)
     return out
@@ -285,9 +310,8 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     average of ``|h(y) - h(z)|**gamma`` over shape nodes, to the ``1/gamma``.
 
     Exact over all node pairs while the unordered pair count stays within
-    ``pair_budget``; beyond that a seeded uniform pair sample is used and the
-    budget is recorded on the result.  Vector or matrix channels are compared
-    in the entrywise-l2 metric.
+    ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
+    or matrix channels are compared in the entrywise-l2 metric.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -339,6 +363,5 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         np.maximum(out, _covering_max(per_center ** (1.0 / gamma), mask, grid.time_axis),
                    out=out)
     result = GridFunction(grid, out)
-    result.pair_budget = pair_budget
     result.subsampled = subsampled
     return result

@@ -25,7 +25,9 @@ from sharpcheck.operators import (
     geometric_maximal,
     geometric_sharp,
     _covering_max,
+    _fast_len,
     _shape_offsets,
+    _window_maxima,
     _window_sum,
 )
 
@@ -327,14 +329,51 @@ class TestExactPrimitives:
             np.testing.assert_array_equal(_covering_max(per_center, mask, time_axis),
                                           brute_covering_max(per_center, mask))
 
+    @pytest.mark.parametrize("shape,axis", [((6,), 0), ((1, 4), 0), ((5, 7), 0), ((5, 7), 1),
+                                            ((4, 3, 5), 0), ((4, 3, 5), 2)])
+    def test_window_maxima_match_brute_force(self, shape, axis):
+        # every window lo <= hi with |lo|, |hi| <= n + 1: windows that miss
+        # offset 0, windows wider than the axis and windows wholly off the grid
+        rng = np.random.default_rng(sum(shape) + axis)
+        values = rng.standard_normal(shape)
+        values[rng.random(shape) < 0.25] = -np.inf
+        n = shape[axis]
+        windows = [(lo, hi) for lo in range(-n - 1, n + 2) for hi in range(lo, n + 2)]
+        along = np.moveaxis(values, axis, 0)
+        for (lo, hi), got in zip(windows, _window_maxima(values, windows, axis)):
+            want = np.full(along.shape, -np.inf)
+            for i in range(n):
+                for k in range(max(i + lo, 0), min(i + hi, n - 1) + 1):
+                    want[i] = np.maximum(want[i], along[k])
+            want = np.moveaxis(want, 0, axis)
+            np.testing.assert_array_equal(got, want)
+            alone, = _window_maxima(values, [(lo, hi)], axis)
+            np.testing.assert_array_equal(alone, want)
+
+    def test_fast_len_matches_scipy(self):
+        from scipy import fft
+
+        assert [_fast_len(n) for n in range(1, 4097)] == \
+            [fft.next_fast_len(n, True) for n in range(1, 4097)]
+
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_window_sum_matches_fftconvolve_bitwise(self, ndim):
         from scipy import signal
 
         rng = np.random.default_rng(50 + ndim)
-        for _ in range(30):
-            shape = tuple(int(v) for v in rng.choice([1, 2, 5, 8, 13], ndim))
-            mask = rng.random(tuple(int(v) for v in 2 * rng.integers(0, 4, ndim) + 1)) < 0.6
+
+        def cases():
+            for _ in range(30):
+                shape = tuple(int(v) for v in rng.choice([1, 2, 5, 8, 13], ndim))
+                mask = rng.random(tuple(int(v) for v in 2 * rng.integers(0, 4, ndim) + 1)) < 0.6
+                yield shape, mask
+            # workload sizes: a (67, 67) ball on a 134^2 grid pads to 200 nodes,
+            # a (19, 19, 19) ball on a (16, 25, 25) grid to 36 and 45 (radix 3, 5)
+            shape, k = {1: ((134,), 33), 2: ((134, 134), 33), 3: ((16, 25, 25), 9)}[ndim]
+            offsets = np.indices((2 * k + 1,) * ndim) - k
+            yield shape, (offsets ** 2).sum(axis=0) <= k * k
+
+        for shape, mask in cases():
             values = rng.standard_normal(shape)
             kernel = mask.astype(np.float64)[tuple(slice(None, None, -1) for _ in range(ndim))]
             want = signal.fftconvolve(values, kernel, mode="same")
