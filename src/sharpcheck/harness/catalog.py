@@ -403,6 +403,12 @@ def _osc_radii(grid, rho: float) -> tuple:
     return tuple(float(r) for r in base if r <= cap * (1 + 1e-9))
 
 
+def _need_pair_budget(b):
+    cap = 1 << 16  # pairs per radius; keeps the pair index arrays to tens of MB
+    _need(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and 0 < b <= cap,
+          f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
+
+
 def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_axis: bool):
     """Hessian sharp function by covering maximals of ``|F|^e`` and of the
     Hessian, amplified by ``nu ** (amp_power / gamma)``."""
@@ -441,6 +447,7 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
         _need(p["xi"] > 1, "the dual exponent needs xi > 1"),
         _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]"),
         _need(p["mu"] > 0, "mu must be positive"),
+        _need_pair_budget(p["pair_budget"]),
     ),
     min_spacing=0.01,
 )
@@ -464,6 +471,7 @@ def _run_osc(params, h, seed):
         _need(p["nu"] >= 2, "the scale split needs nu >= 2"),
         _need(p["xi"] > 1, "the dual exponent needs xi > 1"),
         _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]"),
+        _need_pair_budget(p["pair_budget"]),
     ),
     min_spacing=0.02,
 )

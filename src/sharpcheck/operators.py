@@ -8,11 +8,13 @@ box.  For every radius the per-center averages come from one window sum
 through ``numpy.fft``, so they match the brute-force definition up to FFT
 rounding.  The sup over shapes containing a node is exact: the footprint is
 cut into chords, each chord is one window maximum, and a cylinder's
-forward time interval is one separable window maximum along time.
+forward time interval is one separable window maximum along time.  Sharp
+pair sums share each offset difference's field, up to ``_FIELD_CACHE_BYTES``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ from .filtration import DiscreteField, _block_expand, cell_blocks, level_average
 
 # Cells per pairwise chunk in the generic double-average path.
 _PAIR_CHUNK = 1 << 22
+# Bytes of |h(y) - h(y + delta)|**gamma fields kept per geometric_sharp radius.
+_FIELD_CACHE_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +295,13 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
     return GridFunction(h.grid, out)
 
 
-def _overlap_slices(shape, oi, oj):
-    src_i, src_j, dst = [], [], []
-    for size, a, b in zip(shape, oi, oj):
-        lo = max(0, -a, -b)
-        hi = min(size, size - a, size - b)
-        if hi <= lo:
-            return None
-        src_i.append(slice(lo + a, hi + a))
-        src_j.append(slice(lo + b, hi + b))
-        dst.append(slice(lo, hi))
-    return tuple(src_i), tuple(src_j), tuple(dst)
+def _pair_windows(shape, a, b) -> np.ndarray:
+    # Rows [b - a, lo, hi, lo + m, hi + m] per offset pair (a, b), m = min(a, b):
+    # x in [lo, hi) has x + a and x + b on the grid, and x + a is index x + m of
+    # the field of b - a, which starts at y = max(0, a - b); pairs with no x drop.
+    low = np.minimum(a, b)
+    lo, hi = np.maximum(-low, 0), np.array(shape) - np.maximum(np.maximum(a, b), 0)
+    return np.concatenate([b - a, lo, hi, lo + low, hi + low], axis=1)[(hi > lo).all(axis=1)]
 
 
 def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
@@ -312,6 +312,9 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     Exact over all node pairs while the unordered pair count stays within
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
     or matrix channels are compared in the entrywise-l2 metric.
+    Pairs with one offset difference ``delta`` share the field ``|h(y) -
+    h(y + delta)|**gamma`` (per radius, up to ``_FIELD_CACHE_BYTES``) and add
+    their slices in pair order, so each center sums terms in the same order.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -329,8 +332,9 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         counts = np.rint(_window_sum(ones, mask))
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
         m = len(offsets)
-        if m * (m - 1) // 2 <= pair_budget:
-            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        exact = m * (m - 1) // 2 <= pair_budget
+        if exact:
+            ii, jj = np.triu_indices(m, 1)
         else:
             # uniform ordered pairs with replacement; the diagonal is excluded
             # by rejection and restored through the nondiag/ordered factor
@@ -342,20 +346,33 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
                 take = min(need, int(keep.sum()))
                 picks.append(np.stack([ii[keep][:take], jj[keep][:take]], axis=1))
                 need -= take
-            pairs = np.concatenate(picks)
+            ii, jj = np.concatenate(picks).T
             subsampled = True
         acc = np.zeros(grid.shape)
-        cnt = np.zeros(grid.shape)
-        for i, j in pairs:
-            sl = _overlap_slices(grid.shape, offsets[i], offsets[j])
-            if sl is None:
-                continue
-            si, sj, dst = sl
-            diff = vals[si] - vals[sj]
-            mag = np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1 \
-                else np.abs(diff[..., 0])
-            acc[dst] += mag ** gamma
-            cnt[dst] += 1.0
+        cnt = counts * (counts - 1) / 2 if exact else np.zeros(grid.shape)
+        fields, kept, d = {}, 0, grid.ndim
+        for row in map(np.ndarray.tolist, _pair_windows(grid.shape, offsets[ii], offsets[jj])):
+            delta = tuple(row[:d])
+            x0, x1, y0, y1 = (row[k:k + d] for k in range(d, 5 * d, d))
+            dst, win = tuple(map(slice, x0, x1)), tuple(map(slice, y0, y1))
+            field = fields.get(delta)
+            if field is None:
+                y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, grid.shape))
+                if kept + 8 * math.prod(s.stop - s.start for s in y) > _FIELD_CACHE_BYTES:
+                    # past the cap: compute only the window this pair reads
+                    y, win = tuple(slice(s.start + w.start, s.start + w.stop)
+                                   for s, w in zip(y, win)), ()
+                diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e)
+                                            for s, e in zip(y, delta))]
+                mag = np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1 \
+                    else np.abs(diff[..., 0])
+                field = mag ** gamma
+                if win:
+                    fields[delta] = field
+                    kept += field.nbytes
+            acc[dst] += field[win]
+            if not exact:
+                cnt[dst] += 1.0
         ordered = counts * counts
         nondiag = ordered - counts
         with np.errstate(invalid="ignore", divide="ignore"):

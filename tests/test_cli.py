@@ -167,6 +167,14 @@ class TestConfigDiagnostics:
                    f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{line}\n",
                    "line 5", needle)
 
+    @pytest.mark.parametrize("section", ["OSC", "OSC-P"])
+    @pytest.mark.parametrize("value", ["0", "0.5", "65537"])
+    def test_pair_budget_out_of_range(self, tmp_path, capsys, section, value):
+        self.check(tmp_path, capsys,
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n"
+                   f"pair_budget = {value}\n",
+                   f"{tmp_path / 'suite.cfg'}, line 5", "pair_budget", "from 1 to 65536")
+
     def test_bad_ladder_value(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n"

@@ -11,9 +11,12 @@ Frozen values used below:
   constant, so the sharp function is identically 1/2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sharpcheck import operators
 from sharpcheck.calculus import GridFunction, box_grid
 from sharpcheck.filtration import cz_stopping_time, full_space, parabolic, Filtration
 from sharpcheck.operators import (
@@ -26,6 +29,7 @@ from sharpcheck.operators import (
     geometric_sharp,
     _covering_max,
     _fast_len,
+    _radius_subset,
     _shape_offsets,
     _window_maxima,
     _window_sum,
@@ -406,6 +410,87 @@ def brute_geometric_sharp(h, family, gamma, radii):
     return out.reshape(grid.shape)
 
 
+def _overlap_slices(shape, oi, oj):
+    src_i, src_j, dst = [], [], []
+    for size, a, b in zip(shape, oi, oj):
+        lo = max(0, -a, -b)
+        hi = min(size, size - a, size - b)
+        if hi <= lo:
+            return None
+        src_i.append(slice(lo + a, hi + a))
+        src_j.append(slice(lo + b, hi + b))
+        dst.append(slice(lo, hi))
+    return tuple(src_i), tuple(src_j), tuple(dst)
+
+
+def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0):
+    # the per-pair loop geometric_sharp ran before each offset difference's
+    # field was computed once per radius, with its overlap helper above; kept
+    # verbatim as the bitwise reference
+    grid = h.grid
+    vals = h.values.reshape(grid.shape + (-1,))
+    nchan = vals.shape[-1]
+    rng = np.random.default_rng(seed)
+    out = np.full(grid.shape, -np.inf)
+    ones = np.ones(grid.shape)
+    subsampled = False
+    for r in _radius_subset(family, rho, "at_most"):
+        mask = _shape_offsets(grid, family, r)
+        counts = np.rint(_window_sum(ones, mask))
+        offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
+        m = len(offsets)
+        if m * (m - 1) // 2 <= pair_budget:
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        else:
+            picks, need = [], pair_budget
+            while need > 0:
+                ii = rng.integers(0, m, size=2 * need)
+                jj = rng.integers(0, m, size=2 * need)
+                keep = ii != jj
+                take = min(need, int(keep.sum()))
+                picks.append(np.stack([ii[keep][:take], jj[keep][:take]], axis=1))
+                need -= take
+            pairs = np.concatenate(picks)
+            subsampled = True
+        acc = np.zeros(grid.shape)
+        cnt = np.zeros(grid.shape)
+        for i, j in pairs:
+            sl = _overlap_slices(grid.shape, offsets[i], offsets[j])
+            if sl is None:
+                continue
+            si, sj, dst = sl
+            diff = vals[si] - vals[sj]
+            mag = np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1 \
+                else np.abs(diff[..., 0])
+            acc[dst] += mag ** gamma
+            cnt[dst] += 1.0
+        ordered = counts * counts
+        nondiag = ordered - counts
+        with np.errstate(invalid="ignore", divide="ignore"):
+            per_center = np.where(cnt > 0, acc / np.maximum(cnt, 1.0) * nondiag / ordered, 0.0)
+        np.maximum(out, _covering_max(per_center ** (1.0 / gamma), mask, grid.time_axis),
+                   out=out)
+    return out, subsampled
+
+
+# (grid, shape, radii): every shape family on 1-, 2- and 3-D grids; each ladder
+# mixes radii under and over the sampled-case pair budget
+SHARP_CASES = {
+    "ball-1d": (box_grid((-1.0,), (1.0,), (23,)), "ball", (0.2, 0.5)),
+    "ball-2d": (box_grid((-1.0, -1.0), (1.0, 1.0), (13, 11)), "ball", (0.2, 0.35, 0.5)),
+    "half_ball-2d": (box_grid((0.0, -1.0), (1.0, 1.0), (7, 13), half_axis=0),
+                     "half_ball", (0.2, 0.4)),
+    "ball-3d": (box_grid((-1.0,) * 3, (1.0,) * 3, (7, 8, 6)), "ball", (0.3, 0.6)),
+    "cylinder-2d": (box_grid((0.0, -1.0), (0.5, 1.0), (9, 13), time_axis=True),
+                    "cylinder", (0.2, 0.35)),
+    "cylinder-3d": (box_grid((0.0, -1.0, -1.0), (0.5, 1.0, 1.0), (6, 9, 8), time_axis=True),
+                    "cylinder", (0.25, 0.45)),
+    "half_cylinder-3d": (box_grid((0.0, 0.0, -1.0), (0.5, 1.0, 1.0), (6, 6, 9),
+                                  time_axis=True, half_axis=1),
+                         "half_cylinder", (0.25, 0.45)),
+}
+
+
 class TestGeometricSharp:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5])
@@ -465,6 +550,43 @@ class TestGeometricSharp:
         got = geometric_sharp(h, fam, gamma=1.0, rho=0.3, pair_budget=10 ** 9)
         want = brute_geometric_sharp(h, fam, 1.0, (0.3,))
         np.testing.assert_allclose(got.values, want, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("cap", [0, 4096, None, 1 << 62],
+                             ids=["cap0", "cap4k", "default", "unbounded"])
+    @pytest.mark.parametrize("case", sorted(SHARP_CASES))
+    def test_equals_reference_loop_bitwise(self, monkeypatch, case, cap):
+        if cap is not None:
+            monkeypatch.setattr(operators, "_FIELD_CACHE_BYTES", cap)
+        grid, shape, radii = SHARP_CASES[case]
+        fam = GeometricFamily(shape, radii)
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for channels in ((), (2, 2), (3, 3)):
+            h = GridFunction(grid, rng.standard_normal(grid.shape + channels))
+            for gamma in (1.0, 0.5, 0.3):
+                for budget in (10 ** 9, 40):
+                    got = geometric_sharp(h, fam, gamma, radii[-1], pair_budget=budget, seed=7)
+                    want, sub = reference_geometric_sharp(h, fam, gamma, radii[-1],
+                                                          pair_budget=budget, seed=7)
+                    where = f"{channels} gamma {gamma} budget {budget}"
+                    assert got.values.tobytes() == want.tobytes(), where
+                    assert got.subsampled == sub, where
+            assert sub, "the small budget must sample some radius"
+
+    def test_peak_memory_within_reference_plus_cache(self):
+        # OSC's workload-sized call: a 51x51 grid of 2x2 Hessians on its radii
+        grid = box_grid((-1.5, -1.5), (1.5, 1.5), (51, 51))
+        h = GridFunction(grid, np.random.default_rng(3).standard_normal(grid.shape + (2, 2)))
+        fam = GeometricFamily("ball", (0.125, 0.175, 0.25, 0.35, 0.5))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for fn in (reference_geometric_sharp, geometric_sharp):
+                tracemalloc.reset_peak()
+                fn(h, fam, 0.5, 0.5, pair_budget=2048)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * (peaks[0] + operators._FIELD_CACHE_BYTES)
 
     def test_validation(self):
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))

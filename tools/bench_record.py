@@ -1,0 +1,184 @@
+"""Benchmark of record: alternating parent/change pairs of perfbench/run.py.
+
+    python3 tools/bench_record.py --parent REV --seeds 2-11 --out BENCH_1.json
+
+The parent tree is ``git archive REV`` unpacked into a temporary directory;
+the change tree is the checkout this script lives in, as it is on disk
+(identified by ``HEAD`` and a digest of its ``src/`` files).  For
+every workload in BENCHMARK.json and every seed the script runs
+``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0``,
+S being BENCHMARK.json's ``run_seconds``, once in each tree, parent
+first on even pair indices and change first on odd ones, so drift on the
+host lands on both sides alike.  Neither tree's benchmark code is changed.
+
+The output holds each run's end-to-end metrics, correctness and JSON/CSV
+report digests; per metric and side the median and quartiles; the pairs the
+change won, lost and tied; and the machine facts that bound the numbers:
+nproc, RAM, Python, the numpy version and numpy's SIMD baseline, dispatch
+targets and the CPU features it found active.  Report digests are only
+comparable at one numpy build and dispatch level.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN_TIMEOUT_S = 600
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCH = json.load(_fh)
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"2-11"`` or ``"2,5,7"`` to a list of seeds."""
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-", 1))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def src_digest(tree: str) -> str:
+    """SHA-256 over the paths and bytes of every ``.py`` file under ``src/``."""
+    h = hashlib.sha256()
+    for base, dirs, files in sorted(os.walk(os.path.join(tree, "src"))):
+        dirs.sort()
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(base, name)
+            h.update(os.path.relpath(path, tree).encode() + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read() + b"\0")
+    return h.hexdigest()
+
+
+def machine() -> dict:
+    from numpy._core import _multiarray_umath as umath
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "ram_bytes": os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numpy_cpu_baseline": list(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": list(umath.__cpu_dispatch__),
+        "numpy_cpu_features_active": [k for k, on in umath.__cpu_features__.items() if on],
+        "npy_disable_cpu_features": os.environ.get("NPY_DISABLE_CPU_FEATURES", ""),
+    }
+
+
+def run_args(workload: str, seed) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{BENCH['run_seconds']:g}", "--trace", "0"]
+
+
+def run_once(tree: str, workload: str, seed: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its result line plus the
+    report digests from the detail file it writes."""
+    cmd = [sys.executable, *run_args(workload, seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} printed nothing: {proc.stderr[-500:]}")
+    result = json.loads(lines[-1])
+    detail = os.path.join(tree, ".perfbench_out", f"result-{workload}-seed{seed}-trace0.json")
+    with open(detail, encoding="utf-8") as fh:
+        digests = json.load(fh)["worker"]["digests"]
+    return {
+        "exit": proc.returncode,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "digests": [{"json": js, "csv": cs} for js, cs in digests],
+    }
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, the relative
+    change of the medians, and the pairs the change won, lost and tied."""
+    out = {}
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        par = [p["parent"]["metrics"][name] for p in pairs]
+        chg = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        ties = sum(c == p for p, c in zip(par, chg))
+        ps, cs = _spread(par), _spread(chg)
+        base = ps["median"]
+        out[name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "parent": ps, "change": cs,
+            "median_change": (cs["median"] - base) / base if base else None,
+            "change_wins": wins, "change_losses": len(pairs) - wins - ties, "ties": ties,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
+    ap.add_argument("--parent", required=True, help="git revision of the parent tree")
+    ap.add_argument("--seeds", default="2-11", help="seed range A-B or list A,B,C")
+    ap.add_argument("--out", required=True, help="output JSON path")
+    args = ap.parse_args(argv)
+
+    seeds = parse_seeds(args.seeds)
+    record = {
+        "command": " ".join(["python3", *run_args("W", "N")]),
+        "parent": {"rev": _git("rev-parse", args.parent)},
+        "change": {"head": _git("rev-parse", "HEAD"), "src_sha256": src_digest(ROOT),
+                   "uncommitted_src": bool(_git("status", "--porcelain", "--", "src"))},
+        "machine": machine(),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
+        record["parent"]["src_sha256"] = src_digest(parent_tree)
+        for workload in (w["name"] for w in BENCH["workloads"]):
+            pairs = []
+            for k, seed in enumerate(seeds):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    tree = parent_tree if side == "parent" else ROOT
+                    pair[side] = run_once(tree, workload, seed)
+                pair["digests_equal"] = pair["parent"]["digests"] == pair["change"]["digests"]
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: " + "  ".join(
+                    f"{side} wall_s {pair[side]['metrics']['wall_s']:.4f}"
+                    for side in ("parent", "change")), file=sys.stderr)
+            record["workloads"][workload] = {
+                "seeds": seeds,
+                "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+                "digests_equal_pairs": sum(p["digests_equal"] for p in pairs),
+                "metrics": summarize(pairs, BENCH["end_to_end"]),
+                "pairs": pairs,
+            }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0 if all(w["all_correct"] for w in record["workloads"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
