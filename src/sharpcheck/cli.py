@@ -160,7 +160,10 @@ def load_suite(path: str) -> SuiteConfig:
         params, ladder = {}, ()
         for key, raw in parser[section].items():
             if key == "ladder":
-                ladder = _parse_ladder(raw, where(section, key))
+                try:
+                    ladder = entry.check_ladder(_parse_ladder(raw, where(section, key)))
+                except ValueError as e:
+                    raise ConfigError(f"{where(section, key)}: {e}") from None
                 continue
             if key not in entry.defaults:
                 raise ConfigError(f"{where(section, key)}: unknown parameter {key!r} "

@@ -83,6 +83,25 @@ class CatalogEntry:
     validate: Callable | None = None
     min_spacing: float = 1.0 / 512
 
+    def check_ladder(self, ladder) -> tuple[float, ...]:
+        """The ladder as floats; a step this entry cannot run raises
+        ``ValueError``.  Spacings are finite and at least ``min_spacing``,
+        windows finite and positive, instance counts positive integers."""
+        ladder = tuple(float(x) for x in ladder)
+        if not ladder:
+            raise ValueError(f"empty ladder for {self.id}")
+        for x in ladder:
+            if self.ladder_kind == "spacing":
+                ok, need = x >= self.min_spacing, \
+                    f"finite and not below the supported resolution {self.min_spacing}"
+            elif self.ladder_kind == "window":
+                ok, need = x > 0, "finite and positive"
+            else:
+                ok, need = x >= 1 and x.is_integer(), "a positive integer"
+            if not (ok and math.isfinite(x)):
+                raise ValueError(f"{self.ladder_kind} ladder value {x} for {self.id} must be {need}")
+        return ladder
+
     def merged(self, overrides: dict) -> dict:
         params = dict(self.defaults)
         for key, val in overrides.items():

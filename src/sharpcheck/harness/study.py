@@ -61,15 +61,7 @@ def run_estimate_check(spec: EstimateSpec) -> InequalityReport:
     params = entry.merged(dict(spec.params))
     if entry.validate is not None:
         entry.validate(params)
-    ladder = tuple(float(x) for x in (spec.ladder or entry.ladder))
-    if not ladder:
-        raise ValueError(f"empty ladder for {entry.id}")
-    if entry.ladder_kind == "spacing":
-        for x in ladder:
-            if x < entry.min_spacing:
-                raise ValueError(
-                    f"spacing {x} is below the supported resolution "
-                    f"{entry.min_spacing} for {entry.id}")
+    ladder = entry.check_ladder(spec.ladder or entry.ladder)
 
     notes = _class_precondition(entry, params, spec.seed)
     series: dict[str, TermSeries] = {}

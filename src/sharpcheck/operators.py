@@ -4,11 +4,12 @@ Dyadic variants act on piecewise-constant fields through exact block
 averages.  Geometric variants act on grid functions: shape averages are
 node-counting quadratures over balls, half balls, forward-in-time cylinders
 ``[t, t + r^2) x B_r`` and half cylinders, with shapes clipped to the grid
-box.  For every radius the per-center averages come from one window sum
-through ``numpy.fft``, so they match the brute-force definition up to FFT
-rounding.  The sup over shapes containing a node is exact: the footprint is
-cut into chords, each chord is one window maximum, and a cylinder's
-forward time interval is one separable window maximum along time.  Sharp
+box.  One chord reduction serves both window sums and covering maxima: each
+mask row is a chord about the middle column, a running sum or max grows
+chord by chord, and a cylinder's time interval is one running op along time
+first.  Every term is an on-grid value, so a window sum of a nonnegative
+field keeps its rounding error relative to the local sum, node counts are
+exact integers, and the sup over shapes containing a node is exact.  Sharp
 pair sums share each offset difference's field, up to ``_FIELD_CACHE_BYTES``.
 """
 
@@ -154,110 +155,70 @@ def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
     return mask
 
 
-def _fast_len(n: int) -> int:
-    # smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, True)
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+def _window_reduce(values: np.ndarray, mask: np.ndarray, time_axis: bool, op) -> np.ndarray:
+    """``out[c] = op`` over offsets ``o`` in ``mask`` (about its middle node)
+    of ``values[c + o]``, on-grid terms only; ``op`` is ``np.add`` or
+    ``np.maximum``.
 
-
-def _rfftn(x: np.ndarray, fshape, axes) -> np.ndarray:
-    # scipy.fft.rfftn's pass order: real on the last axis, then complex ascending
-    out = np.fft.rfft(x, fshape[-1], axes[-1])
-    for a, n in zip(axes[:-1], fshape):
-        out = np.fft.fft(out, n, a)
-    return out
-
-
-def _window_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # correlation: out[c] = sum over offsets o in mask of values[c + o], as a
-    # "same"-mode FFT convolution with the reflected mask; axes where either
-    # input has one node are plain broadcasting and take no transform.  The
-    # 1-D passes run in pocketfft's multi-axis order and scale by 1/N last,
-    # so the bits equal scipy.fft's.
-    kernel = mask.astype(np.float64)[tuple(slice(None, None, -1) for _ in mask.shape)]
-    axes = [a for a in range(values.ndim) if values.shape[a] != 1 and kernel.shape[a] != 1]
-    full = [n + k - 1 if a in axes else max(n, k)
-            for a, (n, k) in enumerate(zip(values.shape, kernel.shape))]
-    if axes:
-        fshape = [_fast_len(full[a]) for a in axes]
-        spec = _rfftn(values, fshape, axes) * _rfftn(kernel, fshape, axes)
-        for a, n in zip(axes[:-1], fshape):
-            spec = np.fft.ifft(spec, n, a, norm="forward")
-        ret = np.fft.irfft(spec, fshape[-1], axes[-1], norm="forward")
-        ret *= 1.0 / np.prod(fshape)
-    else:
-        ret = values * kernel
-    return ret[tuple(slice((f - n) // 2, (f - n) // 2 + n)
-                     for f, n in zip(full, values.shape))].copy()
-
-
-def _shift_max(out: np.ndarray, src: np.ndarray, shift) -> None:
-    # out[x] = max(out[x], src[x + shift]) wherever x + shift is on the grid
-    dst, tail = [], []
-    for n, s in zip(out.shape, shift):
-        if abs(s) >= n:
-            return
-        dst.append(slice(max(0, -s), n - max(0, s)))
-        tail.append(slice(max(0, s), n - max(0, -s)))
-    view = out[tuple(dst)]
-    np.maximum(view, src[tuple(tail)], out=view)
-
-
-def _window_maxima(values: np.ndarray, windows, axis: int):
-    # Yield, per window (lo, hi) with lo <= hi, out[i] = max values[i + lo .. i + hi]
-    # along axis, -inf off the grid.  One sparse table (Bender & Farach-Colton)
-    # serves every window: level j holds the maxima of the -inf-padded values
-    # over 2**j consecutive nodes, and a window is the max of two overlapping
-    # slices of one level.  Clamping to [-n, n] keeps every on-grid node.
-    vals = values.swapaxes(0, axis)
-    n = len(vals)
-    windows = [(min(max(lo, -n), n), min(max(hi, -n), n)) for lo, hi in windows]
-    left, right = max([0] + [-lo for lo, _ in windows]), max([0] + [hi for _, hi in windows])
-    levels = [np.full((left + n + right,) + vals.shape[1:], -np.inf)]
-    levels[0][left:left + n] = vals
-    for j in range(max([1] + [hi - lo + 1 for lo, hi in windows]).bit_length() - 1):
-        levels.append(np.maximum(levels[-1][:-(1 << j)], levels[-1][1 << j:]))
-    for lo, hi in windows:
-        j = (hi - lo + 1).bit_length() - 1
-        a, b = left + lo, left + hi + 1 - (1 << j)
-        yield np.maximum(levels[j][a:a + n], levels[j][b:b + n]).swapaxes(0, axis)
+    Every mask row along the last axis is one chord ``[-a, a]`` about the
+    middle column, or empty.  One running array over the padded values grows
+    from ``a = 0`` to the widest chord by two slice-ops per step, and each row
+    of half-width ``a`` is one slice-op into an output padded over the
+    leading axes, so every term is an on-grid value and a nonnegative input
+    keeps its rounding error relative to the local sum.  On a time grid the
+    mask is a time interval times a footprint; the interval is one running
+    op along axis 0 first.
+    """
+    empty = 0.0 if op is np.add else -np.inf
+    foot = mask.any(axis=0, keepdims=True) if time_axis else mask
+    half = foot.sum(-1) // 2
+    form = (np.abs(np.arange(mask.shape[-1]) - mask.shape[-1] // 2) <= half[..., None]) \
+        & foot.any(-1, keepdims=True)
+    if time_axis:
+        steps = mask.any(axis=tuple(range(1, mask.ndim)))
+        hull = np.logical_or.accumulate(steps) & np.logical_or.accumulate(steps[::-1])[::-1]
+        form = form & hull.reshape((-1,) + (1,) * (mask.ndim - 1))
+    if not np.array_equal(mask, form):
+        raise ValueError("window mask must be a chord about the middle column in every row"
+                         + (", times one time interval" if time_axis else ""))
+    if time_axis:
+        n = len(values)
+        padded = np.full((3 * n - 2,) + values.shape[1:], empty)
+        padded[n - 1:2 * n - 1] = values
+        values = np.full(values.shape, empty)
+        for k in np.flatnonzero(steps) - mask.shape[0] // 2:
+            if abs(k) < n:
+                op(values, padded[n - 1 + k:2 * n - 1 + k], out=values)
+    lead, n = values.shape[:-1], values.shape[-1]
+    widest = min(int(half.max()), n - 1)
+    # rows of n + widest columns after a lead of widest: a flat shift by at
+    # most widest moves a grid column only into its own row or a pad gap
+    padded = np.full(widest + math.prod(lead) * (n + widest), empty)
+    padded[widest:].reshape(lead + (-1,))[..., :n] = values
+    running = padded.copy()
+    run, size = running[widest:].reshape(lead + (-1,)), padded.size
+    pads = np.minimum(np.array(foot.shape[:-1]) // 2, np.array(lead, dtype=int) - 1)
+    offsets = np.argwhere(foot.any(-1)) - np.array(foot.shape[:-1]) // 2
+    reach = (np.abs(offsets) < lead).all(axis=1)
+    rows: dict[int, list] = {}
+    for a, start in zip(np.minimum(half[foot.any(-1)], widest)[reach].tolist(),
+                        (pads - offsets[reach]).tolist()):
+        rows.setdefault(a, []).append(tuple(map(slice, start, np.add(start, lead))))
+    out = np.full(tuple(np.add(lead, 2 * pads)) + (n + widest,), empty)
+    for a in range(widest + 1):
+        if a:
+            op(running[a:size - a], padded[:size - 2 * a], out=running[a:size - a])
+            op(running[a:size - a], padded[2 * a:], out=running[a:size - a])
+        for dst in rows.get(a, ()):
+            view = out[dst]
+            op(view, run, out=view)
+    return out[tuple(map(slice, pads, np.add(pads, lead))) + (slice(n),)]
 
 
 def _covering_max(per_center: np.ndarray, mask: np.ndarray, time_axis: bool) -> np.ndarray:
     """Exact ``out[x] = max per_center[c]`` over centers ``c`` whose shape
-    contains ``x``; ``c - x`` ranges over the reflected window ``foot``.
-
-    Each row of ``foot`` along the last axis splits into contiguous chords
-    (one per row for balls); every distinct chord is one window maximum,
-    shifted into place over the leading axes.  On a time grid the mask is a
-    forward time interval times a ball, so the interval is one window
-    maximum along axis 0 first.
-    """
-    foot = mask[tuple(slice(None, None, -1) for _ in mask.shape)]
-    vals = per_center
-    if time_axis:
-        steps = np.flatnonzero(foot.any(axis=tuple(range(1, foot.ndim)))) - foot.shape[0] // 2
-        vals, = _window_maxima(per_center, [(int(steps[0]), int(steps[-1]))], 0)
-        foot = foot.any(axis=0, keepdims=True)
-    mid = [s // 2 for s in foot.shape]
-    chords: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for lead in np.ndindex(foot.shape[:-1]):
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], foot[lead], [0]))))
-        for lo, hi in zip(edges[::2], edges[1::2] - 1):
-            shift = tuple(i - m for i, m in zip(lead, mid)) + (0,)
-            chords.setdefault((int(lo) - mid[-1], int(hi) - mid[-1]), []).append(shift)
-    out = np.full(per_center.shape, -np.inf)
-    runs = _window_maxima(vals, chords, per_center.ndim - 1)
-    for run, shifts in zip(runs, chords.values()):
-        for shift in shifts:
-            _shift_max(out, run, shift)
-    return out
+    contains ``x``: ``c - x`` ranges over the reflected mask."""
+    return _window_reduce(per_center, np.flip(mask), time_axis, np.maximum)
 
 
 def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> list[float]:
@@ -289,8 +250,8 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
     ones = np.ones_like(absv)
     for r in _radius_subset(family, rho, mode):
         mask = _shape_offsets(h.grid, family, r)
-        counts = np.rint(_window_sum(ones, mask))
-        avg = np.maximum(_window_sum(absv, mask), 0.0) / counts
+        counts = _window_reduce(ones, mask, h.grid.time_axis, np.add)
+        avg = _window_reduce(absv, mask, h.grid.time_axis, np.add) / counts
         np.maximum(out, _covering_max(avg, mask, h.grid.time_axis), out=out)
     return GridFunction(h.grid, out)
 
@@ -329,7 +290,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     subsampled = False
     for r in _radius_subset(family, rho, "at_most"):
         mask = _shape_offsets(grid, family, r)
-        counts = np.rint(_window_sum(ones, mask))
+        counts = _window_reduce(ones, mask, grid.time_axis, np.add)
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
         m = len(offsets)
         exact = m * (m - 1) // 2 <= pair_budget

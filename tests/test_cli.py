@@ -175,6 +175,23 @@ class TestConfigDiagnostics:
                    f"pair_budget = {value}\n",
                    f"{tmp_path / 'suite.cfg'}, line 5", "pair_budget", "from 1 to 65536")
 
+    @pytest.mark.parametrize("section,ladder,needle", [
+        ("IDENTITIES", "0.5", "a positive integer"),
+        ("IDENTITIES", "0", "a positive integer"),
+        ("IDENTITIES", "-2", "a positive integer"),
+        ("MAX-LP", "0.25 0.0001", "below the supported resolution"),
+        ("MAX-LP", "0.25 inf", "finite"),
+        ("MAX-LP", "nan", "finite"),
+        ("NEG-EXP", "1 -2", "finite and positive"),
+        ("NEG-EXP", "1 0", "finite and positive"),
+        ("NEG-EXP", "inf", "finite and positive"),
+    ])
+    def test_ladder_out_of_range(self, tmp_path, capsys, section, ladder, needle):
+        # rejected at load time with the ladder's line, before any entry runs
+        self.check(tmp_path, capsys,
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\nladder = {ladder}\n",
+                   f"{tmp_path / 'suite.cfg'}, line 6", needle, section)
+
     def test_bad_ladder_value(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n"
@@ -278,8 +295,9 @@ class TestReport:
 
 def test_cli_import_does_not_load_scipy_signal():
     # numpy is the only runtime dependency: with scipy blocked the CLI imports
-    # and the geometric operators (ball and cylinder) still run.  A fresh
-    # interpreter keeps other tests' imports from counting.
+    # and the geometric operators (ball and cylinder) still run, and they never
+    # load numpy.fft.  A fresh interpreter keeps other tests' imports from
+    # counting.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -288,8 +306,9 @@ def test_cli_import_does_not_load_scipy_signal():
             "reports = run_suite([EstimateSpec(id='OSC', ladder=(0.12,)),\n"
             "                     EstimateSpec(id='OSC-P', ladder=(0.2,))])\n"
             "print([r.verdict for r in reports])\n"
-            "print(sorted(m for m, v in sys.modules.items() if m.startswith('scipy') and v))")
+            "print(sorted(m for m, v in sys.modules.items() if m.startswith('scipy') and v))\n"
+            "print('numpy.fft' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["['bounded', 'bounded']", "[]"]
+    assert proc.stdout.split("\n")[:3] == ["['bounded', 'bounded']", "[]", "False"]

@@ -337,6 +337,12 @@ class TestStudyDrivers:
         with pytest.raises(ValueError, match="not dyadic"):
             run_estimate_check(EstimateSpec(id="MAX-LP", ladder=(0.3,)))
 
+    @pytest.mark.parametrize("entry,ladder", [("IDENTITIES", (0.5,)), ("NEG-EXP", (1.0, -2.0)),
+                                              ("MAX-LP", (0.25, float("nan")))])
+    def test_ladder_values_an_entry_cannot_run_rejected(self, entry, ladder):
+        with pytest.raises(ValueError, match=f"ladder value .* for {entry} must be"):
+            run_estimate_check(EstimateSpec(id=entry, ladder=ladder))
+
     def test_refinement_ladder_guards(self):
         spec = EstimateSpec(id="ZEROTH-1D")
         with pytest.raises(ValueError, match="at least 3"):

@@ -11,6 +11,7 @@ Frozen values used below:
   constant, so the sharp function is identically 1/2.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,11 +29,9 @@ from sharpcheck.operators import (
     geometric_maximal,
     geometric_sharp,
     _covering_max,
-    _fast_len,
     _radius_subset,
     _shape_offsets,
-    _window_maxima,
-    _window_sum,
+    _window_reduce,
 )
 
 
@@ -276,7 +275,7 @@ class TestGeometricMaximal:
 
 
 # ---------------------------------------------------------------------------
-# exact primitives: covering max and window sum
+# exact primitives: one window reduction for covering maxima and window sums
 
 def brute_covering_max(per_center, mask):
     # out[x] = max of per_center[c] over the centers c whose shape c + mask
@@ -287,6 +286,33 @@ def brute_covering_max(per_center, mask):
         xs = offsets + c
         xs = xs[((xs >= 0) & (xs < per_center.shape)).all(axis=1)]
         np.maximum.at(out, tuple(xs.T), per_center[c])
+    return out
+
+
+def brute_window_sum(values, mask):
+    # out[c] = math.fsum of values[c + o] over the offsets o in mask (about its
+    # middle node) with c + o on the grid; off-grid terms read zeros from a
+    # padded copy, one slab of centers along axis 0 at a time
+    offsets = np.argwhere(mask) - np.array(mask.shape) // 2
+    k = np.array(mask.shape) // 2
+    padded = np.pad(values, [(h, h) for h in k])
+    out = np.zeros(values.shape)
+    for i in range(values.shape[0]):
+        terms = np.zeros((len(offsets),) + values.shape[1:])
+        for j, off in enumerate(offsets):
+            terms[j] = padded[(i + k[0] + off[0],) + tuple(
+                slice(h + o, h + o + n) for h, o, n in zip(k[1:], off[1:], values.shape[1:]))]
+        rows = terms.reshape(len(offsets), math.prod(values.shape[1:])).T.copy()
+        out[i] = np.reshape([math.fsum(memoryview(t)) for t in rows], values.shape[1:])
+    return out
+
+
+def brute_counts(shape, mask):
+    # per center c, the number of offsets o in mask with c + o on the grid
+    out = np.zeros(shape)
+    for off in np.argwhere(mask) - np.array(mask.shape) // 2:
+        inside = ((np.arange(n) + o >= 0) & (np.arange(n) + o < n) for n, o in zip(shape, off))
+        out += math.prod(np.ix_(*(a.astype(int) for a in inside)))
     return out
 
 
@@ -305,84 +331,84 @@ def family_masks(ndim):
     return out
 
 
-def random_masks(rng, ndim, count):
+def chord_masks(rng, ndim, count):
+    # random masks of the form the reduction takes: each row along the last
+    # axis a chord [-a, a] about the middle column or empty (a = -1); on odd
+    # draws with ndim >= 2, one random time interval times such a footprint
     out = []
     for k in range(count):
         dims = tuple(int(v) for v in 2 * rng.integers(0, 4, ndim) + 1)
-        if k % 2:
-            mask = rng.random(dims) < 0.5
-        else:                                   # one chord (or none) per row
-            mask = np.zeros(dims, dtype=bool)
-            for lead in np.ndindex(dims[:-1]):
-                a, b = sorted(rng.integers(0, dims[-1], 2))
-                mask[lead][a:b + 1] = rng.random() < 0.8
-        out.append((mask, False))
+        timed = bool(k % 2) and ndim >= 2
+        half = rng.integers(-1, dims[-1] // 2 + 1, (1,) * timed + dims[timed:-1])
+        mask = np.abs(np.arange(dims[-1]) - dims[-1] // 2) <= half[..., None]
+        if timed:
+            lo, hi = sorted(rng.integers(0, dims[0], 2))
+            steps = np.zeros((dims[0],) + (1,) * (ndim - 1), dtype=bool)
+            steps[lo:hi + 1] = True
+            mask = steps & mask
+        out.append((mask, timed))
     return out
+
+
+def gaussian_case(shape, lo, hi, r, **kw):
+    # exp(-40|x|^2) over the space axes: nine orders of magnitude and more
+    # between the center and the edges of the box
+    grid = box_grid(lo, hi, shape, **kw)
+    x2 = sum(grid.nodes()[..., ax] ** 2 for ax in grid.space_axes)
+    return np.exp(-40.0 * x2), _shape_offsets(grid, family_for_grid(grid, (r,)), r), grid.time_axis
+
+
+PRIMITIVE_SHAPES = [(1,), (6,), (7,), (1, 5), (8, 1), (6, 7), (4, 5, 3), (1, 6, 5)]
 
 
 class TestExactPrimitives:
 
-    @pytest.mark.parametrize("shape", [(1,), (6,), (7,), (1, 5), (8, 1), (6, 7),
-                                       (4, 5, 3), (1, 6, 5)])
+    @pytest.mark.parametrize("shape", PRIMITIVE_SHAPES)
     def test_covering_max_matches_brute_force(self, shape):
         rng = np.random.default_rng(sum(shape) * 7 + len(shape))
         per_center = rng.standard_normal(shape)
         per_center[rng.random(shape) < 0.25] = -np.inf
-        cases = family_masks(len(shape)) + random_masks(rng, len(shape), 12)
+        cases = family_masks(len(shape)) + chord_masks(rng, len(shape), 12)
         for mask, time_axis in cases:
             np.testing.assert_array_equal(_covering_max(per_center, mask, time_axis),
                                           brute_covering_max(per_center, mask))
 
-    @pytest.mark.parametrize("shape,axis", [((6,), 0), ((1, 4), 0), ((5, 7), 0), ((5, 7), 1),
-                                            ((4, 3, 5), 0), ((4, 3, 5), 2)])
-    def test_window_maxima_match_brute_force(self, shape, axis):
-        # every window lo <= hi with |lo|, |hi| <= n + 1: windows that miss
-        # offset 0, windows wider than the axis and windows wholly off the grid
-        rng = np.random.default_rng(sum(shape) + axis)
-        values = rng.standard_normal(shape)
-        values[rng.random(shape) < 0.25] = -np.inf
-        n = shape[axis]
-        windows = [(lo, hi) for lo in range(-n - 1, n + 2) for hi in range(lo, n + 2)]
-        along = np.moveaxis(values, axis, 0)
-        for (lo, hi), got in zip(windows, _window_maxima(values, windows, axis)):
-            want = np.full(along.shape, -np.inf)
-            for i in range(n):
-                for k in range(max(i + lo, 0), min(i + hi, n - 1) + 1):
-                    want[i] = np.maximum(want[i], along[k])
-            want = np.moveaxis(want, 0, axis)
-            np.testing.assert_array_equal(got, want)
-            alone, = _window_maxima(values, [(lo, hi)], axis)
-            np.testing.assert_array_equal(alone, want)
+    def assert_window_sums(self, values, mask, time_axis):
+        # per-node relative error against math.fsum, and exact counts
+        got = _window_reduce(values, mask, time_axis, np.add)
+        want = brute_window_sum(values, mask)
+        assert got.shape == values.shape and np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        counts = _window_reduce(np.ones(values.shape), mask, time_axis, np.add)
+        assert counts.tobytes() == brute_counts(values.shape, mask).tobytes()
 
-    def test_fast_len_matches_scipy(self):
-        from scipy import fft
+    @pytest.mark.parametrize("shape", PRIMITIVE_SHAPES)
+    def test_window_sum_matches_fsum(self, shape):
+        rng = np.random.default_rng(sum(shape) * 11 + len(shape))
+        values = rng.random(shape)
+        for mask, time_axis in family_masks(len(shape)) + chord_masks(rng, len(shape), 12):
+            self.assert_window_sums(values, mask, time_axis)
 
-        assert [_fast_len(n) for n in range(1, 4097)] == \
-            [fft.next_fast_len(n, True) for n in range(1, 4097)]
+    @pytest.mark.parametrize("case", [
+        ((97, 97), (-1.0, -1.0), (1.0, 1.0), 0.13, {}),
+        ((31, 49, 49), (0.0, -1.0, -1.0), (0.3, 1.0, 1.0), 0.22, {"time_axis": True}),
+    ], ids=["ball-97x97", "cylinder-31x49x49"])
+    def test_window_sum_relative_on_a_gaussian(self, case):
+        # the local sums span dozens of orders of magnitude; a sum whose error
+        # scales with the global magnitude goes negative near the box edges
+        shape, lo, hi, r, kw = case
+        self.assert_window_sums(*gaussian_case(shape, lo, hi, r, **kw))
 
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
-    def test_window_sum_matches_fftconvolve_bitwise(self, ndim):
-        from scipy import signal
-
-        rng = np.random.default_rng(50 + ndim)
-
-        def cases():
-            for _ in range(30):
-                shape = tuple(int(v) for v in rng.choice([1, 2, 5, 8, 13], ndim))
-                mask = rng.random(tuple(int(v) for v in 2 * rng.integers(0, 4, ndim) + 1)) < 0.6
-                yield shape, mask
-            # workload sizes: a (67, 67) ball on a 134^2 grid pads to 200 nodes,
-            # a (19, 19, 19) ball on a (16, 25, 25) grid to 36 and 45 (radix 3, 5)
-            shape, k = {1: ((134,), 33), 2: ((134, 134), 33), 3: ((16, 25, 25), 9)}[ndim]
-            offsets = np.indices((2 * k + 1,) * ndim) - k
-            yield shape, (offsets ** 2).sum(axis=0) <= k * k
-
-        for shape, mask in cases():
-            values = rng.standard_normal(shape)
-            kernel = mask.astype(np.float64)[tuple(slice(None, None, -1) for _ in range(ndim))]
-            want = signal.fftconvolve(values, kernel, mode="same")
-            got = _window_sum(values, mask)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("mask,time_axis", [
+        ([[False, True, True]], False),
+        ([[True, True, False], [False, True, False]], False),
+        ([[False, True, False], [True, False, True]], False),
+        ([[False, True, False], [False, False, False], [False, True, False]], True),
+        ([[False, False, False], [False, True, False], [True, True, True]], True),
+    ], ids=["off-centre", "left-chord", "two-chords", "time-gap", "not-a-product"])
+    def test_mask_outside_the_chord_form_rejected(self, mask, time_axis):
+        with pytest.raises(ValueError, match="chord about the middle column"):
+            _window_reduce(np.ones((4, 5)), np.array(mask), time_axis, np.add)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +462,7 @@ def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0):
     subsampled = False
     for r in _radius_subset(family, rho, "at_most"):
         mask = _shape_offsets(grid, family, r)
-        counts = np.rint(_window_sum(ones, mask))
+        counts = _window_reduce(ones, mask, grid.time_axis, np.add)
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
         m = len(offsets)
         if m * (m - 1) // 2 <= pair_budget:
