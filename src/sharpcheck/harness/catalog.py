@@ -116,10 +116,13 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 def _register(**kw):
     """Add an entry; one with an ``operator`` parameter also builds its
-    operator when validated, so bad operator settings fail before a run."""
-    if "operator" in kw["defaults"]:
+    operator when validated, so bad operator settings fail before a run, and
+    one with a ``tau0`` parameter requires it finite and nonnegative."""
+    shared = [check for key, check in (("operator", build_operator), ("tau0", _need_tau0))
+              if key in kw["defaults"]]
+    if shared:
         own = kw["validate"]
-        kw["validate"] = lambda params: (own(params), build_operator(params))
+        kw["validate"] = lambda params: (own(params), *(check(params) for check in shared))
 
     def deco(fn):
         entry = CatalogEntry(runner=fn, **kw)
@@ -131,6 +134,10 @@ def _register(**kw):
 def _need(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _need_tau0(p):
+    _need(0 <= p["tau0"] < math.inf, f"tau0 must be finite and nonnegative, got {p['tau0']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +429,18 @@ def _osc_radii(grid, rho: float) -> tuple:
     return tuple(float(r) for r in base if r <= cap * (1 + 1e-9))
 
 
-def _need_pair_budget(b):
-    cap = 1 << 16  # pairs per radius; keeps the pair index arrays to tens of MB
+_OSC_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "nu": 2.0, "mu": 0.3,
+                 "xi": 2.0, "gamma": 0.5, "r0": 1.0, "tau0": 0.0,
+                 "pair_budget": 2048, "radius": 1.0}
+
+
+def _osc_validate(p):
+    _need(p["nu"] >= 2, "the scale split needs nu >= 2")
+    _need(p["xi"] > 1, "the dual exponent needs xi > 1")
+    _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]")
+    _need(p["mu"] > 0, "mu must be positive")
+    _need(p["r0"] > 0, "r0 must be positive")
+    b, cap = p["pair_budget"], 1 << 16  # pairs per radius; keeps pair arrays to tens of MB
     _need(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and 0 < b <= cap,
           f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
 
@@ -457,17 +474,9 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
     summary="Pointwise bound of the Hessian sharp function over small balls "
             "by covering maximal functions of the operator image and the "
             "Hessian itself.",
-    defaults={"d": 2, "operator": "pucci", "delta": 0.5, "nu": 2.0, "mu": 0.3,
-              "xi": 2.0, "gamma": 0.5, "r0": 1.0, "tau0": 0.0,
-              "pair_budget": 2048, "radius": 1.0},
+    defaults=_OSC_DEFAULTS,
     ladder=(0.12, 0.06, 0.03),
-    validate=lambda p: (
-        _need(p["nu"] >= 2, "the scale split needs nu >= 2"),
-        _need(p["xi"] > 1, "the dual exponent needs xi > 1"),
-        _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]"),
-        _need(p["mu"] > 0, "mu must be positive"),
-        _need_pair_budget(p["pair_budget"]),
-    ),
+    validate=_osc_validate,
     min_spacing=0.01,
 )
 def _run_osc(params, h, seed):
@@ -482,16 +491,9 @@ def _run_osc(params, h, seed):
     summary="Space-time twin of the Hessian sharp bound over forward "
             "cylinders, with the time derivative folded into the operator "
             "image.",
-    defaults={"d": 2, "operator": "pucci", "delta": 0.5, "nu": 2.0, "mu": 0.3,
-              "xi": 2.0, "gamma": 0.5, "r0": 1.0, "tau0": 0.0,
-              "pair_budget": 2048, "radius": 1.0},
+    defaults=_OSC_DEFAULTS,
     ladder=(0.15, 0.1, 0.05),
-    validate=lambda p: (
-        _need(p["nu"] >= 2, "the scale split needs nu >= 2"),
-        _need(p["xi"] > 1, "the dual exponent needs xi > 1"),
-        _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]"),
-        _need_pair_budget(p["pair_budget"]),
-    ),
+    validate=_osc_validate,
     min_spacing=0.02,
 )
 def _run_osc_p(params, h, seed):
@@ -1247,7 +1249,9 @@ def _run_para_hs_mixed(params, h, seed):
     ladder=(1.0, 2.0, 4.0, 8.0),
     ladder_kind="window",
     expect_divergence=True,
-    validate=lambda p: _need(p["p"] >= 1, "the norm exponent needs p >= 1"),
+    validate=lambda p: (
+        _need(p["p"] >= 1, "the norm exponent needs p >= 1"),
+        _need(0 < p["h"] < math.inf, f"h must be finite and positive, got {p['h']!r}")),
     min_spacing=0.0,
 )
 def _run_neg_exp(params, L, seed):

@@ -10,11 +10,13 @@ chord by chord, and a cylinder's time interval is one running op along time
 first.  Every term is an on-grid value, so a window sum of a nonnegative
 field keeps its rounding error relative to the local sum, node counts are
 exact integers, and the sup over shapes containing a node is exact.  Sharp
-pair sums share each offset difference's field, up to ``_FIELD_CACHE_BYTES``.
+pair sums group the pairs by offset difference: each group computes its field
+once, over the difference's whole overlap, so one field is held at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +27,6 @@ from .filtration import DiscreteField, _block_expand, cell_blocks, level_average
 
 # Cells per pairwise chunk in the generic double-average path.
 _PAIR_CHUNK = 1 << 22
-# Bytes of |h(y) - h(y + delta)|**gamma fields kept per geometric_sharp radius.
-_FIELD_CACHE_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +257,14 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
 
 
 def _pair_windows(shape, a, b) -> np.ndarray:
-    # Rows [b - a, lo, hi, lo + m, hi + m] per offset pair (a, b), m = min(a, b):
-    # x in [lo, hi) has x + a and x + b on the grid, and x + a is index x + m of
-    # the field of b - a, which starts at y = max(0, a - b); pairs with no x drop.
+    # Rows [b - a, lo, hi, lo + m, hi + m] per offset pair (a, b), m = min(a, b),
+    # in a stable lexicographic sort by b - a: x in [lo, hi) has x + a and x + b
+    # on the grid, and x + a is index x + m of the field of b - a, which starts
+    # at y = max(0, a - b); pairs with no x drop.
     low = np.minimum(a, b)
     lo, hi = np.maximum(-low, 0), np.array(shape) - np.maximum(np.maximum(a, b), 0)
-    return np.concatenate([b - a, lo, hi, lo + low, hi + low], axis=1)[(hi > lo).all(axis=1)]
+    rows = np.concatenate([b - a, lo, hi, lo + low, hi + low], axis=1)[(hi > lo).all(axis=1)]
+    return rows[np.lexsort(rows[:, len(shape) - 1::-1].T)]
 
 
 def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
@@ -273,9 +275,10 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     Exact over all node pairs while the unordered pair count stays within
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
     or matrix channels are compared in the entrywise-l2 metric.
-    Pairs with one offset difference ``delta`` share the field ``|h(y) -
-    h(y + delta)|**gamma`` (per radius, up to ``_FIELD_CACHE_BYTES``) and add
-    their slices in pair order, so each center sums terms in the same order.
+    Per radius the pairs are grouped by offset difference ``delta`` (a stable
+    sort); each group computes the field ``|h(y) - h(y + delta)|**gamma`` once,
+    over delta's whole overlap, and adds its pairs' slices in pair order, so
+    one field is held at a time and each center sums its terms group by group.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -311,29 +314,18 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
             subsampled = True
         acc = np.zeros(grid.shape)
         cnt = counts * (counts - 1) / 2 if exact else np.zeros(grid.shape)
-        fields, kept, d = {}, 0, grid.ndim
-        for row in map(np.ndarray.tolist, _pair_windows(grid.shape, offsets[ii], offsets[jj])):
-            delta = tuple(row[:d])
-            x0, x1, y0, y1 = (row[k:k + d] for k in range(d, 5 * d, d))
-            dst, win = tuple(map(slice, x0, x1)), tuple(map(slice, y0, y1))
-            field = fields.get(delta)
-            if field is None:
-                y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, grid.shape))
-                if kept + 8 * math.prod(s.stop - s.start for s in y) > _FIELD_CACHE_BYTES:
-                    # past the cap: compute only the window this pair reads
-                    y, win = tuple(slice(s.start + w.start, s.start + w.stop)
-                                   for s, w in zip(y, win)), ()
-                diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e)
-                                            for s, e in zip(y, delta))]
-                mag = np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1 \
-                    else np.abs(diff[..., 0])
-                field = mag ** gamma
-                if win:
-                    fields[delta] = field
-                    kept += field.nbytes
-            acc[dst] += field[win]
-            if not exact:
-                cnt[dst] += 1.0
+        d = grid.ndim
+        rows = map(np.ndarray.tolist, _pair_windows(grid.shape, offsets[ii], offsets[jj]))
+        for delta, group in itertools.groupby(rows, key=lambda row: row[:d]):
+            y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, grid.shape))
+            diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))]
+            field = (np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1
+                     else np.abs(diff[..., 0])) ** gamma
+            for row in group:
+                dst = tuple(map(slice, row[d:2 * d], row[2 * d:3 * d]))
+                acc[dst] += field[tuple(map(slice, row[3 * d:4 * d], row[4 * d:]))]
+                if not exact:
+                    cnt[dst] += 1.0
         ordered = counts * counts
         nondiag = ordered - counts
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -160,6 +160,14 @@ class TestConfigDiagnostics:
         ("APRIORI", "delta = 0", "delta must lie in (0, 1]"),
         ("APRIORI", "operator = bellman\ndelta = 0", "delta must lie in (0, 1]"),
         ("HS-DIRICHLET", "input = quadratic", "unknown manufactured input 'quadratic'"),
+        ("OSC-P", "mu = -1.0", "mu must be positive"),
+        ("OSC", "r0 = 0", "r0 must be positive"),
+        ("OSC", "tau0 = -1.0", "tau0 must be finite and nonnegative"),
+        ("W2P-GLOBAL", "p = 3\ntau0 = -1.0", "tau0 must be finite and nonnegative"),
+        ("HS-DIRICHLET", "tau0 = -1.0", "tau0 must be finite and nonnegative"),
+        ("PARA-GLOBAL", "p = 5\ntau0 = -1.0", "tau0 must be finite and nonnegative"),
+        ("NEG-EXP", "h = 0", "h must be finite and positive"),
+        ("NEG-EXP", "h = -0.01", "h must be finite and positive"),
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
                                                          section, line, needle):

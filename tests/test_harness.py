@@ -272,7 +272,7 @@ class TestCatalogRecipes:
 
     def test_covering_max_entries_bounded_at_default_ladders(self):
         # INTERP and OSC at their own ladders, within a generous budget;
-        # OSC-P's default ladder takes about 12 s and stays out of this run
+        # OSC-P's default ladder takes 6.5-8 s and stays out of this run
         start = time.perf_counter()
         for eid in ("INTERP", "OSC"):
             r = run_estimate_check(EstimateSpec(id=eid))

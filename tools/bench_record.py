@@ -44,6 +44,13 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def unpack(rev: str, dest: str) -> None:
+    """``git archive rev`` unpacked into the directory ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
 def parse_seeds(text: str) -> list[int]:
     """``"2-11"`` or ``"2,5,7"`` to a list of seeds."""
     if "-" in text:
@@ -150,9 +157,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
+        unpack(args.parent, parent_tree)
         record["parent"]["src_sha256"] = src_digest(parent_tree)
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []
