@@ -68,9 +68,12 @@ class Grid:
         return np.linspace(self.lo[axis], self.hi[axis], self.shape[axis])
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates, shape ``(*shape, ndim)``."""
-        mesh = np.meshgrid(*(self.axis_nodes(ax) for ax in range(self.ndim)), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """All node coordinates, shape ``(*shape, ndim)``, filled one axis at a
+        time by broadcasting that axis's nodes."""
+        out = np.empty(self.shape + (self.ndim,))
+        for ax in range(self.ndim):
+            out[..., ax] = self.axis_nodes(ax).reshape((-1,) + (1,) * (self.ndim - 1 - ax))
+        return out
 
     def flat_nodes(self) -> np.ndarray:
         return self.nodes().reshape(-1, self.ndim)
@@ -183,6 +186,24 @@ def fd_derivatives(u: GridFunction) -> Derivatives:
 def frobenius(H: np.ndarray) -> np.ndarray:
     """Entrywise-l2 matrix magnitude over the trailing two axes."""
     return np.sqrt(np.einsum("...ij,...ij->...", H, H))
+
+
+def sum_of_squares(parts) -> np.ndarray:
+    """``p0 * p0 + p1 * p1 + ...`` over arrays that broadcast together, added
+    in order: bit for bit numpy's sum of the stacked squares over a short
+    trailing axis."""
+    parts = iter(parts)
+    first = next(parts)
+    total = first * first
+    for part in parts:
+        total = total + part * part
+    return total
+
+
+def euclidean(v: np.ndarray) -> np.ndarray:
+    """Euclidean magnitude over the trailing axis, bit for bit
+    ``np.linalg.norm(v, axis=-1)``."""
+    return np.sqrt(sum_of_squares(np.moveaxis(v, -1, 0)))
 
 
 def symmetrize(H: np.ndarray) -> np.ndarray:
@@ -540,28 +561,42 @@ def homogenized_model(model: Callable) -> Callable:
 class ManufacturedFunction:
     """Closed-form input: values plus analytic gradient/Hessian callbacks.
 
-    Callbacks take flat coordinate rows ``(n, ndim)`` matching the grid the
-    function is sampled on; on time grids axis 0 is time and the spatial
-    callbacks differentiate in the remaining axes only.
+    Callbacks take flat coordinate rows ``(n, ndim)`` of the grid the
+    function is sampled on.  A time product ``q(t) * u(x)`` (see
+    :func:`with_time_profile`) holds the time factor and its derivative in
+    ``time`` and the spatial factor's callbacks, and is sampled on time grids
+    only, factor by factor: the time factor on the time-axis nodes, the
+    callbacks on the nodes of the spatial axes, multiplied once by
+    broadcasting.
     """
 
     u: Callable
     du: Callable
     d2u: Callable
-    dt: Callable | None = None
+    time: tuple[Callable, Callable] | None = None
+
+    def _sample(self, grid: Grid, fn: Callable, channels: tuple = (), order: int = 0):
+        """``fn`` on the grid's nodes, shape ``(*grid.shape, *channels)``; for a
+        time product, times the time factor's ``order``-th derivative."""
+        if self.time is None:
+            return fn(grid.flat_nodes()).reshape(grid.shape + channels)
+        if not grid.time_axis:
+            raise ValueError("a time product is sampled on time grids only")
+        space = Grid(grid.lo[1:], grid.hi[1:], grid.shape[1:])
+        q = self.time[order](grid.axis_nodes(0))
+        x = fn(space.flat_nodes()).reshape(space.shape + channels)
+        return q.reshape((-1,) + (1,) * x.ndim) * x
 
     def on_grid(self, grid: Grid) -> GridFunction:
-        return GridFunction(grid, self.u(grid.flat_nodes()).reshape(grid.shape))
+        return GridFunction(grid, self._sample(grid, self.u))
 
     def derivatives(self, grid: Grid) -> Derivatives:
-        X = grid.flat_nodes()
         ds = grid.n_space
-        du = self.du(X).reshape(grid.shape + (ds,))
-        d2u = self.d2u(X).reshape(grid.shape + (ds, ds))
+        du = self._sample(grid, self.du, (ds,))
+        d2u = self._sample(grid, self.d2u, (ds, ds))
         dt = None
         if grid.time_axis:
-            dtv = self.dt(X) if self.dt is not None else np.zeros(X.shape[0])
-            dt = dtv.reshape(grid.shape)
+            dt = np.zeros(grid.shape) if self.time is None else self._sample(grid, self.u, order=1)
         return Derivatives(grid, du, d2u, dt)
 
 
@@ -586,7 +621,7 @@ def _radial_bump(center, radius, amplitude):
 
     def scaled(X):
         Y = X - c
-        return Y, (Y ** 2).sum(axis=1) / R2
+        return Y, sum_of_squares(Y.T) / R2
 
     def u(X):
         _, s = scaled(X)
@@ -621,7 +656,7 @@ def _make_gaussian(d, center=None, sigma=1.0, amplitude=1.0):
 
     def u(X):
         Y = X - c
-        return amplitude * np.exp(-(Y ** 2).sum(axis=1) / (2 * s2))
+        return amplitude * np.exp(-sum_of_squares(Y.T) / (2 * s2))
 
     def du(X):
         Y = X - c
@@ -637,7 +672,7 @@ def _make_gaussian(d, center=None, sigma=1.0, amplitude=1.0):
 
 def _make_quadratic(d):
     def u(X):
-        return 0.5 * (X ** 2).sum(axis=1)
+        return 0.5 * sum_of_squares(X.T)
 
     def du(X):
         return X.copy()
@@ -750,7 +785,8 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
 
 def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
                       t_center: float = 0.0, t_radius: float = 1.0) -> ManufacturedFunction:
-    """Space-time input ``q(t) * u(x)`` with an analytic time factor."""
+    """Space-time input ``q(t) * u(x)`` with an analytic time factor; its
+    samples are evaluated factor by factor (see :class:`ManufacturedFunction`)."""
     if profile == "const":
         q = lambda t: np.ones_like(t)
         q1 = lambda t: np.zeros_like(t)
@@ -764,17 +800,4 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
             return g1 * 2.0 * (t - t_center) / t_radius ** 2
     else:
         raise ValueError(f"unknown time profile {profile!r}")
-
-    def u(X):
-        return q(X[:, 0]) * mf.u(X[:, 1:])
-
-    def du(X):
-        return q(X[:, 0])[:, None] * mf.du(X[:, 1:])
-
-    def d2u(X):
-        return q(X[:, 0])[:, None, None] * mf.d2u(X[:, 1:])
-
-    def dt(X):
-        return q1(X[:, 0]) * mf.u(X[:, 1:])
-
-    return ManufacturedFunction(u, du, d2u, dt=dt)
+    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1))

@@ -169,10 +169,15 @@ def load_suite(path: str) -> SuiteConfig:
                 raise ConfigError(f"{where(section, key)}: unknown parameter {key!r} "
                                   f"for {entry.id}")
             params[key] = _parse_scalar(raw)
+            default = entry.defaults[key]
+            if (isinstance(params[key], str) and isinstance(default, (int, float))
+                    and not isinstance(default, bool)):
+                raise ConfigError(f"{where(section, key)}: parameter {key!r} of {entry.id} "
+                                  f"must be a number, got {raw.strip()!r}")
         if entry.validate is not None:
             try:
                 entry.validate(entry.merged(params))
-            except (ValueError, ZeroDivisionError) as e:
+            except (ValueError, ZeroDivisionError, TypeError) as e:
                 raise ConfigError(f"{where(section)}: invalid parameters for "
                                   f"{entry.id}: {e}") from None
         cfg.blocks.append((estimate_id, params, ladder))

@@ -32,12 +32,14 @@ from ..calculus import (
     bellman_operator,
     box_grid,
     check_delta,
+    euclidean,
     evaluate_operator,
     fd_derivatives,
     frobenius,
     linear_operator,
     manufactured,
     pucci_operator,
+    sum_of_squares,
     with_time_profile,
 )
 from ..filtration import Filtration, full_space, level_average_values
@@ -179,7 +181,7 @@ def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None)
     op = build_operator(params)
     fv = evaluate_operator(op, u, derivs).values
     d2 = frobenius(derivs.d2u)
-    d1 = np.linalg.norm(derivs.du, axis=-1)
+    d1 = euclidean(derivs.du)
     return grid, u, derivs, fv, d2, d1
 
 
@@ -188,15 +190,14 @@ def _integral(arr, mass) -> float:
 
 
 def _ball_mask(grid, center, radius: float) -> np.ndarray:
-    nodes = grid.nodes()
     c = np.asarray(center, dtype=np.float64)
-    return (((nodes - c) ** 2).sum(axis=-1) < radius ** 2).astype(np.float64)
+    r2 = sum_of_squares(_axis_values(grid, ax) - c[ax] for ax in range(grid.ndim))
+    return (r2 < radius ** 2).astype(np.float64)
 
 
 def _cylinder_mask(grid, radius: float) -> np.ndarray:
-    nodes = grid.nodes()
-    space = (nodes[..., 1:] ** 2).sum(axis=-1)
-    return ((nodes[..., 0] < radius ** 2) & (space < radius ** 2)).astype(np.float64)
+    space = sum_of_squares(_axis_values(grid, ax) for ax in range(1, grid.ndim))
+    return ((_axis_values(grid, 0) < radius ** 2) & (space < radius ** 2)).astype(np.float64)
 
 
 def _axis_values(grid, axis: int) -> np.ndarray:
@@ -590,7 +591,7 @@ def _run_interp_local(params, h, seed):
     u = mf.on_grid(grid)
     derivs = fd_derivatives(u)
     d2 = frobenius(derivs.d2u)
-    d1 = np.linalg.norm(derivs.du, axis=-1)
+    d1 = euclidean(derivs.du)
     uu = np.abs(u.values)
     p, q, rho, eps = (float(params[k]) for k in ("p", "q", "rho", "eps"))
     r, R = float(params["r"]), float(params["R"])

@@ -70,6 +70,69 @@ class TestGrid:
         with pytest.raises(ValueError, match="half-space"):
             ca.box_grid((-0.5,), (1,), (4,), half_axis=0)
 
+    @pytest.mark.parametrize("lo,hi,shape,kw", [
+        ((-1.0,), (1.0,), (7,), {}),
+        ((0.0, -1.0), (2.0, 1.0), (9, 12), {}),
+        ((0.0, -1.2, -1.2), (1.5, 1.2, 1.2), (8, 13, 10), {"time_axis": True}),
+        ((0.0, 0.0, -1.3), (1.6, 1.3, 1.3), (7, 6, 11), {"time_axis": True, "half_axis": 1}),
+        ((0.0, 0.1, -0.3, -1.0), (0.3, 0.9, 0.7, 1.0), (4, 5, 6, 3), {}),
+    ])
+    def test_nodes_match_meshgrid_stack(self, lo, hi, shape, kw):
+        g = ca.box_grid(lo, hi, shape, **kw)
+        got = g.nodes()
+        assert got.shape == meshgrid_nodes(g).shape
+        assert got.tobytes() == meshgrid_nodes(g).tobytes()
+        assert g.flat_nodes().tobytes() == meshgrid_nodes(g).reshape(-1, g.ndim).tobytes()
+
+
+def meshgrid_nodes(g):
+    """The node array by its former definition: meshgrid, then stack."""
+    return np.stack(np.meshgrid(*(g.axis_nodes(ax) for ax in range(g.ndim)), indexing="ij"),
+                    axis=-1)
+
+
+class TestSumOfSquares:
+    """``sum_of_squares`` and ``euclidean`` bit for bit against the numpy
+    reductions they replace, on values that stress rounding and IEEE cases."""
+
+    @staticmethod
+    def values(shape, seed):
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-310, 1e-160, 1e-8, 1.0, 3.0, 1e10, 1e155, 1e160], size=shape)
+        v = rng.normal(size=shape) * scale
+        special = [0.0, -0.0, 5e-324, -1e-310, 2.5e-308, np.inf, -np.inf, np.nan,
+                   1.0, 1e-16, 1e-16, 1e300, -1e300, 0.0, np.nan, 7.0]
+        n = min(v.size, len(special))
+        v.reshape(-1)[:n] = special[:n]
+        return v
+
+    @pytest.mark.parametrize("ds", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(1,), (257,), (9, 14), (5, 6, 7)])
+    def test_euclidean_matches_linalg_norm(self, ds, lead):
+        v = self.values(lead + (ds,), seed=ds)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(v, axis=-1)
+            got = ca.euclidean(v)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ds", [1, 2, 3])
+    def test_sum_of_squares_matches_row_sum(self, ds):
+        Y = self.values((4099, ds), seed=10 + ds)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (Y ** 2).sum(axis=1)
+            got = ca.sum_of_squares(Y.T)
+        assert got.tobytes() == want.tobytes()
+
+    def test_broadcast_parts_match_stacked_sum(self):
+        parts = [self.values(shape, seed=20 + k)
+                 for k, shape in enumerate([(6, 1, 1), (1, 7, 1), (1, 1, 8)])]
+        stacked = np.stack(np.broadcast_arrays(*parts), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (stacked ** 2).sum(axis=-1)
+            got = ca.sum_of_squares(parts)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFiniteDifferences:
     def quad_fn(self, X):
@@ -484,3 +547,54 @@ class TestManufactured:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="library"):
             ca.manufactured("mystery", 2)
+
+    def test_time_product_needs_a_time_grid(self):
+        mf = ca.with_time_profile(ca.manufactured("gaussian", 1))
+        with pytest.raises(ValueError, match="time grids"):
+            mf.on_grid(ca.box_grid((0, -1), (1, 1), (5, 5)))
+
+
+def flat_row_product(mf, g):
+    """Samples of a time product by the former flat-row definition,
+    ``q(X[:, 0]) * mf.u(X[:, 1:])`` on the materialized node rows."""
+    q, q1 = mf.time
+    X = meshgrid_nodes(g).reshape(-1, g.ndim)
+    t, x = X[:, 0], X[:, 1:]
+    ds = g.n_space
+    return ((q(t) * mf.u(x)).reshape(g.shape),
+            (q(t)[:, None] * mf.du(x)).reshape(g.shape + (ds,)),
+            (q(t)[:, None, None] * mf.d2u(x)).reshape(g.shape + (ds, ds)),
+            (q1(t) * mf.u(x)).reshape(g.shape))
+
+
+class TestTimeProduct:
+    """Factor-by-factor samples of ``with_time_profile`` inputs, bit for bit
+    against the flat-row product."""
+
+    @staticmethod
+    def grids(d):
+        full = ca.box_grid((0.0,) + (-1.2,) * d, (1.5,) + (1.2,) * d,
+                           (9,) + (11, 10, 7)[:d], time_axis=True)
+        half = ca.box_grid((0.0, 0.0) + (-1.3,) * (d - 1), (1.6, 1.3) + (1.3,) * (d - 1),
+                           (10, 7) + (12, 9)[:d - 1], time_axis=True, half_axis=1)
+        return full, half
+
+    @staticmethod
+    def space_input(name, d):
+        kw = {"bump": {"radius": 1.0}, "odd_bump": {"radius": 1.1},
+              "gaussian": {"sigma": 0.6}, "quadratic": {}}[name]
+        return ca.manufactured(name, d, **kw)
+
+    @pytest.mark.parametrize("profile", ["bump", "const"])
+    @pytest.mark.parametrize("name", ["bump", "odd_bump", "gaussian", "quadratic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_samples_match_flat_row_product(self, d, name, profile):
+        mf = ca.with_time_profile(self.space_input(name, d), profile,
+                                  t_center=0.7, t_radius=0.5)
+        for g in self.grids(d):
+            u, du, d2u, dt = flat_row_product(mf, g)
+            got = mf.derivatives(g)
+            for have, want in [(mf.on_grid(g).values, u), (got.du, du), (got.d2u, d2u),
+                               (got.dt, dt)]:
+                assert have.shape == want.shape
+                assert have.tobytes() == want.tobytes()

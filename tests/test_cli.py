@@ -175,6 +175,18 @@ class TestConfigDiagnostics:
                    f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{line}\n",
                    "line 5", needle)
 
+    @pytest.mark.parametrize("section,key", [("NEG-EXP", "h"), ("MAX-LP", "p")])
+    def test_non_numeric_parameter_points_at_its_line(self, tmp_path, capsys, section, key):
+        self.check(tmp_path, capsys,
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{key} = abc\n",
+                   f"{tmp_path / 'suite.cfg'}, line 6", f"parameter {key!r}",
+                   "must be a number, got 'abc'")
+
+    def test_none_for_a_numeric_parameter_is_a_config_error(self, tmp_path, capsys):
+        self.check(tmp_path, capsys,
+                   "[suite]\nname = bad\nseed = 1\n\n[estimate:NEG-EXP]\nh = none\n",
+                   f"{tmp_path / 'suite.cfg'}, line 5", "invalid parameters for NEG-EXP")
+
     @pytest.mark.parametrize("section", ["OSC", "OSC-P"])
     @pytest.mark.parametrize("value", ["0", "0.5", "65537"])
     def test_pair_budget_out_of_range(self, tmp_path, capsys, section, value):

@@ -15,10 +15,12 @@ Frozen values used below:
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sharpcheck.calculus import box_grid, manufactured, with_time_profile
 from sharpcheck.filtration import Filtration, full_space
 from sharpcheck.harness import (
     BOUNDED,
@@ -35,6 +37,7 @@ from sharpcheck.harness import (
     suite_to_csv,
     suite_to_json,
 )
+from sharpcheck.harness import catalog
 from sharpcheck.harness.report import csv_from_doc
 from sharpcheck.operators import dyadic_maximal
 
@@ -278,6 +281,68 @@ class TestCatalogRecipes:
             r = run_estimate_check(EstimateSpec(id=eid))
             assert r.verdict == BOUNDED and r.passed(), eid
         assert time.perf_counter() - start < 20.0
+
+
+# ---------------------------------------------------------------------------
+# masks from axis vectors
+
+def node_array(g):
+    return np.stack(np.meshgrid(*(g.axis_nodes(ax) for ax in range(g.ndim)), indexing="ij"),
+                    axis=-1)
+
+
+class TestMasks:
+    """Ball and cylinder masks bit for bit against their definitions on the
+    materialized node array, including radii that land exactly on nodes."""
+
+    @pytest.mark.parametrize("shape", [(5,), (9, 9), (10, 12), (9, 8, 11)])
+    def test_ball_mask_matches_node_array_definition(self, shape):
+        d = len(shape)
+        g = box_grid((-1.0,) * d, (1.0,) * d, shape)
+        nodes = node_array(g)
+        on_node = float(g.axis_nodes(d - 1)[-2])
+        for center in [(0.0,) * d, tuple(g.axis_nodes(0)[1:d + 1]), (0.3,) * d]:
+            c = np.asarray(center)
+            for radius in (0.5, on_node, 1.0, 0.37):
+                want = (((nodes - c) ** 2).sum(axis=-1) < radius ** 2).astype(np.float64)
+                got = catalog._ball_mask(g, center, radius)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 9), (5, 9, 9), (9, 17, 17), (6, 10, 12),
+                                       (7, 8, 9, 6)])
+    def test_cylinder_mask_matches_node_array_definition(self, shape):
+        d = len(shape) - 1
+        g = box_grid((0.0,) + (-1.0,) * d, (1.0,) + (1.0,) * d, shape, time_axis=True)
+        nodes = node_array(g)
+        space = (nodes[..., 1:] ** 2).sum(axis=-1)
+        # r = 0.5: r^2 = 0.25 is a time node and 0.5 a space node on the odd shapes
+        for radius in (0.5, float(np.sqrt(g.axis_nodes(0)[-2])), 0.8, 2.2):
+            want = ((nodes[..., 0] < radius ** 2) & (space < radius ** 2)).astype(np.float64)
+            got = catalog._cylinder_mask(g, radius)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_para_global_fine_step_peaks_below_one_node_array(self):
+        # PARA-GLOBAL's finest default step, h = 0.025: a (65, 113, 113) grid
+        prm = ENTRIES["PARA-GLOBAL"].defaults
+        d = prm["d"]
+        mf = with_time_profile(manufactured("bump", d, radius=prm["radius"]),
+                               t_center=prm["t_center"], t_radius=prm["t_radius"])
+        grid = catalog._grid((0.0,) + (-1.4,) * d, (1.6,) + (1.4,) * d, 0.025, time_axis=True)
+        node_bytes = 8 * grid.ndim * math.prod(grid.shape)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (lambda: mf.on_grid(grid),
+                         lambda: catalog._cylinder_mask(grid, prm["R"] + prm["r0"])):
+                tracemalloc.reset_peak()
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (65, 113, 113)
+        assert max(peaks) < node_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,77 @@
+"""The report comparison in tools/report_diff.py, which gates report changes."""
+
+import math
+import pathlib
+import sys
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+
+from report_diff import compare, diff_runs  # noqa: E402
+
+
+def run(doc, csv="id,value\n", exit_status=0):
+    return {"exit": exit_status, "json": doc, "csv": csv}
+
+
+def compared(a, b):
+    floats, other = [], []
+    compare(a, b, "", floats, other)
+    return floats, other
+
+
+class TestCompare:
+    def test_nan_equals_nan(self):
+        assert compared({"x": [math.nan, 1.0]}, {"x": [math.nan, 1.0]}) == ([], [])
+
+    def test_float_difference_is_relative(self):
+        floats, other = compared({"x": 2.0}, {"x": 2.0 + 2.0 ** -51})
+        assert other == []
+        assert floats == [pytest.approx(2.0 ** -52)]
+
+    def test_nan_against_number_is_infinite(self):
+        assert compared([math.nan], [1.0]) == ([math.inf], [])
+
+    def test_float_to_int_goes_to_other(self):
+        floats, other = compared({"n": 1.0}, {"n": 1})
+        assert floats == []
+        assert other == ["/n: 1.0 -> 1"]
+
+    def test_missing_key_goes_to_other(self):
+        floats, other = compared({"a": 1.0, "b": {"c": "x"}}, {"a": 1.0, "b": {}})
+        assert floats == []
+        assert other == ["/b/c: only in the parent"]
+
+    def test_length_change_goes_to_other(self):
+        assert compared([1.0, 2.0], [1.0])[1] == [": [1.0, 2.0] -> [1.0]"]
+
+
+class TestDiffRuns:
+    def test_identical_runs(self):
+        doc = {"entries": [{"verdict": "bounded", "n_emp": [0.5, 0.25]}]}
+        assert diff_runs(run(doc), run(doc)) == ([], [])
+
+    def test_exit_status_change_goes_to_other(self):
+        doc = {"v": 1.0}
+        floats, other = diff_runs(run(doc), run(doc, exit_status=1))
+        assert floats == []
+        assert other == ["exit status 0 -> 1"]
+
+    def test_csv_alone_differing_is_flagged(self):
+        doc = {"v": 1.0}
+        floats, other = diff_runs(run(doc, "v\n1.0\n"), run(doc, "v\n1.00\n"))
+        assert floats == []
+        assert other == ["CSV differs while the JSON is identical"]
+
+    def test_missing_report_goes_to_other(self):
+        parent = run({"v": 1.0})
+        change = {"exit": 1, "json": None, "csv": None, "stderr": "Traceback"}
+        floats, other = diff_runs(parent, change)
+        assert floats == []
+        assert other == ["exit status 0 -> 1", "no report: Traceback"]
+
+    def test_float_change_reported_with_json(self):
+        floats, other = diff_runs(run({"v": 1.0}, "v\n1.0\n"), run({"v": 1.5}, "v\n1.5\n"))
+        assert other == []
+        assert floats == [pytest.approx(1.0 / 3.0)]
