@@ -206,6 +206,20 @@ def euclidean(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum_of_squares(np.moveaxis(v, -1, 0)))
 
 
+def power(x, p: float):
+    """``x ** p`` for ``x >= 0`` and ``p > 0``, bit for bit, with exact zeros
+    filled in instead of raised: numpy's SIMD ``pow`` sends zeros down a slow
+    special-value path, and they fill most nodes of a compactly supported
+    input's grid.  0-d inputs (which numpy evaluates with libm) and the
+    exponents numpy evaluates as ``sqrt`` and ``square`` go to ``**``."""
+    if np.ndim(x) == 0 or p in (0.5, 2.0):
+        return x ** p
+    out = np.zeros(np.shape(x), np.result_type(x, p))
+    if p % 2 == 1:                    # an odd power keeps the sign of -0.0
+        np.copysign(out, x, out=out)
+    return np.power(x, p, out=out, where=x != 0)
+
+
 def symmetrize(H: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
@@ -567,13 +581,16 @@ class ManufacturedFunction:
     ``time`` and the spatial factor's callbacks, and is sampled on time grids
     only, factor by factor: the time factor on the time-axis nodes, the
     callbacks on the nodes of the spatial axes, multiplied once by
-    broadcasting.
+    broadcasting.  ``key`` is the call that built the function, recorded by
+    :func:`manufactured` and :func:`with_time_profile` (``None`` otherwise):
+    two functions with equal keys take equal values.
     """
 
     u: Callable
     du: Callable
     d2u: Callable
     time: tuple[Callable, Callable] | None = None
+    key: tuple | None = None
 
     def _sample(self, grid: Grid, fn: Callable, channels: tuple = (), order: int = 0):
         """``fn`` on the grid's nodes, shape ``(*grid.shape, *channels)``; for a
@@ -780,7 +797,9 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
     }
     if name not in makers:
         raise ValueError(f"unknown manufactured input {name!r}; library: {', '.join(makers)}")
-    return makers[name](d, **params)
+    mf = makers[name](d, **params)
+    mf.key = (name, d, tuple(sorted(params.items())))
+    return mf
 
 
 def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
@@ -800,4 +819,5 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
             return g1 * 2.0 * (t - t_center) / t_radius ** 2
     else:
         raise ValueError(f"unknown time profile {profile!r}")
-    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1))
+    key = None if mf.key is None else (mf.key, profile, t_center, t_radius)
+    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), key=key)

@@ -17,12 +17,23 @@ Conventions shared by all entries:
   constant absorbs only the unspecified constant factors;
 * integrals over unbounded regions are truncated to the grid box, which
   covers the manufactured support plus a collar.
+
+The finite-difference entries take their grid, input samples, operator image
+and derivative magnitudes from ``_fields``.  Inside ``run_suite`` (see
+``shared_fields``) entries with one recipe share these sets: each is computed
+once, handed out read-only, and kept only while its recipe is the most
+recently requested one.  A set depends on nothing but its recipe and
+spacing, so a report is the same whether its sets were shared or not.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,6 +49,7 @@ from ..calculus import (
     frobenius,
     linear_operator,
     manufactured,
+    power,
     pucci_operator,
     sum_of_squares,
     with_time_profile,
@@ -173,16 +185,69 @@ def build_operator(params: dict):
     raise ValueError(f"unknown operator {kind!r}; choose linear, pucci or bellman")
 
 
-def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None):
-    """Grid, manufactured samples, finite differences and operator values."""
-    grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
+def _operator_image(params: dict, grid, mf):
+    """Samples of ``mf`` on ``grid``, their finite differences and the
+    operator image."""
     u = mf.on_grid(grid)
     derivs = fd_derivatives(u)
-    op = build_operator(params)
-    fv = evaluate_operator(op, u, derivs).values
-    d2 = frobenius(derivs.d2u)
-    d1 = euclidean(derivs.du)
-    return grid, u, derivs, fv, d2, d1
+    return u, derivs, evaluate_operator(build_operator(params), u, derivs).values
+
+
+class _FieldStore:
+    """The ladder of field sets of the most recently requested recipe."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.recipe, self.ladder = None, {}
+
+    def get(self, recipe, h: float, compute: Callable):
+        with self.lock:
+            if recipe != self.recipe:         # drop the last ladder before computing
+                self.recipe, self.ladder = recipe, {}
+            ladder = self.ladder
+            if h in ladder:
+                return ladder[h]
+        fields = compute()                    # unlocked: a race computes a set twice
+        with self.lock:
+            return ladder.setdefault(h, fields)
+
+
+# The store of the running ``shared_fields`` block, or None outside one.
+_SHARED = contextvars.ContextVar("shared_fields", default=None)
+
+
+@contextmanager
+def shared_fields():
+    """Share ``_fields`` sets among the runners called inside the block, as
+    the module docstring says; nothing outlives the block.  Threads running
+    in copies of the block's context share its store."""
+    token = _SHARED.set(_FieldStore())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None):
+    """Grid, manufactured samples ``u``, operator image ``fv`` and the
+    Hessian and gradient magnitudes ``d2`` and ``d1``, as read-only arrays;
+    shared inside a ``shared_fields`` block."""
+    store = _SHARED.get()
+    compute = partial(_field_set, params, h, lo, hi, mf, time_axis, half_axis)
+    if store is None or mf.key is None:
+        return compute()
+    recipe = (mf.key, tuple(lo), tuple(hi), time_axis, half_axis, params["operator"],
+              float(params["delta"]), int(params["d"]))
+    return store.get(recipe, h, compute)
+
+
+def _field_set(params, h, lo, hi, mf, time_axis, half_axis):
+    grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
+    u, derivs, fv = _operator_image(params, grid, mf)
+    fields = (grid, u, fv, frobenius(derivs.d2u), euclidean(derivs.du))
+    for arr in (u.values,) + fields[2:]:
+        arr.flags.writeable = False
+    return fields
 
 
 def _integral(arr, mass) -> float:
@@ -215,8 +280,8 @@ def _safe_div(num, den) -> np.ndarray:
 def _stack(p: float, *arrs) -> np.ndarray:
     acc = np.zeros_like(arrs[0])
     for a in arrs:
-        acc = acc + np.abs(a) ** p
-    return acc ** (1.0 / p)
+        acc = acc + power(np.abs(a), p)
+    return power(acc, 1.0 / p)
 
 
 def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
@@ -240,40 +305,42 @@ def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
 
 def _absorbed(equation, p, mass, d2, d1, uu, defect, notes=None) -> EquationCheck:
     """All three derivative orders by the absorbed defect."""
-    return EquationCheck(equation, _integral(d2 ** p + d1 ** p + uu ** p, mass),
-                         (_integral(np.abs(defect) ** p, mass),), notes or {})
+    return EquationCheck(equation, _integral(power(d2, p) + power(d1, p) + power(uu, p), mass),
+                         (_integral(power(np.abs(defect), p), mass),), notes or {})
 
 
 def _gradient_pair(p, mass, d2, d1, fv, uu) -> EquationCheck:
     """Hessian and gradient by the operator image plus the function."""
-    return EquationCheck("gradient_pair", _integral(d2 ** p + d1 ** p, mass),
-                         (_integral(np.abs(fv) ** p, mass), _integral(uu ** p, mass)))
+    return EquationCheck("gradient_pair", _integral(power(d2, p) + power(d1, p), mass),
+                         (_integral(power(np.abs(fv), p), mass),
+                          _integral(power(uu, p), mass)))
 
 
 def _collar_hessian(equation, p, mass, d2, fv, uu, collar, tau0, u_scale=1.0,
                     notes=None) -> EquationCheck:
     """Hessian by the operator image, the scaled function and the
     oscillation-budget collar term."""
-    return EquationCheck(equation, _integral(d2 ** p, mass),
-                         (_integral(np.abs(fv) ** p, mass),
-                          u_scale * _integral(uu ** p, mass),
+    return EquationCheck(equation, _integral(power(d2, p), mass),
+                         (_integral(power(np.abs(fv), p), mass),
+                          u_scale * _integral(power(uu, p), mass),
                           tau0 ** p * _integral(collar, mass)), notes or {})
 
 
 def _local_hessian(equation, p, inner, outer, d2, d1, fv, uu, gap) -> EquationCheck:
     """Hessian on the inner region by the operator image and the inverse-gap
     lower-order combination on the outer one."""
-    return EquationCheck(equation, _integral(d2 ** p, inner),
-                         (_integral(np.abs(fv) ** p, outer),
-                          _integral((gap ** -1 * d1 + (gap ** -2 + 1.0) * uu) ** p, outer)))
+    return EquationCheck(equation, _integral(power(d2, p), inner),
+                         (_integral(power(np.abs(fv), p), outer),
+                          _integral(power(gap ** -1 * d1 + (gap ** -2 + 1.0) * uu, p), outer)))
 
 
 def _gradient_interpolation(equation, p, inner, outer, d2, d1, uu, c2, c0,
                             notes=None) -> EquationCheck:
     """Gradient on the inner region between the Hessian and the function on
     the outer one, with displayed coefficients ``c2`` and ``c0``."""
-    return EquationCheck(equation, _integral(d1 ** p, inner),
-                         (c2 * _integral(d2 ** p, outer), c0 * _integral(uu ** p, outer)),
+    return EquationCheck(equation, _integral(power(d1, p), inner),
+                         (c2 * _integral(power(d2, p), outer),
+                          c0 * _integral(power(uu, p), outer)),
                          notes or {})
 
 
@@ -449,15 +516,15 @@ def _osc_validate(p):
 def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_axis: bool):
     """Hessian sharp function by covering maximals of ``|F|^e`` and of the
     Hessian, amplified by ``nu ** (amp_power / gamma)``."""
-    grid, _, derivs, fv, d2, _ = _fields(params, h, lo, hi, mf, time_axis=time_axis)
+    grid = _grid(lo, hi, h, time_axis=time_axis)
+    _, derivs, fv = _operator_image(params, grid, mf)
     nu, mu, xi, gamma = (float(params[k]) for k in ("nu", "mu", "xi", "gamma"))
     rho = float(params["r0"]) / nu
     alpha = 0.5
     xip = xi / (xi - 1.0)
     family = family_for_grid(grid, radii=_osc_radii(grid, rho))
 
-    hess = GridFunction(grid, derivs.d2u)
-    sharp = geometric_sharp(hess, family, gamma, rho,
+    sharp = geometric_sharp(GridFunction(grid, derivs.d2u), family, gamma, rho,
                             pair_budget=int(params["pair_budget"]), seed=seed)
     amp = nu ** (amp_power / gamma)
     t_f = amp * geometric_maximal(
@@ -465,7 +532,7 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
     t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
-        GridFunction(grid, d2 ** ed), family).values ** (1.0 / ed)
+        GridFunction(grid, frobenius(derivs.d2u) ** ed), family).values ** (1.0 / ed)
     extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled)}
     return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
 
@@ -537,7 +604,7 @@ def _run_interp(params, h, seed):
         lo, hi = (0.0,) + (-2.0,) * d, (2.0,) + (2.0,) * d
     else:
         lo, hi = (-2.0,) * d, (2.0,) * d
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
+    grid, u, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
     rho, gamma, p = (float(params[k]) for k in ("rho", "gamma", "p"))
     ed = d + 1 if parabolic else d
     # three windows at and above the threshold radius keep the covering
@@ -639,7 +706,7 @@ def _run_w2p_global(params, h, seed):
     L = R + r0 + 0.25
     mf = manufactured("bump", d, radius=float(params["radius"]),
                       amplitude=float(params["amplitude"]))
-    grid, u, derivs, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
     mass = node_masses(grid, _axis_weight(params["q"]))
     collar = _ball_mask(grid, (0.0,) * d, R + r0)
     scale = r0 ** (-2 * p)
@@ -692,7 +759,7 @@ def _apriori_fields(params, h):
 def _apriori_pair(params, fields, axis: int):
     """Absorbed-defect form and gradient pair over the whole grid box."""
     p = float(params["p"])
-    grid, u, _, fv, d2, d1 = fields
+    grid, u, fv, d2, d1 = fields
     mass = node_masses(grid, _axis_weight(params["q"], axis=axis))
     uu = np.abs(u.values)
     return [_absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u.values),
@@ -731,7 +798,7 @@ def _run_apriori(params, h, seed):
 )
 def _run_mixed(params, h, seed):
     p1, p2 = float(params["p1"]), float(params["p2"])
-    grid, u, derivs, fv, d2, d1 = _apriori_fields(params, h)
+    grid, u, fv, d2, d1 = _apriori_fields(params, h)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
     return [_mixed_absorbed("mixed_triple", grid, spec, _stack(p1, d2, d1, u.values),
                             fv - u.values,
@@ -759,7 +826,7 @@ def _run_local_w2p(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     mass = node_masses(grid, _axis_weight(params["q"]))
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r) * mass
@@ -801,7 +868,7 @@ def _run_local_mixed(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r)
     outer = _ball_mask(grid, origin, R)
@@ -845,7 +912,7 @@ def _run_hs_slab(params, h, seed):
     p = float(params["p"])
     n = int(params["n"])
     eps = float(params["eps"])
-    grid, u, derivs, fv, d2, d1 = _slab_fields(params, h)
+    grid, u, fv, d2, d1 = _slab_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"]))
     x1 = _axis_values(grid, 0)
     uu = np.abs(u.values)
@@ -882,7 +949,7 @@ def _run_hs_slab(params, h, seed):
 def _run_hs_weighted(params, h, seed):
     p = float(params["p"])
     q = float(params["q"])
-    grid, u, derivs, fv, d2, d1 = _slab_fields(
+    grid, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
     mass = node_masses(grid, HattedPowerX1(q, axis=0))
     hat = np.minimum(_axis_values(grid, 0), 1.0)
@@ -911,7 +978,7 @@ def _run_hs_mixed(params, h, seed):
     d = int(params["d"])
     p1, p2 = float(params["p1"]), float(params["p2"])
     q = float(params["q"])
-    grid, u, derivs, fv, d2, d1 = _slab_fields(
+    grid, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
     hat = np.minimum(_axis_values(grid, 0), 1.0)
     spec = MixedNormSpec(groups=((0,), tuple(range(1, d))), exponents=(p2, p1),
@@ -931,10 +998,9 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
     d = int(params["d"])
     lo = (0.0,) + (-box,) * (d - 1)
     hi = (box,) + (box,) * (d - 1)
-    mf = manufactured(kind, d, radius=radius)
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, half_axis=0)
-    _check_zero_trace(u)
-    return grid, u, derivs, fv, d2, d1
+    fields = _fields(params, h, lo, hi, manufactured(kind, d, radius=radius), half_axis=0)
+    _check_zero_trace(fields[1])
+    return fields
 
 
 @_register(
@@ -956,8 +1022,7 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
 def _run_hs_dirichlet(params, h, seed):
     p = float(params["p"])
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
-    grid, u, derivs, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1,
-                                                    kind=params["input"])
+    grid, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
     mass = node_masses(grid, _axis_weight(params["q"]))
     uu = np.abs(u.values)
     collar = _ball_mask(grid, (0.0,) * int(params["d"]), R + r0)
@@ -985,7 +1050,7 @@ def _run_hs_dirichlet_mixed(params, h, seed):
     d = int(params["d"])
     p1, p2, q = float(params["p1"]), float(params["p2"]), float(params["q"])
     radius = float(params["radius"])
-    grid, u, derivs, fv, d2, d1 = _dirichlet_fields(params, h, radius, radius + 0.1)
+    grid, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, radius + 0.1)
     uu = np.abs(u.values)
     groups = ((0,), tuple(range(1, d)))
 
@@ -1020,7 +1085,7 @@ def _run_hs_local(params, h, seed):
     d = int(params["d"])
     p = float(params["p"])
     r, R = float(params["r"]), float(params["R"])
-    grid, u, derivs, fv, d2, d1 = _dirichlet_fields(
+    grid, u, fv, d2, d1 = _dirichlet_fields(
         params, h, float(params["radius"]), max(R, float(params["radius"])) + 0.2)
     mass = node_masses(grid, _axis_weight(params["q"]))
     origin = (0.0,) * d
@@ -1071,7 +1136,7 @@ def _para_validate(p):
 def _run_para_global(params, h, seed):
     p = float(params["p"])
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
-    grid, u, derivs, fv, d2, d1 = _para_fields(params, h)
+    grid, u, fv, d2, d1 = _para_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1))
     collar = _cylinder_mask(grid, R + r0)
     return [_collar_hessian("parabolic_hessian", p, mass, d2, fv, np.abs(u.values), collar,
@@ -1106,7 +1171,7 @@ def _run_para_apriori(params, h, seed):
 )
 def _run_para_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
-    grid, u, derivs, fv, d2, d1 = _para_fields(params, h)
+    grid, u, fv, d2, d1 = _para_fields(params, h)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
     return [_mixed_absorbed("mixed_triple", grid, spec, _stack(p0, d2, d1, u.values),
                             fv - u.values)]
@@ -1131,7 +1196,7 @@ def _run_para_mixed(params, h, seed):
 def _run_para_local_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
     r, R = float(params["r"]), float(params["R"])
-    grid, u, derivs, fv, d2, d1 = _para_fields(params, h, box=1.2, t_extent=1.0)
+    grid, u, fv, d2, d1 = _para_fields(params, h, box=1.2, t_extent=1.0)
     inner = _cylinder_mask(grid, r)
     outer = _cylinder_mask(grid, R)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
@@ -1154,9 +1219,9 @@ def _para_hs_fields(params, h):
         t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
     lo = (0.0, 0.0) + (-1.3,) * (d - 1)
     hi = (1.6, 1.3) + (1.3,) * (d - 1)
-    grid, u, derivs, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=True, half_axis=1)
-    _check_zero_trace(u)
-    return grid, u, derivs, fv, d2, d1
+    fields = _fields(params, h, lo, hi, mf, time_axis=True, half_axis=1)
+    _check_zero_trace(fields[1])
+    return fields
 
 
 @_register(
@@ -1175,7 +1240,7 @@ def _para_hs_fields(params, h):
 def _run_para_hs(params, h, seed):
     p = float(params["p"])
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
-    grid, u, derivs, fv, d2, d1 = _para_hs_fields(params, h)
+    grid, u, fv, d2, d1 = _para_hs_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1))
     collar = _cylinder_mask(grid, R + r0)
     return [_collar_hessian("boundary_hessian", p, mass, d2, fv, np.abs(u.values), collar,
@@ -1192,7 +1257,7 @@ def _run_para_hs(params, h, seed):
 )
 def _run_para_hs_full(params, h, seed):
     p = float(params["p"])
-    grid, u, derivs, fv, d2, d1 = _para_hs_fields(params, h)
+    grid, u, fv, d2, d1 = _para_hs_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1))
     return [_absorbed("boundary_absorbed", p, mass, d2, d1, np.abs(u.values), fv - u.values)]
 
@@ -1219,7 +1284,7 @@ def _run_para_hs_mixed(params, h, seed):
     d = int(params["d"])
     p1, p2, p3, q = (float(params[k]) for k in ("p1", "p2", "p3", "q"))
     r, R = float(params["r"]), float(params["R"])
-    grid, u, derivs, fv, d2, d1 = _para_hs_fields(params, h)
+    grid, u, fv, d2, d1 = _para_hs_fields(params, h)
     uu = np.abs(u.values)
     inner = _cylinder_mask(grid, r)
     outer = _cylinder_mask(grid, R)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,10 +96,14 @@ _SHAPES = ("ball", "half_ball", "cylinder", "half_cylinder")
 
 @dataclass(frozen=True)
 class GeometricFamily:
-    """Shapes centered at every grid node with radii from a finite ladder."""
+    """Shapes centered at every grid node with radii from a finite ladder.
+
+    The operators keep each radius's window mask and node counts on the
+    family, per grid, so the calls that share a family count once."""
 
     shape: str
     radii: tuple[float, ...]
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
@@ -153,6 +157,18 @@ def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
         space2 = sum((grids[i] * grid.spacing(ax)) ** 2 for i, ax in enumerate(sp))
         mask = space2 < r * r
     return mask
+
+
+def _window(grid: Grid, family: GeometricFamily, r: float):
+    """Read-only mask and node counts of the shapes of radius ``r`` on
+    ``grid``, computed once per family."""
+    window = family._windows.get((grid, r))
+    if window is None:
+        mask = _shape_offsets(grid, family, r)
+        counts = _window_reduce(np.ones(grid.shape), mask, grid.time_axis, np.add)
+        mask.flags.writeable = counts.flags.writeable = False
+        window = family._windows[(grid, r)] = mask, counts
+    return window
 
 
 def _window_reduce(values: np.ndarray, mask: np.ndarray, time_axis: bool, op) -> np.ndarray:
@@ -247,10 +263,8 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
         raise ValueError("geometric maximal expects a scalar grid function")
     out = np.full(h.grid.shape, -np.inf)
     absv = np.abs(h.values)
-    ones = np.ones_like(absv)
     for r in _radius_subset(family, rho, mode):
-        mask = _shape_offsets(h.grid, family, r)
-        counts = _window_reduce(ones, mask, h.grid.time_axis, np.add)
+        mask, counts = _window(h.grid, family, r)
         avg = _window_reduce(absv, mask, h.grid.time_axis, np.add) / counts
         np.maximum(out, _covering_max(avg, mask, h.grid.time_axis), out=out)
     return GridFunction(h.grid, out)
@@ -289,11 +303,9 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     nchan = vals.shape[-1]
     rng = np.random.default_rng(seed)
     out = np.full(grid.shape, -np.inf)
-    ones = np.ones(grid.shape)
     subsampled = False
     for r in _radius_subset(family, rho, "at_most"):
-        mask = _shape_offsets(grid, family, r)
-        counts = _window_reduce(ones, mask, grid.time_axis, np.add)
+        mask, counts = _window(grid, family, r)
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
         m = len(offsets)
         exact = m * (m - 1) // 2 <= pair_budget

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import Grid, GridFunction
+from .calculus import Grid, GridFunction, power
 from .filtration import DiscreteField, Filtration, cell_blocks
 
 
@@ -358,14 +358,14 @@ def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
         w = spec.weights[gi] if spec.weights is not None else None
         if w is not None and w.axis not in spec.groups[gi]:
             raise ValueError(f"group {spec.groups[gi]} does not contain weight axis {w.axis}")
-        tmp = arr ** p
+        tmp = power(arr, p)
         loc = sorted(remaining.index(ax) for ax in spec.groups[gi])
         for ax in spec.groups[gi]:
             mass = _node_mass_1d(grid, ax, w)
             shape = [1] * tmp.ndim
             shape[remaining.index(ax)] = mass.size
             tmp = tmp * mass.reshape(shape)
-        arr = tmp.sum(axis=tuple(loc)) ** (1.0 / p)
+        arr = power(tmp.sum(axis=tuple(loc)), 1.0 / p)
         for ax in spec.groups[gi]:
             remaining.remove(ax)
     return float(arr)

@@ -7,6 +7,10 @@ Frozen closed-form values used below:
   oscillation value is eps * sqrt(d) * (ball average of |sin(x_1)|).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -132,6 +136,87 @@ class TestSumOfSquares:
             want = (stacked ** 2).sum(axis=-1)
             got = ca.sum_of_squares(parts)
         assert got.tobytes() == want.tobytes()
+
+
+# the exponents of the catalog's norms and their roots, and the ones numpy
+# evaluates as sqrt, square and a copy
+POWER_EXPONENTS = (3.0, 4.0, 2.5, 1.0 / 3.0, 0.25, 1.0 / 2.5, 0.5, 2.0, 1.0)
+POWER_SHAPES = ((1,), (257,), (4099,), (9, 14), (65, 113), (5, 6, 7), (13, 17, 19))
+
+
+def power_values(shape, seed):
+    """Nonnegative values over many magnitudes with exact zeros in one run
+    and scattered, and signed zeros, subnormals, inf and NaN up front."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([5e-324, 1e-310, 1e-160, 1e-8, 1.0, 3.0, 1e10, 1e160], size=shape)
+    x = rng.random(shape) * scale
+    flat = x.reshape(-1)
+    flat[rng.random(flat.size) < 0.3] = 0.0
+    start = int(rng.integers(0, flat.size))
+    flat[start:start + flat.size // 3] = 0.0
+    special = [0.0, -0.0, 5e-324, 2.5e-308, np.inf, np.nan, 1.0, 1e300, -0.0]
+    n = min(flat.size, len(special))
+    flat[:n] = special[:n]
+    return x
+
+
+def power_mismatches(exponents=POWER_EXPONENTS, shapes=POWER_SHAPES) -> list:
+    """(p, shape) of every array, transpose or strided view on which
+    ``power`` and ``**`` differ in dtype, shape or bits."""
+    bad = []
+    with np.errstate(all="ignore"):
+        for p in exponents:
+            for shape in shapes:
+                x = power_values(shape, len(shape))
+                for view in (x, x.T, x[::2]):
+                    got, want = ca.power(view, p), view ** p
+                    if (got.dtype, got.shape, got.tobytes()) != \
+                            (want.dtype, want.shape, want.tobytes()):
+                        bad.append((p, shape))
+    return bad
+
+
+class TestPower:
+    """``power`` bit for bit against ``x ** p``."""
+
+    @pytest.mark.parametrize("p", POWER_EXPONENTS)
+    def test_arrays_match_power_operator(self, p):
+        assert power_mismatches(exponents=(p,)) == []
+
+    @pytest.mark.parametrize("p", POWER_EXPONENTS)
+    def test_all_zero_and_zero_free_arrays(self, p):
+        for x in (np.zeros(100), -np.zeros((4, 5)), np.linspace(0.5, 3.0, 1000)):
+            assert ca.power(x, p).tobytes() == (x ** p).tobytes()
+
+    @pytest.mark.parametrize("p", POWER_EXPONENTS)
+    def test_zero_dim_inputs_match(self, p):
+        for v in (0.0, -0.0, 5e-324, 0.7, 3.0, np.inf):
+            for x in (np.float64(v), np.array(v), v):
+                got, want = ca.power(x, p), x ** p
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        nan = ca.power(np.float64(np.nan), p)
+        assert isinstance(nan, np.float64) and np.isnan(nan)
+
+    def test_baseline_dispatch_in_a_fresh_interpreter(self):
+        # numpy's SIMD pow and libm's disagree in the last bit on a few
+        # percent of values, so the comparison reruns in a fresh interpreter
+        # with every dispatched CPU feature switched off
+        from numpy._core import _multiarray_umath as umath
+        off = [k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k)]
+        here = pathlib.Path(__file__).resolve().parent
+        paths = (str(pathlib.Path(ca.__file__).resolve().parents[1]), str(here),
+                 os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+                   PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        code = ("from numpy._core import _multiarray_umath as umath\n"
+                "from test_calculus import power_mismatches\n"
+                "print([k for k in umath.__cpu_dispatch__ if umath.__cpu_features__[k]])\n"
+                "print(power_mismatches())")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 class TestFiniteDifferences:

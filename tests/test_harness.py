@@ -14,6 +14,9 @@ Frozen values used below:
 
 import json
 import math
+import os
+import pathlib
+import sys
 import time
 import tracemalloc
 
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from sharpcheck.calculus import box_grid, manufactured, with_time_profile
+from sharpcheck.cli import load_suite
 from sharpcheck.filtration import Filtration, full_space
 from sharpcheck.harness import (
     BOUNDED,
@@ -445,6 +449,88 @@ class TestStudyDrivers:
         a = suite_to_json("s", run_suite(specs, jobs=1), seed=0)
         b = suite_to_json("s", run_suite(list(reversed(specs)), jobs=3), seed=0)
         assert a == b
+
+
+PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "pde.cfg"
+
+
+def suite_pair(name, reports):
+    return suite_to_json(name, reports, seed=0), suite_to_csv(reports)
+
+
+class TestSharedFields:
+    """Entries of one ``run_suite`` call share their field sets; the reports
+    equal those of separate calls."""
+
+    @pytest.fixture(scope="class")
+    def pde(self):
+        cfg = load_suite(str(PDE_CONFIG))
+        specs = [EstimateSpec(id=eid, params=prm, ladder=ladder, seed=0)
+                 for eid, prm, ladder in cfg.blocks]
+        return cfg.name, specs, suite_pair(cfg.name, run_suite(specs))
+
+    def test_one_call_equals_a_call_per_entry(self, pde):
+        name, specs, together = pde
+        apart = sorted((r for s in specs for r in run_suite([s])), key=lambda r: r.id)
+        assert suite_pair(name, apart) == together
+
+    def test_worker_threads_equal_one_thread(self, pde):
+        name, specs, together = pde
+        assert suite_pair(name, run_suite(specs, jobs=2)) == together
+
+    def test_many_threads_with_a_short_switch_interval(self):
+        # more workers than cores, switching every microsecond, over entries
+        # that share recipes and entries that do not: a set handed out for
+        # another recipe or spacing would change a report
+        ids = ("APRIORI", "PARA-GLOBAL", "PARA-HS", "HS-DIRICHLET", "MIXED", "PARA-MIXED",
+               "PARA-HS-FULL", "HS-DIRICHLET-MIXED", "PARA-APRIORI")
+        specs = [EstimateSpec(id=eid, ladder=(0.1, 0.05)) for eid in ids * 2]
+        serial = suite_pair("s", run_suite(specs))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = suite_pair("s", run_suite(specs, jobs=(os.cpu_count() or 1) + 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_sets_are_shared_read_only_and_kept_for_one_recipe(self):
+        para = ENTRIES["PARA-GLOBAL"].merged({})
+        with catalog.shared_fields():
+            first = catalog._para_fields(para, 0.1)
+            assert catalog._para_fields(dict(para), 0.1) is first
+            assert catalog._para_fields(para, 0.05) is not first
+            assert catalog._para_fields(para, 0.1) is first
+            for arr in (first[1].values,) + first[2:]:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 1.0
+            assert catalog._para_fields(dict(para, delta=0.4), 0.1) is not first
+            assert catalog._para_fields(para, 0.1) is not first
+        assert catalog._SHARED.get() is None
+        assert catalog._para_fields(para, 0.1) is not catalog._para_fields(para, 0.1)
+
+    def test_three_entries_in_one_call_peak_within_one_alone(self):
+        # PARA-GLOBAL, PARA-APRIORI and PARA-MIXED share every set.  Together
+        # they peak no higher than PARA-GLOBAL alone outside run_suite, where
+        # each step drops its set, plus the coarser sets the store keeps (u,
+        # fv, d2 and d1 at every step but the finest) and 64 KB for the
+        # Python objects around them
+        entry = ENTRIES["PARA-GLOBAL"]
+        kept = sum(4 * 8 * math.prod(catalog._para_fields(entry.defaults, h)[0].shape)
+                   for h in entry.ladder[:-1])
+        run_estimate_check(EstimateSpec(id="PARA-GLOBAL", ladder=(0.1,)))
+        three = [EstimateSpec(id=eid) for eid in ("PARA-GLOBAL", "PARA-APRIORI", "PARA-MIXED")]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: run_estimate_check(EstimateSpec(id="PARA-GLOBAL")),
+                        lambda: run_suite(three)):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + kept + 2 ** 16
 
 
 # ---------------------------------------------------------------------------

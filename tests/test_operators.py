@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sharpcheck import operators
 from sharpcheck.calculus import GridFunction, box_grid
 from sharpcheck.filtration import cz_stopping_time, full_space, parabolic, Filtration
 from sharpcheck.operators import (
@@ -619,6 +620,37 @@ class TestGeometricSharp:
         field = 8 * math.prod(grid.shape) * (1 + 4 + 1)
         rows = 8 * budget * 5 * grid.ndim
         assert peaks[1] <= peaks[0] + field + 3 * rows
+
+    @pytest.mark.parametrize("case", sorted(SHARP_CASES))
+    def test_node_counts_once_per_family_and_grid(self, case, monkeypatch):
+        # OSC's call chain, a sharp function and two maximal functions on one
+        # family, counts each radius once, and its outputs equal those of a
+        # fresh family per call; another grid counts again
+        grid, shape, radii = SHARP_CASES[case]
+        other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
+                          time_axis=grid.time_axis, half_axis=grid.half_axis)
+        counted = []
+        reduce = operators._window_reduce
+
+        def spy(values, mask, time_axis, op):
+            if op is np.add and values.dtype == np.float64 and (values == 1.0).all():
+                counted.append(values.shape)
+            return reduce(values, mask, time_axis, op)
+
+        fam = GeometricFamily(shape, radii)
+        rng = np.random.default_rng(11)
+        for g in (grid, other):
+            hess = GridFunction(g, rng.standard_normal(g.shape + (2, 2)))
+            f = GridFunction(g, rng.random(g.shape))
+            chain = [lambda fam: geometric_sharp(hess, fam, 0.5, radii[-1], pair_budget=40),
+                     lambda fam: geometric_maximal(f, fam),
+                     lambda fam: geometric_maximal(GridFunction(g, f.values ** 2), fam)]
+            want = [call(GeometricFamily(shape, radii)).values for call in chain]
+            monkeypatch.setattr(operators, "_window_reduce", spy)
+            got = [call(fam).values for call in chain]
+            monkeypatch.setattr(operators, "_window_reduce", reduce)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert counted == [grid.shape] * len(radii) + [other.shape] * len(radii)
 
     def test_validation(self):
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
