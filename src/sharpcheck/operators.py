@@ -10,8 +10,9 @@ chord by chord, and a cylinder's time interval is one running op along time
 first.  Every term is an on-grid value, so a window sum of a nonnegative
 field keeps its rounding error relative to the local sum, node counts are
 exact integers, and the sup over shapes containing a node is exact.  Sharp
-pair sums group the pairs by offset difference: each group computes its field
-once, over the difference's whole overlap, so one field is held at a time.
+pair sums visit the offset differences of all radii's pairs once each: every
+difference computes its field once, over its whole overlap, and feeds every
+radius's accumulator, so one field is held at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .filtration import DiscreteField, _block_expand, cell_blocks, level_average
 
 # Cells per pairwise chunk in the generic double-average path.
 _PAIR_CHUNK = 1 << 22
+# Pair-node terms (destination nodes summed over pair windows) that one
+# geometric_sharp call may add; OSC-P's finest default step takes 4.1e8.
+_MAX_PAIR_TERMS = 2 ** 31
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +275,37 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
 
 
 def _pair_windows(shape, a, b) -> np.ndarray:
-    # Rows [b - a, lo, hi, lo + m, hi + m] per offset pair (a, b), m = min(a, b),
-    # in a stable lexicographic sort by b - a: x in [lo, hi) has x + a and x + b
-    # on the grid, and x + a is index x + m of the field of b - a, which starts
-    # at y = max(0, a - b); pairs with no x drop.
+    # int32 rows [b - a, lo, hi, lo + m, hi + m] per offset pair (a, b),
+    # m = min(a, b), in a stable lexicographic sort by b - a: x in [lo, hi) has
+    # x + a and x + b on the grid, and x + a is index x + m of the field of
+    # b - a, which starts at y = max(0, a - b); pairs with no x drop.
     low = np.minimum(a, b)
     lo, hi = np.maximum(-low, 0), np.array(shape) - np.maximum(np.maximum(a, b), 0)
     rows = np.concatenate([b - a, lo, hi, lo + low, hi + low], axis=1)[(hi > lo).all(axis=1)]
-    return rows[np.lexsort(rows[:, len(shape) - 1::-1].T)]
+    return rows[np.lexsort(rows[:, len(shape) - 1::-1].T)].astype(np.int32)
+
+
+def _difference_field(vals: np.ndarray, delta, gamma: float) -> np.ndarray:
+    """``|h(y) - h(y + delta)|**gamma`` at every ``y`` with both nodes on the
+    grid, for ``vals`` of shape grid + (channels,), in the entrywise-l2
+    metric."""
+    y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, vals.shape))
+    diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))]
+    return (np.sqrt(np.einsum("...c,...c->...", diff, diff)) if vals.shape[-1] > 1
+            else np.abs(diff[..., 0])) ** gamma
+
+
+def _box_counts(shape, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per node, the number of boxes ``[lo[i], hi[i])`` that contain it, as
+    exact float64 integers: a difference array of the box indicators, with
+    each box's signed corners added once, summed by ``cumsum`` per axis."""
+    marks = np.zeros(tuple(n + 1 for n in shape), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        at = tuple((hi if c else lo)[:, ax] for ax, c in enumerate(corner))
+        np.add.at(marks, at, -1 if sum(corner) % 2 else 1)
+    for ax in range(len(shape)):
+        np.cumsum(marks, axis=ax, out=marks)
+    return marks[tuple(map(slice, shape))].astype(np.float64)
 
 
 def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
@@ -289,21 +316,30 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     Exact over all node pairs while the unordered pair count stays within
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
     or matrix channels are compared in the entrywise-l2 metric.
-    Per radius the pairs are grouped by offset difference ``delta`` (a stable
-    sort); each group computes the field ``|h(y) - h(y + delta)|**gamma`` once,
-    over delta's whole overlap, and adds its pairs' slices in pair order, so
-    one field is held at a time and each center sums its terms group by group.
+
+    First every radius draws its pairs, in radius order, and keeps them as
+    compact int32 pair windows sorted stably by offset difference ``delta``,
+    with an index from each ``delta`` to its row range in every radius.  A
+    call whose pair-node terms (destination nodes summed over the rows)
+    exceed ``_MAX_PAIR_TERMS`` is refused here, before any field.  Then one
+    pass visits the distinct ``delta`` in sorted order: it computes the field
+    ``|h(y) - h(y + delta)|**gamma`` once, over delta's whole overlap, and
+    adds each radius's slices into that radius's accumulator in row order, so
+    every center sums its terms group by group as a per-radius loop would.
+    Held at once: all radii's rows, one field and one accumulator per radius.
+    Sampled radii count their pairs per center in one exact pass
+    (``_box_counts``).
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     if pair_budget < 1:
         raise ValueError("pair budget must be positive")
     grid = h.grid
+    d = grid.ndim
     vals = h.values.reshape(grid.shape + (-1,))
-    nchan = vals.shape[-1]
     rng = np.random.default_rng(seed)
-    out = np.full(grid.shape, -np.inf)
     subsampled = False
+    radii, windows, terms, groups = [], [], [], {}
     for r in _radius_subset(family, rho, "at_most"):
         mask, counts = _window(grid, family, r)
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
@@ -324,20 +360,35 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
                 need -= take
             ii, jj = np.concatenate(picks).T
             subsampled = True
-        acc = np.zeros(grid.shape)
-        cnt = counts * (counts - 1) / 2 if exact else np.zeros(grid.shape)
-        d = grid.ndim
-        rows = map(np.ndarray.tolist, _pair_windows(grid.shape, offsets[ii], offsets[jj]))
-        for delta, group in itertools.groupby(rows, key=lambda row: row[:d]):
-            y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, grid.shape))
-            diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))]
-            field = (np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1
-                     else np.abs(diff[..., 0])) ** gamma
-            for row in group:
+        rows = _pair_windows(grid.shape, offsets[ii], offsets[jj])
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:, :d] != rows[:-1, :d]).any(axis=1)
+        starts = np.flatnonzero(new).tolist()
+        for a, b in zip(starts, starts[1:] + [len(rows)]):
+            groups.setdefault(tuple(rows[a, :d].tolist()), []).append((len(radii), a, b))
+        terms.append(int(np.prod(rows[:, 2 * d:3 * d] - rows[:, d:2 * d], axis=1,
+                                 dtype=np.int64).sum()))
+        radii.append((r, mask, counts, exact))
+        windows.append(rows)
+    if sum(terms) > _MAX_PAIR_TERMS:
+        worst = int(np.argmax(terms))
+        spacing = ", ".join(f"{grid.spacing(ax):.3g}" for ax in range(d))
+        raise ValueError(
+            f"geometric sharp would add {sum(terms):.3g} pair-node terms, over the limit of "
+            f"{_MAX_PAIR_TERMS:.3g}; radius {radii[worst][0]:g} alone takes {terms[worst]:.3g} "
+            f"at grid spacing ({spacing}) with pair_budget {pair_budget}")
+    accs = [np.zeros(grid.shape) for _ in radii]
+    for delta in sorted(groups):
+        field = _difference_field(vals, delta, gamma)
+        for k, a, b in groups[delta]:
+            acc = accs[k]
+            for row in windows[k][a:b].tolist():
                 dst = tuple(map(slice, row[d:2 * d], row[2 * d:3 * d]))
                 acc[dst] += field[tuple(map(slice, row[3 * d:4 * d], row[4 * d:]))]
-                if not exact:
-                    cnt[dst] += 1.0
+    out = np.full(grid.shape, -np.inf)
+    for (_, mask, counts, exact), rows, acc in zip(radii, windows, accs):
+        cnt = (counts * (counts - 1) / 2 if exact
+               else _box_counts(grid.shape, rows[:, d:2 * d], rows[:, 2 * d:3 * d]))
         ordered = counts * counts
         nondiag = ordered - counts
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -565,3 +566,50 @@ class TestSerialization:
     def test_csv_from_document_is_byte_identical(self, reports):
         text = suite_to_json("probe", reports, seed=0)
         assert csv_from_doc(json.loads(text)) == suite_to_csv(reports)
+
+
+GEOMETRIC_CONFIG = PDE_CONFIG.with_name("geometric.cfg")
+
+
+def dispatch_probe():
+    """JSON of id, verdict and per-series trend and n_emp for the geometric
+    workload's entries at their coarse ladders and two cheap pde entries."""
+    cfg = load_suite(str(GEOMETRIC_CONFIG))
+    specs = [EstimateSpec(id=eid, params=prm, ladder=ladder, seed=0)
+             for eid, prm, ladder in cfg.blocks]
+    specs += [EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="APRIORI")]
+    return json.dumps([[r.id, r.verdict, [[s.trend, s.n_emp] for s in r.series]]
+                       for r in run_suite(specs)])
+
+
+class TestDispatchLevel:
+
+    def test_baseline_dispatch_keeps_verdicts_and_constants(self):
+        # numpy's SIMD kernels round some results differently from its
+        # baseline ones; a fresh interpreter with every dispatched CPU feature
+        # switched off must reach the same verdicts, and constants within
+        # 1e-13 relative
+        from numpy._core import _multiarray_umath as umath
+        off = [k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k)]
+        here = pathlib.Path(__file__).resolve().parent
+        paths = (str(pathlib.Path(catalog.__file__).resolve().parents[2]), str(here),
+                 os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+                   PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        code = ("from numpy._core import _multiarray_umath as umath\n"
+                "from test_harness import dispatch_probe\n"
+                "print([k for k in umath.__cpu_dispatch__ if umath.__cpu_features__[k]])\n"
+                "print(dispatch_probe())")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        active, baseline = proc.stdout.split("\n")[:2]
+        assert active == "[]"
+        baseline, native = json.loads(baseline), json.loads(dispatch_probe())
+        assert [(i, v, [t for t, _ in s]) for i, v, s in baseline] \
+            == [(i, v, [t for t, _ in s]) for i, v, s in native]
+        assert [i for i, _, _ in native] == ["APRIORI", "INTERP", "OSC", "OSC-P", "ZEROTH-1D"]
+        for (i, _, bs), (_, _, ns) in zip(baseline, native):
+            for (_, b), (_, n) in zip(bs, ns):
+                assert len(b) == len(n) and all(math.isclose(x, y, rel_tol=1e-13)
+                                                for x, y in zip(b, n)), i

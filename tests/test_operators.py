@@ -12,6 +12,7 @@ Frozen values used below:
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from sharpcheck import operators
 from sharpcheck.calculus import GridFunction, box_grid
 from sharpcheck.filtration import cz_stopping_time, full_space, parabolic, Filtration
+from sharpcheck.harness import EstimateSpec, run_estimate_check
 from sharpcheck.operators import (
     GeometricFamily,
     default_radii,
@@ -28,7 +30,9 @@ from sharpcheck.operators import (
     family_for_grid,
     geometric_maximal,
     geometric_sharp,
+    _box_counts,
     _covering_max,
+    _pair_windows,
     _radius_subset,
     _shape_offsets,
     _window_reduce,
@@ -605,21 +609,88 @@ class TestGeometricSharp:
         h = GridFunction(grid, np.random.default_rng(3).standard_normal(grid.shape + (2, 2)))
         fam = GeometricFamily("ball", (0.125, 0.175, 0.25, 0.35, 0.5))
         budget = 2048
-        peaks = []
+        peaks, outs = [], []
         tracemalloc.start()
         try:
             for fn in (reference_geometric_sharp, geometric_sharp):
                 tracemalloc.reset_peak()
-                fn(h, fam, 0.5, 0.5, pair_budget=budget)
+                outs.append(fn(h, fam, 0.5, 0.5, pair_budget=budget))
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert outs[1].values.tobytes() == outs[0][0].tobytes()
         # beyond the reference loop, one field with its diff (4 channels) and
         # magnitude temporaries, and the radius's pair rows (5 x 2 integers per
         # pair), which _pair_windows builds beside temporaries of twice their size
         field = 8 * math.prod(grid.shape) * (1 + 4 + 1)
         rows = 8 * budget * 5 * grid.ndim
         assert peaks[1] <= peaks[0] + field + 3 * rows
+
+    @pytest.mark.parametrize("grid,shape,radii,budget", [
+        (box_grid((-1.5, -1.5), (1.5, 1.5), (51, 51)), "ball",
+         (0.125, 0.175, 0.25, 0.35, 0.5), 2048),
+        (*SHARP_CASES["half_cylinder-3d"], 40),
+    ], ids=["osc-51x51", "half_cylinder-3d"])
+    def test_each_difference_field_once_per_call(self, grid, shape, radii, budget, monkeypatch):
+        # OSC's workload-sized call and a cylinder case: every distinct offset
+        # difference among all radii's pair windows computes its field once,
+        # in sorted order, though radii share differences
+        windows, difference_field = operators._pair_windows, operators._difference_field
+        per_radius, computed = [], []
+
+        def windows_spy(shape, a, b):
+            rows = windows(shape, a, b)
+            per_radius.append({tuple(row) for row in rows[:, :grid.ndim].tolist()})
+            return rows
+
+        def field_spy(vals, delta, gamma):
+            computed.append(tuple(delta))
+            return difference_field(vals, delta, gamma)
+
+        monkeypatch.setattr(operators, "_pair_windows", windows_spy)
+        monkeypatch.setattr(operators, "_difference_field", field_spy)
+        h = GridFunction(grid, np.random.default_rng(5).standard_normal(grid.shape + (2, 2)))
+        geometric_sharp(h, GeometricFamily(shape, radii), 0.5, radii[-1], pair_budget=budget)
+        assert len(per_radius) == len(radii)
+        assert computed == sorted(set().union(*per_radius))
+        assert len(computed) < sum(map(len, per_radius))
+
+    def test_cost_blow_up_refused_before_any_field(self, monkeypatch):
+        # OSC-P at its finest default step with the largest pair budget its
+        # validator allows would add 7.8e9 pair-node terms
+        computed = []
+        monkeypatch.setattr(operators, "_difference_field", lambda *args: computed.append(args))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"pair-node terms.*radius .* alone takes .* "
+                                             r"at grid spacing \(.*\) with pair_budget 65536"):
+            run_estimate_check(EstimateSpec(id="OSC-P", params={"pair_budget": 65536},
+                                            ladder=(0.05,)))
+        assert time.perf_counter() - start < 1.0
+        assert computed == []
+
+    @pytest.mark.parametrize("case", sorted(SHARP_CASES))
+    def test_box_counts_equal_per_pair_loop(self, case):
+        # sampled pair counts per center against the per-pair `cnt[dst] += 1.0`
+        # loop, bit for bit, with repeated pairs and, through two offsets a
+        # grid length away, pairs with no overlap window
+        grid, shape, radii = SHARP_CASES[case]
+        mask = _shape_offsets(grid, GeometricFamily(shape, radii), radii[-1])
+        offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
+        offsets = np.concatenate([offsets, [grid.shape], [np.negative(grid.shape)]])
+        rng = np.random.default_rng(sum(map(ord, case)))
+        pairs = rng.integers(0, len(offsets), size=(300, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.concatenate([pairs, pairs[:40], [[len(offsets) - 1, 0]]])
+        want = np.zeros(grid.shape)
+        for i, j in pairs:
+            sl = _overlap_slices(grid.shape, offsets[i], offsets[j])
+            if sl is not None:
+                want[sl[2]] += 1.0
+        rows = _pair_windows(grid.shape, offsets[pairs[:, 0]], offsets[pairs[:, 1]])
+        assert len(rows) < len(pairs)
+        d = grid.ndim
+        got = _box_counts(grid.shape, rows[:, d:2 * d], rows[:, 2 * d:3 * d])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", sorted(SHARP_CASES))
     def test_node_counts_once_per_family_and_grid(self, case, monkeypatch):
