@@ -528,11 +528,11 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
                             pair_budget=int(params["pair_budget"]), seed=seed)
     amp = nu ** (amp_power / gamma)
     t_f = amp * geometric_maximal(
-        GridFunction(grid, np.abs(fv) ** e), family).values ** (1.0 / e)
+        GridFunction(grid, power(np.abs(fv), e)), family).values ** (1.0 / e)
     t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
-        GridFunction(grid, frobenius(derivs.d2u) ** ed), family).values ** (1.0 / ed)
+        GridFunction(grid, power(frobenius(derivs.d2u), ed)), family).values ** (1.0 / ed)
     extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled)}
     return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
 

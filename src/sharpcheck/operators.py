@@ -9,10 +9,13 @@ mask row is a chord about the middle column, a running sum or max grows
 chord by chord, and a cylinder's time interval is one running op along time
 first.  Every term is an on-grid value, so a window sum of a nonnegative
 field keeps its rounding error relative to the local sum, node counts are
-exact integers, and the sup over shapes containing a node is exact.  Sharp
-pair sums visit the offset differences of all radii's pairs once each: every
-difference computes its field once, over its whole overlap, and feeds every
-radius's accumulator, so one field is held at a time.
+exact integers, and the sup over shapes containing a node is exact.  A
+family keeps, per grid and radius, the mask, the node counts and the
+reduction plans of the mask and its reflection, so the calls that share it
+check and plan each window once.  Sharp pair sums visit the offset
+differences of all radii's pairs once each: every difference writes its
+field once, over its whole overlap, into one zeroed buffer on a padded grid,
+and each pair feeding a radius's padded accumulator is one flat slice add.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,80 +169,106 @@ def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
 
 def _window(grid: Grid, family: GeometricFamily, r: float):
     """Read-only mask and node counts of the shapes of radius ``r`` on
-    ``grid``, computed once per family."""
+    ``grid``, computed once per family, with the reduction plans of the mask
+    (window sums) and of the reflected mask (covering maxima: the max of
+    ``per_center[c]`` over the centers ``c`` whose shape contains ``x`` has
+    ``c - x`` ranging over the reflected mask)."""
     window = family._windows.get((grid, r))
     if window is None:
         mask = _shape_offsets(grid, family, r)
         counts = _window_reduce(np.ones(grid.shape), mask, grid.time_axis, np.add)
         mask.flags.writeable = counts.flags.writeable = False
-        window = family._windows[(grid, r)] = mask, counts
+        window = family._windows[(grid, r)] = (
+            mask, counts, _reduce_plan(mask, grid.time_axis, grid.shape),
+            _reduce_plan(np.flip(mask), grid.time_axis, grid.shape))
     return window
 
 
-def _window_reduce(values: np.ndarray, mask: np.ndarray, time_axis: bool, op) -> np.ndarray:
-    """``out[c] = op`` over offsets ``o`` in ``mask`` (about its middle node)
-    of ``values[c + o]``, on-grid terms only; ``op`` is ``np.add`` or
-    ``np.maximum``.
+class _ReducePlan(NamedTuple):
+    steps: list | None    # time offsets that reach the grid, on a time grid
+    widest: int           # widest chord half-width that reaches the grid
+    pads: np.ndarray      # output padding over the leading axes
+    rows: list            # per chord half-width, the output slices of its rows
+
+
+def _reduce_plan(mask: np.ndarray, time_axis: bool, shape) -> _ReducePlan:
+    """Check that ``mask`` has the chord form ``_reduce`` takes and plan its
+    reduction over a grid of ``shape``.
 
     Every mask row along the last axis is one chord ``[-a, a]`` about the
-    middle column, or empty.  One running array over the padded values grows
-    from ``a = 0`` to the widest chord by two slice-ops per step, and each row
-    of half-width ``a`` is one slice-op into an output padded over the
-    leading axes, so every term is an on-grid value and a nonnegative input
-    keeps its rounding error relative to the local sum.  On a time grid the
-    mask is a time interval times a footprint; the interval is one running
-    op along axis 0 first.
+    middle column, or empty; on a time grid the mask is a time interval times
+    a footprint.  The plan keeps the interval's steps, the widest chord and,
+    per half-width ``a``, the slices of the padded output that its rows feed.
     """
-    empty = 0.0 if op is np.add else -np.inf
     foot = mask.any(axis=0, keepdims=True) if time_axis else mask
     half = foot.sum(-1) // 2
     form = (np.abs(np.arange(mask.shape[-1]) - mask.shape[-1] // 2) <= half[..., None]) \
         & foot.any(-1, keepdims=True)
+    steps = None
     if time_axis:
-        steps = mask.any(axis=tuple(range(1, mask.ndim)))
-        hull = np.logical_or.accumulate(steps) & np.logical_or.accumulate(steps[::-1])[::-1]
+        on = mask.any(axis=tuple(range(1, mask.ndim)))
+        hull = np.logical_or.accumulate(on) & np.logical_or.accumulate(on[::-1])[::-1]
         form = form & hull.reshape((-1,) + (1,) * (mask.ndim - 1))
+        steps = [k for k in (np.flatnonzero(on) - mask.shape[0] // 2).tolist()
+                 if abs(k) < shape[0]]
     if not np.array_equal(mask, form):
         raise ValueError("window mask must be a chord about the middle column in every row"
                          + (", times one time interval" if time_axis else ""))
-    if time_axis:
+    lead, n = tuple(shape[:-1]), shape[-1]
+    widest = min(int(half.max()), n - 1)
+    pads = np.minimum(np.array(foot.shape[:-1]) // 2, np.array(lead, dtype=int) - 1)
+    offsets = np.argwhere(foot.any(-1)) - np.array(foot.shape[:-1]) // 2
+    reach = (np.abs(offsets) < lead).all(axis=1)
+    rows: list[list] = [[] for _ in range(widest + 1)]
+    for a, start in zip(np.minimum(half[foot.any(-1)], widest)[reach].tolist(),
+                        (pads - offsets[reach]).tolist()):
+        rows[a].append(tuple(map(slice, start, np.add(start, lead))))
+    return _ReducePlan(steps, widest, pads, rows)
+
+
+def _reduce(values: np.ndarray, plan: _ReducePlan, op) -> np.ndarray:
+    """``out[c] = op`` over the planned mask's offsets ``o`` of
+    ``values[c + o]``, on-grid terms only; ``op`` is ``np.add`` or
+    ``np.maximum``.
+
+    One running array over the padded values grows from ``a = 0`` to the
+    widest chord by two slice-ops per step, and each row of half-width ``a``
+    is one slice-op into an output padded over the leading axes, so every
+    term is an on-grid value and a nonnegative input keeps its rounding error
+    relative to the local sum.  On a time grid the interval is one running op
+    along axis 0 first.
+    """
+    empty = 0.0 if op is np.add else -np.inf
+    if plan.steps is not None:
         n = len(values)
         padded = np.full((3 * n - 2,) + values.shape[1:], empty)
         padded[n - 1:2 * n - 1] = values
         values = np.full(values.shape, empty)
-        for k in np.flatnonzero(steps) - mask.shape[0] // 2:
-            if abs(k) < n:
-                op(values, padded[n - 1 + k:2 * n - 1 + k], out=values)
+        for k in plan.steps:
+            op(values, padded[n - 1 + k:2 * n - 1 + k], out=values)
     lead, n = values.shape[:-1], values.shape[-1]
-    widest = min(int(half.max()), n - 1)
+    widest, pads = plan.widest, plan.pads
     # rows of n + widest columns after a lead of widest: a flat shift by at
     # most widest moves a grid column only into its own row or a pad gap
     padded = np.full(widest + math.prod(lead) * (n + widest), empty)
     padded[widest:].reshape(lead + (-1,))[..., :n] = values
     running = padded.copy()
     run, size = running[widest:].reshape(lead + (-1,)), padded.size
-    pads = np.minimum(np.array(foot.shape[:-1]) // 2, np.array(lead, dtype=int) - 1)
-    offsets = np.argwhere(foot.any(-1)) - np.array(foot.shape[:-1]) // 2
-    reach = (np.abs(offsets) < lead).all(axis=1)
-    rows: dict[int, list] = {}
-    for a, start in zip(np.minimum(half[foot.any(-1)], widest)[reach].tolist(),
-                        (pads - offsets[reach]).tolist()):
-        rows.setdefault(a, []).append(tuple(map(slice, start, np.add(start, lead))))
     out = np.full(tuple(np.add(lead, 2 * pads)) + (n + widest,), empty)
-    for a in range(widest + 1):
+    for a, dsts in enumerate(plan.rows):
         if a:
             op(running[a:size - a], padded[:size - 2 * a], out=running[a:size - a])
             op(running[a:size - a], padded[2 * a:], out=running[a:size - a])
-        for dst in rows.get(a, ()):
+        for dst in dsts:
             view = out[dst]
             op(view, run, out=view)
     return out[tuple(map(slice, pads, np.add(pads, lead))) + (slice(n),)]
 
 
-def _covering_max(per_center: np.ndarray, mask: np.ndarray, time_axis: bool) -> np.ndarray:
-    """Exact ``out[x] = max per_center[c]`` over centers ``c`` whose shape
-    contains ``x``: ``c - x`` ranges over the reflected mask."""
-    return _window_reduce(per_center, np.flip(mask), time_axis, np.maximum)
+def _window_reduce(values: np.ndarray, mask: np.ndarray, time_axis: bool, op) -> np.ndarray:
+    """``out[c] = op`` over offsets ``o`` in ``mask`` (about its middle node)
+    of ``values[c + o]``: one plan and one reduction."""
+    return _reduce(values, _reduce_plan(mask, time_axis, values.shape), op)
 
 
 def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> list[float]:
@@ -268,9 +298,9 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
     out = np.full(h.grid.shape, -np.inf)
     absv = np.abs(h.values)
     for r in _radius_subset(family, rho, mode):
-        mask, counts = _window(h.grid, family, r)
-        avg = _window_reduce(absv, mask, h.grid.time_axis, np.add) / counts
-        np.maximum(out, _covering_max(avg, mask, h.grid.time_axis), out=out)
+        _, counts, plan, cover = _window(h.grid, family, r)
+        np.maximum(out, _reduce(_reduce(absv, plan, np.add) / counts, cover, np.maximum),
+                   out=out)
     return GridFunction(h.grid, out)
 
 
@@ -308,6 +338,16 @@ def _box_counts(shape, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return marks[tuple(map(slice, shape))].astype(np.float64)
 
 
+def _padded_layout(shape, pad) -> tuple[tuple[int, ...], np.ndarray]:
+    """Shape and flat element strides of a grid of ``shape`` padded by
+    ``pad[j]`` nodes on both sides of axis ``j``; refused when a flat index
+    into it would not fit int32."""
+    padded = tuple(int(n) + 2 * int(p) for n, p in zip(shape, pad))
+    if math.prod(padded) > np.iinfo(np.int32).max:
+        raise ValueError(f"geometric sharp's padded grid {padded} has over 2**31 - 1 nodes")
+    return padded, np.cumprod((1,) + padded[:0:-1])[::-1]
+
+
 def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
                     rho: float, pair_budget: int = 4096, seed: int = 0) -> GridFunction:
     """Sup over shapes of radius ``<= rho`` containing the node of the double
@@ -317,18 +357,28 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
     or matrix channels are compared in the entrywise-l2 metric.
 
-    First every radius draws its pairs, in radius order, and keeps them as
-    compact int32 pair windows sorted stably by offset difference ``delta``,
-    with an index from each ``delta`` to its row range in every radius.  A
-    call whose pair-node terms (destination nodes summed over the rows)
-    exceed ``_MAX_PAIR_TERMS`` is refused here, before any field.  Then one
-    pass visits the distinct ``delta`` in sorted order: it computes the field
-    ``|h(y) - h(y + delta)|**gamma`` once, over delta's whole overlap, and
-    adds each radius's slices into that radius's accumulator in row order, so
-    every center sums its terms group by group as a per-radius loop would.
-    Held at once: all radii's rows, one field and one accumulator per radius.
-    Sampled radii count their pairs per center in one exact pass
-    (``_box_counts``).
+    Accumulators and the field buffer share one padded layout: the grid
+    padded on each axis by the largest kept window's half-width, clamped to
+    the axis length minus one (no pair with an on-grid center reaches
+    further).  There a pair with offsets ``(a, b)`` and center box
+    ``[lo, hi)`` is one flat slice add ``acc[s:e] += field[s+o:e+o]``, with
+    ``s`` and ``e - 1`` the flat indices of ``lo`` and ``hi - 1`` and ``o``
+    that of ``a``.  Every center in the box gets its term; since ``|a_j|`` is
+    at most the pad, no shift moves a grid node into another row, so every
+    other grid node reads the zeroed buffer and gets ``+0.0``, which leaves
+    its nonnegative sum's bits alone.
+
+    First every radius draws its pairs, in radius order, and turns its
+    ``_pair_windows`` rows, sorted stably by offset difference ``delta``,
+    into int32 plans ``(s, e, s + o, e + o)`` indexed by ``delta``; sampled
+    radii count their pairs per center in one exact pass (``_box_counts``).
+    A call whose pair-node terms exceed ``_MAX_PAIR_TERMS`` is refused here,
+    before any field.  Then one pass visits the distinct ``delta`` in sorted
+    order: it writes the field ``|h(y) - h(y + delta)|**gamma`` into its
+    region of the buffer, adds every radius's slices in plan order, so each
+    center sums its terms in the order of a per-pair loop, and zeroes the
+    region again.  Held at once: plans, one padded field, padded
+    accumulators, and the pair counts of sampled radii.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -337,11 +387,14 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     grid = h.grid
     d = grid.ndim
     vals = h.values.reshape(grid.shape + (-1,))
+    kept = [(r, *_window(grid, family, r)) for r in _radius_subset(family, rho, "at_most")]
+    pad = np.minimum(np.max([np.array(mask.shape) // 2 for _, mask, *_ in kept], axis=0),
+                     np.array(grid.shape) - 1)
+    padded, strides = _padded_layout(grid.shape, pad)
     rng = np.random.default_rng(seed)
     subsampled = False
-    radii, windows, terms, groups = [], [], [], {}
-    for r in _radius_subset(family, rho, "at_most"):
-        mask, counts = _window(grid, family, r)
+    plans, cnts, terms, groups = [], [], [], {}
+    for r, mask, counts, _, _ in kept:
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
         m = len(offsets)
         exact = m * (m - 1) // 2 <= pair_budget
@@ -361,40 +414,52 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
             ii, jj = np.concatenate(picks).T
             subsampled = True
         rows = _pair_windows(grid.shape, offsets[ii], offsets[jj])
+        delta, lo, hi = rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:3 * d]
         new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:, :d] != rows[:-1, :d]).any(axis=1)
+        new[1:] = (delta[1:] != delta[:-1]).any(axis=1)
         starts = np.flatnonzero(new).tolist()
         for a, b in zip(starts, starts[1:] + [len(rows)]):
-            groups.setdefault(tuple(rows[a, :d].tolist()), []).append((len(radii), a, b))
-        terms.append(int(np.prod(rows[:, 2 * d:3 * d] - rows[:, d:2 * d], axis=1,
-                                 dtype=np.int64).sum()))
-        radii.append((r, mask, counts, exact))
-        windows.append(rows)
+            groups.setdefault(tuple(delta[a].tolist()), []).append((len(plans), a, b))
+        terms.append(int(np.prod(hi - lo, axis=1, dtype=np.int64).sum()))
+        cnts.append(None if exact else _box_counts(grid.shape, lo, hi))
+        # flat bounds of each box and the shift flat(a), a being the pair's
+        # first offset: rows hold lo + min(a, b), and min(a, b) = a + min(0, delta)
+        start = (lo + pad) @ strides
+        stop = (hi - 1 + pad) @ strides + 1
+        shift = (rows[:, 3 * d:4 * d] - lo - np.minimum(delta, 0)) @ strides
+        plans.append(np.stack([start, stop, start + shift, stop + shift], axis=1)
+                     .astype(np.int32))
     if sum(terms) > _MAX_PAIR_TERMS:
         worst = int(np.argmax(terms))
         spacing = ", ".join(f"{grid.spacing(ax):.3g}" for ax in range(d))
         raise ValueError(
             f"geometric sharp would add {sum(terms):.3g} pair-node terms, over the limit of "
-            f"{_MAX_PAIR_TERMS:.3g}; radius {radii[worst][0]:g} alone takes {terms[worst]:.3g} "
+            f"{_MAX_PAIR_TERMS:.3g}; radius {kept[worst][0]:g} alone takes {terms[worst]:.3g} "
             f"at grid spacing ({spacing}) with pair_budget {pair_budget}")
-    accs = [np.zeros(grid.shape) for _ in radii]
+    size = math.prod(padded)
+    accs = [np.zeros(size) for _ in kept]
+    field = np.zeros(size)
+    region = field.reshape(padded)
     for delta in sorted(groups):
-        field = _difference_field(vals, delta, gamma)
+        at = tuple(slice(p + max(0, -c), p + n - max(0, c))
+                   for p, c, n in zip(pad.tolist(), delta, grid.shape))
+        region[at] = _difference_field(vals, delta, gamma)
         for k, a, b in groups[delta]:
             acc = accs[k]
-            for row in windows[k][a:b].tolist():
-                dst = tuple(map(slice, row[d:2 * d], row[2 * d:3 * d]))
-                acc[dst] += field[tuple(map(slice, row[3 * d:4 * d], row[4 * d:]))]
+            for s, e, t, u in plans[k][a:b].tolist():
+                view = acc[s:e]
+                np.add(view, field[t:u], out=view)
+        region[at] = 0.0
+    inner = tuple(map(slice, pad, np.add(pad, grid.shape)))
     out = np.full(grid.shape, -np.inf)
-    for (_, mask, counts, exact), rows, acc in zip(radii, windows, accs):
-        cnt = (counts * (counts - 1) / 2 if exact
-               else _box_counts(grid.shape, rows[:, d:2 * d], rows[:, 2 * d:3 * d]))
+    for (_, _, counts, _, cover), cnt, acc in zip(kept, cnts, accs):
+        cnt = counts * (counts - 1) / 2 if cnt is None else cnt
         ordered = counts * counts
         nondiag = ordered - counts
+        acc = acc.reshape(padded)[inner]
         with np.errstate(invalid="ignore", divide="ignore"):
             per_center = np.where(cnt > 0, acc / np.maximum(cnt, 1.0) * nondiag / ordered, 0.0)
-        np.maximum(out, _covering_max(per_center ** (1.0 / gamma), mask, grid.time_axis),
-                   out=out)
+        np.maximum(out, _reduce(per_center ** (1.0 / gamma), cover, np.maximum), out=out)
     result = GridFunction(grid, out)
     result.subsampled = subsampled
     return result

@@ -280,7 +280,8 @@ class TestCatalogRecipes:
 
     def test_covering_max_entries_bounded_at_default_ladders(self):
         # INTERP and OSC at their own ladders, within a generous budget;
-        # OSC-P's default ladder takes 6.5-8 s and stays out of this run
+        # OSC-P's default ladder takes 3.3-4.0 s on a 2-core host and stays
+        # out of this run
         start = time.perf_counter()
         for eid in ("INTERP", "OSC"):
             r = run_estimate_check(EstimateSpec(id=eid))

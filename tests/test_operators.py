@@ -31,7 +31,7 @@ from sharpcheck.operators import (
     geometric_maximal,
     geometric_sharp,
     _box_counts,
-    _covering_max,
+    _padded_layout,
     _pair_windows,
     _radius_subset,
     _shape_offsets,
@@ -374,8 +374,9 @@ class TestExactPrimitives:
         per_center[rng.random(shape) < 0.25] = -np.inf
         cases = family_masks(len(shape)) + chord_masks(rng, len(shape), 12)
         for mask, time_axis in cases:
-            np.testing.assert_array_equal(_covering_max(per_center, mask, time_axis),
-                                          brute_covering_max(per_center, mask))
+            # the covering max is a max over the reflected mask
+            got = _window_reduce(per_center, np.flip(mask), time_axis, np.maximum)
+            np.testing.assert_array_equal(got, brute_covering_max(per_center, mask))
 
     def assert_window_sums(self, values, mask, time_axis):
         # per-node relative error against math.fsum, and exact counts
@@ -503,8 +504,8 @@ def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0):
         nondiag = ordered - counts
         with np.errstate(invalid="ignore", divide="ignore"):
             per_center = np.where(cnt > 0, acc / np.maximum(cnt, 1.0) * nondiag / ordered, 0.0)
-        np.maximum(out, _covering_max(per_center ** (1.0 / gamma), mask, grid.time_axis),
-                   out=out)
+        np.maximum(out, _window_reduce(per_center ** (1.0 / gamma), np.flip(mask),
+                                       grid.time_axis, np.maximum), out=out)
     return out, subsampled
 
 
@@ -523,6 +524,34 @@ SHARP_CASES = {
     "half_cylinder-3d": (box_grid((0.0, 0.0, -1.0), (0.5, 1.0, 1.0), (6, 6, 9),
                                   time_axis=True, half_axis=1),
                          "half_cylinder", (0.25, 0.45)),
+}
+
+
+# (grid, family, rho, channels, gamma, budget): edge cases of the padded flat
+# layout of geometric_sharp's accumulators and field buffer
+PADDED_CASES = {
+    # windows wider than the grid along an axis: the pad is clamped to the
+    # axis, and pairs with an offset past it have an empty overlap
+    "ball-window-over-axis": (box_grid((-0.2, -1.0), (0.2, 1.0), (3, 17)),
+                              GeometricFamily("ball", (0.3, 0.9)), 0.9, (2, 2), 0.5, 10 ** 9),
+    "cylinder-time-over-axis": (box_grid((0.0, -1.0, -1.0), (0.1, 1.0, 1.0), (3, 7, 7),
+                                         time_axis=True),
+                                GeometricFamily("cylinder", (0.35, 0.6)), 0.6, (), 0.5, 40),
+    # the pad comes from the largest kept radius, not the family's largest
+    "small-radii-of-a-larger-family": (SHARP_CASES["ball-2d"][0],
+                                       GeometricFamily("ball", (0.2, 0.35, 0.5, 0.9)), 0.35,
+                                       (2, 2), 0.5, 40),
+    "scalar-gamma-1": (SHARP_CASES["ball-2d"][0], GeometricFamily("ball", (0.2, 0.35, 0.5)),
+                       0.5, (), 1.0, 10 ** 9),
+    # 11 offsets, 55 unordered pairs, 40 ordered draws with replacement
+    "sampled-repeated-pairs": (SHARP_CASES["ball-2d"][0], GeometricFamily("ball", (0.35,)),
+                               0.35, (2, 2), 0.5, 40),
+    "ball-1d": (SHARP_CASES["ball-1d"][0], GeometricFamily("ball", (0.2, 0.5)), 0.5,
+                (3,), 0.3, 40),
+    "half_ball-2d": (SHARP_CASES["half_ball-2d"][0], GeometricFamily("half_ball", (0.2, 0.4)),
+                     0.4, (3, 3), 0.3, 40),
+    "half_cylinder-3d": (SHARP_CASES["half_cylinder-3d"][0],
+                         GeometricFamily("half_cylinder", (0.25, 0.45)), 0.45, (2, 2), 1.0, 40),
 }
 
 
@@ -722,6 +751,88 @@ class TestGeometricSharp:
             monkeypatch.setattr(operators, "_window_reduce", reduce)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         assert counted == [grid.shape] * len(radii) + [other.shape] * len(radii)
+
+    @pytest.mark.parametrize("case", sorted(SHARP_CASES))
+    def test_reduction_plans_once_per_family_and_grid(self, case, monkeypatch):
+        # OSC's call chain on one family plans each radius's mask and its
+        # reflection once per grid, outside the count reductions, and gives
+        # the outputs of a fresh family per call; another grid plans again
+        grid, shape, radii = SHARP_CASES[case]
+        other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
+                         time_axis=grid.time_axis, half_axis=grid.half_axis)
+        planned, counting = [], []
+        plan, reduce = operators._reduce_plan, operators._window_reduce
+
+        def plan_spy(mask, time_axis, shape):
+            if not counting:
+                planned.append((shape, mask.shape, mask.tobytes()))
+            return plan(mask, time_axis, shape)
+
+        def reduce_spy(*args):
+            counting.append(args)
+            out = reduce(*args)
+            counting.pop()
+            return out
+
+        fam = GeometricFamily(shape, radii)
+        rng = np.random.default_rng(13)
+        want_plans = []
+        for g in (grid, other):
+            hess = GridFunction(g, rng.standard_normal(g.shape + (2, 2)))
+            f = GridFunction(g, rng.random(g.shape))
+            chain = [lambda fam: geometric_sharp(hess, fam, 0.5, radii[-1], pair_budget=40),
+                     lambda fam: geometric_maximal(f, fam),
+                     lambda fam: geometric_maximal(GridFunction(g, f.values ** 2), fam)]
+            want = [call(GeometricFamily(shape, radii)).values for call in chain]
+            monkeypatch.setattr(operators, "_reduce_plan", plan_spy)
+            monkeypatch.setattr(operators, "_window_reduce", reduce_spy)
+            got = [call(fam).values for call in chain]
+            monkeypatch.setattr(operators, "_reduce_plan", plan)
+            monkeypatch.setattr(operators, "_window_reduce", reduce)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            for r in radii:
+                mask = _shape_offsets(g, fam, r)
+                want_plans += [(g.shape, mask.shape, mask.tobytes()),
+                               (g.shape, mask.shape, np.flip(mask).tobytes())]
+        assert planned == want_plans
+
+    @pytest.mark.parametrize("case", sorted(PADDED_CASES))
+    def test_padded_layout_edge_cases_equal_reference_loop_bitwise(self, case, monkeypatch):
+        grid, fam, rho, channels, gamma, budget = PADDED_CASES[case]
+        windows, drawn = operators._pair_windows, []
+
+        def windows_spy(shape, a, b):
+            drawn.append((len(a), windows(shape, a, b)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(operators, "_pair_windows", windows_spy)
+        h = GridFunction(grid, np.random.default_rng(sum(map(ord, case)))
+                         .standard_normal(grid.shape + channels))
+        got = geometric_sharp(h, fam, gamma, rho, pair_budget=budget, seed=3)
+        want, sub = reference_geometric_sharp(h, fam, gamma, rho, pair_budget=budget, seed=3)
+        assert got.values.tobytes() == want.tobytes()
+        assert got.subsampled == sub
+        kept = _radius_subset(fam, rho, "at_most")
+        assert len(drawn) == len(kept)
+        if case.endswith("-over-axis"):
+            mask = _shape_offsets(grid, fam, kept[-1])
+            assert any(s // 2 > n - 1 for s, n in zip(mask.shape, grid.shape))
+            assert any(len(rows) < pairs for pairs, rows in drawn)
+        if case == "small-radii-of-a-larger-family":
+            assert len(kept) < len(fam.radii)
+        if case == "sampled-repeated-pairs":
+            assert sub and len(np.unique(drawn[0][1], axis=0)) < len(drawn[0][1])
+
+    def test_padded_layout_refuses_int32_overflow(self):
+        # strides of a padded grid, and the guard on shapes past int32 flat
+        # indexing, checked without allocating the grid
+        shape, strides = _padded_layout((3, 4, 5), (1, 2, 0))
+        assert shape == (5, 8, 5) and strides.tolist() == [40, 5, 1]
+        assert _padded_layout((46339, 46339), (0, 0))[0] == (46339, 46339)
+        with pytest.raises(ValueError, match="padded grid"):
+            _padded_layout((46339, 46339), (1, 1))
+        with pytest.raises(ValueError, match="padded grid"):
+            _padded_layout((1300, 1300, 1300), (4, 4, 4))
 
     def test_validation(self):
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
