@@ -3,12 +3,16 @@
 Vertex-centered uniform grids over boxes, optionally with a leading time axis
 (independent spacing) and a half-space axis clipped at 0.  Derivatives use
 second-order central stencils inside and second-order one-sided stencils at
-faces, so they are exact on quadratics.  An operator is a callable on stacks
-of Hessians (and their points) with declared ellipticity and Lipschitz bounds:
-linear trace forms, Bellman suprema over coefficient families, the extremal
-operators with eigenvalue bounds ``[delta, 1/delta]``, and tabulated
-callables.  The oscillation functional measures the averaged distance of an
-x-dependent operator from a given x-independent model over a shape.
+faces, so they are exact on quadratics.  They are taken only on the input's
+support box, its nonzero extent widened by a stencil halo, and are +0.0 at
+every other node; the operator image there is +0.0 too, by the premise
+``F(0, x) = 0`` that every positively homogeneous operator meets.  An
+operator is a callable on stacks of Hessians (and their points) with declared
+ellipticity and Lipschitz bounds: linear trace forms, Bellman suprema over
+coefficient families, the extremal operators with eigenvalue bounds
+``[delta, 1/delta]``, and tabulated callables.  The oscillation functional
+measures the averaged distance of an x-dependent operator from a given
+x-independent model over a shape.
 """
 
 from __future__ import annotations
@@ -68,15 +72,20 @@ class Grid:
         return np.linspace(self.lo[axis], self.hi[axis], self.shape[axis])
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates, shape ``(*shape, ndim)``, filled one axis at a
-        time by broadcasting that axis's nodes."""
-        out = np.empty(self.shape + (self.ndim,))
-        for ax in range(self.ndim):
-            out[..., ax] = self.axis_nodes(ax).reshape((-1,) + (1,) * (self.ndim - 1 - ax))
-        return out
+        """All node coordinates, shape ``(*shape, ndim)``."""
+        return _mesh([self.axis_nodes(ax) for ax in range(self.ndim)])
 
     def flat_nodes(self) -> np.ndarray:
         return self.nodes().reshape(-1, self.ndim)
+
+
+def _mesh(axes) -> np.ndarray:
+    """Coordinates of the tensor-product mesh of the 1-D ``axes``, shape
+    ``(*lengths, len(axes))``, filled one axis at a time by broadcasting."""
+    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
+    for ax, a in enumerate(axes):
+        out[..., ax] = a.reshape((-1,) + (1,) * (len(axes) - 1 - ax))
+    return out
 
 
 def box_grid(lo, hi, shape, time_axis=False, half_axis=None) -> Grid:
@@ -118,69 +127,103 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # finite differences
 
-def _diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    n = values.shape[axis]
-    if n < 3:
-        raise ValueError("first derivative needs at least 3 nodes per axis")
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+# How far past an input's nonzero values the differences are taken: a slab
+# edge's one-sided second difference reads four nodes, so at this distance it
+# reads only zeros, as the whole grid's central stencils there do.
+_HALO = 4
 
 
-def _diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    n = values.shape[axis]
-    if n < 3:
-        raise ValueError("second derivative needs at least 3 nodes per axis")
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    if n >= 4:
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+def _diff1(values: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+
+
+def _diff2(values: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    o[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    if len(v) >= 4:
+        o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
+        o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
     else:
-        out[0] = out[-1] = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
-    return np.moveaxis(out, 0, axis)
+        o[0] = o[-1] = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
+
+
+def support_box(values: np.ndarray) -> tuple[slice, ...]:
+    """Per axis, the nodes within ``_HALO`` of a nonzero value of ``values``,
+    clipped to the grid; empty slices when every value is zero."""
+    nonzero = values != 0
+    box = []
+    for ax, n in enumerate(values.shape):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(values.ndim) if a != ax)))
+        box.append(slice(max(int(hit[0]) - _HALO, 0), min(int(hit[-1]) + _HALO + 1, n))
+                   if hit.size else slice(0, 0))
+    return tuple(box)
 
 
 @dataclass
 class Derivatives:
-    """Gradient, Hessian and (optionally) time derivative on a grid."""
+    """Gradient, Hessian and (optionally) time derivative on a grid.
+
+    They are held on ``box``, slices of the grid: ``box_du``, ``box_d2u`` and
+    ``box_dt`` cover its nodes, and every other node's derivatives are +0.0.
+    ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, by
+    :meth:`padded`, which pads any array taken on the box."""
 
     grid: Grid
-    du: np.ndarray           # (*shape, n_space)
-    d2u: np.ndarray          # (*shape, n_space, n_space), exactly symmetric
-    dt: np.ndarray | None    # (*shape) on time grids
+    box: tuple[slice, ...]
+    box_du: np.ndarray           # (*box shape, n_space)
+    box_d2u: np.ndarray          # (*box shape, n_space, n_space), exactly symmetric
+    box_dt: np.ndarray | None    # (*box shape) on time grids
+
+    def padded(self, arr: np.ndarray | None) -> np.ndarray | None:
+        """``arr``, given on ``box``, on the whole grid with +0.0 elsewhere."""
+        if arr is None:
+            return None
+        out = np.zeros(self.grid.shape + arr.shape[self.grid.ndim:])
+        out[self.box] = arr
+        return out
+
+    du = property(lambda self: self.padded(self.box_du))
+    d2u = property(lambda self: self.padded(self.box_d2u))
+    dt = property(lambda self: self.padded(self.box_dt))
 
 
 def fd_derivatives(u: GridFunction) -> Derivatives:
     """Second-order finite differences of a scalar grid function.
 
-    Mixed entries are nested one-dimensional first differences, applied along
-    distinct axes, so the Hessian is symmetric to the last bit.
+    Only the input's support box (:func:`support_box`) is differenced, as a
+    slab with the grid's spacings.  The halo makes the slab's one-sided edge
+    stencils read only zeros, as the whole grid's central stencils there do,
+    so the values are those of differencing the whole grid, bit for bit,
+    wherever the input's zeros are +0.0.  Mixed entries are nested
+    one-dimensional first differences, applied along distinct axes, so the
+    Hessian is symmetric to the last bit.
     """
     if u.channels:
         raise ValueError("derivatives expect a scalar grid function")
     g = u.grid
+    if min(g.shape) < 3:
+        raise ValueError("finite differences need at least 3 nodes per axis")
     sp = g.space_axes
     ds = len(sp)
-    du = np.empty(g.shape + (ds,))
-    d2u = np.empty(g.shape + (ds, ds))
-    firsts = []
-    for a, ax in enumerate(sp):
-        d1 = _diff1(u.values, ax, g.spacing(ax))
-        firsts.append(d1)
-        du[..., a] = d1
-        d2u[..., a, a] = _diff2(u.values, ax, g.spacing(ax))
-    for a in range(ds):
-        for b in range(a + 1, ds):
-            mixed = _diff1(firsts[a], sp[b], g.spacing(sp[b]))
-            d2u[..., a, b] = mixed
-            d2u[..., b, a] = mixed
-    dt = _diff1(u.values, 0, g.spacing(0)) if g.time_axis else None
-    return Derivatives(g, du, d2u, dt)
+    box = support_box(u.values)
+    slab = u.values[box]
+    du = np.empty(slab.shape + (ds,))
+    d2u = np.empty(slab.shape + (ds, ds))
+    dt = np.empty(slab.shape) if g.time_axis else None
+    if slab.size:
+        for a, ax in enumerate(sp):
+            _diff1(slab, ax, g.spacing(ax), du[..., a])
+            _diff2(slab, ax, g.spacing(ax), d2u[..., a, a])
+        for a in range(ds):
+            for b in range(a + 1, ds):
+                _diff1(du[..., a], sp[b], g.spacing(sp[b]), d2u[..., a, b])
+                d2u[..., b, a] = d2u[..., a, b]
+        if g.time_axis:
+            _diff1(slab, 0, g.spacing(0), dt)
+    return Derivatives(g, box, du, d2u, dt)
 
 
 def frobenius(H: np.ndarray) -> np.ndarray:
@@ -388,15 +431,26 @@ def bellman_argmax(op: Operator, H: np.ndarray, X: np.ndarray | None = None) -> 
 
 def evaluate_operator(op: Operator, u: GridFunction,
                       derivs: Derivatives | None = None) -> GridFunction:
-    """``F(D2u, x)`` on the grid; adds the time derivative on time grids."""
+    """``F(D2u, x)`` on the grid; adds the time derivative on time grids.
+
+    ``F`` runs on the rows of ``derivs.box`` only, with their points taken
+    from the grid's axis nodes; every other node, where the derivatives are
+    +0.0, holds +0.0.  That relies on the premise ``F(0, x) = 0``, which
+    every positively homogeneous operator meets; the kinds of
+    ``harness.catalog.build_operator`` return +0.0 there.  An operator not
+    flagged ``homogeneous`` is refused.
+    """
+    if not op.homogeneous:
+        raise ValueError("operators are evaluated on the support box only, "
+                         "which needs a positively homogeneous operator")
     g = u.grid
     if derivs is None:
         derivs = fd_derivatives(u)
-    H = derivs.d2u.reshape(-1, g.n_space, g.n_space)
-    X = g.flat_nodes()
-    vals = op(H, X).reshape(g.shape)
+    box, H = derivs.box, derivs.box_d2u
+    X = _mesh([g.axis_nodes(ax)[s] for ax, s in enumerate(box)]).reshape(-1, g.ndim)
+    vals = derivs.padded(op(H.reshape(-1, g.n_space, g.n_space), X).reshape(H.shape[:-2]))
     if g.time_axis:
-        vals = derivs.dt + vals
+        vals[box] += derivs.box_dt
     return GridFunction(g, vals)
 
 
@@ -614,7 +668,7 @@ class ManufacturedFunction:
         dt = None
         if grid.time_axis:
             dt = np.zeros(grid.shape) if self.time is None else self._sample(grid, self.u, order=1)
-        return Derivatives(grid, du, d2u, dt)
+        return Derivatives(grid, (slice(None),) * grid.ndim, du, d2u, dt)
 
 
 def _bump_parts(s: np.ndarray):

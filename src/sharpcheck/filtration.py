@@ -6,13 +6,17 @@ along axis ``i`` has side ``2**(-n * k[i])`` for a fixed tuple of positive
 integer exponents ``k``; every level-``n`` cell is the disjoint union of
 ``N0 = 2**sum(k)`` level-``n+1`` cells.  Fields are piecewise constant on the
 finest cells, so conditional averages, threshold stopping times and stopped
-values are all exact block operations on the finest grid.
+values are all exact block operations on the finest grid.  A field's values
+are immutable, so it keeps each level's cell means once computed, and the
+stopping time, the stopped values and the maximal function of one field
+average each level once.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,21 +178,35 @@ class Filtration:
 
 @dataclass
 class DiscreteField:
-    """Piecewise-constant function on the finest cells of a filtration."""
+    """Piecewise-constant function on the finest cells of a filtration.
+
+    The field holds its values read-only, copied unless they come as a
+    read-only array that owns its memory, so the caller's array is left as
+    it was; it keeps each level's cell means once computed
+    (:func:`level_means`)."""
 
     filtration: Filtration
     values: np.ndarray
+    _means: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        # a writable array, or a view of one, could change behind the means
+        shared = values.flags.writeable or values.base is not None
+        self.values = np.array(values, dtype=np.float64, copy=True if shared else None)
         if self.values.shape != self.filtration.shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.filtration.shape}")
+        self.values.flags.writeable = False
 
     def integral(self) -> float:
         return float(self.values.sum() * self.filtration.finest_volume)
 
     def __abs__(self) -> "DiscreteField":
+        """``|f|``: ``f`` itself, cached means included, when no value has its
+        sign bit set."""
+        if not np.signbit(self.values).any():
+            return self
         return DiscreteField(self.filtration, np.abs(self.values))
 
 
@@ -198,11 +216,12 @@ def _require_same(a: Filtration, b: Filtration):
 
 
 def _block_mean(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    # the sum and the division of ndarray.mean, bit for bit, without its wrapper
     shape = []
     for size, f in zip(values.shape, factors):
         shape.extend((size // f, f))
     view = values.reshape(shape)
-    return view.mean(axis=tuple(range(1, 2 * len(factors), 2)))
+    return np.add.reduce(view, axis=tuple(range(1, 2 * len(factors), 2))) / math.prod(factors)
 
 def _block_expand(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     out = values
@@ -212,10 +231,20 @@ def _block_expand(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def level_means(f: DiscreteField, n: int) -> np.ndarray:
+    """Read-only mean of ``f`` over each level-``n`` cell, one entry per cell;
+    computed once per field and level."""
+    means = f._means.get(n)
+    if means is None:
+        means = f._means[n] = _block_mean(f.values, f.filtration.block_factors(n))
+        means.flags.writeable = False
+    return means
+
+
 def level_average_values(f: DiscreteField, n: int) -> np.ndarray:
-    """Raw array of the level-n conditional average, expanded to the finest grid."""
-    factors = f.filtration.block_factors(n)
-    return _block_expand(_block_mean(f.values, factors), factors)
+    """Raw array of the level-n conditional average, expanded to the finest
+    grid (read-only at the finest level)."""
+    return _block_expand(level_means(f, n), f.filtration.block_factors(n))
 
 
 def conditional_average(f: DiscreteField, n: int) -> DiscreteField:
@@ -281,13 +310,10 @@ def cz_stopping_time(g: DiscreteField, lam: float) -> StoppingTime:
         raise ValueError("threshold scan expects a nonnegative field")
     filt = g.filtration
     tau = np.full(filt.shape, TAU_INF, dtype=np.int64)
-    coarse_max = None
     for n in filt.levels:
-        avg = level_average_values(g, n)
-        if n == filt.spec.n_min:
-            coarse_max = float(avg.max())
-        hit = (avg > lam) & (tau == TAU_INF)
+        hit = (level_average_values(g, n) > lam) & (tau == TAU_INF)
         tau[hit] = n
+    coarse_max = float(level_means(g, filt.spec.n_min).max())
     return StoppingTime(filt, tau, coarsest_average_max=coarse_max)
 
 
@@ -377,4 +403,4 @@ def field_from_binary(filt: Filtration, raw: bytes) -> DiscreteField:
     expected = int(np.prod(filt.shape))
     if values.size != expected:
         raise ValueError(f"binary field holds {values.size} values, grid needs {expected}")
-    return filt.field(values.reshape(filt.shape).copy())
+    return filt.field(values.reshape(filt.shape))

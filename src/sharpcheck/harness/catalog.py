@@ -19,11 +19,15 @@ Conventions shared by all entries:
   covers the manufactured support plus a collar.
 
 The finite-difference entries take their grid, input samples, operator image
-and derivative magnitudes from ``_fields``.  Inside ``run_suite`` (see
-``shared_fields``) entries with one recipe share these sets: each is computed
-once, handed out read-only, and kept only while its recipe is the most
-recently requested one.  A set depends on nothing but its recipe and
-spacing, so a report is the same whether its sets were shared or not.
+and derivative magnitudes from ``_fields``.  A set is computed on the input's
+support box (``calculus.support_box``) and holds +0.0 at every other node:
+the derivatives vanish there, and so does the operator image, since every
+``build_operator`` kind is positively homogeneous, so ``F(0, x) = 0``.
+Inside ``run_suite`` (see ``shared_fields``) entries with one recipe share
+these sets: each is computed once, handed out read-only, and kept only while
+its recipe is the most recently requested one.  A set depends on nothing but
+its recipe and spacing, so a report is the same whether its sets were shared
+or not.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from ..calculus import (
     sum_of_squares,
     with_time_profile,
 )
-from ..filtration import Filtration, full_space, level_average_values
+from ..filtration import Filtration, full_space, level_means
 from ..operators import (
     dyadic_maximal,
     dyadic_sharp,
@@ -169,7 +173,10 @@ def _grid(lo, hi, h: float, **kw):
 
 
 def build_operator(params: dict):
-    """Operator factory shared by all PDE entries."""
+    """Operator factory shared by all PDE entries.  Every kind is positively
+    homogeneous and returns +0.0 at the zero Hessian, the premise of
+    evaluating operators on the support box only
+    (``calculus.evaluate_operator``)."""
     kind = params["operator"]
     delta = float(params["delta"])
     check_delta(delta)
@@ -244,10 +251,16 @@ def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None)
 def _field_set(params, h, lo, hi, mf, time_axis, half_axis):
     grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
     u, derivs, fv = _operator_image(params, grid, mf)
-    fields = (grid, u, fv, frobenius(derivs.d2u), euclidean(derivs.du))
+    fields = (grid, u, fv) + _magnitudes(derivs)
     for arr in (u.values,) + fields[2:]:
         arr.flags.writeable = False
     return fields
+
+
+def _magnitudes(derivs):
+    """Hessian and gradient magnitudes, taken on the derivatives' support box;
+    +0.0 at every other node."""
+    return derivs.padded(frobenius(derivs.box_d2u)), derivs.padded(euclidean(derivs.box_du))
 
 
 def _integral(arr, mass) -> float:
@@ -347,7 +360,7 @@ def _gradient_interpolation(equation, p, inner, outer, d2, d1, uu, c2, c0,
 def _mixed_absorbed(equation, grid, spec, orders, defect, notes=None) -> EquationCheck:
     """Iterated norm of the derivative orders by that of the absorbed defect."""
     return EquationCheck(equation, mixed_norm(GridFunction(grid, orders), spec),
-                         (mixed_norm(GridFunction(grid, np.abs(defect)), spec),),
+                         (mixed_norm(GridFunction(grid, defect), spec),),
                          notes or {})
 
 
@@ -479,7 +492,7 @@ def _run_fs_local(params, h, seed):
     j_term = float(((sharp + capped) ** p * mass).sum())
     gb = gamma * beta
     rhs = i_term ** ((p - gb) / p) * j_term ** (gb / p)
-    coarse = float(level_average_values(filt.field(np.abs(u.values)), filt.spec.n_min).max())
+    coarse = float(level_means(abs(u), filt.spec.n_min).max())
     notes = {
         "coarsest_average": coarse,
         "beta_type_constant": beta_type_constant(w, beta, filt),
@@ -524,7 +537,8 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
     xip = xi / (xi - 1.0)
     family = family_for_grid(grid, radii=_osc_radii(grid, rho))
 
-    sharp = geometric_sharp(GridFunction(grid, derivs.d2u), family, gamma, rho,
+    d2u = derivs.d2u
+    sharp = geometric_sharp(GridFunction(grid, d2u), family, gamma, rho,
                             pair_budget=int(params["pair_budget"]), seed=seed)
     amp = nu ** (amp_power / gamma)
     t_f = amp * geometric_maximal(
@@ -532,7 +546,7 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
     t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
-        GridFunction(grid, power(frobenius(derivs.d2u), ed)), family).values ** (1.0 / ed)
+        GridFunction(grid, power(frobenius(d2u), ed)), family).values ** (1.0 / ed)
     extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled)}
     return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
 
@@ -656,9 +670,7 @@ def _run_interp_local(params, h, seed):
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
     grid = _grid((-1.0,) * d, (1.0,) * d, h)
     u = mf.on_grid(grid)
-    derivs = fd_derivatives(u)
-    d2 = frobenius(derivs.d2u)
-    d1 = euclidean(derivs.du)
+    d2, d1 = _magnitudes(fd_derivatives(u))
     uu = np.abs(u.values)
     p, q, rho, eps = (float(params[k]) for k in ("p", "q", "rho", "eps"))
     r, R = float(params["r"]), float(params["R"])

@@ -176,11 +176,11 @@ def _window(grid: Grid, family: GeometricFamily, r: float):
     window = family._windows.get((grid, r))
     if window is None:
         mask = _shape_offsets(grid, family, r)
-        counts = _window_reduce(np.ones(grid.shape), mask, grid.time_axis, np.add)
+        plan = _reduce_plan(mask, grid.time_axis, grid.shape)
+        counts = _reduce(np.ones(grid.shape), plan, np.add)
         mask.flags.writeable = counts.flags.writeable = False
         window = family._windows[(grid, r)] = (
-            mask, counts, _reduce_plan(mask, grid.time_axis, grid.shape),
-            _reduce_plan(np.flip(mask), grid.time_axis, grid.shape))
+            mask, counts, plan, _reduce_plan(np.flip(mask), grid.time_axis, grid.shape))
     return window
 
 
@@ -263,12 +263,6 @@ def _reduce(values: np.ndarray, plan: _ReducePlan, op) -> np.ndarray:
             view = out[dst]
             op(view, run, out=view)
     return out[tuple(map(slice, pads, np.add(pads, lead))) + (slice(n),)]
-
-
-def _window_reduce(values: np.ndarray, mask: np.ndarray, time_axis: bool, op) -> np.ndarray:
-    """``out[c] = op`` over offsets ``o`` in ``mask`` (about its middle node)
-    of ``values[c + o]``: one plan and one reduction."""
-    return _reduce(values, _reduce_plan(mask, time_axis, values.shape), op)
 
 
 def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> list[float]:

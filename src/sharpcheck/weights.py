@@ -364,7 +364,7 @@ def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
             mass = _node_mass_1d(grid, ax, w)
             shape = [1] * tmp.ndim
             shape[remaining.index(ax)] = mass.size
-            tmp = tmp * mass.reshape(shape)
+            tmp *= mass.reshape(shape)
         arr = power(tmp.sum(axis=tuple(loc)), 1.0 / p)
         for ax in spec.groups[gi]:
             remaining.remove(ax)

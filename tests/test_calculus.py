@@ -269,6 +269,160 @@ class TestFiniteDifferences:
             ca.fd_derivatives(ca.GridFunction(g, np.zeros(2)))
 
 
+# ---------------------------------------------------------------------------
+# the support box against differencing the whole grid
+
+def whole_grid_diff1(values, axis, h):
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def whole_grid_diff2(values, axis, h):
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    if len(v) >= 4:
+        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
+        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+    else:
+        out[0] = out[-1] = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def whole_grid_derivatives(u):
+    # (du, d2u, dt) with every node of the grid differenced
+    g, sp = u.grid, u.grid.space_axes
+    du = np.empty(g.shape + (len(sp),))
+    d2u = np.empty(g.shape + (len(sp), len(sp)))
+    for a, ax in enumerate(sp):
+        du[..., a] = whole_grid_diff1(u.values, ax, g.spacing(ax))
+        d2u[..., a, a] = whole_grid_diff2(u.values, ax, g.spacing(ax))
+    for a in range(len(sp)):
+        for b in range(a + 1, len(sp)):
+            d2u[..., a, b] = d2u[..., b, a] = whole_grid_diff1(
+                np.ascontiguousarray(du[..., a]), sp[b], g.spacing(sp[b]))
+    dt = whole_grid_diff1(u.values, 0, g.spacing(0)) if g.time_axis else None
+    return du, d2u, dt
+
+
+def whole_grid_operator_image(op, u):
+    # F at every node, with the grid's flat nodes, plus the time derivative
+    g = u.grid
+    _, d2u, dt = whole_grid_derivatives(u)
+    fv = op(d2u.reshape(-1, g.n_space, g.n_space), g.flat_nodes()).reshape(g.shape)
+    return fv if dt is None else dt + fv
+
+
+def catalog_operators(d):
+    from sharpcheck.harness.catalog import build_operator
+    return [build_operator({"operator": kind, "delta": 0.4, "d": d})
+            for kind in ("linear", "pucci", "bellman")]
+
+
+def assert_whole_grid_bits(u):
+    d = ca.fd_derivatives(u)
+    du, d2u, dt = whole_grid_derivatives(u)
+    assert d.du.tobytes() == du.tobytes()
+    assert d.d2u.tobytes() == d2u.tobytes()
+    assert (d.dt is None) == (dt is None)
+    if dt is not None:
+        assert d.dt.tobytes() == dt.tobytes()
+    for op in catalog_operators(u.grid.n_space):
+        got = ca.evaluate_operator(op, u, d).values
+        assert got.tobytes() == whole_grid_operator_image(op, u).tobytes()
+    return d
+
+
+class TestSupportBox:
+
+    @pytest.mark.parametrize("gap", range(7))
+    def test_support_near_the_faces_equals_whole_grid(self, gap):
+        # support gap nodes from the lower face of axis 0 and the upper face
+        # of axis 1: up to 3 nodes away the faces' one-sided stencils read it
+        g = ca.box_grid((0.0, -1.0), (1.0, 1.0), (20, 17))
+        vals = np.zeros(g.shape)
+        vals[gap:gap + 5, 17 - gap - 6:17 - gap] = np.random.default_rng(gap).normal(size=(5, 6))
+        d = assert_whole_grid_bits(ca.GridFunction(g, vals))
+        assert d.box == (slice(max(gap - 4, 0), gap + 9), slice(17 - gap - 10, min(21 - gap, 17)))
+
+    def test_time_grid_equals_whole_grid(self):
+        mf = ca.with_time_profile(ca.manufactured("bump", 2, radius=0.6), "bump",
+                                  t_center=0.5, t_radius=0.3)
+        g = ca.box_grid((0.0, -1.0, -1.0), (1.0, 1.0, 1.0), (21, 25, 25), time_axis=True)
+        d = assert_whole_grid_bits(mf.on_grid(g))
+        # support t in (0.2, 0.8), |x| < 0.6: nodes 5..15 and 5..19, widened by 4
+        assert d.box == (slice(1, 20), slice(1, 24), slice(1, 24))
+        assert d.box_d2u.shape == (19, 23, 23, 2, 2) and d.box_dt.shape == (19, 23, 23)
+
+    def test_full_support_box_is_the_grid(self):
+        g = ca.box_grid((-1.0, -1.0), (1.0, 1.0), (21, 25))
+        d = assert_whole_grid_bits(ca.manufactured("gaussian", 2, sigma=0.5).on_grid(g))
+        assert d.box == (slice(0, 21), slice(0, 25))
+
+    @pytest.mark.parametrize("time_axis", [False, True])
+    def test_zero_input_is_positive_zero_everywhere(self, time_axis):
+        g = ca.box_grid((0.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 6, 7), time_axis=time_axis)
+        u = ca.GridFunction(g, np.zeros(g.shape))
+        d = assert_whole_grid_bits(u)
+        assert d.box == (slice(0, 0),) * 3 and d.box_d2u.size == 0
+        arrays = [d.du, d.d2u] + ([d.dt] if time_axis else [])
+        arrays += [ca.evaluate_operator(op, u, d).values for op in catalog_operators(g.n_space)]
+        for arr in arrays:
+            assert arr.shape[:3] == g.shape
+            assert not arr.any() and not np.signbit(arr).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_catalog_operators_vanish_at_zero_hessians(self, d):
+        # the premise of evaluating only the support box: F(0, x) = +0.0
+        X = np.random.default_rng(d).uniform(-1.0, 1.0, size=(9, d))
+        for op in catalog_operators(d):
+            out = op(np.zeros((9, d, d)), X)
+            assert out.shape == (9,) and not out.any() and not np.signbit(out).any()
+
+    def test_non_homogeneous_operator_is_refused(self):
+        # F(0, x) = 1 would be +0.0 off the support box instead
+        g = ca.box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
+        u = ca.manufactured("bump", 2, radius=0.5).on_grid(g)
+        op = ca.tabulated_operator(lambda H, X: 3.0 * np.einsum("nii->n", H) + 1.0,
+                                   delta=0.5, homogeneous=False)
+        with pytest.raises(ValueError, match="positively homogeneous"):
+            ca.evaluate_operator(op, u)
+
+    def test_field_sets_equal_whole_grid_reference(self, monkeypatch):
+        # every _fields recipe of the catalog, at its entry's two coarsest
+        # steps: u, fv, d2 and d1 as the whole-grid computation gives them
+        from sharpcheck.harness import EstimateSpec, catalog, run_estimate_check
+        calls = []
+        field_set = catalog._field_set
+
+        def spy(*args):
+            calls.append((args, field_set(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(catalog, "_field_set", spy)
+        for entry in catalog.ENTRIES.values():
+            if entry.ladder_kind == "spacing":
+                run_estimate_check(EstimateSpec(id=entry.id, ladder=entry.ladder[:2]))
+        kinds = set()
+        for (params, h, lo, hi, mf, time_axis, half_axis), fields in calls:
+            grid, u, fv, d2, d1 = fields
+            want = mf.on_grid(catalog._grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis))
+            du, d2u, _ = whole_grid_derivatives(want)
+            assert u.values.tobytes() == want.values.tobytes()
+            assert fv.tobytes() == whole_grid_operator_image(
+                catalog.build_operator(params), want).tobytes()
+            assert d2.tobytes() == ca.frobenius(d2u).tobytes()
+            assert d1.tobytes() == ca.euclidean(du).tobytes()
+            kinds.add((mf.key[0][0] if time_axis else mf.key[0], time_axis, half_axis))
+        assert len(calls) >= 36 and len(kinds) >= 6
+        assert {(t, hf is not None) for _, t, hf in kinds} == {
+            (False, False), (False, True), (True, False), (True, True)}
+
+
 class TestPucci:
     def test_frozen_indefinite_instance(self):
         M = np.diag([1.0, -1.0])

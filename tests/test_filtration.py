@@ -104,6 +104,81 @@ class TestConditionalAverage:
             assert np.isclose(avg.integral(), f.integral(), rtol=1e-12, atol=1e-12)
 
 
+class TestLevelCache:
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_block_mean_equals_ndarray_mean_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        factors = tuple(int(2 ** rng.integers(0, 3)) for _ in range(int(rng.integers(1, 4))))
+        shape = tuple(f * int(rng.integers(1, 4)) for f in factors)
+        vals = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        kind = rng.integers(0, 4, size=shape)
+        vals[kind == 1] = -0.0
+        vals[kind == 2] = rng.integers(-9, 10, size=int((kind == 2).sum())) * 5e-324
+        view_shape = [v for size, f in zip(shape, factors) for v in (size // f, f)]
+        want = vals.reshape(view_shape).mean(axis=tuple(range(1, 2 * len(shape), 2)))
+        assert fl._block_mean(vals, factors).tobytes() == want.tobytes()
+
+    def test_cached_means_equal_fresh_ones(self):
+        filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
+        f = filt.field(np.random.default_rng(5).normal(size=filt.shape))
+        for _ in range(2):
+            for n in filt.levels:
+                fresh = filt.field(f.values.copy())
+                factors = filt.block_factors(n)
+                want = fl._block_expand(fl._block_mean(f.values, factors), factors)
+                assert fl.level_means(f, n) is fl.level_means(f, n)
+                assert fl.level_average_values(f, n).tobytes() == want.tobytes()
+                assert fl.level_average_values(fresh, n).tobytes() == want.tobytes()
+
+    def test_abs_is_the_field_itself_unless_a_sign_bit_is_set(self):
+        filt = unit_line()
+        f = filt.field([0.0, 1.0, 2.0, 3.0])
+        assert abs(f) is f
+        for vals in ([0.0, -0.0, 2.0, 3.0], [0.0, 1.0, -2.0, 3.0]):
+            g = filt.field(vals)
+            a = abs(g)
+            assert a is not g and not np.signbit(a.values).any()
+            assert np.array_equal(a.values, np.abs(vals))
+
+    def test_values_and_means_are_read_only(self):
+        filt = unit_line()
+        f = filt.field(np.arange(4.0))
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fl.level_means(f, -1)[0] = 1.0
+
+    def test_values_are_copied_unless_read_only_and_owned(self):
+        # writing through the caller's array or its base leaves the field
+        # and its means as they were
+        filt = unit_line()
+        base = np.arange(8.0)
+        f = filt.field(base[:4])
+        means = fl.level_means(f, -1).copy()
+        base[:4] = 10.0
+        assert base.flags.writeable and f.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert fl.level_means(f, -1).tobytes() == means.tobytes()
+        assert fl.level_means(filt.field(f.values.copy()), -1).tobytes() == means.tobytes()
+        owned = np.arange(4.0)
+        owned.flags.writeable = False
+        assert filt.field(owned).values is owned
+
+    def test_identity_suite_averages_each_level_once_per_field(self, monkeypatch):
+        # the stopping time, both stopped values, the maximal function of g
+        # and the threshold's coarse maximum share each field's means
+        from sharpcheck.harness.identity import exact_identity_suite
+        block_mean, seen = fl._block_mean, []
+
+        def spy(values, factors):
+            seen.append((values.tobytes(), factors))
+            return block_mean(values, factors)
+
+        monkeypatch.setattr(fl, "_block_mean", spy)
+        exact_identity_suite(seed=3, n_instances=20)
+        assert len(seen) > 60 and len(set(seen)) == len(seen)
+
+
 class TestStoppingTime:
     def g_example(self):
         filt = unit_line()

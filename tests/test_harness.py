@@ -511,6 +511,22 @@ class TestSharedFields:
         assert catalog._SHARED.get() is None
         assert catalog._para_fields(para, 0.1) is not catalog._para_fields(para, 0.1)
 
+    def test_para_global_finest_set_peaks_below_ten_node_arrays(self):
+        # PARA-GLOBAL's set at h = 0.025, 65 x 113 x 113 nodes: the input, its
+        # derivatives and the operator's points on the support box (about
+        # half the grid) and the four arrays kept peak at 8 node arrays;
+        # differencing and evaluating every node peaked at 13
+        para = ENTRIES["PARA-GLOBAL"].merged({})
+        catalog._para_fields(para, 0.1)
+        tracemalloc.start()
+        try:
+            grid = catalog._para_fields(para, 0.025)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (65, 113, 113)
+        assert peak < 10 * 8 * math.prod(grid.shape)
+
     def test_three_entries_in_one_call_peak_within_one_alone(self):
         # PARA-GLOBAL, PARA-APRIORI and PARA-MIXED share every set.  Together
         # they peak no higher than PARA-GLOBAL alone outside run_suite, where

@@ -35,7 +35,6 @@ from sharpcheck.operators import (
     _pair_windows,
     _radius_subset,
     _shape_offsets,
-    _window_reduce,
 )
 
 
@@ -280,6 +279,12 @@ class TestGeometricMaximal:
 
 # ---------------------------------------------------------------------------
 # exact primitives: one window reduction for covering maxima and window sums
+
+def _window_reduce(values, mask, time_axis, op):
+    # out[c] = op over offsets o in mask (about its middle node) of
+    # values[c + o]: one plan and one reduction
+    return operators._reduce(values, operators._reduce_plan(mask, time_axis, values.shape), op)
+
 
 def brute_covering_max(per_center, mask):
     # out[x] = max of per_center[c] over the centers c whose shape c + mask
@@ -730,12 +735,12 @@ class TestGeometricSharp:
         other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
                           time_axis=grid.time_axis, half_axis=grid.half_axis)
         counted = []
-        reduce = operators._window_reduce
+        reduce = operators._reduce
 
-        def spy(values, mask, time_axis, op):
+        def spy(values, plan, op):
             if op is np.add and values.dtype == np.float64 and (values == 1.0).all():
                 counted.append(values.shape)
-            return reduce(values, mask, time_axis, op)
+            return reduce(values, plan, op)
 
         fam = GeometricFamily(shape, radii)
         rng = np.random.default_rng(11)
@@ -746,33 +751,26 @@ class TestGeometricSharp:
                      lambda fam: geometric_maximal(f, fam),
                      lambda fam: geometric_maximal(GridFunction(g, f.values ** 2), fam)]
             want = [call(GeometricFamily(shape, radii)).values for call in chain]
-            monkeypatch.setattr(operators, "_window_reduce", spy)
+            monkeypatch.setattr(operators, "_reduce", spy)
             got = [call(fam).values for call in chain]
-            monkeypatch.setattr(operators, "_window_reduce", reduce)
+            monkeypatch.setattr(operators, "_reduce", reduce)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         assert counted == [grid.shape] * len(radii) + [other.shape] * len(radii)
 
     @pytest.mark.parametrize("case", sorted(SHARP_CASES))
     def test_reduction_plans_once_per_family_and_grid(self, case, monkeypatch):
         # OSC's call chain on one family plans each radius's mask and its
-        # reflection once per grid, outside the count reductions, and gives
-        # the outputs of a fresh family per call; another grid plans again
+        # reflection once per grid, node counts included, and gives the
+        # outputs of a fresh family per call; another grid plans again
         grid, shape, radii = SHARP_CASES[case]
         other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
                          time_axis=grid.time_axis, half_axis=grid.half_axis)
-        planned, counting = [], []
-        plan, reduce = operators._reduce_plan, operators._window_reduce
+        planned = []
+        plan = operators._reduce_plan
 
         def plan_spy(mask, time_axis, shape):
-            if not counting:
-                planned.append((shape, mask.shape, mask.tobytes()))
+            planned.append((shape, mask.shape, mask.tobytes()))
             return plan(mask, time_axis, shape)
-
-        def reduce_spy(*args):
-            counting.append(args)
-            out = reduce(*args)
-            counting.pop()
-            return out
 
         fam = GeometricFamily(shape, radii)
         rng = np.random.default_rng(13)
@@ -785,10 +783,8 @@ class TestGeometricSharp:
                      lambda fam: geometric_maximal(GridFunction(g, f.values ** 2), fam)]
             want = [call(GeometricFamily(shape, radii)).values for call in chain]
             monkeypatch.setattr(operators, "_reduce_plan", plan_spy)
-            monkeypatch.setattr(operators, "_window_reduce", reduce_spy)
             got = [call(fam).values for call in chain]
             monkeypatch.setattr(operators, "_reduce_plan", plan)
-            monkeypatch.setattr(operators, "_window_reduce", reduce)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
             for r in radii:
                 mask = _shape_offsets(g, fam, r)
