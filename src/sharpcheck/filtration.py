@@ -10,6 +10,12 @@ values are all exact block operations on the finest grid.  A field's values
 are immutable, so it keeps each level's cell means once computed, and the
 stopping time, the stopped values and the maximal function of one field
 average each level once.
+
+A field may carry leading batch axes, one instance per index, so that many
+fields on one filtration go through a single call: the level means, the
+stopping time, the stopped values and the maximal function act on the
+trailing grid axes, and each instance's result equals its own call's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -183,7 +189,8 @@ class DiscreteField:
     The field holds its values read-only, copied unless they come as a
     read-only array that owns its memory, so the caller's array is left as
     it was; it keeps each level's cell means once computed
-    (:func:`level_means`)."""
+    (:func:`level_means`).  The values have shape ``batch + grid``: leading
+    batch axes, empty for a single field, hold independent instances."""
 
     filtration: Filtration
     values: np.ndarray
@@ -194,13 +201,17 @@ class DiscreteField:
         # a writable array, or a view of one, could change behind the means
         shared = values.flags.writeable or values.base is not None
         self.values = np.array(values, dtype=np.float64, copy=True if shared else None)
-        if self.values.shape != self.filtration.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.filtration.shape}")
+        _check_grid(self.values, self.filtration, "values")
         self.values.flags.writeable = False
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.filtration.finest_volume)
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.values.shape[:self.values.ndim - self.filtration.ndim]
+
+    def integral(self):
+        """Integral of each instance: a float, or an array of the batch shape."""
+        total = self.values.sum(axis=_cell_axes(self.values, self.filtration))
+        return _per_instance(total * self.filtration.finest_volume)
 
     def __abs__(self) -> "DiscreteField":
         """``|f|``: ``f`` itself, cached means included, when no value has its
@@ -210,30 +221,47 @@ class DiscreteField:
         return DiscreteField(self.filtration, np.abs(self.values))
 
 
+def _cell_axes(values: np.ndarray, filt: Filtration) -> tuple[int, ...]:
+    return tuple(range(values.ndim - filt.ndim, values.ndim))
+
+
+def _check_grid(values: np.ndarray, filt: Filtration, what: str):
+    if values.shape[max(values.ndim - filt.ndim, 0):] != filt.shape:
+        raise ValueError(f"{what} shape {values.shape} does not match grid {filt.shape}")
+
+
+def _per_instance(x):
+    # a float for a single instance, the array for a batch
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _require_same(a: Filtration, b: Filtration):
     if a is not b and a.spec != b.spec:
         raise ValueError("fields live on different filtrations")
 
 
 def _block_mean(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
-    # the sum and the division of ndarray.mean, bit for bit, without its wrapper
-    shape = []
-    for size, f in zip(values.shape, factors):
+    # the sum and the division of ndarray.mean, bit for bit, without its
+    # wrapper, over blocks of the trailing axes
+    lead = values.ndim - len(factors)
+    shape = list(values.shape[:lead])
+    for size, f in zip(values.shape[lead:], factors):
         shape.extend((size // f, f))
     view = values.reshape(shape)
-    return np.add.reduce(view, axis=tuple(range(1, 2 * len(factors), 2))) / math.prod(factors)
+    return np.add.reduce(view, axis=tuple(range(lead + 1, len(shape), 2))) / math.prod(factors)
+
 
 def _block_expand(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     out = values
-    for ax, f in enumerate(factors):
+    for ax, f in enumerate(factors, values.ndim - len(factors)):
         if f > 1:
             out = np.repeat(out, f, axis=ax)
     return out
 
 
 def level_means(f: DiscreteField, n: int) -> np.ndarray:
-    """Read-only mean of ``f`` over each level-``n`` cell, one entry per cell;
-    computed once per field and level."""
+    """Read-only mean of ``f`` over each level-``n`` cell, one entry per cell
+    and instance; computed once per field and level."""
     means = f._means.get(n)
     if means is None:
         means = f._means[n] = _block_mean(f.values, f.filtration.block_factors(n))
@@ -266,18 +294,20 @@ def cell_blocks(values: np.ndarray, filt: Filtration, n: int) -> np.ndarray:
 class StoppingTime:
     """Level at which a scan stopped, per finest cell; ``TAU_INF`` = never.
 
-    ``{tau = n}`` must be a union of level-``n`` cells; :meth:`is_valid`
-    checks exactly that together with the range constraint.
+    ``tau`` has the shape ``batch + grid`` of the scanned field, and
+    ``coarsest_average_max`` holds one value per instance (a float for a
+    single field).  In every instance ``{tau = n}`` must be a union of
+    level-``n`` cells; :meth:`is_valid` checks exactly that together with the
+    range constraint.
     """
 
     filtration: Filtration
     tau: np.ndarray
-    coarsest_average_max: float | None = None
+    coarsest_average_max: float | np.ndarray | None = None
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=np.int64)
-        if self.tau.shape != self.filtration.shape:
-            raise ValueError("tau shape does not match the filtration grid")
+        _check_grid(self.tau, self.filtration, "tau")
 
     def finite_mask(self) -> np.ndarray:
         return self.tau != TAU_INF
@@ -299,32 +329,43 @@ class StoppingTime:
 def cz_stopping_time(g: DiscreteField, lam: float) -> StoppingTime:
     """First level whose cell average of ``g`` exceeds ``lam`` (strictly).
 
-    Scans the level range ascending from the coarsest level.  Levels below
-    the range are not scanned; the maximum coarsest-level average is recorded
-    on the result so callers can check the truncation premise ``lam`` >= that
-    value before relying on the stopped-average bound.
+    Scans the level range from the coarsest level.  Levels below the range
+    are not scanned; the maximum coarsest-level average is recorded on the
+    result so callers can check the truncation premise ``lam`` >= that value
+    before relying on the stopped-average bound.  ``lam`` is a scalar or holds
+    one threshold per instance of a batched ``g``.
     """
-    if lam <= 0:
+    lam = np.asarray(lam, dtype=np.float64)
+    if not (lam > 0).all():
         raise ValueError(f"threshold must be positive, got {lam}")
-    if np.any(g.values < 0):
+    if lam.shape not in ((), g.batch_shape):
+        raise ValueError(f"threshold shape {lam.shape} does not match batch {g.batch_shape}")
+    if not (g.values >= 0).all():
         raise ValueError("threshold scan expects a nonnegative field")
     filt = g.filtration
-    tau = np.full(filt.shape, TAU_INF, dtype=np.int64)
-    for n in filt.levels:
-        hit = (level_average_values(g, n) > lam) & (tau == TAU_INF)
-        tau[hit] = n
-    coarse_max = float(level_means(g, filt.spec.n_min).max())
+    lam = lam.reshape(lam.shape + (1,) * filt.ndim)
+    tau = np.full(g.values.shape, TAU_INF, dtype=np.int64)
+    # finest level first, so each cell ends with the coarsest level that hit
+    for n in reversed(filt.levels):
+        tau[_block_expand(level_means(g, n) > lam, filt.block_factors(n))] = n
+    coarse = level_means(g, filt.spec.n_min)
+    coarse_max = _per_instance(coarse.max(axis=_cell_axes(coarse, filt)))
     return StoppingTime(filt, tau, coarsest_average_max=coarse_max)
 
 
 def stopped_value(f: DiscreteField, st: StoppingTime) -> DiscreteField:
-    """``f`` averaged at the stopping level; ``f`` itself where never stopped."""
+    """``f`` averaged at the stopping level; ``f`` itself where never stopped.
+    ``f`` and ``st`` share one batch shape, and ``st`` stops only at levels
+    of the filtration's range (:meth:`StoppingTime.is_valid`)."""
     _require_same(f.filtration, st.filtration)
+    if f.values.shape != st.tau.shape:
+        raise ValueError(f"field shape {f.values.shape} does not match tau {st.tau.shape}")
     out = f.values.copy()
-    finite = st.finite_mask()
-    for n in np.unique(st.tau[finite]):
+    for n in f.filtration.levels:
         mask = st.tau == n
-        out[mask] = level_average_values(f, int(n))[mask]
+        if mask.any():
+            np.copyto(out, level_average_values(f, n), where=mask)
+    out.flags.writeable = False  # owned, so the field keeps it without a copy
     return DiscreteField(f.filtration, out)
 
 

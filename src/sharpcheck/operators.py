@@ -42,13 +42,14 @@ _MAX_PAIR_TERMS = 2 ** 31
 
 def dyadic_maximal(f: DiscreteField, m: int | None = None) -> DiscreteField:
     """Pointwise sup of ``|f|`` cell averages over levels ``<= m``
-    (the whole materialized range when ``m`` is absent)."""
+    (the whole materialized range when ``m`` is absent), per instance of a
+    batched ``f``."""
     filt = f.filtration
     top = filt.spec.n_max if m is None else min(m, filt.spec.n_max)
     if top < filt.spec.n_min:
         raise ValueError(f"level cap {m} lies below the coarsest level {filt.spec.n_min}")
     absf = abs(f)
-    out = np.full(filt.shape, -np.inf)
+    out = np.full(f.values.shape, -np.inf)
     for n in range(filt.spec.n_min, top + 1):
         np.maximum(out, level_average_values(absf, n), out=out)
     return DiscreteField(filt, out)

@@ -309,7 +309,7 @@ def beta_type_constant(w, beta: float, filt: Filtration | None = None) -> float:
 
 def weighted_norm(f, p: float, w=None) -> float:
     """``L^p`` norm against the weight's mass; ``w=None`` is Lebesgue."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"exponent must be positive, got {p}")
     if isinstance(f, DiscreteField):
         mass = cell_masses(w, f.filtration) if w is not None \
@@ -340,7 +340,7 @@ class MixedNormSpec:
         flat = [ax for g in self.groups for ax in g]
         if len(set(flat)) != len(flat):
             raise ValueError("axis groups overlap")
-        if any(p < 1 for p in self.exponents):
+        if not all(p >= 1 for p in self.exponents):
             raise ValueError("mixed norms need exponents >= 1")
 
 

@@ -166,17 +166,34 @@ class TestLevelCache:
 
     def test_identity_suite_averages_each_level_once_per_field(self, monkeypatch):
         # the stopping time, both stopped values, the maximal function of g
-        # and the threshold's coarse maximum share each field's means
-        from sharpcheck.harness.identity import exact_identity_suite
-        block_mean, seen = fl._block_mean, []
+        # and the threshold's coarse maximum share each field's means: per
+        # group of instances on one filtration, g is averaged on every level
+        # and f on each level where some instance stopped
+        from sharpcheck.harness import identity
+        seed, n = 3, 20
+        levels = {}
+        for gi, geometry in enumerate(("full", "half", "parabolic")):
+            for i in range(n):
+                spec = identity._random_spec(np.random.default_rng([seed, gi, i]), geometry)
+                levels[gi, spec] = spec.n_max - spec.n_min + 1
+        block_mean, seen, stops = fl._block_mean, [], []
+        cz = identity.cz_stopping_time
 
         def spy(values, factors):
             seen.append((values.tobytes(), factors))
             return block_mean(values, factors)
 
+        def cz_spy(g, lam):
+            st_ = cz(g, lam)
+            stops.append(len(np.unique(st_.tau[st_.finite_mask()])))
+            return st_
+
         monkeypatch.setattr(fl, "_block_mean", spy)
-        exact_identity_suite(seed=3, n_instances=20)
-        assert len(seen) > 60 and len(set(seen)) == len(seen)
+        monkeypatch.setattr(identity, "cz_stopping_time", cz_spy)
+        identity.exact_identity_suite(seed=seed, n_instances=n)
+        assert len(stops) == len(levels)
+        assert len(seen) == sum(levels.values()) + sum(stops)
+        assert len(set(seen)) == len(seen)
 
 
 class TestStoppingTime:
@@ -244,6 +261,106 @@ class TestStoppingTime:
         filt = unit_line()
         with pytest.raises(ValueError, match="positive"):
             fl.cz_stopping_time(filt.field([1.0, 0, 0, 0]), 0.0)
+
+    def test_rejects_nan_threshold(self):
+        filt = unit_line()
+        g = filt.field([1.0, 0, 0, 0])
+        with pytest.raises(ValueError, match="positive"):
+            fl.cz_stopping_time(g, float("nan"))
+        batch = filt.field(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="positive"):
+            fl.cz_stopping_time(batch, np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(ValueError, match="batch"):
+            fl.cz_stopping_time(batch, np.ones(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            fl.cz_stopping_time(filt.field([np.nan, 1.0, 0, 0]), 0.5)
+
+
+def _random_batch(rng, spec, batch):
+    filt = fl.Filtration(spec)
+    f = filt.field(rng.standard_normal(batch + filt.shape))
+    g = filt.field(rng.random(batch + filt.shape))
+    lam = rng.uniform(0.3, 1.2, size=batch)
+    return filt, f, g, lam
+
+
+BATCH_SPECS = (
+    fl.full_space(2, -1, 1, (0.0, -2.0), (4.0, 2.0)),
+    fl.half_space(1, 0, 3, (0.0,), (2.0,)),
+    fl.parabolic(1, -1, 1, (0.0, 0.0), (16.0, 4.0)),
+)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.geometry)
+    def test_batch_equals_each_instance(self, spec, batch):
+        from sharpcheck.operators import dyadic_maximal
+        filt, f, g, lam = _random_batch(np.random.default_rng(11), spec, batch)
+        st_ = fl.cz_stopping_time(g, lam)
+        gs, fs, mg = fl.stopped_value(g, st_), fl.stopped_value(f, st_), dyadic_maximal(g)
+        assert st_.is_valid() and st_.coarsest_average_max.shape == batch
+        for idx in np.ndindex(*batch):
+            f1, g1 = filt.field(f.values[idx]), filt.field(g.values[idx])
+            one = fl.cz_stopping_time(g1, lam[idx])
+            for n in filt.levels:
+                assert fl.level_means(g, n)[idx].tobytes() == fl.level_means(g1, n).tobytes()
+                assert fl.level_means(f, n)[idx].tobytes() == fl.level_means(f1, n).tobytes()
+            assert st_.tau[idx].tobytes() == one.tau.tobytes()
+            assert st_.coarsest_average_max[idx] == one.coarsest_average_max
+            assert gs.values[idx].tobytes() == fl.stopped_value(g1, one).values.tobytes()
+            assert fs.values[idx].tobytes() == fl.stopped_value(f1, one).values.tobytes()
+            assert mg.values[idx].tobytes() == dyadic_maximal(g1).values.tobytes()
+            assert f.integral()[idx] == f1.integral()
+
+    def test_scalar_threshold_and_shape_checks(self):
+        filt, f, g, lam = _random_batch(np.random.default_rng(12), BATCH_SPECS[0], (4,))
+        st_ = fl.cz_stopping_time(g, 0.7)
+        assert st_.tau.tobytes() == fl.cz_stopping_time(g, np.full(4, 0.7)).tau.tobytes()
+        with pytest.raises(ValueError, match="does not match grid"):
+            filt.field(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="does not match tau"):
+            fl.stopped_value(filt.field(f.values[0]), st_)
+
+    def test_identity_residuals_do_not_depend_on_the_batch(self):
+        # permuting a batch permutes its residuals; changing one instance's
+        # threshold leaves every other instance's residuals as they were
+        from sharpcheck.harness.identity import check_instance
+        for spec in BATCH_SPECS:
+            filt, f, g, lam = _random_batch(np.random.default_rng(13), spec, (6,))
+            lam = lam + fl.cz_stopping_time(g, lam).coarsest_average_max
+            base = [_hexes(r) for r in check_instance(filt, f.values, g, lam)]
+            perm = np.random.default_rng(14).permutation(6)
+            moved = check_instance(filt, f.values[perm], filt.field(g.values[perm]), lam[perm])
+            assert [_hexes(r) for r in moved] == [base[j] for j in perm]
+            for scale in (0.5, 3.0):
+                other = lam.copy()
+                other[2] *= scale
+                changed = check_instance(filt, f.values, filt.field(g.values), other)
+                assert [_hexes(r) for k, r in enumerate(changed) if k != 2] == base[:2] + base[3:]
+
+    def test_identity_suite_matches_one_instance_batches(self, monkeypatch):
+        from sharpcheck.harness import identity
+        calls, check = [], identity.check_instance
+
+        def spy(filt, f_vals, g, lam):
+            res = check(filt, f_vals, g, lam)
+            calls.append((filt, f_vals, g.values, lam, res))
+            return res
+
+        monkeypatch.setattr(identity, "check_instance", spy)
+        for seed in range(3):
+            identity.exact_identity_suite(seed=seed, n_instances=200)
+        assert {c[0].spec.geometry for c in calls} == {"full", "half", "parabolic"}
+        assert sum(len(c[4]) for c in calls) == 3 * 3 * 200
+        for filt, f_vals, g_vals, lam, res in calls:
+            for j, batched in enumerate(res):
+                alone = check(filt, f_vals[j:j + 1], filt.field(g_vals[j:j + 1]), lam[j:j + 1])
+                assert _hexes(batched) == _hexes(alone[0])
+
+
+def _hexes(residuals: dict) -> dict:
+    return {k: float(v).hex() for k, v in residuals.items()}
 
 
 class TestStoppedValue:

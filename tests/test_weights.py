@@ -246,6 +246,11 @@ class TestWeightedNorm:
         with pytest.raises(ValueError, match="positive"):
             weighted_norm(GridFunction(grid, np.ones(9)), 0.0)
 
+    def test_nan_exponent_rejected(self):
+        grid = box_grid((0.0,), (1.0,), (9,))
+        with pytest.raises(ValueError, match="positive"):
+            weighted_norm(GridFunction(grid, np.ones(9)), float("nan"))
+
 
 class TestMixedNorm:
 
@@ -307,3 +312,7 @@ class TestMixedNorm:
                                         weights=(None, PowerX1(1.0, axis=0))))
         with pytest.raises(ValueError, match=">= 1"):
             MixedNormSpec(groups=((0,),), exponents=(0.5,))
+
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            MixedNormSpec(groups=((0,), (1,)), exponents=(2.0, float("nan")))
