@@ -6,8 +6,9 @@ second-order central stencils inside and second-order one-sided stencils at
 faces, so they are exact on quadratics.  They are taken only on the input's
 support box, its nonzero extent widened by a stencil halo, and are +0.0 at
 every other node; the operator image there is +0.0 too, by the premise
-``F(0, x) = 0`` that every positively homogeneous operator meets.  An
-operator is a callable on stacks of Hessians (and their points) with declared
+``F(0, x) = 0`` that every positively homogeneous operator meets, and is
+held on that box.  An operator is a callable on stacks of Hessians (and
+their per-axis coordinates) with declared
 ellipticity and Lipschitz bounds: linear trace forms, Bellman suprema over
 coefficient families, the extremal operators with eigenvalue bounds
 ``[delta, 1/delta]``, and tabulated callables.  The oscillation functional
@@ -71,21 +72,18 @@ class Grid:
     def axis_nodes(self, axis: int) -> np.ndarray:
         return np.linspace(self.lo[axis], self.hi[axis], self.shape[axis])
 
+    def coordinates(self, box: tuple[slice, ...] | None = None) -> tuple[np.ndarray, ...]:
+        """Per axis, ``axis_nodes`` sliced to ``box`` (the whole grid by
+        default) and shaped ``(1, ..., n, ..., 1)`` to broadcast to the box."""
+        return tuple(self.axis_nodes(ax)[s].reshape((1,) * ax + (-1,) + (1,) * (self.ndim - 1 - ax))
+                     for ax, s in enumerate(box or (slice(None),) * self.ndim))
+
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape ``(*shape, ndim)``."""
-        return _mesh([self.axis_nodes(ax) for ax in range(self.ndim)])
-
-    def flat_nodes(self) -> np.ndarray:
-        return self.nodes().reshape(-1, self.ndim)
-
-
-def _mesh(axes) -> np.ndarray:
-    """Coordinates of the tensor-product mesh of the 1-D ``axes``, shape
-    ``(*lengths, len(axes))``, filled one axis at a time by broadcasting."""
-    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
-    for ax, a in enumerate(axes):
-        out[..., ax] = a.reshape((-1,) + (1,) * (len(axes) - 1 - ax))
-    return out
+        out = np.empty(self.shape + (self.ndim,))
+        for ax, x in enumerate(self.coordinates()):
+            out[..., ax] = x
+        return out
 
 
 def box_grid(lo, hi, shape, time_axis=False, half_axis=None) -> Grid:
@@ -97,22 +95,32 @@ def box_grid(lo, hi, shape, time_axis=False, half_axis=None) -> Grid:
 class GridFunction:
     """Node samples of a function on a :class:`Grid`.
 
-    ``values`` may carry trailing channel axes beyond the grid shape
-    (vector or matrix valued samples).
+    ``values`` covers the nodes of ``box``, slices of the grid (the whole
+    grid by default), and may carry trailing channel axes (vector or matrix
+    valued samples); the function is +0.0 at every other node.  Differences
+    and geometric operators read whole-grid samples, as :meth:`padded`.
     """
 
     grid: Grid
     values: np.ndarray
+    box: tuple[slice, ...] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        g = self.grid.shape
+        self.box = self.box or tuple(slice(0, n) for n in self.grid.shape)
+        g = tuple(len(range(n)[s]) for n, s in zip(self.grid.shape, self.box))
         if self.values.shape[:len(g)] != g:
-            raise ValueError(f"values shape {self.values.shape} does not start with grid {g}")
+            raise ValueError(f"values shape {self.values.shape} does not start with box {g}")
 
     @property
     def channels(self) -> tuple[int, ...]:
         return self.values.shape[self.grid.ndim:]
+
+    def padded(self) -> np.ndarray:
+        """``values`` on the whole grid, +0.0 off ``box``."""
+        out = np.zeros(self.grid.shape + self.channels)
+        out[self.box] = self.values
+        return out
 
     def boundary_trace(self) -> np.ndarray:
         """Values on the clipped boundary face {coordinate = 0}."""
@@ -168,8 +176,8 @@ class Derivatives:
 
     They are held on ``box``, slices of the grid: ``box_du``, ``box_d2u`` and
     ``box_dt`` cover its nodes, and every other node's derivatives are +0.0.
-    ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, by
-    :meth:`padded`, which pads any array taken on the box."""
+    ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, for
+    readers of whole-grid arrays such as the geometric operators."""
 
     grid: Grid
     box: tuple[slice, ...]
@@ -177,17 +185,10 @@ class Derivatives:
     box_d2u: np.ndarray          # (*box shape, n_space, n_space), exactly symmetric
     box_dt: np.ndarray | None    # (*box shape) on time grids
 
-    def padded(self, arr: np.ndarray | None) -> np.ndarray | None:
-        """``arr``, given on ``box``, on the whole grid with +0.0 elsewhere."""
-        if arr is None:
-            return None
-        out = np.zeros(self.grid.shape + arr.shape[self.grid.ndim:])
-        out[self.box] = arr
-        return out
-
-    du = property(lambda self: self.padded(self.box_du))
-    d2u = property(lambda self: self.padded(self.box_d2u))
-    dt = property(lambda self: self.padded(self.box_dt))
+    du = property(lambda self: GridFunction(self.grid, self.box_du, self.box).padded())
+    d2u = property(lambda self: GridFunction(self.grid, self.box_d2u, self.box).padded())
+    dt = property(lambda self: None if self.box_dt is None
+                  else GridFunction(self.grid, self.box_dt, self.box).padded())
 
 
 def fd_derivatives(u: GridFunction) -> Derivatives:
@@ -201,9 +202,9 @@ def fd_derivatives(u: GridFunction) -> Derivatives:
     one-dimensional first differences, applied along distinct axes, so the
     Hessian is symmetric to the last bit.
     """
-    if u.channels:
-        raise ValueError("derivatives expect a scalar grid function")
     g = u.grid
+    if u.values.shape != g.shape:
+        raise ValueError("derivatives expect scalar samples on the whole grid")
     if min(g.shape) < 3:
         raise ValueError("finite differences need at least 3 nodes per axis")
     sp = g.space_axes
@@ -355,24 +356,21 @@ def pucci_extremal(H: np.ndarray, delta: float, side: str = "max") -> np.ndarray
     return out.reshape(H.shape[:-2])[()]
 
 
-def _trace_form(coeff, H: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A(x) : H`` for a constant ``(ds, ds)`` coefficient or a callable
-    returning one matrix per point."""
-    ds = H.shape[-1]
-    A = np.asarray(coeff(X) if callable(coeff) else coeff, dtype=np.float64)
-    if A.shape == (ds, ds):
-        A = np.broadcast_to(A, (X.shape[0], ds, ds))
-    if A.shape != (X.shape[0], ds, ds):
-        raise ValueError(f"coefficient evaluated to shape {A.shape}, expected (n, {ds}, {ds})")
-    return np.einsum("nij,nij->n", A, H)
+def _trace_form(coeff, H: np.ndarray, x) -> np.ndarray:
+    """``A(x) : H`` for a constant ``(ds, ds)`` coefficient or a callable of
+    the coordinates ``x`` returning one matrix per Hessian of ``H``."""
+    A = np.asarray(coeff(x) if callable(coeff) else coeff, dtype=np.float64)
+    return np.einsum("...ij,...ij->...", np.broadcast_to(A, H.shape), H)
 
 
 @dataclass
 class Operator:
-    """Second-order operator ``fn(H, X)`` on Hessian stacks, optionally
+    """Second-order operator ``fn(H, x)`` on Hessian stacks, optionally
     x-dependent, with its ellipticity bound ``delta``, advertised Lipschitz
     bound ``k_f`` in the Frobenius metric, advertised positive 1-homogeneity,
-    and the coefficient ``family`` of a Bellman operator (empty otherwise)."""
+    and the coefficient ``family`` of a Bellman operator (empty otherwise).
+    ``H`` has shape ``(*rows, ds, ds)``, ``x`` is a tuple of per-axis
+    coordinate arrays broadcasting to ``rows``; ``fn`` returns a new array."""
 
     fn: Callable
     delta: float
@@ -385,24 +383,22 @@ class Operator:
         if not callable(self.fn):
             raise ValueError("operator needs a callable")
 
-    def __call__(self, H: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate at Hessians ``H`` of shape ``(n, ds, ds)`` and points
-        ``X`` of shape ``(n, ndim)`` (ignored by x-independent operators)."""
+    def __call__(self, H: np.ndarray, x=None) -> np.ndarray:
+        """Evaluate at Hessians ``H`` and coordinates ``x`` (ignored by
+        x-independent operators; the origin when omitted)."""
         H = np.asarray(H, dtype=np.float64)
-        if X is None:
-            X = np.zeros((H.shape[0], H.shape[-1]))
-        return np.asarray(self.fn(H, X), dtype=np.float64)
+        return np.asarray(self.fn(H, (0.0,) * H.shape[-1] if x is None else x), dtype=np.float64)
 
 
 def linear_operator(coeff, delta: float, **kw) -> Operator:
-    return Operator(lambda H, X: _trace_form(coeff, H, X), delta, **kw)
+    return Operator(lambda H, x: _trace_form(coeff, H, x), delta, **kw)
 
 
 def bellman_operator(family, delta: float, **kw) -> Operator:
     family = tuple(family)
     if not family:
         raise ValueError("bellman operator needs a nonempty coefficient family")
-    return Operator(lambda H, X: np.stack([_trace_form(c, H, X) for c in family]).max(axis=0),
+    return Operator(lambda H, x: np.stack([_trace_form(c, H, x) for c in family]).max(axis=0),
                     delta, family=family, **kw)
 
 
@@ -412,33 +408,33 @@ def pucci_operator(delta: float, side: str = "max", d: int | None = None, **kw) 
     check_delta(delta)
     if "k_f" not in kw and d is not None:
         kw["k_f"] = d / delta
-    return Operator(lambda H, X: pucci_extremal(H, delta, side), delta, **kw)
+    return Operator(lambda H, x: pucci_extremal(H, delta, side), delta, **kw)
 
 
 def tabulated_operator(fn: Callable, delta: float, **kw) -> Operator:
     return Operator(fn, delta, **kw)
 
 
-def bellman_argmax(op: Operator, H: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
+def bellman_argmax(op: Operator, H: np.ndarray, x=None) -> np.ndarray:
     """Index of the coefficient achieving the Bellman max at each point."""
     if not op.family:
         raise ValueError("argmax selection is only defined for bellman operators")
     H = np.asarray(H, dtype=np.float64)
-    if X is None:
-        X = np.zeros((H.shape[0], H.shape[-1]))
-    return np.stack([_trace_form(c, H, X) for c in op.family]).argmax(axis=0)
+    x = (0.0,) * H.shape[-1] if x is None else x
+    return np.stack([_trace_form(c, H, x) for c in op.family]).argmax(axis=0)
 
 
 def evaluate_operator(op: Operator, u: GridFunction,
                       derivs: Derivatives | None = None) -> GridFunction:
     """``F(D2u, x)`` on the grid; adds the time derivative on time grids.
 
-    ``F`` runs on the rows of ``derivs.box`` only, with their points taken
-    from the grid's axis nodes; every other node, where the derivatives are
-    +0.0, holds +0.0.  That relies on the premise ``F(0, x) = 0``, which
-    every positively homogeneous operator meets; the kinds of
-    ``harness.catalog.build_operator`` return +0.0 there.  An operator not
-    flagged ``homogeneous`` is refused.
+    Returns a :class:`GridFunction` on ``derivs.box``: ``F`` takes the box's
+    Hessians and axis coordinates (:meth:`Grid.coordinates`), not a point
+    array.  Every other node holds +0.0 by the premise ``F(0, x) = 0`` that
+    every positively homogeneous operator meets (the ``build_operator``
+    kinds of ``harness.catalog`` do); an operator not flagged
+    ``homogeneous`` is refused.  With ``derivs`` given, only ``u.grid`` is
+    read.
     """
     if not op.homogeneous:
         raise ValueError("operators are evaluated on the support box only, "
@@ -446,12 +442,10 @@ def evaluate_operator(op: Operator, u: GridFunction,
     g = u.grid
     if derivs is None:
         derivs = fd_derivatives(u)
-    box, H = derivs.box, derivs.box_d2u
-    X = _mesh([g.axis_nodes(ax)[s] for ax, s in enumerate(box)]).reshape(-1, g.ndim)
-    vals = derivs.padded(op(H.reshape(-1, g.n_space, g.n_space), X).reshape(H.shape[:-2]))
+    vals = op(derivs.box_d2u, g.coordinates(derivs.box))
     if g.time_axis:
-        vals[box] += derivs.box_dt
-    return GridFunction(g, vals)
+        vals += derivs.box_dt
+    return GridFunction(g, vals, derivs.box)
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +479,25 @@ def check_operator_class(op: Operator, d: int, budget: int = 200,
         raise ValueError("budget must be at least 1")
     rtol = 1e-9
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(budget, d))
+    x = tuple(rng.uniform(-1.0, 1.0, size=(budget, d)).T)
     M = symmetrize(rng.normal(size=(budget, d, d)) * rng.uniform(0.1, 10.0, size=(budget, 1, 1)))
     N = symmetrize(rng.normal(size=(budget, d, d)))
     failures = []
 
-    fm, fn = op(M, X), op(N, X)
+    fm, fn = op(M, x), op(N, x)
     lips = np.abs(fm - fn) / np.maximum(frobenius(M - N), 1e-300)
     max_lip = float(lips.max())
     if op.k_f is not None and max_lip > op.k_f * (1 + rtol):
         failures.append(("lipschitz", max_lip))
 
-    zero = float(np.abs(op(np.zeros((budget, d, d)), X)).max())
+    zero = float(np.abs(op(np.zeros((budget, d, d)), x)).max())
     if zero > rtol:
         failures.append(("zero_value", zero))
 
     G = rng.normal(size=(budget, d, d))
     P = np.einsum("nij,nkj->nik", G, G)
     s = rng.uniform(0.1, 5.0, size=budget)
-    quot = (op(M + s[:, None, None] * P, X) - fm) / (s * np.einsum("nii->n", P))
+    quot = (op(M + s[:, None, None] * P, x) - fm) / (s * np.einsum("nii->n", P))
     emin, emax = float(quot.min()), float(quot.max())
     if emin < op.delta * (1 - rtol) - rtol or emax > (1 / op.delta) * (1 + rtol) + rtol:
         failures.append(("ellipticity", (emin, emax)))
@@ -511,7 +505,7 @@ def check_operator_class(op: Operator, d: int, budget: int = 200,
     hom = 0.0
     if op.homogeneous:
         c = rng.uniform(0.25, 8.0, size=budget)
-        hom = float(np.abs(op(c[:, None, None] * M, X) - c * fm).max()
+        hom = float(np.abs(op(c[:, None, None] * M, x) - c * fm).max()
                     / max(1.0, np.abs(fm).max()))
         if hom > rtol * 10:
             failures.append(("homogeneity", hom))
@@ -602,6 +596,7 @@ def oscillation_theta(op: Operator, model: Callable, center, radius: float, *,
     ``model`` maps a stack of Hessians to values.
     """
     X = shape_quadrature(center, radius, shape=shape, density=density)
+    x = tuple(X.T)
     d_space = X.shape[1] - (1 if shape in ("cylinder", "half_cylinder") else 0)
     dirs = unit_hessian_directions(d_space, seed=seed)
     taus = np.array([1.0]) if homogeneous else tau_ladder(tau0)
@@ -611,7 +606,7 @@ def oscillation_theta(op: Operator, model: Callable, center, radius: float, *,
         for tau in taus:
             H = np.broadcast_to(tau * U, (X.shape[0], d_space, d_space))
             ref = float(model(tau * U[None])[0])
-            dev = np.abs(op(H, X) - ref) / tau
+            dev = np.abs(op(H, x) - ref) / tau
             np.maximum(worst, dev, out=worst)
         per_dir[k] = worst.mean()
     return ThetaResult(float(per_dir.max()), per_dir, X.shape[0], taus)
@@ -650,12 +645,12 @@ class ManufacturedFunction:
         """``fn`` on the grid's nodes, shape ``(*grid.shape, *channels)``; for a
         time product, times the time factor's ``order``-th derivative."""
         if self.time is None:
-            return fn(grid.flat_nodes()).reshape(grid.shape + channels)
+            return fn(grid.nodes().reshape(-1, grid.ndim)).reshape(grid.shape + channels)
         if not grid.time_axis:
             raise ValueError("a time product is sampled on time grids only")
         space = Grid(grid.lo[1:], grid.hi[1:], grid.shape[1:])
         q = self.time[order](grid.axis_nodes(0))
-        x = fn(space.flat_nodes()).reshape(space.shape + channels)
+        x = fn(space.nodes().reshape(-1, space.ndim)).reshape(space.shape + channels)
         return q.reshape((-1,) + (1,) * x.ndim) * x
 
     def on_grid(self, grid: Grid) -> GridFunction:

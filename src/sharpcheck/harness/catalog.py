@@ -19,10 +19,13 @@ Conventions shared by all entries:
   covers the manufactured support plus a collar.
 
 The finite-difference entries take their grid, input samples, operator image
-and derivative magnitudes from ``_fields``.  A set is computed on the input's
-support box (``calculus.support_box``) and holds +0.0 at every other node:
-the derivatives vanish there, and so does the operator image, since every
-``build_operator`` kind is positively homogeneous, so ``F(0, x) = 0``.
+and derivative magnitudes from ``_fields``.  A set is held only on the
+input's support box (``calculus.support_box``), with its slices: elsewhere
+the derivatives vanish, and so does the operator image, since every
+``build_operator`` kind is positively homogeneous, so ``F(0, x) = 0``.  The
+runners form masses, masks and integrands on that box from the grid's axis
+nodes, so every per-node value is the whole grid's, bit for bit; only the
+collar term, which does not vanish off the box, takes the whole grid.
 Inside ``run_suite`` (see ``shared_fields``) entries with one recipe share
 these sets: each is computed once, handed out read-only, and kept only while
 its recipe is the most recently requested one.  A set depends on nothing but
@@ -194,10 +197,11 @@ def build_operator(params: dict):
 
 def _operator_image(params: dict, grid, mf):
     """Samples of ``mf`` on ``grid``, their finite differences and the
-    operator image."""
+    operator image; the samples (copied) and the image on the box."""
     u = mf.on_grid(grid)
     derivs = fd_derivatives(u)
-    return u, derivs, evaluate_operator(build_operator(params), u, derivs).values
+    u = GridFunction(grid, u.values[derivs.box].copy(), derivs.box)
+    return u, derivs, evaluate_operator(build_operator(params), u, derivs)
 
 
 class _FieldStore:
@@ -236,9 +240,9 @@ def shared_fields():
 
 
 def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None):
-    """Grid, manufactured samples ``u``, operator image ``fv`` and the
-    Hessian and gradient magnitudes ``d2`` and ``d1``, as read-only arrays;
-    shared inside a ``shared_fields`` block."""
+    """``(grid, box, u, fv, d2, d1)``: the grid, the input's support box and,
+    as read-only arrays on it, samples, operator image and Hessian and
+    gradient magnitudes, never padded; shared in a ``shared_fields`` block."""
     store = _SHARED.get()
     compute = partial(_field_set, params, h, lo, hi, mf, time_axis, half_axis)
     if store is None or mf.key is None:
@@ -251,37 +255,36 @@ def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None)
 def _field_set(params, h, lo, hi, mf, time_axis, half_axis):
     grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
     u, derivs, fv = _operator_image(params, grid, mf)
-    fields = (grid, u, fv) + _magnitudes(derivs)
-    for arr in (u.values,) + fields[2:]:
+    fields = (grid, derivs.box, u.values, fv.values) + _magnitudes(derivs)
+    for arr in fields[2:]:
         arr.flags.writeable = False
     return fields
 
 
 def _magnitudes(derivs):
-    """Hessian and gradient magnitudes, taken on the derivatives' support box;
-    +0.0 at every other node."""
-    return derivs.padded(frobenius(derivs.box_d2u)), derivs.padded(euclidean(derivs.box_du))
+    """Hessian and gradient magnitudes on the derivatives' support box."""
+    return frobenius(derivs.box_d2u), euclidean(derivs.box_du)
 
 
 def _integral(arr, mass) -> float:
     return float((arr * mass).sum())
 
 
-def _ball_mask(grid, center, radius: float) -> np.ndarray:
-    c = np.asarray(center, dtype=np.float64)
-    r2 = sum_of_squares(_axis_values(grid, ax) - c[ax] for ax in range(grid.ndim))
+def _ball_mask(grid, center, radius: float, box=None) -> np.ndarray:
+    """Ball indicator on the nodes of ``box`` (the whole grid by default)."""
+    r2 = sum_of_squares(x - c for x, c in zip(grid.coordinates(box), center))
     return (r2 < radius ** 2).astype(np.float64)
 
 
-def _cylinder_mask(grid, radius: float) -> np.ndarray:
-    space = sum_of_squares(_axis_values(grid, ax) for ax in range(1, grid.ndim))
-    return ((_axis_values(grid, 0) < radius ** 2) & (space < radius ** 2)).astype(np.float64)
+def _cylinder_mask(grid, radius: float, box=None) -> np.ndarray:
+    """Indicator of ``[0, r^2) x B_r`` on the nodes of ``box``."""
+    t, *space = grid.coordinates(box)
+    return ((t < radius ** 2) & (sum_of_squares(space) < radius ** 2)).astype(np.float64)
 
 
-def _axis_values(grid, axis: int) -> np.ndarray:
-    shape = [1] * grid.ndim
-    shape[axis] = grid.shape[axis]
-    return grid.axis_nodes(axis).reshape(shape)
+def _slab_hat(grid, box=None) -> np.ndarray:
+    """The capped wall distance ``min(x_0, 1)`` on the nodes of ``box``."""
+    return np.minimum(grid.coordinates(box)[0], 1.0)
 
 
 def _safe_div(num, den) -> np.ndarray:
@@ -329,14 +332,14 @@ def _gradient_pair(p, mass, d2, d1, fv, uu) -> EquationCheck:
                           _integral(power(uu, p), mass)))
 
 
-def _collar_hessian(equation, p, mass, d2, fv, uu, collar, tau0, u_scale=1.0,
+def _collar_hessian(equation, p, mass, d2, fv, uu, collar: float, tau0, u_scale=1.0,
                     notes=None) -> EquationCheck:
     """Hessian by the operator image, the scaled function and the
-    oscillation-budget collar term."""
+    oscillation-budget collar term (its mask's whole-grid integral)."""
     return EquationCheck(equation, _integral(power(d2, p), mass),
                          (_integral(power(np.abs(fv), p), mass),
                           u_scale * _integral(power(uu, p), mass),
-                          tau0 ** p * _integral(collar, mass)), notes or {})
+                          tau0 ** p * collar), notes or {})
 
 
 def _local_hessian(equation, p, inner, outer, d2, d1, fv, uu, gap) -> EquationCheck:
@@ -357,28 +360,34 @@ def _gradient_interpolation(equation, p, inner, outer, d2, d1, uu, c2, c0,
                          notes or {})
 
 
-def _mixed_absorbed(equation, grid, spec, orders, defect, notes=None) -> EquationCheck:
+def _box_norm(grid, box, spec):
+    return lambda arr: mixed_norm(GridFunction(grid, arr, box), spec)
+
+
+def _mixed_absorbed(equation, grid, box, spec, orders, defect, notes=None) -> EquationCheck:
     """Iterated norm of the derivative orders by that of the absorbed defect."""
-    return EquationCheck(equation, mixed_norm(GridFunction(grid, orders), spec),
-                         (mixed_norm(GridFunction(grid, defect), spec),),
-                         notes or {})
+    norm = _box_norm(grid, box, spec)
+    return EquationCheck(equation, norm(orders), (norm(defect),), notes or {})
 
 
-def _mixed_pair(equation, grid, spec, e, d2, d1, fv, uu, inner, outer) -> EquationCheck:
+def _mixed_pair(equation, grid, box, spec, e, d2, d1, fv, uu, inner, outer) -> EquationCheck:
     """Iterated norms: Hessian and gradient (stacked in l^e) inside by the
     operator image and the function outside."""
-    lhs = mixed_norm(GridFunction(grid, _stack(e, d2, d1) * inner), spec)
-    return EquationCheck(equation, lhs,
-                         (mixed_norm(GridFunction(grid, np.abs(fv) * outer), spec),
-                          mixed_norm(GridFunction(grid, uu * outer), spec)))
+    norm = _box_norm(grid, box, spec)
+    return EquationCheck(equation, norm(_stack(e, d2, d1) * inner),
+                         (norm(np.abs(fv) * outer), norm(uu * outer)))
 
 
-def _check_zero_trace(u: GridFunction):
-    scale = max(1.0, float(np.abs(u.values).max()))
-    trace = float(np.abs(u.boundary_trace()).max())
+def _zero_trace(fields):
+    """``fields`` once its input is checked to vanish on the boundary face."""
+    grid, _, u = fields[:3]
+    scale = max(1.0, float(np.abs(u).max(initial=0.0)))
+    # the box's first layer is the face {x = 0}, or zeros of its halo
+    trace = float(np.abs(u[(slice(None),) * grid.half_axis + (slice(0, 1),)]).max(initial=0.0))
     _need(trace <= 1e-12 * scale,
           "manufactured input must vanish on the boundary hyperplane "
           f"(trace magnitude {trace:.3e})")
+    return fields
 
 
 def _validate_power_range(q, lower: float, upper: float, label: str):
@@ -542,7 +551,7 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
                             pair_budget=int(params["pair_budget"]), seed=seed)
     amp = nu ** (amp_power / gamma)
     t_f = amp * geometric_maximal(
-        GridFunction(grid, power(np.abs(fv), e)), family).values ** (1.0 / e)
+        GridFunction(grid, power(np.abs(fv.padded()), e)), family).values ** (1.0 / e)
     t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
@@ -618,7 +627,7 @@ def _run_interp(params, h, seed):
         lo, hi = (0.0,) + (-2.0,) * d, (2.0,) + (2.0,) * d
     else:
         lo, hi = (-2.0,) * d, (2.0,) * d
-    grid, u, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
+    grid, box, u, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
     rho, gamma, p = (float(params[k]) for k in ("rho", "gamma", "p"))
     ed = d + 1 if parabolic else d
     # three windows at and above the threshold radius keep the covering
@@ -626,10 +635,11 @@ def _run_interp(params, h, seed):
     family = family_for_grid(grid, radii=(rho, 1.42 * rho, 2.02 * rho))
 
     def m_rho(arr, e):
-        f = GridFunction(grid, np.abs(arr) ** e)
+        # the geometric operators read whole-grid samples
+        f = GridFunction(grid, GridFunction(grid, np.abs(arr) ** e, box).padded())
         return geometric_maximal(f, family, rho=rho, mode="at_least").values
 
-    uu = np.abs(u.values)
+    uu = np.abs(u)
     m_u = m_rho(uu, p)
     eq_a = _pointwise(
         "hessian_pointwise",
@@ -642,7 +652,7 @@ def _run_interp(params, h, seed):
         m_rho(d1, p),
         (np.sqrt(m_rho(d2, p) * m_u), rho ** -p * m_u))
 
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0))
+    mass = node_masses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0), box)
     eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, uu,
                                    rho ** p, rho ** -p, {"rho": rho})
     return [eq_c, eq_a, eq_b]
@@ -670,20 +680,22 @@ def _run_interp_local(params, h, seed):
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
     grid = _grid((-1.0,) * d, (1.0,) * d, h)
     u = mf.on_grid(grid)
-    d2, d1 = _magnitudes(fd_derivatives(u))
-    uu = np.abs(u.values)
+    derivs = fd_derivatives(u)
+    box = derivs.box
+    d2, d1 = _magnitudes(derivs)
+    uu = np.abs(u.values[box])
     p, q, rho, eps = (float(params[k]) for k in ("p", "q", "rho", "eps"))
     r, R = float(params["r"]), float(params["R"])
-    mass = node_masses(grid, PowerX1(q, axis=0))
+    mass = node_masses(grid, PowerX1(q, axis=0), box)
     origin = (0.0,) * d
 
-    inner = _ball_mask(grid, origin, rho / 2) * mass
-    outer = _ball_mask(grid, origin, rho) * mass
+    inner = _ball_mask(grid, origin, rho / 2, box) * mass
+    outer = _ball_mask(grid, origin, rho, box) * mass
     eq_a = _gradient_interpolation("local_gradient", p, inner, outer, d2, d1, uu,
                                    eps * rho ** p, eps ** -1 * rho ** -p)
 
-    small = _ball_mask(grid, origin, r) * mass
-    big = _ball_mask(grid, origin, R) * mass
+    small = _ball_mask(grid, origin, r, box) * mass
+    big = _ball_mask(grid, origin, R, box) * mass
     gap = R - r
     eq_b = _gradient_interpolation("two_radius_gradient", p, small, big, d2, d1, uu,
                                    eps * gap ** p, (eps * gap) ** -p)
@@ -718,12 +730,12 @@ def _run_w2p_global(params, h, seed):
     L = R + r0 + 0.25
     mf = manufactured("bump", d, radius=float(params["radius"]),
                       amplitude=float(params["amplitude"]))
-    grid, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
-    mass = node_masses(grid, _axis_weight(params["q"]))
-    collar = _ball_mask(grid, (0.0,) * d, R + r0)
+    grid, box, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    w = _axis_weight(params["q"])
+    collar = _integral(_ball_mask(grid, (0.0,) * d, R + r0), node_masses(grid, w))
     scale = r0 ** (-2 * p)
-    return [_collar_hessian("global_hessian", p, mass, d2, fv, np.abs(u.values), collar,
-                            tau0, scale, {"u_term_scale": scale})]
+    return [_collar_hessian("global_hessian", p, node_masses(grid, w, box), d2, fv, np.abs(u),
+                            collar, tau0, scale, {"u_term_scale": scale})]
 
 
 @_register(
@@ -745,9 +757,9 @@ def _run_zeroth_1d(params, h, seed):
     L = float(params["extent"])
     grid = _grid((-L,), (L,), h)
     mf = manufactured("gaussian", 1, sigma=float(params["sigma"]))
-    X = grid.flat_nodes()
-    u = mf.u(X).reshape(grid.shape)
-    d2 = mf.d2u(X)[:, 0, 0].reshape(grid.shape)
+    X = grid.nodes()
+    u = mf.u(X)
+    d2 = mf.d2u(X)[:, 0, 0]
     mass = node_masses(grid, _axis_weight(params["q"]))
     eq = EquationCheck(
         "zeroth_order",
@@ -771,10 +783,10 @@ def _apriori_fields(params, h):
 def _apriori_pair(params, fields, axis: int):
     """Absorbed-defect form and gradient pair over the whole grid box."""
     p = float(params["p"])
-    grid, u, fv, d2, d1 = fields
-    mass = node_masses(grid, _axis_weight(params["q"], axis=axis))
-    uu = np.abs(u.values)
-    return [_absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u.values),
+    grid, box, u, fv, d2, d1 = fields
+    mass = node_masses(grid, _axis_weight(params["q"], axis=axis), box)
+    uu = np.abs(u)
+    return [_absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u),
             _gradient_pair(p, mass, d2, d1, fv, uu)]
 
 
@@ -810,10 +822,9 @@ def _run_apriori(params, h, seed):
 )
 def _run_mixed(params, h, seed):
     p1, p2 = float(params["p1"]), float(params["p2"])
-    grid, u, fv, d2, d1 = _apriori_fields(params, h)
+    grid, box, u, fv, d2, d1 = _apriori_fields(params, h)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-    return [_mixed_absorbed("mixed_triple", grid, spec, _stack(p1, d2, d1, u.values),
-                            fv - u.values,
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), fv - u,
                             {"finiteness_hypothesis": "automatic on a truncated grid"})]
 
 
@@ -838,12 +849,12 @@ def _run_local_w2p(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
-    grid, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
-    mass = node_masses(grid, _axis_weight(params["q"]))
+    grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    mass = node_masses(grid, _axis_weight(params["q"]), box)
     origin = (0.0,) * d
-    inner = _ball_mask(grid, origin, r) * mass
-    outer = _ball_mask(grid, origin, R) * mass
-    uu = np.abs(u.values)
+    inner = _ball_mask(grid, origin, r, box) * mass
+    outer = _ball_mask(grid, origin, R, box) * mass
+    uu = np.abs(u)
     gap = R - r
 
     eq_a = _local_hessian("local_hessian", p, inner, outer, d2, d1, fv, uu, gap)
@@ -880,12 +891,12 @@ def _run_local_mixed(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
-    grid, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     origin = (0.0,) * d
-    inner = _ball_mask(grid, origin, r)
-    outer = _ball_mask(grid, origin, R)
+    inner = _ball_mask(grid, origin, r, box)
+    outer = _ball_mask(grid, origin, R, box)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-    return [_mixed_pair("local_mixed_pair", grid, spec, p1, d2, d1, fv, np.abs(u.values),
+    return [_mixed_pair("local_mixed_pair", grid, box, spec, p1, d2, d1, fv, np.abs(u),
                         inner, outer)]
 
 
@@ -924,11 +935,11 @@ def _run_hs_slab(params, h, seed):
     p = float(params["p"])
     n = int(params["n"])
     eps = float(params["eps"])
-    grid, u, fv, d2, d1 = _slab_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"]))
-    x1 = _axis_values(grid, 0)
-    uu = np.abs(u.values)
-    defect = np.abs(fv - u.values)
+    grid, box, u, fv, d2, d1 = _slab_fields(params, h)
+    mass = node_masses(grid, _axis_weight(params["q"]), box)
+    x1 = grid.coordinates(box)[0]
+    uu = np.abs(u)
+    defect = np.abs(fv - u)
 
     def pair(tag, inner, outer, hess, grad):
         # ``hess`` and ``grad`` are the displayed coefficients of the rhs
@@ -961,15 +972,15 @@ def _run_hs_slab(params, h, seed):
 def _run_hs_weighted(params, h, seed):
     p = float(params["p"])
     q = float(params["q"])
-    grid, u, fv, d2, d1 = _slab_fields(
+    grid, box, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
-    mass = node_masses(grid, HattedPowerX1(q, axis=0))
-    hat = np.minimum(_axis_values(grid, 0), 1.0)
-    uu = np.abs(u.values)
+    mass = node_masses(grid, HattedPowerX1(q, axis=0), box)
+    hat = _slab_hat(grid, box)
+    uu = np.abs(u)
     eq = EquationCheck(
         "hatted_second_order",
         _integral((hat * d2) ** p, mass) + _integral(d1 ** p, mass),
-        (_integral((hat * np.abs(fv - u.values)) ** p, mass),
+        (_integral((hat * np.abs(fv - u)) ** p, mass),
          _integral(_safe_div(uu, hat) ** p, mass)),
         {"support_gap": "input vanishes near the boundary plane"})
     return [eq]
@@ -990,17 +1001,14 @@ def _run_hs_mixed(params, h, seed):
     d = int(params["d"])
     p1, p2 = float(params["p1"]), float(params["p2"])
     q = float(params["q"])
-    grid, u, fv, d2, d1 = _slab_fields(
+    grid, box, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
-    hat = np.minimum(_axis_values(grid, 0), 1.0)
+    hat = _slab_hat(grid, box)
     spec = MixedNormSpec(groups=((0,), tuple(range(1, d))), exponents=(p2, p1),
                          weights=(HattedPowerX1(q, axis=0), None))
-    eq = EquationCheck(
-        "hatted_mixed",
-        mixed_norm(GridFunction(grid, hat * d2 + d1), spec),
-        (mixed_norm(GridFunction(grid, hat * np.abs(fv - u.values)), spec),
-         mixed_norm(GridFunction(grid, _safe_div(np.abs(u.values), hat)), spec)))
-    return [eq]
+    norm = _box_norm(grid, box, spec)
+    return [EquationCheck("hatted_mixed", norm(hat * d2 + d1),
+                          (norm(hat * np.abs(fv - u)), norm(_safe_div(np.abs(u), hat))))]
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +1018,8 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
     d = int(params["d"])
     lo = (0.0,) + (-box,) * (d - 1)
     hi = (box,) + (box,) * (d - 1)
-    fields = _fields(params, h, lo, hi, manufactured(kind, d, radius=radius), half_axis=0)
-    _check_zero_trace(fields[1])
-    return fields
+    return _zero_trace(_fields(params, h, lo, hi, manufactured(kind, d, radius=radius),
+                               half_axis=0))
 
 
 @_register(
@@ -1034,13 +1041,14 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
 def _run_hs_dirichlet(params, h, seed):
     p = float(params["p"])
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
-    grid, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
-    mass = node_masses(grid, _axis_weight(params["q"]))
-    uu = np.abs(u.values)
-    collar = _ball_mask(grid, (0.0,) * int(params["d"]), R + r0)
+    grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
+    w = _axis_weight(params["q"])
+    mass = node_masses(grid, w, box)
+    uu = np.abs(u)
+    collar = _integral(_ball_mask(grid, (0.0,) * grid.ndim, R + r0), node_masses(grid, w))
     return [_collar_hessian("support_hessian", p, mass, d2, fv, uu, collar, tau0),
             _gradient_pair(p, mass, d2, d1, fv, uu),
-            _absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u.values)]
+            _absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u)]
 
 
 @_register(
@@ -1062,21 +1070,18 @@ def _run_hs_dirichlet_mixed(params, h, seed):
     d = int(params["d"])
     p1, p2, q = float(params["p1"]), float(params["p2"]), float(params["q"])
     radius = float(params["radius"])
-    grid, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, radius + 0.1)
-    uu = np.abs(u.values)
+    grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, radius + 0.1)
+    uu = np.abs(u)
     groups = ((0,), tuple(range(1, d)))
 
     hat_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                              weights=(HattedPowerX1(q, axis=0), None))
-    eq_a = _mixed_absorbed("hatted_triple", grid, hat_spec, d2 + d1 + uu, fv - u.values)
+    eq_a = _mixed_absorbed("hatted_triple", grid, box, hat_spec, d2 + d1 + uu, fv - u)
 
     plain_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                                weights=(PowerX1(q, axis=0), None))
-    eq_b = EquationCheck(
-        "scaling_variant",
-        mixed_norm(GridFunction(grid, d2), plain_spec),
-        (mixed_norm(GridFunction(grid, np.abs(fv)), plain_spec),))
-    return [eq_a, eq_b]
+    norm = _box_norm(grid, box, plain_spec)
+    return [eq_a, EquationCheck("scaling_variant", norm(d2), (norm(np.abs(fv)),))]
 
 
 @_register(
@@ -1097,14 +1102,14 @@ def _run_hs_local(params, h, seed):
     d = int(params["d"])
     p = float(params["p"])
     r, R = float(params["r"]), float(params["R"])
-    grid, u, fv, d2, d1 = _dirichlet_fields(
+    grid, box, u, fv, d2, d1 = _dirichlet_fields(
         params, h, float(params["radius"]), max(R, float(params["radius"])) + 0.2)
-    mass = node_masses(grid, _axis_weight(params["q"]))
+    mass = node_masses(grid, _axis_weight(params["q"]), box)
     origin = (0.0,) * d
-    inner = _ball_mask(grid, origin, r) * mass
-    outer = _ball_mask(grid, origin, R) * mass
+    inner = _ball_mask(grid, origin, r, box) * mass
+    outer = _ball_mask(grid, origin, R, box) * mass
     return [_local_hessian("boundary_local_hessian", p, inner, outer, d2, d1, fv,
-                           np.abs(u.values), R - r)]
+                           np.abs(u), R - r)]
 
 
 # ---------------------------------------------------------------------------
@@ -1148,11 +1153,11 @@ def _para_validate(p):
 def _run_para_global(params, h, seed):
     p = float(params["p"])
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
-    grid, u, fv, d2, d1 = _para_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1))
-    collar = _cylinder_mask(grid, R + r0)
-    return [_collar_hessian("parabolic_hessian", p, mass, d2, fv, np.abs(u.values), collar,
-                            tau0)]
+    grid, box, u, fv, d2, d1 = _para_fields(params, h)
+    w = _axis_weight(params["q"], axis=1)
+    collar = _integral(_cylinder_mask(grid, R + r0), node_masses(grid, w))
+    return [_collar_hessian("parabolic_hessian", p, node_masses(grid, w, box), d2, fv,
+                            np.abs(u), collar, tau0)]
 
 
 @_register(
@@ -1183,10 +1188,9 @@ def _run_para_apriori(params, h, seed):
 )
 def _run_para_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
-    grid, u, fv, d2, d1 = _para_fields(params, h)
+    grid, box, u, fv, d2, d1 = _para_fields(params, h)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
-    return [_mixed_absorbed("mixed_triple", grid, spec, _stack(p0, d2, d1, u.values),
-                            fv - u.values)]
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p0, d2, d1, u), fv - u)]
 
 
 @_register(
@@ -1208,11 +1212,11 @@ def _run_para_mixed(params, h, seed):
 def _run_para_local_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
     r, R = float(params["r"]), float(params["R"])
-    grid, u, fv, d2, d1 = _para_fields(params, h, box=1.2, t_extent=1.0)
-    inner = _cylinder_mask(grid, r)
-    outer = _cylinder_mask(grid, R)
+    grid, box, u, fv, d2, d1 = _para_fields(params, h, box=1.2, t_extent=1.0)
+    inner = _cylinder_mask(grid, r, box)
+    outer = _cylinder_mask(grid, R, box)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
-    return [_mixed_pair("local_mixed_pair", grid, spec, p0, d2, d1, fv, np.abs(u.values),
+    return [_mixed_pair("local_mixed_pair", grid, box, spec, p0, d2, d1, fv, np.abs(u),
                         inner, outer)]
 
 
@@ -1231,9 +1235,7 @@ def _para_hs_fields(params, h):
         t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
     lo = (0.0, 0.0) + (-1.3,) * (d - 1)
     hi = (1.6, 1.3) + (1.3,) * (d - 1)
-    fields = _fields(params, h, lo, hi, mf, time_axis=True, half_axis=1)
-    _check_zero_trace(fields[1])
-    return fields
+    return _zero_trace(_fields(params, h, lo, hi, mf, time_axis=True, half_axis=1))
 
 
 @_register(
@@ -1252,11 +1254,11 @@ def _para_hs_fields(params, h):
 def _run_para_hs(params, h, seed):
     p = float(params["p"])
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
-    grid, u, fv, d2, d1 = _para_hs_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1))
-    collar = _cylinder_mask(grid, R + r0)
-    return [_collar_hessian("boundary_hessian", p, mass, d2, fv, np.abs(u.values), collar,
-                            tau0)]
+    grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
+    w = _axis_weight(params["q"], axis=1)
+    collar = _integral(_cylinder_mask(grid, R + r0), node_masses(grid, w))
+    return [_collar_hessian("boundary_hessian", p, node_masses(grid, w, box), d2, fv,
+                            np.abs(u), collar, tau0)]
 
 
 @_register(
@@ -1269,9 +1271,9 @@ def _run_para_hs(params, h, seed):
 )
 def _run_para_hs_full(params, h, seed):
     p = float(params["p"])
-    grid, u, fv, d2, d1 = _para_hs_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1))
-    return [_absorbed("boundary_absorbed", p, mass, d2, d1, np.abs(u.values), fv - u.values)]
+    grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
+    mass = node_masses(grid, _axis_weight(params["q"], axis=1), box)
+    return [_absorbed("boundary_absorbed", p, mass, d2, d1, np.abs(u), fv - u)]
 
 
 @_register(
@@ -1296,10 +1298,10 @@ def _run_para_hs_mixed(params, h, seed):
     d = int(params["d"])
     p1, p2, p3, q = (float(params[k]) for k in ("p1", "p2", "p3", "q"))
     r, R = float(params["r"]), float(params["R"])
-    grid, u, fv, d2, d1 = _para_hs_fields(params, h)
-    uu = np.abs(u.values)
-    inner = _cylinder_mask(grid, r)
-    outer = _cylinder_mask(grid, R)
+    grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
+    uu = np.abs(u)
+    inner = _cylinder_mask(grid, r, box)
+    outer = _cylinder_mask(grid, R, box)
     space = tuple(range(1, d + 1))
     wall = PowerX1(q, axis=1)
 
@@ -1310,9 +1312,9 @@ def _run_para_hs_mixed(params, h, seed):
     triple = MixedNormSpec(groups=((0,), tuple(range(2, d + 1)), (1,)),
                            exponents=(p3, p2, p1), weights=(None, None, wall))
     return [
-        _mixed_pair("cylinder_time_outer", grid, t_outer, p1, d2, d1, fv, uu, inner, outer),
-        _mixed_pair("cylinder_space_outer", grid, x_outer, p2, d2, d1, fv, uu, inner, outer),
-        _mixed_absorbed("weighted_triple", grid, triple, d2 + d1 + uu, fv - u.values)]
+        _mixed_pair("cylinder_time_outer", grid, box, t_outer, p1, d2, d1, fv, uu, inner, outer),
+        _mixed_pair("cylinder_space_outer", grid, box, x_outer, p2, d2, d1, fv, uu, inner, outer),
+        _mixed_absorbed("weighted_triple", grid, box, triple, d2 + d1 + uu, fv - u)]
 
 
 # ---------------------------------------------------------------------------
@@ -1336,11 +1338,11 @@ def _run_neg_exp(params, L, seed):
     p = float(params["p"])
     h = float(params["h"])
     grid = _grid((0.0,), (float(L),), h)
-    X = grid.flat_nodes()
+    X = grid.nodes()
     mf = manufactured("exp_growth", 1)
-    u = mf.u(X).reshape(grid.shape)
-    du = mf.du(X)[:, 0].reshape(grid.shape)
-    d2 = mf.d2u(X)[:, 0, 0].reshape(grid.shape)
+    u = mf.u(X)
+    du = mf.du(X)[:, 0]
+    d2 = mf.d2u(X)[:, 0, 0]
     notes = {"derivatives": "analytic",
              "defect": "second derivative minus function vanishes identically"}
     return [_absorbed("unbounded_zeroth", p, node_masses(grid), np.abs(d2), np.abs(du),

@@ -124,9 +124,9 @@ def run_suite(specs, jobs: int = 1) -> list[InequalityReport]:
     The result order and content do not depend on ``jobs``; reports come back
     sorted by estimate id with ties broken by input position.  Entries with
     one recipe share their grid, input, operator image and derivative
-    magnitudes at each ladder step: the call computes a set once, keeps the
-    ladder of the most recently requested recipe only, and drops it on
-    return.  Sets are read-only and a pure function of their recipe and
+    magnitudes at each ladder step, each held on the input's support box
+    only: the call computes a set once, keeps the ladder of the most
+    recently requested recipe only, and drops it on return.  Sets are read-only and a pure function of their recipe and
     spacing, so the reports are the same as from separate calls.  Worker
     threads do not inherit the caller's context, so each task runs in a copy
     of it, and all tasks share the one store.

@@ -117,7 +117,7 @@ class GeometricFamily:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if not self.radii or any(r <= 0 for r in self.radii):
+        if not self.radii or not all(r > 0 for r in self.radii):
             raise ValueError("radius ladder must be nonempty and positive")
 
 

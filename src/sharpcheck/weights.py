@@ -56,7 +56,7 @@ class TabulatedWeight:
         if self.values.shape != self.filtration.shape:
             raise ValueError(f"density shape {self.values.shape} does not match "
                              f"filtration {self.filtration.shape}")
-        if np.any(self.values <= 0):
+        if not np.all(self.values > 0):
             raise ValueError("weight densities must be positive")
 
 
@@ -162,13 +162,15 @@ def _node_mass_1d(grid: Grid, ax: int, w=None) -> np.ndarray:
     return np.array([wq._mass_1d(a, b) for a, b in zip(lo, hi)])
 
 
-def node_masses(grid: Grid, w=None) -> np.ndarray:
-    """Quadrature masses per node; ``w`` weights its declared axis."""
+def node_masses(grid: Grid, w=None, box: tuple[slice, ...] | None = None) -> np.ndarray:
+    """Quadrature masses of the nodes of ``box`` (the whole grid by default),
+    bit for bit the whole grid's; ``w`` weights its declared axis."""
     if isinstance(w, TabulatedWeight):
         raise TypeError("tabulated weights pair with fields, not grid functions")
-    out = _node_mass_1d(grid, 0, w)
+    box = (slice(None),) * grid.ndim if box is None else box
+    out = _node_mass_1d(grid, 0, w)[box[0]]
     for ax in range(1, grid.ndim):
-        out = np.multiply.outer(out, _node_mass_1d(grid, ax, w))
+        out = np.multiply.outer(out, _node_mass_1d(grid, ax, w)[box[ax]])
     return out
 
 
@@ -229,7 +231,7 @@ def _tabulated_cube_average(w: TabulatedWeight, power: float, lo, hi) -> float:
 
 def ap_constant(w, p: float, family: CubeFamily) -> float:
     """Sup over family cubes of (avg w) * (avg w^(-1/(p-1)))^(p-1)."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"the weight class needs p > 1, got {p}")
     best = 0.0
     for lo, hi in family.cubes:
@@ -317,7 +319,7 @@ def weighted_norm(f, p: float, w=None) -> float:
     elif isinstance(f, GridFunction):
         if f.channels:
             raise ValueError("weighted norms take scalar samples")
-        mass = node_masses(f.grid, w)
+        mass = node_masses(f.grid, w, f.box)
     else:
         raise TypeError(f"unsupported sample type {type(f).__name__}")
     return float(((np.abs(f.values) ** p) * mass).sum() ** (1.0 / p))
@@ -345,6 +347,7 @@ class MixedNormSpec:
 
 
 def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
+    """Iterated norm of ``f``, summed over ``f.box`` only."""
     if f.channels:
         raise ValueError("mixed norms take scalar samples")
     grid = f.grid
@@ -361,7 +364,7 @@ def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
         tmp = power(arr, p)
         loc = sorted(remaining.index(ax) for ax in spec.groups[gi])
         for ax in spec.groups[gi]:
-            mass = _node_mass_1d(grid, ax, w)
+            mass = _node_mass_1d(grid, ax, w)[f.box[ax]]
             shape = [1] * tmp.ndim
             shape[remaining.index(ax)] = mass.size
             tmp *= mass.reshape(shape)

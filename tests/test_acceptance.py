@@ -165,7 +165,7 @@ def test_criterion_04_extremal_operator_oracle(capsys):
 def test_criterion_05_finite_difference_orders(capsys):
     problems = []
     g = ca.box_grid((0.0, -1.0), (2.0, 1.0), (9, 7))
-    X = g.flat_nodes()
+    X = g.nodes().reshape(-1, g.ndim)
     A = np.array([[2.0, 0.5], [0.5, -1.0]])
     b = np.array([0.3, -0.7])
     vals = 0.5 * np.einsum("ni,ij,nj->n", X, A, X) + X @ b + 1.5
@@ -200,7 +200,7 @@ def test_criterion_06_oscillation_functional(capsys):
 
     eps, r, z = 0.3, 0.8, np.array([0.4, -0.2])
     mod = ca.tabulated_operator(
-        lambda H, X: (1 + eps * np.sin(X[:, 0])) * np.einsum("nii->n", H),
+        lambda H, x: (1 + eps * np.sin(x[0])) * np.einsum("nii->n", H),
         delta=0.5, homogeneous=False)
     trace = lambda H: np.einsum("nii->n", np.asarray(H))
     got = ca.oscillation_theta(mod, trace, z, r, density=220, homogeneous=True,

@@ -86,7 +86,9 @@ class TestGrid:
         got = g.nodes()
         assert got.shape == meshgrid_nodes(g).shape
         assert got.tobytes() == meshgrid_nodes(g).tobytes()
-        assert g.flat_nodes().tobytes() == meshgrid_nodes(g).reshape(-1, g.ndim).tobytes()
+        for ax, x in enumerate(g.coordinates()):
+            assert x.shape == tuple(n if a == ax else 1 for a, n in enumerate(g.shape))
+            assert np.broadcast_to(x, g.shape).tobytes() == got[..., ax].copy().tobytes()
 
 
 def meshgrid_nodes(g):
@@ -227,7 +229,7 @@ class TestFiniteDifferences:
 
     def test_exact_on_quadratics(self):
         g = ca.box_grid((0, -1), (2, 1), (9, 7))
-        X = g.flat_nodes()
+        X = g.nodes().reshape(-1, g.ndim)
         vals, A, b = self.quad_fn(X)
         d = ca.fd_derivatives(ca.GridFunction(g, vals.reshape(g.shape)))
         want_du = (X @ A + b).reshape(g.shape + (2,))
@@ -310,10 +312,12 @@ def whole_grid_derivatives(u):
 
 
 def whole_grid_operator_image(op, u):
-    # F at every node, with the grid's flat nodes, plus the time derivative
+    # F at every node, on flat rows with the grid's flat coordinates, plus
+    # the time derivative
     g = u.grid
     _, d2u, dt = whole_grid_derivatives(u)
-    fv = op(d2u.reshape(-1, g.n_space, g.n_space), g.flat_nodes()).reshape(g.shape)
+    x = tuple(g.nodes().reshape(-1, g.ndim).T)
+    fv = op(d2u.reshape(-1, g.n_space, g.n_space), x).reshape(g.shape)
     return fv if dt is None else dt + fv
 
 
@@ -332,8 +336,9 @@ def assert_whole_grid_bits(u):
     if dt is not None:
         assert d.dt.tobytes() == dt.tobytes()
     for op in catalog_operators(u.grid.n_space):
-        got = ca.evaluate_operator(op, u, d).values
-        assert got.tobytes() == whole_grid_operator_image(op, u).tobytes()
+        got = ca.evaluate_operator(op, u, d)
+        assert got.box == d.box
+        assert got.padded().tobytes() == whole_grid_operator_image(op, u).tobytes()
     return d
 
 
@@ -370,7 +375,7 @@ class TestSupportBox:
         d = assert_whole_grid_bits(u)
         assert d.box == (slice(0, 0),) * 3 and d.box_d2u.size == 0
         arrays = [d.du, d.d2u] + ([d.dt] if time_axis else [])
-        arrays += [ca.evaluate_operator(op, u, d).values for op in catalog_operators(g.n_space)]
+        arrays += [ca.evaluate_operator(op, u, d).padded() for op in catalog_operators(g.n_space)]
         for arr in arrays:
             assert arr.shape[:3] == g.shape
             assert not arr.any() and not np.signbit(arr).any()
@@ -387,14 +392,15 @@ class TestSupportBox:
         # F(0, x) = 1 would be +0.0 off the support box instead
         g = ca.box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
         u = ca.manufactured("bump", 2, radius=0.5).on_grid(g)
-        op = ca.tabulated_operator(lambda H, X: 3.0 * np.einsum("nii->n", H) + 1.0,
+        op = ca.tabulated_operator(lambda H, x: 3.0 * np.einsum("nii->n", H) + 1.0,
                                    delta=0.5, homogeneous=False)
         with pytest.raises(ValueError, match="positively homogeneous"):
             ca.evaluate_operator(op, u)
 
     def test_field_sets_equal_whole_grid_reference(self, monkeypatch):
         # every _fields recipe of the catalog, at its entry's two coarsest
-        # steps: u, fv, d2 and d1 as the whole-grid computation gives them
+        # steps: u, fv, d2 and d1, held on the input's support box, padded
+        # with +0.0 are the whole-grid computation's arrays
         from sharpcheck.harness import EstimateSpec, catalog, run_estimate_check
         calls = []
         field_set = catalog._field_set
@@ -409,14 +415,16 @@ class TestSupportBox:
                 run_estimate_check(EstimateSpec(id=entry.id, ladder=entry.ladder[:2]))
         kinds = set()
         for (params, h, lo, hi, mf, time_axis, half_axis), fields in calls:
-            grid, u, fv, d2, d1 = fields
+            grid, box, u, fv, d2, d1 = fields
             want = mf.on_grid(catalog._grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis))
             du, d2u, _ = whole_grid_derivatives(want)
-            assert u.values.tobytes() == want.values.tobytes()
-            assert fv.tobytes() == whole_grid_operator_image(
+            assert box == ca.support_box(want.values)
+            padded = lambda arr: ca.GridFunction(grid, arr, box).padded().tobytes()
+            assert padded(u) == want.values.tobytes()
+            assert padded(fv) == whole_grid_operator_image(
                 catalog.build_operator(params), want).tobytes()
-            assert d2.tobytes() == ca.frobenius(d2u).tobytes()
-            assert d1.tobytes() == ca.euclidean(du).tobytes()
+            assert padded(d2) == ca.frobenius(d2u).tobytes()
+            assert padded(d1) == ca.euclidean(du).tobytes()
             kinds.add((mf.key[0][0] if time_axis else mf.key[0], time_axis, half_axis))
         assert len(calls) >= 36 and len(kinds) >= 6
         assert {(t, hf is not None) for _, t, hf in kinds} == {
@@ -590,21 +598,27 @@ class TestOperators:
 
     def test_linear_x_dependent(self):
         op = ca.linear_operator(
-            lambda X: np.eye(2)[None] * (1 + 0.5 * np.sin(X[:, :1, None])), delta=0.4)
+            lambda x: np.eye(2) * (1 + 0.5 * np.sin(x[0]))[..., None, None], delta=0.4)
         H = np.broadcast_to(np.eye(2), (3, 2, 2))
-        X = np.array([[0.0, 0.0], [np.pi / 2, 0.0], [-np.pi / 2, 0.0]])
-        assert np.allclose(op(H, X), [2.0, 3.0, 1.0], rtol=1e-12)
+        x = (np.array([0.0, np.pi / 2, -np.pi / 2]), np.zeros(3))
+        assert np.allclose(op(H, x), [2.0, 3.0, 1.0], rtol=1e-12)
+        # per-axis coordinates broadcast to a grid of Hessians
+        grid_x = (x[0].reshape(3, 1), np.zeros((1, 4)))
+        assert np.allclose(op(np.broadcast_to(np.eye(2), (3, 4, 2, 2)), grid_x),
+                           np.repeat([[2.0], [3.0], [1.0]], 4, axis=1), rtol=1e-12)
+        with pytest.raises(ValueError, match="broadcast"):
+            op(np.broadcast_to(np.eye(2), (5, 2, 2)), x)
 
     def test_linear_forms_equal_the_trace_einsum(self):
         rng = np.random.default_rng(4)
         H = ca.symmetrize(rng.normal(size=(30, 2, 2)))
-        X = rng.normal(size=(30, 2))
+        x = tuple(rng.normal(size=(2, 30)))
         const = ca.sample_elliptic_matrix(rng, 2, 0.5)
-        varying = lambda X: np.eye(2)[None] * (1 + 0.5 * np.sin(X[:, :1, None]))
-        np.testing.assert_array_equal(ca.linear_operator(const, 0.5)(H, X),
+        varying = lambda x: np.eye(2) * (1 + 0.5 * np.sin(x[0]))[:, None, None]
+        np.testing.assert_array_equal(ca.linear_operator(const, 0.5)(H, x),
                                       np.einsum("nij,nij->n", np.broadcast_to(const, H.shape), H))
-        np.testing.assert_array_equal(ca.linear_operator(varying, 0.4)(H, X),
-                                      np.einsum("nij,nij->n", varying(X), H))
+        np.testing.assert_array_equal(ca.linear_operator(varying, 0.4)(H, x),
+                                      np.einsum("nij,nij->n", varying(x), H))
 
     def test_bellman_is_the_max_of_its_trace_forms(self):
         rng = np.random.default_rng(5)
@@ -669,7 +683,7 @@ class TestOperators:
 
     def test_class_check_flags_violations(self):
         # zero-order shift breaks F(0) = 0; gradient 3 breaks delta = 1/2
-        bad = ca.tabulated_operator(lambda H, X: 3.0 * np.einsum("nii->n", H) + 1.0,
+        bad = ca.tabulated_operator(lambda H, x: 3.0 * np.einsum("nii->n", H) + 1.0,
                                     delta=0.5, homogeneous=False)
         rep = ca.check_operator_class(bad, 2, budget=100, seed=0)
         assert not rep.passed
@@ -688,7 +702,7 @@ class TestOscillation:
         from scipy import integrate
         eps, r, z = 0.3, 0.8, np.array([0.4, -0.2])
         op = ca.tabulated_operator(
-            lambda H, X: (1 + eps * np.sin(X[:, 0])) * np.einsum("nii->n", H),
+            lambda H, x: (1 + eps * np.sin(x[0])) * np.einsum("nii->n", H),
             delta=0.5, homogeneous=False)
         model = lambda H: np.einsum("nii->n", np.asarray(H))
         res = ca.oscillation_theta(op, model, z, r, density=220, homogeneous=True, seed=3)
@@ -700,7 +714,7 @@ class TestOscillation:
     def test_monotone_in_tau0(self):
         eps = 0.2
         op = ca.tabulated_operator(
-            lambda H, X: np.einsum("nii->n", H) + eps * np.tanh(ca.frobenius(H)) * X[:, 0],
+            lambda H, x: np.einsum("nii->n", H) + eps * np.tanh(ca.frobenius(H)) * x[0],
             delta=0.5, homogeneous=False)
         model = lambda H: np.einsum("nii->n", np.asarray(H))
         vals = [ca.oscillation_theta(op, model, (0.5, 0.0), 0.4, tau0=t, density=8,

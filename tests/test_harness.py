@@ -24,7 +24,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sharpcheck.calculus import box_grid, manufactured, with_time_profile
+from sharpcheck.calculus import (
+    GridFunction,
+    box_grid,
+    evaluate_operator,
+    fd_derivatives,
+    manufactured,
+    with_time_profile,
+)
 from sharpcheck.cli import load_suite
 from sharpcheck.filtration import Filtration, full_space
 from sharpcheck.harness import (
@@ -45,6 +52,14 @@ from sharpcheck.harness import (
 from sharpcheck.harness import catalog
 from sharpcheck.harness.report import csv_from_doc
 from sharpcheck.operators import dyadic_maximal
+from sharpcheck.weights import (
+    HattedPowerX1,
+    MixedNormSpec,
+    PowerX1,
+    mixed_norm,
+    node_masses,
+    weighted_norm,
+)
 
 
 EQUATION_LAYOUT = {
@@ -350,6 +365,141 @@ class TestMasks:
         assert grid.shape == (65, 113, 113)
         assert max(peaks) < node_bytes
 
+    def test_para_global_operator_image_builds_no_point_array(self):
+        # evaluate_operator at PARA-GLOBAL's h = 0.025 peaks below one point
+        # array of the support box (8 * 3 * box nodes, half the grid's): the
+        # operator reads the box's axis coordinates, and its image stays on
+        # the box
+        prm = ENTRIES["PARA-GLOBAL"].defaults
+        mf = with_time_profile(manufactured("bump", prm["d"], radius=prm["radius"]),
+                               t_center=prm["t_center"], t_radius=prm["t_radius"])
+        grid = catalog._grid((0.0, -1.4, -1.4), (1.6, 1.4, 1.4), 0.025, time_axis=True)
+        u = mf.on_grid(grid)
+        derivs = fd_derivatives(u)
+        op = catalog.build_operator(prm)
+        tracemalloc.start()
+        try:
+            evaluate_operator(op, u, derivs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        box_nodes = derivs.box_dt.size
+        assert 0.45 < box_nodes / math.prod(grid.shape) < 0.55
+        assert peak < 8 * 3 * box_nodes
+
+
+# ---------------------------------------------------------------------------
+# masses, masks and integrals on a support box
+
+BOX_GRIDS = {
+    "ball": box_grid((-1.0, -1.0), (1.0, 1.0), (17, 21)),
+    "time": box_grid((0.0, -1.2, -1.2), (1.6, 1.2, 1.2), (9, 13, 11), time_axis=True),
+    "half": box_grid((0.0, -1.0), (2.0, 1.0), (15, 12), half_axis=0),
+}
+
+
+def grid_boxes(grid):
+    """An interior box, boxes on the lower and on the upper faces, one that
+    spans some axes whole, and the whole grid."""
+    shape = grid.shape
+    yield tuple(slice(2, n - 3) for n in shape)
+    yield tuple(slice(0, n // 2 + 1) for n in shape)
+    yield tuple(slice(n // 2, n) for n in shape)
+    yield tuple(slice(0, n) if i % 2 else slice(1, n - 1) for i, n in enumerate(shape))
+    yield tuple(slice(0, n) for n in shape)
+
+
+def box_weights(grid):
+    ax = 1 if grid.time_axis else 0
+    return (None, PowerX1(0.5, axis=ax), PowerX1(-0.5, axis=ax), HattedPowerX1(1.0, axis=ax))
+
+
+class TestBoxHelpers:
+    """Masses, masks and the slab hat on a box are the whole grid's sliced to
+    the box, bit for bit; integrals and mixed norms on the box differ from the
+    whole grid's only by the order of summation."""
+
+    @pytest.mark.parametrize("kind", sorted(BOX_GRIDS))
+    def test_masses_equal_whole_grid_sliced(self, kind):
+        grid = BOX_GRIDS[kind]
+        for w in box_weights(grid):
+            whole = node_masses(grid, w)
+            for box in grid_boxes(grid):
+                got = node_masses(grid, w, box)
+                assert got.shape == whole[box].shape
+                assert got.tobytes() == whole[box].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(BOX_GRIDS))
+    def test_masks_and_hat_equal_whole_grid_sliced(self, kind):
+        grid = BOX_GRIDS[kind]
+        on_node = float(grid.axis_nodes(grid.ndim - 1)[-3])
+        wholes = {radius: catalog._ball_mask(grid, (0.0,) * grid.ndim, radius)
+                  for radius in (0.5, on_node, 1.3)}
+        if grid.time_axis:
+            wholes.update({("cylinder", radius): catalog._cylinder_mask(grid, radius)
+                           for radius in (0.5, on_node, 2.2)})
+        for box in grid_boxes(grid):
+            for key, whole in wholes.items():
+                got = (catalog._cylinder_mask(grid, key[1], box) if isinstance(key, tuple)
+                       else catalog._ball_mask(grid, (0.0,) * grid.ndim, key, box))
+                assert got.shape == whole[box].shape
+                assert got.tobytes() == whole[box].tobytes()
+            hat = np.broadcast_to(catalog._slab_hat(grid), grid.shape)[box]
+            got = np.broadcast_to(catalog._slab_hat(grid, box), hat.shape)
+            assert got.tobytes() == hat.tobytes()
+
+    def test_catalog_support_boxes_equal_whole_grid_sliced(self):
+        # the boxes two entries meet: PARA-GLOBAL's, inside the grid, and
+        # PARA-HS's, on the boundary face of its half axis
+        for fields in (catalog._para_fields(ENTRIES["PARA-GLOBAL"].defaults, 0.05),
+                       catalog._para_hs_fields(ENTRIES["PARA-HS"].defaults, 0.05)):
+            grid, box = fields[:2]
+            assert 0 < fields[2].size < math.prod(grid.shape)
+            for w in box_weights(grid):
+                assert node_masses(grid, w, box).tobytes() == node_masses(grid, w)[box].tobytes()
+            for radius in (0.8, 1.1, 2.2):
+                mask = catalog._cylinder_mask(grid, radius, box)
+                assert mask.tobytes() == catalog._cylinder_mask(grid, radius)[box].tobytes()
+        assert box[1].start == 0 and box[2].start > 0
+
+    @pytest.mark.parametrize("kind", sorted(BOX_GRIDS))
+    def test_integrals_and_mixed_norms_agree_with_whole_grid(self, kind):
+        grid = BOX_GRIDS[kind]
+        rng = np.random.default_rng(len(kind))
+        nd = grid.ndim
+        specs = [MixedNormSpec(groups=tuple((ax,) for ax in reversed(range(nd))),
+                               exponents=tuple(2.0 + 0.5 * ax for ax in range(nd))),
+                 MixedNormSpec(groups=((0,), tuple(range(1, nd))), exponents=(3.0, 2.5),
+                               weights=(PowerX1(0.5, axis=0), None))]
+        for box in grid_boxes(grid):
+            whole = np.zeros(grid.shape)
+            whole[box] = rng.random(whole[box].shape)
+            on_box = whole[box].copy()
+            for w in box_weights(grid):
+                want = catalog._integral(whole, node_masses(grid, w))
+                got = catalog._integral(on_box, node_masses(grid, w, box))
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                want = weighted_norm(GridFunction(grid, whole), 2.5, w)
+                got = weighted_norm(GridFunction(grid, on_box, box), 2.5, w)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            for spec in specs:
+                want = mixed_norm(GridFunction(grid, whole), spec)
+                got = mixed_norm(GridFunction(grid, on_box, box), spec)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_box_samples_pad_and_are_checked(self):
+        grid = BOX_GRIDS["time"]
+        box = next(grid_boxes(grid))
+        whole = np.zeros(grid.shape)
+        whole[box] = np.random.default_rng(4).random(whole[box].shape) + 1.0
+        f = GridFunction(grid, whole[box].copy(), box)
+        assert f.padded().tobytes() == whole.tobytes()
+        assert GridFunction(grid, whole).box == tuple(slice(0, n) for n in grid.shape)
+        with pytest.raises(ValueError, match="does not start with box"):
+            GridFunction(grid, whole, box)
+        with pytest.raises(ValueError, match="whole grid"):
+            fd_derivatives(f)
+
 
 # ---------------------------------------------------------------------------
 # counterexample entry
@@ -503,7 +653,7 @@ class TestSharedFields:
             assert catalog._para_fields(dict(para), 0.1) is first
             assert catalog._para_fields(para, 0.05) is not first
             assert catalog._para_fields(para, 0.1) is first
-            for arr in (first[1].values,) + first[2:]:
+            for arr in first[2:]:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[(0,) * arr.ndim] = 1.0
             assert catalog._para_fields(dict(para, delta=0.4), 0.1) is not first
@@ -512,10 +662,12 @@ class TestSharedFields:
         assert catalog._para_fields(para, 0.1) is not catalog._para_fields(para, 0.1)
 
     def test_para_global_finest_set_peaks_below_ten_node_arrays(self):
-        # PARA-GLOBAL's set at h = 0.025, 65 x 113 x 113 nodes: the input, its
-        # derivatives and the operator's points on the support box (about
-        # half the grid) and the four arrays kept peak at 8 node arrays;
-        # differencing and evaluating every node peaked at 13
+        # PARA-GLOBAL's set at h = 0.025, 65 x 113 x 113 nodes: the whole-grid
+        # input and its derivatives on the support box (about half the grid)
+        # peak at 5.5 node arrays, the magnitudes at 6.0 (measured); the
+        # bound leaves half a node array of margin.  With the operator's
+        # point array and padded copies it peaked at 8, and differencing
+        # and evaluating every node at 13
         para = ENTRIES["PARA-GLOBAL"].merged({})
         catalog._para_fields(para, 0.1)
         tracemalloc.start()
@@ -525,16 +677,36 @@ class TestSharedFields:
         finally:
             tracemalloc.stop()
         assert grid.shape == (65, 113, 113)
-        assert peak < 10 * 8 * math.prod(grid.shape)
+        assert peak < 6.5 * 8 * math.prod(grid.shape)
+
+    def test_para_global_finest_step_peaks_below_six_node_arrays(self):
+        # PARA-GLOBAL's h = 0.025 step from its set to _collar_hessian: the
+        # set (u, fv, d2 and d1 on the support box, about half the grid) is
+        # 2 node arrays, and the whole-grid collar mask, masses and their
+        # product lift the peak to 5.0 (measured), below building the set
+        # (6.0); the bound leaves half a node array of margin.  Padded
+        # whole-grid fields and integrands peaked at 9.2
+        para = ENTRIES["PARA-GLOBAL"].merged({})
+        tracemalloc.start()
+        try:
+            with catalog.shared_fields():
+                grid = catalog._para_fields(para, 0.025)[0]
+                tracemalloc.reset_peak()
+                catalog._run_para_global(para, 0.025, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (65, 113, 113)
+        assert peak < 5.5 * 8 * math.prod(grid.shape)
 
     def test_three_entries_in_one_call_peak_within_one_alone(self):
         # PARA-GLOBAL, PARA-APRIORI and PARA-MIXED share every set.  Together
         # they peak no higher than PARA-GLOBAL alone outside run_suite, where
         # each step drops its set, plus the coarser sets the store keeps (u,
-        # fv, d2 and d1 at every step but the finest) and 64 KB for the
-        # Python objects around them
+        # fv, d2 and d1 on the support box at every step but the finest) and
+        # 64 KB for the Python objects around them
         entry = ENTRIES["PARA-GLOBAL"]
-        kept = sum(4 * 8 * math.prod(catalog._para_fields(entry.defaults, h)[0].shape)
+        kept = sum(4 * 8 * catalog._para_fields(entry.defaults, h)[2].size
                    for h in entry.ladder[:-1])
         run_estimate_check(EstimateSpec(id="PARA-GLOBAL", ladder=(0.1,)))
         three = [EstimateSpec(id=eid) for eid in ("PARA-GLOBAL", "PARA-APRIORI", "PARA-MIXED")]

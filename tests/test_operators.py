@@ -190,7 +190,7 @@ class TestDyadicSharp:
 
 def brute_geometric_maximal(h, family, radii):
     grid = h.grid
-    X = grid.flat_nodes()
+    X = grid.nodes().reshape(-1, grid.ndim)
     v = np.abs(h.values).reshape(-1)
     out = np.full(X.shape[0], -np.inf)
     sp = grid.space_axes
@@ -275,6 +275,10 @@ class TestGeometricMaximal:
             GeometricFamily("cube", (0.3,))
         with pytest.raises(ValueError, match="radius ladder"):
             GeometricFamily("ball", ())
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius ladder must be nonempty and positive"):
+            GeometricFamily("ball", (float("nan"), 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +430,7 @@ class TestExactPrimitives:
 
 def brute_geometric_sharp(h, family, gamma, radii):
     grid = h.grid
-    X = grid.flat_nodes()
+    X = grid.nodes().reshape(-1, grid.ndim)
     V = h.values.reshape(X.shape[0], -1)
     out = np.full(X.shape[0], -np.inf)
     sp = grid.space_axes

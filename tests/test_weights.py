@@ -100,6 +100,11 @@ class TestMasses:
         with pytest.raises(ValueError, match="positive"):
             TabulatedWeight(filt, np.zeros(filt.shape))
 
+    def test_tabulated_nan_density_rejected(self):
+        filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
+        with pytest.raises(ValueError, match="densities must be positive"):
+            TabulatedWeight(filt, [1.0, float("nan"), 1.0, 1.0])
+
 
 class TestMuckenhoupt:
 
@@ -175,6 +180,11 @@ class TestMuckenhoupt:
             ap_constant(PowerX1(0.5), 1.0, cube_family((0.0,), (1.0,)))
         with pytest.raises(ValueError, match="empty"):
             CubeFamily(())
+
+    def test_nan_exponent_rejected(self):
+        # refused by its own message before any mass is integrated
+        with pytest.raises(ValueError, match="p > 1, got nan"):
+            ap_constant(PowerX1(0.2), float("nan"), cube_family((0.0,), (1.0,)))
 
 
 class TestBetaType:
