@@ -47,6 +47,8 @@ class Grid:
             raise ValueError("lo, hi, shape must have one entry per axis")
         if any(n < 2 for n in self.shape):
             raise ValueError("grids need at least 2 nodes per axis")
+        if not np.isfinite(self.lo + self.hi).all():
+            raise ValueError(f"box corners must be finite, got lo={self.lo}, hi={self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("degenerate box")
         if self.half_axis is not None and self.lo[self.half_axis] < 0:
@@ -78,12 +80,9 @@ class Grid:
         return tuple(self.axis_nodes(ax)[s].reshape((1,) * ax + (-1,) + (1,) * (self.ndim - 1 - ax))
                      for ax, s in enumerate(box or (slice(None),) * self.ndim))
 
-    def nodes(self) -> np.ndarray:
-        """All node coordinates, shape ``(*shape, ndim)``."""
-        out = np.empty(self.shape + (self.ndim,))
-        for ax, x in enumerate(self.coordinates()):
-            out[..., ax] = x
-        return out
+    def nodes(self, box: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Node coordinates of ``box`` (default: all), shape ``(*box shape, ndim)``."""
+        return np.stack(np.broadcast_arrays(*self.coordinates(box)), axis=-1)
 
 
 def box_grid(lo, hi, shape, time_axis=False, half_axis=None) -> Grid:
@@ -97,8 +96,8 @@ class GridFunction:
 
     ``values`` covers the nodes of ``box``, slices of the grid (the whole
     grid by default), and may carry trailing channel axes (vector or matrix
-    valued samples); the function is +0.0 at every other node.  Differences
-    and geometric operators read whole-grid samples, as :meth:`padded`.
+    valued samples); the function is +0.0 at every other node.  Geometric
+    operators read whole-grid samples, as :meth:`padded`.
     """
 
     grid: Grid
@@ -107,7 +106,8 @@ class GridFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.box = self.box or tuple(slice(0, n) for n in self.grid.shape)
+        self.box = tuple(slice(*s.indices(n)[:2]) for s, n in
+                         zip(self.box or (slice(None),) * self.grid.ndim, self.grid.shape))
         g = tuple(len(range(n)[s]) for n, s in zip(self.grid.shape, self.box))
         if self.values.shape[:len(g)] != g:
             raise ValueError(f"values shape {self.values.shape} does not start with box {g}")
@@ -129,7 +129,7 @@ class GridFunction:
             raise ValueError("grid has no half-space axis")
         if self.grid.lo[ax] != 0.0:
             raise ValueError("grid does not touch the boundary hyperplane")
-        return np.take(self.values, 0, axis=ax)
+        return np.take(self.padded(), 0, axis=ax)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,8 @@ def support_box(values: np.ndarray) -> tuple[slice, ...]:
 class Derivatives:
     """Gradient, Hessian and (optionally) time derivative on a grid.
 
-    They are held on ``box``, slices of the grid: ``box_du``, ``box_d2u`` and
+    They are held on ``box``, slices of the grid (a support box, or a slab of
+    its axis-0 layers in :func:`operator_fields`): ``box_du``, ``box_d2u`` and
     ``box_dt`` cover its nodes, and every other node's derivatives are +0.0.
     ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, for
     readers of whole-grid arrays such as the geometric operators."""
@@ -191,40 +192,76 @@ class Derivatives:
                   else GridFunction(self.grid, self.box_dt, self.box).padded())
 
 
+def _derivative_box(u: GridFunction) -> tuple[tuple[slice, ...], np.ndarray]:
+    # the support box of u's samples, as slices of the grid, and the samples
+    # on it; at a box edge inside the grid the widened support must fit
+    if u.channels or min(u.grid.shape) < 3:
+        raise ValueError("finite differences need scalar samples and at least 3 nodes per axis")
+    for ax, (s, n) in enumerate(zip(u.box, u.grid.shape)):
+        v = np.moveaxis(u.values, ax, 0)
+        if (s.start > 0 and v[:_HALO].any()) or (s.stop < n and v[-_HALO:].any()):
+            raise ValueError(f"box samples are nonzero within {_HALO} nodes of an edge of their "
+                             "box inside the grid, so differencing them would not equal "
+                             "differencing the whole grid")
+    local = support_box(u.values)
+    return tuple(slice(b.start + s.start, b.stop + s.start) if b.stop else b
+                 for b, s in zip(local, u.box)), u.values[local]
+
+
+def _difference(values: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    # gradient and Hessian of samples on consecutive nodes of ``g``; mixed
+    # entries are nested first differences
+    sp = g.space_axes
+    du = np.empty(values.shape + (len(sp),))
+    d2u = np.empty(du.shape + (len(sp),))
+    for a, ax in enumerate(sp if values.size else ()):
+        _diff1(values, ax, g.spacing(ax), du[..., a])
+        _diff2(values, ax, g.spacing(ax), d2u[..., a, a])
+        for b in range(a):
+            _diff1(du[..., b], ax, g.spacing(ax), d2u[..., b, a])
+            d2u[..., a, b] = d2u[..., b, a]
+    return du, d2u
+
+
 def fd_derivatives(u: GridFunction) -> Derivatives:
     """Second-order finite differences of a scalar grid function.
 
-    Only the input's support box (:func:`support_box`) is differenced, as a
-    slab with the grid's spacings.  The halo makes the slab's one-sided edge
-    stencils read only zeros, as the whole grid's central stencils there do,
-    so the values are those of differencing the whole grid, bit for bit,
-    wherever the input's zeros are +0.0.  Mixed entries are nested
-    one-dimensional first differences, applied along distinct axes, so the
-    Hessian is symmetric to the last bit.
+    Only the support box (:func:`support_box`) of ``u``'s samples, on the
+    whole grid or a box of it, is differenced, as a slab with the grid's
+    spacings.  The halo makes the slab's one-sided edge stencils read only
+    zeros, as the whole grid's central stencils there do, so the values are
+    those of differencing the whole grid, bit for bit, wherever the input's
+    zeros are +0.0; box samples nonzero within the halo of a box edge inside
+    the grid are refused.  Mixed entries are nested one-dimensional first
+    differences, applied along distinct axes, so the Hessian is symmetric to
+    the last bit.
     """
     g = u.grid
-    if u.values.shape != g.shape:
-        raise ValueError("derivatives expect scalar samples on the whole grid")
-    if min(g.shape) < 3:
-        raise ValueError("finite differences need at least 3 nodes per axis")
-    sp = g.space_axes
-    ds = len(sp)
-    box = support_box(u.values)
-    slab = u.values[box]
-    du = np.empty(slab.shape + (ds,))
-    d2u = np.empty(slab.shape + (ds, ds))
+    box, slab = _derivative_box(u)
+    du, d2u = _difference(slab, g)
     dt = np.empty(slab.shape) if g.time_axis else None
-    if slab.size:
-        for a, ax in enumerate(sp):
-            _diff1(slab, ax, g.spacing(ax), du[..., a])
-            _diff2(slab, ax, g.spacing(ax), d2u[..., a, a])
-        for a in range(ds):
-            for b in range(a + 1, ds):
-                _diff1(du[..., a], sp[b], g.spacing(sp[b]), d2u[..., a, b])
-                d2u[..., b, a] = d2u[..., a, b]
-        if g.time_axis:
-            _diff1(slab, 0, g.spacing(0), dt)
+    if g.time_axis and slab.size:
+        _diff1(slab, 0, g.spacing(0), dt)
     return Derivatives(g, box, du, d2u, dt)
+
+
+_SLAB_NODES = 2 ** 14
+
+
+def axis0_slabs(shape: tuple[int, ...]):
+    """Consecutive slices of axis 0 of ``shape``, of about ``_SLAB_NODES``
+    nodes (at least one layer) each."""
+    step = max(1, _SLAB_NODES // max(1, int(np.prod(shape[1:]))))
+    return (slice(a, min(a + step, shape[0])) for a in range(0, shape[0], step))
+
+
+def by_slabs(fn: Callable, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of ``shape`` that holds ``fn(s)`` on each slab ``s`` of
+    :func:`axis0_slabs`, so ``fn``'s temporaries never span the array."""
+    out = np.empty(shape)
+    for s in axis0_slabs(shape):
+        out[s] = fn(s)
+    return out
 
 
 def frobenius(H: np.ndarray) -> np.ndarray:
@@ -282,6 +319,12 @@ def check_delta(delta: float) -> None:
     """Reject an ellipticity bound outside ``(0, 1]`` before it divides."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
+
+
+def check_scale(name: str, value) -> None:
+    """Reject a radius or width (or array of them) unless finite and positive."""
+    if not np.all((0 < np.asarray(value, dtype=np.float64)) & (np.asarray(value) < np.inf)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _eigvalsh_2x2(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,6 +489,29 @@ def evaluate_operator(op: Operator, u: GridFunction,
     if g.time_axis:
         vals += derivs.box_dt
     return GridFunction(g, vals, derivs.box)
+
+
+def operator_fields(op: Operator, u: GridFunction):
+    """``(box, values, image, hessian, gradient)``: :func:`fd_derivatives`'s
+    box and on it the samples, :func:`evaluate_operator`'s image and the
+    :func:`frobenius` and :func:`euclidean` magnitudes, bit for bit, built
+    one slab of axis-0 layers at a time.  The time derivative, read across
+    time layers, is differenced once, into the image; on a grid without time
+    a slab is differenced in a window of at least four layers around it."""
+    g = u.grid
+    box, vals = _derivative_box(u)
+    image, hessian, gradient = (np.empty(vals.shape) for _ in range(3))
+    if g.time_axis and vals.size:
+        _diff1(vals, 0, g.spacing(0), image)
+    m, pad = vals.shape[0], 0 if g.time_axis else 1
+    for s in axis0_slabs(vals.shape):
+        lo, hi = max(min(s.start - pad, m - 4 * pad), 0), min(max(s.stop + pad, 4 * pad), m)
+        du, d2u = (a[s.start - lo:s.stop - lo] for a in _difference(vals[lo:hi], g))
+        rows = (slice(box[0].start + s.start, box[0].start + s.stop),) + box[1:]
+        slab = Derivatives(g, rows, du, d2u, image[s] if g.time_axis else None)
+        image[s] = evaluate_operator(op, u, slab).values
+        hessian[s], gradient[s] = frobenius(d2u), euclidean(du)
+    return box, vals.copy(), image, hessian, gradient
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +696,12 @@ class ManufacturedFunction:
     ``time`` and the spatial factor's callbacks, and is sampled on time grids
     only, factor by factor: the time factor on the time-axis nodes, the
     callbacks on the nodes of the spatial axes, multiplied once by
-    broadcasting.  ``key`` is the call that built the function, recorded by
-    :func:`manufactured` and :func:`with_time_profile` (``None`` otherwise):
-    two functions with equal keys take equal values.
+    broadcasting.  ``support`` holds a closed interval per grid axis outside
+    which the function is 0 (``None``: none); :meth:`on_grid` samples only
+    the nodes inside, widened by ``_HALO``.  ``key`` is the call that built
+    the function, recorded by :func:`manufactured` and
+    :func:`with_time_profile` (``None`` otherwise): two functions with equal
+    keys take equal values.
     """
 
     u: Callable
@@ -640,21 +709,29 @@ class ManufacturedFunction:
     d2u: Callable
     time: tuple[Callable, Callable] | None = None
     key: tuple | None = None
+    support: tuple[tuple[float, float], ...] | None = None
 
-    def _sample(self, grid: Grid, fn: Callable, channels: tuple = (), order: int = 0):
-        """``fn`` on the grid's nodes, shape ``(*grid.shape, *channels)``; for a
-        time product, times the time factor's ``order``-th derivative."""
+    def _sample(self, grid: Grid, fn: Callable, channels: tuple = (), order: int = 0,
+                box: tuple[slice, ...] | None = None):
+        """``fn`` on the nodes of ``box`` (default: all), trailed by ``channels``;
+        for a time product, times the time factor's ``order``-th derivative."""
+        box = box or (slice(None),) * grid.ndim
         if self.time is None:
-            return fn(grid.nodes().reshape(-1, grid.ndim)).reshape(grid.shape + channels)
+            X = grid.nodes(box)
+            return fn(X.reshape(-1, grid.ndim)).reshape(X.shape[:-1] + channels)
         if not grid.time_axis:
             raise ValueError("a time product is sampled on time grids only")
-        space = Grid(grid.lo[1:], grid.hi[1:], grid.shape[1:])
-        q = self.time[order](grid.axis_nodes(0))
-        x = fn(space.nodes().reshape(-1, space.ndim)).reshape(space.shape + channels)
+        X = Grid(grid.lo[1:], grid.hi[1:], grid.shape[1:]).nodes(box[1:])
+        q = self.time[order](grid.axis_nodes(0)[box[0]])
+        x = fn(X.reshape(-1, grid.ndim - 1)).reshape(X.shape[:-1] + channels)
         return q.reshape((-1,) + (1,) * x.ndim) * x
 
     def on_grid(self, grid: Grid) -> GridFunction:
-        return GridFunction(grid, self._sample(grid, self.u))
+        """Samples on the support box; +0.0 at every other node."""
+        support = self.support or ((-np.inf, np.inf),) * grid.ndim
+        box = tuple(support_box((x >= a) & (x <= b))[0]
+                    for x, (a, b) in zip(map(grid.axis_nodes, range(grid.ndim)), support))
+        return GridFunction(grid, self._sample(grid, self.u, box=box), box)
 
     def derivatives(self, grid: Grid) -> Derivatives:
         ds = grid.n_space
@@ -713,7 +790,7 @@ def _radial_bump(center, radius, amplitude):
 def _make_bump(d, center=None, radius=1.0, amplitude=1.0):
     center = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64)
     u, du, d2u = _radial_bump(center, radius, amplitude)
-    return ManufacturedFunction(u, du, d2u)
+    return ManufacturedFunction(u, du, d2u, support=tuple(zip(center - radius, center + radius)))
 
 
 def _make_gaussian(d, center=None, sigma=1.0, amplitude=1.0):
@@ -808,7 +885,7 @@ def _make_slab_bump(d, centers, radii, amplitude=1.0):
                 out[:, i, j] = amplitude * fac * _others(g, {i, j})
         return out
 
-    return ManufacturedFunction(u, du, d2u)
+    return ManufacturedFunction(u, du, d2u, support=tuple(zip(centers - radii, centers + radii)))
 
 
 def _make_odd_bump(d, radius=1.0, amplitude=1.0):
@@ -831,7 +908,7 @@ def _make_odd_bump(d, radius=1.0, amplitude=1.0):
         out[:, :, 0] += amplitude * B1
         return out
 
-    return ManufacturedFunction(u, du, d2u)
+    return ManufacturedFunction(u, du, d2u, support=((-radius, radius),) * d)
 
 
 def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
@@ -846,8 +923,11 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
     }
     if name not in makers:
         raise ValueError(f"unknown manufactured input {name!r}; library: {', '.join(makers)}")
+    for key in sorted({"radius", "radii", "sigma"} & set(params)):
+        check_scale(key, params[key])
     mf = makers[name](d, **params)
     mf.key = (name, d, tuple(sorted(params.items())))
+    mf.support = mf.support or ((-np.inf, np.inf),) * d
     return mf
 
 
@@ -858,7 +938,10 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
     if profile == "const":
         q = lambda t: np.ones_like(t)
         q1 = lambda t: np.zeros_like(t)
+        span = (-np.inf, np.inf)
     elif profile == "bump":
+        check_scale("t_radius", t_radius)
+        span = (t_center - t_radius, t_center + t_radius)
         def q(t):
             return _bump_parts(((t - t_center) / t_radius) ** 2)[2]
 
@@ -869,4 +952,5 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
     else:
         raise ValueError(f"unknown time profile {profile!r}")
     key = None if mf.key is None else (mf.key, profile, t_center, t_radius)
-    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), key=key)
+    support = None if mf.support is None else (span,) + mf.support
+    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), key=key, support=support)

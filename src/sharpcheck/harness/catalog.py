@@ -23,9 +23,12 @@ and derivative magnitudes from ``_fields``.  A set is held only on the
 input's support box (``calculus.support_box``), with its slices: elsewhere
 the derivatives vanish, and so does the operator image, since every
 ``build_operator`` kind is positively homogeneous, so ``F(0, x) = 0``.  The
-runners form masses, masks and integrands on that box from the grid's axis
-nodes, so every per-node value is the whole grid's, bit for bit; only the
-collar term, which does not vanish off the box, takes the whole grid.
+input is sampled on its analytic support and the set built slab by slab
+(``calculus.operator_fields``).  The runners form masses, masks and
+integrands on the box from the grid's axis nodes, so every per-node value is
+the whole grid's, bit for bit, and accumulate integrands one slab of axis-0
+layers at a time; the collar term, which does not vanish off the box, is
+summed over the whole grid slab by slab, so no whole-grid array is formed.
 Inside ``run_suite`` (see ``shared_fields``) entries with one recipe share
 these sets: each is computed once, handed out read-only, and kept only while
 its recipe is the most recently requested one.  A set depends on nothing but
@@ -47,15 +50,19 @@ import numpy as np
 
 from ..calculus import (
     GridFunction,
+    axis0_slabs,
     bellman_operator,
+    by_slabs,
     box_grid,
     check_delta,
+    check_scale,
     euclidean,
     evaluate_operator,
     fd_derivatives,
     frobenius,
     linear_operator,
     manufactured,
+    operator_fields,
     power,
     pucci_operator,
     sum_of_squares,
@@ -137,10 +144,13 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 def _register(**kw):
     """Add an entry; one with an ``operator`` parameter also builds its
-    operator when validated, so bad operator settings fail before a run, and
-    one with a ``tau0`` parameter requires it finite and nonnegative."""
-    shared = [check for key, check in (("operator", build_operator), ("tau0", _need_tau0))
-              if key in kw["defaults"]]
+    operator when validated, so bad operator settings fail before a run, one
+    with a ``tau0`` requires it finite and nonnegative, and one with a
+    ``radius``, ``sigma`` or ``t_radius`` requires it finite and positive."""
+    checks = [("operator", build_operator), ("tau0", _need_tau0)] + [
+        (key, lambda p, key=key: check_scale(key, p[key]))
+        for key in ("radius", "sigma", "t_radius")]
+    shared = [check for key, check in checks if key in kw["defaults"]]
     if shared:
         own = kw["validate"]
         kw["validate"] = lambda params: (own(params), *(check(params) for check in shared))
@@ -195,15 +205,6 @@ def build_operator(params: dict):
     raise ValueError(f"unknown operator {kind!r}; choose linear, pucci or bellman")
 
 
-def _operator_image(params: dict, grid, mf):
-    """Samples of ``mf`` on ``grid``, their finite differences and the
-    operator image; the samples (copied) and the image on the box."""
-    u = mf.on_grid(grid)
-    derivs = fd_derivatives(u)
-    u = GridFunction(grid, u.values[derivs.box].copy(), derivs.box)
-    return u, derivs, evaluate_operator(build_operator(params), u, derivs)
-
-
 class _FieldStore:
     """The ladder of field sets of the most recently requested recipe."""
 
@@ -254,20 +255,33 @@ def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None)
 
 def _field_set(params, h, lo, hi, mf, time_axis, half_axis):
     grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
-    u, derivs, fv = _operator_image(params, grid, mf)
-    fields = (grid, derivs.box, u.values, fv.values) + _magnitudes(derivs)
-    for arr in fields[2:]:
+    box, *arrays = operator_fields(build_operator(params), mf.on_grid(grid))
+    for arr in arrays:
         arr.flags.writeable = False
-    return fields
-
-
-def _magnitudes(derivs):
-    """Hessian and gradient magnitudes on the derivatives' support box."""
-    return frobenius(derivs.box_d2u), euclidean(derivs.box_du)
+    return (grid, box, *arrays)
 
 
 def _integral(arr, mass) -> float:
     return float((arr * mass).sum())
+
+
+def _power_integral(p: float, mass, *terms) -> float:
+    """``_integral`` of ``|t|^p`` summed over ``terms`` left to right (from
+    +0.0, which adds exactly), in place one slab of axis-0 layers at a time;
+    a callable term maps a slab to the term on it, formed only there."""
+    acc = np.zeros(mass.shape)
+    for s in axis0_slabs(mass.shape):
+        for t in terms:
+            np.add(acc[s], power(np.abs(t(s) if callable(t) else t[s]), p), out=acc[s])
+        np.multiply(acc[s], mass[s], out=acc[s])
+    return float(acc.sum())
+
+
+def _collar(grid, w, mask: Callable) -> float:
+    """``mask(box)``'s integral over the whole grid against ``w``'s node
+    masses, summed one slab of axis-0 layers at a time."""
+    boxes = ((s,) + (slice(None),) * (grid.ndim - 1) for s in axis0_slabs(grid.shape))
+    return sum(_integral(mask(box), node_masses(grid, w, box)) for box in boxes)
 
 
 def _ball_mask(grid, center, radius: float, box=None) -> np.ndarray:
@@ -294,10 +308,8 @@ def _safe_div(num, den) -> np.ndarray:
 
 
 def _stack(p: float, *arrs) -> np.ndarray:
-    acc = np.zeros_like(arrs[0])
-    for a in arrs:
-        acc = acc + power(np.abs(a), p)
-    return power(acc, 1.0 / p)
+    return by_slabs(lambda s: power(sum(power(np.abs(a[s]), p) for a in arrs), 1.0 / p),
+                    arrs[0].shape)
 
 
 def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
@@ -315,48 +327,49 @@ def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
 
 
 # ---------------------------------------------------------------------------
-# inequality shapes shared by several entries; ``d2``, ``d1`` and ``uu`` are
-# the nonnegative Hessian, gradient and function magnitudes, ``fv`` the
-# operator image
+# inequality shapes shared by several entries; ``d2`` and ``d1`` are the
+# Hessian and gradient magnitudes, ``u`` the function and ``fv`` the operator
+# image
 
-def _absorbed(equation, p, mass, d2, d1, uu, defect, notes=None) -> EquationCheck:
-    """All three derivative orders by the absorbed defect."""
-    return EquationCheck(equation, _integral(power(d2, p) + power(d1, p) + power(uu, p), mass),
-                         (_integral(power(np.abs(defect), p), mass),), notes or {})
+def _absorbed(equation, p, mass, d2, d1, u, fv, notes=None) -> EquationCheck:
+    """All three derivative orders by the absorbed defect ``fv - u``."""
+    return EquationCheck(equation, _power_integral(p, mass, d2, d1, u),
+                         (_power_integral(p, mass, lambda s: fv[s] - u[s]),), notes or {})
 
 
-def _gradient_pair(p, mass, d2, d1, fv, uu) -> EquationCheck:
+def _gradient_pair(p, mass, d2, d1, fv, u) -> EquationCheck:
     """Hessian and gradient by the operator image plus the function."""
-    return EquationCheck("gradient_pair", _integral(power(d2, p) + power(d1, p), mass),
-                         (_integral(power(np.abs(fv), p), mass),
-                          _integral(power(uu, p), mass)))
+    return EquationCheck("gradient_pair", _power_integral(p, mass, d2, d1),
+                         (_power_integral(p, mass, fv),
+                          _power_integral(p, mass, u)))
 
 
-def _collar_hessian(equation, p, mass, d2, fv, uu, collar: float, tau0, u_scale=1.0,
+def _collar_hessian(equation, p, mass, d2, fv, u, collar: float, tau0, u_scale=1.0,
                     notes=None) -> EquationCheck:
     """Hessian by the operator image, the scaled function and the
-    oscillation-budget collar term (its mask's whole-grid integral)."""
-    return EquationCheck(equation, _integral(power(d2, p), mass),
-                         (_integral(power(np.abs(fv), p), mass),
-                          u_scale * _integral(power(uu, p), mass),
+    oscillation-budget collar term (its mask's whole-grid ``_collar``)."""
+    return EquationCheck(equation, _power_integral(p, mass, d2),
+                         (_power_integral(p, mass, fv),
+                          u_scale * _power_integral(p, mass, u),
                           tau0 ** p * collar), notes or {})
 
 
-def _local_hessian(equation, p, inner, outer, d2, d1, fv, uu, gap) -> EquationCheck:
+def _local_hessian(equation, p, inner, outer, d2, d1, fv, u, gap) -> EquationCheck:
     """Hessian on the inner region by the operator image and the inverse-gap
     lower-order combination on the outer one."""
-    return EquationCheck(equation, _integral(power(d2, p), inner),
-                         (_integral(power(np.abs(fv), p), outer),
-                          _integral(power(gap ** -1 * d1 + (gap ** -2 + 1.0) * uu, p), outer)))
+    return EquationCheck(equation, _power_integral(p, inner, d2),
+                         (_power_integral(p, outer, fv),
+                          _power_integral(p, outer, lambda s: gap ** -1 * d1[s]
+                                          + (gap ** -2 + 1.0) * np.abs(u[s]))))
 
 
-def _gradient_interpolation(equation, p, inner, outer, d2, d1, uu, c2, c0,
+def _gradient_interpolation(equation, p, inner, outer, d2, d1, u, c2, c0,
                             notes=None) -> EquationCheck:
     """Gradient on the inner region between the Hessian and the function on
     the outer one, with displayed coefficients ``c2`` and ``c0``."""
-    return EquationCheck(equation, _integral(power(d1, p), inner),
-                         (c2 * _integral(power(d2, p), outer),
-                          c0 * _integral(power(uu, p), outer)),
+    return EquationCheck(equation, _power_integral(p, inner, d1),
+                         (c2 * _power_integral(p, outer, d2),
+                          c0 * _power_integral(p, outer, u)),
                          notes or {})
 
 
@@ -364,10 +377,11 @@ def _box_norm(grid, box, spec):
     return lambda arr: mixed_norm(GridFunction(grid, arr, box), spec)
 
 
-def _mixed_absorbed(equation, grid, box, spec, orders, defect, notes=None) -> EquationCheck:
-    """Iterated norm of the derivative orders by that of the absorbed defect."""
+def _mixed_absorbed(equation, grid, box, spec, orders, u, fv, notes=None) -> EquationCheck:
+    """Iterated norm of the derivative orders (formed by ``orders()``) by
+    that of the absorbed defect ``fv - u`` (formed after it)."""
     norm = _box_norm(grid, box, spec)
-    return EquationCheck(equation, norm(orders), (norm(defect),), notes or {})
+    return EquationCheck(equation, norm(orders()), (norm(fv - u),), notes or {})
 
 
 def _mixed_pair(equation, grid, box, spec, e, d2, d1, fv, uu, inner, outer) -> EquationCheck:
@@ -539,7 +553,9 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
     """Hessian sharp function by covering maximals of ``|F|^e`` and of the
     Hessian, amplified by ``nu ** (amp_power / gamma)``."""
     grid = _grid(lo, hi, h, time_axis=time_axis)
-    _, derivs, fv = _operator_image(params, grid, mf)
+    u = mf.on_grid(grid)
+    derivs = fd_derivatives(u)
+    fv = evaluate_operator(build_operator(params), u, derivs)
     nu, mu, xi, gamma = (float(params[k]) for k in ("nu", "mu", "xi", "gamma"))
     rho = float(params["r0"]) / nu
     alpha = 0.5
@@ -653,7 +669,7 @@ def _run_interp(params, h, seed):
         (np.sqrt(m_rho(d2, p) * m_u), rho ** -p * m_u))
 
     mass = node_masses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0), box)
-    eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, uu,
+    eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, u,
                                    rho ** p, rho ** -p, {"rho": rho})
     return [eq_c, eq_a, eq_b]
 
@@ -679,11 +695,10 @@ def _run_interp_local(params, h, seed):
     d = int(params["d"])
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
     grid = _grid((-1.0,) * d, (1.0,) * d, h)
-    u = mf.on_grid(grid)
+    u = mf.on_grid(grid)                  # a gaussian: the samples span the grid
     derivs = fd_derivatives(u)
     box = derivs.box
-    d2, d1 = _magnitudes(derivs)
-    uu = np.abs(u.values[box])
+    u, d2, d1 = u.values[box], frobenius(derivs.box_d2u), euclidean(derivs.box_du)
     p, q, rho, eps = (float(params[k]) for k in ("p", "q", "rho", "eps"))
     r, R = float(params["r"]), float(params["R"])
     mass = node_masses(grid, PowerX1(q, axis=0), box)
@@ -691,13 +706,13 @@ def _run_interp_local(params, h, seed):
 
     inner = _ball_mask(grid, origin, rho / 2, box) * mass
     outer = _ball_mask(grid, origin, rho, box) * mass
-    eq_a = _gradient_interpolation("local_gradient", p, inner, outer, d2, d1, uu,
+    eq_a = _gradient_interpolation("local_gradient", p, inner, outer, d2, d1, u,
                                    eps * rho ** p, eps ** -1 * rho ** -p)
 
     small = _ball_mask(grid, origin, r, box) * mass
     big = _ball_mask(grid, origin, R, box) * mass
     gap = R - r
-    eq_b = _gradient_interpolation("two_radius_gradient", p, small, big, d2, d1, uu,
+    eq_b = _gradient_interpolation("two_radius_gradient", p, small, big, d2, d1, u,
                                    eps * gap ** p, (eps * gap) ** -p)
     return [eq_a, eq_b]
 
@@ -732,9 +747,9 @@ def _run_w2p_global(params, h, seed):
                       amplitude=float(params["amplitude"]))
     grid, box, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
     w = _axis_weight(params["q"])
-    collar = _integral(_ball_mask(grid, (0.0,) * d, R + r0), node_masses(grid, w))
+    collar = _collar(grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
     scale = r0 ** (-2 * p)
-    return [_collar_hessian("global_hessian", p, node_masses(grid, w, box), d2, fv, np.abs(u),
+    return [_collar_hessian("global_hessian", p, node_masses(grid, w, box), d2, fv, u,
                             collar, tau0, scale, {"u_term_scale": scale})]
 
 
@@ -785,9 +800,8 @@ def _apriori_pair(params, fields, axis: int):
     p = float(params["p"])
     grid, box, u, fv, d2, d1 = fields
     mass = node_masses(grid, _axis_weight(params["q"], axis=axis), box)
-    uu = np.abs(u)
-    return [_absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u),
-            _gradient_pair(p, mass, d2, d1, fv, uu)]
+    return [_absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv),
+            _gradient_pair(p, mass, d2, d1, fv, u)]
 
 
 @_register(
@@ -824,7 +838,7 @@ def _run_mixed(params, h, seed):
     p1, p2 = float(params["p1"]), float(params["p2"])
     grid, box, u, fv, d2, d1 = _apriori_fields(params, h)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), fv - u,
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, lambda: _stack(p1, d2, d1, u), u, fv,
                             {"finiteness_hypothesis": "automatic on a truncated grid"})]
 
 
@@ -854,19 +868,18 @@ def _run_local_w2p(params, h, seed):
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
     outer = _ball_mask(grid, origin, R, box) * mass
-    uu = np.abs(u)
     gap = R - r
 
-    eq_a = _local_hessian("local_hessian", p, inner, outer, d2, d1, fv, uu, gap)
-    f_int = _integral(np.abs(fv) ** p, outer)
-    u_int = _integral(uu ** p, outer)
+    eq_a = _local_hessian("local_hessian", p, inner, outer, d2, d1, fv, u, gap)
+    f_int = _power_integral(p, outer, fv)
+    u_int = _power_integral(p, outer, u)
     eq_b = EquationCheck(
         "two_radius_hessian",
-        _integral(d2 ** p, inner),
+        _power_integral(p, inner, d2),
         (f_int, gap ** (-2 * p) * u_int))
     eq_c = EquationCheck(
         "two_radius_gradient",
-        _integral(d1 ** p, inner),
+        _power_integral(p, inner, d1),
         (gap ** p * f_int, gap ** -p * u_int))
     return [eq_a, eq_b, eq_c]
 
@@ -938,16 +951,15 @@ def _run_hs_slab(params, h, seed):
     grid, box, u, fv, d2, d1 = _slab_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"]), box)
     x1 = grid.coordinates(box)[0]
-    uu = np.abs(u)
-    defect = np.abs(fv - u)
 
     def pair(tag, inner, outer, hess, grad):
         # ``hess`` and ``grad`` are the displayed coefficients of the rhs
         # terms after the first; each outer integral is taken once
-        i2, i1, i0 = (_integral(a ** p, outer) for a in (d2, d1, uu))
-        return [EquationCheck(f"{tag}_hessian", _integral(d2 ** p, inner),
-                              (_integral(defect ** p, outer), hess[0] * i1, hess[1] * i0)),
-                EquationCheck(f"{tag}_gradient", _integral(d1 ** p, inner),
+        i2, i1, i0 = (_power_integral(p, outer, a) for a in (d2, d1, u))
+        defect = _power_integral(p, outer, lambda s: fv[s] - u[s])
+        return [EquationCheck(f"{tag}_hessian", _power_integral(p, inner, d2),
+                              (defect, hess[0] * i1, hess[1] * i0)),
+                EquationCheck(f"{tag}_gradient", _power_integral(p, inner, d1),
                               (grad[0] * i2, grad[1] * i1, grad[2] * i0))]
 
     s_lo, s_hi = 2.0 ** -n, 2.0 ** (-n + 1)
@@ -976,12 +988,11 @@ def _run_hs_weighted(params, h, seed):
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
     mass = node_masses(grid, HattedPowerX1(q, axis=0), box)
     hat = _slab_hat(grid, box)
-    uu = np.abs(u)
     eq = EquationCheck(
         "hatted_second_order",
-        _integral((hat * d2) ** p, mass) + _integral(d1 ** p, mass),
-        (_integral((hat * np.abs(fv - u)) ** p, mass),
-         _integral(_safe_div(uu, hat) ** p, mass)),
+        _power_integral(p, mass, lambda s: hat[s] * d2[s]) + _power_integral(p, mass, d1),
+        (_power_integral(p, mass, lambda s: hat[s] * np.abs(fv[s] - u[s])),
+         _power_integral(p, mass, lambda s: _safe_div(np.abs(u[s]), hat[s]))),
         {"support_gap": "input vanishes near the boundary plane"})
     return [eq]
 
@@ -1044,11 +1055,10 @@ def _run_hs_dirichlet(params, h, seed):
     grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
     w = _axis_weight(params["q"])
     mass = node_masses(grid, w, box)
-    uu = np.abs(u)
-    collar = _integral(_ball_mask(grid, (0.0,) * grid.ndim, R + r0), node_masses(grid, w))
-    return [_collar_hessian("support_hessian", p, mass, d2, fv, uu, collar, tau0),
-            _gradient_pair(p, mass, d2, d1, fv, uu),
-            _absorbed("absorbed_zeroth", p, mass, d2, d1, uu, fv - u)]
+    collar = _collar(grid, w, partial(_ball_mask, grid, (0.0,) * grid.ndim, R + r0))
+    return [_collar_hessian("support_hessian", p, mass, d2, fv, u, collar, tau0),
+            _gradient_pair(p, mass, d2, d1, fv, u),
+            _absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv)]
 
 
 @_register(
@@ -1076,7 +1086,7 @@ def _run_hs_dirichlet_mixed(params, h, seed):
 
     hat_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                              weights=(HattedPowerX1(q, axis=0), None))
-    eq_a = _mixed_absorbed("hatted_triple", grid, box, hat_spec, d2 + d1 + uu, fv - u)
+    eq_a = _mixed_absorbed("hatted_triple", grid, box, hat_spec, lambda: d2 + d1 + uu, u, fv)
 
     plain_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                                weights=(PowerX1(q, axis=0), None))
@@ -1108,8 +1118,7 @@ def _run_hs_local(params, h, seed):
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
     outer = _ball_mask(grid, origin, R, box) * mass
-    return [_local_hessian("boundary_local_hessian", p, inner, outer, d2, d1, fv,
-                           np.abs(u), R - r)]
+    return [_local_hessian("boundary_local_hessian", p, inner, outer, d2, d1, fv, u, R - r)]
 
 
 # ---------------------------------------------------------------------------
@@ -1155,9 +1164,9 @@ def _run_para_global(params, h, seed):
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
-    collar = _integral(_cylinder_mask(grid, R + r0), node_masses(grid, w))
-    return [_collar_hessian("parabolic_hessian", p, node_masses(grid, w, box), d2, fv,
-                            np.abs(u), collar, tau0)]
+    collar = _collar(grid, w, partial(_cylinder_mask, grid, R + r0))
+    return [_collar_hessian("parabolic_hessian", p, node_masses(grid, w, box), d2, fv, u,
+                            collar, tau0)]
 
 
 @_register(
@@ -1190,7 +1199,7 @@ def _run_para_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
-    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p0, d2, d1, u), fv - u)]
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, lambda: _stack(p0, d2, d1, u), u, fv)]
 
 
 @_register(
@@ -1256,9 +1265,9 @@ def _run_para_hs(params, h, seed):
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
-    collar = _integral(_cylinder_mask(grid, R + r0), node_masses(grid, w))
-    return [_collar_hessian("boundary_hessian", p, node_masses(grid, w, box), d2, fv,
-                            np.abs(u), collar, tau0)]
+    collar = _collar(grid, w, partial(_cylinder_mask, grid, R + r0))
+    return [_collar_hessian("boundary_hessian", p, node_masses(grid, w, box), d2, fv, u,
+                            collar, tau0)]
 
 
 @_register(
@@ -1273,7 +1282,7 @@ def _run_para_hs_full(params, h, seed):
     p = float(params["p"])
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     mass = node_masses(grid, _axis_weight(params["q"], axis=1), box)
-    return [_absorbed("boundary_absorbed", p, mass, d2, d1, np.abs(u), fv - u)]
+    return [_absorbed("boundary_absorbed", p, mass, d2, d1, u, fv)]
 
 
 @_register(
@@ -1314,7 +1323,7 @@ def _run_para_hs_mixed(params, h, seed):
     return [
         _mixed_pair("cylinder_time_outer", grid, box, t_outer, p1, d2, d1, fv, uu, inner, outer),
         _mixed_pair("cylinder_space_outer", grid, box, x_outer, p2, d2, d1, fv, uu, inner, outer),
-        _mixed_absorbed("weighted_triple", grid, box, triple, d2 + d1 + uu, fv - u)]
+        _mixed_absorbed("weighted_triple", grid, box, triple, lambda: d2 + d1 + uu, u, fv)]
 
 
 # ---------------------------------------------------------------------------
@@ -1345,8 +1354,8 @@ def _run_neg_exp(params, L, seed):
     d2 = mf.d2u(X)[:, 0, 0]
     notes = {"derivatives": "analytic",
              "defect": "second derivative minus function vanishes identically"}
-    return [_absorbed("unbounded_zeroth", p, node_masses(grid), np.abs(d2), np.abs(du),
-                      np.abs(u), d2 - u, notes)]
+    return [_absorbed("unbounded_zeroth", p, node_masses(grid), np.abs(d2), np.abs(du), u, d2,
+                      notes)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import Grid, GridFunction, power
+from .calculus import Grid, GridFunction, by_slabs, power
 from .filtration import DiscreteField, Filtration, cell_blocks
 
 
@@ -347,21 +347,22 @@ class MixedNormSpec:
 
 
 def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
-    """Iterated norm of ``f``, summed over ``f.box`` only."""
+    """Iterated norm of ``f``, summed over ``f.box`` only; each group's
+    ``|f|^p`` is formed one slab of axis-0 layers at a time."""
     if f.channels:
         raise ValueError("mixed norms take scalar samples")
     grid = f.grid
     flat = [ax for g in spec.groups for ax in g]
     if sorted(flat) != list(range(grid.ndim)):
         raise ValueError(f"groups {spec.groups} do not partition {grid.ndim} axes")
-    arr = np.abs(f.values)
+    arr = f.values
     remaining = list(range(grid.ndim))
     for gi in range(len(spec.groups) - 1, -1, -1):
         p = float(spec.exponents[gi])
         w = spec.weights[gi] if spec.weights is not None else None
         if w is not None and w.axis not in spec.groups[gi]:
             raise ValueError(f"group {spec.groups[gi]} does not contain weight axis {w.axis}")
-        tmp = power(arr, p)
+        tmp = by_slabs(lambda s: power(np.abs(arr[s]), p), arr.shape)
         loc = sorted(remaining.index(ax) for ax in spec.groups[gi])
         for ax in spec.groups[gi]:
             mass = _node_mass_1d(grid, ax, w)[f.box[ax]]

@@ -7,6 +7,7 @@ Frozen closed-form values used below:
   oscillation value is eps * sqrt(d) * (ball average of |sin(x_1)|).
 """
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -74,6 +75,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="half-space"):
             ca.box_grid((-0.5,), (1,), (4,), half_axis=0)
 
+    @pytest.mark.parametrize("lo,hi", [((np.nan,), (1.0,)), ((0.0,), (np.inf,)),
+                                       ((-np.inf,), (1.0,)), ((0.0, 0.0), (1.0, np.nan))])
+    def test_rejects_non_finite_corners(self, lo, hi):
+        # NaN corners pass the ordering test and give NaN nodes
+        with pytest.raises(ValueError, match="must be finite"):
+            ca.Grid(lo, hi, (5,) * len(lo))
+
     @pytest.mark.parametrize("lo,hi,shape,kw", [
         ((-1.0,), (1.0,), (7,), {}),
         ((0.0, -1.0), (2.0, 1.0), (9, 12), {}),
@@ -89,6 +97,8 @@ class TestGrid:
         for ax, x in enumerate(g.coordinates()):
             assert x.shape == tuple(n if a == ax else 1 for a, n in enumerate(g.shape))
             assert np.broadcast_to(x, g.shape).tobytes() == got[..., ax].copy().tobytes()
+        box = tuple(slice(1, n - 1) for n in g.shape)
+        assert g.nodes(box).tobytes() == got[box].copy().tobytes()
 
 
 def meshgrid_nodes(g):
@@ -297,18 +307,23 @@ def whole_grid_diff2(values, axis, h):
 
 def whole_grid_derivatives(u):
     # (du, d2u, dt) with every node of the grid differenced
-    g, sp = u.grid, u.grid.space_axes
+    g, sp, values = u.grid, u.grid.space_axes, u.padded()
     du = np.empty(g.shape + (len(sp),))
     d2u = np.empty(g.shape + (len(sp), len(sp)))
     for a, ax in enumerate(sp):
-        du[..., a] = whole_grid_diff1(u.values, ax, g.spacing(ax))
-        d2u[..., a, a] = whole_grid_diff2(u.values, ax, g.spacing(ax))
+        du[..., a] = whole_grid_diff1(values, ax, g.spacing(ax))
+        d2u[..., a, a] = whole_grid_diff2(values, ax, g.spacing(ax))
     for a in range(len(sp)):
         for b in range(a + 1, len(sp)):
             d2u[..., a, b] = d2u[..., b, a] = whole_grid_diff1(
                 np.ascontiguousarray(du[..., a]), sp[b], g.spacing(sp[b]))
-    dt = whole_grid_diff1(u.values, 0, g.spacing(0)) if g.time_axis else None
+    dt = whole_grid_diff1(values, 0, g.spacing(0)) if g.time_axis else None
     return du, d2u, dt
+
+
+def whole_grid_samples(mf, g):
+    """``mf`` sampled at every node of ``g``, its support ignored."""
+    return dataclasses.replace(mf, support=None).on_grid(g)
 
 
 def whole_grid_operator_image(op, u):
@@ -388,6 +403,78 @@ class TestSupportBox:
             out = op(np.zeros((9, d, d)), X)
             assert out.shape == (9,) and not out.any() and not np.signbit(out).any()
 
+    # the inputs the catalog draws, as (input, lo, hi, time_axis, half_axis)
+    # of an entry that draws it, with their time products
+    RECIPES = {
+        "bump": (ca.manufactured("bump", 2, radius=0.9), (-2.25,) * 2, (2.25,) * 2, False, None),
+        "odd_bump": (ca.manufactured("odd_bump", 2, radius=1.5), (0.0, -1.6), (1.6, 1.6),
+                     False, 0),
+        "slab_bump": (ca.manufactured("slab_bump", 2, centers=(1.2, 0.0), radii=(1.0, 1.6)),
+                      (0.0, -2.0), (4.0, 2.0), False, 0),
+        "gaussian": (ca.manufactured("gaussian", 2, sigma=0.6), (-1.7,) * 2, (1.7,) * 2,
+                     False, None),
+        "bump_3d": (ca.manufactured("bump", 3, radius=1.2), (-2.5,) * 3, (2.5,) * 3, False, None),
+        "bump_t": (ca.with_time_profile(ca.manufactured("bump", 2, radius=1.0), t_center=0.7,
+                                        t_radius=0.6), (0.0, -1.4, -1.4), (1.6, 1.4, 1.4),
+                   True, None),
+        "odd_bump_t": (ca.with_time_profile(ca.manufactured("odd_bump", 2, radius=1.1),
+                                            t_center=0.7, t_radius=0.6),
+                       (0.0, 0.0, -1.3), (1.6, 1.3, 1.3), True, 1),
+        "gaussian_t": (ca.with_time_profile(ca.manufactured("gaussian", 2, sigma=0.6),
+                                            t_center=1.0, t_radius=0.8),
+                       (0.0, -2.0, -2.0), (2.0, 2.0, 2.0), True, None),
+    }
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    @pytest.mark.parametrize("kind", ["linear", "pucci", "bellman"])
+    @pytest.mark.parametrize("slab_nodes", [None, 1])
+    def test_fields_equal_fd_derivatives_of_whole_grid_samples(self, monkeypatch, recipe, kind,
+                                                               slab_nodes):
+        # _fields samples the input's support box only and builds its set
+        # slab by slab (one layer per slab with slab_nodes = 1, so windows
+        # meet the box's faces); it equals differencing whole-grid samples,
+        # bit for bit
+        from sharpcheck.harness import catalog
+        if slab_nodes:
+            monkeypatch.setattr(ca, "_SLAB_NODES", slab_nodes)
+        mf, lo, hi, time_axis, half_axis = self.RECIPES[recipe]
+        d = len(mf.support) - time_axis
+        params = {"operator": kind, "delta": 0.5, "d": d}
+        op = catalog.build_operator(params)
+        for h in (0.2, 0.1) if d == 3 else (0.1, 0.05):
+            grid, box, u, fv, d2, d1 = catalog._fields(params, h, lo, hi, mf, time_axis,
+                                                       half_axis)
+            whole = whole_grid_samples(mf, grid)
+            want = ca.fd_derivatives(whole)
+            assert box == want.box and box == ca.support_box(whole.values)
+            for have, ref in [(u, whole.values[box]),
+                              (fv, ca.evaluate_operator(op, whole, want).values),
+                              (d2, ca.frobenius(want.box_d2u)), (d1, ca.euclidean(want.box_du))]:
+                assert have.shape == ref.shape and have.tobytes() == ref.tobytes()
+
+    def test_box_samples_reaching_an_interior_box_edge_are_refused(self):
+        g = ca.box_grid((0.0, -1.0), (1.0, 1.0), (20, 17))
+        vals = np.zeros(g.shape)
+        vals[6:11, 0:5] = np.random.default_rng(2).normal(size=(5, 5))
+        whole = ca.GridFunction(g, vals)
+        # the widened support is rows 2..14 and columns 0..8; a box edge
+        # inside it is refused, and a grid edge never is
+        for box, ok in [((slice(2, 15), slice(0, 9)), True),
+                        ((slice(0, 20), slice(0, 12)), True),
+                        ((slice(3, 15), slice(0, 9)), False),
+                        ((slice(2, 14), slice(0, 17)), False),
+                        ((slice(0, 20), slice(0, 8)), False)]:
+            u = ca.GridFunction(g, vals[box].copy(), box)
+            if ok:
+                got, want = ca.fd_derivatives(u), ca.fd_derivatives(whole)
+                assert got.box == want.box
+                assert got.box_d2u.tobytes() == want.box_d2u.tobytes()
+            else:
+                with pytest.raises(ValueError, match="inside the grid"):
+                    ca.fd_derivatives(u)
+                with pytest.raises(ValueError, match="inside the grid"):
+                    ca.operator_fields(catalog_operators(2)[0], u)
+
     def test_non_homogeneous_operator_is_refused(self):
         # F(0, x) = 1 would be +0.0 off the support box instead
         g = ca.box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
@@ -416,7 +503,8 @@ class TestSupportBox:
         kinds = set()
         for (params, h, lo, hi, mf, time_axis, half_axis), fields in calls:
             grid, box, u, fv, d2, d1 = fields
-            want = mf.on_grid(catalog._grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis))
+            want = whole_grid_samples(mf, grid)
+            assert mf.on_grid(grid).padded().tobytes() == want.values.tobytes()
             du, d2u, _ = whole_grid_derivatives(want)
             assert box == ca.support_box(want.values)
             padded = lambda arr: ca.GridFunction(grid, arr, box).padded().tobytes()
@@ -801,6 +889,32 @@ class TestManufactured:
         with pytest.raises(ValueError, match="library"):
             ca.manufactured("mystery", 2)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.2, np.nan, np.inf])
+    def test_scales_must_be_finite_and_positive(self, bad):
+        # a negative radius used to run as its absolute value, and a zero one
+        # sampled an all-zero input
+        for make, name in [(lambda: ca.manufactured("bump", 2, radius=bad), "radius"),
+                           (lambda: ca.manufactured("odd_bump", 2, radius=bad), "radius"),
+                           (lambda: ca.manufactured("gaussian", 2, sigma=bad), "sigma"),
+                           (lambda: ca.manufactured("slab_bump", 2, centers=(0.0, 0.0),
+                                                    radii=(1.0, bad)), "radii"),
+                           (lambda: ca.with_time_profile(ca.manufactured("bump", 1),
+                                                         t_radius=bad), "t_radius")]:
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                make()
+
+    def test_on_grid_samples_the_support_box(self):
+        # a bump of radius 0.5 at 0.2 on 21 nodes over [-1, 1] (spacing 0.1):
+        # nodes 7..17 lie in [-0.3, 0.7], widened by the halo of 4
+        g = ca.box_grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+        u = ca.manufactured("bump", 2, center=(0.2, 0.0), radius=0.5).on_grid(g)
+        assert u.box == (slice(3, 21), slice(1, 20))
+        mf = ca.manufactured("gaussian", 2, sigma=0.5)
+        assert mf.on_grid(g).box == (slice(0, 21), slice(0, 21))
+        far = ca.manufactured("bump", 2, center=(3.0, 0.0), radius=0.5).on_grid(g)
+        assert far.box == (slice(0, 0), slice(1, 20)) and far.values.size == 0
+        assert ca.fd_derivatives(far).box == (slice(0, 0),) * 2
+
     def test_time_product_needs_a_time_grid(self):
         mf = ca.with_time_profile(ca.manufactured("gaussian", 1))
         with pytest.raises(ValueError, match="time grids"):
@@ -847,7 +961,7 @@ class TestTimeProduct:
         for g in self.grids(d):
             u, du, d2u, dt = flat_row_product(mf, g)
             got = mf.derivatives(g)
-            for have, want in [(mf.on_grid(g).values, u), (got.du, du), (got.d2u, d2u),
+            for have, want in [(mf.on_grid(g).padded(), u), (got.du, du), (got.d2u, d2u),
                                (got.dt, dt)]:
                 assert have.shape == want.shape
                 assert have.tobytes() == want.tobytes()

@@ -166,6 +166,11 @@ class TestConfigDiagnostics:
         ("W2P-GLOBAL", "p = 3\ntau0 = -1.0", "tau0 must be finite and nonnegative"),
         ("HS-DIRICHLET", "tau0 = -1.0", "tau0 must be finite and nonnegative"),
         ("PARA-GLOBAL", "p = 5\ntau0 = -1.0", "tau0 must be finite and nonnegative"),
+        ("APRIORI", "radius = 0", "radius must be finite and positive"),
+        ("APRIORI", "radius = -1.2", "radius must be finite and positive"),
+        ("APRIORI", "radius = inf", "radius must be finite and positive"),
+        ("LOCAL-W2P", "sigma = 0", "sigma must be finite and positive"),
+        ("PARA-GLOBAL", "p = 5\nt_radius = -0.6", "t_radius must be finite and positive"),
         ("NEG-EXP", "h = 0", "h must be finite and positive"),
         ("NEG-EXP", "h = -0.01", "h must be finite and positive"),
     ])

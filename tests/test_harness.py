@@ -24,12 +24,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sharpcheck import calculus
 from sharpcheck.calculus import (
     GridFunction,
     box_grid,
     evaluate_operator,
     fd_derivatives,
     manufactured,
+    power,
     with_time_profile,
 )
 from sharpcheck.cli import load_suite
@@ -487,6 +489,39 @@ class TestBoxHelpers:
                 got = mixed_norm(GridFunction(grid, on_box, box), spec)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("slab_nodes", [1, 40, 2 ** 14])
+    def test_slab_by_slab_integrands_equal_whole_box_formulas(self, monkeypatch, slab_nodes):
+        # integrands, stacks and mixed norms formed one slab of axis-0 layers
+        # at a time equal their whole-box formulas bit for bit; the collar,
+        # summed slab by slab, differs from the whole grid's sum only in order
+        grid = BOX_GRIDS["time"]
+        box = next(grid_boxes(grid))
+        rng = np.random.default_rng(slab_nodes)
+        shape = tuple(len(range(n)[s]) for n, s in zip(grid.shape, box))
+        d2, d1 = rng.random(shape), rng.random(shape)
+        u, fv = rng.normal(size=shape), rng.normal(size=shape)
+        mass = node_masses(grid, PowerX1(0.5, axis=1), box)
+        spec = MixedNormSpec(groups=((0,), (1, 2)), exponents=(3.0, 2.5),
+                             weights=(None, PowerX1(0.5, axis=1)))
+        want_norm = mixed_norm(GridFunction(grid, u, box), spec)
+        monkeypatch.setattr(calculus, "_SLAB_NODES", slab_nodes)
+        assert mixed_norm(GridFunction(grid, u, box), spec) == want_norm
+        for p in (2.0, 3.0, 4.5):
+            lhs = power(d2, p) + power(d1, p) + power(np.abs(u), p)
+            assert catalog._power_integral(p, mass, d2, d1, u) == catalog._integral(lhs, mass)
+            assert catalog._power_integral(p, mass, lambda s: fv[s] - u[s]) == \
+                catalog._integral(power(np.abs(fv - u), p), mass)
+            acc = np.zeros(shape)
+            for a in (d2, d1, u):
+                acc = acc + power(np.abs(a), p)
+            assert catalog._stack(p, d2, d1, u).tobytes() == power(acc, 1.0 / p).tobytes()
+        for w in box_weights(grid):
+            for radius in (0.5, 0.8, 2.2):
+                mask = catalog._cylinder_mask(grid, radius)
+                want = catalog._integral(mask, node_masses(grid, w))
+                got = catalog._collar(grid, w, lambda b: catalog._cylinder_mask(grid, radius, b))
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_box_samples_pad_and_are_checked(self):
         grid = BOX_GRIDS["time"]
         box = next(grid_boxes(grid))
@@ -661,13 +696,13 @@ class TestSharedFields:
         assert catalog._SHARED.get() is None
         assert catalog._para_fields(para, 0.1) is not catalog._para_fields(para, 0.1)
 
-    def test_para_global_finest_set_peaks_below_ten_node_arrays(self):
-        # PARA-GLOBAL's set at h = 0.025, 65 x 113 x 113 nodes: the whole-grid
-        # input and its derivatives on the support box (about half the grid)
-        # peak at 5.5 node arrays, the magnitudes at 6.0 (measured); the
-        # bound leaves half a node array of margin.  With the operator's
-        # point array and padded copies it peaked at 8, and differencing
-        # and evaluating every node at 13
+    def test_para_global_finest_set_peaks_below_3_1_node_arrays(self):
+        # PARA-GLOBAL's set at h = 0.025, 65 x 113 x 113 nodes: the input
+        # sampled on its support box (about half the grid) and u, fv, d2 and
+        # d1 on that box, written one slab of time layers at a time, peak at
+        # 2.60 node arrays (measured); the bound leaves half a node array of
+        # margin.  Whole-grid samples and derivatives held on the whole box
+        # at once peaked at 6.0, and differencing every node at 13
         para = ENTRIES["PARA-GLOBAL"].merged({})
         catalog._para_fields(para, 0.1)
         tracemalloc.start()
@@ -677,15 +712,16 @@ class TestSharedFields:
         finally:
             tracemalloc.stop()
         assert grid.shape == (65, 113, 113)
-        assert peak < 6.5 * 8 * math.prod(grid.shape)
+        assert peak < 3.1 * 8 * math.prod(grid.shape)
 
-    def test_para_global_finest_step_peaks_below_six_node_arrays(self):
+    def test_para_global_finest_step_peaks_below_3_6_node_arrays(self):
         # PARA-GLOBAL's h = 0.025 step from its set to _collar_hessian: the
         # set (u, fv, d2 and d1 on the support box, about half the grid) is
-        # 2 node arrays, and the whole-grid collar mask, masses and their
-        # product lift the peak to 5.0 (measured), below building the set
-        # (6.0); the bound leaves half a node array of margin.  Padded
-        # whole-grid fields and integrands peaked at 9.2
+        # 2 node arrays, the masses and the integrand on the box 1 more, and
+        # the slabs of the collar and the integrands lift the peak to 3.06
+        # (measured); the bound leaves half a node array of margin.  The
+        # whole-grid collar mask, masses and product peaked at 5.0, and
+        # padded whole-grid fields and integrands at 9.2
         para = ENTRIES["PARA-GLOBAL"].merged({})
         tracemalloc.start()
         try:
@@ -697,7 +733,22 @@ class TestSharedFields:
         finally:
             tracemalloc.stop()
         assert grid.shape == (65, 113, 113)
-        assert peak < 5.5 * 8 * math.prod(grid.shape)
+        assert peak < 3.6 * 8 * math.prod(grid.shape)
+
+    def test_w2p_global_finest_step_peaks_below_1_9_node_arrays(self):
+        # W2P-GLOBAL at h = 0.00625, 721 x 721 nodes, from sampling its bump
+        # to its report: the support box holds 17% of the nodes, and sampling
+        # the bump there peaks at 1.37 node arrays (measured); the bound
+        # leaves half a node array of margin.  Sampling through a whole-grid
+        # point array peaked at 8.1 (32.2 MiB)
+        entry = ENTRIES["W2P-GLOBAL"]
+        tracemalloc.start()
+        try:
+            entry.runner(entry.merged({}), 0.00625, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.9 * 8 * 721 * 721
 
     def test_three_entries_in_one_call_peak_within_one_alone(self):
         # PARA-GLOBAL, PARA-APRIORI and PARA-MIXED share every set.  Together
