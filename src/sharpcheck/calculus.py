@@ -264,6 +264,15 @@ def by_slabs(fn: Callable, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def sample_nodes(fn: Callable, axes, channels: tuple = ()) -> np.ndarray:
+    """``fn`` on the product of the 1-D coordinate arrays ``axes``, trailed by
+    ``channels``, given the flat point rows of one :func:`by_slabs` slab at a time."""
+    def slab(s):
+        X = np.stack(np.meshgrid(axes[0][s], *axes[1:], indexing="ij"), axis=-1)
+        return np.asarray(fn(X.reshape(-1, len(axes)))).reshape(X.shape[:-1] + channels)
+    return by_slabs(slab, tuple(map(len, axes)) + channels)
+
+
 def frobenius(H: np.ndarray) -> np.ndarray:
     """Entrywise-l2 matrix magnitude over the trailing two axes."""
     return np.sqrt(np.einsum("...ij,...ij->...", H, H))
@@ -715,16 +724,13 @@ class ManufacturedFunction:
                 box: tuple[slice, ...] | None = None):
         """``fn`` on the nodes of ``box`` (default: all), trailed by ``channels``;
         for a time product, times the time factor's ``order``-th derivative."""
-        box = box or (slice(None),) * grid.ndim
+        axes = [grid.axis_nodes(ax)[s] for ax, s in enumerate(box or (slice(None),) * grid.ndim)]
         if self.time is None:
-            X = grid.nodes(box)
-            return fn(X.reshape(-1, grid.ndim)).reshape(X.shape[:-1] + channels)
+            return sample_nodes(fn, axes, channels)
         if not grid.time_axis:
             raise ValueError("a time product is sampled on time grids only")
-        X = Grid(grid.lo[1:], grid.hi[1:], grid.shape[1:]).nodes(box[1:])
-        q = self.time[order](grid.axis_nodes(0)[box[0]])
-        x = fn(X.reshape(-1, grid.ndim - 1)).reshape(X.shape[:-1] + channels)
-        return q.reshape((-1,) + (1,) * x.ndim) * x
+        x = sample_nodes(fn, axes[1:], channels)
+        return self.time[order](axes[0]).reshape((-1,) + (1,) * x.ndim) * x
 
     def on_grid(self, grid: Grid) -> GridFunction:
         """Samples on the support box; +0.0 at every other node."""

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calculus import sample_nodes
+
 # Stopping-time value meaning "the threshold is never crossed".
 TAU_INF = np.iinfo(np.int64).max
 
@@ -164,22 +166,24 @@ class Filtration:
             raise ValueError(f"level {n} outside [{self.spec.n_min}, {self.spec.n_max}]")
         return tuple(2 ** ((self.spec.n_max - n) * ki) for ki in self.spec.k)
 
-    def cell_count(self, n: int) -> int:
-        return int(np.prod([s // b for s, b in zip(self.shape, self.block_factors(n))]))
+    def _center_axes(self) -> list[np.ndarray]:
+        return [self.spec.lo[ax] + (np.arange(self.shape[ax]) + 0.5) * side
+                for ax, side in enumerate(self.spec.cell_sides(self.spec.n_max))]
 
     def cell_centers(self) -> np.ndarray:
         """Centers of the finest cells, shape ``(*grid_shape, ndim)``."""
-        axes = [self.spec.lo[ax] + (np.arange(self.shape[ax]) + 0.5) * side
-                for ax, side in enumerate(self.spec.cell_sides(self.spec.n_max))]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(*self._center_axes(), indexing="ij"), axis=-1)
 
     def field(self, values: np.ndarray) -> "DiscreteField":
         return DiscreteField(self, np.asarray(values, dtype=np.float64))
 
     def sample(self, fn) -> "DiscreteField":
-        """Field with values of ``fn`` at the finest cell centers."""
-        centers = self.cell_centers().reshape(-1, self.ndim)
-        return self.field(np.asarray(fn(centers), dtype=np.float64).reshape(self.shape))
+        """Field with values of ``fn`` at the finest cell centers, which it
+        takes one slab of axis-0 layers at a time (``calculus.sample_nodes``),
+        in one read-only array the field keeps uncopied."""
+        values = sample_nodes(fn, self._center_axes())
+        values.flags.writeable = False
+        return DiscreteField(self, values)
 
 
 @dataclass
@@ -280,14 +284,15 @@ def conditional_average(f: DiscreteField, n: int) -> DiscreteField:
     return DiscreteField(f.filtration, level_average_values(f, n))
 
 
-def cell_blocks(values: np.ndarray, filt: Filtration, n: int) -> np.ndarray:
-    """Finest-grid values grouped by level-n cell, shape ``(cells, per_cell)``,
-    cells in row-major order."""
+def cell_blocks(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """Values grouped by blocks of ``factors`` cells per axis (a level's
+    ``block_factors`` on the finest grid), shape ``(blocks, per_block)``,
+    blocks in row-major order."""
     shape = []
-    for size, fct in zip(values.shape, filt.block_factors(n)):
+    for size, fct in zip(values.shape, factors):
         shape.extend((size // fct, fct))
-    perm = list(range(0, 2 * filt.ndim, 2)) + list(range(1, 2 * filt.ndim, 2))
-    return values.reshape(shape).transpose(perm).reshape(filt.cell_count(n), -1)
+    perm = list(range(0, 2 * len(factors), 2)) + list(range(1, 2 * len(factors), 2))
+    return values.reshape(shape).transpose(perm).reshape(-1, math.prod(factors))
 
 
 @dataclass

@@ -52,7 +52,6 @@ from ..calculus import (
     GridFunction,
     axis0_slabs,
     bellman_operator,
-    by_slabs,
     box_grid,
     check_delta,
     check_scale,
@@ -79,10 +78,11 @@ from ..operators import (
 from ..weights import (
     HattedPowerX1,
     MixedNormSpec,
+    NodeMasses,
     PowerX1,
     beta_type_constant,
+    box_mixed_norm,
     cell_masses,
-    mixed_norm,
     node_masses,
 )
 from .identity import exact_identity_suite
@@ -279,9 +279,10 @@ def _power_integral(p: float, mass, *terms) -> float:
 
 def _collar(grid, w, mask: Callable) -> float:
     """``mask(box)``'s integral over the whole grid against ``w``'s node
-    masses, summed one slab of axis-0 layers at a time."""
+    masses (``NodeMasses``), summed one slab of axis-0 layers at a time."""
+    masses = NodeMasses(grid, w)
     boxes = ((s,) + (slice(None),) * (grid.ndim - 1) for s in axis0_slabs(grid.shape))
-    return sum(_integral(mask(box), node_masses(grid, w, box)) for box in boxes)
+    return sum(_integral(mask(box), masses[box[0]]) for box in boxes)
 
 
 def _ball_mask(grid, center, radius: float, box=None) -> np.ndarray:
@@ -307,9 +308,9 @@ def _safe_div(num, den) -> np.ndarray:
     return out
 
 
-def _stack(p: float, *arrs) -> np.ndarray:
-    return by_slabs(lambda s: power(sum(power(np.abs(a[s]), p) for a in arrs), 1.0 / p),
-                    arrs[0].shape)
+def _stack(p: float, *arrs) -> Callable:
+    """Slab ``s`` -> the pointwise l^p stack of ``arrs`` on it."""
+    return lambda s: power(sum(power(np.abs(a[s]), p) for a in arrs), 1.0 / p)
 
 
 def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
@@ -373,23 +374,20 @@ def _gradient_interpolation(equation, p, inner, outer, d2, d1, u, c2, c0,
                          notes or {})
 
 
-def _box_norm(grid, box, spec):
-    return lambda arr: mixed_norm(GridFunction(grid, arr, box), spec)
-
-
 def _mixed_absorbed(equation, grid, box, spec, orders, u, fv, notes=None) -> EquationCheck:
-    """Iterated norm of the derivative orders (formed by ``orders()``) by
-    that of the absorbed defect ``fv - u`` (formed after it)."""
-    norm = _box_norm(grid, box, spec)
-    return EquationCheck(equation, norm(orders()), (norm(fv - u),), notes or {})
+    """Iterated norm of the derivative orders (``orders``, a slab callable)
+    by that of the absorbed defect ``fv - u``, both formed slab by slab."""
+    norm = partial(box_mixed_norm, grid, box, spec)
+    return EquationCheck(equation, norm(orders), (norm(lambda s: fv[s] - u[s]),), notes or {})
 
 
 def _mixed_pair(equation, grid, box, spec, e, d2, d1, fv, uu, inner, outer) -> EquationCheck:
     """Iterated norms: Hessian and gradient (stacked in l^e) inside by the
     operator image and the function outside."""
-    norm = _box_norm(grid, box, spec)
-    return EquationCheck(equation, norm(_stack(e, d2, d1) * inner),
-                         (norm(np.abs(fv) * outer), norm(uu * outer)))
+    norm = partial(box_mixed_norm, grid, box, spec)
+    stack = _stack(e, d2, d1)
+    return EquationCheck(equation, norm(lambda s: stack(s) * inner[s]), (
+        norm(lambda s: np.abs(fv[s]) * outer[s]), norm(lambda s: uu[s] * outer[s])))
 
 
 def _zero_trace(fields):
@@ -502,23 +500,22 @@ def _run_fs_local(params, h, seed):
     _need(m <= n_max, "sharp-function floor level exceeds the finest level")
     filt = Filtration(full_space(2, 0, n_max, (0.0, 0.0), (1.0, 1.0)))
     mf = manufactured("bump", 2, center=(0.5, 0.5), radius=float(params["radius"]))
-    u = filt.sample(mf.u)
     w = PowerX1(float(params["q"]), axis=0)
+    # each integrand is formed, and its array dropped, as soon as it exists
+    thickness = beta_type_constant(w, beta, filt)
+    u = filt.sample(mf.u)
     mass = cell_masses(w, filt)
-
-    big_m = dyadic_maximal(u).values
+    lhs = _integral(np.abs(u.values) ** p, mass)
+    i_term = _integral(dyadic_maximal(u).values ** p, mass)
     sharp = dyadic_sharp(u, gamma, m).values
-    capped = dyadic_maximal(filt.field(np.abs(u.values) ** gamma), m).values ** (1.0 / gamma)
-
-    lhs = float((np.abs(u.values) ** p * mass).sum())
-    i_term = float((big_m ** p * mass).sum())
-    j_term = float(((sharp + capped) ** p * mass).sum())
+    sharp = sharp + dyadic_maximal(filt.field(np.abs(u.values) ** gamma), m).values ** (1.0 / gamma)
+    j_term = _integral(sharp ** p, mass)
     gb = gamma * beta
     rhs = i_term ** ((p - gb) / p) * j_term ** (gb / p)
     coarse = float(level_means(abs(u), filt.spec.n_min).max())
     notes = {
         "coarsest_average": coarse,
-        "beta_type_constant": beta_type_constant(w, beta, filt),
+        "beta_type_constant": thickness,
         "interpolation_factors": {"maximal": i_term, "sharp_plus_capped": j_term},
     }
     return [EquationCheck("local_sharp_bound", lhs, (rhs,), notes)]
@@ -668,7 +665,7 @@ def _run_interp(params, h, seed):
         m_rho(d1, p),
         (np.sqrt(m_rho(d2, p) * m_u), rho ** -p * m_u))
 
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0), box)
     eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, u,
                                    rho ** p, rho ** -p, {"rho": rho})
     return [eq_c, eq_a, eq_b]
@@ -749,7 +746,7 @@ def _run_w2p_global(params, h, seed):
     w = _axis_weight(params["q"])
     collar = _collar(grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
     scale = r0 ** (-2 * p)
-    return [_collar_hessian("global_hessian", p, node_masses(grid, w, box), d2, fv, u,
+    return [_collar_hessian("global_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
                             collar, tau0, scale, {"u_term_scale": scale})]
 
 
@@ -799,7 +796,7 @@ def _apriori_pair(params, fields, axis: int):
     """Absorbed-defect form and gradient pair over the whole grid box."""
     p = float(params["p"])
     grid, box, u, fv, d2, d1 = fields
-    mass = node_masses(grid, _axis_weight(params["q"], axis=axis), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"], axis=axis), box)
     return [_absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv),
             _gradient_pair(p, mass, d2, d1, fv, u)]
 
@@ -838,7 +835,7 @@ def _run_mixed(params, h, seed):
     p1, p2 = float(params["p1"]), float(params["p2"])
     grid, box, u, fv, d2, d1 = _apriori_fields(params, h)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-    return [_mixed_absorbed("mixed_triple", grid, box, spec, lambda: _stack(p1, d2, d1, u), u, fv,
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), u, fv,
                             {"finiteness_hypothesis": "automatic on a truncated grid"})]
 
 
@@ -986,7 +983,7 @@ def _run_hs_weighted(params, h, seed):
     q = float(params["q"])
     grid, box, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
-    mass = node_masses(grid, HattedPowerX1(q, axis=0), box)
+    mass = NodeMasses(grid, HattedPowerX1(q, axis=0), box)
     hat = _slab_hat(grid, box)
     eq = EquationCheck(
         "hatted_second_order",
@@ -1017,7 +1014,7 @@ def _run_hs_mixed(params, h, seed):
     hat = _slab_hat(grid, box)
     spec = MixedNormSpec(groups=((0,), tuple(range(1, d))), exponents=(p2, p1),
                          weights=(HattedPowerX1(q, axis=0), None))
-    norm = _box_norm(grid, box, spec)
+    norm = partial(box_mixed_norm, grid, box, spec)
     return [EquationCheck("hatted_mixed", norm(hat * d2 + d1),
                           (norm(hat * np.abs(fv - u)), norm(_safe_div(np.abs(u), hat))))]
 
@@ -1054,7 +1051,7 @@ def _run_hs_dirichlet(params, h, seed):
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
     w = _axis_weight(params["q"])
-    mass = node_masses(grid, w, box)
+    mass = NodeMasses(grid, w, box)
     collar = _collar(grid, w, partial(_ball_mask, grid, (0.0,) * grid.ndim, R + r0))
     return [_collar_hessian("support_hessian", p, mass, d2, fv, u, collar, tau0),
             _gradient_pair(p, mass, d2, d1, fv, u),
@@ -1086,11 +1083,12 @@ def _run_hs_dirichlet_mixed(params, h, seed):
 
     hat_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                              weights=(HattedPowerX1(q, axis=0), None))
-    eq_a = _mixed_absorbed("hatted_triple", grid, box, hat_spec, lambda: d2 + d1 + uu, u, fv)
+    eq_a = _mixed_absorbed("hatted_triple", grid, box, hat_spec,
+                           lambda s: d2[s] + d1[s] + uu[s], u, fv)
 
     plain_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
                                weights=(PowerX1(q, axis=0), None))
-    norm = _box_norm(grid, box, plain_spec)
+    norm = partial(box_mixed_norm, grid, box, plain_spec)
     return [eq_a, EquationCheck("scaling_variant", norm(d2), (norm(np.abs(fv)),))]
 
 
@@ -1165,7 +1163,7 @@ def _run_para_global(params, h, seed):
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
     collar = _collar(grid, w, partial(_cylinder_mask, grid, R + r0))
-    return [_collar_hessian("parabolic_hessian", p, node_masses(grid, w, box), d2, fv, u,
+    return [_collar_hessian("parabolic_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
                             collar, tau0)]
 
 
@@ -1199,7 +1197,7 @@ def _run_para_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
-    return [_mixed_absorbed("mixed_triple", grid, box, spec, lambda: _stack(p0, d2, d1, u), u, fv)]
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p0, d2, d1, u), u, fv)]
 
 
 @_register(
@@ -1266,7 +1264,7 @@ def _run_para_hs(params, h, seed):
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
     collar = _collar(grid, w, partial(_cylinder_mask, grid, R + r0))
-    return [_collar_hessian("boundary_hessian", p, node_masses(grid, w, box), d2, fv, u,
+    return [_collar_hessian("boundary_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
                             collar, tau0)]
 
 
@@ -1281,7 +1279,7 @@ def _run_para_hs(params, h, seed):
 def _run_para_hs_full(params, h, seed):
     p = float(params["p"])
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"], axis=1), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"], axis=1), box)
     return [_absorbed("boundary_absorbed", p, mass, d2, d1, u, fv)]
 
 
@@ -1323,7 +1321,8 @@ def _run_para_hs_mixed(params, h, seed):
     return [
         _mixed_pair("cylinder_time_outer", grid, box, t_outer, p1, d2, d1, fv, uu, inner, outer),
         _mixed_pair("cylinder_space_outer", grid, box, x_outer, p2, d2, d1, fv, uu, inner, outer),
-        _mixed_absorbed("weighted_triple", grid, box, triple, lambda: d2 + d1 + uu, u, fv)]
+        _mixed_absorbed("weighted_triple", grid, box, triple,
+                        lambda s: d2[s] + d1[s] + uu[s], u, fv)]
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,12 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
     start = max(m, filt.spec.n_min)
     out = np.zeros(filt.shape)
     for n in range(start, filt.spec.n_max + 1):
-        blocks = cell_blocks(u.values, filt, n)
+        factors = filt.block_factors(n)
+        blocks = cell_blocks(u.values, factors)
         if gamma == 1.0:
             per_cell = _pair_mean_sorted(blocks)
         else:
             per_cell = _pair_mean_power(blocks, gamma) ** (1.0 / gamma)
-        factors = filt.block_factors(n)
         coarse = per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
         np.maximum(out, _block_expand(coarse, factors), out=out)
     return DiscreteField(filt, out)

@@ -9,11 +9,13 @@ a declared resolution, which models measuring the weight at a finite scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .calculus import Grid, GridFunction, by_slabs, power
+from .calculus import Grid, GridFunction, axis0_slabs, power
 from .filtration import DiscreteField, Filtration, cell_blocks
 
 
@@ -143,10 +145,7 @@ def cell_masses(w, filt: Filtration) -> np.ndarray:
                                       for i in range(filt.shape[ax])]))
         else:
             per_axis.append(np.full(filt.shape[ax], side))
-    out = per_axis[0]
-    for arr in per_axis[1:]:
-        out = np.multiply.outer(out, arr)
-    return out
+    return reduce(np.multiply.outer, per_axis)
 
 
 def _node_mass_1d(grid: Grid, ax: int, w=None) -> np.ndarray:
@@ -162,16 +161,25 @@ def _node_mass_1d(grid: Grid, ax: int, w=None) -> np.ndarray:
     return np.array([wq._mass_1d(a, b) for a, b in zip(lo, hi)])
 
 
+class NodeMasses:
+    """Quadrature masses of the nodes of ``box`` (default: the whole grid) as
+    1-D factors built once, ``w`` weighting its axis; ``masses[s]`` forms those
+    of the slab ``s`` of axis 0, bit for bit the whole box's."""
+
+    def __init__(self, grid: Grid, w=None, box: tuple[slice, ...] | None = None):
+        if isinstance(w, TabulatedWeight):
+            raise TypeError("tabulated weights pair with fields, not grid functions")
+        box = box or (slice(None),) * grid.ndim
+        self.factors = [_node_mass_1d(grid, ax, w)[s] for ax, s in enumerate(box)]
+        self.shape = tuple(map(len, self.factors))
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        return reduce(np.multiply.outer, self.factors[1:], self.factors[0][s])
+
+
 def node_masses(grid: Grid, w=None, box: tuple[slice, ...] | None = None) -> np.ndarray:
-    """Quadrature masses of the nodes of ``box`` (the whole grid by default),
-    bit for bit the whole grid's; ``w`` weights its declared axis."""
-    if isinstance(w, TabulatedWeight):
-        raise TypeError("tabulated weights pair with fields, not grid functions")
-    box = (slice(None),) * grid.ndim if box is None else box
-    out = _node_mass_1d(grid, 0, w)[box[0]]
-    for ax in range(1, grid.ndim):
-        out = np.multiply.outer(out, _node_mass_1d(grid, ax, w)[box[ax]])
-    return out
+    """The :class:`NodeMasses` of ``box`` as one array."""
+    return NodeMasses(grid, w, box)[:]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +294,10 @@ def beta_type_constant(w, beta: float, filt: Filtration | None = None) -> float:
     level and unions E of their finest subcells.
 
     For fixed |E| the extremal union collects the heaviest subcells, so the
-    sup is attained on descending-prefix sums.
+    sup is attained on descending-prefix sums.  Along axes where the masses
+    equal their first slice (all but an analytic weight's own) every block
+    repeats its part in that slice, so only that part is sorted, then each
+    value repeated: the whole block's sort, bit for bit.
     """
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -295,14 +306,17 @@ def beta_type_constant(w, beta: float, filt: Filtration | None = None) -> float:
     elif filt is None:
         raise ValueError("analytic weights need a filtration argument")
     masses = cell_masses(w, filt)
+    profile = masses[tuple(slice(0, 1) if (masses == masses.take([0], axis=ax)).all()
+                           else slice(None) for ax in range(filt.ndim))]
     best = 0.0
     for n in filt.levels:
-        blocks = cell_blocks(masses, filt, n)
-        m = blocks.shape[1]
-        pref = np.cumsum(np.sort(blocks, axis=1)[:, ::-1], axis=1)
-        ratio = pref / pref[:, -1:]
-        frac = (np.arange(1, m + 1) / m) ** beta
-        best = max(best, float((ratio / frac).max()))
+        factors = filt.block_factors(n)
+        m = math.prod(factors)
+        blocks = np.sort(cell_blocks(profile, tuple(map(min, factors, profile.shape))), axis=1)
+        pref = np.cumsum(np.repeat(blocks[:, ::-1], m // blocks.shape[1], axis=1), axis=1)
+        pref /= pref[:, -1:]
+        pref /= (np.arange(1, m + 1) / m) ** beta
+        best = max(best, float(pref.max()))
     return best
 
 
@@ -347,29 +361,45 @@ class MixedNormSpec:
 
 
 def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
-    """Iterated norm of ``f``, summed over ``f.box`` only; each group's
-    ``|f|^p`` is formed one slab of axis-0 layers at a time."""
+    """Iterated norm of ``f``, summed over ``f.box`` only (:func:`box_mixed_norm`)."""
     if f.channels:
         raise ValueError("mixed norms take scalar samples")
-    grid = f.grid
-    flat = [ax for g in spec.groups for ax in g]
-    if sorted(flat) != list(range(grid.ndim)):
+    return box_mixed_norm(f.grid, f.box, spec, f.values)
+
+
+def box_mixed_norm(grid: Grid, box: tuple[slice, ...], spec: MixedNormSpec, values) -> float:
+    """Iterated norm of scalar ``values`` on ``box``'s nodes, an array or a
+    callable mapping a slab of axis 0 to the values there.  Each group's
+    ``|f|^p`` times masses is reduced one slab of axis-0 layers at a time: a
+    group without axis 0 each layer alone; axis 0 alone (numpy sums it layer by
+    layer given two nodes a layer) from its running sum as first layer; others whole."""
+    if sorted(ax for g in spec.groups for ax in g) != list(range(grid.ndim)):
         raise ValueError(f"groups {spec.groups} do not partition {grid.ndim} axes")
-    arr = f.values
+    arr = values
+    shape = tuple(len(range(n)[s]) for n, s in zip(grid.shape, box))
     remaining = list(range(grid.ndim))
     for gi in range(len(spec.groups) - 1, -1, -1):
         p = float(spec.exponents[gi])
         w = spec.weights[gi] if spec.weights is not None else None
         if w is not None and w.axis not in spec.groups[gi]:
             raise ValueError(f"group {spec.groups[gi]} does not contain weight axis {w.axis}")
-        tmp = by_slabs(lambda s: power(np.abs(arr[s]), p), arr.shape)
-        loc = sorted(remaining.index(ax) for ax in spec.groups[gi])
-        for ax in spec.groups[gi]:
-            mass = _node_mass_1d(grid, ax, w)[f.box[ax]]
-            shape = [1] * tmp.ndim
-            shape[remaining.index(ax)] = mass.size
-            tmp *= mass.reshape(shape)
-        arr = power(tmp.sum(axis=tuple(loc)), 1.0 / p)
+        loc = tuple(sorted(remaining.index(ax) for ax in spec.groups[gi]))
+        masses = [np.broadcast_to(_node_mass_1d(grid, ax, w)[box[ax]].reshape(
+            [-1 if i == remaining.index(ax) else 1 for i in range(len(shape))]), shape)
+            for ax in spec.groups[gi]]
+        by_layer = loc[0] > 0 or (loc == (0,) and math.prod(shape[1:]) > 1)
+        acc = np.empty([n for i, n in enumerate(shape) if i not in loc]) if loc[0] else None
+        for s in axis0_slabs(shape) if by_layer else (slice(None),):
+            tmp = power(np.abs(arr(s) if callable(arr) else arr[s]), p)
+            for mass in masses:
+                tmp *= mass[s]
+            if loc[0]:
+                acc[s] = tmp.sum(axis=loc)
+            else:
+                acc = tmp.sum(axis=loc) if acc is None else \
+                    np.concatenate([acc[None], tmp]).sum(axis=0)
+        arr = power(acc, 1.0 / p)
+        shape = np.shape(arr)
         for ax in spec.groups[gi]:
             remaining.remove(ax)
     return float(arr)

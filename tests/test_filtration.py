@@ -7,10 +7,13 @@ box [0, 4), g = 4 * 1_[0,1), threshold 1:
   |{tau finite}| = 2 <= (1/1) * integral of g over {tau finite} = 4.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sharpcheck import calculus
 from sharpcheck import filtration as fl
 
 RTOL = 1e-12
@@ -163,6 +166,30 @@ class TestLevelCache:
         owned = np.arange(4.0)
         owned.flags.writeable = False
         assert filt.field(owned).values is owned
+
+    @pytest.mark.parametrize("slab_nodes", [1, 2 ** 14])
+    def test_sample_by_slab_equals_one_shot_sampling(self, monkeypatch, slab_nodes):
+        # fn takes the center rows of one slab at a time; the values are those
+        # of one call on every center, bit for bit, in an array the field keeps
+        bump = calculus.manufactured("bump", 2, center=(0.5, 0.4), radius=0.45).u
+        gauss = calculus.manufactured("gaussian", 3, sigma=0.3).u
+        cases = [(fl.full_space(2, 0, 7, (0.0, 0.0), (1.0, 1.0)), bump),
+                 (fl.full_space(2, 0, 5, (0.0, 0.0), (1.0, 1.0)), lambda X: X[:, 0] < 0.3),
+                 (fl.parabolic(2, 0, 2, (0.0, -1.0, -1.0), (1.0, 1.0, 1.0)), gauss)]
+        monkeypatch.setattr(calculus, "_SLAB_NODES", slab_nodes)
+        for spec, fn in cases:
+            filt = fl.Filtration(spec)
+            want = np.asarray(fn(filt.cell_centers().reshape(-1, filt.ndim)), dtype=np.float64)
+            tracemalloc.start()
+            try:
+                f = filt.sample(fn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert f.values.tobytes() == want.reshape(filt.shape).tobytes()
+            assert f.values.base is None and not f.values.flags.writeable
+            if slab_nodes == 1:       # one-layer slabs: the values, and no copy of them
+                assert peak < 1.5 * want.nbytes + 2 ** 14
 
     def test_identity_suite_averages_each_level_once_per_field(self, monkeypatch):
         # the stopping time, both stopped values, the maximal function of g

@@ -57,7 +57,9 @@ from sharpcheck.operators import dyadic_maximal
 from sharpcheck.weights import (
     HattedPowerX1,
     MixedNormSpec,
+    NodeMasses,
     PowerX1,
+    box_mixed_norm,
     mixed_norm,
     node_masses,
     weighted_norm,
@@ -416,6 +418,26 @@ def box_weights(grid):
     return (None, PowerX1(0.5, axis=ax), PowerX1(-0.5, axis=ax), HattedPowerX1(1.0, axis=ax))
 
 
+def whole_box_mixed_norm(grid, box, spec, values):
+    """The iterated norm with each group's |f|^p times masses formed on the
+    whole (reduced) box and reduced in one call."""
+    arr = values
+    remaining = list(range(grid.ndim))
+    for gi in range(len(spec.groups) - 1, -1, -1):
+        p = float(spec.exponents[gi])
+        w = spec.weights[gi] if spec.weights is not None else None
+        tmp = power(np.abs(arr), p)
+        for ax in spec.groups[gi]:
+            shape = [1] * tmp.ndim
+            shape[remaining.index(ax)] = -1
+            tmp *= NodeMasses(grid, w, box).factors[ax].reshape(shape)
+        arr = power(tmp.sum(axis=tuple(sorted(remaining.index(ax) for ax in spec.groups[gi]))),
+                    1.0 / p)
+        for ax in spec.groups[gi]:
+            remaining.remove(ax)
+    return float(arr)
+
+
 class TestBoxHelpers:
     """Masses, masks and the slab hat on a box are the whole grid's sliced to
     the box, bit for bit; integrals and mixed norms on the box differ from the
@@ -430,6 +452,9 @@ class TestBoxHelpers:
                 got = node_masses(grid, w, box)
                 assert got.shape == whole[box].shape
                 assert got.tobytes() == whole[box].tobytes()
+                masses = NodeMasses(grid, w, box)
+                for s in (slice(0, 1), slice(1, 4), slice(2, None)):
+                    assert masses[s].tobytes() == got[s].tobytes()
 
     @pytest.mark.parametrize("kind", sorted(BOX_GRIDS))
     def test_masks_and_hat_equal_whole_grid_sliced(self, kind):
@@ -491,9 +516,10 @@ class TestBoxHelpers:
 
     @pytest.mark.parametrize("slab_nodes", [1, 40, 2 ** 14])
     def test_slab_by_slab_integrands_equal_whole_box_formulas(self, monkeypatch, slab_nodes):
-        # integrands, stacks and mixed norms formed one slab of axis-0 layers
-        # at a time equal their whole-box formulas bit for bit; the collar,
-        # summed slab by slab, differs from the whole grid's sum only in order
+        # integrands and stacks formed one slab of axis-0 layers at a time,
+        # against masses formed slab by slab, equal their whole-box formulas
+        # bit for bit; the collar, summed slab by slab, differs from the
+        # whole grid's sum only in order
         grid = BOX_GRIDS["time"]
         box = next(grid_boxes(grid))
         rng = np.random.default_rng(slab_nodes)
@@ -501,26 +527,61 @@ class TestBoxHelpers:
         d2, d1 = rng.random(shape), rng.random(shape)
         u, fv = rng.normal(size=shape), rng.normal(size=shape)
         mass = node_masses(grid, PowerX1(0.5, axis=1), box)
-        spec = MixedNormSpec(groups=((0,), (1, 2)), exponents=(3.0, 2.5),
-                             weights=(None, PowerX1(0.5, axis=1)))
-        want_norm = mixed_norm(GridFunction(grid, u, box), spec)
         monkeypatch.setattr(calculus, "_SLAB_NODES", slab_nodes)
-        assert mixed_norm(GridFunction(grid, u, box), spec) == want_norm
         for p in (2.0, 3.0, 4.5):
             lhs = power(d2, p) + power(d1, p) + power(np.abs(u), p)
-            assert catalog._power_integral(p, mass, d2, d1, u) == catalog._integral(lhs, mass)
-            assert catalog._power_integral(p, mass, lambda s: fv[s] - u[s]) == \
-                catalog._integral(power(np.abs(fv - u), p), mass)
+            for masses in (mass, NodeMasses(grid, PowerX1(0.5, axis=1), box)):
+                got = catalog._power_integral(p, masses, d2, d1, u)
+                assert got == catalog._integral(lhs, mass)
+                assert catalog._power_integral(p, masses, lambda s: fv[s] - u[s]) == \
+                    catalog._integral(power(np.abs(fv - u), p), mass)
             acc = np.zeros(shape)
             for a in (d2, d1, u):
                 acc = acc + power(np.abs(a), p)
-            assert catalog._stack(p, d2, d1, u).tobytes() == power(acc, 1.0 / p).tobytes()
+            stack = calculus.by_slabs(catalog._stack(p, d2, d1, u), shape)
+            assert stack.tobytes() == power(acc, 1.0 / p).tobytes()
         for w in box_weights(grid):
             for radius in (0.5, 0.8, 2.2):
                 mask = catalog._cylinder_mask(grid, radius)
                 want = catalog._integral(mask, node_masses(grid, w))
                 got = catalog._collar(grid, w, lambda b: catalog._cylinder_mask(grid, radius, b))
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("slab_nodes", [1, 40, 2 ** 14])
+    def test_slab_by_slab_mixed_norms_equal_whole_box_formula(self, monkeypatch, slab_nodes):
+        # innermost groups of the axis-0 layers alone (the running sum carried
+        # as a first layer), of space axes only (each layer on its own) and of
+        # axis 0 with another axis (one piece), on arrays and slab callables,
+        # with layers of more and of fewer nodes than numpy's 8192-element
+        # buffer and than a slab
+        time = BOX_GRIDS["time"]
+        cases = [(time, box, spec) for box in (next(grid_boxes(time)), (slice(None),) * 3)
+                 for spec in (
+                     MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(4.0, 3.0, 2.5)),
+                     MixedNormSpec(groups=((1, 2), (0,)), exponents=(3.0, 2.0),
+                                   weights=(PowerX1(0.5, axis=1), None)),
+                     MixedNormSpec(groups=((0,), (1, 2)), exponents=(3.0, 2.5),
+                                   weights=(None, PowerX1(0.5, axis=1))),
+                     MixedNormSpec(groups=((0,), (2,), (1,)), exponents=(3.0, 2.5, 4.0),
+                                   weights=(None, None, HattedPowerX1(1.0, axis=1))),
+                     MixedNormSpec(groups=((2,), (0, 1)), exponents=(2.0, 3.5)))]
+        wide = box_grid((0.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 97, 91), time_axis=True)
+        cases += [(wide, (slice(None),) * 3, MixedNormSpec(groups=((2,), (1,), (0,)),
+                                                          exponents=(4.0, 3.0, 2.5))),
+                  (wide, (slice(1, 4), slice(None), slice(2, 90)),
+                   MixedNormSpec(groups=((0,), (1, 2)), exponents=(2.0, 3.0)))]
+        thin = BOX_GRIDS["ball"]
+        cases += [(thin, (slice(None), slice(3, 4)), MixedNormSpec(groups=((1,), (0,)),
+                                                                  exponents=(2.0, 3.0))),
+                  (thin, (slice(2, 15), slice(None)), MixedNormSpec(groups=((0,), (1,)),
+                                                                   exponents=(2.0, 3.0)))]
+        monkeypatch.setattr(calculus, "_SLAB_NODES", slab_nodes)
+        for i, (grid, box, spec) in enumerate(cases):
+            shape = tuple(len(range(n)[s]) for n, s in zip(grid.shape, box))
+            u = np.random.default_rng([slab_nodes, i]).normal(size=shape)
+            want = whole_box_mixed_norm(grid, box, spec, u)
+            assert mixed_norm(GridFunction(grid, u, box), spec) == want
+            assert box_mixed_norm(grid, box, spec, lambda s: u[s]) == want
 
     def test_box_samples_pad_and_are_checked(self):
         grid = BOX_GRIDS["time"]
@@ -714,14 +775,14 @@ class TestSharedFields:
         assert grid.shape == (65, 113, 113)
         assert peak < 3.1 * 8 * math.prod(grid.shape)
 
-    def test_para_global_finest_step_peaks_below_3_6_node_arrays(self):
+    def test_para_global_finest_step_peaks_below_3_05_node_arrays(self):
         # PARA-GLOBAL's h = 0.025 step from its set to _collar_hessian: the
         # set (u, fv, d2 and d1 on the support box, about half the grid) is
-        # 2 node arrays, the masses and the integrand on the box 1 more, and
-        # the slabs of the collar and the integrands lift the peak to 3.06
-        # (measured); the bound leaves half a node array of margin.  The
-        # whole-grid collar mask, masses and product peaked at 5.0, and
-        # padded whole-grid fields and integrands at 9.2
+        # 2 node arrays, the integrand on the box 0.5 more, and the slabs of
+        # the masses, the collar and the integrands lift the peak to 2.55
+        # (measured); the bound leaves half a node array of margin.  Masses
+        # held on the box peaked at 3.06, the whole-grid collar mask, masses
+        # and product at 5.0, and padded whole-grid fields and integrands at 9.2
         para = ENTRIES["PARA-GLOBAL"].merged({})
         tracemalloc.start()
         try:
@@ -733,14 +794,15 @@ class TestSharedFields:
         finally:
             tracemalloc.stop()
         assert grid.shape == (65, 113, 113)
-        assert peak < 3.6 * 8 * math.prod(grid.shape)
+        assert peak < 3.05 * 8 * math.prod(grid.shape)
 
-    def test_w2p_global_finest_step_peaks_below_1_9_node_arrays(self):
+    def test_w2p_global_finest_step_peaks_below_1_65_node_arrays(self):
         # W2P-GLOBAL at h = 0.00625, 721 x 721 nodes, from sampling its bump
-        # to its report: the support box holds 17% of the nodes, and sampling
-        # the bump there peaks at 1.37 node arrays (measured); the bound
-        # leaves half a node array of margin.  Sampling through a whole-grid
-        # point array peaked at 8.1 (32.2 MiB)
+        # to its report: the support box holds 17% of the nodes, sampled one
+        # slab at a time, and the run peaks at 1.14 node arrays (measured);
+        # the bound leaves half a node array of margin.  The bump's
+        # temporaries on the whole box peaked at 1.37, and sampling through a
+        # whole-grid point array at 8.1 (32.2 MiB)
         entry = ENTRIES["W2P-GLOBAL"]
         tracemalloc.start()
         try:
@@ -748,7 +810,23 @@ class TestSharedFields:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.9 * 8 * 721 * 721
+        assert peak < 1.65 * 8 * 721 * 721
+
+    def test_fs_local_finest_step_peaks_below_eight_finest_arrays(self):
+        # FS-LOCAL at h = 2^-9, 512 x 512 finest cells: u sampled one slab at
+        # a time, its masses and cached level means, and each integrand formed
+        # as soon as its maximal or sharp array exists, peak at 7.65 finest
+        # arrays (measured), with the thickness constant ranking one cell per
+        # position.  Whole-grid sampling, every level's full sort and all
+        # three arrays held to the end peaked at 13.3
+        entry = ENTRIES["FS-LOCAL"]
+        tracemalloc.start()
+        try:
+            entry.runner(entry.merged({}), 2.0 ** -9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * 512 * 512
 
     def test_three_entries_in_one_call_peak_within_one_alone(self):
         # PARA-GLOBAL, PARA-APRIORI and PARA-MIXED share every set.  Together

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from sharpcheck.filtration import cell_blocks
+
 from sharpcheck.calculus import GridFunction, box_grid
 from sharpcheck.filtration import Filtration, full_space, half_space, parabolic
 from sharpcheck.weights import (
@@ -223,6 +225,50 @@ class TestBetaType:
             PowerX1(0.5), 0.5, Filtration(full_space(1, 0, 8, (0.0,), (1.0,))))
         assert coarse == pytest.approx(want, rel=0.01)
         assert fine == pytest.approx(coarse, rel=0.005)
+
+    @staticmethod
+    def full_grid_sort(w, beta, filt):
+        # every level's blocks of the whole mass grid, each sorted
+        masses = cell_masses(w, filt)
+        best = 0.0
+        for n in filt.levels:
+            blocks = cell_blocks(masses, filt.block_factors(n))
+            m = blocks.shape[1]
+            pref = np.cumsum(np.sort(blocks, axis=1)[:, ::-1], axis=1)
+            ratio = pref / pref[:, -1:]
+            frac = (np.arange(1, m + 1) / m) ** beta
+            best = max(best, float((ratio / frac).max()))
+        return best
+
+    @pytest.mark.parametrize("spec", [
+        full_space(1, 0, 6, (-1.0,), (1.0,)),
+        full_space(2, 0, 4, (-1.0, 0.0), (1.0, 2.0)),
+        full_space(3, 0, 3, (0.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
+        half_space(2, -1, 3, (0.0, -2.0), (2.0, 2.0)),
+        parabolic(1, 0, 2, (0.0, -1.0), (1.0, 1.0)),
+    ], ids=["1d", "2d", "3d", "half", "parabolic"])
+    def test_ranking_one_cell_per_position_equals_full_grid_sort(self, spec):
+        # the masses are constant along every axis but the weight's, so one
+        # cell per position is ranked; the constant is the full sort's, bit for bit
+        filt = Filtration(spec)
+        for kind in (PowerX1, HattedPowerX1):
+            for axis in range(filt.ndim):
+                for q in (-0.5, 0.7, 2.0):
+                    w = kind(q, axis=axis, resolution=0.05)
+                    for beta in (1.0, 0.5, 0.3):
+                        assert beta_type_constant(w, beta, filt) == \
+                            self.full_grid_sort(w, beta, filt)
+
+    def test_tabulated_weights_equal_full_grid_sort(self):
+        # a weight varying along every axis collapses none; one constant
+        # along an axis collapses that axis only
+        filt = Filtration(full_space(3, 0, 3, (0.0,) * 3, (1.0,) * 3))
+        rng = np.random.default_rng(3)
+        rough = TabulatedWeight(filt, rng.random(filt.shape) + 0.1)
+        layered = TabulatedWeight(filt, np.broadcast_to(rng.random((8, 1, 8)) + 0.1, filt.shape))
+        for w in (rough, layered, tabulate(PowerX1(0.5, axis=1), filt)):
+            for beta in (1.0, 0.5, 0.3):
+                assert beta_type_constant(w, beta) == self.full_grid_sort(w, beta, filt)
 
     def test_validation(self):
         filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
