@@ -19,6 +19,7 @@ x-independent model over a shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,7 +73,15 @@ class Grid:
         return (self.hi[axis] - self.lo[axis]) / (self.shape[axis] - 1)
 
     def axis_nodes(self, axis: int) -> np.ndarray:
-        return np.linspace(self.lo[axis], self.hi[axis], self.shape[axis])
+        """Read-only ``np.linspace`` of ``axis``'s nodes, built once per grid."""
+        return self._axes[axis]
+
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        axes = tuple(map(np.linspace, self.lo, self.hi, self.shape))
+        for x in axes:
+            x.flags.writeable = False
+        return axes
 
     def coordinates(self, box: tuple[slice, ...] | None = None) -> tuple[np.ndarray, ...]:
         """Per axis, ``axis_nodes`` sliced to ``box`` (the whole grid by

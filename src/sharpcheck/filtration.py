@@ -265,10 +265,11 @@ def _block_expand(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
 def level_means(f: DiscreteField, n: int) -> np.ndarray:
     """Read-only mean of ``f`` over each level-``n`` cell, one entry per cell
-    and instance; computed once per field and level."""
+    and instance, computed once per field and level; ``f.values`` at the finest."""
     means = f._means.get(n)
     if means is None:
-        means = f._means[n] = _block_mean(f.values, f.filtration.block_factors(n))
+        factors = f.filtration.block_factors(n)
+        means = f._means[n] = f.values if max(factors) == 1 else _block_mean(f.values, factors)
         means.flags.writeable = False
     return means
 

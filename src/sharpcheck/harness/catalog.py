@@ -28,12 +28,12 @@ input is sampled on its analytic support and the set built slab by slab
 integrands on the box from the grid's axis nodes, so every per-node value is
 the whole grid's, bit for bit, and accumulate integrands one slab of axis-0
 layers at a time; the collar term, which does not vanish off the box, is
-summed over the whole grid slab by slab, so no whole-grid array is formed.
+summed over the whole grid slab by slab, and only under a nonzero ``tau0^p``.
 Inside ``run_suite`` (see ``shared_fields``) entries with one recipe share
 these sets: each is computed once, handed out read-only, and kept only while
-its recipe is the most recently requested one.  A set depends on nothing but
-its recipe and spacing, so a report is the same whether its sets were shared
-or not.
+its recipe is the most recently requested one; each operator's class check
+is kept for the whole call.  A set or check depends on nothing but its recipe,
+spacing or seed, so a report is the same whether they were shared or not.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from ..calculus import (
     bellman_operator,
     box_grid,
     check_delta,
+    check_operator_class,
     check_scale,
     euclidean,
     evaluate_operator,
@@ -206,22 +207,34 @@ def build_operator(params: dict):
 
 
 class _FieldStore:
-    """The ladder of field sets of the most recently requested recipe."""
+    """The field sets of the latest recipe, and every operator's class check."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.recipe, self.ladder = None, {}
+        self.recipe, self.ladder, self.classes = None, {}, {}
 
     def get(self, recipe, h: float, compute: Callable):
         with self.lock:
             if recipe != self.recipe:         # drop the last ladder before computing
                 self.recipe, self.ladder = recipe, {}
             ladder = self.ladder
-            if h in ladder:
-                return ladder[h]
-        fields = compute()                    # unlocked: a race computes a set twice
+        return self.once(ladder, h, compute)
+
+    def once(self, table: dict, key, compute: Callable):
         with self.lock:
-            return ladder.setdefault(h, fields)
+            if key in table:
+                return table[key]
+        value = compute()                     # unlocked: a race computes a value twice
+        with self.lock:
+            return table.setdefault(key, value)
+
+
+def operator_class_report(params: dict, seed: int):
+    """The operator's ``check_operator_class``, once per ``shared_fields`` block."""
+    key = (params["operator"], float(params["delta"]), int(params["d"]), seed)
+    store = _SHARED.get()
+    compute = lambda: check_operator_class(build_operator(params), key[2], budget=40, seed=seed)
+    return compute() if store is None else store.once(store.classes, key, compute)
 
 
 # The store of the running ``shared_fields`` block, or None outside one.
@@ -345,14 +358,15 @@ def _gradient_pair(p, mass, d2, d1, fv, u) -> EquationCheck:
                           _power_integral(p, mass, u)))
 
 
-def _collar_hessian(equation, p, mass, d2, fv, u, collar: float, tau0, u_scale=1.0,
+def _collar_hessian(equation, p, mass, d2, fv, u, collar: Callable, tau0, u_scale=1.0,
                     notes=None) -> EquationCheck:
-    """Hessian by the operator image, the scaled function and the
-    oscillation-budget collar term (its mask's whole-grid ``_collar``)."""
+    """Hessian by the operator image, the scaled function and the collar term
+    ``tau0^p * collar()``; the collar, a finite nonnegative ``_collar``, is not
+    summed when ``tau0^p = 0``, where the term is +0.0."""
     return EquationCheck(equation, _power_integral(p, mass, d2),
                          (_power_integral(p, mass, fv),
                           u_scale * _power_integral(p, mass, u),
-                          tau0 ** p * collar), notes or {})
+                          tau0 ** p * collar() if tau0 ** p else 0.0), notes or {})
 
 
 def _local_hessian(equation, p, inner, outer, d2, d1, fv, u, gap) -> EquationCheck:
@@ -744,7 +758,7 @@ def _run_w2p_global(params, h, seed):
                       amplitude=float(params["amplitude"]))
     grid, box, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
     w = _axis_weight(params["q"])
-    collar = _collar(grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
+    collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
     scale = r0 ** (-2 * p)
     return [_collar_hessian("global_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
                             collar, tau0, scale, {"u_term_scale": scale})]
@@ -1052,7 +1066,7 @@ def _run_hs_dirichlet(params, h, seed):
     grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
     w = _axis_weight(params["q"])
     mass = NodeMasses(grid, w, box)
-    collar = _collar(grid, w, partial(_ball_mask, grid, (0.0,) * grid.ndim, R + r0))
+    collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * grid.ndim, R + r0))
     return [_collar_hessian("support_hessian", p, mass, d2, fv, u, collar, tau0),
             _gradient_pair(p, mass, d2, d1, fv, u),
             _absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv)]
@@ -1162,7 +1176,7 @@ def _run_para_global(params, h, seed):
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
-    collar = _collar(grid, w, partial(_cylinder_mask, grid, R + r0))
+    collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
     return [_collar_hessian("parabolic_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
                             collar, tau0)]
 
@@ -1263,7 +1277,7 @@ def _run_para_hs(params, h, seed):
     R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
-    collar = _collar(grid, w, partial(_cylinder_mask, grid, R + r0))
+    collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
     return [_collar_hessian("boundary_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
                             collar, tau0)]
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 
-from ..calculus import check_operator_class
-from .catalog import ENTRIES, CatalogEntry, build_operator, shared_fields
+from .catalog import ENTRIES, CatalogEntry, operator_class_report, shared_fields
 from .report import (
     BOUNDED,
     DIVERGING,
@@ -41,8 +40,7 @@ def _class_precondition(entry: CatalogEntry, params: dict, seed: int) -> dict:
     """Reject operators that fail their sampled class membership check."""
     if "operator" not in params:
         return {}
-    op = build_operator(params)
-    rep = check_operator_class(op, int(params["d"]), budget=40, seed=seed)
+    rep = operator_class_report(params, seed)
     note = {
         "operator_class": {
             "kind": params["operator"],

@@ -1,8 +1,8 @@
 """Maximal and mean-oscillation operators, dyadic and geometric.
 
 Dyadic variants act on piecewise-constant fields through exact block
-averages.  Geometric variants act on grid functions: shape averages are
-node-counting quadratures over balls, half balls, forward-in-time cylinders
+averages, maxed over levels coarse to fine.  Geometric variants act on grid
+functions: shape averages are node-counting quadratures over balls, half balls, forward-in-time cylinders
 ``[t, t + r^2) x B_r`` and half cylinders, with shapes clipped to the grid
 box.  One chord reduction serves both window sums and covering maxima: each
 mask row is a chord about the middle column, a running sum or max grows
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import Grid, GridFunction
-from .filtration import DiscreteField, _block_expand, cell_blocks, level_average_values
+from .filtration import DiscreteField, _block_expand, cell_blocks, level_means
 
 # Cells per pairwise chunk in the generic double-average path.
 _PAIR_CHUNK = 1 << 22
@@ -49,10 +49,23 @@ def dyadic_maximal(f: DiscreteField, m: int | None = None) -> DiscreteField:
     if top < filt.spec.n_min:
         raise ValueError(f"level cap {m} lies below the coarsest level {filt.spec.n_min}")
     absf = abs(f)
-    out = np.full(f.values.shape, -np.inf)
-    for n in range(filt.spec.n_min, top + 1):
-        np.maximum(out, level_average_values(absf, n), out=out)
-    return DiscreteField(filt, out)
+    return DiscreteField(filt, _coarse_to_fine(filt, filt.spec.n_min, top, -np.inf,
+                                               lambda n: level_means(absf, n)))
+
+
+def _coarse_to_fine(filt, start: int, top: int, empty: float, level) -> np.ndarray:
+    """Read-only finest-grid max of ``empty`` and the cell values ``level(n)``
+    over levels ``start..top``, taken at each level's resolution: each finest
+    cell sees a finest-grid loop's operands in its order, so the same bits."""
+    step = tuple(2 ** k for k in filt.spec.k)
+    out = None
+    for n in range(start, top + 1):
+        values = level(n)
+        out = np.full(values.shape, empty) if out is None else _block_expand(out, step)
+        np.maximum(out, values, out=out)
+    out = _block_expand(out, filt.block_factors(top))
+    out.flags.writeable = False
+    return out
 
 
 def _pair_mean_sorted(blocks: np.ndarray) -> np.ndarray:
@@ -83,18 +96,16 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
     filt = u.filtration
     if m > filt.spec.n_max:
         raise ValueError(f"level floor {m} lies above the finest level {filt.spec.n_max}")
-    start = max(m, filt.spec.n_min)
-    out = np.zeros(filt.shape)
-    for n in range(start, filt.spec.n_max + 1):
+
+    def level(n):
         factors = filt.block_factors(n)
         blocks = cell_blocks(u.values, factors)
-        if gamma == 1.0:
-            per_cell = _pair_mean_sorted(blocks)
-        else:
-            per_cell = _pair_mean_power(blocks, gamma) ** (1.0 / gamma)
-        coarse = per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
-        np.maximum(out, _block_expand(coarse, factors), out=out)
-    return DiscreteField(filt, out)
+        per_cell = (_pair_mean_sorted(blocks) if gamma == 1.0
+                    else _pair_mean_power(blocks, gamma) ** (1.0 / gamma))
+        return per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
+
+    return DiscreteField(filt, _coarse_to_fine(filt, max(m, filt.spec.n_min),
+                                               filt.spec.n_max, 0.0, level))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,23 @@ class TestGrid:
         assert g.spacing(1) == pytest.approx(0.25)
         assert g.axis_nodes(1)[0] == -1.0 and g.axis_nodes(1)[-1] == 1.0
 
+    @pytest.mark.parametrize("lo,hi,shape,kw", [
+        ((-1.0,), (1.0,), (7,), {}),
+        ((0.0, -1.2, -1.2), (1.5, 1.2, 1.2), (8, 13, 10), {"time_axis": True}),
+        ((0.0, 0.1, -0.3, -1.0), (0.3, 0.9, 0.7, 1.0), (4, 5, 6, 3), {}),
+    ])
+    def test_axis_nodes_are_built_once_read_only(self, lo, hi, shape, kw):
+        g = ca.box_grid(lo, hi, shape, **kw)
+        for ax in range(g.ndim):
+            x = g.axis_nodes(ax)
+            assert x is g.axis_nodes(ax) and not x.flags.writeable
+            assert x.tobytes() == np.linspace(lo[ax], hi[ax], shape[ax]).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+        # the cached axes stay off the grid's value: equality and hashing
+        assert g == ca.box_grid(lo, hi, shape, **kw)
+        assert hash(g) == hash(ca.box_grid(lo, hi, shape, **kw))
+
     def test_time_axis_excluded_from_space(self):
         g = ca.box_grid((0, 0, -1), (1, 1, 1), (4, 5, 5), time_axis=True)
         assert g.space_axes == (1, 2)

@@ -144,6 +144,32 @@ class TestLevelCache:
             assert a is not g and not np.signbit(a.values).any()
             assert np.array_equal(a.values, np.abs(vals))
 
+    def test_finest_means_are_the_values(self):
+        # one-cell blocks: the means are the values themselves, not a copy
+        for spec in BATCH_SPECS:
+            filt, f, _, _ = _random_batch(np.random.default_rng(6), spec, (2,))
+            means = fl.level_means(f, spec.n_max)
+            assert means is f.values and np.shares_memory(means, f.values)
+            factors = filt.block_factors(spec.n_max)
+            assert means.tobytes() == fl._block_mean(f.values, factors).tobytes()
+
+    def test_fs_local_finest_step_averages_no_finest_array(self, monkeypatch):
+        # FS-LOCAL at h = 2^-9 takes u's finest-level means for its maximal
+        # function; they are u's values, so no 512 x 512 (2 MiB) block mean
+        # is formed
+        from sharpcheck.harness.catalog import ENTRIES
+        block_mean, sizes = fl._block_mean, []
+
+        def spy(values, factors):
+            out = block_mean(values, factors)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(fl, "_block_mean", spy)
+        entry = ENTRIES["FS-LOCAL"]
+        entry.runner(entry.merged({}), 2.0 ** -9, 0)
+        assert sizes and max(sizes) < 512 * 512
+
     def test_values_and_means_are_read_only(self):
         filt = unit_line()
         f = filt.field(np.arange(4.0))
@@ -194,15 +220,18 @@ class TestLevelCache:
     def test_identity_suite_averages_each_level_once_per_field(self, monkeypatch):
         # the stopping time, both stopped values, the maximal function of g
         # and the threshold's coarse maximum share each field's means: per
-        # group of instances on one filtration, g is averaged on every level
-        # and f on each level where some instance stopped
+        # group of instances on filtrations of one shape (exponents, level
+        # range, box sides), g is averaged on every level and f on each level
+        # where some instance stopped, the finest level's means being the
+        # values themselves
         from sharpcheck.harness import identity
         seed, n = 3, 20
         levels = {}
         for gi, geometry in enumerate(("full", "half", "parabolic")):
             for i in range(n):
                 spec = identity._random_spec(np.random.default_rng([seed, gi, i]), geometry)
-                levels[gi, spec] = spec.n_max - spec.n_min + 1
+                sides = tuple(b - a for a, b in zip(spec.lo, spec.hi))
+                levels[gi, spec.k, spec.n_min, spec.n_max, sides] = spec.n_max - spec.n_min
         block_mean, seen, stops = fl._block_mean, [], []
         cz = identity.cz_stopping_time
 
@@ -212,7 +241,8 @@ class TestLevelCache:
 
         def cz_spy(g, lam):
             st_ = cz(g, lam)
-            stops.append(len(np.unique(st_.tau[st_.finite_mask()])))
+            stopped = np.unique(st_.tau[st_.finite_mask()])
+            stops.append(int((stopped < g.filtration.spec.n_max).sum()))
             return st_
 
         monkeypatch.setattr(fl, "_block_mean", spy)
@@ -365,6 +395,22 @@ class TestBatches:
                 other[2] *= scale
                 changed = check_instance(filt, f.values, filt.field(g.values), other)
                 assert [_hexes(r) for k, r in enumerate(changed) if k != 2] == base[:2] + base[3:]
+
+    def test_boxes_of_one_shape_batch_together(self):
+        # the box corner moves only the cell centres: instances drawn on two
+        # boxes of one shape give their own filtration's residuals, bit for
+        # bit, when checked in one batch on the first box
+        from sharpcheck.harness.identity import check_instance
+        rng = np.random.default_rng(15)
+        filts = [fl.Filtration(fl.full_space(1, 0, 2, (0,), (1,))),
+                 fl.Filtration(fl.full_space(1, 0, 2, (-1,), (0,)))] * 3
+        f = rng.standard_normal((6,) + filts[0].shape)
+        g = rng.random((6,) + filts[0].shape)
+        lam = rng.uniform(0.3, 1.2, size=6)
+        batched = check_instance(filts[0], f, filts[0].field(g), lam)
+        for j, filt in enumerate(filts):
+            alone = check_instance(filt, f[j:j + 1], filt.field(g[j:j + 1]), lam[j:j + 1])
+            assert _hexes(batched[j]) == _hexes(alone[0])
 
     def test_identity_suite_matches_one_instance_batches(self, monkeypatch):
         from sharpcheck.harness import identity

@@ -702,6 +702,27 @@ class TestStudyDrivers:
 PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "pde.cfg"
 
 
+@pytest.mark.parametrize("eid", ["W2P-GLOBAL", "HS-DIRICHLET", "PARA-GLOBAL", "PARA-HS"])
+def test_collar_is_summed_only_under_a_nonzero_coefficient(monkeypatch, eid):
+    # the collar term is tau0^p times a finite nonnegative collar: +0.0
+    # without summing it at tau0 = 0, and the product at tau0 = 0.5
+    entry, collar, sums = ENTRIES[eid], catalog._collar, []
+
+    def spy(*args):
+        sums.append(collar(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(catalog, "_collar", spy)
+    for tau0 in (0.0, 0.5):
+        params = entry.merged({"tau0": tau0})
+        term = entry.runner(params, entry.ladder[0], 0)[0].rhs_terms[2]
+        if tau0:
+            assert len(sums) == 1 and sums[0] > 0
+            assert term == tau0 ** params["p"] * sums[0]
+        else:
+            assert not sums and term == 0.0 and math.copysign(1.0, term) == 1.0
+
+
 def suite_pair(name, reports):
     return suite_to_json(name, reports, seed=0), suite_to_csv(reports)
 
@@ -742,6 +763,29 @@ class TestSharedFields:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
+    def test_one_class_check_per_operator_recipe(self, monkeypatch):
+        # the 18 operator entries of the pde workload have 3 operator
+        # recipes; the reports are those of one call per entry (above)
+        cfg = load_suite(str(PDE_CONFIG))
+        specs = [EstimateSpec(id=eid, params=prm, ladder=ladder, seed=0)
+                 for eid, prm, ladder in cfg.blocks]
+        merged = [ENTRIES[s.id].merged(dict(s.params)) for s in specs]
+        recipes = {(p["operator"], float(p["delta"]), int(p["d"])) for p in merged
+                   if "operator" in p}
+        calls, check = [], catalog.check_operator_class
+
+        def spy(op, d, **kw):
+            calls.append(d)
+            return check(op, d, **kw)
+
+        monkeypatch.setattr(catalog, "check_operator_class", spy)
+        run_suite(specs)
+        assert sum("operator" in p for p in merged) == 18
+        assert len(calls) == len(recipes) == 3
+        run_suite([specs[0]])
+        run_suite([specs[0]])
+        assert len(calls) == 5                # nothing outlives a run_suite call
+
     def test_sets_are_shared_read_only_and_kept_for_one_recipe(self):
         para = ENTRIES["PARA-GLOBAL"].merged({})
         with catalog.shared_fields():
@@ -779,8 +823,8 @@ class TestSharedFields:
         # PARA-GLOBAL's h = 0.025 step from its set to _collar_hessian: the
         # set (u, fv, d2 and d1 on the support box, about half the grid) is
         # 2 node arrays, the integrand on the box 0.5 more, and the slabs of
-        # the masses, the collar and the integrands lift the peak to 2.55
-        # (measured); the bound leaves half a node array of margin.  Masses
+        # the masses and the integrands lift the peak to 2.55 (measured; the
+        # collar, summed slab by slab only when tau0 > 0, does not move it); the bound leaves half a node array of margin.  Masses
         # held on the box peaked at 3.06, the whole-grid collar mask, masses
         # and product at 5.0, and padded whole-grid fields and integrands at 9.2
         para = ENTRIES["PARA-GLOBAL"].merged({})
@@ -815,10 +859,11 @@ class TestSharedFields:
     def test_fs_local_finest_step_peaks_below_eight_finest_arrays(self):
         # FS-LOCAL at h = 2^-9, 512 x 512 finest cells: u sampled one slab at
         # a time, its masses and cached level means, and each integrand formed
-        # as soon as its maximal or sharp array exists, peak at 7.65 finest
+        # as soon as its maximal or sharp array exists, peak at 5.84 finest
         # arrays (measured), with the thickness constant ranking one cell per
-        # position.  Whole-grid sampling, every level's full sort and all
-        # three arrays held to the end peaked at 13.3
+        # position.  A copy of u as its finest means and copies of the maxima
+        # peaked at 7.65; whole-grid sampling, every level's full sort and
+        # all three arrays held to the end at 13.3
         entry = ENTRIES["FS-LOCAL"]
         tracemalloc.start()
         try:

@@ -20,7 +20,15 @@ import pytest
 
 from sharpcheck import operators
 from sharpcheck.calculus import GridFunction, box_grid
-from sharpcheck.filtration import cz_stopping_time, full_space, parabolic, Filtration
+from sharpcheck.filtration import (
+    Filtration,
+    _block_expand,
+    cell_blocks,
+    cz_stopping_time,
+    full_space,
+    level_average_values,
+    parabolic,
+)
 from sharpcheck.harness import EstimateSpec, run_estimate_check
 from sharpcheck.operators import (
     GeometricFamily,
@@ -183,6 +191,77 @@ class TestDyadicSharp:
             dyadic_sharp(u, gamma=1.5, m=0)
         with pytest.raises(ValueError, match="finest"):
             dyadic_sharp(u, gamma=1.0, m=3)
+
+
+# ---------------------------------------------------------------------------
+# dyadic maxima coarse to fine
+
+def level_by_level_maximal(f, m=None):
+    # every level expanded to the finest grid, then maxed in
+    filt = f.filtration
+    top = filt.spec.n_max if m is None else min(m, filt.spec.n_max)
+    absf = abs(f)
+    out = np.full(f.values.shape, -np.inf)
+    for n in range(filt.spec.n_min, top + 1):
+        np.maximum(out, level_average_values(absf, n), out=out)
+    return out
+
+
+def level_by_level_sharp(u, gamma, m):
+    filt = u.filtration
+    out = np.zeros(filt.shape)
+    for n in range(max(m, filt.spec.n_min), filt.spec.n_max + 1):
+        factors = filt.block_factors(n)
+        blocks = cell_blocks(u.values, factors)
+        if gamma == 1.0:
+            per_cell = operators._pair_mean_sorted(blocks)
+        else:
+            per_cell = operators._pair_mean_power(blocks, gamma) ** (1.0 / gamma)
+        coarse = per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
+        np.maximum(out, _block_expand(coarse, factors), out=out)
+    return out
+
+
+def signed_values(rng, shape):
+    # normals, signed zeros and a repeated negative value, so that some
+    # blocks hold one value and oscillate by zero
+    vals = rng.standard_normal(shape)
+    kind = rng.integers(0, 4, size=shape)
+    vals[kind == 1] = -0.0
+    vals[kind == 2] = -1.5
+    return vals
+
+
+COARSE_TO_FINE_SPECS = (
+    full_space(2, 0, 3, (0.0, 0.0), (1.0, 1.0)),
+    full_space(1, -2, 3, (-4.0,), (4.0,)),
+    parabolic(1, -1, 1, (0.0, 0.0), (16.0, 4.0)),
+)
+
+
+class TestCoarseToFine:
+    """The running max is taken at each level's resolution; the bits equal
+    the level-by-level max on the finest grid, signed zeros included."""
+
+    @pytest.mark.parametrize("spec", COARSE_TO_FINE_SPECS)
+    def test_maximal_equals_level_by_level(self, spec):
+        filt = Filtration(spec)
+        rng = np.random.default_rng(29)
+        for batch in ((), (3,)):
+            f = filt.field(signed_values(rng, batch + filt.shape))
+            for m in (None, spec.n_min, spec.n_min + 1, spec.n_max - 1, spec.n_max + 2):
+                got = dyadic_maximal(f, m).values
+                assert got.tobytes() == level_by_level_maximal(f, m).tobytes()
+
+    @pytest.mark.parametrize("spec", COARSE_TO_FINE_SPECS)
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_sharp_equals_level_by_level(self, spec, gamma):
+        filt = Filtration(spec)
+        rng = np.random.default_rng(31)
+        for u in (filt.field(signed_values(rng, filt.shape)), filt.field(np.full(filt.shape, -1.5))):
+            for m in (spec.n_min - 1, spec.n_min, spec.n_min + 1, spec.n_max):
+                got = dyadic_sharp(u, gamma, m).values
+                assert got.tobytes() == level_by_level_sharp(u, gamma, m).tobytes()
 
 
 # ---------------------------------------------------------------------------
