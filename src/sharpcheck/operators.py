@@ -16,6 +16,8 @@ check and plan each window once.  Sharp pair sums visit the offset
 differences of all radii's pairs once each: every difference writes its
 field once, over its whole overlap, into one zeroed buffer on a padded grid,
 and each pair feeding a radius's padded accumulator is one flat slice add.
+Sampled pairs are swapped to a lexicographically positive difference, so
+``delta`` and ``-delta`` share one field; channels sum in a fixed order.
 """
 
 from __future__ import annotations
@@ -324,11 +326,17 @@ def _pair_windows(shape, a, b) -> np.ndarray:
 def _difference_field(vals: np.ndarray, delta, gamma: float) -> np.ndarray:
     """``|h(y) - h(y + delta)|**gamma`` at every ``y`` with both nodes on the
     grid, for ``vals`` of shape grid + (channels,), in the entrywise-l2
-    metric."""
+    metric; squared channels sum by halving, ``i + ceil(C/2)`` into ``i``,
+    in an order that does not depend on numpy's build or CPU."""
     y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, vals.shape))
     diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))]
-    return (np.sqrt(np.einsum("...c,...c->...", diff, diff)) if vals.shape[-1] > 1
-            else np.abs(diff[..., 0])) ** gamma
+    if diff.shape[-1] == 1:
+        return np.abs(diff[..., 0]) ** gamma
+    sq = list(np.moveaxis(np.multiply(diff, diff, out=diff), -1, 0))
+    while len(sq) > 1:
+        k = -(-len(sq) // 2)
+        sq = [sq[i] + sq[i + k] for i in range(len(sq) - k)] + sq[len(sq) - k:k]
+    return np.sqrt(sq[0]) ** gamma
 
 
 def _box_counts(shape, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -374,17 +382,22 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     other grid node reads the zeroed buffer and gets ``+0.0``, which leaves
     its nonnegative sum's bits alone.
 
-    First every radius draws its pairs, in radius order, and turns its
-    ``_pair_windows`` rows, sorted stably by offset difference ``delta``,
-    into int32 plans ``(s, e, s + o, e + o)`` indexed by ``delta``; sampled
-    radii count their pairs per center in one exact pass (``_box_counts``).
-    A call whose pair-node terms exceed ``_MAX_PAIR_TERMS`` is refused here,
-    before any field.  Then one pass visits the distinct ``delta`` in sorted
-    order: it writes the field ``|h(y) - h(y + delta)|**gamma`` into its
-    region of the buffer, adds every radius's slices in plan order, so each
-    center sums its terms in the order of a per-pair loop, and zeroes the
-    region again.  Held at once: plans, one padded field, padded
-    accumulators, and the pair counts of sampled radii.
+    First every radius draws its pairs, in radius order.  A sampled pair
+    ``(a, b)`` with ``b - a <lex 0`` is swapped (exact pairs never are): the
+    channel differences only change sign, so its term keeps its bits, and
+    its center box is symmetric, so only the order of a center's adds moves.
+    Each radius turns its ``_pair_windows`` rows, sorted stably by offset
+    difference ``delta``, into int32 plans ``(s, e, s + o, e + o)`` indexed
+    by ``delta``; sampled radii count their pairs per center in one exact
+    pass (``_box_counts``).  A call whose pair-node terms exceed
+    ``_MAX_PAIR_TERMS`` is refused here, before any field.  Then one pass
+    visits the distinct ``delta`` in sorted order: it writes the field
+    ``|h(y) - h(y + delta)|**gamma``, channels summed in
+    ``_difference_field``'s halving order, into its region of the buffer,
+    adds every radius's slices in plan order, so each center sums its terms
+    in the order of a per-pair loop, and zeroes the region again.  Held at
+    once: plans, one padded field, padded accumulators, and the pair counts
+    of sampled radii.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -418,6 +431,8 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
                 picks.append(np.stack([ii[keep][:take], jj[keep][:take]], axis=1))
                 need -= take
             ii, jj = np.concatenate(picks).T
+            # offsets are sorted, so o_j - o_i >lex 0 iff j > i
+            ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
             subsampled = True
         rows = _pair_windows(grid.shape, offsets[ii], offsets[jj])
         delta, lo, hi = rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:3 * d]

@@ -299,8 +299,8 @@ class TestCatalogRecipes:
 
     def test_covering_max_entries_bounded_at_default_ladders(self):
         # INTERP and OSC at their own ladders, within a generous budget;
-        # OSC-P's default ladder takes 3.3-4.0 s on a 2-core host and stays
-        # out of this run
+        # OSC-P's default ladder takes 2.3-2.5 s on a 2-core host (seed 0,
+        # inside a one-process sweep of all entries) and stays out of this run
         start = time.perf_counter()
         for eid in ("INTERP", "OSC"):
             r = run_estimate_check(EstimateSpec(id=eid))

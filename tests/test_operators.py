@@ -39,6 +39,7 @@ from sharpcheck.operators import (
     geometric_maximal,
     geometric_sharp,
     _box_counts,
+    _difference_field,
     _padded_layout,
     _pair_windows,
     _radius_subset,
@@ -542,10 +543,24 @@ def _overlap_slices(shape, oi, oj):
     return tuple(src_i), tuple(src_j), tuple(dst)
 
 
-def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0):
+def halving_norm(diff):
+    # entrywise-l2 norm over the last axis, the squared channels summed by
+    # halving: channel i + ceil(n/2) added into channel i until one is left
+    sq = [diff[..., c] * diff[..., c] for c in range(diff.shape[-1])]
+    while len(sq) > 1:
+        k = (len(sq) + 1) // 2
+        sq = [sq[i] + sq[i + k] if i + k < len(sq) else sq[i] for i in range(k)]
+    return np.sqrt(sq[0])
+
+
+def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0,
+                              canonical=True):
     # the per-pair loop geometric_sharp ran before pairs were grouped by
     # offset difference, with its overlap helper above, visiting pairs in a
-    # stable sort by offset difference; the bitwise reference
+    # stable sort by offset difference; the bitwise reference.  canonical
+    # swaps each sampled pair (i, j) whose difference o_j - o_i is
+    # lexicographically negative and sums channels by halving;
+    # canonical=False is the loop before that, unswapped and with einsum
     grid = h.grid
     vals = h.values.reshape(grid.shape + (-1,))
     nchan = vals.shape[-1]
@@ -570,6 +585,9 @@ def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0):
                 picks.append(np.stack([ii[keep][:take], jj[keep][:take]], axis=1))
                 need -= take
             pairs = np.concatenate(picks)
+            if canonical:
+                pairs = np.array([(j, i) if tuple(offsets[j] - offsets[i]) < (0,) * grid.ndim
+                                  else (i, j) for i, j in pairs])
             subsampled = True
         # the same pairs in a stable sort by offset difference, lexicographic
         pairs = np.array(pairs, dtype=int).reshape(-1, 2)
@@ -584,8 +602,12 @@ def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0):
                 continue
             si, sj, dst = sl
             diff = vals[si] - vals[sj]
-            mag = np.sqrt(np.einsum("...c,...c->...", diff, diff)) if nchan > 1 \
-                else np.abs(diff[..., 0])
+            if nchan == 1:
+                mag = np.abs(diff[..., 0])
+            elif canonical:
+                mag = halving_norm(diff)
+            else:
+                mag = np.sqrt(np.einsum("...c,...c->...", diff, diff))
             acc[dst] += mag ** gamma
             cnt[dst] += 1.0
         ordered = counts * counts
@@ -718,6 +740,11 @@ class TestGeometricSharp:
                     where = f"{channels} gamma {gamma} budget {budget}"
                     assert got.values.tobytes() == want.tobytes(), where
                     assert got.subsampled == sub, where
+                    # the swap and the channel order only reorder adds
+                    old, _ = reference_geometric_sharp(h, fam, gamma, radii[-1],
+                                                       pair_budget=budget, seed=7,
+                                                       canonical=False)
+                    np.testing.assert_allclose(got.values, old, rtol=1e-13, atol=0, err_msg=where)
             assert sub, "the small budget must sample some radius"
 
     def test_peak_memory_within_reference_plus_cache(self):
@@ -743,15 +770,42 @@ class TestGeometricSharp:
         rows = 8 * budget * 5 * grid.ndim
         assert peaks[1] <= peaks[0] + field + 3 * rows
 
-    @pytest.mark.parametrize("grid,shape,radii,budget", [
+    @pytest.mark.parametrize("channels", [(), (2,), (3,), (2, 2), (3, 3)])
+    def test_difference_field_channel_sum(self, channels):
+        # 1, 2, 3, 4 and 9 channels: the halving order written out, bit for
+        # bit; numpy's norm within a few ulps; and the field of -delta is the
+        # field of delta shifted by delta, bit for bit (its region starts at
+        # max(0, delta), that of delta at max(0, -delta)), the identity that
+        # lets geometric_sharp swap a sampled pair
+        rng = np.random.default_rng(len(channels) + sum(channels))
+        for shape, deltas in (((12, 13), [(2, -3), (0, 1), (-1, 0)]),
+                              ((5, 7, 6), [(1, -2, 0), (0, 0, -3), (2, 1, 1)])):
+            vals = rng.standard_normal(shape + channels).reshape(shape + (-1,))
+            for delta in deltas:
+                y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, shape))
+                diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e)
+                                            for s, e in zip(y, delta))]
+                for gamma in (1.0, 0.5, 0.3):
+                    got = _difference_field(vals, delta, gamma)
+                    where = f"{shape} {delta} gamma {gamma}"
+                    assert got.tobytes() == (halving_norm(diff) ** gamma).tobytes(), where
+                    np.testing.assert_array_max_ulp(
+                        got, np.linalg.norm(diff, axis=-1) ** gamma, maxulp=4)
+                    neg = _difference_field(vals, tuple(-e for e in delta), gamma)
+                    assert neg.tobytes() == got.tobytes(), where
+
+    @pytest.mark.parametrize("grid,shape,radii,budget,fields", [
         (box_grid((-1.5, -1.5), (1.5, 1.5), (51, 51)), "ball",
-         (0.125, 0.175, 0.25, 0.35, 0.5), 2048),
-        (*SHARP_CASES["half_cylinder-3d"], 40),
+         (0.125, 0.175, 0.25, 0.35, 0.5), 2048, 343),
+        (*SHARP_CASES["half_cylinder-3d"], 40, 30),
     ], ids=["osc-51x51", "half_cylinder-3d"])
-    def test_each_difference_field_once_per_call(self, grid, shape, radii, budget, monkeypatch):
-        # OSC's workload-sized call and a cylinder case: every distinct offset
-        # difference among all radii's pair windows computes its field once,
-        # in sorted order, though radii share differences
+    def test_each_difference_field_once_per_call(self, grid, shape, radii, budget, fields,
+                                                  monkeypatch):
+        # OSC's workload-sized call and a cylinder case, each with sampled
+        # radii: every distinct offset difference among all radii's pair
+        # windows computes its field once, in sorted order, though radii share
+        # differences; each is >lex 0, so the fields are the +-delta classes
+        # the pairs draw (608 and 35 fields with signed sampled differences)
         windows, difference_field = operators._pair_windows, operators._difference_field
         per_radius, computed = [], []
 
@@ -767,10 +821,15 @@ class TestGeometricSharp:
         monkeypatch.setattr(operators, "_pair_windows", windows_spy)
         monkeypatch.setattr(operators, "_difference_field", field_spy)
         h = GridFunction(grid, np.random.default_rng(5).standard_normal(grid.shape + (2, 2)))
-        geometric_sharp(h, GeometricFamily(shape, radii), 0.5, radii[-1], pair_budget=budget)
+        assert geometric_sharp(h, GeometricFamily(shape, radii), 0.5, radii[-1],
+                               pair_budget=budget).subsampled
         assert len(per_radius) == len(radii)
         assert computed == sorted(set().union(*per_radius))
         assert len(computed) < sum(map(len, per_radius))
+        zero = (0,) * grid.ndim
+        assert all(delta > zero for delta in computed)
+        classes = {max(delta, tuple(-e for e in delta)) for delta in set().union(*per_radius)}
+        assert len(computed) == len(classes) == fields
 
     def test_cost_blow_up_refused_before_any_field(self, monkeypatch):
         # OSC-P at its finest default step with the largest pair budget its
