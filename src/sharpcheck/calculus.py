@@ -131,15 +131,6 @@ class GridFunction:
         out[self.box] = self.values
         return out
 
-    def boundary_trace(self) -> np.ndarray:
-        """Values on the clipped boundary face {coordinate = 0}."""
-        ax = self.grid.half_axis
-        if ax is None:
-            raise ValueError("grid has no half-space axis")
-        if self.grid.lo[ax] != 0.0:
-            raise ValueError("grid does not touch the boundary hyperplane")
-        return np.take(self.padded(), 0, axis=ax)
-
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -428,8 +419,8 @@ def _trace_form(coeff, H: np.ndarray, x) -> np.ndarray:
 class Operator:
     """Second-order operator ``fn(H, x)`` on Hessian stacks, optionally
     x-dependent, with its ellipticity bound ``delta``, advertised Lipschitz
-    bound ``k_f`` in the Frobenius metric, advertised positive 1-homogeneity,
-    and the coefficient ``family`` of a Bellman operator (empty otherwise).
+    bound ``k_f`` in the Frobenius metric and advertised positive
+    1-homogeneity.
     ``H`` has shape ``(*rows, ds, ds)``, ``x`` is a tuple of per-axis
     coordinate arrays broadcasting to ``rows``; ``fn`` returns a new array."""
 
@@ -437,7 +428,6 @@ class Operator:
     delta: float
     k_f: float | None = None
     homogeneous: bool = True
-    family: tuple = ()
 
     def __post_init__(self):
         check_delta(self.delta)
@@ -460,7 +450,7 @@ def bellman_operator(family, delta: float, **kw) -> Operator:
     if not family:
         raise ValueError("bellman operator needs a nonempty coefficient family")
     return Operator(lambda H, x: np.stack([_trace_form(c, H, x) for c in family]).max(axis=0),
-                    delta, family=family, **kw)
+                    delta, **kw)
 
 
 def pucci_operator(delta: float, side: str = "max", d: int | None = None, **kw) -> Operator:
@@ -474,15 +464,6 @@ def pucci_operator(delta: float, side: str = "max", d: int | None = None, **kw) 
 
 def tabulated_operator(fn: Callable, delta: float, **kw) -> Operator:
     return Operator(fn, delta, **kw)
-
-
-def bellman_argmax(op: Operator, H: np.ndarray, x=None) -> np.ndarray:
-    """Index of the coefficient achieving the Bellman max at each point."""
-    if not op.family:
-        raise ValueError("argmax selection is only defined for bellman operators")
-    H = np.asarray(H, dtype=np.float64)
-    x = (0.0,) * H.shape[-1] if x is None else x
-    return np.stack([_trace_form(c, H, x) for c in op.family]).argmax(axis=0)
 
 
 def evaluate_operator(op: Operator, u: GridFunction,
@@ -534,13 +515,6 @@ def operator_fields(op: Operator, u: GridFunction):
 
 # ---------------------------------------------------------------------------
 # sampled class membership
-
-def sample_elliptic_matrix(rng: np.random.Generator, d: int, delta: float) -> np.ndarray:
-    """Random symmetric matrix with eigenvalues in ``[delta, 1/delta]``."""
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    eigs = rng.uniform(delta, 1.0 / delta, size=d)
-    return (q * eigs) @ q.T
-
 
 @dataclass
 class ClassReport:

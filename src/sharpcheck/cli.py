@@ -177,7 +177,7 @@ def load_suite(path: str) -> SuiteConfig:
         if entry.validate is not None:
             try:
                 entry.validate(entry.merged(params))
-            except (ValueError, ZeroDivisionError, TypeError) as e:
+            except (ValueError, ArithmeticError, TypeError) as e:
                 raise ConfigError(f"{where(section)}: invalid parameters for "
                                   f"{entry.id}: {e}") from None
         cfg.blocks.append((estimate_id, params, ladder))

@@ -20,7 +20,6 @@ for bit.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .calculus import sample_nodes
 # Stopping-time value meaning "the threshold is never crossed".
 TAU_INF = np.iinfo(np.int64).max
 
-_GEOMETRIES = ("full", "half", "parabolic", "product")
+_GEOMETRIES = ("full", "half", "parabolic")
 
 # Relative slack for box/lattice commensurability checks.
 _ALIGN_RTOL = 1e-9
@@ -44,7 +43,7 @@ class FiltrationSpec:
     Parameters
     ----------
     geometry : str
-        One of ``full``, ``half``, ``parabolic``, ``product``.
+        One of ``full``, ``half``, ``parabolic``.
     k : tuple of int
         Per-axis anisotropy exponents; cell side on axis ``i`` at level ``n``
         is ``2**(-n * k[i])``.
@@ -116,13 +115,6 @@ def parabolic(d: int, n_min: int, n_max: int, lo, hi, space_half: bool = False) 
     half = (0, 1) if space_half else (0,)
     return FiltrationSpec("parabolic", (2,) + (1,) * d, n_min, n_max,
                           tuple(map(float, lo)), tuple(map(float, hi)), half_axes=half)
-
-
-def product(k, n_min: int, n_max: int, lo, hi, half_axes=()) -> FiltrationSpec:
-    """General anisotropic product filtration with per-axis exponents."""
-    return FiltrationSpec("product", tuple(int(v) for v in k), n_min, n_max,
-                          tuple(map(float, lo)), tuple(map(float, hi)),
-                          half_axes=tuple(half_axes))
 
 
 def _aligned_count(length: float, side: float, what: str) -> int:
@@ -280,11 +272,6 @@ def level_average_values(f: DiscreteField, n: int) -> np.ndarray:
     return _block_expand(level_means(f, n), f.filtration.block_factors(n))
 
 
-def conditional_average(f: DiscreteField, n: int) -> DiscreteField:
-    """Average of ``f`` over each level-``n`` cell, as a field constant on them."""
-    return DiscreteField(f.filtration, level_average_values(f, n))
-
-
 def cell_blocks(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     """Values grouped by blocks of ``factors`` cells per axis (a level's
     ``block_factors`` on the finest grid), shape ``(blocks, per_block)``,
@@ -302,9 +289,8 @@ class StoppingTime:
 
     ``tau`` has the shape ``batch + grid`` of the scanned field, and
     ``coarsest_average_max`` holds one value per instance (a float for a
-    single field).  In every instance ``{tau = n}`` must be a union of
-    level-``n`` cells; :meth:`is_valid` checks exactly that together with the
-    range constraint.
+    single field).  In every instance ``{tau = n}`` is a union of
+    level-``n`` cells.
     """
 
     filtration: Filtration
@@ -317,19 +303,6 @@ class StoppingTime:
 
     def finite_mask(self) -> np.ndarray:
         return self.tau != TAU_INF
-
-    def is_valid(self) -> bool:
-        spec = self.filtration.spec
-        finite = self.finite_mask()
-        vals = self.tau[finite]
-        if vals.size and (vals.min() < spec.n_min or vals.max() > spec.n_max):
-            return False
-        for n in np.unique(vals):
-            mask = (self.tau == n).astype(np.float64)
-            m = _block_mean(mask, self.filtration.block_factors(int(n)))
-            if not np.all((m == 0.0) | (m == 1.0)):
-                return False
-        return True
 
 
 def cz_stopping_time(g: DiscreteField, lam: float) -> StoppingTime:
@@ -362,7 +335,7 @@ def cz_stopping_time(g: DiscreteField, lam: float) -> StoppingTime:
 def stopped_value(f: DiscreteField, st: StoppingTime) -> DiscreteField:
     """``f`` averaged at the stopping level; ``f`` itself where never stopped.
     ``f`` and ``st`` share one batch shape, and ``st`` stops only at levels
-    of the filtration's range (:meth:`StoppingTime.is_valid`)."""
+    of the filtration's range, each on a union of that level's cells."""
     _require_same(f.filtration, st.filtration)
     if f.values.shape != st.tau.shape:
         raise ValueError(f"field shape {f.values.shape} does not match tau {st.tau.shape}")
@@ -373,81 +346,3 @@ def stopped_value(f: DiscreteField, st: StoppingTime) -> DiscreteField:
             np.copyto(out, level_average_values(f, n), where=mask)
     out.flags.writeable = False  # owned, so the field keeps it without a copy
     return DiscreteField(f.filtration, out)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def spec_to_config(spec: FiltrationSpec) -> dict[str, str]:
-    cfg = {
-        "geometry": spec.geometry,
-        "d": str(spec.ndim),
-        "k": ",".join(str(v) for v in spec.k),
-        "n_min": str(spec.n_min),
-        "n_max": str(spec.n_max),
-        "box": ";".join(f"{lo!r}:{hi!r}" for lo, hi in zip(spec.lo, spec.hi)),
-    }
-    if spec.half_axes:
-        cfg["half_axes"] = ",".join(str(a) for a in spec.half_axes)
-    return cfg
-
-
-def spec_from_config(cfg: dict[str, str]) -> FiltrationSpec:
-    try:
-        geometry = cfg["geometry"].strip()
-        k = tuple(int(v) for v in cfg["k"].split(","))
-        n_min = int(cfg["n_min"])
-        n_max = int(cfg["n_max"])
-        pairs = [part.split(":") for part in cfg["box"].split(";")]
-        lo = tuple(float(p[0]) for p in pairs)
-        hi = tuple(float(p[1]) for p in pairs)
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"bad filtration config: {exc}") from exc
-    half = ()
-    if "half_axes" in cfg and cfg["half_axes"].strip():
-        half = tuple(int(v) for v in cfg["half_axes"].split(","))
-    elif geometry in ("half", "parabolic"):
-        half = (0,)
-    if int(cfg.get("d", len(k))) != len(k):
-        raise ValueError("bad filtration config: d does not match k")
-    return FiltrationSpec(geometry, k, n_min, n_max, lo, hi, half_axes=half)
-
-
-def field_to_csv(f: DiscreteField) -> str:
-    """CSV rows ``i0,...,i{d-1},value`` in row-major cell order."""
-    buf = io.StringIO()
-    ndim = f.filtration.ndim
-    buf.write(",".join(f"i{ax}" for ax in range(ndim)) + ",value\n")
-    for idx, val in zip(np.ndindex(*f.filtration.shape), f.values.flat):
-        buf.write(",".join(str(i) for i in idx) + f",{float(val)!r}\n")
-    return buf.getvalue()
-
-
-def field_from_csv(filt: Filtration, text: str) -> DiscreteField:
-    values = np.full(filt.shape, np.nan)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != filt.ndim + 1:
-            raise ValueError(f"bad field row: {line!r}")
-        idx = tuple(int(p) for p in parts[:-1])
-        values[idx] = float(parts[-1])
-    if np.any(np.isnan(values)):
-        raise ValueError("field CSV does not cover every cell")
-    return filt.field(values)
-
-
-def field_to_binary(f: DiscreteField) -> bytes:
-    """Raw little-endian float64 values in row-major cell order, no header.
-
-    The shape comes from the accompanying filtration config block.
-    """
-    return np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-
-
-def field_from_binary(filt: Filtration, raw: bytes) -> DiscreteField:
-    values = np.frombuffer(raw, dtype="<f8")
-    expected = int(np.prod(filt.shape))
-    if values.size != expected:
-        raise ValueError(f"binary field holds {values.size} values, grid needs {expected}")
-    return filt.field(values.reshape(filt.shape))

@@ -68,7 +68,7 @@ from ..calculus import (
     sum_of_squares,
     with_time_profile,
 )
-from ..filtration import Filtration, full_space, level_means
+from ..filtration import Filtration, _aligned_count, full_space, level_means
 from ..operators import (
     dyadic_maximal,
     dyadic_sharp,
@@ -144,16 +144,19 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 
 def _register(**kw):
-    """Add an entry; one with an ``operator`` parameter also builds its
-    operator when validated, so bad operator settings fail before a run, one
-    with a ``tau0`` requires it finite and nonnegative, and one with a
-    ``radius``, ``sigma`` or ``t_radius`` requires it finite and positive."""
+    """Add an entry.  After its own validator, an ``operator`` parameter is
+    built, so bad operator settings fail before a run, a ``tau0`` must be
+    finite and nonnegative, a ``radius``, ``sigma`` or ``t_radius`` finite and
+    positive, and a parameter whose default is an int (not a bool) an integer
+    (not a bool or a float, which the run would truncate)."""
     checks = [("operator", build_operator), ("tau0", _need_tau0)] + [
         (key, lambda p, key=key: check_scale(key, p[key]))
-        for key in ("radius", "sigma", "t_radius")]
+        for key in ("radius", "sigma", "t_radius")] + [
+        (key, lambda p, key=key: _need_integer(key, p[key]))
+        for key, default in kw["defaults"].items() if type(default) is int]
     shared = [check for key, check in checks if key in kw["defaults"]]
     if shared:
-        own = kw["validate"]
+        own = kw.get("validate") or (lambda params: None)
         kw["validate"] = lambda params: (own(params), *(check(params) for check in shared))
 
     def deco(fn):
@@ -166,6 +169,11 @@ def _register(**kw):
 def _need(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _need_integer(key: str, value):
+    _need(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+          f"{key} must be an integer, got {value!r}")
 
 
 def _need_tau0(p):
@@ -440,6 +448,12 @@ def _indicator_maximal(params, h):
     return filt.finest_volume, g.values, dyadic_maximal(g).values
 
 
+def _indicator_validate(p):
+    """[0, extent) must be a whole number of coarsest cells (side 2**-n_min)."""
+    check_scale("extent", p["extent"])
+    _aligned_count(p["extent"], 2.0 ** -p["n_min"], f"extent at n_min = {p['n_min']!r}")
+
+
 @_register(
     id="MAX-LP",
     summary="Lp bound for the dyadic maximal function with the analytic "
@@ -448,7 +462,8 @@ def _indicator_maximal(params, h):
     ladder=(0.25, 0.125, 0.0625),
     exact_threshold=1.0,
     validate=lambda p: (_need(p["p"] > 1, "the maximal Lp bound needs p > 1"),
-                        _need(p["extent"] >= 2, "extent must cover the indicator")),
+                        _need(p["extent"] >= 2, "extent must cover the indicator"),
+                        _indicator_validate(p)),
     min_spacing=2.0 ** -10,
 )
 def _run_max_lp(params, h, seed):
@@ -469,6 +484,7 @@ def _run_max_lp(params, h, seed):
     defaults={"extent": 4.0, "n_min": -2},
     ladder=(0.25, 0.125, 0.0625),
     exact_threshold=1.0,
+    validate=_indicator_validate,
     min_spacing=2.0 ** -10,
 )
 def _run_max_weak(params, h, seed):
@@ -556,8 +572,7 @@ def _osc_validate(p):
     _need(p["mu"] > 0, "mu must be positive")
     _need(p["r0"] > 0, "r0 must be positive")
     b, cap = p["pair_budget"], 1 << 16  # pairs per radius; keeps pair arrays to tens of MB
-    _need(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and 0 < b <= cap,
-          f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
+    _need(b in range(1, cap + 1), f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
 
 
 def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_axis: bool):

@@ -134,25 +134,12 @@ class GeometricFamily:
             raise ValueError("radius ladder must be nonempty and positive")
 
 
-def default_radii(grid: Grid) -> tuple[float, ...]:
-    """Geometric radius ladder from about two spacings up to the box size."""
-    hi = max(grid.hi[ax] - grid.lo[ax] for ax in grid.space_axes)
-    radii = []
-    r = 2.05 * max(grid.spacing(ax) for ax in grid.space_axes)
-    while r < hi * (1 + 1e-12):
-        radii.append(r)
-        r *= np.sqrt(2.0)
-    if not radii:
-        raise ValueError("empty radius ladder; box is smaller than two spacings")
-    return tuple(radii)
-
-
-def family_for_grid(grid: Grid, radii=None) -> GeometricFamily:
+def family_for_grid(grid: Grid, radii) -> GeometricFamily:
     if grid.time_axis:
         shape = "half_cylinder" if grid.half_axis is not None else "cylinder"
     else:
         shape = "half_ball" if grid.half_axis is not None else "ball"
-    return GeometricFamily(shape, tuple(radii) if radii is not None else default_radii(grid))
+    return GeometricFamily(shape, tuple(radii))
 
 
 def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:

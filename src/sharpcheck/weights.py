@@ -1,16 +1,16 @@
 """Muckenhoupt weights, weighted norms, and mixed norms.
 
-Weights come in three kinds: the power weight ``|x_axis|^q``, its hatted
-variant ``min(|x_axis|, 1)^q``, and tabulated piecewise-constant densities on
-a filtration.  Analytic masses are closed-form power integrals; whenever an
-integral diverges at the degeneracy hyperplane the integrand is frozen below
-a declared resolution, which models measuring the weight at a finite scale.
+Weights come in two kinds: the power weight ``|x_axis|^q`` and its hatted
+variant ``min(|x_axis|, 1)^q``.  Masses are closed-form power integrals;
+whenever an integral diverges at the degeneracy hyperplane the integrand is
+frozen below a declared resolution, which models measuring the weight at a
+finite scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -44,34 +44,6 @@ class HattedPowerX1:
 
     def _mass_1d(self, a: float, b: float) -> float:
         return _hatted_power_mass(a, b, self.q, self.resolution)
-
-
-@dataclass
-class TabulatedWeight:
-    """Piecewise-constant density on the finest cells of a filtration."""
-
-    filtration: Filtration
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.filtration.shape:
-            raise ValueError(f"density shape {self.values.shape} does not match "
-                             f"filtration {self.filtration.shape}")
-        if not np.all(self.values > 0):
-            raise ValueError("weight densities must be positive")
-
-
-def tabulate(w, filt: Filtration) -> TabulatedWeight:
-    """Sample an analytic weight at finest cell centers."""
-    x = filt.cell_centers()[..., w.axis]
-    if isinstance(w, PowerX1):
-        dens = np.abs(x) ** w.q
-    elif isinstance(w, HattedPowerX1):
-        dens = np.minimum(np.abs(x), 1.0) ** w.q
-    else:
-        raise TypeError(f"cannot tabulate {type(w).__name__}")
-    return TabulatedWeight(filt, dens)
 
 
 def _conjugate(w, p: float):
@@ -130,10 +102,6 @@ def _hatted_power_mass(a: float, b: float, q: float, res: float | None) -> float
 
 def cell_masses(w, filt: Filtration) -> np.ndarray:
     """Weight mass of every finest cell, shape ``filtration.shape``."""
-    if isinstance(w, TabulatedWeight):
-        if w.filtration.spec != filt.spec:
-            raise ValueError("tabulated weight lives on a different filtration")
-        return w.values * filt.finest_volume
     sides = filt.spec.cell_sides(filt.spec.n_max)
     per_axis = []
     for ax, side in enumerate(sides):
@@ -167,8 +135,6 @@ class NodeMasses:
     of the slab ``s`` of axis 0, bit for bit the whole box's."""
 
     def __init__(self, grid: Grid, w=None, box: tuple[slice, ...] | None = None):
-        if isinstance(w, TabulatedWeight):
-            raise TypeError("tabulated weights pair with fields, not grid functions")
         box = box or (slice(None),) * grid.ndim
         self.factors = [_node_mass_1d(grid, ax, w)[s] for ax, s in enumerate(box)]
         self.shape = tuple(map(len, self.factors))
@@ -224,30 +190,13 @@ def _analytic_cube_averages(w, p, lo, hi):
     return wmass * cross / vol, cmass * cross / vol
 
 
-def _tabulated_cube_average(w: TabulatedWeight, power: float, lo, hi) -> float:
-    filt = w.filtration
-    sides = filt.spec.cell_sides(filt.spec.n_max)
-    arr = (w.values ** power) * filt.finest_volume
-    vol = 1.0
-    for ax, side in enumerate(sides):
-        edges = filt.spec.lo[ax] + side * np.arange(filt.shape[ax] + 1)
-        frac = (np.minimum(edges[1:], hi[ax]) - np.maximum(edges[:-1], lo[ax])).clip(0.0) / side
-        arr = np.tensordot(frac, arr, axes=(0, 0))
-        vol *= hi[ax] - lo[ax]
-    return float(arr) / vol
-
-
 def ap_constant(w, p: float, family: CubeFamily) -> float:
     """Sup over family cubes of (avg w) * (avg w^(-1/(p-1)))^(p-1)."""
     if not p > 1:
         raise ValueError(f"the weight class needs p > 1, got {p}")
     best = 0.0
     for lo, hi in family.cubes:
-        if isinstance(w, TabulatedWeight):
-            aw = _tabulated_cube_average(w, 1.0, lo, hi)
-            ac = _tabulated_cube_average(w, -1.0 / (p - 1.0), lo, hi)
-        else:
-            aw, ac = _analytic_cube_averages(w, p, lo, hi)
+        aw, ac = _analytic_cube_averages(w, p, lo, hi)
         best = max(best, aw * ac ** (p - 1.0))
     return best
 
@@ -268,24 +217,6 @@ def ap_divergence_ladder(w, p: float, d: int, base_side: float = 1.0,
     return tuple(out)
 
 
-def even_extension(w, axis: int = 0):
-    """Mirror a weight on ``{x_axis >= 0}`` across the hyperplane."""
-    if isinstance(w, (PowerX1, HattedPowerX1)):
-        return w
-    filt = w.filtration
-    ax = axis
-    spec = filt.spec
-    if spec.lo[ax] != 0.0:
-        raise ValueError("even extension needs the box to start at 0 on the mirror axis")
-    lo = list(spec.lo)
-    lo[ax] = -spec.hi[ax]
-    half_axes = tuple(a for a in spec.half_axes if a != ax)
-    geometry = spec.geometry if ax not in spec.half_axes else "product"
-    mirrored = replace(spec, geometry=geometry, lo=tuple(lo), half_axes=half_axes)
-    values = np.concatenate([np.flip(w.values, axis=ax), w.values], axis=ax)
-    return TabulatedWeight(Filtration(mirrored), values)
-
-
 # ---------------------------------------------------------------------------
 # thickness exponent
 
@@ -295,16 +226,14 @@ def beta_type_constant(w, beta: float, filt: Filtration | None = None) -> float:
 
     For fixed |E| the extremal union collects the heaviest subcells, so the
     sup is attained on descending-prefix sums.  Along axes where the masses
-    equal their first slice (all but an analytic weight's own) every block
+    equal their first slice (all but the weight's own) every block
     repeats its part in that slice, so only that part is sorted, then each
     value repeated: the whole block's sort, bit for bit.
     """
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if isinstance(w, TabulatedWeight):
-        filt = w.filtration
-    elif filt is None:
-        raise ValueError("analytic weights need a filtration argument")
+    if filt is None:
+        raise ValueError("the thickness constant needs a filtration argument")
     masses = cell_masses(w, filt)
     profile = masses[tuple(slice(0, 1) if (masses == masses.take([0], axis=ax)).all()
                            else slice(None) for ax in range(filt.ndim))]

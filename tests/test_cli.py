@@ -173,6 +173,14 @@ class TestConfigDiagnostics:
         ("PARA-GLOBAL", "p = 5\nt_radius = -0.6", "t_radius must be finite and positive"),
         ("NEG-EXP", "h = 0", "h must be finite and positive"),
         ("NEG-EXP", "h = -0.01", "h must be finite and positive"),
+        # an integer parameter is refused, not truncated
+        ("APRIORI", "d = 2.5", "d must be an integer, got 2.5"),
+        ("HS-SLAB", "n = 0.7", "n must be an integer, got 0.7"),
+        ("MAX-LP", "n_min = true", "n_min must be an integer, got True"),
+        # at n_min = -2 the coarsest cell has side 4, so [0, 3) cannot be tiled
+        ("MAX-LP", "extent = 3.0", "extent at n_min = -2: 3.0 is not a whole number"),
+        ("MAX-WEAK", "extent = 3.0", "extent at n_min = -2: 3.0 is not a whole number"),
+        ("MAX-WEAK", "n_min = -2000", "invalid parameters for MAX-WEAK"),  # 2.0 ** 2000 overflows
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
                                                          section, line, needle):

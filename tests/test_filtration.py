@@ -23,6 +23,25 @@ def unit_line(n_min=-2, n_max=0, width=4.0):
     return fl.Filtration(fl.full_space(1, n_min, n_max, (0.0,), (width,)))
 
 
+def conditional_average(f, n):
+    """Average of ``f`` over each level-``n`` cell, as a field constant on them."""
+    return f.filtration.field(fl.level_average_values(f, n))
+
+
+def is_valid(st_):
+    """Every stopping level lies in the range, and in every instance
+    ``{tau = n}`` is a union of level-``n`` cells."""
+    spec = st_.filtration.spec
+    vals = st_.tau[st_.finite_mask()]
+    if vals.size and (vals.min() < spec.n_min or vals.max() > spec.n_max):
+        return False
+    for n in np.unique(vals):
+        m = fl._block_mean((st_.tau == n).astype(np.float64), st_.filtration.block_factors(int(n)))
+        if not np.all((m == 0.0) | (m == 1.0)):
+            return False
+    return True
+
+
 class TestSpecValidation:
     def test_children_count_isotropic(self):
         assert fl.full_space(2, 0, 3, (0, 0), (1, 1)).n_children == 4
@@ -66,14 +85,14 @@ class TestConditionalAverage:
         filt = unit_line(-3, 0, 8.0)
         rng = np.random.default_rng(7)
         f = filt.field(rng.normal(size=8))
-        avg = fl.conditional_average(f, -3)
+        avg = conditional_average(f, -3)
         assert np.allclose(avg.values, f.values.mean(), rtol=RTOL)
 
     def test_matches_bruteforce_blocks(self):
         filt = fl.Filtration(fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0)))
         rng = np.random.default_rng(11)
         f = filt.field(rng.normal(size=filt.shape))
-        got = fl.conditional_average(f, -1).values
+        got = conditional_average(f, -1).values
         for bi in range(2):
             for bj in range(2):
                 block = f.values[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2]
@@ -83,8 +102,8 @@ class TestConditionalAverage:
     def test_projection_is_idempotent(self):
         filt = unit_line()
         f = filt.field(np.random.default_rng(3).normal(size=4))
-        once = fl.conditional_average(f, -1)
-        twice = fl.conditional_average(once, -1)
+        once = conditional_average(f, -1)
+        twice = conditional_average(once, -1)
         assert np.array_equal(once.values, twice.values)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(-3, -1))
@@ -93,8 +112,8 @@ class TestConditionalAverage:
         # averaging at a coarse level then finer equals averaging coarse only
         filt = unit_line(-3, 0, 8.0)
         f = filt.field(np.random.default_rng(seed).normal(size=8))
-        coarse_avg = fl.conditional_average(f, coarse)
-        finer_then_coarse = fl.conditional_average(fl.conditional_average(f, coarse + 1), coarse)
+        coarse_avg = conditional_average(f, coarse)
+        finer_then_coarse = conditional_average(conditional_average(f, coarse + 1), coarse)
         assert np.allclose(finer_then_coarse.values, coarse_avg.values, rtol=1e-12, atol=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -103,7 +122,7 @@ class TestConditionalAverage:
         filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
         f = filt.field(np.random.default_rng(seed).normal(size=filt.shape))
         for n in filt.levels:
-            avg = fl.conditional_average(f, n)
+            avg = conditional_average(f, n)
             assert np.isclose(avg.integral(), f.integral(), rtol=1e-12, atol=1e-12)
 
 
@@ -263,7 +282,7 @@ class TestStoppingTime:
         filt, g = self.g_example()
         st_ = fl.cz_stopping_time(g, 1.0)
         assert st_.tau.tolist() == [-1, -1, fl.TAU_INF, fl.TAU_INF]
-        assert st_.is_valid()
+        assert is_valid(st_)
         assert st_.coarsest_average_max == pytest.approx(1.0, rel=RTOL)
 
     def test_worked_instance_stopped_average_bound(self):
@@ -307,7 +326,7 @@ class TestStoppingTime:
         for _ in range(10):
             g = filt.field(np.abs(rng.normal(size=filt.shape)))
             st_ = fl.cz_stopping_time(g, 0.8)
-            assert st_.is_valid()
+            assert is_valid(st_)
 
     def test_rejects_negative_field(self):
         filt = unit_line()
@@ -356,7 +375,7 @@ class TestBatches:
         filt, f, g, lam = _random_batch(np.random.default_rng(11), spec, batch)
         st_ = fl.cz_stopping_time(g, lam)
         gs, fs, mg = fl.stopped_value(g, st_), fl.stopped_value(f, st_), dyadic_maximal(g)
-        assert st_.is_valid() and st_.coarsest_average_max.shape == batch
+        assert is_valid(st_) and st_.coarsest_average_max.shape == batch
         for idx in np.ndindex(*batch):
             f1, g1 = filt.field(f.values[idx]), filt.field(g.values[idx])
             one = fl.cz_stopping_time(g1, lam[idx])
@@ -464,33 +483,3 @@ class TestStoppedValue:
         st_ = fl.StoppingTime(b, np.full(b.shape, fl.TAU_INF))
         with pytest.raises(ValueError, match="different filtrations"):
             fl.stopped_value(a.field([1, 2, 3, 4.0]), st_)
-
-
-class TestSerialization:
-    def test_spec_roundtrip(self):
-        spec = fl.parabolic(2, -1, 2, (0, 0, -2.0), (16.0, 4.0, 2.0), space_half=False)
-        again = fl.spec_from_config(fl.spec_to_config(spec))
-        assert again == spec
-
-    def test_csv_roundtrip(self):
-        filt = fl.Filtration(fl.full_space(2, -1, 1, (0, 0), (2.0, 2.0)))
-        f = filt.field(np.random.default_rng(2).normal(size=filt.shape))
-        again = fl.field_from_csv(filt, fl.field_to_csv(f))
-        assert np.array_equal(again.values, f.values)
-
-    def test_csv_missing_cell_rejected(self):
-        filt = unit_line()
-        text = "i0,value\n0,1.0\n"
-        with pytest.raises(ValueError, match="cover every cell"):
-            fl.field_from_csv(filt, text)
-
-    def test_binary_roundtrip(self):
-        filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
-        f = filt.field(np.random.default_rng(4).normal(size=filt.shape))
-        again = fl.field_from_binary(filt, fl.field_to_binary(f))
-        assert np.array_equal(again.values, f.values)
-
-    def test_binary_size_mismatch_rejected(self):
-        filt = unit_line()
-        with pytest.raises(ValueError, match="binary field"):
-            fl.field_from_binary(filt, b"\x00" * 24)

@@ -32,7 +32,6 @@ from sharpcheck.filtration import (
 from sharpcheck.harness import EstimateSpec, run_estimate_check
 from sharpcheck.operators import (
     GeometricFamily,
-    default_radii,
     dyadic_maximal,
     dyadic_sharp,
     family_for_grid,
@@ -320,28 +319,20 @@ class TestGeometricMaximal:
     def test_constant_field(self):
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (17, 17))
         h = GridFunction(grid, np.full(grid.shape, 2.5))
-        out = geometric_maximal(h, family_for_grid(grid)).values
+        out = geometric_maximal(h, family_for_grid(grid, (0.26, 0.51, 1.02))).values
         np.testing.assert_allclose(out, 2.5, rtol=1e-10)
 
     def test_radius_floor_mode(self):
         rng = np.random.default_rng(41)
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (33, 33))
         h = GridFunction(grid, rng.random(grid.shape))
-        fam = family_for_grid(grid)
+        fam = family_for_grid(grid, (0.13, 0.18, 0.26, 0.36, 0.51))
         all_r = geometric_maximal(h, fam).values
         floored = geometric_maximal(h, fam, rho=fam.radii[2], mode="at_least").values
         assert np.all(floored <= all_r + 1e-12)
         assert np.all(floored >= 0.0)
         with pytest.raises(ValueError, match="at_least"):
             geometric_maximal(h, fam, rho=10 * fam.radii[-1], mode="at_least")
-
-    def test_default_radii_ladder(self):
-        grid = box_grid((-1.0, -1.0), (1.0, 1.0), (33, 33))
-        radii = default_radii(grid)
-        assert radii[0] > 2 * grid.spacing(0)
-        assert radii[-1] <= 2.0 * (1 + 1e-9)
-        ratios = np.diff(np.log(radii))
-        np.testing.assert_allclose(ratios, np.log(np.sqrt(2)), rtol=1e-12)
 
     def test_validation(self):
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
@@ -997,7 +988,7 @@ class TestComparability:
 
         grid = box_grid((-1.0, -1.0), (1.0, 1.0), (17, 17))
         h = GridFunction(grid, fn(grid.nodes().reshape(-1, 2)).reshape(grid.shape))
-        Mg = geometric_maximal(h, family_for_grid(grid)).values
+        Mg = geometric_maximal(h, family_for_grid(grid, (0.26, 0.51, 1.02))).values
 
         lo, hi = float(np.exp(-2)), 1.0
         for arr in (Md, Mg):

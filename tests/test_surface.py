@@ -1,0 +1,127 @@
+"""Every definition in ``src/sharpcheck`` is reachable from what runs.
+
+The roots are ``cli.main``, the catalog runners, the code each module runs
+at import, every name read by ``tests/test_acceptance.py``,
+``perfbench/*.py`` and ``tools/*.py`` (identifiers and dotted names in
+string constants included, since ``perfbench/spans.py`` wraps functions by
+name), and the definitions kept for an open ROADMAP item.  A definition is
+a top-level function or class, or a method of a class; it is reached when
+a reached body names it (``name`` or ``obj.name``; ``np.name`` and other
+attributes of modules from outside the package do not count).  Matching
+is by name alone, so a definition is kept by any use of its name: the check
+finds surface that nothing but unit tests reads, not every dead path.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sharpcheck"
+ROOT_FILES = [ROOT / "tests" / "test_acceptance.py",
+              *sorted((ROOT / "perfbench").glob("*.py")),
+              *sorted((ROOT / "tools").glob("*.py"))]
+
+# Kept with no caller yet, each for the ROADMAP item that will call it.
+ALLOWED = {
+    "calculus.homogenized_model",           # item 3: x-dependent (VMO) operators
+    "calculus.ManufacturedFunction.derivatives",  # item 14: discretization consistency
+}
+
+
+def _external_modules(tree) -> set[str]:
+    """Names bound to modules from outside the package (``np``, ``math``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and not node.module.startswith("sharpcheck"):
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def _names(nodes, external: set[str], strings: bool = False) -> set[str]:
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in external):
+                out.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def _definitions():
+    """``{qualified name: (name, body names, class or None)}`` and the names
+    read by each module's import-time code."""
+    defs, import_time = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        external = _external_modules(tree)
+        mod = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                import_time |= _names([node], external)
+                continue
+            # decorators and default values run at import
+            import_time |= _names(node.decorator_list, external)
+            if isinstance(node, ast.FunctionDef):
+                import_time |= _names(node.args.defaults + node.args.kw_defaults, external)
+                defs[f"{mod}.{node.name}"] = (node.name, _names(node.body, external), None)
+                continue
+            own = [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+            defs[f"{mod}.{node.name}"] = (node.name, _names(own + node.bases, external), None)
+            for meth in node.body:
+                if isinstance(meth, ast.FunctionDef):
+                    import_time |= _names(meth.decorator_list, external)
+                    defs[f"{mod}.{node.name}.{meth.name}"] = (
+                        meth.name, _names(meth.body + meth.args.defaults, external),
+                        f"{mod}.{node.name}")
+    return defs, import_time
+
+
+def _runners() -> set[str]:
+    tree = ast.parse((SRC / "harness" / "catalog.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
+                    for d in node.decorator_list)}
+
+
+def unreachable(kept: set[str] = ALLOWED) -> list[str]:
+    """Definitions not reached from the roots, ``kept`` among them."""
+    defs, reached = _definitions()
+    reached |= {"main"} | _runners()
+    for path in ROOT_FILES:
+        tree = ast.parse(path.read_text())
+        reached |= _names([tree], _external_modules(tree), strings=True)
+    live = set(kept)
+    for qual in kept:
+        reached |= defs[qual][1]
+    grew = True
+    while grew:
+        grew = False
+        for qual, (name, body, cls) in defs.items():
+            dunder = name.startswith("__") and name.endswith("__")
+            if qual in live or (cls is not None and cls not in live):
+                continue
+            if name in reached or (cls is not None and dunder):
+                live.add(qual)
+                reached |= body
+                grew = True
+    return sorted(q for q, (_, _, cls) in defs.items()
+                  if q not in live and (cls is None or cls in live))
+
+
+def test_every_definition_is_reachable():
+    dead = unreachable()
+    assert dead == [], "reached only by unit tests: " + ", ".join(dead)
+
+
+def test_allowed_definitions_exist_and_have_no_caller():
+    # an allowed definition that gains a caller, or goes, leaves the list
+    assert ALLOWED <= set(unreachable(kept=set()))

@@ -23,16 +23,13 @@ from sharpcheck.weights import (
     HattedPowerX1,
     MixedNormSpec,
     PowerX1,
-    TabulatedWeight,
     ap_constant,
     ap_divergence_ladder,
     beta_type_constant,
     cell_masses,
     cube_family,
-    even_extension,
     mixed_norm,
     node_masses,
-    tabulate,
     weighted_norm,
 )
 
@@ -95,18 +92,6 @@ class TestMasses:
         weighted = node_masses(grid, PowerX1(1.0, axis=0)).sum()
         np.testing.assert_allclose(weighted, 0.5 * 2.0, rtol=1e-12)
 
-    def test_tabulated_validation(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
-        with pytest.raises(ValueError, match="shape"):
-            TabulatedWeight(filt, np.ones(3))
-        with pytest.raises(ValueError, match="positive"):
-            TabulatedWeight(filt, np.zeros(filt.shape))
-
-    def test_tabulated_nan_density_rejected(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
-        with pytest.raises(ValueError, match="densities must be positive"):
-            TabulatedWeight(filt, [1.0, float("nan"), 1.0, 1.0])
-
 
 class TestMuckenhoupt:
 
@@ -150,32 +135,6 @@ class TestMuckenhoupt:
     def test_in_range_exponent_stays_flat(self):
         ladder = ap_divergence_ladder(PowerX1(1.0, resolution=1e-3), 3.0, d=2)
         np.testing.assert_allclose(ladder, 2.0, rtol=1e-9)
-
-    def test_jensen_lower_bound_tabulated(self):
-        rng = np.random.default_rng(61)
-        filt = Filtration(full_space(2, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0)))
-        w = TabulatedWeight(filt, 0.5 + rng.random(filt.shape))
-        fam = cube_family((0.0, 0.0), (1.0, 1.0), n_sizes=3, anchors_per_axis=3)
-        assert ap_constant(w, 2.0, fam) >= 1.0 - 1e-12
-
-    def test_tabulated_tracks_analytic(self):
-        filt = Filtration(half_space(1, n_min=0, n_max=7, lo=(0.0,), hi=(1.0,)))
-        fam = cube_family((0.0,), (1.0,))
-        exact = ap_constant(PowerX1(0.5), 2.0, fam)
-        approx = ap_constant(tabulate(PowerX1(0.5), filt), 2.0, fam)
-        assert approx == pytest.approx(exact, rel=0.05)
-
-    def test_even_extension_controlled(self):
-        filt = Filtration(half_space(1, n_min=0, n_max=7, lo=(0.0,), hi=(1.0,)))
-        w = tabulate(PowerX1(0.5), filt)
-        half_val = ap_constant(w, 2.0, cube_family((0.0,), (1.0,)))
-        ext = even_extension(w)
-        assert ext.filtration.spec.lo[0] == -1.0
-        full_val = ap_constant(ext, 2.0, cube_family((-1.0,), (1.0,)))
-        assert full_val <= 4.0 * half_val + 1e-9
-        # mirrored density restricted back to the right half is unchanged
-        n = filt.shape[0]
-        np.testing.assert_array_equal(ext.values[n:], w.values)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="p > 1"):
@@ -258,17 +217,6 @@ class TestBetaType:
                     for beta in (1.0, 0.5, 0.3):
                         assert beta_type_constant(w, beta, filt) == \
                             self.full_grid_sort(w, beta, filt)
-
-    def test_tabulated_weights_equal_full_grid_sort(self):
-        # a weight varying along every axis collapses none; one constant
-        # along an axis collapses that axis only
-        filt = Filtration(full_space(3, 0, 3, (0.0,) * 3, (1.0,) * 3))
-        rng = np.random.default_rng(3)
-        rough = TabulatedWeight(filt, rng.random(filt.shape) + 0.1)
-        layered = TabulatedWeight(filt, np.broadcast_to(rng.random((8, 1, 8)) + 0.1, filt.shape))
-        for w in (rough, layered, tabulate(PowerX1(0.5, axis=1), filt)):
-            for beta in (1.0, 0.5, 0.3):
-                assert beta_type_constant(w, beta) == self.full_grid_sort(w, beta, filt)
 
     def test_validation(self):
         filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
