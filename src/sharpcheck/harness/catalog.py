@@ -448,10 +448,21 @@ def _indicator_maximal(params, h):
     return filt.finest_volume, g.values, dyadic_maximal(g).values
 
 
+_INDICATOR_FINEST = 10  # finest supported level (spacing 2**-10)
+
+
 def _indicator_validate(p):
-    """[0, extent) must be a whole number of coarsest cells (side 2**-n_min)."""
+    """n_min must be an integer level no finer than the finest supported one,
+    and [0, extent) a whole number of coarsest cells (side 2**-n_min)."""
     check_scale("extent", p["extent"])
-    _aligned_count(p["extent"], 2.0 ** -p["n_min"], f"extent at n_min = {p['n_min']!r}")
+    n_min = p["n_min"]
+    _need_integer("n_min", n_min)
+    _need(n_min <= _INDICATOR_FINEST,
+          f"n_min must be at most the finest supported level {_INDICATOR_FINEST}, got {n_min!r}")
+    # under half a cell is refused before the side 2**-n_min can overflow
+    _need(math.log2(p["extent"]) + n_min > -1,
+          f"n_min = {n_min}: [0, {p['extent']}) holds under half a coarsest cell")
+    _aligned_count(p["extent"], 2.0 ** -n_min, f"extent at n_min = {n_min!r}")
 
 
 @_register(
@@ -464,7 +475,7 @@ def _indicator_validate(p):
     validate=lambda p: (_need(p["p"] > 1, "the maximal Lp bound needs p > 1"),
                         _need(p["extent"] >= 2, "extent must cover the indicator"),
                         _indicator_validate(p)),
-    min_spacing=2.0 ** -10,
+    min_spacing=2.0 ** -_INDICATOR_FINEST,
 )
 def _run_max_lp(params, h, seed):
     p = float(params["p"])
@@ -485,7 +496,7 @@ def _run_max_lp(params, h, seed):
     ladder=(0.25, 0.125, 0.0625),
     exact_threshold=1.0,
     validate=_indicator_validate,
-    min_spacing=2.0 ** -10,
+    min_spacing=2.0 ** -_INDICATOR_FINEST,
 )
 def _run_max_weak(params, h, seed):
     vol, g, mg = _indicator_maximal(params, h)

@@ -177,10 +177,17 @@ class TestConfigDiagnostics:
         ("APRIORI", "d = 2.5", "d must be an integer, got 2.5"),
         ("HS-SLAB", "n = 0.7", "n must be an integer, got 0.7"),
         ("MAX-LP", "n_min = true", "n_min must be an integer, got True"),
+        ("FS-LOCAL", "m = 2.5", "m must be an integer, got 2.5"),
+        ("APRIORI", "d = true", "d must be an integer, got True"),
+        # n_min is read as a level before it sizes the coarsest cell
+        ("MAX-LP", "n_min = 0.5", "n_min must be an integer, got 0.5"),
+        ("MAX-WEAK", "n_min = 0.5", "n_min must be an integer, got 0.5"),
         # at n_min = -2 the coarsest cell has side 4, so [0, 3) cannot be tiled
         ("MAX-LP", "extent = 3.0", "extent at n_min = -2: 3.0 is not a whole number"),
         ("MAX-WEAK", "extent = 3.0", "extent at n_min = -2: 3.0 is not a whole number"),
-        ("MAX-WEAK", "n_min = -2000", "invalid parameters for MAX-WEAK"),  # 2.0 ** 2000 overflows
+        # 2.0 ** 2000 would overflow; no ladder step reaches level 2000
+        ("MAX-WEAK", "n_min = -2000", "n_min = -2000: [0, 4.0) holds under half a coarsest cell"),
+        ("MAX-WEAK", "n_min = 2000", "n_min must be at most the finest supported level 10"),
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
                                                          section, line, needle):

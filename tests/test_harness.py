@@ -264,6 +264,38 @@ class TestCatalogRecipes:
         with pytest.raises(ValueError, match="vanish on the boundary"):
             run_entry("HS-DIRICHLET", 0.1, input="bump")
 
+    def test_zero_trace_reads_the_half_axis_face(self):
+        # the trace is the box's first layer along the half axis: axis 0 in
+        # space, axis 1 behind a time axis; the other faces are not read
+        for grid in (box_grid((0, -1), (1, 1), (5, 5), half_axis=0),
+                     box_grid((0, 0), (1, 1), (5, 5), time_axis=True, half_axis=1)):
+            face = (slice(None),) * grid.half_axis + (0,)
+            other = (slice(None),) * (1 - grid.half_axis) + (0,)
+            u = np.arange(1.0, 26.0).reshape(5, 5)
+            u[face] = 0.0
+            assert catalog._zero_trace((grid, None, u))[2] is u
+            u[face] = 1e-13 * u.max()
+            catalog._zero_trace((grid, None, u))
+            u[face], u[other] = 1e-6, 0.0
+            with pytest.raises(ValueError, match="vanish on the boundary"):
+                catalog._zero_trace((grid, None, u))
+
+    def test_osc_radii_step_by_root_two_up_to_the_box(self):
+        # rho is a rung (the floored maximal reads radii from rho on), the
+        # rungs grow by 1.40 to 1.43 (about sqrt 2) from rho/4, and the box's longest side
+        # caps them, a radius equal to that side kept
+        for lo, hi in (((-1, -1), (1, 1)), ((0, -1), (4, 1))):
+            grid = box_grid(lo, hi, (9, 9))
+            cap = max(b - a for a, b in zip(lo, hi))
+            for rho in (0.25, 0.5, 1.0, 2.0):
+                radii = catalog._osc_radii(grid, rho)
+                assert radii[0] == 0.25 * rho and rho in radii
+                assert radii[-1] <= cap * (1 + 1e-9)
+                ratios = np.divide(radii[1:], radii[:-1])
+                assert np.all((ratios >= 1.4 - 1e-12) & (ratios <= 1.43))
+                assert len(radii) == 9 or radii[-1] * 1.42 > cap
+        assert catalog._osc_radii(box_grid((-1, -1), (1, 1), (9, 9)), 1.0)[-1] == 2.0
+
     def test_dirichlet_default_runs_all_forms(self):
         checks = run_entry("HS-DIRICHLET", 0.1)
         assert [c.equation for c in checks] == [
