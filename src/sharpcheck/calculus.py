@@ -782,22 +782,18 @@ def _make_bump(d, center=None, radius=1.0, amplitude=1.0):
     return ManufacturedFunction(u, du, d2u, support=tuple(zip(center - radius, center + radius)))
 
 
-def _make_gaussian(d, center=None, sigma=1.0, amplitude=1.0):
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64)
+def _make_gaussian(d, sigma=1.0):
     s2 = float(sigma) ** 2
 
     def u(X):
-        Y = X - c
-        return amplitude * np.exp(-sum_of_squares(Y.T) / (2 * s2))
+        return np.exp(-sum_of_squares(X.T) / (2 * s2))
 
     def du(X):
-        Y = X - c
-        return -u(X)[:, None] * Y / s2
+        return -u(X)[:, None] * X / s2
 
     def d2u(X):
-        Y = X - c
         base = u(X)[:, None, None]
-        return base * (Y[:, :, None] * Y[:, None, :] / s2 ** 2 - np.eye(X.shape[1]) / s2)
+        return base * (X[:, :, None] * X[:, None, :] / s2 ** 2 - np.eye(X.shape[1]) / s2)
 
     return ManufacturedFunction(u, du, d2u)
 
@@ -831,7 +827,7 @@ def _make_exp_growth(d):
     return ManufacturedFunction(u, du, d2u)
 
 
-def _make_slab_bump(d, centers, radii, amplitude=1.0):
+def _make_slab_bump(d, centers, radii):
     centers = np.asarray(centers, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
     if centers.size != d or radii.size != d:
@@ -847,7 +843,7 @@ def _make_slab_bump(d, centers, radii, amplitude=1.0):
 
     def u(X):
         g, _, _ = parts(X)
-        return amplitude * g.prod(axis=1)
+        return g.prod(axis=1)
 
     def _others(g, skip):
         rest = np.ones(g.shape[0])
@@ -861,7 +857,7 @@ def _make_slab_bump(d, centers, radii, amplitude=1.0):
         n, ds = X.shape
         out = np.empty((n, ds))
         for i in range(ds):
-            out[:, i] = amplitude * b1[:, i] * _others(g, {i})
+            out[:, i] = b1[:, i] * _others(g, {i})
         return out
 
     def d2u(X):
@@ -871,30 +867,30 @@ def _make_slab_bump(d, centers, radii, amplitude=1.0):
         for i in range(ds):
             for j in range(ds):
                 fac = b2[:, i] if i == j else b1[:, i] * b1[:, j]
-                out[:, i, j] = amplitude * fac * _others(g, {i, j})
+                out[:, i, j] = fac * _others(g, {i, j})
         return out
 
     return ManufacturedFunction(u, du, d2u, support=tuple(zip(centers - radii, centers + radii)))
 
 
-def _make_odd_bump(d, radius=1.0, amplitude=1.0):
+def _make_odd_bump(d, radius=1.0):
     # x_1 times a radial bump centered on the boundary plane: odd in x_1,
     # identically zero on {x_1 = 0}, supported in the centered ball
     b, db, d2b = _radial_bump(np.zeros(d), radius, 1.0)
 
     def u(X):
-        return amplitude * X[:, 0] * b(X)
+        return X[:, 0] * b(X)
 
     def du(X):
-        out = amplitude * X[:, 0][:, None] * db(X)
-        out[:, 0] += amplitude * b(X)
+        out = X[:, 0][:, None] * db(X)
+        out[:, 0] += b(X)
         return out
 
     def d2u(X):
         B1 = db(X)
-        out = amplitude * X[:, 0][:, None, None] * d2b(X)
-        out[:, 0, :] += amplitude * B1
-        out[:, :, 0] += amplitude * B1
+        out = X[:, 0][:, None, None] * d2b(X)
+        out[:, 0, :] += B1
+        out[:, :, 0] += B1
         return out
 
     return ManufacturedFunction(u, du, d2u, support=((-radius, radius),) * d)

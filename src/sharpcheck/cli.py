@@ -14,9 +14,9 @@ overrides plus an optional ladder::
     p = 2.0
     ladder = 0.25 0.125 0.0625
 
-Exit status: 0 when every check passes, 1 when a check fails or a run blows
-up, 2 for unreadable or invalid configs and malformed reports.  Flags beat
-``SHARPCHECK_*`` environment variables, which beat the config file.
+``verify`` writes the JSON report and the CSV beside it; its flags beat the
+config file.  Exit status: 0 when every check passes, 1 when a check fails or
+a run blows up, 2 for unreadable or invalid configs and malformed reports.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 from .harness import SCHEMA_VERSION, EstimateSpec, resolve_entry, run_suite
 from .harness.report import csv_from_doc, suite_to_csv, suite_to_json
 
-ENV_PREFIX = "SHARPCHECK_"
-_SUITE_KEYS = ("name", "seed", "jobs", "out", "format")
-_VERIFY_FORMATS = ("json", "csv", "both")
+_SUITE_KEYS = ("name", "seed", "jobs", "out")
 _REPORT_FORMATS = ("summary", "csv", "json")
 
 
@@ -46,9 +44,8 @@ class SuiteConfig:
     name: str
     path: str
     seed: int | None = None
-    jobs: int | None = None
+    jobs: int = 1
     out: str | None = None
-    fmt: str | None = None
     blocks: list = field(default_factory=list)   # (estimate id, params, ladder)
 
 
@@ -138,12 +135,6 @@ def load_suite(path: str) -> SuiteConfig:
             setattr(cfg, key, val)
         elif key == "out":
             cfg.out = raw.strip()
-        elif key == "format":
-            fmt = raw.strip().lower()
-            if fmt not in _VERIFY_FORMATS:
-                raise ConfigError(f"{where('suite', key)}: format must be one of "
-                                  f"{', '.join(_VERIFY_FORMATS)}")
-            cfg.fmt = fmt
 
     for section in parser.sections():
         if section == "suite":
@@ -160,10 +151,7 @@ def load_suite(path: str) -> SuiteConfig:
         params, ladder = {}, ()
         for key, raw in parser[section].items():
             if key == "ladder":
-                try:
-                    ladder = entry.check_ladder(_parse_ladder(raw, where(section, key)))
-                except ValueError as e:
-                    raise ConfigError(f"{where(section, key)}: {e}") from None
+                ladder = _parse_ladder(raw, where(section, key))
                 continue
             if key not in entry.defaults:
                 raise ConfigError(f"{where(section, key)}: unknown parameter {key!r} "
@@ -174,52 +162,33 @@ def load_suite(path: str) -> SuiteConfig:
                     and not isinstance(default, bool)):
                 raise ConfigError(f"{where(section, key)}: parameter {key!r} of {entry.id} "
                                   f"must be a number, got {raw.strip()!r}")
-        if entry.validate is not None:
-            try:
-                entry.validate(entry.merged(params))
-            except (ValueError, ArithmeticError, TypeError) as e:
-                raise ConfigError(f"{where(section)}: invalid parameters for "
-                                  f"{entry.id}: {e}") from None
-        cfg.blocks.append((estimate_id, params, ladder))
+        merged = entry.merged(params)
+        try:
+            entry.validate(merged)
+        except (ValueError, ArithmeticError, TypeError) as e:
+            raise ConfigError(f"{where(section)}: invalid parameters for {entry.id}: {e}") from None
+        # the entry's default ladder when the config gives none
+        try:
+            checked = entry.check_ladder(ladder or entry.ladder, merged)
+        except ValueError as e:
+            raise ConfigError(f"{where(section, 'ladder' if ladder else None)}: {e}") from None
+        cfg.blocks.append((estimate_id, params, checked if ladder else ()))
 
     if not cfg.blocks:
         raise ConfigError(f"{path}: no [estimate:ID] sections")
     return cfg
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _env_int(name: str):
-    raw = _env(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"environment {ENV_PREFIX}{name} must be an integer, "
-                          f"got {raw!r}") from None
-
-
 def cmd_verify(args) -> int:
     cfg = load_suite(args.config)
 
-    seed = args.seed if args.seed is not None else _env_int("SEED")
+    seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
-        seed = cfg.seed
-    if seed is None:
-        raise ConfigError(f"{cfg.path}: no seed given; set [suite] seed, --seed, "
-                          f"or {ENV_PREFIX}SEED")
-    jobs = args.jobs if args.jobs is not None else _env_int("JOBS")
-    if jobs is None:
-        jobs = cfg.jobs if cfg.jobs is not None else 1
+        raise ConfigError(f"{cfg.path}: no seed given; set [suite] seed or --seed")
+    jobs = args.jobs if args.jobs is not None else cfg.jobs
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
-    out = args.out or _env("OUT") or cfg.out or f"{cfg.name}.json"
-    fmt = args.format or (_env("FORMAT") or "").lower() or cfg.fmt or "both"
-    if fmt not in _VERIFY_FORMATS:
-        raise ConfigError(f"format must be one of {', '.join(_VERIFY_FORMATS)}, got {fmt!r}")
+    out = args.out or cfg.out or f"{cfg.name}.json"
 
     blocks = cfg.blocks
     if args.only:
@@ -238,17 +207,11 @@ def cmd_verify(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    paths = []
-    if fmt in ("json", "both"):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(suite_to_json(cfg.name, reports, seed))
-        paths.append(out)
-    if fmt in ("csv", "both"):
-        stem = out[:-5] if out.endswith(".json") else out
-        csv_path = stem + ".csv"
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(suite_to_csv(reports))
-        paths.append(csv_path)
+    csv_path = (out[:-5] if out.endswith(".json") else out) + ".csv"
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(suite_to_json(cfg.name, reports, seed))
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(suite_to_csv(reports))
 
     ok = 0
     for r in reports:
@@ -256,7 +219,7 @@ def cmd_verify(args) -> int:
         ok += r.passed()
         tail = r.primary.n_emp[-1] if r.primary.n_emp else float("nan")
         print(f"{status}  {r.id:<20} verdict={r.verdict:<12} n_emp={tail:.6g}")
-    print(f"suite {cfg.name}: {ok}/{len(reports)} passed; wrote {', '.join(paths)}")
+    print(f"suite {cfg.name}: {ok}/{len(reports)} passed; wrote {out}, {csv_path}")
     return 0 if ok == len(reports) else 1
 
 
@@ -318,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="JSON output path (CSV goes beside it)")
     v.add_argument("--only", default=None, metavar="ID[,ID...]",
                    help="run only the listed estimate ids")
-    v.add_argument("--format", default=None, choices=_VERIFY_FORMATS,
-                   help="which artifacts to write (default both)")
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("report", help="render a stored suite report")

@@ -109,12 +109,11 @@ def half_space(d: int, n_min: int, n_max: int, lo, hi) -> FiltrationSpec:
                           tuple(map(float, hi)), half_axes=(0,))
 
 
-def parabolic(d: int, n_min: int, n_max: int, lo, hi, space_half: bool = False) -> FiltrationSpec:
+def parabolic(d: int, n_min: int, n_max: int, lo, hi) -> FiltrationSpec:
     """Space-time filtration: axis 0 is time with exponent 2, cells
     (t, x) + [0, 4**-n) x [0, 2**-n)**d, domain {t >= 0}."""
-    half = (0, 1) if space_half else (0,)
     return FiltrationSpec("parabolic", (2,) + (1,) * d, n_min, n_max,
-                          tuple(map(float, lo)), tuple(map(float, hi)), half_axes=half)
+                          tuple(map(float, lo)), tuple(map(float, hi)), half_axes=(0,))
 
 
 def _aligned_count(length: float, side: float, what: str) -> int:

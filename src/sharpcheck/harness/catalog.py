@@ -111,10 +111,11 @@ class CatalogEntry:
     exact_threshold: float | None = None
     validate: Callable | None = None
     min_spacing: float = 1.0 / 512
+    check_step: Callable | None = None    # (params, x): refuses a step params cannot run
 
-    def check_ladder(self, ladder) -> tuple[float, ...]:
-        """The ladder as floats; a step this entry cannot run raises
-        ``ValueError``.  Spacings are finite and at least ``min_spacing``,
+    def check_ladder(self, ladder, params: dict) -> tuple[float, ...]:
+        """The ladder as floats; a step this entry cannot run at ``params``
+        raises ``ValueError``.  Spacings are finite and at least ``min_spacing``,
         windows finite and positive, instance counts positive integers."""
         ladder = tuple(float(x) for x in ladder)
         if not ladder:
@@ -129,6 +130,8 @@ class CatalogEntry:
                 ok, need = x >= 1 and x.is_integer(), "a positive integer"
             if not (ok and math.isfinite(x)):
                 raise ValueError(f"{self.ladder_kind} ladder value {x} for {self.id} must be {need}")
+            if self.check_step is not None:
+                self.check_step(params, x)
         return ladder
 
     def merged(self, overrides: dict) -> dict:
@@ -144,20 +147,16 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 
 def _register(**kw):
-    """Add an entry.  After its own validator, an ``operator`` parameter is
-    built, so bad operator settings fail before a run, a ``tau0`` must be
-    finite and nonnegative, a ``radius``, ``sigma`` or ``t_radius`` finite and
-    positive, and a parameter whose default is an int (not a bool) an integer
-    (not a bool or a float, which the run would truncate)."""
-    checks = [("operator", build_operator), ("tau0", _need_tau0)] + [
-        (key, lambda p, key=key: check_scale(key, p[key]))
-        for key in ("radius", "sigma", "t_radius")] + [
-        (key, lambda p, key=key: _need_integer(key, p[key]))
-        for key, default in kw["defaults"].items() if type(default) is int]
-    shared = [check for key, check in checks if key in kw["defaults"]]
-    if shared:
-        own = kw.get("validate") or (lambda params: None)
-        kw["validate"] = lambda params: (own(params), *(check(params) for check in shared))
+    """Add an entry.  Before its own validator, each parameter passes the
+    rule of its default's type in ``_TYPES`` (a bool is no number here, and
+    an int parameter takes no float the run would truncate), then the rule
+    of its name in ``_NAME_RULES``."""
+    defaults = kw["defaults"]
+    rules = [partial(_need_type, key, *_TYPES[type(v)])
+             for key, v in defaults.items() if type(v) in _TYPES]
+    rules += [rule for key, rule in _NAME_RULES if key in defaults]
+    own = kw.get("validate") or (lambda params: None)
+    kw["validate"] = lambda params: (*(rule(params) for rule in rules), own(params))
 
     def deco(fn):
         entry = CatalogEntry(runner=fn, **kw)
@@ -171,13 +170,29 @@ def _need(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _need_integer(key: str, value):
-    _need(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-          f"{key} must be an integer, got {value!r}")
+def _need_type(key: str, types: tuple, what: str, params: dict):
+    value = params[key]
+    _need(isinstance(value, types) and not isinstance(value, bool),
+          f"{key} must be {what}, got {value!r}")
 
 
-def _need_tau0(p):
-    _need(0 <= p["tau0"] < math.inf, f"tau0 must be finite and nonnegative, got {p['tau0']!r}")
+# The values a parameter takes, by the type of its default.
+_TYPES = {int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer, np.floating), "a number")}
+
+# The rule of each parameter name, in the order they run (``R`` before ``r``);
+# the operator is built, so bad operator settings fail before a run.
+_NAME_RULES = [
+    ("operator", lambda p: build_operator(p)),
+    ("tau0", lambda p: _need(0 <= p["tau0"] < math.inf,
+                             f"tau0 must be finite and nonnegative, got {p['tau0']!r}")),
+    *((key, lambda p, key=key: check_scale(key, p[key]))
+      for key in ("radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h")),
+    *((key, lambda p, key=key: _need(0 < p[key] <= 1, f"{key} must lie in (0, 1], got {p[key]!r}"))
+      for key in ("gamma", "beta", "eps")),
+    ("r", lambda p: _need(0 < p["r"] < p["R"],
+                          f"r must satisfy 0 < r < R, got r = {p['r']!r}, R = {p['R']!r}")),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +200,7 @@ def _need_tau0(p):
 
 def _dyadic_level(h: float) -> int:
     n = round(-math.log2(h))
-    _need(abs(2.0 ** -n - h) <= 1e-9 * h, f"spacing {h} is not dyadic (2**-n)")
+    _need(abs(2.0 ** -n - h) <= 1e-9 * h, f"ladder spacing {h} is not dyadic (2**-n)")
     return n
 
 
@@ -440,9 +455,7 @@ def _axis_weight(q, axis: int = 0):
 def _indicator_maximal(params, h):
     """Finest volume, the indicator of [0, 1) on [0, extent) and its dyadic
     maximal function."""
-    n_max = _dyadic_level(h)
-    _need(n_max >= 0, "finest cells must align with the indicator endpoint")
-    filt = Filtration(full_space(1, int(params["n_min"]), n_max,
+    filt = Filtration(full_space(1, int(params["n_min"]), _dyadic_level(h),
                                 (0.0,), (float(params["extent"]),)))
     g = filt.sample(lambda X: (X[:, 0] < 1.0).astype(np.float64))
     return filt.finest_volume, g.values, dyadic_maximal(g).values
@@ -452,17 +465,23 @@ _INDICATOR_FINEST = 10  # finest supported level (spacing 2**-10)
 
 
 def _indicator_validate(p):
-    """n_min must be an integer level no finer than the finest supported one,
-    and [0, extent) a whole number of coarsest cells (side 2**-n_min)."""
-    check_scale("extent", p["extent"])
+    """n_min must be a level no finer than the finest supported one, and
+    [0, extent) a whole number of coarsest cells (side 2**-n_min)."""
     n_min = p["n_min"]
-    _need_integer("n_min", n_min)
     _need(n_min <= _INDICATOR_FINEST,
           f"n_min must be at most the finest supported level {_INDICATOR_FINEST}, got {n_min!r}")
     # under half a cell is refused before the side 2**-n_min can overflow
     _need(math.log2(p["extent"]) + n_min > -1,
           f"n_min = {n_min}: [0, {p['extent']}) holds under half a coarsest cell")
     _aligned_count(p["extent"], 2.0 ** -n_min, f"extent at n_min = {n_min!r}")
+
+
+def _indicator_step(p, h):
+    """A dyadic step of at most 1, so cells align with the indicator's
+    endpoint, at a level not coarser than n_min."""
+    n_max = _dyadic_level(h)
+    _need(n_max >= 0, f"ladder spacing {h} exceeds 1, the indicator's endpoint")
+    _need(p["n_min"] <= n_max, f"n_min = {p['n_min']} exceeds level {n_max} of ladder spacing {h}")
 
 
 @_register(
@@ -476,6 +495,7 @@ def _indicator_validate(p):
                         _need(p["extent"] >= 2, "extent must cover the indicator"),
                         _indicator_validate(p)),
     min_spacing=2.0 ** -_INDICATOR_FINEST,
+    check_step=_indicator_step,
 )
 def _run_max_lp(params, h, seed):
     p = float(params["p"])
@@ -497,6 +517,7 @@ def _run_max_lp(params, h, seed):
     exact_threshold=1.0,
     validate=_indicator_validate,
     min_spacing=2.0 ** -_INDICATOR_FINEST,
+    check_step=_indicator_step,
 )
 def _run_max_weak(params, h, seed):
     vol, g, mg = _indicator_maximal(params, h)
@@ -518,6 +539,13 @@ def _run_max_weak(params, h, seed):
 # ---------------------------------------------------------------------------
 # local Fefferman-Stein bound on a dyadic filtration
 
+def _fs_local_step(p, h):
+    """The sharp function's floor level m is one of the filtration's levels."""
+    n_max = _dyadic_level(h)
+    _need(0 <= p["m"] <= n_max, f"m = {p['m']} must lie in [0, {n_max}], the levels "
+                                f"at ladder spacing {h}")
+
+
 @_register(
     id="FS-LOCAL",
     summary="Weighted bound of an Lp mass by the interpolation of the full "
@@ -528,18 +556,15 @@ def _run_max_weak(params, h, seed):
     ladder=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
     validate=lambda p: (
         _need(p["p"] > p["gamma"] * p["beta"], "the bound needs p > gamma*beta"),
-        _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]"),
-        _need(0 < p["beta"] <= 1, "beta must lie in (0, 1]"),
         _need(p["q"] > -1, "the power weight must be integrable (q > -1)"),
     ),
     min_spacing=2.0 ** -9,
+    check_step=_fs_local_step,
 )
 def _run_fs_local(params, h, seed):
     p, gamma, beta = (float(params[k]) for k in ("p", "gamma", "beta"))
     m = int(params["m"])
-    n_max = _dyadic_level(h)
-    _need(m <= n_max, "sharp-function floor level exceeds the finest level")
-    filt = Filtration(full_space(2, 0, n_max, (0.0, 0.0), (1.0, 1.0)))
+    filt = Filtration(full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0)))
     mf = manufactured("bump", 2, center=(0.5, 0.5), radius=float(params["radius"]))
     w = PowerX1(float(params["q"]), axis=0)
     # each integrand is formed, and its array dropped, as soon as it exists
@@ -579,9 +604,6 @@ _OSC_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "nu": 2.0, "mu": 0.3
 def _osc_validate(p):
     _need(p["nu"] >= 2, "the scale split needs nu >= 2")
     _need(p["xi"] > 1, "the dual exponent needs xi > 1")
-    _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]")
-    _need(p["mu"] > 0, "mu must be positive")
-    _need(p["r0"] > 0, "r0 must be positive")
     b, cap = p["pair_budget"], 1 << 16  # pairs per radius; keeps pair arrays to tens of MB
     _need(b in range(1, cap + 1), f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
 
@@ -662,8 +684,6 @@ def _run_osc_p(params, h, seed):
               "geometry": "elliptic"},
     ladder=(0.125, 0.0625, 0.03125),
     validate=lambda p: (
-        _need(0 < p["gamma"] <= 1, "gamma must lie in (0, 1]"),
-        _need(p["rho"] > 0, "rho must be positive"),
         _need(p["p"] >= 1, "the maximal exponent needs p >= 1"),
         _need(p["geometry"] in ("elliptic", "parabolic"),
               "geometry must be elliptic or parabolic"),
@@ -721,9 +741,6 @@ def _run_interp(params, h, seed):
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
         _need(p["p"] > 1, "the weighted estimate needs p > 1"),
-        _need(0 < p["eps"] <= 1, "eps must lie in (0, 1]"),
-        _need(0 < p["r"] < p["R"], "radii must satisfy 0 < r < R"),
-        _need(p["rho"] > 0, "rho must be positive"),
         _validate_power_range(p["q"], -1.0, p["p"] - 1.0, "the weight class"),
     ),
     min_spacing=0.005,
@@ -770,7 +787,6 @@ def _run_interp_local(params, h, seed):
     validate=lambda p: (
         _need(p["p"] > p["d"], "the global Hessian bound needs p > d"),
         _need(p["radius"] < p["R"], "the manufactured support must stay inside R"),
-        _need(p["r0"] > 0, "r0 must be positive"),
         _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
                               "the A_{p/d} class"),
     ),
@@ -888,7 +904,6 @@ def _run_mixed(params, h, seed):
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
         _need(p["p"] > p["d"], "the interior bound needs p > d"),
-        _need(0 < p["r"] < p["R"], "radii must satisfy 0 < r < R"),
         _need(p["r"] >= p["R"] - 1, "the two-radius form needs r >= R - 1"),
         _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
                               "the A_{p/d} class"),
@@ -932,7 +947,6 @@ def _run_local_w2p(params, h, seed):
         _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
         _need(p["p1"] > p["d"] and p["p2"] > p["d"],
               "iterated-norm exponents must each exceed d"),
-        _need(0 < p["r"] < p["R"], "radii must satisfy 0 < r < R"),
     ),
 )
 def _run_local_mixed(params, h, seed):
@@ -976,7 +990,6 @@ def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
         _need(p["p"] > p["d"], "the slab bound needs p > d"),
-        _need(0 < p["eps"] <= 1, "eps must lie in (0, 1]"),
         _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
                               "the half-space A_{p/d} class"),
     ),
@@ -1141,7 +1154,6 @@ def _run_hs_dirichlet_mixed(params, h, seed):
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
         _need(p["p"] > p["d"], "the localized bound needs p > d"),
-        _need(0 < p["r"] < p["R"], "radii must satisfy 0 < r < R"),
         _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
                               "the half-space A_{p/d} class"),
     ),
@@ -1253,7 +1265,6 @@ def _run_para_mixed(params, h, seed):
         _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
         _need(min(p["p0"], p["p1"], p["p2"]) > p["d"] + 1,
               "iterated-norm exponents must each exceed d + 1"),
-        _need(0 < p["r"] < p["R"], "cylinder radii must satisfy 0 < r < R"),
     ),
 )
 def _run_para_local_mixed(params, h, seed):
@@ -1338,7 +1349,6 @@ def _run_para_hs_full(params, h, seed):
               "iterated-norm exponents must each exceed d + 1"),
         _need(-1.0 < p["q"] < p["p1"] / (p["d"] + 1) - 1.0,
               "the wall-distance power must lie in (-1, p1/(d+1) - 1)"),
-        _need(0 < p["r"] < p["R"], "cylinder radii must satisfy 0 < r < R"),
     ),
 )
 def _run_para_hs_mixed(params, h, seed):
@@ -1377,9 +1387,7 @@ def _run_para_hs_mixed(params, h, seed):
     ladder=(1.0, 2.0, 4.0, 8.0),
     ladder_kind="window",
     expect_divergence=True,
-    validate=lambda p: (
-        _need(p["p"] >= 1, "the norm exponent needs p >= 1"),
-        _need(0 < p["h"] < math.inf, f"h must be finite and positive, got {p['h']!r}")),
+    validate=lambda p: _need(p["p"] >= 1, "the norm exponent needs p >= 1"),
     min_spacing=0.0,
 )
 def _run_neg_exp(params, L, seed):

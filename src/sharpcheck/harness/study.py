@@ -59,9 +59,8 @@ def _class_precondition(entry: CatalogEntry, params: dict, seed: int) -> dict:
 def run_estimate_check(spec: EstimateSpec) -> InequalityReport:
     entry = resolve_entry(spec.id)
     params = entry.merged(dict(spec.params))
-    if entry.validate is not None:
-        entry.validate(params)
-    ladder = entry.check_ladder(spec.ladder or entry.ladder)
+    entry.validate(params)
+    ladder = entry.check_ladder(spec.ladder or entry.ladder, params)
 
     notes = _class_precondition(entry, params, spec.seed)
     series: dict[str, TermSeries] = {}

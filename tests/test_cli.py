@@ -2,7 +2,7 @@
 
 All invocations go through cli.main(argv) in process; exit codes follow the
 contract 0 = all checks passed, 1 = a check failed or errored at runtime,
-2 = the request itself was invalid (config, flags, environment, report file).
+2 = the request itself was invalid (config, flags, report file).
 """
 
 import json
@@ -26,12 +26,6 @@ p = 2.0
 
 [estimate:MAX-WEAK]
 """
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for var in ("SEED", "JOBS", "OUT", "FORMAT"):
-        monkeypatch.delenv(cli.ENV_PREFIX + var, raising=False)
 
 
 def write_cfg(tmp_path, text, name="suite.cfg"):
@@ -61,13 +55,14 @@ class TestVerify:
         assert (tmp_path / "mini.csv").read_text().startswith(
             "id,spacing,lhs,rhs_sum,n_emp,trend,verdict")
 
-    def test_format_json_skips_csv(self, tmp_path, capsys):
+    def test_format_flag_is_refused(self, tmp_path, capsys):
+        # verify always writes both the JSON and the CSV
         cfg = write_cfg(tmp_path, MINI)
-        out = tmp_path / "mini.json"
-        code, _, _ = run_cli(capsys, "verify", cfg, "--out", str(out),
-                             "--format", "json")
-        assert code == 0
-        assert out.exists() and not (tmp_path / "mini.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", cfg, "--out", str(tmp_path / "mini.json"), "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "mini.json").exists()
 
     def test_inline_comments_are_stripped(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
@@ -92,13 +87,11 @@ class TestVerify:
         assert code == 2
         assert "config error:" in err and "'OSC'" in err
 
-    def test_seed_precedence_flag_over_env_over_config(self, tmp_path, capsys,
-                                                       monkeypatch):
+    def test_seed_precedence_flag_over_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI)
         out = tmp_path / "s.json"
-        monkeypatch.setenv(cli.ENV_PREFIX + "SEED", "7")
         run_cli(capsys, "verify", cfg, "--out", str(out))
-        assert json.loads(out.read_text())["seed"] == 7
+        assert json.loads(out.read_text())["seed"] == 5
         run_cli(capsys, "verify", cfg, "--out", str(out), "--seed", "9")
         assert json.loads(out.read_text())["seed"] == 9
 
@@ -132,7 +125,8 @@ class TestConfigDiagnostics:
 
     def check(self, tmp_path, capsys, text, *needles):
         cfg = write_cfg(tmp_path, text)
-        code, _, err = run_cli(capsys, "verify", cfg)
+        # a config that loads by mistake writes its reports under tmp_path
+        code, _, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path / "bad.json"))
         assert code == 2
         assert "config error:" in err
         for needle in needles:
@@ -160,8 +154,8 @@ class TestConfigDiagnostics:
         ("APRIORI", "delta = 0", "delta must lie in (0, 1]"),
         ("APRIORI", "operator = bellman\ndelta = 0", "delta must lie in (0, 1]"),
         ("HS-DIRICHLET", "input = quadratic", "unknown manufactured input 'quadratic'"),
-        ("OSC-P", "mu = -1.0", "mu must be positive"),
-        ("OSC", "r0 = 0", "r0 must be positive"),
+        ("OSC-P", "mu = -1.0", "mu must be finite and positive"),
+        ("OSC", "r0 = 0", "r0 must be finite and positive"),
         ("OSC", "tau0 = -1.0", "tau0 must be finite and nonnegative"),
         ("W2P-GLOBAL", "p = 3\ntau0 = -1.0", "tau0 must be finite and nonnegative"),
         ("HS-DIRICHLET", "tau0 = -1.0", "tau0 must be finite and nonnegative"),
@@ -188,6 +182,19 @@ class TestConfigDiagnostics:
         # 2.0 ** 2000 would overflow; no ladder step reaches level 2000
         ("MAX-WEAK", "n_min = -2000", "n_min = -2000: [0, 4.0) holds under half a coarsest cell"),
         ("MAX-WEAK", "n_min = 2000", "n_min must be at most the finest supported level 10"),
+        # each parameter name has one rule, in every entry that has the name
+        ("HS-DIRICHLET", "R = -1", "R must be finite and positive, got -1"),
+        ("PARA-GLOBAL", "r0 = -5\ntau0 = 0.5", "r0 must be finite and positive, got -5"),
+        ("W2P-GLOBAL", "r0 = inf", "r0 must be finite and positive, got inf"),
+        ("INTERP", "rho = inf", "rho must be finite and positive, got inf"),
+        # a bool is not a number, though Python reads it as one
+        ("APRIORI", "delta = true", "delta must be a number, got True"),
+        ("APRIORI", "radius = true", "radius must be a number, got True"),
+        # limits the effective (here the default) ladder sets
+        ("MAX-LP", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
+        ("MAX-WEAK", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
+        ("FS-LOCAL", "m = 6", "m = 6 must lie in [0, 5], the levels at ladder spacing 0.03125"),
+        ("FS-LOCAL", "m = -1", "m = -1 must lie in [0, 5]"),
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
                                                          section, line, needle):
@@ -210,10 +217,12 @@ class TestConfigDiagnostics:
     @pytest.mark.parametrize("section", ["OSC", "OSC-P"])
     @pytest.mark.parametrize("value", ["0", "0.5", "65537"])
     def test_pair_budget_out_of_range(self, tmp_path, capsys, section, value):
+        # the integer rule of every int parameter refuses 0.5 first
+        needle = "must be an integer, got 0.5" if value == "0.5" else "from 1 to 65536"
         self.check(tmp_path, capsys,
                    f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n"
                    f"pair_budget = {value}\n",
-                   f"{tmp_path / 'suite.cfg'}, line 5", "pair_budget", "from 1 to 65536")
+                   f"{tmp_path / 'suite.cfg'}, line 5", "pair_budget", needle)
 
     @pytest.mark.parametrize("section,ladder,needle", [
         ("IDENTITIES", "0.5", "a positive integer"),
@@ -232,17 +241,32 @@ class TestConfigDiagnostics:
                    f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\nladder = {ladder}\n",
                    f"{tmp_path / 'suite.cfg'}, line 6", needle, section)
 
+    @pytest.mark.parametrize("section,params,ladder,needle", [
+        ("MAX-LP", "", "0.3", "ladder spacing 0.3 is not dyadic"),
+        ("MAX-WEAK", "", "0.25 2", "ladder spacing 2.0 exceeds 1"),
+        ("MAX-LP", "n_min = 1\n", "1 0.5", "n_min = 1 exceeds level 0 of ladder spacing 1.0"),
+        ("FS-LOCAL", "m = 5\n", "0.0625 0.03125", "m = 5 must lie in [0, 4]"),
+    ])
+    def test_ladder_limits_of_the_parameters(self, tmp_path, capsys, section, params,
+                                            ladder, needle):
+        # checked against the parameters at load, at the ladder's line
+        line = 6 + params.count("\n")
+        self.check(tmp_path, capsys,
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{params}"
+                   f"ladder = {ladder}\n",
+                   f"{tmp_path / 'suite.cfg'}, line {line}", needle)
+
     def test_bad_ladder_value(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n"
                    "[estimate:MAX-LP]\nladder = 0.1 apples\n",
                    "line 6", "ladder")
 
-    def test_unknown_suite_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["wallclock = 2", "format = json"])
+    def test_unknown_suite_key(self, tmp_path, capsys, key):
         self.check(tmp_path, capsys,
-                   "[suite]\nname = bad\nseed = 1\nwallclock = 2\n\n"
-                   "[estimate:MAX-LP]\n",
-                   "line 4", "wallclock")
+                   f"[suite]\nname = bad\nseed = 1\n{key}\n\n[estimate:MAX-LP]\n",
+                   "line 4", f"unknown suite key {key.split()[0]!r}")
 
     def test_non_integer_seed(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
@@ -267,13 +291,6 @@ class TestConfigDiagnostics:
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.cfg"))
         assert code == 2
         assert "config error:" in err and "nope.cfg" in err
-
-    def test_bad_environment_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_PREFIX + "SEED", "abc")
-        cfg = write_cfg(tmp_path, MINI)
-        code, _, err = run_cli(capsys, "verify", cfg)
-        assert code == 2
-        assert "must be an integer" in err
 
 
 class TestReport:

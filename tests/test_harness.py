@@ -733,6 +733,30 @@ class TestStudyDrivers:
 
 PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "pde.cfg"
 
+# One rule per parameter name, whichever entry has the name.
+NAME_RULES = {
+    **{key: f"{key} must be finite and positive" for key in (
+        "radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h")},
+    **{key: f"{key} must lie in (0, 1]" for key in ("gamma", "beta", "eps")},
+    "r": "r must satisfy 0 < r < R",
+}
+
+
+@pytest.mark.parametrize("eid", [eid for eid in ENTRY_IDS
+                                 if NAME_RULES.keys() & ENTRIES[eid].defaults.keys()])
+def test_named_parameters_follow_one_rule(eid):
+    entry = ENTRIES[eid]
+    for key in NAME_RULES.keys() & entry.defaults.keys():
+        bad = [0, -1, math.inf, math.nan, True]
+        if key == "r":
+            bad += [entry.defaults["R"], entry.defaults["R"] + 0.5]
+        for value in bad:
+            # a bool is refused by the float parameter's type rule
+            need = f"{key} must be a number, got True" if value is True else NAME_RULES[key]
+            with pytest.raises(ValueError) as exc:
+                entry.validate(entry.merged({key: value}))
+            assert str(exc.value).startswith(need), (key, value, str(exc.value))
+
 
 @pytest.mark.parametrize("eid", ["W2P-GLOBAL", "HS-DIRICHLET", "PARA-GLOBAL", "PARA-HS"])
 def test_collar_is_summed_only_under_a_nonzero_coefficient(monkeypatch, eid):

@@ -31,8 +31,7 @@ def entry_ids(tree: str) -> list[str]:
 
 
 def _run(tree: str, args: list[str]) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SHARPCHECK_")}
-    env["PYTHONPATH"] = os.path.join(tree, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
                           text=True, timeout=RUN_TIMEOUT_S)
 
