@@ -150,7 +150,8 @@ def _register(**kw):
     """Add an entry.  Before its own validator, each parameter passes the
     rule of its default's type in ``_TYPES`` (a bool is no number here, and
     an int parameter takes no float the run would truncate), then the rule
-    of its name in ``_NAME_RULES``."""
+    of its name in ``_NAME_RULES``.  An estimate's exponent and weight-class
+    hypotheses are one ``_hypotheses`` rule, in its validator."""
     defaults = kw["defaults"]
     rules = [partial(_need_type, key, *_TYPES[type(v)])
              for key, v in defaults.items() if type(v) in _TYPES]
@@ -180,14 +181,20 @@ def _need_type(key: str, types: tuple, what: str, params: dict):
 _TYPES = {int: ((int, np.integer), "an integer"),
           float: ((int, float, np.integer, np.floating), "a number")}
 
-# The rule of each parameter name, in the order they run (``R`` before ``r``);
-# the operator is built, so bad operator settings fail before a run.
+# The rule of each parameter name, in the order they run (``d`` before the
+# operator, ``R`` before ``r``); the operator is built, so bad operator
+# settings fail before a run.
 _NAME_RULES = [
+    ("d", lambda p: _need(p["d"] >= 1, f"d must be at least 1, got {p['d']!r}")),
     ("operator", lambda p: build_operator(p)),
     ("tau0", lambda p: _need(0 <= p["tau0"] < math.inf,
                              f"tau0 must be finite and nonnegative, got {p['tau0']!r}")),
+    *((key, lambda p, key=key: _need(p[key] is None or math.isfinite(p[key]),
+                                     f"{key} must be finite, got {p[key]!r}"))
+      for key in ("p", "p0", "p1", "p2", "p3", "q")),
     *((key, lambda p, key=key: check_scale(key, p[key]))
-      for key in ("radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h")),
+      for key in ("radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h",
+                  "tolerance", "nu", "xi")),
     *((key, lambda p, key=key: _need(0 < p[key] <= 1, f"{key} must lie in (0, 1], got {p[key]!r}"))
       for key in ("gamma", "beta", "eps")),
     ("r", lambda p: _need(0 < p["r"] < p["R"],
@@ -439,10 +446,37 @@ def _zero_trace(fields):
     return fields
 
 
-def _validate_power_range(q, lower: float, upper: float, label: str):
-    if q is not None:
-        _need(lower < float(q) < upper,
-              f"power weight exponent must lie in ({lower}, {upper}) for {label}, got {q}")
+def _hypotheses(*exponents, dim: str = "d", weighted: str | None = None, plane: bool = False):
+    """The rule of an estimate's hypotheses: with ``plane`` the recipe's d is
+    2; each of ``exponents`` exceeds ``dim`` ("d", "d + 1" in space-time, or
+    "1"); and a power weight ``|x_1|^q``, when ``weighted`` names its exponent
+    p and q is set, is in the Muckenhoupt class A_{p/dim}: -1 < q < p/dim - 1."""
+    label = {"1": "", "d": "/d", "d + 1": "/(d + 1)"}[dim]
+
+    def rule(p):
+        if plane:
+            _need(p["d"] == 2, f"the catalog recipe fixes two space dimensions, got d = {p['d']!r}")
+        n = 1 if dim == "1" else p["d"] + 1 if dim == "d + 1" else p["d"]
+        for key in exponents:
+            _need(p[key] > n, f"the estimate needs {key} > {dim}, got {key} = {p[key]!r}")
+        q = p.get("q") if weighted else None
+        if q is not None:
+            top = p[weighted] / n - 1.0
+            _need(-1.0 < q < top, f"power weight exponent q must lie in (-1, {top}) for "
+                                  f"the class A_{{{weighted}{label}}}, got q = {q!r}")
+    return rule
+
+
+_ELLIPTIC = _hypotheses("p", weighted="p")
+_PARABOLIC = _hypotheses("p", dim="d + 1", weighted="p")
+
+
+def _cylinder_support(p):
+    """The input's support stays inside the cylinder of radius R and height R^2."""
+    _need(p["radius"] < p["R"],
+          f"the space support must stay inside R, got radius = {p['radius']!r}, R = {p['R']!r}")
+    _need(p["t_center"] + p["t_radius"] <= p["R"] ** 2,
+          f"the time support must stay inside the cylinder, ending by R^2 = {p['R'] ** 2!r}")
 
 
 def _axis_weight(q, axis: int = 0):
@@ -687,7 +721,7 @@ def _run_osc_p(params, h, seed):
         _need(p["p"] >= 1, "the maximal exponent needs p >= 1"),
         _need(p["geometry"] in ("elliptic", "parabolic"),
               "geometry must be elliptic or parabolic"),
-        _validate_power_range(p["q"], -1.0, p["p"] - 1.0, "the weighted form"),
+        _hypotheses(dim="1", weighted="p")(p),
     ),
     min_spacing=0.01,
 )
@@ -739,10 +773,7 @@ def _run_interp(params, h, seed):
     defaults={"d": 2, "p": 2.5, "q": 0.5, "rho": 0.9, "eps": 0.5,
               "r": 0.55, "R": 0.9, "sigma": 0.5},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["p"] > 1, "the weighted estimate needs p > 1"),
-        _validate_power_range(p["q"], -1.0, p["p"] - 1.0, "the weight class"),
-    ),
+    validate=_hypotheses("p", dim="1", weighted="p"),
     min_spacing=0.005,
 )
 def _run_interp_local(params, h, seed):
@@ -785,10 +816,10 @@ def _run_interp_local(params, h, seed):
     ladder=(0.025, 0.0125, 0.00625),
     min_spacing=1.0 / 1024,
     validate=lambda p: (
-        _need(p["p"] > p["d"], "the global Hessian bound needs p > d"),
+        _ELLIPTIC(p),
         _need(p["radius"] < p["R"], "the manufactured support must stay inside R"),
-        _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
-                              "the A_{p/d} class"),
+        _need(math.isfinite(p["amplitude"]) and p["amplitude"] != 0,
+              f"amplitude must be finite and nonzero, got {p['amplitude']!r}"),
     ),
 )
 def _run_w2p_global(params, h, seed):
@@ -814,10 +845,7 @@ def _run_w2p_global(params, h, seed):
             "derivatives.",
     defaults={"p": 2.0, "q": 0.5, "sigma": 0.8, "extent": 6.0},
     ladder=(0.05, 0.025, 0.0125),
-    validate=lambda p: (
-        _need(p["p"] > 1, "the zeroth-order bound needs p > d = 1"),
-        _validate_power_range(p["q"], -1.0, p["p"] - 1.0, "the A_p class"),
-    ),
+    validate=_hypotheses("p", dim="1", weighted="p"),
     min_spacing=0.002,
 )
 def _run_zeroth_1d(params, h, seed):
@@ -864,11 +892,7 @@ def _apriori_pair(params, fields, axis: int):
             "absorbed defect.",
     defaults=_APRIORI_DEFAULTS,
     ladder=(0.125, 0.0625, 0.03125),
-    validate=lambda p: (
-        _need(p["p"] > p["d"], "the a priori bound needs p > d"),
-        _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
-                              "the A_{p/d} class"),
-    ),
+    validate=_ELLIPTIC,
 )
 def _run_apriori(params, h, seed):
     return _apriori_pair(params, _apriori_fields(params, h), axis=0)
@@ -881,11 +905,7 @@ def _run_apriori(params, h, seed):
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0, "p2": 3.0,
               "radius": 1.2, "extent": 2.5},
     ladder=(0.125, 0.0625, 0.03125),
-    validate=lambda p: (
-        _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
-        _need(p["p1"] > p["d"] and p["p2"] > p["d"],
-              "iterated-norm exponents must each exceed d"),
-    ),
+    validate=_hypotheses("p1", "p2", plane=True),
 )
 def _run_mixed(params, h, seed):
     p1, p2 = float(params["p1"]), float(params["p2"])
@@ -903,10 +923,8 @@ def _run_mixed(params, h, seed):
               "r": 1.0, "R": 1.5, "sigma": 0.6},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
-        _need(p["p"] > p["d"], "the interior bound needs p > d"),
+        _ELLIPTIC(p),
         _need(p["r"] >= p["R"] - 1, "the two-radius form needs r >= R - 1"),
-        _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
-                              "the A_{p/d} class"),
     ),
 )
 def _run_local_w2p(params, h, seed):
@@ -943,11 +961,7 @@ def _run_local_w2p(params, h, seed):
     defaults={"d": 2, "operator": "bellman", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "r": 1.0, "R": 1.4, "sigma": 0.55},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
-        _need(p["p1"] > p["d"] and p["p2"] > p["d"],
-              "iterated-norm exponents must each exceed d"),
-    ),
+    validate=_hypotheses("p1", "p2", plane=True),
 )
 def _run_local_mixed(params, h, seed):
     d = int(params["d"])
@@ -989,10 +1003,12 @@ def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
     defaults=_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
-        _need(p["p"] > p["d"], "the slab bound needs p > d"),
-        _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
-                              "the half-space A_{p/d} class"),
+        _ELLIPTIC(p),
+        _need(-1 <= p["n"] <= 3, "n must lie in [-1, 3], so that the slab [2^-n, 2^(1-n)] "
+                                 f"meets the input's x_1 support (0.2, 2.2), got n = {p['n']!r}"),
     ),
+    check_step=lambda p, h: _need(2.0 ** -p["n"] >= h, f"n = {p['n']}: the slab's width "
+                                  f"2^-n is below ladder spacing {h}, so it may hold no node"),
 )
 def _run_hs_slab(params, h, seed):
     p = float(params["p"])
@@ -1029,7 +1045,7 @@ def _run_hs_slab(params, h, seed):
             "multiplies the function.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: _need(p["p"] > p["d"], "the weighted bound needs p > d"),
+    validate=_hypotheses("p"),
 )
 def _run_hs_weighted(params, h, seed):
     p = float(params["p"])
@@ -1055,8 +1071,7 @@ def _run_hs_weighted(params, h, seed):
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: _need(p["p1"] > p["d"] and p["p2"] > p["d"],
-                             "iterated-norm exponents must each exceed d"),
+    validate=_hypotheses("p1", "p2"),
 )
 def _run_hs_mixed(params, h, seed):
     d = int(params["d"])
@@ -1092,9 +1107,7 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
               "R": 1.5, "r0": 1.0, "tau0": 0.0, "input": "odd_bump"},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
-        _need(p["p"] > p["d"], "the boundary bound needs p > d"),
-        _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
-                              "the half-space A_{p/d} class"),
+        _ELLIPTIC(p),
         _need(p["input"] in ("odd_bump", "bump"),
               f"unknown manufactured input {p['input']!r} for a boundary entry"),
     ),
@@ -1119,12 +1132,7 @@ def _run_hs_dirichlet(params, h, seed):
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "q": 0.25, "radius": 1.5},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["p1"] > p["d"] and p["p2"] > p["d"],
-              "iterated-norm exponents must each exceed d"),
-        _validate_power_range(p["q"], -1.0, p["p2"] / p["d"] - 1.0,
-                              "the trace-zero weighted bound"),
-    ),
+    validate=_hypotheses("p1", "p2", weighted="p2"),
 )
 def _run_hs_dirichlet_mixed(params, h, seed):
     d = int(params["d"])
@@ -1152,11 +1160,7 @@ def _run_hs_dirichlet_mixed(params, h, seed):
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 0.25,
               "r": 1.0, "R": 1.5, "radius": 1.8},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["p"] > p["d"], "the localized bound needs p > d"),
-        _validate_power_range(p["q"], -1.0, p["p"] / p["d"] - 1.0,
-                              "the half-space A_{p/d} class"),
-    ),
+    validate=_ELLIPTIC,
 )
 def _run_hs_local(params, h, seed):
     d = int(params["d"])
@@ -1189,12 +1193,6 @@ def _para_fields(params, h, box=1.4, t_extent=1.6):
     return _fields(params, h, lo, hi, mf, time_axis=True)
 
 
-def _para_validate(p):
-    _need(p["p"] > p["d"] + 1, "parabolic bounds need p > d + 1")
-    _validate_power_range(p.get("q"), -1.0, p["p"] / (p["d"] + 1) - 1.0,
-                          "the parabolic weight class")
-
-
 @_register(
     id="PARA-GLOBAL",
     summary="Space-time Hessian bound for inputs supported in a forward "
@@ -1202,12 +1200,7 @@ def _para_validate(p):
             "collar term.",
     defaults=_PARA_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _para_validate(p),
-        _need(p["radius"] < p["R"], "the space support must stay inside R"),
-        _need(p["t_center"] + p["t_radius"] <= p["R"] ** 2,
-              "the time support must stay inside the cylinder"),
-    ),
+    validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
 )
 def _run_para_global(params, h, seed):
     p = float(params["p"])
@@ -1225,7 +1218,7 @@ def _run_para_global(params, h, seed):
             "the absorbed-defect form and the gradient pair.",
     defaults=_PARA_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: _para_validate(p),
+    validate=_PARABOLIC,
 )
 def _run_para_apriori(params, h, seed):
     return _apriori_pair(params, _para_fields(params, h), axis=1)
@@ -1239,11 +1232,7 @@ def _run_para_apriori(params, h, seed):
               "p1": 4.0, "p2": 4.0, "radius": 1.0, "t_center": 0.7,
               "t_radius": 0.6},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
-        _need(min(p["p0"], p["p1"], p["p2"]) > p["d"] + 1,
-              "iterated-norm exponents must each exceed d + 1"),
-    ),
+    validate=_hypotheses("p0", "p1", "p2", dim="d + 1", plane=True),
 )
 def _run_para_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
@@ -1261,11 +1250,7 @@ def _run_para_mixed(params, h, seed):
               "p1": 4.0, "p2": 4.0, "r": 0.8, "R": 1.1, "radius": 0.9,
               "t_center": 0.3, "t_radius": 0.3},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
-        _need(min(p["p0"], p["p1"], p["p2"]) > p["d"] + 1,
-              "iterated-norm exponents must each exceed d + 1"),
-    ),
+    validate=_hypotheses("p0", "p1", "p2", dim="d + 1", plane=True),
 )
 def _run_para_local_mixed(params, h, seed):
     p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
@@ -1302,12 +1287,7 @@ def _para_hs_fields(params, h):
             "supported in a forward half-cylinder.",
     defaults=_PARA_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _para_validate(p),
-        _need(p["radius"] < p["R"], "the space support must stay inside R"),
-        _need(p["t_center"] + p["t_radius"] <= p["R"] ** 2,
-              "the time support must stay inside the cylinder"),
-    ),
+    validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
 )
 def _run_para_hs(params, h, seed):
     p = float(params["p"])
@@ -1325,7 +1305,7 @@ def _run_para_hs(params, h, seed):
             "absorbed defect for trace-zero inputs.",
     defaults=_PARA_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: _para_validate(p),
+    validate=_PARABOLIC,
 )
 def _run_para_hs_full(params, h, seed):
     p = float(params["p"])
@@ -1343,13 +1323,7 @@ def _run_para_hs_full(params, h, seed):
               "p2": 4.0, "p3": 4.0, "q": 0.25, "r": 0.9, "R": 1.2,
               "radius": 1.1, "t_center": 0.7, "t_radius": 0.6},
     ladder=(0.1, 0.05, 0.025),
-    validate=lambda p: (
-        _need(p["d"] == 2, "the catalog recipe fixes two space dimensions"),
-        _need(min(p["p1"], p["p2"], p["p3"]) > p["d"] + 1,
-              "iterated-norm exponents must each exceed d + 1"),
-        _need(-1.0 < p["q"] < p["p1"] / (p["d"] + 1) - 1.0,
-              "the wall-distance power must lie in (-1, p1/(d+1) - 1)"),
-    ),
+    validate=_hypotheses("p1", "p2", "p3", dim="d + 1", weighted="p1", plane=True),
 )
 def _run_para_hs_mixed(params, h, seed):
     d = int(params["d"])

@@ -195,12 +195,43 @@ class TestConfigDiagnostics:
         ("MAX-WEAK", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
         ("FS-LOCAL", "m = 6", "m = 6 must lie in [0, 5], the levels at ladder spacing 0.03125"),
         ("FS-LOCAL", "m = -1", "m = -1 must lie in [0, 5]"),
+        # each of these used to load and then run, to a verdict that measures
+        # nothing (n_emp 0 or nan, or a weight of infinite power) or to a
+        # runtime error with no report: an infinite exponent or scale,
+        ("ZEROTH-1D", "p = inf\nladder = 0.2", "p must be finite, got inf"),
+        ("APRIORI", "p = inf\nladder = 0.2", "p must be finite, got inf"),
+        ("PARA-HS-FULL", "p = inf\nladder = 0.2", "p must be finite, got inf"),
+        ("HS-WEIGHTED", "q = inf\nladder = 0.2", "q must be finite, got inf"),
+        ("IDENTITIES", "tolerance = nan\nladder = 5", "tolerance must be finite and positive"),
+        ("OSC", "nu = inf\nladder = 0.2", "nu must be finite and positive, got inf"),
+        ("OSC", "xi = inf\nladder = 0.2", "xi must be finite and positive, got inf"),
+        # a dimension below 1,
+        ("APRIORI", "d = -1\nladder = 0.2", "d must be at least 1, got -1"),
+        ("APRIORI", "d = 0\nladder = 0.2", "d must be at least 1, got 0"),
+        # and a check whose left side is 0 at every step
+        ("HS-SLAB", "n = -40\nladder = 0.2", "n must lie in [-1, 3]"),
+        ("HS-SLAB", "n = -2\nladder = 0.1 0.05", "n must lie in [-1, 3]"),
+        ("HS-SLAB", "n = 10\nladder = 0.1 0.05", "n must lie in [-1, 3]"),
+        ("HS-SLAB", "n = 4\nladder = 0.05 0.025 0.0125", "n must lie in [-1, 3]"),
+        ("W2P-GLOBAL", "amplitude = 0\nladder = 0.2", "amplitude must be finite and nonzero"),
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
                                                          section, line, needle):
         self.check(tmp_path, capsys,
                    f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{line}\n",
                    "line 5", needle)
+
+    def test_slab_narrower_than_a_ladder_step_refused(self, tmp_path, capsys):
+        # the slab [1/8, 1/4] of n = 3 holds none of the nodes 0, 0.3, ...
+        self.check(tmp_path, capsys,
+                   "[suite]\nname = bad\nseed = 1\n\n[estimate:HS-SLAB]\nn = 3\nladder = 0.3\n",
+                   "line 7", "n = 3: the slab's width 2^-n is below ladder spacing 0.3")
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_slabs_meeting_the_support_load(self, tmp_path, n):
+        cfg = cli.load_suite(write_cfg(
+            tmp_path, f"[suite]\nname = ok\n\n[estimate:HS-SLAB]\nn = {n}\nladder = 0.1 0.05\n"))
+        assert cfg.blocks == [("HS-SLAB", {"n": n}, (0.1, 0.05))]
 
     @pytest.mark.parametrize("section,key", [("NEG-EXP", "h"), ("MAX-LP", "p")])
     def test_non_numeric_parameter_points_at_its_line(self, tmp_path, capsys, section, key):

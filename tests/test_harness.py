@@ -16,6 +16,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -675,7 +676,7 @@ class TestStudyDrivers:
         ("INTERP", {"geometry": "spherical"}, "elliptic or parabolic"),
         ("OSC", {"nu": 1.5}, "nu >= 2"),
         ("PARA-GLOBAL", {"p": 2.5}, "p > d \\+ 1"),
-        ("PARA-HS-MIXED", {"q": 0.5}, "wall-distance"),
+        ("PARA-HS-MIXED", {"q": 0.5}, "power weight exponent"),
         ("LOCAL-W2P", {"r": 1.6}, "0 < r < R"),
     ])
     def test_constraint_rejections_name_the_constraint(self, eid, params, needle):
@@ -736,7 +737,8 @@ PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worklo
 # One rule per parameter name, whichever entry has the name.
 NAME_RULES = {
     **{key: f"{key} must be finite and positive" for key in (
-        "radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h")},
+        "radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h",
+        "tolerance", "nu", "xi")},
     **{key: f"{key} must lie in (0, 1]" for key in ("gamma", "beta", "eps")},
     "r": "r must satisfy 0 < r < R",
 }
@@ -1032,3 +1034,68 @@ class TestDispatchLevel:
             for (_, b), (_, n) in zip(bs, ns):
                 assert len(b) == len(n) and all(math.isclose(x, y, rel_tol=1e-13)
                                                 for x, y in zip(b, n)), i
+
+
+# The exponent hypotheses each entry stated in its own validator before they
+# became one rule, at the defaults (d = 2): the bound of each exponent, which
+# it must exceed (True) or may reach (False), and the power weight's class
+# A_{p/n} as (p's name, n), -1 < q < p/n - 1, where q has one.
+EXPONENT_HYPOTHESES = {
+    "MAX-LP": ({"p": (1, True)}, None),
+    "FS-LOCAL": ({"p": (1, True)}, None),             # p > gamma * beta
+    "NEG-EXP": ({"p": (1, False)}, None),
+    "INTERP": ({"p": (1, False)}, ("p", 1)),
+    "INTERP-LOCAL": ({"p": (1, True)}, ("p", 1)),
+    "ZEROTH-1D": ({"p": (1, True)}, ("p", 1)),
+    "W2P-GLOBAL": ({"p": (2, True)}, ("p", 2)),
+    "APRIORI": ({"p": (2, True)}, ("p", 2)),
+    "MIXED": ({"p1": (2, True), "p2": (2, True)}, None),
+    "LOCAL-W2P": ({"p": (2, True)}, ("p", 2)),
+    "LOCAL-MIXED": ({"p1": (2, True), "p2": (2, True)}, None),
+    "HS-SLAB": ({"p": (2, True)}, ("p", 2)),
+    "HS-WEIGHTED": ({"p": (2, True)}, None),
+    "HS-MIXED": ({"p1": (2, True), "p2": (2, True)}, None),
+    "HS-DIRICHLET": ({"p": (2, True)}, ("p", 2)),
+    "HS-DIRICHLET-MIXED": ({"p1": (2, True), "p2": (2, True)}, ("p2", 2)),
+    "HS-LOCAL": ({"p": (2, True)}, ("p", 2)),
+    "PARA-GLOBAL": ({"p": (3, True)}, ("p", 3)),
+    "PARA-APRIORI": ({"p": (3, True)}, ("p", 3)),
+    "PARA-MIXED": ({"p0": (3, True), "p1": (3, True), "p2": (3, True)}, None),
+    "PARA-LOCAL-MIXED": ({"p0": (3, True), "p1": (3, True), "p2": (3, True)}, None),
+    "PARA-HS": ({"p": (3, True)}, ("p", 3)),
+    "PARA-HS-FULL": ({"p": (3, True)}, ("p", 3)),
+    "PARA-HS-MIXED": ({"p1": (3, True), "p2": (3, True), "p3": (3, True)}, ("p1", 3)),
+}
+
+
+def _hypotheses_hold(eid, params) -> bool:
+    bounds, weight = EXPONENT_HYPOTHESES[eid]
+    ok = all(params[k] > b if strict else params[k] >= b for k, (b, strict) in bounds.items())
+    if weight is not None and params["q"] is not None:
+        key, n = weight
+        ok = ok and -1 < params["q"] < params[key] / n - 1
+    return ok
+
+
+@pytest.mark.parametrize("eid", ENTRY_IDS)
+def test_exponent_hypotheses_accept_and_refuse_as_stated(eid):
+    entry = ENTRIES[eid]
+    exponents = {key for key in entry.defaults if re.fullmatch(r"p\d?", key)}
+    if eid not in EXPONENT_HYPOTHESES:
+        assert not exponents
+        return
+    bounds, weight = EXPONENT_HYPOTHESES[eid]
+    assert bounds.keys() == exponents
+    # each exponent just below, at and above its bound, and well above it
+    cases = [{key: b + dv} for key, (b, _) in bounds.items() for dv in (-1e-9, 0.0, 1e-9, 1.0)]
+    if weight is not None:
+        top = entry.defaults[weight[0]] / weight[1] - 1
+        cases += [{"q": end + dq} for end in (-1.0, top) for dq in (-1e-9, 0.0, 1e-9)]
+    for case in cases:
+        params = entry.merged(case)
+        try:
+            entry.validate(params)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _hypotheses_hold(eid, params), case
