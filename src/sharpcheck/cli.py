@@ -15,8 +15,10 @@ overrides plus an optional ladder::
     ladder = 0.25 0.125 0.0625
 
 ``verify`` writes the JSON report and the CSV beside it; its flags beat the
-config file.  Exit status: 0 when every check passes, 1 when a check fails or
-a run blows up, 2 for unreadable or invalid configs and malformed reports.
+config file.  An entry whose run raises is reported with verdict ``error``
+and printed as ``ERROR``; the other entries run on.  Exit status: 0 when
+every check passes, 1 when a check fails or errs, 2 for unreadable or
+invalid configs and malformed reports.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .harness import SCHEMA_VERSION, EstimateSpec, resolve_entry, run_suite
+from .harness import ERROR, SCHEMA_VERSION, EstimateSpec, resolve_entry, run_suite
 from .harness.report import csv_from_doc, suite_to_csv, suite_to_json
 
 _SUITE_KEYS = ("name", "seed", "jobs", "out")
@@ -201,12 +203,7 @@ def cmd_verify(args) -> int:
 
     specs = [EstimateSpec(id=bid, params=params, ladder=ladder, seed=seed)
              for bid, params, ladder in blocks]
-    try:
-        reports = run_suite(specs, jobs=jobs)
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
+    reports = run_suite(specs, jobs=jobs)
     csv_path = (out[:-5] if out.endswith(".json") else out) + ".csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(suite_to_json(cfg.name, reports, seed))
@@ -215,7 +212,9 @@ def cmd_verify(args) -> int:
 
     ok = 0
     for r in reports:
-        status = "pass" if r.passed() else "FAIL"
+        status = "pass" if r.passed() else "ERROR" if r.verdict == ERROR else "FAIL"
+        if r.verdict == ERROR:
+            print(f"error: {r.id}: {r.notes['error']}", file=sys.stderr)
         ok += r.passed()
         tail = r.primary.n_emp[-1] if r.primary.n_emp else float("nan")
         print(f"{status}  {r.id:<20} verdict={r.verdict:<12} n_emp={tail:.6g}")

@@ -6,6 +6,7 @@ from .identity import IDENTITY_KEYS, IdentityReport, check_instance, exact_ident
 from .report import (
     BOUNDED,
     DIVERGING,
+    ERROR,
     EXACT_PASS,
     INCONCLUSIVE,
     SCHEMA_VERSION,
@@ -24,6 +25,7 @@ from .study import refinement_study, resolve_entry, run_estimate_check, run_suit
 __all__ = [
     "BOUNDED",
     "DIVERGING",
+    "ERROR",
     "EXACT_PASS",
     "INCONCLUSIVE",
     "SCHEMA_VERSION",

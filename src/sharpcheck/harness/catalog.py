@@ -43,7 +43,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -84,7 +84,6 @@ from ..weights import (
     beta_type_constant,
     box_mixed_norm,
     cell_masses,
-    node_masses,
 )
 from .identity import exact_identity_suite
 
@@ -467,6 +466,13 @@ def _hypotheses(*exponents, dim: str = "d", weighted: str | None = None, plane: 
     return rule
 
 
+def _integrable_weight(p):
+    """A weight ``|x_1|^q`` or ``min(x_1, 1)^q`` held to no Muckenhoupt class
+    is still locally integrable at the wall: q > -1."""
+    _need(p["q"] > -1, "weight exponent q must exceed -1, or the weight is not locally "
+                       f"integrable at the wall, got q = {p['q']!r}")
+
+
 _ELLIPTIC = _hypotheses("p", weighted="p")
 _PARABOLIC = _hypotheses("p", dim="d + 1", weighted="p")
 
@@ -590,7 +596,7 @@ def _fs_local_step(p, h):
     ladder=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
     validate=lambda p: (
         _need(p["p"] > p["gamma"] * p["beta"], "the bound needs p > gamma*beta"),
-        _need(p["q"] > -1, "the power weight must be integrable (q > -1)"),
+        _integrable_weight(p),
     ),
     min_spacing=2.0 ** -9,
     check_step=_fs_local_step,
@@ -741,23 +747,25 @@ def _run_interp(params, h, seed):
     # maxima representative without quadratic footprint cost
     family = family_for_grid(grid, radii=(rho, 1.42 * rho, 2.02 * rho))
 
-    def m_rho(arr, e):
+    named = {"u": u, "fv": fv, "d2": d2, "d1": d1}
+
+    @cache                                # p = ed at the defaults: 5 maxima, not 7
+    def m_rho(name, e):
         # the geometric operators read whole-grid samples
-        f = GridFunction(grid, GridFunction(grid, np.abs(arr) ** e, box).padded())
+        f = GridFunction(grid, GridFunction(grid, np.abs(named[name]) ** e, box).padded())
         return geometric_maximal(f, family, rho=rho, mode="at_least").values
 
-    uu = np.abs(u)
-    m_u = m_rho(uu, p)
+    m_u = m_rho("u", p)
     eq_a = _pointwise(
         "hessian_pointwise",
-        m_rho(d2, gamma) ** (1.0 / gamma),
-        (m_rho(fv, ed) ** (1.0 / ed),
-         rho ** -1 * m_rho(d1, ed) ** (1.0 / ed),
-         rho ** -2 * m_rho(uu, ed) ** (1.0 / ed)))
+        m_rho("d2", gamma) ** (1.0 / gamma),
+        (m_rho("fv", ed) ** (1.0 / ed),
+         rho ** -1 * m_rho("d1", ed) ** (1.0 / ed),
+         rho ** -2 * m_rho("u", ed) ** (1.0 / ed)))
     eq_b = _pointwise(
         "gradient_pointwise",
-        m_rho(d1, p),
-        (np.sqrt(m_rho(d2, p) * m_u), rho ** -p * m_u))
+        m_rho("d1", p),
+        (np.sqrt(m_rho("d2", p) * m_u), rho ** -p * m_u))
 
     mass = NodeMasses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0), box)
     eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, u,
@@ -786,7 +794,7 @@ def _run_interp_local(params, h, seed):
     u, d2, d1 = u.values[box], frobenius(derivs.box_d2u), euclidean(derivs.box_du)
     p, q, rho, eps = (float(params[k]) for k in ("p", "q", "rho", "eps"))
     r, R = float(params["r"]), float(params["R"])
-    mass = node_masses(grid, PowerX1(q, axis=0), box)
+    mass = NodeMasses(grid, PowerX1(q, axis=0), box)[:]
     origin = (0.0,) * d
 
     inner = _ball_mask(grid, origin, rho / 2, box) * mass
@@ -856,7 +864,7 @@ def _run_zeroth_1d(params, h, seed):
     X = grid.nodes()
     u = mf.u(X)
     d2 = mf.d2u(X)[:, 0, 0]
-    mass = node_masses(grid, _axis_weight(params["q"]))
+    mass = NodeMasses(grid, _axis_weight(params["q"]))[:]
     eq = EquationCheck(
         "zeroth_order",
         _integral(np.abs(u) ** p, mass),
@@ -934,7 +942,7 @@ def _run_local_w2p(params, h, seed):
     L = R + 0.2
     mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
     grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
-    mass = node_masses(grid, _axis_weight(params["q"]), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
     outer = _ball_mask(grid, origin, R, box) * mass
@@ -1015,7 +1023,7 @@ def _run_hs_slab(params, h, seed):
     n = int(params["n"])
     eps = float(params["eps"])
     grid, box, u, fv, d2, d1 = _slab_fields(params, h)
-    mass = node_masses(grid, _axis_weight(params["q"]), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     x1 = grid.coordinates(box)[0]
 
     def pair(tag, inner, outer, hess, grad):
@@ -1045,7 +1053,7 @@ def _run_hs_slab(params, h, seed):
             "multiplies the function.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
-    validate=_hypotheses("p"),
+    validate=lambda p: (_hypotheses("p")(p), _integrable_weight(p)),
 )
 def _run_hs_weighted(params, h, seed):
     p = float(params["p"])
@@ -1071,7 +1079,7 @@ def _run_hs_weighted(params, h, seed):
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
-    validate=_hypotheses("p1", "p2"),
+    validate=lambda p: (_hypotheses("p1", "p2")(p), _integrable_weight(p)),
 )
 def _run_hs_mixed(params, h, seed):
     d = int(params["d"])
@@ -1168,7 +1176,7 @@ def _run_hs_local(params, h, seed):
     r, R = float(params["r"]), float(params["R"])
     grid, box, u, fv, d2, d1 = _dirichlet_fields(
         params, h, float(params["radius"]), max(R, float(params["radius"])) + 0.2)
-    mass = node_masses(grid, _axis_weight(params["q"]), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
     outer = _ball_mask(grid, origin, R, box) * mass
@@ -1375,7 +1383,7 @@ def _run_neg_exp(params, L, seed):
     d2 = mf.d2u(X)[:, 0, 0]
     notes = {"derivatives": "analytic",
              "defect": "second derivative minus function vanishes identically"}
-    return [_absorbed("unbounded_zeroth", p, node_masses(grid), np.abs(d2), np.abs(du), u, d2,
+    return [_absorbed("unbounded_zeroth", p, NodeMasses(grid), np.abs(d2), np.abs(du), u, d2,
                       notes)]
 
 

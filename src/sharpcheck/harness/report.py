@@ -24,6 +24,7 @@ BOUNDED = "bounded"
 DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 EXACT_PASS = "exact-pass"
+ERROR = "error"               # the run raised: notes["error"] says what
 
 _BOUNDED_SPREAD = 1.25
 _DIVERGING_GROWTH = 2.0
@@ -73,7 +74,10 @@ class InequalityReport:
         return [self.primary] + list(self.extras)
 
     def passed(self) -> bool:
-        """Divergence only counts against entries that do not expect it."""
+        """Divergence only counts against entries that do not expect it; an
+        entry that raised never passes."""
+        if self.verdict == ERROR:
+            return False
         if self.expect_divergence:
             return any(s.trend == DIVERGING for s in self.series)
         bound = self.notes.get("analytic_bound")

@@ -3,10 +3,11 @@
 ``run_estimate_check`` executes one entry: it validates parameters, runs the
 operator-class precondition when the entry uses an operator, evaluates every
 equation at every ladder value, classifies the trends, and assembles an
-:class:`InequalityReport`.  ``refinement_study`` is the same with an explicit
-strictly decreasing spacing ladder.  ``run_suite`` fans a list of specs out
-over a thread pool and returns the reports in a deterministic order; its
-entries share their grid fields (see ``catalog.shared_fields``).
+:class:`InequalityReport`, with verdict ``error`` if a step raised.
+``refinement_study`` is the same with an explicit strictly decreasing
+spacing ladder.  ``run_suite`` fans a list of specs out over a thread pool
+and returns the reports in a deterministic order; its entries share their
+grid fields (see ``catalog.shared_fields``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .catalog import ENTRIES, CatalogEntry, operator_class_report, shared_fields
 from .report import (
     BOUNDED,
     DIVERGING,
+    ERROR,
     EXACT_PASS,
     EstimateSpec,
     InequalityReport,
@@ -57,36 +59,48 @@ def _class_precondition(entry: CatalogEntry, params: dict, seed: int) -> dict:
 
 
 def run_estimate_check(spec: EstimateSpec) -> InequalityReport:
+    """Run one entry over its ladder.  A spec the entry cannot run (an
+    unknown id, parameter or ladder value) raises ``ValueError``.  An
+    exception in the operator's class check or in a ladder step ends the run
+    there: the report keeps the steps completed before it, so its JSON and
+    CSV agree row for row, its verdict is ``error`` and ``notes["error"]``
+    reads ``"<Type>: <message>"``."""
     entry = resolve_entry(spec.id)
     params = entry.merged(dict(spec.params))
     entry.validate(params)
     ladder = entry.check_ladder(spec.ladder or entry.ladder, params)
 
-    notes = _class_precondition(entry, params, spec.seed)
-    series: dict[str, TermSeries] = {}
-    order: list[str] = []
-    for x in ladder:
-        for chk in entry.runner(params, x, spec.seed):
-            if chk.equation not in series:
-                series[chk.equation] = TermSeries(chk.equation, [], [])
-                order.append(chk.equation)
-            s = series[chk.equation]
-            s.lhs.append(float(chk.lhs))
-            s.rhs_terms.append([float(t) for t in chk.rhs_terms])
-            notes.update(chk.notes)
-    finalized = [series[name].finalize() for name in order]
+    notes, series, done, error = {}, {}, [], None
+    try:
+        notes.update(_class_precondition(entry, params, spec.seed))
+        for x in ladder:
+            rows = [(c.equation, float(c.lhs), [float(t) for t in c.rhs_terms], c.notes)
+                    for c in entry.runner(params, x, spec.seed)]
+            for equation, lhs, rhs_terms, step_notes in rows:
+                s = series.setdefault(equation, TermSeries(equation, [], []))
+                s.lhs.append(lhs)
+                s.rhs_terms.append(rhs_terms)
+                notes.update(step_notes)
+            done.append(x)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    primary, *extras = [s.finalize() for s in series.values()] or [TermSeries("", [], [])]
 
     report = InequalityReport(
         id=entry.id,
         params=params,
-        ladder=list(ladder),
+        ladder=done,
         ladder_kind=entry.ladder_kind,
-        primary=finalized[0],
-        extras=finalized[1:],
+        primary=primary,
+        extras=extras,
         expect_divergence=entry.expect_divergence,
         seed=spec.seed,
         notes=notes,
     )
+    if error is not None:
+        report.notes["error"] = error
+        report.verdict = ERROR
+        return report
     report.verdict = overall_verdict(report)
     if entry.exact_threshold is not None:
         margin = max(report.primary.n_emp)
@@ -119,14 +133,16 @@ def run_suite(specs, jobs: int = 1) -> list[InequalityReport]:
     """Run several estimate checks, optionally in parallel.
 
     The result order and content do not depend on ``jobs``; reports come back
-    sorted by estimate id with ties broken by input position.  Entries with
-    one recipe share their grid, input, operator image and derivative
-    magnitudes at each ladder step, each held on the input's support box
-    only: the call computes a set once, keeps the ladder of the most
-    recently requested recipe only, and drops it on return.  Sets are read-only and a pure function of their recipe and
-    spacing, so the reports are the same as from separate calls.  Worker
-    threads do not inherit the caller's context, so each task runs in a copy
-    of it, and all tasks share the one store.
+    sorted by estimate id with ties broken by input position.  An entry whose
+    step raises gets an ``error`` report (see ``run_estimate_check``) and the
+    others run on.  Entries with one recipe share their grid, input, operator
+    image and derivative magnitudes at each ladder step, each held on the
+    input's support box only: the call computes a set once, keeps the ladder
+    of the most recently requested recipe only, and drops it on return.  Sets
+    are read-only and a pure function of their recipe and spacing, so the
+    reports are the same as from separate calls.  Worker threads do not
+    inherit the caller's context, so each task runs in a copy of it, and all
+    tasks share the one store.
     """
     specs = list(specs)
     if jobs < 1:

@@ -1,10 +1,10 @@
 """Muckenhoupt weights, weighted norms, and mixed norms.
 
-Weights come in two kinds: the power weight ``|x_axis|^q`` and its hatted
-variant ``min(|x_axis|, 1)^q``.  Masses are closed-form power integrals;
-whenever an integral diverges at the degeneracy hyperplane the integrand is
-frozen below a declared resolution, which models measuring the weight at a
-finite scale.
+Weights are the power weight ``|x_axis|^q`` and its hatted subclass
+``min(|x_axis|, 1)^q``, which differ only in their mass on ``[0, inf)``.
+Masses are closed-form power integrals; whenever an integral diverges at the
+degeneracy hyperplane the integrand is frozen below a declared resolution,
+which models measuring the weight at a finite scale.
 """
 
 from __future__ import annotations
@@ -31,29 +31,22 @@ class PowerX1:
     resolution: float | None = None
 
     def _mass_1d(self, a: float, b: float) -> float:
-        return _abs_power_mass(a, b, self.q, self.resolution)
+        return _even_mass(a, b, lambda a, b: _power_mass_pos(a, b, self.q, self.resolution))
 
 
-@dataclass(frozen=True)
-class HattedPowerX1:
+class HattedPowerX1(PowerX1):
     """Density ``min(|x_axis|, 1)^q``: the power profile saturates at 1."""
 
-    q: float
-    axis: int = 0
-    resolution: float | None = None
-
     def _mass_1d(self, a: float, b: float) -> float:
-        return _hatted_power_mass(a, b, self.q, self.resolution)
+        return _even_mass(a, b, lambda a, b: _power_mass_pos(a, min(b, 1.0), self.q,
+                                                             self.resolution)
+                          + max(b - max(a, 1.0), 0.0))
 
 
 def _conjugate(w, p: float):
     # the dual density w^(-1/(p-1)) stays inside the same family
     s = -1.0 / (p - 1.0)
-    if isinstance(w, PowerX1):
-        return PowerX1(w.q * s, w.axis, w.resolution)
-    if isinstance(w, HattedPowerX1):
-        return HattedPowerX1(w.q * s, w.axis, w.resolution)
-    raise TypeError(f"no conjugate for {type(w).__name__}")
+    return type(w)(w.q * s, w.axis, w.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -75,58 +68,35 @@ def _power_mass_pos(a: float, b: float, q: float, res: float | None) -> float:
     return tail + h * h ** q
 
 
-def _abs_power_mass(a: float, b: float, q: float, res: float | None) -> float:
+def _even_mass(a: float, b: float, mass_pos) -> float:
+    # mass of [a, b] under an even density, from ``mass_pos`` on [0, inf):
+    # split at zero, and reflect what lies left of it
     if a >= b:
         return 0.0
     if a < 0.0 < b:
-        return _power_mass_pos(0.0, -a, q, res) + _power_mass_pos(0.0, b, q, res)
+        return mass_pos(0.0, -a) + mass_pos(0.0, b)
     if b <= 0.0:
-        return _power_mass_pos(-b, -a, q, res)
-    return _power_mass_pos(a, b, q, res)
-
-
-def _hatted_power_mass(a: float, b: float, q: float, res: float | None) -> float:
-    if a >= b:
-        return 0.0
-    if a < 0.0 < b:
-        return _hatted_power_mass(0.0, -a, q, res) + _hatted_power_mass(0.0, b, q, res)
-    if b <= 0.0:
-        a, b = -b, -a
-    inner = _power_mass_pos(a, min(b, 1.0), q, res)
-    outer = max(b - max(a, 1.0), 0.0)
-    return inner + outer
+        return mass_pos(-b, -a)
+    return mass_pos(a, b)
 
 
 # ---------------------------------------------------------------------------
 # masses on filtrations and grids
 
+def _interval_masses(w, lo, hi, res: float) -> np.ndarray:
+    # w's mass of each [lo_i, hi_i] on its axis, floored at ``res`` unless w
+    # declares its own resolution
+    w = type(w)(w.q, w.axis, w.resolution if w.resolution is not None else res)
+    return np.array([w._mass_1d(a, b) for a, b in zip(lo, hi)])
+
+
 def cell_masses(w, filt: Filtration) -> np.ndarray:
     """Weight mass of every finest cell, shape ``filtration.shape``."""
     sides = filt.spec.cell_sides(filt.spec.n_max)
-    per_axis = []
-    for ax, side in enumerate(sides):
-        edges = filt.spec.lo[ax] + side * np.arange(filt.shape[ax] + 1)
-        if ax == w.axis:
-            res = w.resolution if w.resolution is not None else side
-            wq = type(w)(w.q, w.axis, res)
-            per_axis.append(np.array([wq._mass_1d(edges[i], edges[i + 1])
-                                      for i in range(filt.shape[ax])]))
-        else:
-            per_axis.append(np.full(filt.shape[ax], side))
+    per_axis = [np.full(n, side) for n, side in zip(filt.shape, sides)]
+    edges = filt.spec.lo[w.axis] + sides[w.axis] * np.arange(filt.shape[w.axis] + 1)
+    per_axis[w.axis] = _interval_masses(w, edges[:-1], edges[1:], sides[w.axis])
     return reduce(np.multiply.outer, per_axis)
-
-
-def _node_mass_1d(grid: Grid, ax: int, w=None) -> np.ndarray:
-    # mass of [x - h/2, x + h/2] clipped to the box, per node
-    h = grid.spacing(ax)
-    x = grid.axis_nodes(ax)
-    lo = np.maximum(x - h / 2, grid.lo[ax])
-    hi = np.minimum(x + h / 2, grid.hi[ax])
-    if w is None or ax != w.axis:
-        return hi - lo
-    res = w.resolution if w.resolution is not None else h
-    wq = type(w)(w.q, w.axis, res)
-    return np.array([wq._mass_1d(a, b) for a, b in zip(lo, hi)])
 
 
 class NodeMasses:
@@ -135,17 +105,17 @@ class NodeMasses:
     of the slab ``s`` of axis 0, bit for bit the whole box's."""
 
     def __init__(self, grid: Grid, w=None, box: tuple[slice, ...] | None = None):
-        box = box or (slice(None),) * grid.ndim
-        self.factors = [_node_mass_1d(grid, ax, w)[s] for ax, s in enumerate(box)]
+        self.factors = []
+        for ax, s in enumerate(box or (slice(None),) * grid.ndim):
+            # a node's mass is that of [x - h/2, x + h/2] clipped to the grid
+            h, x = grid.spacing(ax), grid.axis_nodes(ax)
+            lo, hi = np.maximum(x - h / 2, grid.lo[ax]), np.minimum(x + h / 2, grid.hi[ax])
+            weighted = w is not None and ax == w.axis
+            self.factors.append((_interval_masses(w, lo, hi, h) if weighted else hi - lo)[s])
         self.shape = tuple(map(len, self.factors))
 
     def __getitem__(self, s: slice) -> np.ndarray:
         return reduce(np.multiply.outer, self.factors[1:], self.factors[0][s])
-
-
-def node_masses(grid: Grid, w=None, box: tuple[slice, ...] | None = None) -> np.ndarray:
-    """The :class:`NodeMasses` of ``box`` as one array."""
-    return NodeMasses(grid, w, box)[:]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +232,7 @@ def weighted_norm(f, p: float, w=None) -> float:
     elif isinstance(f, GridFunction):
         if f.channels:
             raise ValueError("weighted norms take scalar samples")
-        mass = node_masses(f.grid, w, f.box)
+        mass = NodeMasses(f.grid, w, f.box)[:]
     else:
         raise TypeError(f"unsupported sample type {type(f).__name__}")
     return float(((np.abs(f.values) ** p) * mass).sum() ** (1.0 / p))
@@ -289,13 +259,6 @@ class MixedNormSpec:
             raise ValueError("mixed norms need exponents >= 1")
 
 
-def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
-    """Iterated norm of ``f``, summed over ``f.box`` only (:func:`box_mixed_norm`)."""
-    if f.channels:
-        raise ValueError("mixed norms take scalar samples")
-    return box_mixed_norm(f.grid, f.box, spec, f.values)
-
-
 def box_mixed_norm(grid: Grid, box: tuple[slice, ...], spec: MixedNormSpec, values) -> float:
     """Iterated norm of scalar ``values`` on ``box``'s nodes, an array or a
     callable mapping a slab of axis 0 to the values there.  Each group's
@@ -313,7 +276,8 @@ def box_mixed_norm(grid: Grid, box: tuple[slice, ...], spec: MixedNormSpec, valu
         if w is not None and w.axis not in spec.groups[gi]:
             raise ValueError(f"group {spec.groups[gi]} does not contain weight axis {w.axis}")
         loc = tuple(sorted(remaining.index(ax) for ax in spec.groups[gi]))
-        masses = [np.broadcast_to(_node_mass_1d(grid, ax, w)[box[ax]].reshape(
+        factors = NodeMasses(grid, w, box).factors
+        masses = [np.broadcast_to(factors[ax].reshape(
             [-1 if i == remaining.index(ax) else 1 for i in range(len(shape))]), shape)
             for ax in spec.groups[gi]]
         by_layer = loc[0] > 0 or (loc == (0,) and math.prod(shape[1:]) > 1)

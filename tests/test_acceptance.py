@@ -38,12 +38,12 @@ from sharpcheck.harness import (
 from sharpcheck.operators import dyadic_maximal
 from sharpcheck.weights import (
     MixedNormSpec,
+    NodeMasses,
     PowerX1,
     ap_constant,
     ap_divergence_ladder,
+    box_mixed_norm,
     cube_family,
-    mixed_norm,
-    node_masses,
     weighted_norm,
 )
 
@@ -273,13 +273,17 @@ def test_criterion_09_iterated_norm_consistency(capsys):
     by = 1.0 + grid.axis_nodes(1) ** 2
     f = ca.GridFunction(grid, np.outer(ax, by))
 
-    got = mixed_norm(f, MixedNormSpec(groups=((0,), (1,)), exponents=(3.0, 2.0)))
-    mx = float((np.abs(ax) ** 3 * node_masses(ca.box_grid((0.0,), (1.0,), (41,)))).sum()) ** (1 / 3)
-    my = float((np.abs(by) ** 2 * node_masses(ca.box_grid((-1.0,), (1.0,), (33,)))).sum()) ** (1 / 2)
+    got = box_mixed_norm(f.grid, f.box, MixedNormSpec(groups=((0,), (1,)), exponents=(3.0, 2.0)),
+                         f.values)
+    mx = float((np.abs(ax) ** 3 * NodeMasses(ca.box_grid((0.0,), (1.0,), (41,)))[:]).sum()) \
+        ** (1 / 3)
+    my = float((np.abs(by) ** 2 * NodeMasses(ca.box_grid((-1.0,), (1.0,), (33,)))[:]).sum()) \
+        ** (1 / 2)
     _check(problems, abs(got - mx * my) <= 1e-10 * mx * my,
            f"separable input: iterated norm {got!r} vs factor product {mx * my!r}")
 
-    both = mixed_norm(f, MixedNormSpec(groups=((0,), (1,)), exponents=(2.5, 2.5)))
+    both = box_mixed_norm(f.grid, f.box, MixedNormSpec(groups=((0,), (1,)), exponents=(2.5, 2.5)),
+                          f.values)
     plain = weighted_norm(f, 2.5)
     _check(problems, abs(both - plain) <= 1e-10 * plain,
            f"equal exponents: iterated {both!r} vs plain {plain!r}")

@@ -107,9 +107,39 @@ class TestVerify:
         cfg = write_cfg(tmp_path, (
             "[suite]\nname = bad\nseed = 1\n\n"
             "[estimate:HS-DIRICHLET]\ninput = bump\nladder = 0.2\n"))
-        code, _, err = run_cli(capsys, "verify", cfg)
+        out = tmp_path / "bad.json"
+        code, stdout, err = run_cli(capsys, "verify", cfg, "--out", str(out))
         assert code == 1
-        assert "error:" in err and "vanish on the boundary" in err
+        assert "error: HS-DIRICHLET: ValueError:" in err and "vanish on the boundary" in err
+        assert "ERROR  HS-DIRICHLET" in stdout and "0/1 passed" in stdout
+        (entry,) = json.loads(out.read_text())["entries"]
+        assert entry["verdict"] == "error" and entry["ladder"] == []
+        assert "vanish on the boundary" in entry["notes"]["error"]
+        assert (tmp_path / "bad.csv").read_text().count("\n") == 1    # the header alone
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_step_refused_at_run_time_spares_the_other_entries(self, tmp_path, capsys, jobs):
+        # the budget loads (it is at most 65,536), but at h = 0.05 OSC-P's
+        # sharp function refuses it before any pair: 2.55e9 pair-node terms
+        head = "[suite]\nname = s\nseed = 1\n\n[estimate:MAX-LP]\n"
+        runs = {}
+        for name, tail in (("alone", ""),
+                           ("both", "\n[estimate:OSC-P]\npair_budget = 16384\nladder = 0.05\n")):
+            out = tmp_path / f"{name}.json"
+            code, stdout, err = run_cli(capsys, "verify", write_cfg(tmp_path, head + tail),
+                                        "--out", str(out), "--jobs", jobs)
+            doc = json.loads(out.read_text())
+            csv = (tmp_path / f"{name}.csv").read_text().splitlines()
+            runs[name] = code, stdout, err, doc, csv
+        code, stdout, err, doc, csv = runs["both"]
+        assert code == 1 and runs["alone"][0] == 0
+        assert "ERROR  OSC-P" in stdout and "pass  MAX-LP" in stdout and "1/2 passed" in stdout
+        assert "error: OSC-P: ValueError: geometric sharp would add 2.55e+09 pair-node terms" in err
+        max_lp, osc_p = doc["entries"]
+        assert max_lp == runs["alone"][3]["entries"][0]
+        assert osc_p["verdict"] == "error" and osc_p["ladder"] == []
+        assert osc_p["notes"]["error"].startswith("ValueError: geometric sharp would add")
+        assert csv == runs["alone"][4]          # OSC-P completed no step, so has no row
 
     def test_failed_analytic_gate_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
@@ -214,6 +244,12 @@ class TestConfigDiagnostics:
         ("HS-SLAB", "n = 10\nladder = 0.1 0.05", "n must lie in [-1, 3]"),
         ("HS-SLAB", "n = 4\nladder = 0.05 0.025 0.0125", "n must lie in [-1, 3]"),
         ("W2P-GLOBAL", "amplitude = 0\nladder = 0.2", "amplitude must be finite and nonzero"),
+        # a capped weight min(x_1, 1)^q that is not locally integrable at the wall
+        ("HS-WEIGHTED", "q = -3.0\nladder = 0.2 0.1 0.05", "q must exceed -1, or the weight"),
+        ("HS-WEIGHTED", "q = -1.5\nladder = 0.2 0.1 0.05", "got q = -1.5"),
+        ("HS-MIXED", "q = -1.0\nladder = 0.2 0.1 0.05", "q must exceed -1, or the weight"),
+        ("HS-MIXED", "q = -3.0\nladder = 0.2 0.1 0.05", "got q = -3.0"),
+        ("FS-LOCAL", "q = -1.0", "q must exceed -1, or the weight"),
     ])
     def test_operator_and_input_rejected_before_running(self, tmp_path, capsys,
                                                          section, line, needle):
@@ -226,6 +262,15 @@ class TestConfigDiagnostics:
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n[estimate:HS-SLAB]\nn = 3\nladder = 0.3\n",
                    "line 7", "n = 3: the slab's width 2^-n is below ladder spacing 0.3")
+
+    @pytest.mark.parametrize("section", ["HS-WEIGHTED", "HS-MIXED"])
+    @pytest.mark.parametrize("q", [None, -0.5, -0.999])
+    def test_locally_integrable_capped_weights_load(self, tmp_path, section, q):
+        # the default q = 1 lies outside A_{p/d}'s (-1, 0.5), and needs only q > -1
+        line = "" if q is None else f"q = {q}\n"
+        cfg = cli.load_suite(write_cfg(tmp_path,
+                                       f"[suite]\nname = ok\n\n[estimate:{section}]\n{line}"))
+        assert cfg.blocks == [(section, {} if q is None else {"q": q}, ())]
 
     @pytest.mark.parametrize("n", [-1, 3])
     def test_slabs_meeting_the_support_load(self, tmp_path, n):

@@ -12,6 +12,7 @@ Frozen values used below:
   3 * (e^{2L} - 1) / 2 and the defect integrand is identically zero.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from sharpcheck.harness import (
     DIVERGING,
     ENTRIES,
     ENTRY_IDS,
+    ERROR,
     EstimateSpec,
     INCONCLUSIVE,
     classify_trend,
@@ -61,8 +63,6 @@ from sharpcheck.weights import (
     NodeMasses,
     PowerX1,
     box_mixed_norm,
-    mixed_norm,
-    node_masses,
     weighted_norm,
 )
 
@@ -340,6 +340,18 @@ class TestCatalogRecipes:
             assert r.verdict == BOUNDED and r.passed(), eid
         assert time.perf_counter() - start < 20.0
 
+    @pytest.mark.parametrize("p,calls", [(2.0, 5), (3.0, 7)])
+    def test_interp_takes_each_covering_max_once(self, monkeypatch, p, calls):
+        # seven (field, exponent) pairs; at p = 2 = d two of them repeat
+        seen = []
+        real = catalog.geometric_maximal
+        monkeypatch.setattr(catalog, "geometric_maximal",
+                            lambda *args, **kw: seen.append(args) or real(*args, **kw))
+        run_entry("INTERP", 0.125, p=p)
+        assert len(seen) == calls
+        run_entry("INTERP", 0.0625, p=p)
+        assert len(seen) == 2 * calls
+
 
 # ---------------------------------------------------------------------------
 # masks from axis vectors
@@ -480,9 +492,9 @@ class TestBoxHelpers:
     def test_masses_equal_whole_grid_sliced(self, kind):
         grid = BOX_GRIDS[kind]
         for w in box_weights(grid):
-            whole = node_masses(grid, w)
+            whole = NodeMasses(grid, w)[:]
             for box in grid_boxes(grid):
-                got = node_masses(grid, w, box)
+                got = NodeMasses(grid, w, box)[:]
                 assert got.shape == whole[box].shape
                 assert got.tobytes() == whole[box].tobytes()
                 masses = NodeMasses(grid, w, box)
@@ -516,7 +528,8 @@ class TestBoxHelpers:
             grid, box = fields[:2]
             assert 0 < fields[2].size < math.prod(grid.shape)
             for w in box_weights(grid):
-                assert node_masses(grid, w, box).tobytes() == node_masses(grid, w)[box].tobytes()
+                assert NodeMasses(grid, w, box)[:].tobytes() == \
+                    NodeMasses(grid, w)[:][box].tobytes()
             for radius in (0.8, 1.1, 2.2):
                 mask = catalog._cylinder_mask(grid, radius, box)
                 assert mask.tobytes() == catalog._cylinder_mask(grid, radius)[box].tobytes()
@@ -536,15 +549,15 @@ class TestBoxHelpers:
             whole[box] = rng.random(whole[box].shape)
             on_box = whole[box].copy()
             for w in box_weights(grid):
-                want = catalog._integral(whole, node_masses(grid, w))
-                got = catalog._integral(on_box, node_masses(grid, w, box))
+                want = catalog._integral(whole, NodeMasses(grid, w)[:])
+                got = catalog._integral(on_box, NodeMasses(grid, w, box)[:])
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
                 want = weighted_norm(GridFunction(grid, whole), 2.5, w)
                 got = weighted_norm(GridFunction(grid, on_box, box), 2.5, w)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
             for spec in specs:
-                want = mixed_norm(GridFunction(grid, whole), spec)
-                got = mixed_norm(GridFunction(grid, on_box, box), spec)
+                want, got = (box_mixed_norm(f.grid, f.box, spec, f.values) for f in
+                             (GridFunction(grid, whole), GridFunction(grid, on_box, box)))
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("slab_nodes", [1, 40, 2 ** 14])
@@ -559,7 +572,7 @@ class TestBoxHelpers:
         shape = tuple(len(range(n)[s]) for n, s in zip(grid.shape, box))
         d2, d1 = rng.random(shape), rng.random(shape)
         u, fv = rng.normal(size=shape), rng.normal(size=shape)
-        mass = node_masses(grid, PowerX1(0.5, axis=1), box)
+        mass = NodeMasses(grid, PowerX1(0.5, axis=1), box)[:]
         monkeypatch.setattr(calculus, "_SLAB_NODES", slab_nodes)
         for p in (2.0, 3.0, 4.5):
             lhs = power(d2, p) + power(d1, p) + power(np.abs(u), p)
@@ -576,7 +589,7 @@ class TestBoxHelpers:
         for w in box_weights(grid):
             for radius in (0.5, 0.8, 2.2):
                 mask = catalog._cylinder_mask(grid, radius)
-                want = catalog._integral(mask, node_masses(grid, w))
+                want = catalog._integral(mask, NodeMasses(grid, w)[:])
                 got = catalog._collar(grid, w, lambda b: catalog._cylinder_mask(grid, radius, b))
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -613,7 +626,7 @@ class TestBoxHelpers:
             shape = tuple(len(range(n)[s]) for n, s in zip(grid.shape, box))
             u = np.random.default_rng([slab_nodes, i]).normal(size=shape)
             want = whole_box_mixed_norm(grid, box, spec, u)
-            assert mixed_norm(GridFunction(grid, u, box), spec) == want
+            assert box_mixed_norm(grid, box, spec, u) == want
             assert box_mixed_norm(grid, box, spec, lambda s: u[s]) == want
 
     def test_box_samples_pad_and_are_checked(self):
@@ -723,6 +736,33 @@ class TestStudyDrivers:
         r = run_estimate_check(EstimateSpec(id="APRIORI", ladder=(0.125, 0.0833, 0.0625)))
         note = r.notes["operator_class"]
         assert note["kind"] == "pucci" and note["passed"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_step_ends_only_its_entry(self, monkeypatch, jobs):
+        # ZEROTH-1D raises at its second step: its report keeps the first
+        # step, errs and fails; MAX-LP beside it is the report of a run alone
+        entry = ENTRIES["ZEROTH-1D"]
+        steps = []
+
+        def runner(params, x, seed):
+            steps.append(x)
+            if len(steps) == 2:
+                raise RuntimeError("boom")
+            return entry.runner(params, x, seed)
+
+        clean = run_suite([EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP")])
+        monkeypatch.setitem(ENTRIES, "ZEROTH-1D", dataclasses.replace(entry, runner=runner))
+        reports = run_suite([EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP")], jobs=jobs)
+        max_lp, bad = reports
+        assert bad.id == "ZEROTH-1D" and bad.verdict == ERROR and not bad.passed()
+        assert bad.notes["error"] == "RuntimeError: boom"
+        assert bad.ladder == [entry.ladder[0]]
+        assert bad.primary.lhs == clean[1].primary.lhs[:1]
+        assert bad.primary.n_emp == clean[1].primary.n_emp[:1]
+        assert suite_to_json("s", [max_lp], 0) == suite_to_json("s", clean[:1], 0)
+        rows = suite_to_csv(reports).splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["MAX-LP"] * 3 + ["ZEROTH-1D"]
+        assert csv_from_doc(json.loads(suite_to_json("s", reports, 0))) == suite_to_csv(reports)
 
     def test_suite_order_and_parallelism_do_not_matter(self):
         specs = [EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP"),

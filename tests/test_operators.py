@@ -12,6 +12,7 @@ Frozen values used below:
 """
 
 import math
+import re
 import time
 import tracemalloc
 
@@ -824,16 +825,18 @@ class TestGeometricSharp:
 
     def test_cost_blow_up_refused_before_any_field(self, monkeypatch):
         # OSC-P at its finest default step with the largest pair budget its
-        # validator allows would add 7.8e9 pair-node terms
+        # validator allows would add 7.8e9 pair-node terms; the refused step
+        # makes an error report with no steps
         computed = []
         monkeypatch.setattr(operators, "_difference_field", lambda *args: computed.append(args))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"pair-node terms.*radius .* alone takes .* "
-                                             r"at grid spacing \(.*\) with pair_budget 65536"):
-            run_estimate_check(EstimateSpec(id="OSC-P", params={"pair_budget": 65536},
-                                            ladder=(0.05,)))
+        rep = run_estimate_check(EstimateSpec(id="OSC-P", params={"pair_budget": 65536},
+                                              ladder=(0.05,)))
         assert time.perf_counter() - start < 1.0
         assert computed == []
+        assert rep.verdict == "error" and rep.ladder == [] and not rep.passed()
+        assert re.fullmatch(r"ValueError: .*pair-node terms.*radius .* alone takes .* "
+                            r"at grid spacing \(.*\) with pair_budget 65536", rep.notes["error"])
 
     @pytest.mark.parametrize("case", sorted(SHARP_CASES))
     def test_box_counts_equal_per_pair_loop(self, case):

@@ -10,6 +10,11 @@ script prints ``identical`` or the number of float values that differ and
 their largest relative difference.  It exits 1 if anything else differs: a
 verdict, a trend, a key, a string, an integer or a boolean, the process's
 exit status, or the CSV while the JSON is identical.
+
+    python3 tools/report_diff.py --write-golden
+
+rewrites ``tests/golden/default_sweep.json``, the default sweep that
+``tests/test_golden.py`` holds every report to, from this checkout.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import sys
 import tempfile
 
 from bench_record import ROOT, RUN_TIMEOUT_S, parse_seeds, unpack
+
+GOLDEN = os.path.join(ROOT, "tests", "golden", "default_sweep.json")
 
 
 def entry_ids(tree: str) -> list[str]:
@@ -87,11 +94,37 @@ def diff_runs(parent: dict, change: dict) -> tuple[list[float], list[str]]:
     return floats, other
 
 
+def golden_sweep() -> dict:
+    """Every catalog entry at seed 0, its defaults and its default ladder, in
+    one ``run_suite``: per entry the verdict, ``passed()`` and the primary
+    series' equation, lhs, rhs sum and n_emp per step.  Floats keep their
+    ``repr`` digits; an infinite or nan value is its ``repr`` string."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from sharpcheck.harness import ENTRY_IDS, EstimateSpec, run_suite
+
+    def floats(values):
+        return [v if math.isfinite(v) else repr(v) for v in map(float, values)]
+
+    return {r.id: {"verdict": r.verdict, "passed": r.passed(),
+                   "equation": r.primary.equation, "lhs": floats(r.primary.lhs),
+                   "rhs_sum": floats(sum(t) for t in r.primary.rhs_terms),
+                   "n_emp": floats(r.primary.n_emp)}
+            for r in run_suite([EstimateSpec(id=eid, seed=0) for eid in ENTRY_IDS])}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="report change against a parent revision")
-    ap.add_argument("--parent", required=True, help="git revision of the parent tree")
+    ap.add_argument("--parent", help="git revision of the parent tree")
     ap.add_argument("--seeds", default="0,1", help="seed range A-B or list A,B,C")
+    ap.add_argument("--write-golden", action="store_true",
+                    help=f"rewrite {os.path.relpath(GOLDEN, ROOT)} from this checkout")
     args = ap.parse_args(argv)
+    if args.write_golden:
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(golden_sweep(), sort_keys=True, indent=1) + "\n")
+        return 0
+    if args.parent is None:
+        ap.error("--parent is required unless --write-golden is given")
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
