@@ -8,7 +8,6 @@ overrides plus an optional ladder::
     [suite]
     name = core
     seed = 1
-    jobs = 2
 
     [estimate:MAX-LP]
     p = 2.0
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from .harness import ERROR, SCHEMA_VERSION, EstimateSpec, resolve_entry, run_suite
 from .harness.report import csv_from_doc, suite_to_csv, suite_to_json
 
-_SUITE_KEYS = ("name", "seed", "jobs", "out")
+_SUITE_KEYS = ("name", "seed", "out")
 _REPORT_FORMATS = ("summary", "csv", "json")
 
 
@@ -46,7 +45,6 @@ class SuiteConfig:
     name: str
     path: str
     seed: int | None = None
-    jobs: int = 1
     out: str | None = None
     blocks: list = field(default_factory=list)   # (estimate id, params, ladder)
 
@@ -130,11 +128,10 @@ def load_suite(path: str) -> SuiteConfig:
                               f"(known: {', '.join(_SUITE_KEYS)})")
         if key == "name":
             cfg.name = raw.strip()
-        elif key in ("seed", "jobs"):
-            val = _parse_scalar(raw)
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{where('suite', key)}: {key} must be an integer, got {raw!r}")
-            setattr(cfg, key, val)
+        elif key == "seed":
+            cfg.seed = _parse_scalar(raw)
+            if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
+                raise ConfigError(f"{where('suite', key)}: seed must be an integer, got {raw!r}")
         elif key == "out":
             cfg.out = raw.strip()
 
@@ -187,14 +184,16 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
         raise ConfigError(f"{cfg.path}: no seed given; set [suite] seed or --seed")
-    jobs = args.jobs if args.jobs is not None else cfg.jobs
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+    if seed < 0:
+        source = "--seed" if args.seed is not None else cfg.path
+        raise ConfigError(f"{source}: seed must be a non-negative integer, got {seed}")
     out = args.out or cfg.out or f"{cfg.name}.json"
 
     blocks = cfg.blocks
-    if args.only:
+    if args.only is not None:
         chosen = [x.strip() for x in args.only.split(",") if x.strip()]
+        if not chosen:
+            raise ConfigError(f"--only names no estimate id, got {args.only!r}")
         known = {b[0] for b in blocks}
         for cid in chosen:
             if cid not in known:
@@ -203,7 +202,7 @@ def cmd_verify(args) -> int:
 
     specs = [EstimateSpec(id=bid, params=params, ladder=ladder, seed=seed)
              for bid, params, ladder in blocks]
-    reports = run_suite(specs, jobs=jobs)
+    reports = run_suite(specs)
     csv_path = (out[:-5] if out.endswith(".json") else out) + ".csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(suite_to_json(cfg.name, reports, seed))
@@ -276,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a suite config and write JSON/CSV reports")
     v.add_argument("config", help="suite config file")
     v.add_argument("--seed", type=int, default=None, help="override the suite seed")
-    v.add_argument("--jobs", type=int, default=None, help="parallel checks (threads)")
     v.add_argument("--out", default=None, help="JSON output path (CSV goes beside it)")
     v.add_argument("--only", default=None, metavar="ID[,ID...]",
                    help="run only the listed estimate ids")

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -115,11 +114,14 @@ class CatalogEntry:
     def check_ladder(self, ladder, params: dict) -> tuple[float, ...]:
         """The ladder as floats; a step this entry cannot run at ``params``
         raises ``ValueError``.  Spacings are finite and at least ``min_spacing``,
-        windows finite and positive, instance counts positive integers."""
+        windows finite and positive, instance counts positive integers, and no
+        value repeats: a repeated step refines nothing."""
         ladder = tuple(float(x) for x in ladder)
         if not ladder:
             raise ValueError(f"empty ladder for {self.id}")
-        for x in ladder:
+        for i, x in enumerate(ladder):
+            if x in ladder[:i]:
+                raise ValueError(f"{self.ladder_kind} ladder value {x} for {self.id} is repeated")
             if self.ladder_kind == "spacing":
                 ok, need = x >= self.min_spacing, \
                     f"finite and not below the supported resolution {self.min_spacing}"
@@ -239,23 +241,17 @@ class _FieldStore:
     """The field sets of the latest recipe, and every operator's class check."""
 
     def __init__(self):
-        self.lock = threading.Lock()
         self.recipe, self.ladder, self.classes = None, {}, {}
 
     def get(self, recipe, h: float, compute: Callable):
-        with self.lock:
-            if recipe != self.recipe:         # drop the last ladder before computing
-                self.recipe, self.ladder = recipe, {}
-            ladder = self.ladder
-        return self.once(ladder, h, compute)
+        if recipe != self.recipe:             # drop the last ladder before computing
+            self.recipe, self.ladder = recipe, {}
+        return self.once(self.ladder, h, compute)
 
     def once(self, table: dict, key, compute: Callable):
-        with self.lock:
-            if key in table:
-                return table[key]
-        value = compute()                     # unlocked: a race computes a value twice
-        with self.lock:
-            return table.setdefault(key, value)
+        if key not in table:
+            table[key] = compute()
+        return table[key]
 
 
 def operator_class_report(params: dict, seed: int):
@@ -273,8 +269,7 @@ _SHARED = contextvars.ContextVar("shared_fields", default=None)
 @contextmanager
 def shared_fields():
     """Share ``_fields`` sets among the runners called inside the block, as
-    the module docstring says; nothing outlives the block.  Threads running
-    in copies of the block's context share its store."""
+    the module docstring says; nothing outlives the block."""
     token = _SHARED.set(_FieldStore())
     try:
         yield

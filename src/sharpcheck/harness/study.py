@@ -5,15 +5,12 @@ operator-class precondition when the entry uses an operator, evaluates every
 equation at every ladder value, classifies the trends, and assembles an
 :class:`InequalityReport`, with verdict ``error`` if a step raised.
 ``refinement_study`` is the same with an explicit strictly decreasing
-spacing ladder.  ``run_suite`` fans a list of specs out over a thread pool
-and returns the reports in a deterministic order; its entries share their
-grid fields (see ``catalog.shared_fields``).
+spacing ladder.  ``run_suite`` runs a list of specs one after another and
+returns the reports in a deterministic order; its entries share their grid
+fields (see ``catalog.shared_fields``).
 """
 
 from __future__ import annotations
-
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 
 from .catalog import ENTRIES, CatalogEntry, operator_class_report, shared_fields
 from .report import (
@@ -130,30 +127,21 @@ def refinement_study(spec: EstimateSpec, ladder) -> InequalityReport:
 
 
 def run_suite(specs, jobs: int = 1) -> list[InequalityReport]:
-    """Run several estimate checks, optionally in parallel.
+    """Run several estimate checks one after another.
 
-    The result order and content do not depend on ``jobs``; reports come back
-    sorted by estimate id with ties broken by input position.  An entry whose
-    step raises gets an ``error`` report (see ``run_estimate_check``) and the
-    others run on.  Entries with one recipe share their grid, input, operator
-    image and derivative magnitudes at each ladder step, each held on the
-    input's support box only: the call computes a set once, keeps the ladder
-    of the most recently requested recipe only, and drops it on return.  Sets
-    are read-only and a pure function of their recipe and spacing, so the
-    reports are the same as from separate calls.  Worker threads do not
-    inherit the caller's context, so each task runs in a copy of it, and all
-    tasks share the one store.
+    Reports come back sorted by estimate id with ties broken by input
+    position.  An entry whose step raises gets an ``error`` report (see
+    ``run_estimate_check``) and the others run on.  Entries with one recipe
+    share their grid, input, operator image and derivative magnitudes at each
+    ladder step, each held on the input's support box only: the call computes
+    a set once, keeps the ladder of the most recently requested recipe only,
+    and drops it on return.  Sets are read-only and a pure function of their
+    recipe and spacing, so the reports are the same as from separate calls.
+    ``jobs`` accepts only 1 and is kept for callers that still pass it.
     """
-    specs = list(specs)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if jobs != 1:
+        raise ValueError(f"run_suite runs entries one after another; jobs must be 1, got {jobs!r}")
     with shared_fields():
-        if jobs == 1:
-            reports = [run_estimate_check(s) for s in specs]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                tasks = [pool.submit(contextvars.copy_context().run, run_estimate_check, s)
-                         for s in specs]
-                reports = [t.result() for t in tasks]
+        reports = [run_estimate_check(s) for s in specs]
     keyed = sorted(range(len(reports)), key=lambda i: (reports[i].id, i))
     return [reports[i] for i in keyed]

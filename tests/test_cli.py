@@ -15,6 +15,7 @@ import pytest
 
 from sharpcheck import cli
 
+SUITES = pathlib.Path(__file__).resolve().parents[1] / "suites"
 
 MINI = """\
 [suite]
@@ -55,13 +56,15 @@ class TestVerify:
         assert (tmp_path / "mini.csv").read_text().startswith(
             "id,spacing,lhs,rhs_sum,n_emp,trend,verdict")
 
-    def test_format_flag_is_refused(self, tmp_path, capsys):
-        # verify always writes both the JSON and the CSV
+    @pytest.mark.parametrize("flag,value", [("--format", "json"), ("--jobs", "2")])
+    def test_removed_flags_are_refused(self, tmp_path, capsys, flag, value):
+        # verify always writes both the JSON and the CSV, and runs entries
+        # one after another
         cfg = write_cfg(tmp_path, MINI)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", cfg, "--out", str(tmp_path / "mini.json"), "--format", "json"])
+            cli.main(["verify", cfg, "--out", str(tmp_path / "mini.json"), flag, value])
         assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "mini.json").exists()
 
     def test_inline_comments_are_stripped(self, tmp_path, capsys):
@@ -87,6 +90,15 @@ class TestVerify:
         assert code == 2
         assert "config error:" in err and "'OSC'" in err
 
+    @pytest.mark.parametrize("only", ["", ","])
+    def test_only_naming_no_id_is_refused(self, tmp_path, capsys, only):
+        cfg = write_cfg(tmp_path, MINI)
+        out = tmp_path / "none.json"
+        code, stdout, err = run_cli(capsys, "verify", cfg, "--out", str(out), "--only", only)
+        assert code == 2
+        assert "config error: --only names no estimate id" in err
+        assert stdout == "" and not out.exists()
+
     def test_seed_precedence_flag_over_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI)
         out = tmp_path / "s.json"
@@ -95,13 +107,31 @@ class TestVerify:
         run_cli(capsys, "verify", cfg, "--out", str(out), "--seed", "9")
         assert json.loads(out.read_text())["seed"] == 9
 
-    def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, where):
+        # numpy refuses a negative seed only once an entry draws from it
+        text = MINI.replace("seed = 5", "seed = -1") if where == "config" else MINI
+        flags = ("--seed", "-1") if where == "flag" else ()
+        out = tmp_path / "neg.json"
+        code, stdout, err = run_cli(capsys, "verify", write_cfg(tmp_path, text),
+                                    "--out", str(out), *flags)
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in err
+        assert ("--seed" in err) == (where == "flag")
+        assert stdout == "" and not out.exists()
+
+    def test_reruns_are_byte_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI + "\n[estimate:ZEROTH-1D]\n")
-        a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "verify", cfg, "--out", str(a))
         run_cli(capsys, "verify", cfg, "--out", str(b))
-        run_cli(capsys, "verify", cfg, "--out", str(c), "--jobs", "4")
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("suite", sorted(SUITES.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_suite_passes(self, tmp_path, capsys, suite):
+        code, stdout, _ = run_cli(capsys, "verify", str(suite),
+                                  "--out", str(tmp_path / "suite.json"))
+        assert code == 0, stdout
 
     def test_runtime_rejection_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
@@ -117,8 +147,7 @@ class TestVerify:
         assert "vanish on the boundary" in entry["notes"]["error"]
         assert (tmp_path / "bad.csv").read_text().count("\n") == 1    # the header alone
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_step_refused_at_run_time_spares_the_other_entries(self, tmp_path, capsys, jobs):
+    def test_step_refused_at_run_time_spares_the_other_entries(self, tmp_path, capsys):
         # the budget loads (it is at most 65,536), but at h = 0.05 OSC-P's
         # sharp function refuses it before any pair: 2.55e9 pair-node terms
         head = "[suite]\nname = s\nseed = 1\n\n[estimate:MAX-LP]\n"
@@ -127,7 +156,7 @@ class TestVerify:
                            ("both", "\n[estimate:OSC-P]\npair_budget = 16384\nladder = 0.05\n")):
             out = tmp_path / f"{name}.json"
             code, stdout, err = run_cli(capsys, "verify", write_cfg(tmp_path, head + tail),
-                                        "--out", str(out), "--jobs", jobs)
+                                        "--out", str(out))
             doc = json.loads(out.read_text())
             csv = (tmp_path / f"{name}.csv").read_text().splitlines()
             runs[name] = code, stdout, err, doc, csv
@@ -310,6 +339,10 @@ class TestConfigDiagnostics:
         ("NEG-EXP", "1 -2", "finite and positive"),
         ("NEG-EXP", "1 0", "finite and positive"),
         ("NEG-EXP", "inf", "finite and positive"),
+        # one spacing three times refines nothing
+        ("OSC-P", "0.2 0.2 0.2", "spacing ladder value 0.2 for OSC-P is repeated"),
+        ("NEG-EXP", "1 2 1", "window ladder value 1.0 for NEG-EXP is repeated"),
+        ("IDENTITIES", "30 30", "instances ladder value 30.0 for IDENTITIES is repeated"),
     ])
     def test_ladder_out_of_range(self, tmp_path, capsys, section, ladder, needle):
         # rejected at load time with the ladder's line, before any entry runs
@@ -338,7 +371,7 @@ class TestConfigDiagnostics:
                    "[estimate:MAX-LP]\nladder = 0.1 apples\n",
                    "line 6", "ladder")
 
-    @pytest.mark.parametrize("key", ["wallclock = 2", "format = json"])
+    @pytest.mark.parametrize("key", ["wallclock = 2", "format = json", "jobs = 2"])
     def test_unknown_suite_key(self, tmp_path, capsys, key):
         self.check(tmp_path, capsys,
                    f"[suite]\nname = bad\nseed = 1\n{key}\n\n[estimate:MAX-LP]\n",

@@ -737,8 +737,7 @@ class TestStudyDrivers:
         note = r.notes["operator_class"]
         assert note["kind"] == "pucci" and note["passed"]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_raising_step_ends_only_its_entry(self, monkeypatch, jobs):
+    def test_raising_step_ends_only_its_entry(self, monkeypatch):
         # ZEROTH-1D raises at its second step: its report keeps the first
         # step, errs and fails; MAX-LP beside it is the report of a run alone
         entry = ENTRIES["ZEROTH-1D"]
@@ -752,7 +751,7 @@ class TestStudyDrivers:
 
         clean = run_suite([EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP")])
         monkeypatch.setitem(ENTRIES, "ZEROTH-1D", dataclasses.replace(entry, runner=runner))
-        reports = run_suite([EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP")], jobs=jobs)
+        reports = run_suite([EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP")])
         max_lp, bad = reports
         assert bad.id == "ZEROTH-1D" and bad.verdict == ERROR and not bad.passed()
         assert bad.notes["error"] == "RuntimeError: boom"
@@ -764,12 +763,18 @@ class TestStudyDrivers:
         assert [r.split(",")[0] for r in rows] == ["MAX-LP"] * 3 + ["ZEROTH-1D"]
         assert csv_from_doc(json.loads(suite_to_json("s", reports, 0))) == suite_to_csv(reports)
 
-    def test_suite_order_and_parallelism_do_not_matter(self):
+    def test_suite_order_does_not_matter(self):
         specs = [EstimateSpec(id="ZEROTH-1D"), EstimateSpec(id="MAX-LP"),
                  EstimateSpec(id="MAX-WEAK")]
-        a = suite_to_json("s", run_suite(specs, jobs=1), seed=0)
-        b = suite_to_json("s", run_suite(list(reversed(specs)), jobs=3), seed=0)
+        a = suite_to_json("s", run_suite(specs), seed=0)
+        b = suite_to_json("s", run_suite(list(reversed(specs))), seed=0)
         assert a == b
+        with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+            run_suite(specs, jobs=2)
+
+    def test_repeated_ladder_value_is_refused(self):
+        with pytest.raises(ValueError, match="spacing ladder value 0.2 for OSC-P is repeated"):
+            run_estimate_check(EstimateSpec(id="OSC-P", ladder=(0.2, 0.2, 0.2)))
 
 
 PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "pde.cfg"
@@ -840,26 +845,6 @@ class TestSharedFields:
         name, specs, together = pde
         apart = sorted((r for s in specs for r in run_suite([s])), key=lambda r: r.id)
         assert suite_pair(name, apart) == together
-
-    def test_worker_threads_equal_one_thread(self, pde):
-        name, specs, together = pde
-        assert suite_pair(name, run_suite(specs, jobs=2)) == together
-
-    def test_many_threads_with_a_short_switch_interval(self):
-        # more workers than cores, switching every microsecond, over entries
-        # that share recipes and entries that do not: a set handed out for
-        # another recipe or spacing would change a report
-        ids = ("APRIORI", "PARA-GLOBAL", "PARA-HS", "HS-DIRICHLET", "MIXED", "PARA-MIXED",
-               "PARA-HS-FULL", "HS-DIRICHLET-MIXED", "PARA-APRIORI")
-        specs = [EstimateSpec(id=eid, ladder=(0.1, 0.05)) for eid in ids * 2]
-        serial = suite_pair("s", run_suite(specs))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = suite_pair("s", run_suite(specs, jobs=(os.cpu_count() or 1) + 2))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
 
     def test_one_class_check_per_operator_recipe(self, monkeypatch):
         # the 18 operator entries of the pde workload have 3 operator
