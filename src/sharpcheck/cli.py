@@ -161,8 +161,8 @@ def load_suite(path: str) -> SuiteConfig:
                     and not isinstance(default, bool)):
                 raise ConfigError(f"{where(section, key)}: parameter {key!r} of {entry.id} "
                                   f"must be a number, got {raw.strip()!r}")
-        merged = entry.merged(params)
         try:
+            merged = entry.merged(params)
             entry.validate(merged)
         except (ValueError, ArithmeticError, TypeError) as e:
             raise ConfigError(f"{where(section)}: invalid parameters for {entry.id}: {e}") from None

@@ -100,7 +100,6 @@ class EquationCheck:
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    summary: str
     runner: Callable
     defaults: dict
     ladder: tuple
@@ -114,15 +113,16 @@ class CatalogEntry:
     def check_ladder(self, ladder, params: dict) -> tuple[float, ...]:
         """The ladder as floats; a step this entry cannot run at ``params``
         raises ``ValueError``.  Spacings are finite and at least ``min_spacing``,
-        windows finite and positive, instance counts positive integers, and no
-        value repeats: a repeated step refines nothing."""
+        windows finite and positive, instance counts positive integers, and
+        each value passes ``check_step``.  A spacing ladder strictly decreases
+        and a window or instance ladder strictly increases: a repeated or
+        reordered step refines nothing."""
         ladder = tuple(float(x) for x in ladder)
         if not ladder:
             raise ValueError(f"empty ladder for {self.id}")
+        spacing = self.ladder_kind == "spacing"
         for i, x in enumerate(ladder):
-            if x in ladder[:i]:
-                raise ValueError(f"{self.ladder_kind} ladder value {x} for {self.id} is repeated")
-            if self.ladder_kind == "spacing":
+            if spacing:
                 ok, need = x >= self.min_spacing, \
                     f"finite and not below the supported resolution {self.min_spacing}"
             elif self.ladder_kind == "window":
@@ -133,13 +133,29 @@ class CatalogEntry:
                 raise ValueError(f"{self.ladder_kind} ladder value {x} for {self.id} must be {need}")
             if self.check_step is not None:
                 self.check_step(params, x)
+            if i and not (x < ladder[i - 1] if spacing else x > ladder[i - 1]):
+                raise ValueError(f"{self.ladder_kind} ladder value {x} for {self.id} is repeated "
+                                 "or out of order: the ladder must be strictly "
+                                 f"{'de' if spacing else 'in'}creasing")
         return ladder
 
     def merged(self, overrides: dict) -> dict:
+        """The defaults with ``overrides`` applied, each parameter in the type
+        it runs and is reported in: a float default's as a ``float``, an int
+        default's as an ``int`` (never truncated from a float), a ``None``
+        default's as ``None`` or a ``float``, and a string default's as given.
+        A bool is no number here.  An unknown key or a value of the wrong
+        type raises ``ValueError``."""
         params = dict(self.defaults)
         for key, val in overrides.items():
             if key not in params:
                 raise ValueError(f"unknown parameter {key!r} for entry {self.id}")
+            default = params[key]
+            if not isinstance(default, str) and not (default is None and val is None):
+                cast, types, what = _TYPES[type(default)]
+                _need(isinstance(val, types) and not isinstance(val, bool),
+                      f"{key} must be {what}, got {val!r}")
+                val = cast(val)
             params[key] = val
         return params
 
@@ -148,15 +164,11 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 
 def _register(**kw):
-    """Add an entry.  Before its own validator, each parameter passes the
-    rule of its default's type in ``_TYPES`` (a bool is no number here, and
-    an int parameter takes no float the run would truncate), then the rule
-    of its name in ``_NAME_RULES``.  An estimate's exponent and weight-class
-    hypotheses are one ``_hypotheses`` rule, in its validator."""
-    defaults = kw["defaults"]
-    rules = [partial(_need_type, key, *_TYPES[type(v)])
-             for key, v in defaults.items() if type(v) in _TYPES]
-    rules += [rule for key, rule in _NAME_RULES if key in defaults]
+    """Add an entry.  Its ``validate`` runs on ``merged``'s typed parameters:
+    first the rule of each name in ``_NAME_RULES``, then the entry's own
+    validator.  An estimate's exponent and weight-class hypotheses are one
+    ``_hypotheses`` rule, in its validator."""
+    rules = [rule for key, rule in _NAME_RULES if key in kw["defaults"]]
     own = kw.get("validate") or (lambda params: None)
     kw["validate"] = lambda params: (*(rule(params) for rule in rules), own(params))
 
@@ -172,15 +184,12 @@ def _need(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _need_type(key: str, types: tuple, what: str, params: dict):
-    value = params[key]
-    _need(isinstance(value, types) and not isinstance(value, bool),
-          f"{key} must be {what}, got {value!r}")
-
-
-# The values a parameter takes, by the type of its default.
-_TYPES = {int: ((int, np.integer), "an integer"),
-          float: ((int, float, np.integer, np.floating), "a number")}
+# By the type of a parameter's default: the type it runs in, the values it
+# takes and their description.
+_NUMBER = (int, float, np.integer, np.floating)
+_TYPES = {int: (int, (int, np.integer), "an integer"),
+          float: (float, _NUMBER, "a number"),
+          type(None): (float, _NUMBER, "None or a number")}
 
 # The rule of each parameter name, in the order they run (``d`` before the
 # operator, ``R`` before ``r``); the operator is built, so bad operator
@@ -223,9 +232,9 @@ def build_operator(params: dict):
     evaluating operators on the support box only
     (``calculus.evaluate_operator``)."""
     kind = params["operator"]
-    delta = float(params["delta"])
+    delta = params["delta"]
     check_delta(delta)
-    d = int(params["d"])
+    d = params["d"]
     if kind == "linear":
         return linear_operator(np.eye(d), delta, k_f=math.sqrt(d))
     if kind == "pucci":
@@ -256,7 +265,7 @@ class _FieldStore:
 
 def operator_class_report(params: dict, seed: int):
     """The operator's ``check_operator_class``, once per ``shared_fields`` block."""
-    key = (params["operator"], float(params["delta"]), int(params["d"]), seed)
+    key = (params["operator"], params["delta"], params["d"], seed)
     store = _SHARED.get()
     compute = lambda: check_operator_class(build_operator(params), key[2], budget=40, seed=seed)
     return compute() if store is None else store.once(store.classes, key, compute)
@@ -286,7 +295,7 @@ def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None)
     if store is None or mf.key is None:
         return compute()
     recipe = (mf.key, tuple(lo), tuple(hi), time_axis, half_axis, params["operator"],
-              float(params["delta"]), int(params["d"]))
+              params["delta"], params["d"])
     return store.get(recipe, h, compute)
 
 
@@ -481,7 +490,7 @@ def _cylinder_support(p):
 
 
 def _axis_weight(q, axis: int = 0):
-    return None if q is None else PowerX1(float(q), axis=axis)
+    return None if q is None else PowerX1(q, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +499,8 @@ def _axis_weight(q, axis: int = 0):
 def _indicator_maximal(params, h):
     """Finest volume, the indicator of [0, 1) on [0, extent) and its dyadic
     maximal function."""
-    filt = Filtration(full_space(1, int(params["n_min"]), _dyadic_level(h),
-                                (0.0,), (float(params["extent"]),)))
+    filt = Filtration(full_space(1, params["n_min"], _dyadic_level(h),
+                                (0.0,), (params["extent"],)))
     g = filt.sample(lambda X: (X[:, 0] < 1.0).astype(np.float64))
     return filt.finest_volume, g.values, dyadic_maximal(g).values
 
@@ -521,8 +530,6 @@ def _indicator_step(p, h):
 
 @_register(
     id="MAX-LP",
-    summary="Lp bound for the dyadic maximal function with the analytic "
-            "constant p/(p-1) on a truncated indicator input.",
     defaults={"p": 2.0, "extent": 4.0, "n_min": -2},
     ladder=(0.25, 0.125, 0.0625),
     exact_threshold=1.0,
@@ -533,7 +540,9 @@ def _indicator_step(p, h):
     check_step=_indicator_step,
 )
 def _run_max_lp(params, h, seed):
-    p = float(params["p"])
+    """Lp bound for the dyadic maximal function with the analytic constant
+    p/(p-1) on a truncated indicator input."""
+    p = params["p"]
     vol, g, mg = _indicator_maximal(params, h)
     lhs = float(((np.abs(mg) ** p).sum() * vol) ** (1.0 / p))
     gnorm = float(((np.abs(g) ** p).sum() * vol) ** (1.0 / p))
@@ -544,9 +553,6 @@ def _run_max_lp(params, h, seed):
 
 @_register(
     id="MAX-WEAK",
-    summary="Weak-type level-set bound for the dyadic maximal function with "
-            "constant one, swept over thresholds just below each attained "
-            "average.",
     defaults={"extent": 4.0, "n_min": -2},
     ladder=(0.25, 0.125, 0.0625),
     exact_threshold=1.0,
@@ -555,6 +561,8 @@ def _run_max_lp(params, h, seed):
     check_step=_indicator_step,
 )
 def _run_max_weak(params, h, seed):
+    """Weak-type level-set bound for the dyadic maximal function with constant
+    one, swept over thresholds just below each attained average."""
     vol, g, mg = _indicator_maximal(params, h)
     worst = (0.0, (0.0,), 0.0)
     best_ratio = -1.0
@@ -583,9 +591,6 @@ def _fs_local_step(p, h):
 
 @_register(
     id="FS-LOCAL",
-    summary="Weighted bound of an Lp mass by the interpolation of the full "
-            "maximal function against the level-floored sharp plus capped "
-            "maximal combination.",
     defaults={"p": 2.0, "gamma": 1.0, "beta": 1.0, "m": 2, "q": 0.5,
               "radius": 0.45},
     ladder=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
@@ -597,11 +602,12 @@ def _fs_local_step(p, h):
     check_step=_fs_local_step,
 )
 def _run_fs_local(params, h, seed):
-    p, gamma, beta = (float(params[k]) for k in ("p", "gamma", "beta"))
-    m = int(params["m"])
+    """Weighted bound of an Lp mass by the interpolation of the full maximal
+    function against the level-floored sharp plus capped maximal combination."""
+    p, gamma, beta, m = (params[k] for k in ("p", "gamma", "beta", "m"))
     filt = Filtration(full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0)))
-    mf = manufactured("bump", 2, center=(0.5, 0.5), radius=float(params["radius"]))
-    w = PowerX1(float(params["q"]), axis=0)
+    mf = manufactured("bump", 2, center=(0.5, 0.5), radius=params["radius"])
+    w = PowerX1(params["q"], axis=0)
     # each integrand is formed, and its array dropped, as soon as it exists
     thickness = beta_type_constant(w, beta, filt)
     u = filt.sample(mf.u)
@@ -650,19 +656,19 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
     u = mf.on_grid(grid)
     derivs = fd_derivatives(u)
     fv = evaluate_operator(build_operator(params), u, derivs)
-    nu, mu, xi, gamma = (float(params[k]) for k in ("nu", "mu", "xi", "gamma"))
-    rho = float(params["r0"]) / nu
+    nu, mu, xi, gamma = (params[k] for k in ("nu", "mu", "xi", "gamma"))
+    rho = params["r0"] / nu
     alpha = 0.5
     xip = xi / (xi - 1.0)
     family = family_for_grid(grid, radii=_osc_radii(grid, rho))
 
     d2u = derivs.d2u
     sharp = geometric_sharp(GridFunction(grid, d2u), family, gamma, rho,
-                            pair_budget=int(params["pair_budget"]), seed=seed)
+                            pair_budget=params["pair_budget"], seed=seed)
     amp = nu ** (amp_power / gamma)
     t_f = amp * geometric_maximal(
         GridFunction(grid, power(np.abs(fv.padded()), e)), family).values ** (1.0 / e)
-    t_tau = np.full(grid.shape, float(params["tau0"]) * amp)
+    t_tau = np.full(grid.shape, params["tau0"] * amp)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
         GridFunction(grid, power(frobenius(d2u), ed)), family).values ** (1.0 / ed)
@@ -672,34 +678,32 @@ def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_a
 
 @_register(
     id="OSC",
-    summary="Pointwise bound of the Hessian sharp function over small balls "
-            "by covering maximal functions of the operator image and the "
-            "Hessian itself.",
     defaults=_OSC_DEFAULTS,
     ladder=(0.12, 0.06, 0.03),
     validate=_osc_validate,
     min_spacing=0.01,
 )
 def _run_osc(params, h, seed):
-    d = int(params["d"])
-    mf = manufactured("bump", d, radius=float(params["radius"]))
+    """Pointwise bound of the Hessian sharp function over small balls by
+    covering maximal functions of the operator image and the Hessian itself."""
+    d = params["d"]
+    mf = manufactured("bump", d, radius=params["radius"])
     return _sharp_pointwise(params, h, seed, mf, (-1.5,) * d, (1.5,) * d,
                             e=d, amp_power=d, time_axis=False)
 
 
 @_register(
     id="OSC-P",
-    summary="Space-time twin of the Hessian sharp bound over forward "
-            "cylinders, with the time derivative folded into the operator "
-            "image.",
     defaults=_OSC_DEFAULTS,
     ladder=(0.15, 0.1, 0.05),
     validate=_osc_validate,
     min_spacing=0.02,
 )
 def _run_osc_p(params, h, seed):
-    d = int(params["d"])
-    mf = with_time_profile(manufactured("bump", d, radius=float(params["radius"])),
+    """Space-time twin of the Hessian sharp bound over forward cylinders, with
+    the time derivative folded into the operator image."""
+    d = params["d"]
+    mf = with_time_profile(manufactured("bump", d, radius=params["radius"]),
                            t_center=0.7, t_radius=0.5)
     return _sharp_pointwise(params, h, seed, mf, (0.0,) + (-1.2,) * d, (1.5,) + (1.2,) * d,
                             e=d + 1, amp_power=d + 2, time_axis=True)
@@ -710,10 +714,6 @@ def _run_osc_p(params, h, seed):
 
 @_register(
     id="INTERP",
-    summary="Interpolation inequalities bounding gradients between the "
-            "Hessian and the function through maximal functions over windows "
-            "of at least a threshold radius, plus their weighted integral "
-            "form.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "gamma": 0.5,
               "rho": 0.8, "p": 2.0, "q": 0.5, "sigma": 0.6,
               "geometry": "elliptic"},
@@ -727,16 +727,19 @@ def _run_osc_p(params, h, seed):
     min_spacing=0.01,
 )
 def _run_interp(params, h, seed):
-    d = int(params["d"])
+    """Interpolation inequalities bounding gradients between the Hessian and the
+    function through maximal functions over windows of at least a threshold
+    radius, plus their weighted integral form."""
+    d = params["d"]
     parabolic = params["geometry"] == "parabolic"
-    mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
+    mf = manufactured("gaussian", d, sigma=params["sigma"])
     if parabolic:
         mf = with_time_profile(mf, t_center=1.0, t_radius=0.8)
         lo, hi = (0.0,) + (-2.0,) * d, (2.0,) + (2.0,) * d
     else:
         lo, hi = (-2.0,) * d, (2.0,) * d
     grid, box, u, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
-    rho, gamma, p = (float(params[k]) for k in ("rho", "gamma", "p"))
+    rho, gamma, p = (params[k] for k in ("rho", "gamma", "p"))
     ed = d + 1 if parabolic else d
     # three windows at and above the threshold radius keep the covering
     # maxima representative without quadratic footprint cost
@@ -770,9 +773,6 @@ def _run_interp(params, h, seed):
 
 @_register(
     id="INTERP-LOCAL",
-    summary="Localized gradient interpolation on concentric balls, with the "
-            "epsilon split between the Hessian and zeroth-order terms, and "
-            "its two-radius corollary.",
     defaults={"d": 2, "p": 2.5, "q": 0.5, "rho": 0.9, "eps": 0.5,
               "r": 0.55, "R": 0.9, "sigma": 0.5},
     ladder=(0.1, 0.05, 0.025),
@@ -780,15 +780,17 @@ def _run_interp(params, h, seed):
     min_spacing=0.005,
 )
 def _run_interp_local(params, h, seed):
-    d = int(params["d"])
-    mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
+    """Localized gradient interpolation on concentric balls, with the epsilon
+    split between the Hessian and zeroth-order terms, and its two-radius
+    corollary."""
+    d = params["d"]
+    mf = manufactured("gaussian", d, sigma=params["sigma"])
     grid = _grid((-1.0,) * d, (1.0,) * d, h)
     u = mf.on_grid(grid)                  # a gaussian: the samples span the grid
     derivs = fd_derivatives(u)
     box = derivs.box
     u, d2, d1 = u.values[box], frobenius(derivs.box_d2u), euclidean(derivs.box_du)
-    p, q, rho, eps = (float(params[k]) for k in ("p", "q", "rho", "eps"))
-    r, R = float(params["r"]), float(params["R"])
+    p, q, rho, eps, r, R = (params[k] for k in ("p", "q", "rho", "eps", "r", "R"))
     mass = NodeMasses(grid, PowerX1(q, axis=0), box)[:]
     origin = (0.0,) * d
 
@@ -810,9 +812,6 @@ def _run_interp_local(params, h, seed):
 
 @_register(
     id="W2P-GLOBAL",
-    summary="Global weighted Hessian bound for compactly supported inputs by "
-            "the operator image, the function, and the oscillation-budget "
-            "collar term.",
     defaults={"d": 2, "operator": "linear", "delta": 1.0, "p": 4.0,
               "q": None, "R": 1.0, "r0": 1.0, "tau0": 0.0, "radius": 0.9,
               "amplitude": 1.0},
@@ -826,12 +825,11 @@ def _run_interp_local(params, h, seed):
     ),
 )
 def _run_w2p_global(params, h, seed):
-    d = int(params["d"])
-    p = float(params["p"])
-    R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
+    """Global weighted Hessian bound for compactly supported inputs by the
+    operator image, the function, and the oscillation-budget collar term."""
+    d, p, R, r0, tau0 = (params[k] for k in ("d", "p", "R", "r0", "tau0"))
     L = R + r0 + 0.25
-    mf = manufactured("bump", d, radius=float(params["radius"]),
-                      amplitude=float(params["amplitude"]))
+    mf = manufactured("bump", d, radius=params["radius"], amplitude=params["amplitude"])
     grid, box, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
     w = _axis_weight(params["q"])
     collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
@@ -842,20 +840,18 @@ def _run_w2p_global(params, h, seed):
 
 @_register(
     id="ZEROTH-1D",
-    summary="Weighted zeroth-order bound in one dimension with unit "
-            "coefficient: the function is controlled by the defect of the "
-            "second derivative minus the function, from analytic "
-            "derivatives.",
     defaults={"p": 2.0, "q": 0.5, "sigma": 0.8, "extent": 6.0},
     ladder=(0.05, 0.025, 0.0125),
     validate=_hypotheses("p", dim="1", weighted="p"),
     min_spacing=0.002,
 )
 def _run_zeroth_1d(params, h, seed):
-    p = float(params["p"])
-    L = float(params["extent"])
+    """Weighted zeroth-order bound in one dimension with unit coefficient: the
+    function is controlled by the defect of the second derivative minus the
+    function, from analytic derivatives."""
+    p, L = params["p"], params["extent"]
     grid = _grid((-L,), (L,), h)
-    mf = manufactured("gaussian", 1, sigma=float(params["sigma"]))
+    mf = manufactured("gaussian", 1, sigma=params["sigma"])
     X = grid.nodes()
     u = mf.u(X)
     d2 = mf.d2u(X)[:, 0, 0]
@@ -873,15 +869,14 @@ _APRIORI_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
 
 
 def _apriori_fields(params, h):
-    d = int(params["d"])
-    L = float(params["extent"])
-    mf = manufactured("bump", d, radius=float(params["radius"]))
+    d, L = params["d"], params["extent"]
+    mf = manufactured("bump", d, radius=params["radius"])
     return _fields(params, h, (-L,) * d, (L,) * d, mf)
 
 
 def _apriori_pair(params, fields, axis: int):
     """Absorbed-defect form and gradient pair over the whole grid box."""
-    p = float(params["p"])
+    p = params["p"]
     grid, box, u, fv, d2, d1 = fields
     mass = NodeMasses(grid, _axis_weight(params["q"], axis=axis), box)
     return [_absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv),
@@ -890,28 +885,27 @@ def _apriori_pair(params, fields, axis: int):
 
 @_register(
     id="APRIORI",
-    summary="Full-space weighted a priori bounds: Hessian and gradient by "
-            "operator image plus function, and all three orders by the "
-            "absorbed defect.",
     defaults=_APRIORI_DEFAULTS,
     ladder=(0.125, 0.0625, 0.03125),
     validate=_ELLIPTIC,
 )
 def _run_apriori(params, h, seed):
+    """Full-space weighted a priori bounds: Hessian and gradient by operator
+    image plus function, and all three orders by the absorbed defect."""
     return _apriori_pair(params, _apriori_fields(params, h), axis=0)
 
 
 @_register(
     id="MIXED",
-    summary="Iterated-norm version of the absorbed a priori bound with one "
-            "exponent per axis, innermost axis first.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0, "p2": 3.0,
               "radius": 1.2, "extent": 2.5},
     ladder=(0.125, 0.0625, 0.03125),
     validate=_hypotheses("p1", "p2", plane=True),
 )
 def _run_mixed(params, h, seed):
-    p1, p2 = float(params["p1"]), float(params["p2"])
+    """Iterated-norm version of the absorbed a priori bound with one exponent
+    per axis, innermost axis first."""
+    p1, p2 = params["p1"], params["p2"]
     grid, box, u, fv, d2, d1 = _apriori_fields(params, h)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
     return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), u, fv,
@@ -920,8 +914,6 @@ def _run_mixed(params, h, seed):
 
 @_register(
     id="LOCAL-W2P",
-    summary="Interior weighted Hessian and gradient bounds on concentric "
-            "balls with the inverse-gap coefficients of the cutoff argument.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 0.25,
               "r": 1.0, "R": 1.5, "sigma": 0.6},
     ladder=(0.1, 0.05, 0.025),
@@ -931,11 +923,11 @@ def _run_mixed(params, h, seed):
     ),
 )
 def _run_local_w2p(params, h, seed):
-    d = int(params["d"])
-    p = float(params["p"])
-    r, R = float(params["r"]), float(params["R"])
+    """Interior weighted Hessian and gradient bounds on concentric balls with
+    the inverse-gap coefficients of the cutoff argument."""
+    d, p, r, R = (params[k] for k in ("d", "p", "r", "R"))
     L = R + 0.2
-    mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
+    mf = manufactured("gaussian", d, sigma=params["sigma"])
     grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     origin = (0.0,) * d
@@ -959,19 +951,17 @@ def _run_local_w2p(params, h, seed):
 
 @_register(
     id="LOCAL-MIXED",
-    summary="Interior iterated-norm bound: Hessian and gradient on the inner "
-            "ball by the operator image and function on the outer ball.",
     defaults={"d": 2, "operator": "bellman", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "r": 1.0, "R": 1.4, "sigma": 0.55},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p1", "p2", plane=True),
 )
 def _run_local_mixed(params, h, seed):
-    d = int(params["d"])
-    p1, p2 = float(params["p1"]), float(params["p2"])
-    r, R = float(params["r"]), float(params["R"])
+    """Interior iterated-norm bound: Hessian and gradient on the inner ball by
+    the operator image and function on the outer ball."""
+    d, p1, p2, r, R = (params[k] for k in ("d", "p1", "p2", "r", "R"))
     L = R + 0.2
-    mf = manufactured("gaussian", d, sigma=float(params["sigma"]))
+    mf = manufactured("gaussian", d, sigma=params["sigma"])
     grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box)
@@ -989,7 +979,7 @@ _HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
 
 
 def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
-    d = int(params["d"])
+    d = params["d"]
     lo = (0.0,) + (-2.0,) * (d - 1)
     hi = (x1_extent,) + (2.0,) * (d - 1)
     centers = (center,) + (0.0,) * (d - 1)
@@ -1000,9 +990,6 @@ def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
 
 @_register(
     id="HS-SLAB",
-    summary="Dyadic-slab bounds near the boundary: Hessian and gradient on a "
-            "slab by the defect, gradient and function on the enlarged slab, "
-            "plus their far-field versions.",
     defaults=_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (
@@ -1014,9 +1001,10 @@ def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
                                   f"2^-n is below ladder spacing {h}, so it may hold no node"),
 )
 def _run_hs_slab(params, h, seed):
-    p = float(params["p"])
-    n = int(params["n"])
-    eps = float(params["eps"])
+    """Dyadic-slab bounds near the boundary: Hessian and gradient on a slab by
+    the defect, gradient and function on the enlarged slab, plus their far-field
+    versions."""
+    p, n, eps = params["p"], params["n"], params["eps"]
     grid, box, u, fv, d2, d1 = _slab_fields(params, h)
     mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     x1 = grid.coordinates(box)[0]
@@ -1043,16 +1031,15 @@ def _run_hs_slab(params, h, seed):
 
 @_register(
     id="HS-WEIGHTED",
-    summary="Boundary-weighted second-order bound: the capped-distance "
-            "factor multiplies the Hessian and the defect, and its inverse "
-            "multiplies the function.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_hypotheses("p")(p), _integrable_weight(p)),
 )
 def _run_hs_weighted(params, h, seed):
-    p = float(params["p"])
-    q = float(params["q"])
+    """Boundary-weighted second-order bound: the capped-distance factor
+    multiplies the Hessian and the defect, and its inverse multiplies the
+    function."""
+    p, q = params["p"], params["q"]
     grid, box, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
     mass = NodeMasses(grid, HattedPowerX1(q, axis=0), box)
@@ -1068,18 +1055,15 @@ def _run_hs_weighted(params, h, seed):
 
 @_register(
     id="HS-MIXED",
-    summary="Iterated-norm version of the boundary-weighted bound: inner "
-            "norm across the boundary-parallel axes, outer weighted norm in "
-            "the distance axis.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_hypotheses("p1", "p2")(p), _integrable_weight(p)),
 )
 def _run_hs_mixed(params, h, seed):
-    d = int(params["d"])
-    p1, p2 = float(params["p1"]), float(params["p2"])
-    q = float(params["q"])
+    """Iterated-norm version of the boundary-weighted bound: inner norm across
+    the boundary-parallel axes, outer weighted norm in the distance axis."""
+    d, p1, p2, q = (params[k] for k in ("d", "p1", "p2", "q"))
     grid, box, u, fv, d2, d1 = _slab_fields(
         params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
     hat = _slab_hat(grid, box)
@@ -1094,7 +1078,7 @@ def _run_hs_mixed(params, h, seed):
 # half-space bounds with a vanishing boundary trace
 
 def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
-    d = int(params["d"])
+    d = params["d"]
     lo = (0.0,) + (-box,) * (d - 1)
     hi = (box,) + (box,) * (d - 1)
     return _zero_trace(_fields(params, h, lo, hi, manufactured(kind, d, radius=radius),
@@ -1103,9 +1087,6 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
 
 @_register(
     id="HS-DIRICHLET",
-    summary="Half-space bounds for inputs vanishing on the boundary plane: "
-            "compact-support Hessian bound with the collar term, the "
-            "gradient pair, and the absorbed-defect form.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 0.25,
               "R": 1.5, "r0": 1.0, "tau0": 0.0, "input": "odd_bump"},
     ladder=(0.1, 0.05, 0.025),
@@ -1116,8 +1097,10 @@ def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
     ),
 )
 def _run_hs_dirichlet(params, h, seed):
-    p = float(params["p"])
-    R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
+    """Half-space bounds for inputs vanishing on the boundary plane:
+    compact-support Hessian bound with the collar term, the gradient pair, and
+    the absorbed-defect form."""
+    p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
     w = _axis_weight(params["q"])
     mass = NodeMasses(grid, w, box)
@@ -1129,18 +1112,16 @@ def _run_hs_dirichlet(params, h, seed):
 
 @_register(
     id="HS-DIRICHLET-MIXED",
-    summary="Iterated-norm boundary bound for trace-zero inputs with a "
-            "capped power weight in the distance axis, and the plain-power "
-            "scaling variant for translation-invariant operators.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 3.0,
               "p2": 3.0, "q": 0.25, "radius": 1.5},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p1", "p2", weighted="p2"),
 )
 def _run_hs_dirichlet_mixed(params, h, seed):
-    d = int(params["d"])
-    p1, p2, q = float(params["p1"]), float(params["p2"]), float(params["q"])
-    radius = float(params["radius"])
+    """Iterated-norm boundary bound for trace-zero inputs with a capped power
+    weight in the distance axis, and the plain-power scaling variant for
+    translation-invariant operators."""
+    d, p1, p2, q, radius = (params[k] for k in ("d", "p1", "p2", "q", "radius"))
     grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, radius + 0.1)
     uu = np.abs(u)
     groups = ((0,), tuple(range(1, d)))
@@ -1158,19 +1139,16 @@ def _run_hs_dirichlet_mixed(params, h, seed):
 
 @_register(
     id="HS-LOCAL",
-    summary="Interior-to-boundary localized Hessian bound on half balls with "
-            "the inverse-gap lower-order combination.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 0.25,
               "r": 1.0, "R": 1.5, "radius": 1.8},
     ladder=(0.1, 0.05, 0.025),
     validate=_ELLIPTIC,
 )
 def _run_hs_local(params, h, seed):
-    d = int(params["d"])
-    p = float(params["p"])
-    r, R = float(params["r"]), float(params["R"])
-    grid, box, u, fv, d2, d1 = _dirichlet_fields(
-        params, h, float(params["radius"]), max(R, float(params["radius"])) + 0.2)
+    """Interior-to-boundary localized Hessian bound on half balls with the
+    inverse-gap lower-order combination."""
+    d, p, r, R, radius = (params[k] for k in ("d", "p", "r", "R", "radius"))
+    grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, max(R, radius) + 0.2)
     mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
@@ -1187,10 +1165,10 @@ _PARA_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
 
 
 def _para_fields(params, h, box=1.4, t_extent=1.6):
-    d = int(params["d"])
+    d = params["d"]
     mf = with_time_profile(
-        manufactured("bump", d, radius=float(params["radius"])),
-        t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
+        manufactured("bump", d, radius=params["radius"]),
+        t_center=params["t_center"], t_radius=params["t_radius"])
     lo = (0.0,) + (-box,) * d
     hi = (t_extent,) + (box,) * d
     return _fields(params, h, lo, hi, mf, time_axis=True)
@@ -1198,16 +1176,14 @@ def _para_fields(params, h, box=1.4, t_extent=1.6):
 
 @_register(
     id="PARA-GLOBAL",
-    summary="Space-time Hessian bound for inputs supported in a forward "
-            "cylinder, by the heat-operator image, the function, and the "
-            "collar term.",
     defaults=_PARA_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
 )
 def _run_para_global(params, h, seed):
-    p = float(params["p"])
-    R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
+    """Space-time Hessian bound for inputs supported in a forward cylinder, by
+    the heat-operator image, the function, and the collar term."""
+    p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
     collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
@@ -1217,20 +1193,18 @@ def _run_para_global(params, h, seed):
 
 @_register(
     id="PARA-APRIORI",
-    summary="Space-time a priori bounds on the forward half-line in time: "
-            "the absorbed-defect form and the gradient pair.",
     defaults=_PARA_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=_PARABOLIC,
 )
 def _run_para_apriori(params, h, seed):
+    """Space-time a priori bounds on the forward half-line in time: the
+    absorbed-defect form and the gradient pair."""
     return _apriori_pair(params, _para_fields(params, h), axis=1)
 
 
 @_register(
     id="PARA-MIXED",
-    summary="Iterated-norm space-time bound with one exponent per axis, "
-            "innermost in time.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p0": 4.0,
               "p1": 4.0, "p2": 4.0, "radius": 1.0, "t_center": 0.7,
               "t_radius": 0.6},
@@ -1238,7 +1212,9 @@ def _run_para_apriori(params, h, seed):
     validate=_hypotheses("p0", "p1", "p2", dim="d + 1", plane=True),
 )
 def _run_para_mixed(params, h, seed):
-    p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
+    """Iterated-norm space-time bound with one exponent per axis, innermost in
+    time."""
+    p0, p1, p2 = (params[k] for k in ("p0", "p1", "p2"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
     return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p0, d2, d1, u), u, fv)]
@@ -1246,9 +1222,6 @@ def _run_para_mixed(params, h, seed):
 
 @_register(
     id="PARA-LOCAL-MIXED",
-    summary="Iterated-norm bound on nested forward cylinders: Hessian and "
-            "gradient inside the small cylinder by the heat-operator image "
-            "and function inside the large one.",
     defaults={"d": 2, "operator": "bellman", "delta": 0.5, "p0": 4.0,
               "p1": 4.0, "p2": 4.0, "r": 0.8, "R": 1.1, "radius": 0.9,
               "t_center": 0.3, "t_radius": 0.3},
@@ -1256,8 +1229,10 @@ def _run_para_mixed(params, h, seed):
     validate=_hypotheses("p0", "p1", "p2", dim="d + 1", plane=True),
 )
 def _run_para_local_mixed(params, h, seed):
-    p0, p1, p2 = (float(params[k]) for k in ("p0", "p1", "p2"))
-    r, R = float(params["r"]), float(params["R"])
+    """Iterated-norm bound on nested forward cylinders: Hessian and gradient
+    inside the small cylinder by the heat-operator image and function inside the
+    large one."""
+    p0, p1, p2, r, R = (params[k] for k in ("p0", "p1", "p2", "r", "R"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h, box=1.2, t_extent=1.0)
     inner = _cylinder_mask(grid, r, box)
     outer = _cylinder_mask(grid, R, box)
@@ -1275,10 +1250,10 @@ _PARA_HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
 
 
 def _para_hs_fields(params, h):
-    d = int(params["d"])
+    d = params["d"]
     mf = with_time_profile(
-        manufactured("odd_bump", d, radius=float(params["radius"])),
-        t_center=float(params["t_center"]), t_radius=float(params["t_radius"]))
+        manufactured("odd_bump", d, radius=params["radius"]),
+        t_center=params["t_center"], t_radius=params["t_radius"])
     lo = (0.0, 0.0) + (-1.3,) * (d - 1)
     hi = (1.6, 1.3) + (1.3,) * (d - 1)
     return _zero_trace(_fields(params, h, lo, hi, mf, time_axis=True, half_axis=1))
@@ -1286,15 +1261,14 @@ def _para_hs_fields(params, h):
 
 @_register(
     id="PARA-HS",
-    summary="Space-time boundary Hessian bound for trace-zero inputs "
-            "supported in a forward half-cylinder.",
     defaults=_PARA_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
 )
 def _run_para_hs(params, h, seed):
-    p = float(params["p"])
-    R, r0, tau0 = (float(params[k]) for k in ("R", "r0", "tau0"))
+    """Space-time boundary Hessian bound for trace-zero inputs supported in a
+    forward half-cylinder."""
+    p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     w = _axis_weight(params["q"], axis=1)
     collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
@@ -1304,14 +1278,14 @@ def _run_para_hs(params, h, seed):
 
 @_register(
     id="PARA-HS-FULL",
-    summary="Space-time boundary bound of all three derivative orders by the "
-            "absorbed defect for trace-zero inputs.",
     defaults=_PARA_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=_PARABOLIC,
 )
 def _run_para_hs_full(params, h, seed):
-    p = float(params["p"])
+    """Space-time boundary bound of all three derivative orders by the absorbed
+    defect for trace-zero inputs."""
+    p = params["p"]
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     mass = NodeMasses(grid, _axis_weight(params["q"], axis=1), box)
     return [_absorbed("boundary_absorbed", p, mass, d2, d1, u, fv)]
@@ -1319,9 +1293,6 @@ def _run_para_hs_full(params, h, seed):
 
 @_register(
     id="PARA-HS-MIXED",
-    summary="Iterated-norm space-time boundary bounds for trace-zero inputs "
-            "with a power weight in the wall distance: time-outer and "
-            "space-outer cylinder forms plus the full triple form.",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p1": 4.0,
               "p2": 4.0, "p3": 4.0, "q": 0.25, "r": 0.9, "R": 1.2,
               "radius": 1.1, "t_center": 0.7, "t_radius": 0.6},
@@ -1329,9 +1300,10 @@ def _run_para_hs_full(params, h, seed):
     validate=_hypotheses("p1", "p2", "p3", dim="d + 1", weighted="p1", plane=True),
 )
 def _run_para_hs_mixed(params, h, seed):
-    d = int(params["d"])
-    p1, p2, p3, q = (float(params[k]) for k in ("p1", "p2", "p3", "q"))
-    r, R = float(params["r"]), float(params["R"])
+    """Iterated-norm space-time boundary bounds for trace-zero inputs with a
+    power weight in the wall distance: time-outer and space-outer cylinder forms
+    plus the full triple form."""
+    d, p1, p2, p3, q, r, R = (params[k] for k in ("d", "p1", "p2", "p3", "q", "r", "R"))
     grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
     uu = np.abs(u)
     inner = _cylinder_mask(grid, r, box)
@@ -1357,9 +1329,6 @@ def _run_para_hs_mixed(params, h, seed):
 
 @_register(
     id="NEG-EXP",
-    summary="Unbounded exponential input whose defect vanishes identically: "
-            "the absorbed zeroth-order bound must fail, with the empirical "
-            "constant infinite on every window.",
     defaults={"p": 2.0, "h": 0.01},
     ladder=(1.0, 2.0, 4.0, 8.0),
     ladder_kind="window",
@@ -1368,8 +1337,10 @@ def _run_para_hs_mixed(params, h, seed):
     min_spacing=0.0,
 )
 def _run_neg_exp(params, L, seed):
-    p = float(params["p"])
-    h = float(params["h"])
+    """Unbounded exponential input whose defect vanishes identically: the
+    absorbed zeroth-order bound must fail, with the empirical constant infinite
+    on every window."""
+    p, h = params["p"], params["h"]
     grid = _grid((0.0,), (float(L),), h)
     X = grid.nodes()
     mf = manufactured("exp_growth", 1)
@@ -1387,9 +1358,6 @@ def _run_neg_exp(params, L, seed):
 
 @_register(
     id="IDENTITIES",
-    summary="Randomized exact stopping-time identities across all three "
-            "filtration geometries; the worst residual must sit below the "
-            "tolerance.",
     defaults={"tolerance": 1e-12},
     ladder=(100.0,),
     ladder_kind="instances",
@@ -1397,14 +1365,16 @@ def _run_neg_exp(params, L, seed):
     min_spacing=0.0,
 )
 def _run_identities(params, x, seed):
+    """Randomized exact stopping-time identities across all three filtration
+    geometries; the worst residual must sit below the tolerance."""
     rep = exact_identity_suite(seed=seed, n_instances=int(x),
-                               tolerance=float(params["tolerance"]))
+                               tolerance=params["tolerance"])
     # wall-clock timing stays off the report; identical seeds must serialize
     # to identical bytes
     eq = EquationCheck(
         "exact_identities",
         rep.worst(),
-        (float(params["tolerance"]),),
+        (params["tolerance"],),
         {"per_identity_max": dict(rep.max_residual),
          "failures": len(rep.failures)})
     return [eq]

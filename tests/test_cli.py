@@ -127,6 +127,19 @@ class TestVerify:
         run_cli(capsys, "verify", cfg, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_integer_and_float_spellings_write_identical_reports(self, tmp_path, capsys):
+        # p = 3 and q = 0 run and are reported as the floats 3.0 and 0.0
+        head = "[suite]\nname = s\nseed = 1\n\n[estimate:APRIORI]\nladder = 0.25\n"
+        for name, tail in (("int", "p = 3\nq = 0\n"), ("float", "p = 3.0\nq = 0.0\n")):
+            code, _, _ = run_cli(capsys, "verify", write_cfg(tmp_path, head + tail),
+                                 "--out", str(tmp_path / f"{name}.json"))
+            assert code == 0
+        for ext in ("json", "csv"):
+            read = lambda name: (tmp_path / f"{name}.{ext}").read_bytes()
+            assert read("int") == read("float")
+        text = (tmp_path / "int.json").read_text()
+        assert '"p": 3.0' in text and '"q": 0.0' in text
+
     @pytest.mark.parametrize("suite", sorted(SUITES.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_suite_passes(self, tmp_path, capsys, suite):
         code, stdout, _ = run_cli(capsys, "verify", str(suite),
@@ -249,6 +262,10 @@ class TestConfigDiagnostics:
         # a bool is not a number, though Python reads it as one
         ("APRIORI", "delta = true", "delta must be a number, got True"),
         ("APRIORI", "radius = true", "radius must be a number, got True"),
+        # q defaults to None (no weight) and takes None or a number, never a bool
+        *((section, f"q = {value}", f"q must be None or a number, got {value.title()}")
+          for section in ("APRIORI", "W2P-GLOBAL", "PARA-GLOBAL", "PARA-APRIORI")
+          for value in ("true", "false")),
         # limits the effective (here the default) ladder sets
         ("MAX-LP", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
         ("MAX-WEAK", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
@@ -343,6 +360,12 @@ class TestConfigDiagnostics:
         ("OSC-P", "0.2 0.2 0.2", "spacing ladder value 0.2 for OSC-P is repeated"),
         ("NEG-EXP", "1 2 1", "window ladder value 1.0 for NEG-EXP is repeated"),
         ("IDENTITIES", "30 30", "instances ladder value 30.0 for IDENTITIES is repeated"),
+        # spacings strictly decrease, windows strictly increase
+        ("ZEROTH-1D", "0.025 0.1 0.05", "spacing ladder value 0.1 for ZEROTH-1D is repeated "
+                                        "or out of order: the ladder must be strictly decreasing"),
+        ("MAX-LP", "0.0625 0.25 0.125", "spacing ladder value 0.25 for MAX-LP is repeated"),
+        ("NEG-EXP", "8 4 2 1", "window ladder value 4.0 for NEG-EXP is repeated or out of "
+                               "order: the ladder must be strictly increasing"),
     ])
     def test_ladder_out_of_range(self, tmp_path, capsys, section, ladder, needle):
         # rejected at load time with the ladder's line, before any entry runs

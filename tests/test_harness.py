@@ -12,6 +12,7 @@ Frozen values used below:
   3 * (e^{2L} - 1) / 2 and the defect integrand is identically zero.
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -776,6 +777,13 @@ class TestStudyDrivers:
         with pytest.raises(ValueError, match="spacing ladder value 0.2 for OSC-P is repeated"):
             run_estimate_check(EstimateSpec(id="OSC-P", ladder=(0.2, 0.2, 0.2)))
 
+    @pytest.mark.parametrize("eid,ladder", [("ZEROTH-1D", (0.025, 0.1, 0.05)),
+                                            ("MAX-LP", (0.0625, 0.25, 0.125))])
+    def test_unordered_ladder_is_refused(self, eid, ladder):
+        with pytest.raises(ValueError, match=f"value {ladder[1]} for {eid} is repeated or out "
+                                             "of order: the ladder must be strictly decreasing"):
+            run_estimate_check(EstimateSpec(id=eid, ladder=ladder))
+
 
 PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "pde.cfg"
 
@@ -803,6 +811,35 @@ def test_named_parameters_follow_one_rule(eid):
             with pytest.raises(ValueError) as exc:
                 entry.validate(entry.merged({key: value}))
             assert str(exc.value).startswith(need), (key, value, str(exc.value))
+
+
+@pytest.mark.parametrize("eid", ENTRY_IDS)
+def test_merged_types_every_parameter(eid):
+    # a float default's parameter runs as a float, a None default's number
+    # too, and an int default's as an int, whatever number type it is given
+    entry = ENTRIES[eid]
+    numeric = {key: int if type(v) is int else float for key, v in entry.defaults.items()
+               if not isinstance(v, str)}
+    for value in (1, np.int64(1), np.float64(1.0)):
+        for key, want in numeric.items():
+            if want is int and isinstance(value, np.floating):
+                continue
+            got = entry.merged({key: value})[key]
+            assert type(got) is want and got == 1, (key, value)
+    for key in numeric:
+        for value in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                entry.merged({key: value})
+
+
+def test_catalog_casts_no_parameter():
+    # merged types every parameter once; a runner or validator reads it as is
+    tree = ast.parse(pathlib.Path(catalog.__file__).read_text())
+    casts = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "int")
+             and any(isinstance(arg, ast.Subscript) and getattr(arg.value, "id", None)
+                     in ("params", "p") for arg in node.args)]
+    assert casts == [], f"catalog.py casts a parameter at lines {casts}"
 
 
 @pytest.mark.parametrize("eid", ["W2P-GLOBAL", "HS-DIRICHLET", "PARA-GLOBAL", "PARA-HS"])
