@@ -690,17 +690,13 @@ class ManufacturedFunction:
     callbacks on the nodes of the spatial axes, multiplied once by
     broadcasting.  ``support`` holds a closed interval per grid axis outside
     which the function is 0 (``None``: none); :meth:`on_grid` samples only
-    the nodes inside, widened by ``_HALO``.  ``key`` is the call that built
-    the function, recorded by :func:`manufactured` and
-    :func:`with_time_profile` (``None`` otherwise): two functions with equal
-    keys take equal values.
+    the nodes inside, widened by ``_HALO``.
     """
 
     u: Callable
     du: Callable
     d2u: Callable
     time: tuple[Callable, Callable] | None = None
-    key: tuple | None = None
     support: tuple[tuple[float, float], ...] | None = None
 
     def _sample(self, grid: Grid, fn: Callable, channels: tuple = (), order: int = 0,
@@ -911,7 +907,6 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
     for key in sorted({"radius", "radii", "sigma"} & set(params)):
         check_scale(key, params[key])
     mf = makers[name](d, **params)
-    mf.key = (name, d, tuple(sorted(params.items())))
     mf.support = mf.support or ((-np.inf, np.inf),) * d
     return mf
 
@@ -936,6 +931,5 @@ def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
             return g1 * 2.0 * (t - t_center) / t_radius ** 2
     else:
         raise ValueError(f"unknown time profile {profile!r}")
-    key = None if mf.key is None else (mf.key, profile, t_center, t_radius)
     support = None if mf.support is None else (span,) + mf.support
-    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), key=key, support=support)
+    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), support=support)

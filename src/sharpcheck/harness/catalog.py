@@ -18,17 +18,24 @@ Conventions shared by all entries:
 * integrals over unbounded regions are truncated to the grid box, which
   covers the manufactured support plus a collar.
 
-The finite-difference entries take their grid, input samples, operator image
-and derivative magnitudes from ``_fields``.  A set is held only on the
-input's support box (``calculus.support_box``), with its slices: elsewhere
-the derivatives vanish, and so does the operator image, since every
-``build_operator`` kind is positively homogeneous, so ``F(0, x) = 0``.  The
-input is sampled on its analytic support and the set built slab by slab
-(``calculus.operator_fields``).  The runners form masses, masks and
-integrands on the box from the grid's axis nodes, so every per-node value is
-the whole grid's, bit for bit, and accumulate integrands one slab of axis-0
-layers at a time; the collar term, which does not vanish off the box, is
-summed over the whole grid slab by slab, and only under a nonzero ``tau0^p``.
+A finite-difference entry's input is one recipe ``(side, kind, wall, time,
+shape)`` (``_sampled``): ``manufactured(kind, d, **shape)`` on [-side, side]^d,
+with the first space axis the half axis [0, wall] when ``wall`` is set, behind
+a time axis [0, T] with a bump time profile when ``time = (T, t_center,
+t_radius)`` is set.  The entries take their grid, input samples, operator
+image and derivative magnitudes from ``_fields``, as one set per recipe and
+spacing (OSC, OSC-P and INTERP-LOCAL difference the samples themselves); a
+set on a half grid is checked once, when built, to vanish on the boundary
+face.  A set is held only on the input's support box
+(``calculus.support_box``), with its slices: elsewhere the derivatives
+vanish, and so does the operator image, since every ``build_operator`` kind
+is positively homogeneous, so ``F(0, x) = 0``.  The input is sampled on its
+analytic support and the set built slab by slab (``calculus.operator_fields``).
+The runners form masses, masks and integrands on the box from the grid's axis
+nodes, so every per-node value is the whole grid's, bit for bit, and
+accumulate integrands one slab of axis-0 layers at a time; the collar term,
+which does not vanish off the box, is summed over the whole grid slab by
+slab, and only under a nonzero ``tau0^p``.
 Inside ``run_suite`` (see ``shared_fields``) entries with one recipe share
 these sets: each is computed once, handed out read-only, and kept only while
 its recipe is the most recently requested one; each operator's class check
@@ -114,10 +121,12 @@ class CatalogEntry:
         """The ladder as floats; a step this entry cannot run at ``params``
         raises ``ValueError``.  Spacings are finite and at least ``min_spacing``,
         windows finite and positive, instance counts positive integers, and
-        each value passes ``check_step``.  A spacing ladder strictly decreases
+        each value passes ``check_step``; an integer past the float range is
+        refused.  A spacing ladder strictly decreases
         and a window or instance ladder strictly increases: a repeated or
         reordered step refines nothing."""
-        ladder = tuple(float(x) for x in ladder)
+        ladder = tuple(_float(x, f"{self.ladder_kind} ladder value {x} for {self.id}")
+                       for x in ladder)
         if not ladder:
             raise ValueError(f"empty ladder for {self.id}")
         spacing = self.ladder_kind == "spacing"
@@ -155,7 +164,7 @@ class CatalogEntry:
                 cast, types, what = _TYPES[type(default)]
                 _need(isinstance(val, types) and not isinstance(val, bool),
                       f"{key} must be {what}, got {val!r}")
-                val = cast(val)
+                val = cast(val) if cast is int else _float(val, key)
             params[key] = val
         return params
 
@@ -182,6 +191,15 @@ def _register(**kw):
 def _need(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _float(x, what: str) -> float:
+    """``float(x)``, where an integer past the float range raises
+    ``ValueError`` naming ``what``, not ``OverflowError``."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 # By the type of a parameter's default: the type it runs in, the values it
@@ -286,25 +304,49 @@ def shared_fields():
         _SHARED.reset(token)
 
 
-def _fields(params: dict, h: float, lo, hi, mf, time_axis=False, half_axis=None):
-    """``(grid, box, u, fv, d2, d1)``: the grid, the input's support box and,
+def _sampled(d: int, h: float, side: float, kind: str, wall=None, time=None, **shape):
+    """``(grid, u)``: the grid of one input recipe and ``manufactured(kind, d,
+    **shape)`` sampled on it.  The grid is [-side, side]^d, its first space
+    axis the half axis [0, wall] when ``wall`` is set, behind a time axis
+    [0, T] when ``time = (T, t_center, t_radius)`` is set, where the input
+    takes a bump time profile centred at ``t_center`` of radius ``t_radius``."""
+    mf = manufactured(kind, d, **shape)
+    lo, hi = [-side] * d, [side] * d
+    if wall is not None:
+        lo[0], hi[0] = 0.0, wall
+    if time is not None:
+        t_end, t_center, t_radius = time
+        mf = with_time_profile(mf, t_center=t_center, t_radius=t_radius)
+        lo, hi = [0.0] + lo, [t_end] + hi
+    grid = _grid(lo, hi, h, time_axis=time is not None,
+                 half_axis=None if wall is None else int(time is not None))
+    return grid, mf.on_grid(grid)
+
+
+def _fields(params: dict, h: float, side: float, kind: str, wall=None, time=None, **shape):
+    """``(grid, box, u, fv, d2, d1)`` of the input recipe ``(side, kind, wall,
+    time, shape)`` (see ``_sampled``): the grid, the input's support box and,
     as read-only arrays on it, samples, operator image and Hessian and
-    gradient magnitudes, never padded; shared in a ``shared_fields`` block."""
+    gradient magnitudes, never padded.  Shared in a ``shared_fields`` block
+    under the recipe, the operator, delta and d."""
     store = _SHARED.get()
-    compute = partial(_field_set, params, h, lo, hi, mf, time_axis, half_axis)
-    if store is None or mf.key is None:
+    compute = partial(_field_set, params, h, side, kind, wall, time, shape)
+    if store is None:
         return compute()
-    recipe = (mf.key, tuple(lo), tuple(hi), time_axis, half_axis, params["operator"],
+    recipe = (side, kind, wall, time, tuple(sorted(shape.items())), params["operator"],
               params["delta"], params["d"])
     return store.get(recipe, h, compute)
 
 
-def _field_set(params, h, lo, hi, mf, time_axis, half_axis):
-    grid = _grid(lo, hi, h, time_axis=time_axis, half_axis=half_axis)
-    box, *arrays = operator_fields(build_operator(params), mf.on_grid(grid))
+def _field_set(params, h, side, kind, wall, time, shape):
+    """``_fields``' set, computed; a ``wall`` recipe's input is checked to
+    vanish on the boundary face."""
+    grid, u = _sampled(params["d"], h, side, kind, wall, time, **shape)
+    box, *arrays = operator_fields(build_operator(params), u)
     for arr in arrays:
         arr.flags.writeable = False
-    return (grid, box, *arrays)
+    fields = (grid, box, *arrays)
+    return fields if wall is None else _zero_trace(fields)
 
 
 def _integral(arr, mass) -> float:
@@ -649,11 +691,11 @@ def _osc_validate(p):
     _need(b in range(1, cap + 1), f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
 
 
-def _sharp_pointwise(params, h, seed, mf, lo, hi, e: int, amp_power: int, time_axis: bool):
-    """Hessian sharp function by covering maximals of ``|F|^e`` and of the
-    Hessian, amplified by ``nu ** (amp_power / gamma)``."""
-    grid = _grid(lo, hi, h, time_axis=time_axis)
-    u = mf.on_grid(grid)
+def _sharp_pointwise(params, h, seed, side: float, time, e: int, amp_power: int):
+    """Hessian sharp function of a bump (recipe ``side``, ``time``) by covering
+    maximals of ``|F|^e`` and of the Hessian, amplified by
+    ``nu ** (amp_power / gamma)``."""
+    grid, u = _sampled(params["d"], h, side, "bump", time=time, radius=params["radius"])
     derivs = fd_derivatives(u)
     fv = evaluate_operator(build_operator(params), u, derivs)
     nu, mu, xi, gamma = (params[k] for k in ("nu", "mu", "xi", "gamma"))
@@ -687,9 +729,7 @@ def _run_osc(params, h, seed):
     """Pointwise bound of the Hessian sharp function over small balls by
     covering maximal functions of the operator image and the Hessian itself."""
     d = params["d"]
-    mf = manufactured("bump", d, radius=params["radius"])
-    return _sharp_pointwise(params, h, seed, mf, (-1.5,) * d, (1.5,) * d,
-                            e=d, amp_power=d, time_axis=False)
+    return _sharp_pointwise(params, h, seed, 1.5, None, e=d, amp_power=d)
 
 
 @_register(
@@ -703,10 +743,7 @@ def _run_osc_p(params, h, seed):
     """Space-time twin of the Hessian sharp bound over forward cylinders, with
     the time derivative folded into the operator image."""
     d = params["d"]
-    mf = with_time_profile(manufactured("bump", d, radius=params["radius"]),
-                           t_center=0.7, t_radius=0.5)
-    return _sharp_pointwise(params, h, seed, mf, (0.0,) + (-1.2,) * d, (1.5,) + (1.2,) * d,
-                            e=d + 1, amp_power=d + 2, time_axis=True)
+    return _sharp_pointwise(params, h, seed, 1.2, (1.5, 0.7, 0.5), e=d + 1, amp_power=d + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +769,9 @@ def _run_interp(params, h, seed):
     radius, plus their weighted integral form."""
     d = params["d"]
     parabolic = params["geometry"] == "parabolic"
-    mf = manufactured("gaussian", d, sigma=params["sigma"])
-    if parabolic:
-        mf = with_time_profile(mf, t_center=1.0, t_radius=0.8)
-        lo, hi = (0.0,) + (-2.0,) * d, (2.0,) + (2.0,) * d
-    else:
-        lo, hi = (-2.0,) * d, (2.0,) * d
-    grid, box, u, fv, d2, d1 = _fields(params, h, lo, hi, mf, time_axis=parabolic)
+    grid, box, u, fv, d2, d1 = _fields(params, h, 2.0, "gaussian",
+                                       time=(2.0, 1.0, 0.8) if parabolic else None,
+                                       sigma=params["sigma"])
     rho, gamma, p = (params[k] for k in ("rho", "gamma", "p"))
     ed = d + 1 if parabolic else d
     # three windows at and above the threshold radius keep the covering
@@ -784,9 +817,8 @@ def _run_interp_local(params, h, seed):
     split between the Hessian and zeroth-order terms, and its two-radius
     corollary."""
     d = params["d"]
-    mf = manufactured("gaussian", d, sigma=params["sigma"])
-    grid = _grid((-1.0,) * d, (1.0,) * d, h)
-    u = mf.on_grid(grid)                  # a gaussian: the samples span the grid
+    # a gaussian: the samples span the grid
+    grid, u = _sampled(d, h, 1.0, "gaussian", sigma=params["sigma"])
     derivs = fd_derivatives(u)
     box = derivs.box
     u, d2, d1 = u.values[box], frobenius(derivs.box_d2u), euclidean(derivs.box_du)
@@ -828,9 +860,8 @@ def _run_w2p_global(params, h, seed):
     """Global weighted Hessian bound for compactly supported inputs by the
     operator image, the function, and the oscillation-budget collar term."""
     d, p, R, r0, tau0 = (params[k] for k in ("d", "p", "R", "r0", "tau0"))
-    L = R + r0 + 0.25
-    mf = manufactured("bump", d, radius=params["radius"], amplitude=params["amplitude"])
-    grid, box, u, fv, d2, _ = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, box, u, fv, d2, _ = _fields(params, h, R + r0 + 0.25, "bump",
+                                      radius=params["radius"], amplitude=params["amplitude"])
     w = _axis_weight(params["q"])
     collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
     scale = r0 ** (-2 * p)
@@ -868,12 +899,6 @@ _APRIORI_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
                      "q": None, "radius": 1.2, "extent": 2.5}
 
 
-def _apriori_fields(params, h):
-    d, L = params["d"], params["extent"]
-    mf = manufactured("bump", d, radius=params["radius"])
-    return _fields(params, h, (-L,) * d, (L,) * d, mf)
-
-
 def _apriori_pair(params, fields, axis: int):
     """Absorbed-defect form and gradient pair over the whole grid box."""
     p = params["p"]
@@ -892,7 +917,8 @@ def _apriori_pair(params, fields, axis: int):
 def _run_apriori(params, h, seed):
     """Full-space weighted a priori bounds: Hessian and gradient by operator
     image plus function, and all three orders by the absorbed defect."""
-    return _apriori_pair(params, _apriori_fields(params, h), axis=0)
+    fields = _fields(params, h, params["extent"], "bump", radius=params["radius"])
+    return _apriori_pair(params, fields, axis=0)
 
 
 @_register(
@@ -906,7 +932,8 @@ def _run_mixed(params, h, seed):
     """Iterated-norm version of the absorbed a priori bound with one exponent
     per axis, innermost axis first."""
     p1, p2 = params["p1"], params["p2"]
-    grid, box, u, fv, d2, d1 = _apriori_fields(params, h)
+    grid, box, u, fv, d2, d1 = _fields(params, h, params["extent"], "bump",
+                                       radius=params["radius"])
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
     return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), u, fv,
                             {"finiteness_hypothesis": "automatic on a truncated grid"})]
@@ -926,9 +953,7 @@ def _run_local_w2p(params, h, seed):
     """Interior weighted Hessian and gradient bounds on concentric balls with
     the inverse-gap coefficients of the cutoff argument."""
     d, p, r, R = (params[k] for k in ("d", "p", "r", "R"))
-    L = R + 0.2
-    mf = manufactured("gaussian", d, sigma=params["sigma"])
-    grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, box, u, fv, d2, d1 = _fields(params, h, R + 0.2, "gaussian", sigma=params["sigma"])
     mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
@@ -960,9 +985,7 @@ def _run_local_mixed(params, h, seed):
     """Interior iterated-norm bound: Hessian and gradient on the inner ball by
     the operator image and function on the outer ball."""
     d, p1, p2, r, R = (params[k] for k in ("d", "p1", "p2", "r", "R"))
-    L = R + 0.2
-    mf = manufactured("gaussian", d, sigma=params["sigma"])
-    grid, box, u, fv, d2, d1 = _fields(params, h, (-L,) * d, (L,) * d, mf)
+    grid, box, u, fv, d2, d1 = _fields(params, h, R + 0.2, "gaussian", sigma=params["sigma"])
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box)
     outer = _ball_mask(grid, origin, R, box)
@@ -978,14 +1001,12 @@ _HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
                 "q": 0.25, "n": 0, "eps": 0.5}
 
 
-def _slab_fields(params, h, x1_extent=4.0, center=1.2, radii=(1.0, 1.6)):
-    d = params["d"]
-    lo = (0.0,) + (-2.0,) * (d - 1)
-    hi = (x1_extent,) + (2.0,) * (d - 1)
-    centers = (center,) + (0.0,) * (d - 1)
-    rr = (radii[0],) + (radii[1],) * (d - 1)
-    mf = manufactured("slab_bump", d, centers=centers, radii=rr)
-    return _fields(params, h, lo, hi, mf, half_axis=0)
+def _slab_fields(params, h, wall=4.0, center=1.2, radii=(1.0, 1.6)):
+    """A slab bump centred at ``center`` on the half axis [0, wall] and at 0 on
+    the others, with radius ``radii[0]`` across the wall and ``radii[1]`` along it."""
+    others = params["d"] - 1
+    return _fields(params, h, 2.0, "slab_bump", wall, centers=(center,) + (0.0,) * others,
+                   radii=(radii[0],) + (radii[1],) * others)
 
 
 @_register(
@@ -1040,8 +1061,7 @@ def _run_hs_weighted(params, h, seed):
     multiplies the Hessian and the defect, and its inverse multiplies the
     function."""
     p, q = params["p"], params["q"]
-    grid, box, u, fv, d2, d1 = _slab_fields(
-        params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
+    grid, box, u, fv, d2, d1 = _slab_fields(params, h, wall=3.0, center=1.0, radii=(0.7, 1.5))
     mass = NodeMasses(grid, HattedPowerX1(q, axis=0), box)
     hat = _slab_hat(grid, box)
     eq = EquationCheck(
@@ -1064,8 +1084,7 @@ def _run_hs_mixed(params, h, seed):
     """Iterated-norm version of the boundary-weighted bound: inner norm across
     the boundary-parallel axes, outer weighted norm in the distance axis."""
     d, p1, p2, q = (params[k] for k in ("d", "p1", "p2", "q"))
-    grid, box, u, fv, d2, d1 = _slab_fields(
-        params, h, x1_extent=3.0, center=1.0, radii=(0.7, 1.5))
+    grid, box, u, fv, d2, d1 = _slab_fields(params, h, wall=3.0, center=1.0, radii=(0.7, 1.5))
     hat = _slab_hat(grid, box)
     spec = MixedNormSpec(groups=((0,), tuple(range(1, d))), exponents=(p2, p1),
                          weights=(HattedPowerX1(q, axis=0), None))
@@ -1076,14 +1095,6 @@ def _run_hs_mixed(params, h, seed):
 
 # ---------------------------------------------------------------------------
 # half-space bounds with a vanishing boundary trace
-
-def _dirichlet_fields(params, h, radius, box, kind="odd_bump"):
-    d = params["d"]
-    lo = (0.0,) + (-box,) * (d - 1)
-    hi = (box,) + (box,) * (d - 1)
-    return _zero_trace(_fields(params, h, lo, hi, manufactured(kind, d, radius=radius),
-                               half_axis=0))
-
 
 @_register(
     id="HS-DIRICHLET",
@@ -1101,7 +1112,8 @@ def _run_hs_dirichlet(params, h, seed):
     compact-support Hessian bound with the collar term, the gradient pair, and
     the absorbed-defect form."""
     p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
-    grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, R, R + 0.1, kind=params["input"])
+    side = R + 0.1
+    grid, box, u, fv, d2, d1 = _fields(params, h, side, params["input"], side, radius=R)
     w = _axis_weight(params["q"])
     mass = NodeMasses(grid, w, box)
     collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * grid.ndim, R + r0))
@@ -1122,7 +1134,8 @@ def _run_hs_dirichlet_mixed(params, h, seed):
     weight in the distance axis, and the plain-power scaling variant for
     translation-invariant operators."""
     d, p1, p2, q, radius = (params[k] for k in ("d", "p1", "p2", "q", "radius"))
-    grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, radius + 0.1)
+    side = radius + 0.1
+    grid, box, u, fv, d2, d1 = _fields(params, h, side, "odd_bump", side, radius=radius)
     uu = np.abs(u)
     groups = ((0,), tuple(range(1, d)))
 
@@ -1148,7 +1161,8 @@ def _run_hs_local(params, h, seed):
     """Interior-to-boundary localized Hessian bound on half balls with the
     inverse-gap lower-order combination."""
     d, p, r, R, radius = (params[k] for k in ("d", "p", "r", "R", "radius"))
-    grid, box, u, fv, d2, d1 = _dirichlet_fields(params, h, radius, max(R, radius) + 0.2)
+    side = max(R, radius) + 0.2
+    grid, box, u, fv, d2, d1 = _fields(params, h, side, "odd_bump", side, radius=radius)
     mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
     origin = (0.0,) * d
     inner = _ball_mask(grid, origin, r, box) * mass
@@ -1164,14 +1178,11 @@ _PARA_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
                   "t_center": 0.7, "t_radius": 0.6}
 
 
-def _para_fields(params, h, box=1.4, t_extent=1.6):
-    d = params["d"]
-    mf = with_time_profile(
-        manufactured("bump", d, radius=params["radius"]),
-        t_center=params["t_center"], t_radius=params["t_radius"])
-    lo = (0.0,) + (-box,) * d
-    hi = (t_extent,) + (box,) * d
-    return _fields(params, h, lo, hi, mf, time_axis=True)
+def _para_fields(params, h, side=1.4, t_end=1.6, kind="bump", wall=None):
+    """The input ``kind`` of the parameters' radius under their time profile,
+    on [0, t_end] in time."""
+    return _fields(params, h, side, kind, wall, (t_end, params["t_center"], params["t_radius"]),
+                   radius=params["radius"])
 
 
 @_register(
@@ -1233,7 +1244,7 @@ def _run_para_local_mixed(params, h, seed):
     inside the small cylinder by the heat-operator image and function inside the
     large one."""
     p0, p1, p2, r, R = (params[k] for k in ("p0", "p1", "p2", "r", "R"))
-    grid, box, u, fv, d2, d1 = _para_fields(params, h, box=1.2, t_extent=1.0)
+    grid, box, u, fv, d2, d1 = _para_fields(params, h, side=1.2, t_end=1.0)
     inner = _cylinder_mask(grid, r, box)
     outer = _cylinder_mask(grid, R, box)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
@@ -1249,16 +1260,6 @@ _PARA_HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
                      "radius": 1.1, "t_center": 0.7, "t_radius": 0.6}
 
 
-def _para_hs_fields(params, h):
-    d = params["d"]
-    mf = with_time_profile(
-        manufactured("odd_bump", d, radius=params["radius"]),
-        t_center=params["t_center"], t_radius=params["t_radius"])
-    lo = (0.0, 0.0) + (-1.3,) * (d - 1)
-    hi = (1.6, 1.3) + (1.3,) * (d - 1)
-    return _zero_trace(_fields(params, h, lo, hi, mf, time_axis=True, half_axis=1))
-
-
 @_register(
     id="PARA-HS",
     defaults=_PARA_HS_DEFAULTS,
@@ -1269,7 +1270,7 @@ def _run_para_hs(params, h, seed):
     """Space-time boundary Hessian bound for trace-zero inputs supported in a
     forward half-cylinder."""
     p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
-    grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
+    grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
     w = _axis_weight(params["q"], axis=1)
     collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
     return [_collar_hessian("boundary_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
@@ -1286,7 +1287,7 @@ def _run_para_hs_full(params, h, seed):
     """Space-time boundary bound of all three derivative orders by the absorbed
     defect for trace-zero inputs."""
     p = params["p"]
-    grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
+    grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
     mass = NodeMasses(grid, _axis_weight(params["q"], axis=1), box)
     return [_absorbed("boundary_absorbed", p, mass, d2, d1, u, fv)]
 
@@ -1304,7 +1305,7 @@ def _run_para_hs_mixed(params, h, seed):
     power weight in the wall distance: time-outer and space-outer cylinder forms
     plus the full triple form."""
     d, p1, p2, p3, q, r, R = (params[k] for k in ("d", "p1", "p2", "p3", "q", "r", "R"))
-    grid, box, u, fv, d2, d1 = _para_hs_fields(params, h)
+    grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
     uu = np.abs(u)
     inner = _cylinder_mask(grid, r, box)
     outer = _cylinder_mask(grid, R, box)

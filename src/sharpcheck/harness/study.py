@@ -114,7 +114,7 @@ def run_estimate_check(spec: EstimateSpec) -> InequalityReport:
 
 def refinement_study(spec: EstimateSpec, ladder) -> InequalityReport:
     """Run one entry over an explicit spacing ladder of three or more steps."""
-    ladder = tuple(float(x) for x in ladder)
+    ladder = tuple(ladder)
     if len(ladder) < 3:
         raise ValueError("refinement ladders need at least 3 spacings")
     entry = resolve_entry(spec.id)

@@ -344,6 +344,12 @@ def whole_grid_samples(mf, g):
     return dataclasses.replace(mf, support=None).on_grid(g)
 
 
+def recipe_input(d, kind, time, shape):
+    """The input of a catalog recipe, built apart from ``catalog._sampled``."""
+    mf = ca.manufactured(kind, d, **shape)
+    return mf if time is None else ca.with_time_profile(mf, t_center=time[1], t_radius=time[2])
+
+
 def whole_grid_operator_image(op, u):
     # F at every node, on flat rows with the grid's flat coordinates, plus
     # the time derivative
@@ -421,26 +427,18 @@ class TestSupportBox:
             out = op(np.zeros((9, d, d)), X)
             assert out.shape == (9,) and not out.any() and not np.signbit(out).any()
 
-    # the inputs the catalog draws, as (input, lo, hi, time_axis, half_axis)
-    # of an entry that draws it, with their time products
+    # the inputs the catalog draws, as the recipe (side, kind, wall, time,
+    # shape) of an entry that draws it at dimension d, with their time products
     RECIPES = {
-        "bump": (ca.manufactured("bump", 2, radius=0.9), (-2.25,) * 2, (2.25,) * 2, False, None),
-        "odd_bump": (ca.manufactured("odd_bump", 2, radius=1.5), (0.0, -1.6), (1.6, 1.6),
-                     False, 0),
-        "slab_bump": (ca.manufactured("slab_bump", 2, centers=(1.2, 0.0), radii=(1.0, 1.6)),
-                      (0.0, -2.0), (4.0, 2.0), False, 0),
-        "gaussian": (ca.manufactured("gaussian", 2, sigma=0.6), (-1.7,) * 2, (1.7,) * 2,
-                     False, None),
-        "bump_3d": (ca.manufactured("bump", 3, radius=1.2), (-2.5,) * 3, (2.5,) * 3, False, None),
-        "bump_t": (ca.with_time_profile(ca.manufactured("bump", 2, radius=1.0), t_center=0.7,
-                                        t_radius=0.6), (0.0, -1.4, -1.4), (1.6, 1.4, 1.4),
-                   True, None),
-        "odd_bump_t": (ca.with_time_profile(ca.manufactured("odd_bump", 2, radius=1.1),
-                                            t_center=0.7, t_radius=0.6),
-                       (0.0, 0.0, -1.3), (1.6, 1.3, 1.3), True, 1),
-        "gaussian_t": (ca.with_time_profile(ca.manufactured("gaussian", 2, sigma=0.6),
-                                            t_center=1.0, t_radius=0.8),
-                       (0.0, -2.0, -2.0), (2.0, 2.0, 2.0), True, None),
+        "bump": (2, 2.25, "bump", None, None, {"radius": 0.9}),
+        "odd_bump": (2, 1.6, "odd_bump", 1.6, None, {"radius": 1.5}),
+        "slab_bump": (2, 2.0, "slab_bump", 4.0, None, {"centers": (1.2, 0.0),
+                                                       "radii": (1.0, 1.6)}),
+        "gaussian": (2, 1.7, "gaussian", None, None, {"sigma": 0.6}),
+        "bump_3d": (3, 2.5, "bump", None, None, {"radius": 1.2}),
+        "bump_t": (2, 1.4, "bump", None, (1.6, 0.7, 0.6), {"radius": 1.0}),
+        "odd_bump_t": (2, 1.3, "odd_bump", 1.3, (1.6, 0.7, 0.6), {"radius": 1.1}),
+        "gaussian_t": (2, 2.0, "gaussian", None, (2.0, 1.0, 0.8), {"sigma": 0.6}),
     }
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
@@ -455,13 +453,15 @@ class TestSupportBox:
         from sharpcheck.harness import catalog
         if slab_nodes:
             monkeypatch.setattr(ca, "_SLAB_NODES", slab_nodes)
-        mf, lo, hi, time_axis, half_axis = self.RECIPES[recipe]
-        d = len(mf.support) - time_axis
+        d, side, name, wall, time, shape = self.RECIPES[recipe]
+        mf = recipe_input(d, name, time, shape)
         params = {"operator": kind, "delta": 0.5, "d": d}
         op = catalog.build_operator(params)
         for h in (0.2, 0.1) if d == 3 else (0.1, 0.05):
-            grid, box, u, fv, d2, d1 = catalog._fields(params, h, lo, hi, mf, time_axis,
-                                                       half_axis)
+            grid, box, u, fv, d2, d1 = catalog._fields(params, h, side, name, wall, time,
+                                                       **shape)
+            assert grid.time_axis == (time is not None)
+            assert grid.half_axis == (None if wall is None else grid.ndim - d)
             whole = whole_grid_samples(mf, grid)
             want = ca.fd_derivatives(whole)
             assert box == want.box and box == ca.support_box(whole.values)
@@ -519,8 +519,9 @@ class TestSupportBox:
             if entry.ladder_kind == "spacing":
                 run_estimate_check(EstimateSpec(id=entry.id, ladder=entry.ladder[:2]))
         kinds = set()
-        for (params, h, lo, hi, mf, time_axis, half_axis), fields in calls:
+        for (params, h, side, name, wall, time, shape), fields in calls:
             grid, box, u, fv, d2, d1 = fields
+            mf = recipe_input(params["d"], name, time, shape)
             want = whole_grid_samples(mf, grid)
             assert mf.on_grid(grid).padded().tobytes() == want.values.tobytes()
             du, d2u, _ = whole_grid_derivatives(want)
@@ -531,9 +532,9 @@ class TestSupportBox:
                 catalog.build_operator(params), want).tobytes()
             assert padded(d2) == ca.frobenius(d2u).tobytes()
             assert padded(d1) == ca.euclidean(du).tobytes()
-            kinds.add((mf.key[0][0] if time_axis else mf.key[0], time_axis, half_axis))
+            kinds.add((name, time is not None, wall is not None))
         assert len(calls) >= 36 and len(kinds) >= 6
-        assert {(t, hf is not None) for _, t, hf in kinds} == {
+        assert {(t, half) for _, t, half in kinds} == {
             (False, False), (False, True), (True, False), (True, True)}
 
 

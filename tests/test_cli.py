@@ -215,6 +215,13 @@ class TestConfigDiagnostics:
                    "[suite]\nname = bad\nseed = 1\n\n[estimate:MAX-LP]\nbogus = 1\n",
                    "line 6", "unknown parameter 'bogus'")
 
+    def test_integer_past_the_float_range_names_its_parameter(self, tmp_path, capsys):
+        err = self.check(tmp_path, capsys,
+                         "[suite]\nname = bad\nseed = 1\n\n[estimate:APRIORI]\np = 1"
+                         + "0" * 400 + "\n",
+                         "line 5", "invalid parameters for APRIORI: p is too large for a float")
+        assert "int too large" not in err
+
     def test_constraint_violation_points_at_the_section(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n[estimate:FS-LOCAL]\np = 0.25\n",

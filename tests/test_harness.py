@@ -266,6 +266,15 @@ class TestCatalogRecipes:
         with pytest.raises(ValueError, match="vanish on the boundary"):
             run_entry("HS-DIRICHLET", 0.1, input="bump")
 
+    def test_slab_bump_on_the_face_is_refused(self):
+        # every set on a half grid has its trace checked, the slab bumps of
+        # HS-SLAB, HS-WEIGHTED and HS-MIXED too: one centred on the face is
+        # refused, and at its default centre the same recipe builds
+        params = ENTRIES["HS-SLAB"].merged({})
+        with pytest.raises(ValueError, match="vanish on the boundary"):
+            catalog._slab_fields(params, 0.1, center=0.0)
+        assert catalog._slab_fields(params, 0.1)[2].any()
+
     def test_zero_trace_reads_the_half_axis_face(self):
         # the trace is the box's first layer along the half axis: axis 0 in
         # space, axis 1 behind a time axis; the other faces are not read
@@ -525,7 +534,8 @@ class TestBoxHelpers:
         # the boxes two entries meet: PARA-GLOBAL's, inside the grid, and
         # PARA-HS's, on the boundary face of its half axis
         for fields in (catalog._para_fields(ENTRIES["PARA-GLOBAL"].defaults, 0.05),
-                       catalog._para_hs_fields(ENTRIES["PARA-HS"].defaults, 0.05)):
+                       catalog._para_fields(ENTRIES["PARA-HS"].defaults, 0.05, 1.3,
+                                            kind="odd_bump", wall=1.3)):
             grid, box = fields[:2]
             assert 0 < fields[2].size < math.prod(grid.shape)
             for w in box_weights(grid):
@@ -784,6 +794,21 @@ class TestStudyDrivers:
                                              "of order: the ladder must be strictly decreasing"):
             run_estimate_check(EstimateSpec(id=eid, ladder=ladder))
 
+    @pytest.mark.parametrize("eid,params,ladder,needle", [
+        ("APRIORI", {"p": 10 ** 400}, (), "p is too large for a float"),
+        ("APRIORI", {"q": 10 ** 400}, (), "q is too large for a float"),
+        ("APRIORI", {}, (10 ** 400,), f"spacing ladder value {10 ** 400} for APRIORI is too large"),
+        ("IDENTITIES", {}, (10 ** 400,),
+         f"instances ladder value {10 ** 400} for IDENTITIES is too large"),
+    ], ids=["p", "q", "APRIORI-ladder", "IDENTITIES-ladder"])
+    def test_integer_past_the_float_range_is_refused(self, eid, params, ladder, needle):
+        # a ValueError naming the parameter or the ladder value, not OverflowError
+        with pytest.raises(ValueError, match=needle):
+            run_estimate_check(EstimateSpec(id=eid, params=params, ladder=ladder))
+        if ladder and eid == "APRIORI":
+            with pytest.raises(ValueError, match=needle):
+                refinement_study(EstimateSpec(id=eid), ladder + (0.05, 0.025))
+
 
 PDE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "pde.cfg"
 
@@ -840,6 +865,24 @@ def test_catalog_casts_no_parameter():
              and any(isinstance(arg, ast.Subscript) and getattr(arg.value, "id", None)
                      in ("params", "p") for arg in node.args)]
     assert casts == [], f"catalog.py casts a parameter at lines {casts}"
+
+
+def test_catalog_draws_difference_inputs_through_the_recipe():
+    # every finite-difference input is one recipe sampled by _sampled; only
+    # FS-LOCAL (a dyadic filtration) and ZEROTH-1D and NEG-EXP (analytic
+    # derivatives) draw their own
+    tree = ast.parse(pathlib.Path(catalog.__file__).read_text())
+
+    def draws(root):
+        return {node.lineno for node in ast.walk(root) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in ("manufactured", "with_time_profile")}
+
+    allowed = ("_sampled", "_run_fs_local", "_run_zeroth_1d", "_run_neg_exp")
+    inside = set().union(*(draws(fn) for fn in ast.walk(tree)
+                           if isinstance(fn, ast.FunctionDef) and fn.name in allowed))
+    outside = sorted(draws(tree) - inside)
+    assert outside == [], f"catalog.py draws an input outside the recipe at lines {outside}"
 
 
 @pytest.mark.parametrize("eid", ["W2P-GLOBAL", "HS-DIRICHLET", "PARA-GLOBAL", "PARA-HS"])
@@ -905,6 +948,58 @@ class TestSharedFields:
         run_suite([specs[0]])
         run_suite([specs[0]])
         assert len(calls) == 5                # nothing outlives a run_suite call
+
+    # entries drawing one input on one box with one operator
+    GROUPS = (("APRIORI", "MIXED"), ("HS-WEIGHTED", "HS-MIXED"),
+              ("HS-DIRICHLET", "HS-DIRICHLET-MIXED"),
+              ("PARA-GLOBAL", "PARA-APRIORI", "PARA-MIXED"),
+              ("PARA-HS", "PARA-HS-FULL", "PARA-HS-MIXED"))
+
+    def test_one_set_per_recipe_and_step(self, monkeypatch):
+        # the pde workload builds 33 sets: the first entry of each group
+        # builds its set at each step and the others are handed that set;
+        # the trace of every set on a half grid is checked once, when built
+        cfg = load_suite(str(PDE_CONFIG))
+        leader = {eid: group[0] for group in self.GROUPS for eid in group}
+        running, built, handed, lead_sets, traces = [None], [], [], {}, []
+        field_set, fields, zero_trace = catalog._field_set, catalog._fields, catalog._zero_trace
+
+        def build(params, h, side, kind, wall, time, shape):
+            built.append((running[0], h, wall is not None))
+            return field_set(params, h, side, kind, wall, time, shape)
+
+        def hand(params, h, *recipe, **shape):
+            out = fields(params, h, *recipe, **shape)
+            eid = running[0]
+            if leader.get(eid) == eid:
+                lead_sets[h] = out            # held for the group's run only
+            elif eid in leader:
+                handed.append((eid, h, out is lead_sets[h]))
+            return out
+
+        def tracked(entry):
+            def runner(params, x, seed):
+                running[0] = entry.id
+                return entry.runner(params, x, seed)
+            return dataclasses.replace(entry, runner=runner)
+
+        monkeypatch.setattr(catalog, "_field_set", build)
+        monkeypatch.setattr(catalog, "_fields", hand)
+        monkeypatch.setattr(catalog, "_zero_trace", lambda f: traces.append(1) or zero_trace(f))
+        for eid, _, _ in cfg.blocks:
+            monkeypatch.setitem(catalog.ENTRIES, eid, tracked(ENTRIES[eid]))
+        reports = run_suite([EstimateSpec(id=eid, params=prm, ladder=ladder, seed=0)
+                             for eid, prm, ladder in cfg.blocks])
+        assert all(r.verdict != ERROR for r in reports)
+        assert len(built) == 33
+        assert len(traces) == sum(half for _, _, half in built) == 15
+        for group in self.GROUPS:
+            steps = ENTRIES[group[0]].ladder
+            assert [h for eid, h, _ in built if eid == group[0]] == list(steps)
+            assert [(eid, h) for eid, h, _ in handed if eid in group] == [
+                (eid, h) for eid in group[1:] for h in steps]
+        assert not any(eid in leader and leader[eid] != eid for eid, _, _ in built)
+        assert all(same for _, _, same in handed)
 
     def test_sets_are_shared_read_only_and_kept_for_one_recipe(self):
         para = ENTRIES["PARA-GLOBAL"].merged({})
