@@ -523,8 +523,6 @@ class ClassReport:
     passed: bool
     max_lipschitz_ratio: float
     ellipticity_range: tuple[float, float]
-    max_at_zero: float
-    homogeneity_defect: float
     failures: list = field(default_factory=list)
 
 
@@ -568,7 +566,7 @@ def check_operator_class(op: Operator, d: int, budget: int = 200,
         if hom > rtol * 10:
             failures.append(("homogeneity", hom))
 
-    return ClassReport(not failures, max_lip, (emin, emax), zero, hom, failures)
+    return ClassReport(not failures, max_lip, (emin, emax), failures)
 
 
 # ---------------------------------------------------------------------------

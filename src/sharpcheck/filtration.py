@@ -11,6 +11,13 @@ are immutable, so it keeps each level's cell means once computed, and the
 stopping time, the stopped values and the maximal function of one field
 average each level once.
 
+A filtration is one frozen value, :class:`Filtration` ``(k, n_min, n_max,
+lo, hi)``, which checks its parameters and the box's alignment when built
+and carries the finest grid they fix.  ``full_space``, ``half_space`` and
+``parabolic`` build the whole-space, half-space and space-time kinds; the
+last two refuse a box below ``0`` on axis 0.  Equal parameters make equal
+filtrations.
+
 A field may carry leading batch axes, one instance per index, so that many
 fields on one filtration go through a single call: the level means, the
 stopping time, the stopped values and the maximal function act on the
@@ -30,90 +37,8 @@ from .calculus import sample_nodes
 # Stopping-time value meaning "the threshold is never crossed".
 TAU_INF = np.iinfo(np.int64).max
 
-_GEOMETRIES = ("full", "half", "parabolic")
-
 # Relative slack for box/lattice commensurability checks.
 _ALIGN_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FiltrationSpec:
-    """Geometry, anisotropy exponents, level range and bounding box.
-
-    Parameters
-    ----------
-    geometry : str
-        One of ``full``, ``half``, ``parabolic``.
-    k : tuple of int
-        Per-axis anisotropy exponents; cell side on axis ``i`` at level ``n``
-        is ``2**(-n * k[i])``.
-    n_min, n_max : int
-        Coarsest and finest materialized levels, ``n_min <= n_max``.
-    lo, hi : tuple of float
-        Bounding box corners.  Each side must be a whole number of coarsest
-        cells and ``lo`` must sit on the coarsest lattice.
-    half_axes : tuple of int
-        Axes constrained to nonnegative coordinates (``half``: axis 0;
-        ``parabolic``: the time axis 0, plus axis 1 when the spatial domain
-        is a half space).
-    """
-
-    geometry: str
-    k: tuple[int, ...]
-    n_min: int
-    n_max: int
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    half_axes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.geometry not in _GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if not self.k or any(int(ki) != ki or ki < 1 for ki in self.k):
-            raise ValueError(f"anisotropy exponents must be positive integers, got {self.k}")
-        if self.n_min > self.n_max:
-            raise ValueError(f"empty level range [{self.n_min}, {self.n_max}]")
-        if not (len(self.k) == len(self.lo) == len(self.hi)):
-            raise ValueError("k, lo, hi must have one entry per axis")
-        for ax in self.half_axes:
-            if self.lo[ax] < 0:
-                raise ValueError(f"axis {ax} is constrained to >= 0 but lo[{ax}] = {self.lo[ax]}")
-        for ax in range(len(self.k)):
-            if self.hi[ax] <= self.lo[ax]:
-                raise ValueError(f"degenerate box on axis {ax}")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.k)
-
-    @property
-    def n_children(self) -> int:
-        """Number of children of a cell, ``2**sum(k)``."""
-        return 2 ** sum(self.k)
-
-    def cell_sides(self, n: int) -> tuple[float, ...]:
-        return tuple(2.0 ** (-n * ki) for ki in self.k)
-
-    def cell_volume(self, n: int) -> float:
-        return float(np.prod(self.cell_sides(n)))
-
-
-def full_space(d: int, n_min: int, n_max: int, lo, hi) -> FiltrationSpec:
-    """Isotropic filtration of a box in d-space."""
-    return FiltrationSpec("full", (1,) * d, n_min, n_max, tuple(map(float, lo)), tuple(map(float, hi)))
-
-
-def half_space(d: int, n_min: int, n_max: int, lo, hi) -> FiltrationSpec:
-    """Isotropic filtration of a box inside the half space {x_1 >= 0}."""
-    return FiltrationSpec("half", (1,) * d, n_min, n_max, tuple(map(float, lo)),
-                          tuple(map(float, hi)), half_axes=(0,))
-
-
-def parabolic(d: int, n_min: int, n_max: int, lo, hi) -> FiltrationSpec:
-    """Space-time filtration: axis 0 is time with exponent 2, cells
-    (t, x) + [0, 4**-n) x [0, 2**-n)**d, domain {t >= 0}."""
-    return FiltrationSpec("parabolic", (2,) + (1,) * d, n_min, n_max,
-                          tuple(map(float, lo)), tuple(map(float, hi)), half_axes=(0,))
 
 
 def _aligned_count(length: float, side: float, what: str) -> int:
@@ -124,42 +49,81 @@ def _aligned_count(length: float, side: float, what: str) -> int:
     return int(rounded)
 
 
+@dataclass(frozen=True)
 class Filtration:
-    """Materialized partition stack for a :class:`FiltrationSpec`."""
+    """Materialized partition stack of a box: its anisotropy exponents, level
+    range and corners, and the finest grid they fix.
 
-    def __init__(self, spec: FiltrationSpec):
-        self.spec = spec
-        coarse = spec.cell_sides(spec.n_min)
-        for ax in range(spec.ndim):
-            _aligned_count(spec.hi[ax] - spec.lo[ax], coarse[ax], f"axis {ax} box side")
-            if spec.lo[ax] != 0.0:
-                off = spec.lo[ax] / coarse[ax]
-                if abs(off - round(off)) > _ALIGN_RTOL * max(1.0, abs(off)):
-                    raise ValueError(
-                        f"axis {ax}: lo={spec.lo[ax]} is off the level-{spec.n_min} lattice")
-        finest = spec.cell_sides(spec.n_max)
-        self.shape = tuple(
-            _aligned_count(spec.hi[ax] - spec.lo[ax], finest[ax], f"axis {ax}")
-            for ax in range(spec.ndim))
-        self.finest_volume = spec.cell_volume(spec.n_max)
+    Parameters
+    ----------
+    k : tuple of int
+        Per-axis anisotropy exponents; cell side on axis ``i`` at level ``n``
+        is ``2**(-n * k[i])``.
+    n_min, n_max : int
+        Coarsest and finest materialized levels, ``n_min <= n_max``.
+    lo, hi : tuple of float
+        Bounding box corners.  Each side must be a whole number of coarsest
+        cells and ``lo`` must sit on the coarsest lattice.
 
-    @property
-    def levels(self) -> range:
-        return range(self.spec.n_min, self.spec.n_max + 1)
+    ``shape`` (finest cells per axis) and ``finest_volume`` follow from
+    these; two filtrations are equal when their five parameters are.
+    """
+
+    k: tuple[int, ...]
+    n_min: int
+    n_max: int
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    finest_volume: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo, hi = tuple(map(float, self.lo)), tuple(map(float, self.hi))
+        if not self.k or any(int(ki) != ki or ki < 1 for ki in self.k):
+            raise ValueError(f"anisotropy exponents must be positive integers, got {self.k}")
+        if self.n_min > self.n_max:
+            raise ValueError(f"empty level range [{self.n_min}, {self.n_max}]")
+        if not (len(self.k) == len(lo) == len(hi)):
+            raise ValueError("k, lo, hi must have one entry per axis")
+        coarse, finest, shape = self.cell_sides(self.n_min), self.cell_sides(self.n_max), []
+        for ax, (a, b) in enumerate(zip(lo, hi)):
+            if b <= a:
+                raise ValueError(f"degenerate box on axis {ax}")
+            _aligned_count(b - a, coarse[ax], f"axis {ax} box side")
+            off = a / coarse[ax]
+            if a != 0.0 and abs(off - round(off)) > _ALIGN_RTOL * max(1.0, abs(off)):
+                raise ValueError(f"axis {ax}: lo={a} is off the level-{self.n_min} lattice")
+            shape.append(_aligned_count(b - a, finest[ax], f"axis {ax}"))
+        # sides are powers of two, so their product is exact in any order
+        for name, value in (("lo", lo), ("hi", hi), ("shape", tuple(shape)),
+                            ("finest_volume", math.prod(finest))):
+            object.__setattr__(self, name, value)
 
     @property
     def ndim(self) -> int:
-        return self.spec.ndim
+        return len(self.k)
+
+    @property
+    def n_children(self) -> int:
+        """Number of children of a cell, ``2**sum(k)``."""
+        return 2 ** sum(self.k)
+
+    @property
+    def levels(self) -> range:
+        return range(self.n_min, self.n_max + 1)
+
+    def cell_sides(self, n: int) -> tuple[float, ...]:
+        return tuple(2.0 ** (-n * ki) for ki in self.k)
 
     def block_factors(self, n: int) -> tuple[int, ...]:
         """Finest cells per level-n cell, per axis."""
-        if not self.spec.n_min <= n <= self.spec.n_max:
-            raise ValueError(f"level {n} outside [{self.spec.n_min}, {self.spec.n_max}]")
-        return tuple(2 ** ((self.spec.n_max - n) * ki) for ki in self.spec.k)
+        if not self.n_min <= n <= self.n_max:
+            raise ValueError(f"level {n} outside [{self.n_min}, {self.n_max}]")
+        return tuple(2 ** ((self.n_max - n) * ki) for ki in self.k)
 
     def _center_axes(self) -> list[np.ndarray]:
-        return [self.spec.lo[ax] + (np.arange(self.shape[ax]) + 0.5) * side
-                for ax, side in enumerate(self.spec.cell_sides(self.spec.n_max))]
+        return [self.lo[ax] + (np.arange(self.shape[ax]) + 0.5) * side
+                for ax, side in enumerate(self.cell_sides(self.n_max))]
 
     def cell_centers(self) -> np.ndarray:
         """Centers of the finest cells, shape ``(*grid_shape, ndim)``."""
@@ -175,6 +139,28 @@ class Filtration:
         values = sample_nodes(fn, self._center_axes())
         values.flags.writeable = False
         return DiscreteField(self, values)
+
+
+def _first_axis_nonnegative(filt: Filtration) -> Filtration:
+    if filt.lo[0] < 0:
+        raise ValueError(f"axis 0 is constrained to >= 0 but lo[0] = {filt.lo[0]}")
+    return filt
+
+
+def full_space(d: int, n_min: int, n_max: int, lo, hi) -> Filtration:
+    """Isotropic filtration of a box in d-space."""
+    return Filtration((1,) * d, n_min, n_max, lo, hi)
+
+
+def half_space(d: int, n_min: int, n_max: int, lo, hi) -> Filtration:
+    """Isotropic filtration of a box inside the half space {x_1 >= 0}."""
+    return _first_axis_nonnegative(full_space(d, n_min, n_max, lo, hi))
+
+
+def parabolic(d: int, n_min: int, n_max: int, lo, hi) -> Filtration:
+    """Space-time filtration: axis 0 is time with exponent 2, cells
+    (t, x) + [0, 4**-n) x [0, 2**-n)**d, domain {t >= 0}."""
+    return _first_axis_nonnegative(Filtration((2,) + (1,) * d, n_min, n_max, lo, hi))
 
 
 @dataclass
@@ -205,8 +191,9 @@ class DiscreteField:
 
     def integral(self):
         """Integral of each instance: a float, or an array of the batch shape."""
-        total = self.values.sum(axis=_cell_axes(self.values, self.filtration))
-        return _per_instance(total * self.filtration.finest_volume)
+        grid = tuple(range(len(self.batch_shape), self.values.ndim))
+        total = self.values.sum(axis=grid) * self.filtration.finest_volume
+        return float(total) if np.ndim(total) == 0 else total
 
     def __abs__(self) -> "DiscreteField":
         """``|f|``: ``f`` itself, cached means included, when no value has its
@@ -216,23 +203,9 @@ class DiscreteField:
         return DiscreteField(self.filtration, np.abs(self.values))
 
 
-def _cell_axes(values: np.ndarray, filt: Filtration) -> tuple[int, ...]:
-    return tuple(range(values.ndim - filt.ndim, values.ndim))
-
-
 def _check_grid(values: np.ndarray, filt: Filtration, what: str):
     if values.shape[max(values.ndim - filt.ndim, 0):] != filt.shape:
         raise ValueError(f"{what} shape {values.shape} does not match grid {filt.shape}")
-
-
-def _per_instance(x):
-    # a float for a single instance, the array for a batch
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _require_same(a: Filtration, b: Filtration):
-    if a is not b and a.spec != b.spec:
-        raise ValueError("fields live on different filtrations")
 
 
 def _block_mean(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
@@ -286,15 +259,12 @@ def cell_blocks(values: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 class StoppingTime:
     """Level at which a scan stopped, per finest cell; ``TAU_INF`` = never.
 
-    ``tau`` has the shape ``batch + grid`` of the scanned field, and
-    ``coarsest_average_max`` holds one value per instance (a float for a
-    single field).  In every instance ``{tau = n}`` is a union of
-    level-``n`` cells.
+    ``tau`` has the shape ``batch + grid`` of the scanned field.  In every
+    instance ``{tau = n}`` is a union of level-``n`` cells.
     """
 
     filtration: Filtration
     tau: np.ndarray
-    coarsest_average_max: float | np.ndarray | None = None
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=np.int64)
@@ -308,10 +278,10 @@ def cz_stopping_time(g: DiscreteField, lam: float) -> StoppingTime:
     """First level whose cell average of ``g`` exceeds ``lam`` (strictly).
 
     Scans the level range from the coarsest level.  Levels below the range
-    are not scanned; the maximum coarsest-level average is recorded on the
-    result so callers can check the truncation premise ``lam`` >= that value
-    before relying on the stopped-average bound.  ``lam`` is a scalar or holds
-    one threshold per instance of a batched ``g``.
+    are not scanned, so the stopped-average bound holds only when ``lam`` is
+    at least every coarsest-level average (``level_means(g, n_min)``), which
+    the caller checks.  ``lam`` is a scalar or holds one threshold per
+    instance of a batched ``g``.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if not (lam > 0).all():
@@ -326,16 +296,15 @@ def cz_stopping_time(g: DiscreteField, lam: float) -> StoppingTime:
     # finest level first, so each cell ends with the coarsest level that hit
     for n in reversed(filt.levels):
         tau[_block_expand(level_means(g, n) > lam, filt.block_factors(n))] = n
-    coarse = level_means(g, filt.spec.n_min)
-    coarse_max = _per_instance(coarse.max(axis=_cell_axes(coarse, filt)))
-    return StoppingTime(filt, tau, coarsest_average_max=coarse_max)
+    return StoppingTime(filt, tau)
 
 
 def stopped_value(f: DiscreteField, st: StoppingTime) -> DiscreteField:
     """``f`` averaged at the stopping level; ``f`` itself where never stopped.
     ``f`` and ``st`` share one batch shape, and ``st`` stops only at levels
     of the filtration's range, each on a union of that level's cells."""
-    _require_same(f.filtration, st.filtration)
+    if f.filtration != st.filtration:
+        raise ValueError("fields live on different filtrations")
     if f.values.shape != st.tau.shape:
         raise ValueError(f"field shape {f.values.shape} does not match tau {st.tau.shape}")
     out = f.values.copy()

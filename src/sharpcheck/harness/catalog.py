@@ -74,7 +74,7 @@ from ..calculus import (
     sum_of_squares,
     with_time_profile,
 )
-from ..filtration import Filtration, _aligned_count, full_space, level_means
+from ..filtration import _aligned_count, full_space, level_means
 from ..operators import (
     dyadic_maximal,
     dyadic_sharp,
@@ -122,10 +122,10 @@ class CatalogEntry:
         raises ``ValueError``.  Spacings are finite and at least ``min_spacing``,
         windows finite and positive, instance counts positive integers, and
         each value passes ``check_step``; an integer past the float range is
-        refused.  A spacing ladder strictly decreases
+        refused without its digits.  A spacing ladder strictly decreases
         and a window or instance ladder strictly increases: a repeated or
         reordered step refines nothing."""
-        ladder = tuple(_float(x, f"{self.ladder_kind} ladder value {x} for {self.id}")
+        ladder = tuple(_float(x, f"{self.ladder_kind} ladder value for {self.id}")
                        for x in ladder)
         if not ladder:
             raise ValueError(f"empty ladder for {self.id}")
@@ -153,8 +153,9 @@ class CatalogEntry:
         it runs and is reported in: a float default's as a ``float``, an int
         default's as an ``int`` (never truncated from a float), a ``None``
         default's as ``None`` or a ``float``, and a string default's as given.
-        A bool is no number here.  An unknown key or a value of the wrong
-        type raises ``ValueError``."""
+        A bool is no number here.  An unknown key, a value of the wrong type
+        or an integer past the float range raises ``ValueError`` naming the
+        key."""
         params = dict(self.defaults)
         for key, val in overrides.items():
             if key not in params:
@@ -162,9 +163,10 @@ class CatalogEntry:
             default = params[key]
             if not isinstance(default, str) and not (default is None and val is None):
                 cast, types, what = _TYPES[type(default)]
-                _need(isinstance(val, types) and not isinstance(val, bool),
-                      f"{key} must be {what}, got {val!r}")
-                val = cast(val) if cast is int else _float(val, key)
+                if not isinstance(val, types) or isinstance(val, bool):
+                    raise ValueError(f"{key} must be {what}, got {val!r}")
+                number = _float(val, key)
+                val = int(val) if cast is int else number
             params[key] = val
         return params
 
@@ -541,8 +543,7 @@ def _axis_weight(q, axis: int = 0):
 def _indicator_maximal(params, h):
     """Finest volume, the indicator of [0, 1) on [0, extent) and its dyadic
     maximal function."""
-    filt = Filtration(full_space(1, params["n_min"], _dyadic_level(h),
-                                (0.0,), (params["extent"],)))
+    filt = full_space(1, params["n_min"], _dyadic_level(h), (0.0,), (params["extent"],))
     g = filt.sample(lambda X: (X[:, 0] < 1.0).astype(np.float64))
     return filt.finest_volume, g.values, dyadic_maximal(g).values
 
@@ -647,7 +648,7 @@ def _run_fs_local(params, h, seed):
     """Weighted bound of an Lp mass by the interpolation of the full maximal
     function against the level-floored sharp plus capped maximal combination."""
     p, gamma, beta, m = (params[k] for k in ("p", "gamma", "beta", "m"))
-    filt = Filtration(full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0)))
+    filt = full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0))
     mf = manufactured("bump", 2, center=(0.5, 0.5), radius=params["radius"])
     w = PowerX1(params["q"], axis=0)
     # each integrand is formed, and its array dropped, as soon as it exists
@@ -661,7 +662,7 @@ def _run_fs_local(params, h, seed):
     j_term = _integral(sharp ** p, mass)
     gb = gamma * beta
     rhs = i_term ** ((p - gb) / p) * j_term ** (gb / p)
-    coarse = float(level_means(abs(u), filt.spec.n_min).max())
+    coarse = float(level_means(abs(u), filt.n_min).max())
     notes = {
         "coarsest_average": coarse,
         "beta_type_constant": thickness,
@@ -1335,7 +1336,6 @@ def _run_para_hs_mixed(params, h, seed):
     ladder_kind="window",
     expect_divergence=True,
     validate=lambda p: _need(p["p"] >= 1, "the norm exponent needs p >= 1"),
-    min_spacing=0.0,
 )
 def _run_neg_exp(params, L, seed):
     """Unbounded exponential input whose defect vanishes identically: the
@@ -1363,7 +1363,6 @@ def _run_neg_exp(params, L, seed):
     ladder=(100.0,),
     ladder_kind="instances",
     exact_threshold=1.0,
-    min_spacing=0.0,
 )
 def _run_identities(params, x, seed):
     """Randomized exact stopping-time identities across all three filtration

@@ -13,9 +13,11 @@ computation routes of each relation:
 All relations are exact in floating point up to roundoff, so the tolerance
 is absolute/relative 1e-12, not a discretization allowance.
 
-Instances whose filtrations differ at most in the box corner, which moves
-only the cell centres that no identity reads, are checked together: their
-fields are stacked along a leading batch axis and go through one call of each
+Each instance draws one :class:`~sharpcheck.filtration.Filtration`.
+Instances whose filtrations share ``(k, n_min, n_max, shape)``, so differ at
+most in the box corner, which moves only the cell centres that no identity
+reads, are checked together on the first one's filtration: their fields are
+stacked along a leading batch axis and go through one call of each
 stopping-time primitive, and every instance's residuals equal those of its
 own one-instance batch bit for bit.
 """
@@ -30,7 +32,6 @@ import numpy as np
 from ..filtration import (
     DiscreteField,
     Filtration,
-    FiltrationSpec,
     cz_stopping_time,
     full_space,
     half_space,
@@ -51,8 +52,6 @@ IDENTITY_KEYS = (
 
 @dataclass
 class IdentityReport:
-    n_instances: int
-    tolerance: float
     max_residual: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     elapsed: float = 0.0
@@ -66,7 +65,7 @@ class IdentityReport:
         return max(self.max_residual.values(), default=0.0)
 
 
-def _random_spec(rng, geometry: str) -> FiltrationSpec:
+def _random_filtration(rng, geometry: str) -> Filtration:
     n_min = int(rng.integers(-1, 1))
     n_max = n_min + int(rng.integers(2, 4))
     side = 2.0 ** (-n_min)
@@ -122,7 +121,7 @@ def check_instance(filt: Filtration, f_vals, g: DiscreteField, lam) -> list[dict
 
     out = []
     for ff_fin, f_fin, ff_int, f_int, top_i, low_i, count, mass, miss, lam_i in columns:
-        bound = filt.spec.n_children * lam_i
+        bound = filt.n_children * lam_i
         out.append({
             "stopped_conservation_finite": _rel(ff_fin, f_fin),
             "stopped_conservation": _rel(ff_int, f_int),
@@ -139,17 +138,14 @@ def exact_identity_suite(seed: int = 0, n_instances: int = 100,
     """Run ``n_instances`` random instances on each geometry, one
     :func:`check_instance` call per filtration shape."""
     start = time.perf_counter()
-    report = IdentityReport(n_instances=n_instances, tolerance=tolerance, seed=seed,
-                            max_residual={k: 0.0 for k in IDENTITY_KEYS})
+    report = IdentityReport(seed=seed, max_residual={k: 0.0 for k in IDENTITY_KEYS})
     for gi, geometry in enumerate(("full", "half", "parabolic")):
         groups = {}  # shape -> filtration, instance indices, f, g, threshold factors
         for i in range(n_instances):
             rng = np.random.default_rng([seed, gi, i])
-            spec = _random_spec(rng, geometry)
-            key = (spec.k, spec.n_min, spec.n_max, tuple(b - a for a, b in zip(spec.lo, spec.hi)))
-            if key not in groups:
-                groups[key] = (Filtration(spec), [], [], [], [])
-            filt, index, fs, gs, factors = groups[key]
+            filt = _random_filtration(rng, geometry)
+            key = (filt.k, filt.n_min, filt.n_max, filt.shape)
+            filt, index, fs, gs, factors = groups.setdefault(key, (filt, [], [], [], []))
             index.append(i)
             fs.append(rng.standard_normal(filt.shape))
             gs.append(rng.random(filt.shape))
@@ -157,7 +153,7 @@ def exact_identity_suite(seed: int = 0, n_instances: int = 100,
         residuals = [None] * n_instances
         for filt, index, fs, gs, factors in groups.values():
             g = filt.field(np.stack(gs))
-            coarse = level_means(g, filt.spec.n_min)
+            coarse = level_means(g, filt.n_min)
             coarse_max = coarse.max(axis=tuple(range(1, coarse.ndim)))
             lam = coarse_max * np.array(factors) + 1e-12
             for i, res in zip(index, check_instance(filt, np.stack(fs), g, lam)):

@@ -47,11 +47,11 @@ def dyadic_maximal(f: DiscreteField, m: int | None = None) -> DiscreteField:
     (the whole materialized range when ``m`` is absent), per instance of a
     batched ``f``."""
     filt = f.filtration
-    top = filt.spec.n_max if m is None else min(m, filt.spec.n_max)
-    if top < filt.spec.n_min:
-        raise ValueError(f"level cap {m} lies below the coarsest level {filt.spec.n_min}")
+    top = filt.n_max if m is None else min(m, filt.n_max)
+    if top < filt.n_min:
+        raise ValueError(f"level cap {m} lies below the coarsest level {filt.n_min}")
     absf = abs(f)
-    return DiscreteField(filt, _coarse_to_fine(filt, filt.spec.n_min, top, -np.inf,
+    return DiscreteField(filt, _coarse_to_fine(filt, filt.n_min, top, -np.inf,
                                                lambda n: level_means(absf, n)))
 
 
@@ -59,7 +59,7 @@ def _coarse_to_fine(filt, start: int, top: int, empty: float, level) -> np.ndarr
     """Read-only finest-grid max of ``empty`` and the cell values ``level(n)``
     over levels ``start..top``, taken at each level's resolution: each finest
     cell sees a finest-grid loop's operands in its order, so the same bits."""
-    step = tuple(2 ** k for k in filt.spec.k)
+    step = tuple(2 ** k for k in filt.k)
     out = None
     for n in range(start, top + 1):
         values = level(n)
@@ -96,8 +96,8 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     filt = u.filtration
-    if m > filt.spec.n_max:
-        raise ValueError(f"level floor {m} lies above the finest level {filt.spec.n_max}")
+    if m > filt.n_max:
+        raise ValueError(f"level floor {m} lies above the finest level {filt.n_max}")
 
     def level(n):
         factors = filt.block_factors(n)
@@ -106,8 +106,8 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
                     else _pair_mean_power(blocks, gamma) ** (1.0 / gamma))
         return per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
 
-    return DiscreteField(filt, _coarse_to_fine(filt, max(m, filt.spec.n_min),
-                                               filt.spec.n_max, 0.0, level))
+    return DiscreteField(filt, _coarse_to_fine(filt, max(m, filt.n_min),
+                                               filt.n_max, 0.0, level))
 
 
 # ---------------------------------------------------------------------------

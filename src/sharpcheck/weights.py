@@ -92,9 +92,9 @@ def _interval_masses(w, lo, hi, res: float) -> np.ndarray:
 
 def cell_masses(w, filt: Filtration) -> np.ndarray:
     """Weight mass of every finest cell, shape ``filtration.shape``."""
-    sides = filt.spec.cell_sides(filt.spec.n_max)
+    sides = filt.cell_sides(filt.n_max)
     per_axis = [np.full(n, side) for n, side in zip(filt.shape, sides)]
-    edges = filt.spec.lo[w.axis] + sides[w.axis] * np.arange(filt.shape[w.axis] + 1)
+    edges = filt.lo[w.axis] + sides[w.axis] * np.arange(filt.shape[w.axis] + 1)
     per_axis[w.axis] = _interval_masses(w, edges[:-1], edges[1:], sides[w.axis])
     return reduce(np.multiply.outer, per_axis)
 

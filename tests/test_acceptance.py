@@ -24,7 +24,7 @@ from scipy import integrate
 
 from sharpcheck import calculus as ca
 from sharpcheck import cli
-from sharpcheck.filtration import Filtration, full_space
+from sharpcheck.filtration import full_space
 from sharpcheck.harness import (
     BOUNDED,
     DIVERGING,
@@ -75,7 +75,7 @@ def test_criterion_01_exact_stopping_time_identities(capsys):
 
 def test_criterion_02_maximal_constant(capsys):
     problems = []
-    filt = Filtration(full_space(1, -2, 5, (0.0,), (4.0,)))
+    filt = full_space(1, -2, 5, (0.0,), (4.0,))
     rng = np.random.default_rng(17)
     for p in (1.5, 2.0, 4.0):
         worst = 0.0
@@ -89,7 +89,7 @@ def test_criterion_02_maximal_constant(capsys):
                f"p={p}: worst ratio {worst:.12f} breaches the p/(p-1) bound")
 
     # hand-computed indicator instance on two coarse levels (K = 2)
-    ind = Filtration(full_space(1, -2, 2, (0.0,), (4.0,)))
+    ind = full_space(1, -2, 2, (0.0,), (4.0,))
     g = ind.field((ind.cell_centers()[..., 0] < 1.0).astype(float))
     sq = float((dyadic_maximal(g).values ** 2).sum()) * ind.finest_volume
     _check(problems, abs(sq - 1.375) <= 1e-12,

@@ -470,6 +470,35 @@ class TestSupportBox:
                               (d2, ca.frobenius(want.box_d2u)), (d1, ca.euclidean(want.box_du))]:
                 assert have.shape == ref.shape and have.tobytes() == ref.tobytes()
 
+    # the recipes whose samples vanish near every face of the space axes, so
+    # that summation by parts leaves no boundary term
+    COMPACT = ("bump", "slab_bump", "bump_3d", "bump_t")
+
+    @pytest.mark.parametrize("recipe", COMPACT)
+    def test_summation_by_parts_identities(self, recipe):
+        # with D_a the central first difference and D_a^2 = D_a D_a the wide
+        # (2h) second difference, summation by parts is exact up to rounding:
+        # sum (D_a D_b u)^2 = sum (D_a^2 u)(D_b^2 u) for the nested mixed
+        # difference, and sum |D u|^2 = -sum u * sum_a D_a^2 u for the gradient
+        from sharpcheck.harness import catalog
+        d, side, name, wall, time, shape = self.RECIPES[recipe]
+        for h in (0.2, 0.1) if d == 3 else (0.1, 0.05):
+            grid, u = catalog._sampled(d, h, side, name, wall, time, **shape)
+            v, sp = u.padded(), grid.space_axes
+            for ax in sp:
+                faces = np.moveaxis(v, ax, 0)
+                assert not faces[:3].any() and not faces[-3:].any()
+            der = ca.fd_derivatives(u)
+            # the sample vanishes near the faces, so the roll wraps in zeros
+            wide = [(np.roll(v, -2, ax) - 2.0 * v + np.roll(v, 2, ax)) / (4.0 * grid.spacing(ax) ** 2)
+                    for ax in sp]
+            for a in range(len(sp)):
+                for b in range(a):
+                    mixed = (der.d2u[..., b, a] ** 2).sum() / (wide[a] * wide[b]).sum()
+                    assert abs(mixed - 1.0) <= 1e-12
+            gradient = (der.du ** 2).sum() / -(v * sum(wide)).sum()
+            assert abs(gradient - 1.0) <= 1e-12
+
     def test_box_samples_reaching_an_interior_box_edge_are_refused(self):
         g = ca.box_grid((0.0, -1.0), (1.0, 1.0), (20, 17))
         vals = np.zeros(g.shape)

@@ -20,7 +20,7 @@ RTOL = 1e-12
 
 
 def unit_line(n_min=-2, n_max=0, width=4.0):
-    return fl.Filtration(fl.full_space(1, n_min, n_max, (0.0,), (width,)))
+    return fl.full_space(1, n_min, n_max, (0.0,), (width,))
 
 
 def conditional_average(f, n):
@@ -31,12 +31,12 @@ def conditional_average(f, n):
 def is_valid(st_):
     """Every stopping level lies in the range, and in every instance
     ``{tau = n}`` is a union of level-``n`` cells."""
-    spec = st_.filtration.spec
+    filt = st_.filtration
     vals = st_.tau[st_.finite_mask()]
-    if vals.size and (vals.min() < spec.n_min or vals.max() > spec.n_max):
+    if vals.size and (vals.min() < filt.n_min or vals.max() > filt.n_max):
         return False
     for n in np.unique(vals):
-        m = fl._block_mean((st_.tau == n).astype(np.float64), st_.filtration.block_factors(int(n)))
+        m = fl._block_mean((st_.tau == n).astype(np.float64), filt.block_factors(int(n)))
         if not np.all((m == 0.0) | (m == 1.0)):
             return False
     return True
@@ -51,8 +51,8 @@ class TestSpecValidation:
         assert fl.parabolic(1, 0, 2, (0, 0), (1, 1)).n_children == 8
 
     def test_cell_sides_anisotropic(self):
-        spec = fl.parabolic(1, 0, 2, (0, 0), (1, 1))
-        assert spec.cell_sides(1) == (0.25, 0.5)
+        filt = fl.parabolic(1, 0, 2, (0, 0), (1, 1))
+        assert filt.cell_sides(1) == (0.25, 0.5)
 
     def test_rejects_empty_level_range(self):
         with pytest.raises(ValueError, match="level range"):
@@ -64,19 +64,19 @@ class TestSpecValidation:
 
     def test_rejects_incommensurate_box(self):
         with pytest.raises(ValueError, match="whole number"):
-            fl.Filtration(fl.full_space(1, -2, 0, (0.0,), (3.0,)))
+            fl.full_space(1, -2, 0, (0.0,), (3.0,))
 
     def test_rejects_off_lattice_origin(self):
         with pytest.raises(ValueError, match="lattice"):
-            fl.Filtration(fl.full_space(1, -2, 0, (2.0,), (6.0,)))
+            fl.full_space(1, -2, 0, (2.0,), (6.0,))
 
     def test_rejects_fractional_exponent(self):
         with pytest.raises(ValueError, match="positive integers"):
-            fl.FiltrationSpec("full", (0,), 0, 1, (0.0,), (1.0,))
+            fl.Filtration((0,), 0, 1, (0.0,), (1.0,))
 
     def test_shape_counts_finest_cells(self):
         # finest time side 4**-1, space side 2**-1
-        filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
+        filt = fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0))
         assert filt.shape == (64, 8)
 
 
@@ -89,7 +89,7 @@ class TestConditionalAverage:
         assert np.allclose(avg.values, f.values.mean(), rtol=RTOL)
 
     def test_matches_bruteforce_blocks(self):
-        filt = fl.Filtration(fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0)))
+        filt = fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0))
         rng = np.random.default_rng(11)
         f = filt.field(rng.normal(size=filt.shape))
         got = conditional_average(f, -1).values
@@ -119,7 +119,7 @@ class TestConditionalAverage:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_conserves_integral(self, seed):
-        filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
+        filt = fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0))
         f = filt.field(np.random.default_rng(seed).normal(size=filt.shape))
         for n in filt.levels:
             avg = conditional_average(f, n)
@@ -142,7 +142,7 @@ class TestLevelCache:
         assert fl._block_mean(vals, factors).tobytes() == want.tobytes()
 
     def test_cached_means_equal_fresh_ones(self):
-        filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
+        filt = fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0))
         f = filt.field(np.random.default_rng(5).normal(size=filt.shape))
         for _ in range(2):
             for n in filt.levels:
@@ -165,11 +165,11 @@ class TestLevelCache:
 
     def test_finest_means_are_the_values(self):
         # one-cell blocks: the means are the values themselves, not a copy
-        for spec in BATCH_SPECS:
-            filt, f, _, _ = _random_batch(np.random.default_rng(6), spec, (2,))
-            means = fl.level_means(f, spec.n_max)
+        for filt in BATCH_FILTRATIONS:
+            f, _, _ = _random_batch(np.random.default_rng(6), filt, (2,))
+            means = fl.level_means(f, filt.n_max)
             assert means is f.values and np.shares_memory(means, f.values)
-            factors = filt.block_factors(spec.n_max)
+            factors = filt.block_factors(filt.n_max)
             assert means.tobytes() == fl._block_mean(f.values, factors).tobytes()
 
     def test_fs_local_finest_step_averages_no_finest_array(self, monkeypatch):
@@ -222,8 +222,7 @@ class TestLevelCache:
                  (fl.full_space(2, 0, 5, (0.0, 0.0), (1.0, 1.0)), lambda X: X[:, 0] < 0.3),
                  (fl.parabolic(2, 0, 2, (0.0, -1.0, -1.0), (1.0, 1.0, 1.0)), gauss)]
         monkeypatch.setattr(calculus, "_SLAB_NODES", slab_nodes)
-        for spec, fn in cases:
-            filt = fl.Filtration(spec)
+        for filt, fn in cases:
             want = np.asarray(fn(filt.cell_centers().reshape(-1, filt.ndim)), dtype=np.float64)
             tracemalloc.start()
             try:
@@ -248,9 +247,8 @@ class TestLevelCache:
         levels = {}
         for gi, geometry in enumerate(("full", "half", "parabolic")):
             for i in range(n):
-                spec = identity._random_spec(np.random.default_rng([seed, gi, i]), geometry)
-                sides = tuple(b - a for a, b in zip(spec.lo, spec.hi))
-                levels[gi, spec.k, spec.n_min, spec.n_max, sides] = spec.n_max - spec.n_min
+                filt = identity._random_filtration(np.random.default_rng([seed, gi, i]), geometry)
+                levels[gi, filt.k, filt.n_min, filt.n_max, filt.shape] = filt.n_max - filt.n_min
         block_mean, seen, stops = fl._block_mean, [], []
         cz = identity.cz_stopping_time
 
@@ -261,7 +259,7 @@ class TestLevelCache:
         def cz_spy(g, lam):
             st_ = cz(g, lam)
             stopped = np.unique(st_.tau[st_.finite_mask()])
-            stops.append(int((stopped < g.filtration.spec.n_max).sum()))
+            stops.append(int((stopped < g.filtration.n_max).sum()))
             return st_
 
         monkeypatch.setattr(fl, "_block_mean", spy)
@@ -283,14 +281,15 @@ class TestStoppingTime:
         st_ = fl.cz_stopping_time(g, 1.0)
         assert st_.tau.tolist() == [-1, -1, fl.TAU_INF, fl.TAU_INF]
         assert is_valid(st_)
-        assert st_.coarsest_average_max == pytest.approx(1.0, rel=RTOL)
+        # the threshold is at least the coarsest average, the scan's premise
+        assert fl.level_means(g, filt.n_min).max() == pytest.approx(1.0, rel=RTOL)
 
     def test_worked_instance_stopped_average_bound(self):
         filt, g = self.g_example()
         st_ = fl.cz_stopping_time(g, 1.0)
         gt = fl.stopped_value(g, st_)
         finite = st_.finite_mask()
-        assert gt.values[finite].max() <= filt.spec.n_children * 1.0 * (1 + RTOL)
+        assert gt.values[finite].max() <= filt.n_children * 1.0 * (1 + RTOL)
 
     def test_worked_instance_weak_bound(self):
         filt, g = self.g_example()
@@ -308,7 +307,7 @@ class TestStoppingTime:
         assert not st_.finite_mask().any()
 
     def test_threshold_monotonicity(self):
-        filt = fl.Filtration(fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0)))
+        filt = fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0))
         rng = np.random.default_rng(23)
         for _ in range(20):
             g = filt.field(np.abs(rng.normal(size=filt.shape)))
@@ -321,7 +320,7 @@ class TestStoppingTime:
             assert np.all(lo.finite_mask() | ~hi.finite_mask())
 
     def test_level_sets_are_cell_unions(self):
-        filt = fl.Filtration(fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0)))
+        filt = fl.parabolic(1, -1, 1, (0, 0), (16.0, 4.0))
         rng = np.random.default_rng(5)
         for _ in range(10):
             g = filt.field(np.abs(rng.normal(size=filt.shape)))
@@ -352,15 +351,14 @@ class TestStoppingTime:
             fl.cz_stopping_time(filt.field([np.nan, 1.0, 0, 0]), 0.5)
 
 
-def _random_batch(rng, spec, batch):
-    filt = fl.Filtration(spec)
+def _random_batch(rng, filt, batch):
     f = filt.field(rng.standard_normal(batch + filt.shape))
     g = filt.field(rng.random(batch + filt.shape))
     lam = rng.uniform(0.3, 1.2, size=batch)
-    return filt, f, g, lam
+    return f, g, lam
 
 
-BATCH_SPECS = (
+BATCH_FILTRATIONS = (
     fl.full_space(2, -1, 1, (0.0, -2.0), (4.0, 2.0)),
     fl.half_space(1, 0, 3, (0.0,), (2.0,)),
     fl.parabolic(1, -1, 1, (0.0, 0.0), (16.0, 4.0)),
@@ -369,13 +367,13 @@ BATCH_SPECS = (
 
 class TestBatches:
     @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.geometry)
-    def test_batch_equals_each_instance(self, spec, batch):
+    @pytest.mark.parametrize("filt", BATCH_FILTRATIONS, ids=["full", "half", "parabolic"])
+    def test_batch_equals_each_instance(self, filt, batch):
         from sharpcheck.operators import dyadic_maximal
-        filt, f, g, lam = _random_batch(np.random.default_rng(11), spec, batch)
+        f, g, lam = _random_batch(np.random.default_rng(11), filt, batch)
         st_ = fl.cz_stopping_time(g, lam)
         gs, fs, mg = fl.stopped_value(g, st_), fl.stopped_value(f, st_), dyadic_maximal(g)
-        assert is_valid(st_) and st_.coarsest_average_max.shape == batch
+        assert is_valid(st_)
         for idx in np.ndindex(*batch):
             f1, g1 = filt.field(f.values[idx]), filt.field(g.values[idx])
             one = fl.cz_stopping_time(g1, lam[idx])
@@ -383,14 +381,14 @@ class TestBatches:
                 assert fl.level_means(g, n)[idx].tobytes() == fl.level_means(g1, n).tobytes()
                 assert fl.level_means(f, n)[idx].tobytes() == fl.level_means(f1, n).tobytes()
             assert st_.tau[idx].tobytes() == one.tau.tobytes()
-            assert st_.coarsest_average_max[idx] == one.coarsest_average_max
             assert gs.values[idx].tobytes() == fl.stopped_value(g1, one).values.tobytes()
             assert fs.values[idx].tobytes() == fl.stopped_value(f1, one).values.tobytes()
             assert mg.values[idx].tobytes() == dyadic_maximal(g1).values.tobytes()
             assert f.integral()[idx] == f1.integral()
 
     def test_scalar_threshold_and_shape_checks(self):
-        filt, f, g, lam = _random_batch(np.random.default_rng(12), BATCH_SPECS[0], (4,))
+        filt = BATCH_FILTRATIONS[0]
+        f, g, lam = _random_batch(np.random.default_rng(12), filt, (4,))
         st_ = fl.cz_stopping_time(g, 0.7)
         assert st_.tau.tobytes() == fl.cz_stopping_time(g, np.full(4, 0.7)).tau.tobytes()
         with pytest.raises(ValueError, match="does not match grid"):
@@ -402,9 +400,9 @@ class TestBatches:
         # permuting a batch permutes its residuals; changing one instance's
         # threshold leaves every other instance's residuals as they were
         from sharpcheck.harness.identity import check_instance
-        for spec in BATCH_SPECS:
-            filt, f, g, lam = _random_batch(np.random.default_rng(13), spec, (6,))
-            lam = lam + fl.cz_stopping_time(g, lam).coarsest_average_max
+        for filt in BATCH_FILTRATIONS:
+            f, g, lam = _random_batch(np.random.default_rng(13), filt, (6,))
+            lam = lam + fl.level_means(g, filt.n_min).reshape(6, -1).max(axis=1)
             base = [_hexes(r) for r in check_instance(filt, f.values, g, lam)]
             perm = np.random.default_rng(14).permutation(6)
             moved = check_instance(filt, f.values[perm], filt.field(g.values[perm]), lam[perm])
@@ -421,8 +419,8 @@ class TestBatches:
         # bit, when checked in one batch on the first box
         from sharpcheck.harness.identity import check_instance
         rng = np.random.default_rng(15)
-        filts = [fl.Filtration(fl.full_space(1, 0, 2, (0,), (1,))),
-                 fl.Filtration(fl.full_space(1, 0, 2, (-1,), (0,)))] * 3
+        filts = [fl.full_space(1, 0, 2, (0,), (1,)),
+                 fl.full_space(1, 0, 2, (-1,), (0,))] * 3
         f = rng.standard_normal((6,) + filts[0].shape)
         g = rng.random((6,) + filts[0].shape)
         lam = rng.uniform(0.3, 1.2, size=6)
@@ -443,7 +441,8 @@ class TestBatches:
         monkeypatch.setattr(identity, "check_instance", spy)
         for seed in range(3):
             identity.exact_identity_suite(seed=seed, n_instances=200)
-        assert {c[0].spec.geometry for c in calls} == {"full", "half", "parabolic"}
+        # space filtrations in one and two dimensions, and space-time ones
+        assert {c[0].k for c in calls} == {(1,), (1, 1), (2, 1)}
         assert sum(len(c[4]) for c in calls) == 3 * 3 * 200
         for filt, f_vals, g_vals, lam, res in calls:
             for j, batched in enumerate(res):
@@ -464,7 +463,7 @@ class TestStoppedValue:
 
     def test_conservation_under_cz_times(self):
         # stopped-value integral equals the plain integral, finite part included
-        filt = fl.Filtration(fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0)))
+        filt = fl.full_space(2, -2, 0, (0, 0), (4.0, 4.0))
         rng = np.random.default_rng(17)
         for _ in range(25):
             f = filt.field(rng.normal(size=filt.shape))
@@ -479,7 +478,10 @@ class TestStoppedValue:
 
     def test_mismatched_filtrations_rejected(self):
         a = unit_line()
-        b = fl.Filtration(fl.full_space(1, -2, 0, (0.0,), (8.0,)))
+        b = fl.full_space(1, -2, 0, (0.0,), (8.0,))
         st_ = fl.StoppingTime(b, np.full(b.shape, fl.TAU_INF))
         with pytest.raises(ValueError, match="different filtrations"):
             fl.stopped_value(a.field([1, 2, 3, 4.0]), st_)
+        # filtrations are values: one built apart with equal parameters is the same
+        same = fl.StoppingTime(unit_line(), np.full(a.shape, fl.TAU_INF))
+        assert fl.stopped_value(a.field([1, 2, 3, 4.0]), same).values.tolist() == [1, 2, 3, 4]

@@ -38,7 +38,7 @@ from sharpcheck.calculus import (
     with_time_profile,
 )
 from sharpcheck.cli import load_suite
-from sharpcheck.filtration import Filtration, full_space
+from sharpcheck.filtration import full_space
 from sharpcheck.harness import (
     BOUNDED,
     DIVERGING,
@@ -173,7 +173,7 @@ class TestMaximalEntries:
         assert r.notes["analytic_bound"]["satisfied"]
 
     def test_random_fields_respect_doob_bound(self):
-        filt = Filtration(full_space(1, -2, 5, (0.0,), (4.0,)))
+        filt = full_space(1, -2, 5, (0.0,), (4.0,))
         rng = np.random.default_rng(3)
         for p in (1.5, 2.0, 4.0):
             for _ in range(5):
@@ -184,7 +184,7 @@ class TestMaximalEntries:
                 assert lhs <= p / (p - 1) * rhs * (1 + 1e-9)
 
     def test_weak_type_two_level_tightness(self):
-        filt = Filtration(full_space(1, 0, 1, (0.0,), (1.0,)))
+        filt = full_space(1, 0, 1, (0.0,), (1.0,))
         g = filt.field(np.array([2.0, 0.0]))
         mg = dyadic_maximal(g).values
         vol = filt.finest_volume
@@ -203,7 +203,7 @@ class TestMaximalEntries:
         assert max(r.primary.n_emp) <= 1 + 1e-9
 
     def test_zero_field_exercises_zero_convention(self):
-        filt = Filtration(full_space(1, 0, 3, (0.0,), (1.0,)))
+        filt = full_space(1, 0, 3, (0.0,), (1.0,))
         mg = dyadic_maximal(filt.field(np.zeros(filt.shape)))
         assert not mg.values.any()
         assert empirical_constant(0.0, [0.0]) == 0.0
@@ -797,14 +797,21 @@ class TestStudyDrivers:
     @pytest.mark.parametrize("eid,params,ladder,needle", [
         ("APRIORI", {"p": 10 ** 400}, (), "p is too large for a float"),
         ("APRIORI", {"q": 10 ** 400}, (), "q is too large for a float"),
-        ("APRIORI", {}, (10 ** 400,), f"spacing ladder value {10 ** 400} for APRIORI is too large"),
-        ("IDENTITIES", {}, (10 ** 400,),
-         f"instances ladder value {10 ** 400} for IDENTITIES is too large"),
-    ], ids=["p", "q", "APRIORI-ladder", "IDENTITIES-ladder"])
+        ("APRIORI", {}, (10 ** 400,), "spacing ladder value for APRIORI is too large"),
+        ("IDENTITIES", {}, (10 ** 400,), "instances ladder value for IDENTITIES is too large"),
+        ("APRIORI", {"p": 10 ** 5000}, (), "p is too large for a float"),
+        ("APRIORI", {"d": 10 ** 5000}, (), "d is too large for a float"),
+        ("APRIORI", {}, (10 ** 5000,), "spacing ladder value for APRIORI is too large"),
+        ("IDENTITIES", {}, (10 ** 5000,), "instances ladder value for IDENTITIES is too large"),
+    ], ids=["p", "q", "APRIORI-ladder", "IDENTITIES-ladder", "p-5000-digits", "d-5000-digits",
+            "APRIORI-ladder-5000-digits", "IDENTITIES-ladder-5000-digits"])
     def test_integer_past_the_float_range_is_refused(self, eid, params, ladder, needle):
-        # a ValueError naming the parameter or the ladder value, not OverflowError
-        with pytest.raises(ValueError, match=needle):
+        # a ValueError naming the parameter or the ladder, not OverflowError,
+        # and no integer's digits, which past 4300 of them Python refuses to
+        # format
+        with pytest.raises(ValueError, match=needle) as err:
             run_estimate_check(EstimateSpec(id=eid, params=params, ladder=ladder))
+        assert "0000" not in str(err.value)
         if ladder and eid == "APRIORI":
             with pytest.raises(ValueError, match=needle):
                 refinement_study(EstimateSpec(id=eid), ladder + (0.05, 0.025))

@@ -22,7 +22,6 @@ import pytest
 from sharpcheck import operators
 from sharpcheck.calculus import GridFunction, box_grid
 from sharpcheck.filtration import (
-    Filtration,
     _block_expand,
     cell_blocks,
     cz_stopping_time,
@@ -58,7 +57,7 @@ class TestDyadicMaximal:
 
     def test_indicator_truncation_norm(self):
         K = 8
-        filt = Filtration(full_space(1, n_min=-K, n_max=2, lo=(0.0,), hi=(2.0 ** K,)))
+        filt = full_space(1, n_min=-K, n_max=2, lo=(0.0,), hi=(2.0 ** K,))
         centers = filt.cell_centers()[..., 0]
         f = filt.field((centers < 1.0).astype(float))
         M = dyadic_maximal(f)
@@ -75,7 +74,7 @@ class TestDyadicMaximal:
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_doob_bound_random_fields(self, p):
         rng = np.random.default_rng(7)
-        filt = Filtration(parabolic(1, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0)))
+        filt = parabolic(1, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0))
         for _ in range(10):
             f = filt.field(rng.random(filt.shape))
             ratio = lp_norm(dyadic_maximal(f), p) / lp_norm(f, p)
@@ -83,7 +82,7 @@ class TestDyadicMaximal:
 
     def test_dominates_function_and_sublinear(self):
         rng = np.random.default_rng(3)
-        filt = Filtration(full_space(2, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0)))
+        filt = full_space(2, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0))
         f = filt.field(rng.standard_normal(filt.shape))
         g = filt.field(rng.standard_normal(filt.shape))
         Mf, Mg = dyadic_maximal(f), dyadic_maximal(g)
@@ -93,7 +92,7 @@ class TestDyadicMaximal:
 
     def test_level_cap_monotone(self):
         rng = np.random.default_rng(5)
-        filt = Filtration(full_space(1, n_min=-1, n_max=4, lo=(0.0,), hi=(2.0,)))
+        filt = full_space(1, n_min=-1, n_max=4, lo=(0.0,), hi=(2.0,))
         f = filt.field(rng.random(filt.shape))
         prev = dyadic_maximal(f, m=-1).values
         for m in range(0, 5):
@@ -104,7 +103,7 @@ class TestDyadicMaximal:
 
     def test_weak_type_bound(self):
         rng = np.random.default_rng(11)
-        filt = Filtration(full_space(2, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0)))
+        filt = full_space(2, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0))
         f = filt.field(rng.random(filt.shape))
         M = dyadic_maximal(f)
         for lam in (0.55, 0.7, 0.9):
@@ -114,14 +113,14 @@ class TestDyadicMaximal:
     def test_matches_stopping_level_sets(self):
         # {M g > lam} must agree with the set where the stopping time fires
         rng = np.random.default_rng(13)
-        filt = Filtration(full_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,))
         g = filt.field(rng.random(filt.shape))
         lam = 0.8 * float(g.values.max())
         st = cz_stopping_time(g, lam)
         np.testing.assert_array_equal(dyadic_maximal(g).values > lam, st.finite_mask())
 
     def test_cap_below_coarsest_rejected(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,))
         with pytest.raises(ValueError, match="coarsest"):
             dyadic_maximal(filt.field(np.ones(filt.shape)), m=-1)
 
@@ -132,7 +131,7 @@ class TestDyadicMaximal:
 def brute_dyadic_sharp(u, gamma, m):
     filt = u.filtration
     out = np.zeros(filt.shape)
-    for n in range(max(m, filt.spec.n_min), filt.spec.n_max + 1):
+    for n in range(max(m, filt.n_min), filt.n_max + 1):
         factors = filt.block_factors(n)
         counts = tuple(s // f for s, f in zip(filt.shape, factors))
         for idx in np.ndindex(*counts):
@@ -150,7 +149,7 @@ def brute_dyadic_sharp(u, gamma, m):
 class TestDyadicSharp:
 
     def test_indicator_worked_value(self):
-        filt = Filtration(full_space(1, n_min=-1, n_max=3, lo=(0.0,), hi=(2.0,)))
+        filt = full_space(1, n_min=-1, n_max=3, lo=(0.0,), hi=(2.0,))
         u = filt.field((filt.cell_centers()[..., 0] < 1.0).astype(float))
         sharp = dyadic_sharp(u, gamma=1.0, m=-1)
         np.testing.assert_allclose(sharp.values, 0.5, rtol=0, atol=1e-14)
@@ -158,14 +157,14 @@ class TestDyadicSharp:
     @pytest.mark.parametrize("gamma", [1.0, 0.5])
     def test_matches_brute_force(self, gamma):
         rng = np.random.default_rng(17)
-        filt = Filtration(full_space(2, n_min=0, n_max=2, lo=(0.0, 0.0), hi=(1.0, 1.0)))
+        filt = full_space(2, n_min=0, n_max=2, lo=(0.0, 0.0), hi=(1.0, 1.0))
         u = filt.field(rng.standard_normal(filt.shape))
         got = dyadic_sharp(u, gamma=gamma, m=0).values
         np.testing.assert_allclose(got, brute_dyadic_sharp(u, gamma, 0), rtol=1e-10, atol=1e-12)
 
     def test_shift_and_scale(self):
         rng = np.random.default_rng(19)
-        filt = Filtration(parabolic(1, n_min=0, n_max=2, lo=(0.0, 0.0), hi=(1.0, 1.0)))
+        filt = parabolic(1, n_min=0, n_max=2, lo=(0.0, 0.0), hi=(1.0, 1.0))
         u = filt.field(rng.standard_normal(filt.shape))
         base = dyadic_sharp(u, gamma=0.5, m=0).values
         shifted = dyadic_sharp(filt.field(u.values + 3.7), gamma=0.5, m=0).values
@@ -175,7 +174,7 @@ class TestDyadicSharp:
 
     def test_level_floor_monotone_and_constant(self):
         rng = np.random.default_rng(23)
-        filt = Filtration(full_space(1, n_min=0, n_max=4, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=4, lo=(0.0,), hi=(1.0,))
         u = filt.field(rng.standard_normal(filt.shape))
         prev = dyadic_sharp(u, gamma=1.0, m=0).values
         for m in range(1, 5):
@@ -186,7 +185,7 @@ class TestDyadicSharp:
         np.testing.assert_array_equal(const.values, 0.0)
 
     def test_validation(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,))
         u = filt.field(np.ones(filt.shape))
         with pytest.raises(ValueError, match="gamma"):
             dyadic_sharp(u, gamma=1.5, m=0)
@@ -200,10 +199,10 @@ class TestDyadicSharp:
 def level_by_level_maximal(f, m=None):
     # every level expanded to the finest grid, then maxed in
     filt = f.filtration
-    top = filt.spec.n_max if m is None else min(m, filt.spec.n_max)
+    top = filt.n_max if m is None else min(m, filt.n_max)
     absf = abs(f)
     out = np.full(f.values.shape, -np.inf)
-    for n in range(filt.spec.n_min, top + 1):
+    for n in range(filt.n_min, top + 1):
         np.maximum(out, level_average_values(absf, n), out=out)
     return out
 
@@ -211,7 +210,7 @@ def level_by_level_maximal(f, m=None):
 def level_by_level_sharp(u, gamma, m):
     filt = u.filtration
     out = np.zeros(filt.shape)
-    for n in range(max(m, filt.spec.n_min), filt.spec.n_max + 1):
+    for n in range(max(m, filt.n_min), filt.n_max + 1):
         factors = filt.block_factors(n)
         blocks = cell_blocks(u.values, factors)
         if gamma == 1.0:
@@ -233,7 +232,7 @@ def signed_values(rng, shape):
     return vals
 
 
-COARSE_TO_FINE_SPECS = (
+COARSE_TO_FINE = (
     full_space(2, 0, 3, (0.0, 0.0), (1.0, 1.0)),
     full_space(1, -2, 3, (-4.0,), (4.0,)),
     parabolic(1, -1, 1, (0.0, 0.0), (16.0, 4.0)),
@@ -244,23 +243,21 @@ class TestCoarseToFine:
     """The running max is taken at each level's resolution; the bits equal
     the level-by-level max on the finest grid, signed zeros included."""
 
-    @pytest.mark.parametrize("spec", COARSE_TO_FINE_SPECS)
-    def test_maximal_equals_level_by_level(self, spec):
-        filt = Filtration(spec)
+    @pytest.mark.parametrize("filt", COARSE_TO_FINE)
+    def test_maximal_equals_level_by_level(self, filt):
         rng = np.random.default_rng(29)
         for batch in ((), (3,)):
             f = filt.field(signed_values(rng, batch + filt.shape))
-            for m in (None, spec.n_min, spec.n_min + 1, spec.n_max - 1, spec.n_max + 2):
+            for m in (None, filt.n_min, filt.n_min + 1, filt.n_max - 1, filt.n_max + 2):
                 got = dyadic_maximal(f, m).values
                 assert got.tobytes() == level_by_level_maximal(f, m).tobytes()
 
-    @pytest.mark.parametrize("spec", COARSE_TO_FINE_SPECS)
+    @pytest.mark.parametrize("filt", COARSE_TO_FINE)
     @pytest.mark.parametrize("gamma", [1.0, 0.5])
-    def test_sharp_equals_level_by_level(self, spec, gamma):
-        filt = Filtration(spec)
+    def test_sharp_equals_level_by_level(self, filt, gamma):
         rng = np.random.default_rng(31)
         for u in (filt.field(signed_values(rng, filt.shape)), filt.field(np.full(filt.shape, -1.5))):
-            for m in (spec.n_min - 1, spec.n_min, spec.n_min + 1, spec.n_max):
+            for m in (filt.n_min - 1, filt.n_min, filt.n_min + 1, filt.n_max):
                 got = dyadic_sharp(u, gamma, m).values
                 assert got.tobytes() == level_by_level_sharp(u, gamma, m).tobytes()
 
@@ -984,7 +981,7 @@ class TestGeometricSharp:
 class TestComparability:
 
     def test_smooth_function_scales_agree(self):
-        filt = Filtration(full_space(2, n_min=0, n_max=4, lo=(-1.0, -1.0), hi=(1.0, 1.0)))
+        filt = full_space(2, n_min=0, n_max=4, lo=(-1.0, -1.0), hi=(1.0, 1.0))
         fn = lambda x: np.exp(-(x ** 2).sum(axis=-1))
         f = filt.sample(fn)
         Md = dyadic_maximal(f).values

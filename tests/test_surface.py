@@ -10,6 +10,11 @@ a reached body names it (``name`` or ``obj.name``; ``np.name`` and other
 attributes of modules from outside the package do not count).  Matching
 is by name alone, so a definition is kept by any use of its name: the check
 finds surface that nothing but unit tests reads, not every dead path.
+
+Likewise every field of a dataclass or ``NamedTuple`` in ``src/sharpcheck``
+is read as an attribute (``obj.field`` in load context, matched by name) in
+``src/sharpcheck`` or a root file, string constants of the root files
+included, unless it is kept for an open ROADMAP item.
 """
 
 import ast
@@ -26,6 +31,14 @@ ROOT_FILES = [ROOT / "tests" / "test_acceptance.py",
 ALLOWED = {
     "calculus.homogenized_model",           # item 3: x-dependent (VMO) operators
     "calculus.ManufacturedFunction.derivatives",  # item 14: discretization consistency
+}
+
+# Record fields kept with no reader yet, each for the ROADMAP item that will
+# read it.
+ALLOWED_FIELDS = {
+    "calculus.ThetaResult.per_direction",   # item 3: theta of the VMO operators
+    "calculus.ThetaResult.n_nodes",         # item 3
+    "calculus.ThetaResult.taus",            # item 3
 }
 
 
@@ -125,3 +138,48 @@ def test_every_definition_is_reachable():
 def test_allowed_definitions_exist_and_have_no_caller():
     # an allowed definition that gains a caller, or goes, leaves the list
     assert ALLOWED <= set(unreachable(kept=set()))
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators) \
+        or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+
+
+def _attribute_reads(tree, strings: bool = False) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def unread_fields(kept: set[str] = ALLOWED_FIELDS) -> list[str]:
+    """Record fields whose name no attribute read of ``src`` or a root file
+    names, ``kept`` left out."""
+    fields, reads = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        mod = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        reads |= _attribute_reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                fields.update((f"{mod}.{node.name}.{s.target.id}", s.target.id)
+                              for s in node.body
+                              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+    for path in ROOT_FILES:
+        reads |= _attribute_reads(ast.parse(path.read_text()), strings=True)
+    return sorted(q for q, name in fields.items() if name not in reads and q not in kept)
+
+
+def test_every_record_field_is_read():
+    unread = unread_fields()
+    assert unread == [], "fields no code reads: " + ", ".join(unread)
+
+
+def test_allowed_fields_exist_and_are_unread():
+    # an allowed field that gains a reader, or goes, leaves the list
+    assert ALLOWED_FIELDS <= set(unread_fields(kept=set()))

@@ -17,7 +17,7 @@ from scipy import integrate, optimize
 from sharpcheck.filtration import cell_blocks
 
 from sharpcheck.calculus import GridFunction, box_grid
-from sharpcheck.filtration import Filtration, full_space, half_space, parabolic
+from sharpcheck.filtration import full_space, half_space, parabolic
 from sharpcheck.weights import (
     CubeFamily,
     HattedPowerX1,
@@ -78,11 +78,11 @@ class TestMasses:
             PowerX1(-1.5)._mass_1d(0.0, 1.0)
 
     def test_cell_masses_total(self):
-        filt = Filtration(half_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,)))
+        filt = half_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,))
         total = cell_masses(PowerX1(0.5), filt).sum()
         assert total == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-        para = Filtration(parabolic(1, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0)))
+        para = parabolic(1, n_min=0, n_max=3, lo=(0.0, 0.0), hi=(1.0, 1.0))
         total = cell_masses(PowerX1(0.5, axis=1), para).sum()
         assert total == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -151,12 +151,12 @@ class TestMuckenhoupt:
 class TestBetaType:
 
     def test_unit_weight_is_one(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,))
         val = beta_type_constant(PowerX1(0.0), 0.5, filt)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_exhaustive_subsets(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=3, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=3, lo=(0.0,), hi=(1.0,))
         w = PowerX1(0.5)
         beta = 0.5
         masses = cell_masses(w, filt)
@@ -179,9 +179,9 @@ class TestBetaType:
             lambda f: -(1 - (1 - f) ** 1.5) / np.sqrt(f), bounds=(1e-6, 1.0), method="bounded")
         want = -opt.fun
         coarse = beta_type_constant(
-            PowerX1(0.5), 0.5, Filtration(full_space(1, 0, 6, (0.0,), (1.0,))))
+            PowerX1(0.5), 0.5, full_space(1, 0, 6, (0.0,), (1.0,)))
         fine = beta_type_constant(
-            PowerX1(0.5), 0.5, Filtration(full_space(1, 0, 8, (0.0,), (1.0,))))
+            PowerX1(0.5), 0.5, full_space(1, 0, 8, (0.0,), (1.0,)))
         assert coarse == pytest.approx(want, rel=0.01)
         assert fine == pytest.approx(coarse, rel=0.005)
 
@@ -199,17 +199,16 @@ class TestBetaType:
             best = max(best, float((ratio / frac).max()))
         return best
 
-    @pytest.mark.parametrize("spec", [
+    @pytest.mark.parametrize("filt", [
         full_space(1, 0, 6, (-1.0,), (1.0,)),
         full_space(2, 0, 4, (-1.0, 0.0), (1.0, 2.0)),
         full_space(3, 0, 3, (0.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
         half_space(2, -1, 3, (0.0, -2.0), (2.0, 2.0)),
         parabolic(1, 0, 2, (0.0, -1.0), (1.0, 1.0)),
     ], ids=["1d", "2d", "3d", "half", "parabolic"])
-    def test_ranking_one_cell_per_position_equals_full_grid_sort(self, spec):
+    def test_ranking_one_cell_per_position_equals_full_grid_sort(self, filt):
         # the masses are constant along every axis but the weight's, so one
         # cell per position is ranked; the constant is the full sort's, bit for bit
-        filt = Filtration(spec)
         for kind in (PowerX1, HattedPowerX1):
             for axis in range(filt.ndim):
                 for q in (-0.5, 0.7, 2.0):
@@ -219,7 +218,7 @@ class TestBetaType:
                             self.full_grid_sort(w, beta, filt)
 
     def test_validation(self):
-        filt = Filtration(full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,)))
+        filt = full_space(1, n_min=0, n_max=2, lo=(0.0,), hi=(1.0,))
         with pytest.raises(ValueError, match="beta"):
             beta_type_constant(PowerX1(0.5), 1.5, filt)
         with pytest.raises(ValueError, match="filtration"):
@@ -229,7 +228,7 @@ class TestBetaType:
 class TestWeightedNorm:
 
     def test_indicator_frozen_value(self):
-        filt = Filtration(full_space(1, n_min=-1, n_max=4, lo=(0.0,), hi=(2.0,)))
+        filt = full_space(1, n_min=-1, n_max=4, lo=(0.0,), hi=(2.0,))
         f = filt.field((filt.cell_centers()[..., 0] < 1.0).astype(float))
         val = weighted_norm(f, 2.0, PowerX1(1.0))
         assert val ** 2 == pytest.approx(0.5, abs=1e-14)
