@@ -18,6 +18,14 @@ Conventions shared by all entries:
 * integrals over unbounded regions are truncated to the grid box, which
   covers the manufactured support plus a collar.
 
+The grid fixes three recurring objects: a power weight ``|x_1|^q``
+(``_axis_weight``, plain or hatted) lies on its first space axis (FS-LOCAL's,
+on a dyadic filtration, is the one built by hand); the region of radius ``r``
+about the origin (``_origin_mask``) is the ball ``B_r``, or on a time grid the
+forward cylinder ``[0, r^2) x B_r``; and the collar term (``_collar_hessian``)
+is ``tau0^p`` times that region's weighted mass at radius ``R + r0``.  Only
+an entry with a collar term takes all three of ``R``, ``r0`` and ``tau0``.
+
 A finite-difference entry's input is one recipe ``(side, kind, wall, time,
 shape)`` (``_sampled``): ``manufactured(kind, d, **shape)`` on [-side, side]^d,
 with the first space axis the half axis [0, wall] when ``wall`` is set, behind
@@ -367,24 +375,24 @@ def _power_integral(p: float, mass, *terms) -> float:
     return float(acc.sum())
 
 
-def _collar(grid, w, mask: Callable) -> float:
-    """``mask(box)``'s integral over the whole grid against ``w``'s node
-    masses (``NodeMasses``), summed one slab of axis-0 layers at a time."""
+def _collar(grid, w, radius: float) -> float:
+    """The origin region's (``_origin_mask``) integral over the whole grid
+    against ``w``'s node masses (``NodeMasses``), summed one slab of axis-0
+    layers at a time."""
     masses = NodeMasses(grid, w)
     boxes = ((s,) + (slice(None),) * (grid.ndim - 1) for s in axis0_slabs(grid.shape))
-    return sum(_integral(mask(box), masses[box[0]]) for box in boxes)
+    return sum(_integral(_origin_mask(grid, radius, box), masses[box[0]]) for box in boxes)
 
 
-def _ball_mask(grid, center, radius: float, box=None) -> np.ndarray:
-    """Ball indicator on the nodes of ``box`` (the whole grid by default)."""
-    r2 = sum_of_squares(x - c for x, c in zip(grid.coordinates(box), center))
-    return (r2 < radius ** 2).astype(np.float64)
-
-
-def _cylinder_mask(grid, radius: float, box=None) -> np.ndarray:
-    """Indicator of ``[0, r^2) x B_r`` on the nodes of ``box``."""
-    t, *space = grid.coordinates(box)
-    return ((t < radius ** 2) & (sum_of_squares(space) < radius ** 2)).astype(np.float64)
+def _origin_mask(grid, radius: float, box=None) -> np.ndarray:
+    """Indicator of the ball ``B_r`` about the origin, or on a time grid of the
+    forward cylinder ``[0, r^2) x B_r``, on the nodes of ``box`` (the whole
+    grid by default)."""
+    x = grid.coordinates(box)
+    inside = sum_of_squares(x[ax] for ax in grid.space_axes) < radius ** 2
+    if grid.time_axis:
+        inside = (x[0] < radius ** 2) & inside
+    return inside.astype(np.float64)
 
 
 def _slab_hat(grid, box=None) -> np.ndarray:
@@ -403,7 +411,7 @@ def _stack(p: float, *arrs) -> Callable:
     return lambda s: power(sum(power(np.abs(a[s]), p) for a in arrs), 1.0 / p)
 
 
-def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
+def _pointwise(equation: str, lhs, terms, notes=None) -> EquationCheck:
     """Report the node with the worst lhs / sum(terms) ratio."""
     den = np.zeros_like(lhs)
     for t in terms:
@@ -411,10 +419,8 @@ def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
     ratio = np.where(den > 0, lhs / np.where(den > 0, den, 1.0),
                      np.where(lhs > 0, np.inf, 0.0))
     k = int(np.argmax(ratio))
-    notes = dict(extra or {})
-    notes[f"{equation}_worst_ratio"] = float(ratio.flat[k])
     return EquationCheck(equation, float(lhs.flat[k]),
-                         tuple(float(t.flat[k]) for t in terms), notes)
+                         tuple(float(t.flat[k]) for t in terms), notes or {})
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +428,10 @@ def _pointwise(equation: str, lhs, terms, extra=None) -> EquationCheck:
 # Hessian and gradient magnitudes, ``u`` the function and ``fv`` the operator
 # image
 
-def _absorbed(equation, p, mass, d2, d1, u, fv, notes=None) -> EquationCheck:
+def _absorbed(equation, p, mass, d2, d1, u, fv) -> EquationCheck:
     """All three derivative orders by the absorbed defect ``fv - u``."""
     return EquationCheck(equation, _power_integral(p, mass, d2, d1, u),
-                         (_power_integral(p, mass, lambda s: fv[s] - u[s]),), notes or {})
+                         (_power_integral(p, mass, lambda s: fv[s] - u[s]),))
 
 
 def _gradient_pair(p, mass, d2, d1, fv, u) -> EquationCheck:
@@ -435,15 +441,20 @@ def _gradient_pair(p, mass, d2, d1, fv, u) -> EquationCheck:
                           _power_integral(p, mass, u)))
 
 
-def _collar_hessian(equation, p, mass, d2, fv, u, collar: Callable, tau0, u_scale=1.0,
-                    notes=None) -> EquationCheck:
-    """Hessian by the operator image, the scaled function and the collar term
-    ``tau0^p * collar()``; the collar, a finite nonnegative ``_collar``, is not
-    summed when ``tau0^p = 0``, where the term is +0.0."""
+def _collar_hessian(equation, params, fields, u_scale=1.0, notes=None) -> EquationCheck:
+    """Hessian by the operator image, the function times ``u_scale`` and the
+    collar term ``tau0^p * _collar(R + r0)``, weighted by ``q`` on the grid
+    of ``fields``; the collar, finite and nonnegative, is not summed when
+    ``tau0^p = 0``, where the term is +0.0."""
+    p, q, R, r0, tau0 = (params[k] for k in ("p", "q", "R", "r0", "tau0"))
+    grid, box, u, fv, d2, _ = fields
+    w = _axis_weight(q, grid)
+    mass = NodeMasses(grid, w, box)
     return EquationCheck(equation, _power_integral(p, mass, d2),
                          (_power_integral(p, mass, fv),
                           u_scale * _power_integral(p, mass, u),
-                          tau0 ** p * collar() if tau0 ** p else 0.0), notes or {})
+                          tau0 ** p * _collar(grid, w, R + r0) if tau0 ** p else 0.0),
+                         notes or {})
 
 
 def _local_hessian(equation, p, inner, outer, d2, d1, fv, u, gap) -> EquationCheck:
@@ -455,21 +466,19 @@ def _local_hessian(equation, p, inner, outer, d2, d1, fv, u, gap) -> EquationChe
                                           + (gap ** -2 + 1.0) * np.abs(u[s]))))
 
 
-def _gradient_interpolation(equation, p, inner, outer, d2, d1, u, c2, c0,
-                            notes=None) -> EquationCheck:
+def _gradient_interpolation(equation, p, inner, outer, d2, d1, u, c2, c0) -> EquationCheck:
     """Gradient on the inner region between the Hessian and the function on
     the outer one, with displayed coefficients ``c2`` and ``c0``."""
     return EquationCheck(equation, _power_integral(p, inner, d1),
                          (c2 * _power_integral(p, outer, d2),
-                          c0 * _power_integral(p, outer, u)),
-                         notes or {})
+                          c0 * _power_integral(p, outer, u)))
 
 
-def _mixed_absorbed(equation, grid, box, spec, orders, u, fv, notes=None) -> EquationCheck:
+def _mixed_absorbed(equation, grid, box, spec, orders, u, fv) -> EquationCheck:
     """Iterated norm of the derivative orders (``orders``, a slab callable)
     by that of the absorbed defect ``fv - u``, both formed slab by slab."""
     norm = partial(box_mixed_norm, grid, box, spec)
-    return EquationCheck(equation, norm(orders), (norm(lambda s: fv[s] - u[s]),), notes or {})
+    return EquationCheck(equation, norm(orders), (norm(lambda s: fv[s] - u[s]),))
 
 
 def _mixed_pair(equation, grid, box, spec, e, d2, d1, fv, uu, inner, outer) -> EquationCheck:
@@ -533,8 +542,10 @@ def _cylinder_support(p):
           f"the time support must stay inside the cylinder, ending by R^2 = {p['R'] ** 2!r}")
 
 
-def _axis_weight(q, axis: int = 0):
-    return None if q is None else PowerX1(q, axis=axis)
+def _axis_weight(q, grid, kind=PowerX1):
+    """The weight ``kind(q)`` on ``grid``'s first space axis, or None for no
+    weight (``q`` None)."""
+    return None if q is None else kind(q, axis=grid.space_axes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -799,9 +810,9 @@ def _run_interp(params, h, seed):
         m_rho("d1", p),
         (np.sqrt(m_rho("d2", p) * m_u), rho ** -p * m_u))
 
-    mass = NodeMasses(grid, _axis_weight(params["q"], axis=1 if parabolic else 0), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)
     eq_c = _gradient_interpolation("gradient_integral", p, mass, mass, d2, d1, u,
-                                   rho ** p, rho ** -p, {"rho": rho})
+                                   rho ** p, rho ** -p)
     return [eq_c, eq_a, eq_b]
 
 
@@ -817,23 +828,21 @@ def _run_interp_local(params, h, seed):
     """Localized gradient interpolation on concentric balls, with the epsilon
     split between the Hessian and zeroth-order terms, and its two-radius
     corollary."""
-    d = params["d"]
     # a gaussian: the samples span the grid
-    grid, u = _sampled(d, h, 1.0, "gaussian", sigma=params["sigma"])
+    grid, u = _sampled(params["d"], h, 1.0, "gaussian", sigma=params["sigma"])
     derivs = fd_derivatives(u)
     box = derivs.box
     u, d2, d1 = u.values[box], frobenius(derivs.box_d2u), euclidean(derivs.box_du)
     p, q, rho, eps, r, R = (params[k] for k in ("p", "q", "rho", "eps", "r", "R"))
-    mass = NodeMasses(grid, PowerX1(q, axis=0), box)[:]
-    origin = (0.0,) * d
+    mass = NodeMasses(grid, _axis_weight(q, grid), box)[:]
 
-    inner = _ball_mask(grid, origin, rho / 2, box) * mass
-    outer = _ball_mask(grid, origin, rho, box) * mass
+    inner = _origin_mask(grid, rho / 2, box) * mass
+    outer = _origin_mask(grid, rho, box) * mass
     eq_a = _gradient_interpolation("local_gradient", p, inner, outer, d2, d1, u,
                                    eps * rho ** p, eps ** -1 * rho ** -p)
 
-    small = _ball_mask(grid, origin, r, box) * mass
-    big = _ball_mask(grid, origin, R, box) * mass
+    small = _origin_mask(grid, r, box) * mass
+    big = _origin_mask(grid, R, box) * mass
     gap = R - r
     eq_b = _gradient_interpolation("two_radius_gradient", p, small, big, d2, d1, u,
                                    eps * gap ** p, (eps * gap) ** -p)
@@ -860,14 +869,11 @@ def _run_interp_local(params, h, seed):
 def _run_w2p_global(params, h, seed):
     """Global weighted Hessian bound for compactly supported inputs by the
     operator image, the function, and the oscillation-budget collar term."""
-    d, p, R, r0, tau0 = (params[k] for k in ("d", "p", "R", "r0", "tau0"))
-    grid, box, u, fv, d2, _ = _fields(params, h, R + r0 + 0.25, "bump",
-                                      radius=params["radius"], amplitude=params["amplitude"])
-    w = _axis_weight(params["q"])
-    collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * d, R + r0))
-    scale = r0 ** (-2 * p)
-    return [_collar_hessian("global_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
-                            collar, tau0, scale, {"u_term_scale": scale})]
+    r0 = params["r0"]
+    fields = _fields(params, h, params["R"] + r0 + 0.25, "bump",
+                     radius=params["radius"], amplitude=params["amplitude"])
+    scale = r0 ** (-2 * params["p"])
+    return [_collar_hessian("global_hessian", params, fields, scale, {"u_term_scale": scale})]
 
 
 @_register(
@@ -887,24 +893,20 @@ def _run_zeroth_1d(params, h, seed):
     X = grid.nodes()
     u = mf.u(X)
     d2 = mf.d2u(X)[:, 0, 0]
-    mass = NodeMasses(grid, _axis_weight(params["q"]))[:]
-    eq = EquationCheck(
-        "zeroth_order",
-        _integral(np.abs(u) ** p, mass),
-        (_integral(np.abs(d2 - u) ** p, mass),),
-        {"derivatives": "analytic"})
-    return [eq]
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid))[:]
+    return [EquationCheck("zeroth_order", _integral(np.abs(u) ** p, mass),
+                          (_integral(np.abs(d2 - u) ** p, mass),))]
 
 
 _APRIORI_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
                      "q": None, "radius": 1.2, "extent": 2.5}
 
 
-def _apriori_pair(params, fields, axis: int):
+def _apriori_pair(params, fields):
     """Absorbed-defect form and gradient pair over the whole grid box."""
     p = params["p"]
     grid, box, u, fv, d2, d1 = fields
-    mass = NodeMasses(grid, _axis_weight(params["q"], axis=axis), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)
     return [_absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv),
             _gradient_pair(p, mass, d2, d1, fv, u)]
 
@@ -919,7 +921,7 @@ def _run_apriori(params, h, seed):
     """Full-space weighted a priori bounds: Hessian and gradient by operator
     image plus function, and all three orders by the absorbed defect."""
     fields = _fields(params, h, params["extent"], "bump", radius=params["radius"])
-    return _apriori_pair(params, fields, axis=0)
+    return _apriori_pair(params, fields)
 
 
 @_register(
@@ -936,8 +938,7 @@ def _run_mixed(params, h, seed):
     grid, box, u, fv, d2, d1 = _fields(params, h, params["extent"], "bump",
                                        radius=params["radius"])
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
-    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), u, fv,
-                            {"finiteness_hypothesis": "automatic on a truncated grid"})]
+    return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), u, fv)]
 
 
 @_register(
@@ -953,12 +954,11 @@ def _run_mixed(params, h, seed):
 def _run_local_w2p(params, h, seed):
     """Interior weighted Hessian and gradient bounds on concentric balls with
     the inverse-gap coefficients of the cutoff argument."""
-    d, p, r, R = (params[k] for k in ("d", "p", "r", "R"))
+    p, r, R = (params[k] for k in ("p", "r", "R"))
     grid, box, u, fv, d2, d1 = _fields(params, h, R + 0.2, "gaussian", sigma=params["sigma"])
-    mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
-    origin = (0.0,) * d
-    inner = _ball_mask(grid, origin, r, box) * mass
-    outer = _ball_mask(grid, origin, R, box) * mass
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)[:]
+    inner = _origin_mask(grid, r, box) * mass
+    outer = _origin_mask(grid, R, box) * mass
     gap = R - r
 
     eq_a = _local_hessian("local_hessian", p, inner, outer, d2, d1, fv, u, gap)
@@ -985,11 +985,10 @@ def _run_local_w2p(params, h, seed):
 def _run_local_mixed(params, h, seed):
     """Interior iterated-norm bound: Hessian and gradient on the inner ball by
     the operator image and function on the outer ball."""
-    d, p1, p2, r, R = (params[k] for k in ("d", "p1", "p2", "r", "R"))
+    p1, p2, r, R = (params[k] for k in ("p1", "p2", "r", "R"))
     grid, box, u, fv, d2, d1 = _fields(params, h, R + 0.2, "gaussian", sigma=params["sigma"])
-    origin = (0.0,) * d
-    inner = _ball_mask(grid, origin, r, box)
-    outer = _ball_mask(grid, origin, R, box)
+    inner = _origin_mask(grid, r, box)
+    outer = _origin_mask(grid, R, box)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
     return [_mixed_pair("local_mixed_pair", grid, box, spec, p1, d2, d1, fv, np.abs(u),
                         inner, outer)]
@@ -1028,7 +1027,7 @@ def _run_hs_slab(params, h, seed):
     versions."""
     p, n, eps = params["p"], params["n"], params["eps"]
     grid, box, u, fv, d2, d1 = _slab_fields(params, h)
-    mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)[:]
     x1 = grid.coordinates(box)[0]
 
     def pair(tag, inner, outer, hess, grad):
@@ -1063,15 +1062,13 @@ def _run_hs_weighted(params, h, seed):
     function."""
     p, q = params["p"], params["q"]
     grid, box, u, fv, d2, d1 = _slab_fields(params, h, wall=3.0, center=1.0, radii=(0.7, 1.5))
-    mass = NodeMasses(grid, HattedPowerX1(q, axis=0), box)
+    mass = NodeMasses(grid, _axis_weight(q, grid, HattedPowerX1), box)
     hat = _slab_hat(grid, box)
-    eq = EquationCheck(
+    return [EquationCheck(
         "hatted_second_order",
         _power_integral(p, mass, lambda s: hat[s] * d2[s]) + _power_integral(p, mass, d1),
         (_power_integral(p, mass, lambda s: hat[s] * np.abs(fv[s] - u[s])),
-         _power_integral(p, mass, lambda s: _safe_div(np.abs(u[s]), hat[s]))),
-        {"support_gap": "input vanishes near the boundary plane"})
-    return [eq]
+         _power_integral(p, mass, lambda s: _safe_div(np.abs(u[s]), hat[s]))))]
 
 
 @_register(
@@ -1088,7 +1085,7 @@ def _run_hs_mixed(params, h, seed):
     grid, box, u, fv, d2, d1 = _slab_fields(params, h, wall=3.0, center=1.0, radii=(0.7, 1.5))
     hat = _slab_hat(grid, box)
     spec = MixedNormSpec(groups=((0,), tuple(range(1, d))), exponents=(p2, p1),
-                         weights=(HattedPowerX1(q, axis=0), None))
+                         weights=(_axis_weight(q, grid, HattedPowerX1), None))
     norm = partial(box_mixed_norm, grid, box, spec)
     return [EquationCheck("hatted_mixed", norm(hat * d2 + d1),
                           (norm(hat * np.abs(fv - u)), norm(_safe_div(np.abs(u), hat))))]
@@ -1112,13 +1109,12 @@ def _run_hs_dirichlet(params, h, seed):
     """Half-space bounds for inputs vanishing on the boundary plane:
     compact-support Hessian bound with the collar term, the gradient pair, and
     the absorbed-defect form."""
-    p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
+    p, R = params["p"], params["R"]
     side = R + 0.1
-    grid, box, u, fv, d2, d1 = _fields(params, h, side, params["input"], side, radius=R)
-    w = _axis_weight(params["q"])
-    mass = NodeMasses(grid, w, box)
-    collar = partial(_collar, grid, w, partial(_ball_mask, grid, (0.0,) * grid.ndim, R + r0))
-    return [_collar_hessian("support_hessian", p, mass, d2, fv, u, collar, tau0),
+    fields = _fields(params, h, side, params["input"], side, radius=R)
+    grid, box, u, fv, d2, d1 = fields
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)
+    return [_collar_hessian("support_hessian", params, fields),
             _gradient_pair(p, mass, d2, d1, fv, u),
             _absorbed("absorbed_zeroth", p, mass, d2, d1, u, fv)]
 
@@ -1141,12 +1137,12 @@ def _run_hs_dirichlet_mixed(params, h, seed):
     groups = ((0,), tuple(range(1, d)))
 
     hat_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
-                             weights=(HattedPowerX1(q, axis=0), None))
+                             weights=(_axis_weight(q, grid, HattedPowerX1), None))
     eq_a = _mixed_absorbed("hatted_triple", grid, box, hat_spec,
                            lambda s: d2[s] + d1[s] + uu[s], u, fv)
 
     plain_spec = MixedNormSpec(groups=groups, exponents=(p2, p1),
-                               weights=(PowerX1(q, axis=0), None))
+                               weights=(_axis_weight(q, grid), None))
     norm = partial(box_mixed_norm, grid, box, plain_spec)
     return [eq_a, EquationCheck("scaling_variant", norm(d2), (norm(np.abs(fv)),))]
 
@@ -1161,13 +1157,12 @@ def _run_hs_dirichlet_mixed(params, h, seed):
 def _run_hs_local(params, h, seed):
     """Interior-to-boundary localized Hessian bound on half balls with the
     inverse-gap lower-order combination."""
-    d, p, r, R, radius = (params[k] for k in ("d", "p", "r", "R", "radius"))
+    p, r, R, radius = (params[k] for k in ("p", "r", "R", "radius"))
     side = max(R, radius) + 0.2
     grid, box, u, fv, d2, d1 = _fields(params, h, side, "odd_bump", side, radius=radius)
-    mass = NodeMasses(grid, _axis_weight(params["q"]), box)[:]
-    origin = (0.0,) * d
-    inner = _ball_mask(grid, origin, r, box) * mass
-    outer = _ball_mask(grid, origin, R, box) * mass
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)[:]
+    inner = _origin_mask(grid, r, box) * mass
+    outer = _origin_mask(grid, R, box) * mass
     return [_local_hessian("boundary_local_hessian", p, inner, outer, d2, d1, fv, u, R - r)]
 
 
@@ -1175,8 +1170,8 @@ def _run_hs_local(params, h, seed):
 # parabolic bounds
 
 _PARA_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
-                  "q": None, "R": 1.2, "r0": 1.0, "tau0": 0.0, "radius": 1.0,
-                  "t_center": 0.7, "t_radius": 0.6}
+                  "q": None, "radius": 1.0, "t_center": 0.7, "t_radius": 0.6}
+_PARA_COLLAR = {"R": 1.2, "r0": 1.0, "tau0": 0.0}   # of the entries with a collar term
 
 
 def _para_fields(params, h, side=1.4, t_end=1.6, kind="bump", wall=None):
@@ -1188,19 +1183,14 @@ def _para_fields(params, h, side=1.4, t_end=1.6, kind="bump", wall=None):
 
 @_register(
     id="PARA-GLOBAL",
-    defaults=_PARA_DEFAULTS,
+    defaults={**_PARA_DEFAULTS, **_PARA_COLLAR},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
 )
 def _run_para_global(params, h, seed):
     """Space-time Hessian bound for inputs supported in a forward cylinder, by
     the heat-operator image, the function, and the collar term."""
-    p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
-    grid, box, u, fv, d2, d1 = _para_fields(params, h)
-    w = _axis_weight(params["q"], axis=1)
-    collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
-    return [_collar_hessian("parabolic_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
-                            collar, tau0)]
+    return [_collar_hessian("parabolic_hessian", params, _para_fields(params, h))]
 
 
 @_register(
@@ -1212,7 +1202,7 @@ def _run_para_global(params, h, seed):
 def _run_para_apriori(params, h, seed):
     """Space-time a priori bounds on the forward half-line in time: the
     absorbed-defect form and the gradient pair."""
-    return _apriori_pair(params, _para_fields(params, h), axis=1)
+    return _apriori_pair(params, _para_fields(params, h))
 
 
 @_register(
@@ -1246,8 +1236,8 @@ def _run_para_local_mixed(params, h, seed):
     large one."""
     p0, p1, p2, r, R = (params[k] for k in ("p0", "p1", "p2", "r", "R"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h, side=1.2, t_end=1.0)
-    inner = _cylinder_mask(grid, r, box)
-    outer = _cylinder_mask(grid, R, box)
+    inner = _origin_mask(grid, r, box)
+    outer = _origin_mask(grid, R, box)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
     return [_mixed_pair("local_mixed_pair", grid, box, spec, p0, d2, d1, fv, np.abs(u),
                         inner, outer)]
@@ -1256,26 +1246,20 @@ def _run_para_local_mixed(params, h, seed):
 # ---------------------------------------------------------------------------
 # parabolic half-space bounds with a vanishing boundary trace
 
-_PARA_HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
-                     "q": 0.25, "R": 1.2, "r0": 1.0, "tau0": 0.0,
-                     "radius": 1.1, "t_center": 0.7, "t_radius": 0.6}
+_PARA_HS_DEFAULTS = {**_PARA_DEFAULTS, "q": 0.25, "radius": 1.1}
 
 
 @_register(
     id="PARA-HS",
-    defaults=_PARA_HS_DEFAULTS,
+    defaults={**_PARA_HS_DEFAULTS, **_PARA_COLLAR},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
 )
 def _run_para_hs(params, h, seed):
     """Space-time boundary Hessian bound for trace-zero inputs supported in a
     forward half-cylinder."""
-    p, R, r0, tau0 = (params[k] for k in ("p", "R", "r0", "tau0"))
-    grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
-    w = _axis_weight(params["q"], axis=1)
-    collar = partial(_collar, grid, w, partial(_cylinder_mask, grid, R + r0))
-    return [_collar_hessian("boundary_hessian", p, NodeMasses(grid, w, box), d2, fv, u,
-                            collar, tau0)]
+    fields = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
+    return [_collar_hessian("boundary_hessian", params, fields)]
 
 
 @_register(
@@ -1289,7 +1273,7 @@ def _run_para_hs_full(params, h, seed):
     defect for trace-zero inputs."""
     p = params["p"]
     grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
-    mass = NodeMasses(grid, _axis_weight(params["q"], axis=1), box)
+    mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)
     return [_absorbed("boundary_absorbed", p, mass, d2, d1, u, fv)]
 
 
@@ -1308,10 +1292,10 @@ def _run_para_hs_mixed(params, h, seed):
     d, p1, p2, p3, q, r, R = (params[k] for k in ("d", "p1", "p2", "p3", "q", "r", "R"))
     grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
     uu = np.abs(u)
-    inner = _cylinder_mask(grid, r, box)
-    outer = _cylinder_mask(grid, R, box)
+    inner = _origin_mask(grid, r, box)
+    outer = _origin_mask(grid, R, box)
     space = tuple(range(1, d + 1))
-    wall = PowerX1(q, axis=1)
+    wall = _axis_weight(q, grid)
 
     t_outer = MixedNormSpec(groups=((0,), space), exponents=(p2, p1),
                             weights=(None, wall))
@@ -1348,10 +1332,7 @@ def _run_neg_exp(params, L, seed):
     u = mf.u(X)
     du = mf.du(X)[:, 0]
     d2 = mf.d2u(X)[:, 0, 0]
-    notes = {"derivatives": "analytic",
-             "defect": "second derivative minus function vanishes identically"}
-    return [_absorbed("unbounded_zeroth", p, NodeMasses(grid), np.abs(d2), np.abs(du), u, d2,
-                      notes)]
+    return [_absorbed("unbounded_zeroth", p, NodeMasses(grid), np.abs(d2), np.abs(du), u, d2)]
 
 
 # ---------------------------------------------------------------------------

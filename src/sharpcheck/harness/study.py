@@ -35,24 +35,19 @@ def resolve_entry(estimate_id: str) -> CatalogEntry:
         raise ValueError(f"unknown estimate id {estimate_id!r}; catalog ids: {known}") from None
 
 
-def _class_precondition(entry: CatalogEntry, params: dict, seed: int) -> dict:
-    """Reject operators that fail their sampled class membership check."""
+def _class_precondition(params: dict, seed: int) -> dict:
+    """Reject operators that fail their sampled class membership check; the
+    note of one that passes holds what the check measured."""
     if "operator" not in params:
         return {}
     rep = operator_class_report(params, seed)
-    note = {
-        "operator_class": {
-            "kind": params["operator"],
-            "passed": bool(rep.passed),
-            "ellipticity_range": [float(rep.ellipticity_range[0]),
-                                  float(rep.ellipticity_range[1])],
-            "max_lipschitz_ratio": float(rep.max_lipschitz_ratio),
-        }
-    }
     if not rep.passed:
         raise ValueError(
             f"operator {params['operator']!r} fails its class check: {rep.failures[:3]}")
-    return note
+    return {"operator_class": {
+        "ellipticity_range": [float(rep.ellipticity_range[0]), float(rep.ellipticity_range[1])],
+        "max_lipschitz_ratio": float(rep.max_lipschitz_ratio),
+    }}
 
 
 def run_estimate_check(spec: EstimateSpec) -> InequalityReport:
@@ -69,7 +64,7 @@ def run_estimate_check(spec: EstimateSpec) -> InequalityReport:
 
     notes, series, done, error = {}, {}, [], None
     try:
-        notes.update(_class_precondition(entry, params, spec.seed))
+        notes.update(_class_precondition(params, spec.seed))
         for x in ladder:
             rows = [(c.equation, float(c.lhs), [float(t) for t in c.rhs_terms], c.notes)
                     for c in entry.runner(params, x, spec.seed)]

@@ -284,14 +284,24 @@ def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> lis
     return radii
 
 
+def _whole_grid_values(h: GridFunction, what: str) -> np.ndarray:
+    """``h.values``, refused unless they sample the whole grid."""
+    box = h.values.shape[:h.grid.ndim]
+    if box != h.grid.shape:
+        raise ValueError(f"{what} needs whole-grid samples of shape {h.grid.shape}, got a field "
+                         f"on a support box of shape {box}; pass GridFunction(grid, f.padded())")
+    return h.values
+
+
 def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | None = None,
                       mode: str = "all") -> GridFunction:
     """Sup over shapes containing the node of the node-counting average of
-    ``|h|``; ``mode='at_least'`` keeps only radii ``>= rho``."""
+    ``|h|``, for ``h`` sampled on the whole grid; ``mode='at_least'`` keeps
+    only radii ``>= rho``."""
     if h.channels:
         raise ValueError("geometric maximal expects a scalar grid function")
     out = np.full(h.grid.shape, -np.inf)
-    absv = np.abs(h.values)
+    absv = np.abs(_whole_grid_values(h, "geometric maximal"))
     for r in _radius_subset(family, rho, mode):
         _, counts, plan, cover = _window(h.grid, family, r)
         np.maximum(out, _reduce(_reduce(absv, plan, np.add) / counts, cover, np.maximum),
@@ -352,7 +362,8 @@ def _padded_layout(shape, pad) -> tuple[tuple[int, ...], np.ndarray]:
 def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
                     rho: float, pair_budget: int = 4096, seed: int = 0) -> GridFunction:
     """Sup over shapes of radius ``<= rho`` containing the node of the double
-    average of ``|h(y) - h(z)|**gamma`` over shape nodes, to the ``1/gamma``.
+    average of ``|h(y) - h(z)|**gamma`` over shape nodes, to the ``1/gamma``,
+    for ``h`` sampled on the whole grid.
 
     Exact over all node pairs while the unordered pair count stays within
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
@@ -392,7 +403,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         raise ValueError("pair budget must be positive")
     grid = h.grid
     d = grid.ndim
-    vals = h.values.reshape(grid.shape + (-1,))
+    vals = _whole_grid_values(h, "geometric sharp").reshape(grid.shape + (-1,))
     kept = [(r, *_window(grid, family, r)) for r in _radius_subset(family, rho, "at_most")]
     pad = np.minimum(np.max([np.array(mask.shape) // 2 for _, mask, *_ in kept], axis=0),
                      np.array(grid.shape) - 1)

@@ -210,10 +210,12 @@ class TestConfigDiagnostics:
                    "[suite]\nname = bad\nseed = 1\n\n[estimate:W3P]\n",
                    "line 5", "unknown estimate id 'W3P'")
 
-    def test_unknown_parameter_points_at_its_line(self, tmp_path, capsys):
+    # PARA-APRIORI has no collar term, so it takes no tau0 (nor R or r0)
+    @pytest.mark.parametrize("section,key", [("MAX-LP", "bogus"), ("PARA-APRIORI", "tau0")])
+    def test_unknown_parameter_points_at_its_line(self, tmp_path, capsys, section, key):
         self.check(tmp_path, capsys,
-                   "[suite]\nname = bad\nseed = 1\n\n[estimate:MAX-LP]\nbogus = 1\n",
-                   "line 6", "unknown parameter 'bogus'")
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{key} = 0.5\n",
+                   "line 6", f"unknown parameter {key!r}")
 
     def test_integer_past_the_float_range_names_its_parameter(self, tmp_path, capsys):
         err = self.check(tmp_path, capsys,

@@ -345,6 +345,26 @@ class TestGeometricMaximal:
         with pytest.raises(ValueError, match="radius ladder"):
             GeometricFamily("ball", ())
 
+    @pytest.mark.parametrize("channels", [(), (2, 2)])
+    def test_support_box_field_is_refused_by_name(self, channels):
+        # a field held on a support box is refused before any window sum;
+        # the same samples padded to the whole grid, or a box that is the
+        # whole grid, run
+        grid = box_grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
+        fam = family_for_grid(grid, (0.2, 0.4))
+        box = (slice(5, 16), slice(4, 17))
+        f = GridFunction(grid, np.ones((11, 13) + channels), box)
+        calls = [lambda h: geometric_sharp(h, fam, gamma=1.0, rho=0.4)]
+        if not channels:
+            calls.append(lambda h: geometric_maximal(h, fam))
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(
+                    "needs whole-grid samples of shape (21, 21), got a field on a support "
+                    "box of shape (11, 13)")):
+                call(f)
+            call(GridFunction(grid, f.padded()))
+            call(GridFunction(grid, f.padded(), (slice(0, 21), slice(None))))
+
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="radius ladder must be nonempty and positive"):
             GeometricFamily("ball", (float("nan"), 0.1))
