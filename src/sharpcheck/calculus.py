@@ -1,10 +1,10 @@
 """Grid functions, finite differences, operator families, manufactured inputs.
 
 Vertex-centered uniform grids over boxes, optionally with a leading time axis
-(independent spacing) and a half-space axis clipped at 0.  Derivatives use
-second-order central stencils inside and second-order one-sided stencils at
-faces, so they are exact on quadratics.  They are taken only on the input's
-support box, its nonzero extent widened by a stencil halo, and are +0.0 at
+(independent spacing); a half space is a box whose first space axis starts at
+0.  Derivatives use second-order central stencils inside and second-order
+one-sided stencils at faces, so they are exact on quadratics.  They are taken
+only on the input's support box, its nonzero extent widened by a stencil halo, and are +0.0 at
 every other node; the operator image there is +0.0 too, by the premise
 ``F(0, x) = 0`` that every positively homogeneous operator meets, and is
 held on that box.  An operator is a callable on stacks of Hessians (and
@@ -32,16 +32,15 @@ import numpy as np
 class Grid:
     """Uniform vertex-centered grid on a box.
 
-    ``time_axis`` marks axis 0 as time (excluded from spatial derivatives);
-    ``half_axis`` marks the axis whose lower face lies on the boundary
-    hyperplane {coordinate = 0}.
+    ``time_axis`` marks axis 0 as time (excluded from spatial derivatives).
+    The box is the whole domain: a half space {x_1 >= 0} is a box whose
+    first space axis starts at 0, and nothing else marks it.
     """
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     shape: tuple[int, ...]
     time_axis: bool = False
-    half_axis: int | None = None
 
     def __post_init__(self):
         if not (len(self.lo) == len(self.hi) == len(self.shape)):
@@ -52,8 +51,6 @@ class Grid:
             raise ValueError(f"box corners must be finite, got lo={self.lo}, hi={self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("degenerate box")
-        if self.half_axis is not None and self.lo[self.half_axis] < 0:
-            raise ValueError("half-space grid must satisfy lo >= 0 on the clipped axis")
         if self.time_axis and self.lo[0] < 0:
             raise ValueError("time axis starts at t >= 0")
 
@@ -94,9 +91,9 @@ class Grid:
         return np.stack(np.broadcast_arrays(*self.coordinates(box)), axis=-1)
 
 
-def box_grid(lo, hi, shape, time_axis=False, half_axis=None) -> Grid:
+def box_grid(lo, hi, shape, time_axis=False) -> Grid:
     return Grid(tuple(map(float, lo)), tuple(map(float, hi)), tuple(int(n) for n in shape),
-                time_axis=time_axis, half_axis=half_axis)
+                time_axis=time_axis)
 
 
 @dataclass
@@ -288,6 +285,15 @@ def sum_of_squares(parts) -> np.ndarray:
     for part in parts:
         total = total + part * part
     return total
+
+
+def in_shape(r: float, space, t=None) -> np.ndarray:
+    """Membership of offsets in the open ball ``|x|^2 < r*r`` (``space``: one
+    offset array per space axis, broadcasting together) or, with time offsets
+    ``t``, the forward cylinder ``[0, r*r) x B_r``: sharpcheck's one rule."""
+    r2 = r * r
+    inside = sum_of_squares(space) < r2
+    return inside if t is None else inside & ((t >= 0) & (t < r2))
 
 
 def euclidean(v: np.ndarray) -> np.ndarray:
@@ -600,26 +606,22 @@ def unit_hessian_directions(d: int, seed: int = 0) -> np.ndarray:
 def shape_quadrature(center, radius: float, shape: str = "ball",
                      density: int = 24) -> np.ndarray:
     """Midpoint-lattice nodes inside a ball, half ball, forward-in-time
-    cylinder ``[t, t + r^2) x B_r`` or half cylinder."""
+    cylinder ``[t, t + r^2) x B_r`` or half cylinder (``in_shape``); a half
+    shape keeps the nodes whose first space coordinate is nonnegative."""
+    if shape not in ("ball", "half_ball", "cylinder", "half_cylinder"):
+        raise ValueError(f"unknown shape {shape!r}")
     center = np.asarray(center, dtype=np.float64)
     d = center.size
-    if shape in ("ball", "half_ball"):
-        axes = [center[i] - radius + (np.arange(density) + 0.5) * (2 * radius / density)
-                for i in range(d)]
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        keep = np.linalg.norm(X - center, axis=1) < radius
-        if shape == "half_ball":
-            keep &= X[:, 0] >= 0
-    elif shape in ("cylinder", "half_cylinder"):
-        taxis = center[0] + (np.arange(density) + 0.5) * (radius ** 2 / density)
-        axes = [taxis] + [center[i] - radius + (np.arange(density) + 0.5)
-                          * (2 * radius / density) for i in range(1, d)]
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        keep = np.linalg.norm(X[:, 1:] - center[1:], axis=1) < radius
-        if shape == "half_cylinder":
-            keep &= X[:, 1] >= 0
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
+    cyl = int(shape.endswith("cylinder"))
+    axes = [center[i] - radius + (np.arange(density) + 0.5) * (2 * radius / density)
+            for i in range(cyl, d)]
+    if cyl:
+        axes.insert(0, center[0] + (np.arange(density) + 0.5) * (radius ** 2 / density))
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    off = (X - center).T
+    keep = in_shape(radius, off[cyl:], off[0] if cyl else None)
+    if shape.startswith("half"):
+        keep &= X[:, cyl] >= 0
     X = X[keep]
     if X.shape[0] == 0:
         raise ValueError("quadrature shape contains no nodes")
@@ -653,7 +655,7 @@ def oscillation_theta(op: Operator, model: Callable, center, radius: float, *,
     """
     X = shape_quadrature(center, radius, shape=shape, density=density)
     x = tuple(X.T)
-    d_space = X.shape[1] - (1 if shape in ("cylinder", "half_cylinder") else 0)
+    d_space = X.shape[1] - shape.endswith("cylinder")
     dirs = unit_hessian_directions(d_space, seed=seed)
     taus = np.array([1.0]) if homogeneous else tau_ladder(tau0)
     per_dir = np.zeros(len(dirs))

@@ -152,15 +152,12 @@ def load_suite(path: str) -> SuiteConfig:
             if key == "ladder":
                 ladder = _parse_ladder(raw, where(section, key))
                 continue
-            if key not in entry.defaults:
-                raise ConfigError(f"{where(section, key)}: unknown parameter {key!r} "
-                                  f"for {entry.id}")
             params[key] = _parse_scalar(raw)
-            default = entry.defaults[key]
-            if (isinstance(params[key], str) and isinstance(default, (int, float))
-                    and not isinstance(default, bool)):
-                raise ConfigError(f"{where(section, key)}: parameter {key!r} of {entry.id} "
-                                  f"must be a number, got {raw.strip()!r}")
+            try:                        # merged's typing rule, at the key's own line
+                entry.merged({key: params[key]})
+            except ValueError as e:
+                raise ConfigError(f"{where(section, key)}: invalid parameters for "
+                                  f"{entry.id}: {e}") from None
         try:
             merged = entry.merged(params)
             entry.validate(merged)

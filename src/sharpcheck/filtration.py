@@ -13,9 +13,10 @@ average each level once.
 
 A filtration is one frozen value, :class:`Filtration` ``(k, n_min, n_max,
 lo, hi)``, which checks its parameters and the box's alignment when built
-and carries the finest grid they fix.  ``full_space``, ``half_space`` and
-``parabolic`` build the whole-space, half-space and space-time kinds; the
-last two refuse a box below ``0`` on axis 0.  Equal parameters make equal
+and carries the finest grid they fix.  ``full_space`` builds the isotropic
+kind, and ``parabolic`` the space-time kind, which refuses a box below ``0``
+on its time axis.  A half space is no kind of its own: it is ``full_space``
+on a box whose first axis starts at 0.  Equal parameters make equal
 filtrations.
 
 A field may carry leading batch axes, one instance per index, so that many
@@ -141,26 +142,19 @@ class Filtration:
         return DiscreteField(self, values)
 
 
-def _first_axis_nonnegative(filt: Filtration) -> Filtration:
-    if filt.lo[0] < 0:
-        raise ValueError(f"axis 0 is constrained to >= 0 but lo[0] = {filt.lo[0]}")
-    return filt
-
-
 def full_space(d: int, n_min: int, n_max: int, lo, hi) -> Filtration:
-    """Isotropic filtration of a box in d-space."""
+    """Isotropic filtration of a box in d-space; a half-space filtration is
+    one on a box with ``lo[0] = 0``."""
     return Filtration((1,) * d, n_min, n_max, lo, hi)
-
-
-def half_space(d: int, n_min: int, n_max: int, lo, hi) -> Filtration:
-    """Isotropic filtration of a box inside the half space {x_1 >= 0}."""
-    return _first_axis_nonnegative(full_space(d, n_min, n_max, lo, hi))
 
 
 def parabolic(d: int, n_min: int, n_max: int, lo, hi) -> Filtration:
     """Space-time filtration: axis 0 is time with exponent 2, cells
     (t, x) + [0, 4**-n) x [0, 2**-n)**d, domain {t >= 0}."""
-    return _first_axis_nonnegative(Filtration((2,) + (1,) * d, n_min, n_max, lo, hi))
+    filt = Filtration((2,) + (1,) * d, n_min, n_max, lo, hi)
+    if filt.lo[0] < 0:
+        raise ValueError(f"axis 0 is constrained to >= 0 but lo[0] = {filt.lo[0]}")
+    return filt
 
 
 @dataclass

@@ -28,22 +28,24 @@ an entry with a collar term takes all three of ``R``, ``r0`` and ``tau0``.
 
 A finite-difference entry's input is one recipe ``(side, kind, wall, time,
 shape)`` (``_sampled``): ``manufactured(kind, d, **shape)`` on [-side, side]^d,
-with the first space axis the half axis [0, wall] when ``wall`` is set, behind
-a time axis [0, T] with a bump time profile when ``time = (T, t_center,
-t_radius)`` is set.  The entries take their grid, input samples, operator
-image and derivative magnitudes from ``_fields``, as one set per recipe and
-spacing (OSC, OSC-P and INTERP-LOCAL difference the samples themselves); a
-set on a half grid is checked once, when built, to vanish on the boundary
-face.  A set is held only on the input's support box
-(``calculus.support_box``), with its slices: elsewhere the derivatives
-vanish, and so does the operator image, since every ``build_operator`` kind
-is positively homogeneous, so ``F(0, x) = 0``.  The input is sampled on its
-analytic support and the set built slab by slab (``calculus.operator_fields``).
-The runners form masses, masks and integrands on the box from the grid's axis
-nodes, so every per-node value is the whole grid's, bit for bit, and
-accumulate integrands one slab of axis-0 layers at a time; the collar term,
-which does not vanish off the box, is summed over the whole grid slab by
-slab, and only under a nonzero ``tau0^p``.
+with the first space axis [0, wall] when ``wall`` is set, behind a time axis
+[0, T] with a bump time profile when ``time = (T, t_center, t_radius)`` is
+set.  The wall is the box: a half-space recipe is one whose box starts at 0 on
+the first space axis, and the grid carries no other mark of it.  An input with
+no nonzero sample tests nothing, and is refused.  The entries take their grid,
+input samples, operator image and derivative magnitudes from ``_fields``, as
+one set per recipe and spacing (OSC, OSC-P and INTERP-LOCAL difference the
+samples themselves); a set with a wall is checked once, when built, to vanish
+on the wall's face.  A set is held only on the input's support box
+(``calculus.support_box``), with its slices: elsewhere the derivatives vanish,
+and so does the operator image, since every ``build_operator`` kind is
+positively homogeneous, so ``F(0, x) = 0``.  The input is sampled on its
+analytic support and the set built slab by slab
+(``calculus.operator_fields``).  The runners form masses, masks and integrands
+on the box from the grid's axis nodes, so every per-node value is the whole
+grid's, bit for bit, and accumulate integrands one slab of axis-0 layers at a
+time; the collar term, which does not vanish off the box, is summed over the
+whole grid slab by slab, and only under a nonzero ``tau0^p``.
 Inside ``run_suite`` (see ``shared_fields``) entries with one recipe share
 these sets: each is computed once, handed out read-only, and kept only while
 its recipe is the most recently requested one; each operator's class check
@@ -74,12 +76,12 @@ from ..calculus import (
     evaluate_operator,
     fd_derivatives,
     frobenius,
+    in_shape,
     linear_operator,
     manufactured,
     operator_fields,
     power,
     pucci_operator,
-    sum_of_squares,
     with_time_profile,
 )
 from ..filtration import _aligned_count, full_space, level_means
@@ -229,7 +231,7 @@ _NAME_RULES = [
                              f"tau0 must be finite and nonnegative, got {p['tau0']!r}")),
     *((key, lambda p, key=key: _need(p[key] is None or math.isfinite(p[key]),
                                      f"{key} must be finite, got {p[key]!r}"))
-      for key in ("p", "p0", "p1", "p2", "p3", "q")),
+      for key in ("p", "p0", "p1", "p2", "p3", "q", "t_center")),
     *((key, lambda p, key=key: check_scale(key, p[key]))
       for key in ("radius", "sigma", "t_radius", "extent", "rho", "r0", "R", "mu", "h",
                   "tolerance", "nu", "xi")),
@@ -249,9 +251,9 @@ def _dyadic_level(h: float) -> int:
     return n
 
 
-def _grid(lo, hi, h: float, **kw):
+def _grid(lo, hi, h: float, time_axis=False):
     shape = tuple(max(2, int(round((b - a) / h)) + 1) for a, b in zip(lo, hi))
-    return box_grid(lo, hi, shape, **kw)
+    return box_grid(lo, hi, shape, time_axis)
 
 
 def build_operator(params: dict):
@@ -317,9 +319,9 @@ def shared_fields():
 def _sampled(d: int, h: float, side: float, kind: str, wall=None, time=None, **shape):
     """``(grid, u)``: the grid of one input recipe and ``manufactured(kind, d,
     **shape)`` sampled on it.  The grid is [-side, side]^d, its first space
-    axis the half axis [0, wall] when ``wall`` is set, behind a time axis
-    [0, T] when ``time = (T, t_center, t_radius)`` is set, where the input
-    takes a bump time profile centred at ``t_center`` of radius ``t_radius``."""
+    axis [0, wall] when ``wall`` is set, behind a time axis [0, T] when
+    ``time = (T, t_center, t_radius)`` is set, where the input takes a bump
+    time profile centred at ``t_center`` of radius ``t_radius``."""
     mf = manufactured(kind, d, **shape)
     lo, hi = [-side] * d, [side] * d
     if wall is not None:
@@ -328,9 +330,21 @@ def _sampled(d: int, h: float, side: float, kind: str, wall=None, time=None, **s
         t_end, t_center, t_radius = time
         mf = with_time_profile(mf, t_center=t_center, t_radius=t_radius)
         lo, hi = [0.0] + lo, [t_end] + hi
-    grid = _grid(lo, hi, h, time_axis=time is not None,
-                 half_axis=None if wall is None else int(time is not None))
-    return grid, mf.on_grid(grid)
+    grid = _grid(lo, hi, h, time_axis=time is not None)
+    u = mf.on_grid(grid)
+    _refuse_vacuous(u.values, kind, shape if time is None
+                    else dict(shape, t_center=t_center, t_radius=t_radius), h)
+    return grid, u
+
+
+def _refuse_vacuous(values, kind: str, shape: dict, h: float):
+    """Refuse the samples ``values`` of ``manufactured(kind, **shape)`` at
+    spacing ``h`` when none is nonzero: every term is then 0, which passes
+    any bound and tests nothing."""
+    if not np.any(values):
+        args = ", ".join(f"{k}={v!r}" for k, v in shape.items())
+        raise ValueError(f"the input {kind}({args}) is 0 at every node at spacing {h}, "
+                         "so it tests nothing")
 
 
 def _fields(params: dict, h: float, side: float, kind: str, wall=None, time=None, **shape):
@@ -389,10 +403,8 @@ def _origin_mask(grid, radius: float, box=None) -> np.ndarray:
     forward cylinder ``[0, r^2) x B_r``, on the nodes of ``box`` (the whole
     grid by default)."""
     x = grid.coordinates(box)
-    inside = sum_of_squares(x[ax] for ax in grid.space_axes) < radius ** 2
-    if grid.time_axis:
-        inside = (x[0] < radius ** 2) & inside
-    return inside.astype(np.float64)
+    space = (x[ax] for ax in grid.space_axes)
+    return in_shape(radius, space, x[0] if grid.time_axis else None).astype(np.float64)
 
 
 def _slab_hat(grid, box=None) -> np.ndarray:
@@ -441,7 +453,7 @@ def _gradient_pair(p, mass, d2, d1, fv, u) -> EquationCheck:
                           _power_integral(p, mass, u)))
 
 
-def _collar_hessian(equation, params, fields, u_scale=1.0, notes=None) -> EquationCheck:
+def _collar_hessian(equation, params, fields, u_scale=1.0) -> EquationCheck:
     """Hessian by the operator image, the function times ``u_scale`` and the
     collar term ``tau0^p * _collar(R + r0)``, weighted by ``q`` on the grid
     of ``fields``; the collar, finite and nonnegative, is not summed when
@@ -453,8 +465,7 @@ def _collar_hessian(equation, params, fields, u_scale=1.0, notes=None) -> Equati
     return EquationCheck(equation, _power_integral(p, mass, d2),
                          (_power_integral(p, mass, fv),
                           u_scale * _power_integral(p, mass, u),
-                          tau0 ** p * _collar(grid, w, R + r0) if tau0 ** p else 0.0),
-                         notes or {})
+                          tau0 ** p * _collar(grid, w, R + r0) if tau0 ** p else 0.0))
 
 
 def _local_hessian(equation, p, inner, outer, d2, d1, fv, u, gap) -> EquationCheck:
@@ -495,7 +506,8 @@ def _zero_trace(fields):
     grid, _, u = fields[:3]
     scale = max(1.0, float(np.abs(u).max(initial=0.0)))
     # the box's first layer is the face {x = 0}, or zeros of its halo
-    trace = float(np.abs(u[(slice(None),) * grid.half_axis + (slice(0, 1),)]).max(initial=0.0))
+    face = (slice(None),) * grid.space_axes[0] + (slice(0, 1),)
+    trace = float(np.abs(u[face]).max(initial=0.0))
     _need(trace <= 1e-12 * scale,
           "manufactured input must vanish on the boundary hyperplane "
           f"(trace magnitude {trace:.3e})")
@@ -538,6 +550,9 @@ def _cylinder_support(p):
     """The input's support stays inside the cylinder of radius R and height R^2."""
     _need(p["radius"] < p["R"],
           f"the space support must stay inside R, got radius = {p['radius']!r}, R = {p['R']!r}")
+    _need(p["t_center"] - p["t_radius"] >= 0,
+          "the time support must start at t >= 0, got t_center - t_radius = "
+          f"{p['t_center'] - p['t_radius']!r}")
     _need(p["t_center"] + p["t_radius"] <= p["R"] ** 2,
           f"the time support must stay inside the cylinder, ending by R^2 = {p['R'] ** 2!r}")
 
@@ -601,8 +616,7 @@ def _run_max_lp(params, h, seed):
     lhs = float(((np.abs(mg) ** p).sum() * vol) ** (1.0 / p))
     gnorm = float(((np.abs(g) ** p).sum() * vol) ** (1.0 / p))
     bound = p / (p - 1.0) * gnorm
-    return [EquationCheck("maximal_lp", lhs, (bound,),
-                          {"doob_constant": p / (p - 1.0), "input_norm": gnorm})]
+    return [EquationCheck("maximal_lp", lhs, (bound,), {"input_norm": gnorm})]
 
 
 @_register(
@@ -660,11 +674,13 @@ def _run_fs_local(params, h, seed):
     function against the level-floored sharp plus capped maximal combination."""
     p, gamma, beta, m = (params[k] for k in ("p", "gamma", "beta", "m"))
     filt = full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0))
-    mf = manufactured("bump", 2, center=(0.5, 0.5), radius=params["radius"])
+    shape = {"center": (0.5, 0.5), "radius": params["radius"]}
+    mf = manufactured("bump", 2, **shape)
     w = PowerX1(params["q"], axis=0)
     # each integrand is formed, and its array dropped, as soon as it exists
     thickness = beta_type_constant(w, beta, filt)
     u = filt.sample(mf.u)
+    _refuse_vacuous(u.values, "bump", shape, h)
     mass = cell_masses(w, filt)
     lhs = _integral(np.abs(u.values) ** p, mass)
     i_term = _integral(dyadic_maximal(u).values ** p, mass)
@@ -726,8 +742,8 @@ def _sharp_pointwise(params, h, seed, side: float, time, e: int, amp_power: int)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
         GridFunction(grid, power(frobenius(d2u), ed)), family).values ** (1.0 / ed)
-    extra = {"rho": rho, "subsampled_pairs": bool(sharp.subsampled)}
-    return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h), extra)]
+    return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h),
+                       {"subsampled_pairs": bool(sharp.subsampled)})]
 
 
 @_register(
@@ -872,8 +888,7 @@ def _run_w2p_global(params, h, seed):
     r0 = params["r0"]
     fields = _fields(params, h, params["R"] + r0 + 0.25, "bump",
                      radius=params["radius"], amplitude=params["amplitude"])
-    scale = r0 ** (-2 * params["p"])
-    return [_collar_hessian("global_hessian", params, fields, scale, {"u_term_scale": scale})]
+    return [_collar_hessian("global_hessian", params, fields, r0 ** (-2 * params["p"]))]
 
 
 @_register(

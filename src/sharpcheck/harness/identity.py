@@ -34,7 +34,6 @@ from ..filtration import (
     Filtration,
     cz_stopping_time,
     full_space,
-    half_space,
     level_means,
     parabolic,
     stopped_value,
@@ -74,11 +73,11 @@ def _random_filtration(rng, geometry: str) -> Filtration:
         lo = tuple(-side * int(rng.integers(0, 2)) for _ in range(d))
         hi = tuple(l + side * int(rng.integers(1, 3)) for l in lo)
         return full_space(d, n_min, n_max, lo, hi)
-    if geometry == "half":
+    if geometry == "half":        # a half space is a box with lo[0] = 0
         d = int(rng.integers(1, 3))
         lo = (0.0,) + tuple(-side * int(rng.integers(0, 2)) for _ in range(d - 1))
         hi = tuple(l + side * int(rng.integers(1, 3)) for l in lo)
-        return half_space(d, n_min, n_max, lo, hi)
+        return full_space(d, n_min, n_max, lo, hi)
     if geometry == "parabolic":
         tside = 4.0 ** (-n_min)
         lo = (tside * int(rng.integers(0, 2)), -side * int(rng.integers(0, 2)))

@@ -1,23 +1,24 @@
 """Maximal and mean-oscillation operators, dyadic and geometric.
 
-Dyadic variants act on piecewise-constant fields through exact block
-averages, maxed over levels coarse to fine.  Geometric variants act on grid
-functions: shape averages are node-counting quadratures over balls, half balls, forward-in-time cylinders
-``[t, t + r^2) x B_r`` and half cylinders, with shapes clipped to the grid
-box.  One chord reduction serves both window sums and covering maxima: each
-mask row is a chord about the middle column, a running sum or max grows
-chord by chord, and a cylinder's time interval is one running op along time
-first.  Every term is an on-grid value, so a window sum of a nonnegative
-field keeps its rounding error relative to the local sum, node counts are
-exact integers, and the sup over shapes containing a node is exact.  A
-family keeps, per grid and radius, the mask, the node counts and the
+Dyadic variants act on piecewise-constant fields through exact block averages,
+maxed over levels coarse to fine.  Geometric variants act on grid functions:
+shape averages are node-counting quadratures over balls and forward-in-time
+cylinders ``[t, t + r^2) x B_r``, with shapes clipped to the grid box, so on a
+box whose first space axis starts at 0 they are the half balls and half
+cylinders of a half space.  One chord reduction serves both window sums and
+covering maxima: each mask row is a chord about the middle column, a running
+sum or max grows chord by chord, and a cylinder's time interval is one running
+op along time first.  Every term is an on-grid value, so a window sum of a
+nonnegative field keeps its rounding error relative to the local sum, node
+counts are exact integers, and the sup over shapes containing a node is exact.
+A family keeps, per grid and radius, the mask, the node counts and the
 reduction plans of the mask and its reflection, so the calls that share it
-check and plan each window once.  Sharp pair sums visit the offset
-differences of all radii's pairs once each: every difference writes its
-field once, over its whole overlap, into one zeroed buffer on a padded grid,
-and each pair feeding a radius's padded accumulator is one flat slice add.
-Sampled pairs are swapped to a lexicographically positive difference, so
-``delta`` and ``-delta`` share one field; channels sum in a fixed order.
+check and plan each window once.  Sharp pair sums visit the offset differences
+of all radii's pairs once each: every difference writes its field once, over
+its whole overlap, into one zeroed buffer on a padded grid, and each pair
+feeding a radius's padded accumulator is one flat slice add.  Sampled pairs
+are swapped to a lexicographically positive difference, so ``delta`` and
+``-delta`` share one field; channels sum in a fixed order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import Grid, GridFunction
+from .calculus import Grid, GridFunction, in_shape
 from .filtration import DiscreteField, _block_expand, cell_blocks, level_means
 
 # Cells per pairwise chunk in the generic double-average path.
@@ -113,7 +114,7 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
 # ---------------------------------------------------------------------------
 # geometric shape families
 
-_SHAPES = ("ball", "half_ball", "cylinder", "half_cylinder")
+_SHAPES = ("ball", "cylinder")
 
 
 @dataclass(frozen=True)
@@ -135,37 +136,23 @@ class GeometricFamily:
 
 
 def family_for_grid(grid: Grid, radii) -> GeometricFamily:
-    if grid.time_axis:
-        shape = "half_cylinder" if grid.half_axis is not None else "cylinder"
-    else:
-        shape = "half_ball" if grid.half_axis is not None else "ball"
-    return GeometricFamily(shape, tuple(radii))
+    return GeometricFamily("cylinder" if grid.time_axis else "ball", tuple(radii))
 
 
 def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
-    """Boolean window mask of index offsets, odd-sized and centered; for
-    cylinders the time support sits on the forward side only."""
-    cyl = family.shape in ("cylinder", "half_cylinder")
-    if cyl and not grid.time_axis:
-        raise ValueError("cylinder shapes need a time axis")
-    if not cyl and grid.time_axis:
-        raise ValueError("ball shapes cannot run on a time grid")
-    sp = grid.space_axes
-    ks = [int(np.floor(r / grid.spacing(ax) * (1 - 1e-12))) for ax in sp]
+    """Boolean window mask of index offsets, odd-sized and centered, whose
+    offsets lie in the shape (``calculus.in_shape``); for cylinders the time
+    support sits on the forward side only."""
+    cyl = family.shape == "cylinder"
+    if cyl != grid.time_axis:
+        raise ValueError(f"{family.shape} shapes need a grid {'with' if cyl else 'without'} "
+                         "a time axis")
+    ks = [int(np.floor(r / grid.spacing(ax) * (1 - 1e-12))) for ax in grid.space_axes]
     if cyl:
-        kt = int(np.ceil(r * r / grid.spacing(0) * (1 - 1e-12))) - 1
-        kt = max(kt, 0)
-        dims = [2 * kt + 1] + [2 * k + 1 for k in ks]
-        grids = np.meshgrid(*(np.arange(-(s // 2), s // 2 + 1) for s in dims), indexing="ij")
-        off_t = grids[0] * grid.spacing(0)
-        space2 = sum((grids[1 + i] * grid.spacing(ax)) ** 2 for i, ax in enumerate(sp))
-        mask = (space2 < r * r) & (off_t >= 0) & (off_t < r * r)
-    else:
-        dims = [2 * k + 1 for k in ks]
-        grids = np.meshgrid(*(np.arange(-(s // 2), s // 2 + 1) for s in dims), indexing="ij")
-        space2 = sum((grids[i] * grid.spacing(ax)) ** 2 for i, ax in enumerate(sp))
-        mask = space2 < r * r
-    return mask
+        ks.insert(0, max(int(np.ceil(r * r / grid.spacing(0) * (1 - 1e-12))) - 1, 0))
+    off = np.meshgrid(*(np.arange(-k, k + 1) * grid.spacing(ax) for ax, k in enumerate(ks)),
+                      indexing="ij", sparse=True)
+    return in_shape(r, (off[ax] for ax in grid.space_axes), off[0] if cyl else None)
 
 
 def _window(grid: Grid, family: GeometricFamily, r: float):

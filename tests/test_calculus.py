@@ -89,10 +89,6 @@ class TestGrid:
         with pytest.raises(ValueError, match="at least 2 nodes"):
             ca.box_grid((0,), (1,), (1,))
 
-    def test_rejects_negative_half_axis_box(self):
-        with pytest.raises(ValueError, match="half-space"):
-            ca.box_grid((-0.5,), (1,), (4,), half_axis=0)
-
     @pytest.mark.parametrize("lo,hi", [((np.nan,), (1.0,)), ((0.0,), (np.inf,)),
                                        ((-np.inf,), (1.0,)), ((0.0, 0.0), (1.0, np.nan))])
     def test_rejects_non_finite_corners(self, lo, hi):
@@ -104,7 +100,7 @@ class TestGrid:
         ((-1.0,), (1.0,), (7,), {}),
         ((0.0, -1.0), (2.0, 1.0), (9, 12), {}),
         ((0.0, -1.2, -1.2), (1.5, 1.2, 1.2), (8, 13, 10), {"time_axis": True}),
-        ((0.0, 0.0, -1.3), (1.6, 1.3, 1.3), (7, 6, 11), {"time_axis": True, "half_axis": 1}),
+        ((0.0, 0.0, -1.3), (1.6, 1.3, 1.3), (7, 6, 11), {"time_axis": True}),
         ((0.0, 0.1, -0.3, -1.0), (0.3, 0.9, 0.7, 1.0), (4, 5, 6, 3), {}),
     ])
     def test_nodes_match_meshgrid_stack(self, lo, hi, shape, kw):
@@ -461,7 +457,10 @@ class TestSupportBox:
             grid, box, u, fv, d2, d1 = catalog._fields(params, h, side, name, wall, time,
                                                        **shape)
             assert grid.time_axis == (time is not None)
-            assert grid.half_axis == (None if wall is None else grid.ndim - d)
+            # the wall is the box: the first space axis starts at 0
+            first = grid.ndim - d
+            assert (grid.lo[first], grid.hi[first]) == ((-side, side) if wall is None
+                                                        else (0.0, wall))
             whole = whole_grid_samples(mf, grid)
             want = ca.fd_derivatives(whole)
             assert box == want.box and box == ca.support_box(whole.values)
@@ -860,6 +859,24 @@ class TestOscillation:
         assert th_hom.value <= 1e-6
         assert th_hom.value <= th_raw.value
 
+    @pytest.mark.parametrize("shape", ["ball", "half_ball", "cylinder", "half_cylinder"])
+    def test_quadrature_nodes_match_norm_definition(self, shape):
+        # the midpoint-lattice nodes whose space offset has norm below r, a
+        # cylinder's time offset in [0, r^2) by construction, and a half
+        # shape's first space coordinate nonnegative: in_shape's squares keep
+        # the same nodes, in the same order
+        center, r, n = np.array([0.3, -0.2, 0.1]), 0.7, 12
+        cyl = int(shape.endswith("cylinder"))
+        mid = np.arange(n) + 0.5
+        axes = [center[0] + mid * (r ** 2 / n)] if cyl else []
+        axes += [c - r + mid * (2 * r / n) for c in center[cyl:]]
+        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        keep = np.linalg.norm(X[:, cyl:] - center[cyl:], axis=1) < r
+        if shape.startswith("half"):
+            keep &= X[:, cyl] >= 0
+        got = ca.shape_quadrature(center, r, shape, density=n)
+        assert got.tobytes() == X[keep].tobytes()
+
     def test_empty_shape_rejected(self):
         # half ball centered deep in the excluded side holds no nodes
         op = ca.pucci_operator(0.5, "max", d=2)
@@ -897,7 +914,7 @@ class TestManufactured:
 
     def test_odd_bump_vanishes_on_boundary_exactly(self):
         mf = ca.manufactured("odd_bump", 2, radius=1.0)
-        g = ca.box_grid((0, -1), (1, 1), (9, 9), half_axis=0)
+        g = ca.box_grid((0, -1), (1, 1), (9, 9))
         assert np.all(mf.on_grid(g).padded()[0] == 0.0)
 
     def test_exp_growth_solves_zeroth_order_identity(self):
@@ -976,7 +993,7 @@ class TestTimeProduct:
         full = ca.box_grid((0.0,) + (-1.2,) * d, (1.5,) + (1.2,) * d,
                            (9,) + (11, 10, 7)[:d], time_axis=True)
         half = ca.box_grid((0.0, 0.0) + (-1.3,) * (d - 1), (1.6, 1.3) + (1.3,) * (d - 1),
-                           (10, 7) + (12, 9)[:d - 1], time_axis=True, half_axis=1)
+                           (10, 7) + (12, 9)[:d - 1], time_axis=True)
         return full, half
 
     @staticmethod

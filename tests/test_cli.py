@@ -221,7 +221,7 @@ class TestConfigDiagnostics:
         err = self.check(tmp_path, capsys,
                          "[suite]\nname = bad\nseed = 1\n\n[estimate:APRIORI]\np = 1"
                          + "0" * 400 + "\n",
-                         "line 5", "invalid parameters for APRIORI: p is too large for a float")
+                         "line 6", "invalid parameters for APRIORI: p is too large for a float")
         assert "int too large" not in err
 
     def test_constraint_violation_points_at_the_section(self, tmp_path, capsys):
@@ -248,15 +248,6 @@ class TestConfigDiagnostics:
         ("PARA-GLOBAL", "p = 5\nt_radius = -0.6", "t_radius must be finite and positive"),
         ("NEG-EXP", "h = 0", "h must be finite and positive"),
         ("NEG-EXP", "h = -0.01", "h must be finite and positive"),
-        # an integer parameter is refused, not truncated
-        ("APRIORI", "d = 2.5", "d must be an integer, got 2.5"),
-        ("HS-SLAB", "n = 0.7", "n must be an integer, got 0.7"),
-        ("MAX-LP", "n_min = true", "n_min must be an integer, got True"),
-        ("FS-LOCAL", "m = 2.5", "m must be an integer, got 2.5"),
-        ("APRIORI", "d = true", "d must be an integer, got True"),
-        # n_min is read as a level before it sizes the coarsest cell
-        ("MAX-LP", "n_min = 0.5", "n_min must be an integer, got 0.5"),
-        ("MAX-WEAK", "n_min = 0.5", "n_min must be an integer, got 0.5"),
         # at n_min = -2 the coarsest cell has side 4, so [0, 3) cannot be tiled
         ("MAX-LP", "extent = 3.0", "extent at n_min = -2: 3.0 is not a whole number"),
         ("MAX-WEAK", "extent = 3.0", "extent at n_min = -2: 3.0 is not a whole number"),
@@ -268,13 +259,6 @@ class TestConfigDiagnostics:
         ("PARA-GLOBAL", "r0 = -5\ntau0 = 0.5", "r0 must be finite and positive, got -5"),
         ("W2P-GLOBAL", "r0 = inf", "r0 must be finite and positive, got inf"),
         ("INTERP", "rho = inf", "rho must be finite and positive, got inf"),
-        # a bool is not a number, though Python reads it as one
-        ("APRIORI", "delta = true", "delta must be a number, got True"),
-        ("APRIORI", "radius = true", "radius must be a number, got True"),
-        # q defaults to None (no weight) and takes None or a number, never a bool
-        *((section, f"q = {value}", f"q must be None or a number, got {value.title()}")
-          for section in ("APRIORI", "W2P-GLOBAL", "PARA-GLOBAL", "PARA-APRIORI")
-          for value in ("true", "false")),
         # limits the effective (here the default) ladder sets
         ("MAX-LP", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
         ("MAX-WEAK", "n_min = 3", "n_min = 3 exceeds level 2 of ladder spacing 0.25"),
@@ -333,27 +317,51 @@ class TestConfigDiagnostics:
             tmp_path, f"[suite]\nname = ok\n\n[estimate:HS-SLAB]\nn = {n}\nladder = 0.1 0.05\n"))
         assert cfg.blocks == [("HS-SLAB", {"n": n}, (0.1, 0.05))]
 
-    @pytest.mark.parametrize("section,key", [("NEG-EXP", "h"), ("MAX-LP", "p")])
-    def test_non_numeric_parameter_points_at_its_line(self, tmp_path, capsys, section, key):
+    # a value of the wrong type for its default is refused at its own line,
+    # by the one typing rule of CatalogEntry.merged
+    @pytest.mark.parametrize("section,line,needle", [
+        ("NEG-EXP", "h = abc", "h must be a number, got 'abc'"),
+        ("MAX-LP", "p = abc", "p must be a number, got 'abc'"),
+        ("APRIORI", "q = abc", "q must be None or a number, got 'abc'"),
+        # an integer parameter is refused, not truncated
+        ("APRIORI", "d = 2.5", "d must be an integer, got 2.5"),
+        ("HS-SLAB", "n = 0.7", "n must be an integer, got 0.7"),
+        ("MAX-LP", "n_min = true", "n_min must be an integer, got True"),
+        ("FS-LOCAL", "m = 2.5", "m must be an integer, got 2.5"),
+        ("APRIORI", "d = true", "d must be an integer, got True"),
+        # n_min is read as a level before it sizes the coarsest cell
+        ("MAX-LP", "n_min = 0.5", "n_min must be an integer, got 0.5"),
+        ("MAX-WEAK", "n_min = 0.5", "n_min must be an integer, got 0.5"),
+        # a bool is not a number, though Python reads it as one
+        ("APRIORI", "delta = true", "delta must be a number, got True"),
+        ("APRIORI", "radius = true", "radius must be a number, got True"),
+        # q defaults to None (no weight) and takes None or a number, never a bool
+        *((section, f"q = {value}", f"q must be None or a number, got {value.title()}")
+          for section in ("APRIORI", "W2P-GLOBAL", "PARA-GLOBAL", "PARA-APRIORI")
+          for value in ("true", "false")),
+    ])
+    def test_non_numeric_parameter_points_at_its_line(self, tmp_path, capsys, section, line,
+                                                      needle):
         self.check(tmp_path, capsys,
-                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{key} = abc\n",
-                   f"{tmp_path / 'suite.cfg'}, line 6", f"parameter {key!r}",
-                   "must be a number, got 'abc'")
+                   f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n{line}\n",
+                   f"{tmp_path / 'suite.cfg'}, line 6", f"invalid parameters for {section}",
+                   needle)
 
     def test_none_for_a_numeric_parameter_is_a_config_error(self, tmp_path, capsys):
         self.check(tmp_path, capsys,
                    "[suite]\nname = bad\nseed = 1\n\n[estimate:NEG-EXP]\nh = none\n",
-                   f"{tmp_path / 'suite.cfg'}, line 5", "invalid parameters for NEG-EXP")
+                   f"{tmp_path / 'suite.cfg'}, line 6", "invalid parameters for NEG-EXP")
 
     @pytest.mark.parametrize("section", ["OSC", "OSC-P"])
     @pytest.mark.parametrize("value", ["0", "0.5", "65537"])
     def test_pair_budget_out_of_range(self, tmp_path, capsys, section, value):
-        # the integer rule of every int parameter refuses 0.5 first
-        needle = "must be an integer, got 0.5" if value == "0.5" else "from 1 to 65536"
+        # the integer rule of every int parameter refuses 0.5 first, at its line
+        needle, line = (("must be an integer, got 0.5", 6) if value == "0.5"
+                        else ("from 1 to 65536", 5))
         self.check(tmp_path, capsys,
                    f"[suite]\nname = bad\nseed = 1\n\n[estimate:{section}]\n"
                    f"pair_budget = {value}\n",
-                   f"{tmp_path / 'suite.cfg'}, line 5", "pair_budget", needle)
+                   f"{tmp_path / 'suite.cfg'}, line {line}", "pair_budget", needle)
 
     @pytest.mark.parametrize("section,ladder,needle", [
         ("IDENTITIES", "0.5", "a positive integer"),

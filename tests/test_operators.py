@@ -274,7 +274,7 @@ def brute_geometric_maximal(h, family, radii):
     for c in X:
         d2 = sum((X[:, ax] - c[ax]) ** 2 for ax in sp)
         for r in radii:
-            if family.shape in ("cylinder", "half_cylinder"):
+            if family.shape == "cylinder":
                 dt = X[:, 0] - c[0]
                 mask = (d2 < r * r) & (dt >= 0) & (dt < r * r)
             else:
@@ -306,10 +306,11 @@ class TestGeometricMaximal:
 
     def test_matches_brute_force_half_ball(self):
         rng = np.random.default_rng(37)
-        grid = box_grid((0.0, -1.0), (1.0, 1.0), (9, 17), half_axis=0)
+        # a half space is a box whose first axis starts at 0; it clips the balls
+        grid = box_grid((0.0, -1.0), (1.0, 1.0), (9, 17))
         h = GridFunction(grid, rng.standard_normal(grid.shape))
         fam = family_for_grid(grid, radii=(0.3, 0.46))
-        assert fam.shape == "half_ball"
+        assert fam.shape == "ball"
         got = geometric_maximal(h, fam).values
         want = brute_geometric_maximal(h, fam, fam.radii)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
@@ -422,12 +423,10 @@ def family_masks(ndim):
     # (mask, time_axis) for every shape family on a spacing-1/8 box; at
     # r = 0.3 a cylinder's time extent is one node (r^2 < dt)
     out = []
-    for shape, kw in (("ball", {}), ("half_ball", {"half_axis": 0}),
-                      ("cylinder", {"time_axis": True}),
-                      ("half_cylinder", {"time_axis": True, "half_axis": ndim - 1})):
-        if "time_axis" in kw and ndim < 2:
+    for shape, time_axis in (("ball", False), ("cylinder", True)):
+        if time_axis and ndim < 2:
             continue
-        grid = box_grid((0.0,) * ndim, (1.0,) * ndim, (9,) * ndim, **kw)
+        grid = box_grid((0.0,) * ndim, (1.0,) * ndim, (9,) * ndim, time_axis=time_axis)
         for r in (0.13, 0.3, 0.55):
             out.append((_shape_offsets(grid, GeometricFamily(shape, (r,)), r), grid.time_axis))
     return out
@@ -526,7 +525,7 @@ def brute_geometric_sharp(h, family, gamma, radii):
     for c in X:
         d2 = sum((X[:, ax] - c[ax]) ** 2 for ax in sp)
         for r in radii:
-            if family.shape in ("cylinder", "half_cylinder"):
+            if family.shape == "cylinder":
                 dt = X[:, 0] - c[0]
                 mask = (d2 < r * r) & (dt >= 0) & (dt < r * r)
             else:
@@ -628,21 +627,21 @@ def reference_geometric_sharp(h, family, gamma, rho, pair_budget=4096, seed=0,
     return out, subsampled
 
 
-# (grid, shape, radii): every shape family on 1-, 2- and 3-D grids; each ladder
-# mixes radii under and over the sampled-case pair budget
+# (grid, shape, radii): every shape family on 1-, 2- and 3-D grids, and on
+# half-space boxes (first space axis from 0); each ladder mixes radii under
+# and over the sampled-case pair budget
 SHARP_CASES = {
     "ball-1d": (box_grid((-1.0,), (1.0,), (23,)), "ball", (0.2, 0.5)),
     "ball-2d": (box_grid((-1.0, -1.0), (1.0, 1.0), (13, 11)), "ball", (0.2, 0.35, 0.5)),
-    "half_ball-2d": (box_grid((0.0, -1.0), (1.0, 1.0), (7, 13), half_axis=0),
-                     "half_ball", (0.2, 0.4)),
+    "half_ball-2d": (box_grid((0.0, -1.0), (1.0, 1.0), (7, 13)), "ball", (0.2, 0.4)),
     "ball-3d": (box_grid((-1.0,) * 3, (1.0,) * 3, (7, 8, 6)), "ball", (0.3, 0.6)),
     "cylinder-2d": (box_grid((0.0, -1.0), (0.5, 1.0), (9, 13), time_axis=True),
                     "cylinder", (0.2, 0.35)),
     "cylinder-3d": (box_grid((0.0, -1.0, -1.0), (0.5, 1.0, 1.0), (6, 9, 8), time_axis=True),
                     "cylinder", (0.25, 0.45)),
     "half_cylinder-3d": (box_grid((0.0, 0.0, -1.0), (0.5, 1.0, 1.0), (6, 6, 9),
-                                  time_axis=True, half_axis=1),
-                         "half_cylinder", (0.25, 0.45)),
+                                  time_axis=True),
+                         "cylinder", (0.25, 0.45)),
 }
 
 
@@ -667,10 +666,10 @@ PADDED_CASES = {
                                0.35, (2, 2), 0.5, 40),
     "ball-1d": (SHARP_CASES["ball-1d"][0], GeometricFamily("ball", (0.2, 0.5)), 0.5,
                 (3,), 0.3, 40),
-    "half_ball-2d": (SHARP_CASES["half_ball-2d"][0], GeometricFamily("half_ball", (0.2, 0.4)),
+    "half_ball-2d": (SHARP_CASES["half_ball-2d"][0], GeometricFamily("ball", (0.2, 0.4)),
                      0.4, (3, 3), 0.3, 40),
     "half_cylinder-3d": (SHARP_CASES["half_cylinder-3d"][0],
-                         GeometricFamily("half_cylinder", (0.25, 0.45)), 0.45, (2, 2), 1.0, 40),
+                         GeometricFamily("cylinder", (0.25, 0.45)), 0.45, (2, 2), 1.0, 40),
 }
 
 
@@ -886,7 +885,7 @@ class TestGeometricSharp:
         # fresh family per call; another grid counts again
         grid, shape, radii = SHARP_CASES[case]
         other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
-                          time_axis=grid.time_axis, half_axis=grid.half_axis)
+                          time_axis=grid.time_axis)
         counted = []
         reduce = operators._reduce
 
@@ -917,7 +916,7 @@ class TestGeometricSharp:
         # outputs of a fresh family per call; another grid plans again
         grid, shape, radii = SHARP_CASES[case]
         other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
-                         time_axis=grid.time_axis, half_axis=grid.half_axis)
+                         time_axis=grid.time_axis)
         planned = []
         plan = operators._reduce_plan
 

@@ -17,7 +17,7 @@ from scipy import integrate, optimize
 from sharpcheck.filtration import cell_blocks
 
 from sharpcheck.calculus import GridFunction, box_grid
-from sharpcheck.filtration import full_space, half_space, parabolic
+from sharpcheck.filtration import full_space, parabolic
 from sharpcheck.weights import (
     CubeFamily,
     HattedPowerX1,
@@ -78,7 +78,7 @@ class TestMasses:
             PowerX1(-1.5)._mass_1d(0.0, 1.0)
 
     def test_cell_masses_total(self):
-        filt = half_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,))
+        filt = full_space(1, n_min=0, n_max=5, lo=(0.0,), hi=(1.0,))
         total = cell_masses(PowerX1(0.5), filt).sum()
         assert total == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -203,7 +203,7 @@ class TestBetaType:
         full_space(1, 0, 6, (-1.0,), (1.0,)),
         full_space(2, 0, 4, (-1.0, 0.0), (1.0, 2.0)),
         full_space(3, 0, 3, (0.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-        half_space(2, -1, 3, (0.0, -2.0), (2.0, 2.0)),
+        full_space(2, -1, 3, (0.0, -2.0), (2.0, 2.0)),
         parabolic(1, 0, 2, (0.0, -1.0), (1.0, 1.0)),
     ], ids=["1d", "2d", "3d", "half", "parabolic"])
     def test_ranking_one_cell_per_position_equals_full_grid_sort(self, filt):
