@@ -102,8 +102,8 @@ class GridFunction:
 
     ``values`` covers the nodes of ``box``, slices of the grid (the whole
     grid by default), and may carry trailing channel axes (vector or matrix
-    valued samples); the function is +0.0 at every other node.  Geometric
-    operators read whole-grid samples, as :meth:`padded`.
+    valued samples); the function is +0.0 at every other node.  The geometric
+    operators take either form and read it as :meth:`padded`.
     """
 
     grid: Grid
@@ -174,8 +174,8 @@ class Derivatives:
     They are held on ``box``, slices of the grid (a support box, or a slab of
     its axis-0 layers in :func:`operator_fields`): ``box_du``, ``box_d2u`` and
     ``box_dt`` cover its nodes, and every other node's derivatives are +0.0.
-    ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, for
-    readers of whole-grid arrays such as the geometric operators."""
+    ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, as
+    the geometric operators pad a ``GridFunction`` on ``box`` themselves."""
 
     grid: Grid
     box: tuple[slice, ...]
@@ -472,24 +472,21 @@ def tabulated_operator(fn: Callable, delta: float, **kw) -> Operator:
     return Operator(fn, delta, **kw)
 
 
-def evaluate_operator(op: Operator, u: GridFunction,
-                      derivs: Derivatives | None = None) -> GridFunction:
-    """``F(D2u, x)`` on the grid; adds the time derivative on time grids.
+def evaluate_operator(op: Operator, u: GridFunction, derivs: Derivatives) -> GridFunction:
+    """``F(D2u, x)`` from ``u``'s derivatives ``derivs``; adds the time
+    derivative on time grids.  Of ``u``, only ``u.grid`` is read.
 
-    Returns a :class:`GridFunction` on ``derivs.box``: ``F`` takes the box's
-    Hessians and axis coordinates (:meth:`Grid.coordinates`), not a point
-    array.  Every other node holds +0.0 by the premise ``F(0, x) = 0`` that
-    every positively homogeneous operator meets (the ``build_operator``
-    kinds of ``harness.catalog`` do); an operator not flagged
-    ``homogeneous`` is refused.  With ``derivs`` given, only ``u.grid`` is
-    read.
+    Returns a :class:`GridFunction` on ``derivs.box``, as the geometric
+    operators take it: ``F`` takes the box's Hessians and axis coordinates
+    (:meth:`Grid.coordinates`), not a point array.  Every other node holds
+    +0.0 by the premise ``F(0, x) = 0`` that every positively homogeneous
+    operator meets (the ``build_operator`` kinds of ``harness.catalog``
+    do); an operator not flagged ``homogeneous`` is refused.
     """
     if not op.homogeneous:
         raise ValueError("operators are evaluated on the support box only, "
                          "which needs a positively homogeneous operator")
     g = u.grid
-    if derivs is None:
-        derivs = fd_derivatives(u)
     vals = op(derivs.box_d2u, g.coordinates(derivs.box))
     if g.time_axis:
         vals += derivs.box_dt

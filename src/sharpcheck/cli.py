@@ -17,7 +17,8 @@ overrides plus an optional ladder::
 config file.  An entry whose run raises is reported with verdict ``error``
 and printed as ``ERROR``; the other entries run on.  Exit status: 0 when
 every check passes, 1 when a check fails or errs, 2 for unreadable or
-invalid configs and malformed reports.
+invalid configs, a missing output directory (refused before any entry runs),
+unwritable report files and malformed reports.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def cmd_verify(args) -> int:
         source = "--seed" if args.seed is not None else cfg.path
         raise ConfigError(f"{source}: seed must be a non-negative integer, got {seed}")
     out = args.out or cfg.out or f"{cfg.name}.json"
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"{out}: output directory {os.path.dirname(out)!r} does not exist")
 
     blocks = cfg.blocks
     if args.only is not None:
@@ -201,10 +204,13 @@ def cmd_verify(args) -> int:
              for bid, params, ladder in blocks]
     reports = run_suite(specs)
     csv_path = (out[:-5] if out.endswith(".json") else out) + ".csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(suite_to_json(cfg.name, reports, seed))
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(suite_to_csv(reports))
+    for path, text in ((out, suite_to_json(cfg.name, reports, seed)),
+                       (csv_path, suite_to_csv(reports))):
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"{path}: cannot write report ({e.strerror or e})") from None
 
     ok = 0
     for r in reports:
@@ -234,7 +240,7 @@ def _load_report(path: str) -> dict:
     return doc
 
 
-def _summary_lines(doc: dict):
+def _summary(doc: dict) -> str:
     rows = [("id", "n_emp", "trend", "verdict", "margin")]
     for e in doc["entries"]:
         n_emp = e["primary"]["n_emp"]
@@ -247,19 +253,19 @@ def _summary_lines(doc: dict):
             margin = "-"
         rows.append((e["id"], tail, e["primary"]["trend"], e["verdict"], margin))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
 
 
 def cmd_report(args) -> int:
     doc = _load_report(args.report)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(csv_from_doc(doc))
-    else:
-        for line in _summary_lines(doc):
-            print(line)
+    try:
+        text = (json.dumps(doc, sort_keys=True, indent=2) + "\n" if args.format == "json"
+                else csv_from_doc(doc) if args.format == "csv" else _summary(doc))
+    except KeyError as e:
+        raise ConfigError(f"{args.report}: malformed report (an entry lacks the key {e})") \
+            from None
+    sys.stdout.write(text)
     return 0
 
 

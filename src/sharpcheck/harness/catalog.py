@@ -732,16 +732,16 @@ def _sharp_pointwise(params, h, seed, side: float, time, e: int, amp_power: int)
     xip = xi / (xi - 1.0)
     family = family_for_grid(grid, radii=_osc_radii(grid, rho))
 
-    d2u = derivs.d2u
-    sharp = geometric_sharp(GridFunction(grid, d2u), family, gamma, rho,
+    box, d2u = derivs.box, derivs.box_d2u
+    sharp = geometric_sharp(GridFunction(grid, d2u, box), family, gamma, rho,
                             pair_budget=params["pair_budget"], seed=seed)
     amp = nu ** (amp_power / gamma)
     t_f = amp * geometric_maximal(
-        GridFunction(grid, power(np.abs(fv.padded()), e)), family).values ** (1.0 / e)
+        GridFunction(grid, power(np.abs(fv.values), e), box), family).values ** (1.0 / e)
     t_tau = np.full(grid.shape, params["tau0"] * amp)
     ed = xip * e
     t_h = (mu * amp + nu ** -alpha) * geometric_maximal(
-        GridFunction(grid, power(frobenius(d2u), ed)), family).values ** (1.0 / ed)
+        GridFunction(grid, power(frobenius(d2u), ed), box), family).values ** (1.0 / ed)
     return [_pointwise("sharp_pointwise", sharp.values, (t_f, t_tau, t_h),
                        {"subsampled_pairs": bool(sharp.subsampled)})]
 
@@ -810,8 +810,7 @@ def _run_interp(params, h, seed):
 
     @cache                                # p = ed at the defaults: 5 maxima, not 7
     def m_rho(name, e):
-        # the geometric operators read whole-grid samples
-        f = GridFunction(grid, GridFunction(grid, np.abs(named[name]) ** e, box).padded())
+        f = GridFunction(grid, np.abs(named[name]) ** e, box)
         return geometric_maximal(f, family, rho=rho, mode="at_least").values
 
     m_u = m_rho("u", p)
@@ -905,9 +904,8 @@ def _run_zeroth_1d(params, h, seed):
     p, L = params["p"], params["extent"]
     grid = _grid((-L,), (L,), h)
     mf = manufactured("gaussian", 1, sigma=params["sigma"])
-    X = grid.nodes()
-    u = mf.u(X)
-    d2 = mf.d2u(X)[:, 0, 0]
+    u = mf.on_grid(grid).values
+    d2 = mf.derivatives(grid).box_d2u[:, 0, 0]
     mass = NodeMasses(grid, _axis_weight(params["q"], grid))[:]
     return [EquationCheck("zeroth_order", _integral(np.abs(u) ** p, mass),
                           (_integral(np.abs(d2 - u) ** p, mass),))]
@@ -1342,11 +1340,10 @@ def _run_neg_exp(params, L, seed):
     on every window."""
     p, h = params["p"], params["h"]
     grid = _grid((0.0,), (float(L),), h)
-    X = grid.nodes()
     mf = manufactured("exp_growth", 1)
-    u = mf.u(X)
-    du = mf.du(X)[:, 0]
-    d2 = mf.d2u(X)[:, 0, 0]
+    u = mf.on_grid(grid).values
+    derivs = mf.derivatives(grid)
+    du, d2 = derivs.box_du[:, 0], derivs.box_d2u[:, 0, 0]
     return [_absorbed("unbounded_zeroth", p, NodeMasses(grid), np.abs(d2), np.abs(du), u, d2)]
 
 

@@ -1,11 +1,12 @@
 """Maximal and mean-oscillation operators, dyadic and geometric.
 
 Dyadic variants act on piecewise-constant fields through exact block averages,
-maxed over levels coarse to fine.  Geometric variants act on grid functions:
-shape averages are node-counting quadratures over balls and forward-in-time
-cylinders ``[t, t + r^2) x B_r``, with shapes clipped to the grid box, so on a
-box whose first space axis starts at 0 they are the half balls and half
-cylinders of a half space.  One chord reduction serves both window sums and
+maxed over levels coarse to fine.  Geometric variants act on grid functions
+(one held on a support box is padded with +0.0, so it reads as its whole-grid
+twin): shape averages are node-counting quadratures over balls and
+forward-in-time cylinders ``[t, t + r^2) x B_r``, with shapes clipped to the
+grid box, so on a box whose first space axis starts at 0 they are the half
+balls and half cylinders of a half space.  One chord reduction serves both window sums and
 covering maxima: each mask row is a chord about the middle column, a running
 sum or max grows chord by chord, and a cylinder's time interval is one running
 op along time first.  Every term is an on-grid value, so a window sum of a
@@ -271,24 +272,15 @@ def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> lis
     return radii
 
 
-def _whole_grid_values(h: GridFunction, what: str) -> np.ndarray:
-    """``h.values``, refused unless they sample the whole grid."""
-    box = h.values.shape[:h.grid.ndim]
-    if box != h.grid.shape:
-        raise ValueError(f"{what} needs whole-grid samples of shape {h.grid.shape}, got a field "
-                         f"on a support box of shape {box}; pass GridFunction(grid, f.padded())")
-    return h.values
-
-
 def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | None = None,
                       mode: str = "all") -> GridFunction:
     """Sup over shapes containing the node of the node-counting average of
-    ``|h|``, for ``h`` sampled on the whole grid; ``mode='at_least'`` keeps
-    only radii ``>= rho``."""
+    ``|h|``, read on the whole grid (``h.padded()``); ``mode='at_least'``
+    keeps only radii ``>= rho``."""
     if h.channels:
         raise ValueError("geometric maximal expects a scalar grid function")
     out = np.full(h.grid.shape, -np.inf)
-    absv = np.abs(_whole_grid_values(h, "geometric maximal"))
+    absv = np.abs(h.padded())
     for r in _radius_subset(family, rho, mode):
         _, counts, plan, cover = _window(h.grid, family, r)
         np.maximum(out, _reduce(_reduce(absv, plan, np.add) / counts, cover, np.maximum),
@@ -350,7 +342,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
                     rho: float, pair_budget: int = 4096, seed: int = 0) -> GridFunction:
     """Sup over shapes of radius ``<= rho`` containing the node of the double
     average of ``|h(y) - h(z)|**gamma`` over shape nodes, to the ``1/gamma``,
-    for ``h`` sampled on the whole grid.
+    with ``h`` read on the whole grid (``h.padded()``).
 
     Exact over all node pairs while the unordered pair count stays within
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
@@ -390,7 +382,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         raise ValueError("pair budget must be positive")
     grid = h.grid
     d = grid.ndim
-    vals = _whole_grid_values(h, "geometric sharp").reshape(grid.shape + (-1,))
+    vals = h.padded().reshape(grid.shape + (-1,))
     kept = [(r, *_window(grid, family, r)) for r in _radius_subset(family, rho, "at_most")]
     pad = np.minimum(np.max([np.array(mask.shape) // 2 for _, mask, *_ in kept], axis=0),
                      np.array(grid.shape) - 1)

@@ -528,7 +528,7 @@ class TestSupportBox:
         op = ca.tabulated_operator(lambda H, x: 3.0 * np.einsum("nii->n", H) + 1.0,
                                    delta=0.5, homogeneous=False)
         with pytest.raises(ValueError, match="positively homogeneous"):
-            ca.evaluate_operator(op, u)
+            ca.evaluate_operator(op, u, ca.fd_derivatives(u))
 
     def test_field_sets_equal_whole_grid_reference(self, monkeypatch):
         # every _fields recipe of the catalog, at its entry's two coarsest
@@ -782,14 +782,14 @@ class TestOperators:
         g = ca.box_grid((-1, -1), (1, 1), (9, 9))
         mf = ca.manufactured("quadratic", 2)
         u = mf.on_grid(g)
-        out = ca.evaluate_operator(ca.linear_operator(np.eye(2), 1.0), u)
+        out = ca.evaluate_operator(ca.linear_operator(np.eye(2), 1.0), u, ca.fd_derivatives(u))
         assert np.allclose(out.values, 2.0, rtol=0, atol=1e-10)
 
     def test_parabolic_evaluation_adds_time_derivative(self):
         g = ca.box_grid((0, -1), (1, 1), (9, 9), time_axis=True)
         mf = ca.with_time_profile(ca.manufactured("quadratic", 1), "const")
         u = mf.on_grid(g)
-        out = ca.evaluate_operator(ca.linear_operator(np.eye(1), 1.0), u)
+        out = ca.evaluate_operator(ca.linear_operator(np.eye(1), 1.0), u, ca.fd_derivatives(u))
         assert np.allclose(out.values, 1.0, rtol=0, atol=1e-9)
 
     def test_class_check_pucci_passes_with_stated_bound(self):

@@ -183,6 +183,27 @@ class TestVerify:
         assert osc_p["notes"]["error"].startswith("ValueError: geometric sharp would add")
         assert csv == runs["alone"][4]          # OSC-P completed no step, so has no row
 
+    def test_missing_output_directory_is_refused_before_any_entry(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda specs: ran.append(specs))
+        out = tmp_path / "nonexistent" / "dir" / "mini.json"
+        code, stdout, err = run_cli(capsys, "verify", write_cfg(tmp_path, MINI), "--out", str(out))
+        assert code == 2 and ran == [] and stdout == ""
+        assert err == (f"config error: {out}: output directory "
+                       f"{str(out.parent)!r} does not exist\n")
+
+    @pytest.mark.parametrize("target", ["json", "csv"])
+    def test_unwritable_report_file_is_a_config_error(self, tmp_path, capsys, target):
+        # an existing directory where a report file goes cannot be opened
+        out = tmp_path / "mini.json"
+        (out if target == "json" else tmp_path / "mini.csv").mkdir()
+        code, _, err = run_cli(capsys, "verify", write_cfg(tmp_path, MINI), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"config error: {tmp_path / ('mini.' + target)}: "
+                              "cannot write report (Is a directory)")
+        assert "Traceback" not in err
+
     def test_failed_analytic_gate_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
             "[suite]\nname = bad\nseed = 1\n\n"
@@ -490,6 +511,14 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(bad))
         assert code == 2
         assert "schema_version 99" in err
+
+    @pytest.mark.parametrize("fmt", ["summary", "csv"])
+    def test_entry_lacking_a_rendered_key_is_malformed(self, tmp_path, capsys, fmt):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "entries": [{"id": "X"}]}))
+        code, stdout, err = run_cli(capsys, "report", str(bad), "--format", fmt)
+        assert code == 2 and stdout == ""
+        assert err == f"config error: {bad}: malformed report (an entry lacks the key 'primary')\n"
 
     def test_not_a_report_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

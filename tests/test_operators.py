@@ -347,24 +347,29 @@ class TestGeometricMaximal:
             GeometricFamily("ball", ())
 
     @pytest.mark.parametrize("channels", [(), (2, 2)])
-    def test_support_box_field_is_refused_by_name(self, channels):
-        # a field held on a support box is refused before any window sum;
-        # the same samples padded to the whole grid, or a box that is the
-        # whole grid, run
-        grid = box_grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
-        fam = family_for_grid(grid, (0.2, 0.4))
-        box = (slice(5, 16), slice(4, 17))
-        f = GridFunction(grid, np.ones((11, 13) + channels), box)
-        calls = [lambda h: geometric_sharp(h, fam, gamma=1.0, rho=0.4)]
+    @pytest.mark.parametrize("grid,box,radii", [
+        (box_grid((-1.0, -1.0), (1.0, 1.0), (21, 21)), (slice(5, 16), slice(0, 13)),
+         (0.2, 0.4)),
+        (box_grid((0.0, -1.0, -1.0), (0.5, 1.0, 1.0), (9, 15, 15), time_axis=True),
+         (slice(0, 5), slice(3, 12), slice(8, 15)), (0.3, 0.5)),
+    ], ids=["ball", "cylinder"])
+    def test_support_box_field_equals_its_padded_twin(self, channels, grid, box, radii):
+        # a field held on a support box (touching the grid's edge) gives the
+        # bits of the same samples padded to the whole grid, in both modes of
+        # the maximal and with exact and sampled sharp pairs
+        fam = family_for_grid(grid, radii)
+        shape = tuple(len(range(n)[s]) for n, s in zip(grid.shape, box))
+        f = GridFunction(grid, np.random.default_rng(3).normal(size=shape + channels), box)
+        twin = GridFunction(grid, f.padded())
+        calls = [lambda h: geometric_sharp(h, fam, gamma=0.5, rho=radii[-1], pair_budget=10 ** 5),
+                 lambda h: geometric_sharp(h, fam, gamma=0.5, rho=radii[-1], pair_budget=64)]
         if not channels:
-            calls.append(lambda h: geometric_maximal(h, fam))
+            calls += [lambda h: geometric_maximal(h, fam),
+                      lambda h: geometric_maximal(h, fam, rho=radii[-1], mode="at_least")]
         for call in calls:
-            with pytest.raises(ValueError, match=re.escape(
-                    "needs whole-grid samples of shape (21, 21), got a field on a support "
-                    "box of shape (11, 13)")):
-                call(f)
-            call(GridFunction(grid, f.padded()))
-            call(GridFunction(grid, f.padded(), (slice(0, 21), slice(None))))
+            got, want = call(f), call(twin)
+            assert got.values.tobytes() == want.values.tobytes()
+        assert not calls[0](f).subsampled and calls[1](f).subsampled
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="radius ladder must be nonempty and positive"):

@@ -30,7 +30,6 @@ ROOT_FILES = [ROOT / "tests" / "test_acceptance.py",
 # Kept with no caller yet, each for the ROADMAP item that will call it.
 ALLOWED = {
     "calculus.homogenized_model",           # item 3: x-dependent (VMO) operators
-    "calculus.ManufacturedFunction.derivatives",  # item 14: discretization consistency
 }
 
 # Record fields kept with no reader yet, each for the ROADMAP item that will

@@ -1,13 +1,16 @@
-"""The report comparison in tools/report_diff.py, which gates report changes."""
+"""The report comparison in tools/report_diff.py, which gates report changes,
+and the checkout copy that tools/bench_record.py runs the change from."""
 
 import math
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
+from bench_record import copy_checkout  # noqa: E402
 from report_diff import compare, diff_runs  # noqa: E402
 
 
@@ -75,3 +78,27 @@ class TestDiffRuns:
         floats, other = diff_runs(run({"v": 1.0}, "v\n1.0\n"), run({"v": 1.5}, "v\n1.5\n"))
         assert other == []
         assert floats == [pytest.approx(1.0 / 3.0)]
+
+
+def test_checkout_copy_holds_the_disk_state_but_no_ignored_file(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    dest.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                        "commit.gpgsign=false", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "src" / "mod.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "seed")
+    (repo / "src" / "mod.py").write_text("x = 2\n")
+    (repo / "src" / "new.py").write_text("y = 3\n")
+    (repo / "ignored.txt").write_text("build output\n")
+    copy_checkout(str(repo), str(dest))
+    assert (dest / "src" / "mod.py").read_text() == "x = 2\n"
+    assert (dest / "src" / "new.py").read_text() == "y = 3\n"
+    assert not (dest / "ignored.txt").exists()

@@ -3,9 +3,13 @@
     python3 tools/bench_record.py --parent REV --seeds 2-11 --out BENCH_1.json
 
 The parent tree is ``git archive REV`` unpacked into a temporary directory;
-the change tree is the checkout this script lives in, as it is on disk
-(identified by ``HEAD`` and a digest of its ``src/`` files).  For
-every workload in BENCHMARK.json and every seed the script runs
+the change tree is a copy, in a second temporary directory, of the checkout
+this script lives in as it is on disk: every file ``git ls-files --cached
+--others --exclude-standard`` lists, so tracked edits and untracked files but
+no ignored ones (it is identified by ``HEAD`` and a digest of its ``src/``
+files, which must equal the checkout's).  Both sides thus run from fresh
+directories alike.  For every workload in BENCHMARK.json and every seed the
+script runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0``,
 S being BENCHMARK.json's ``run_seconds``, once in each tree, parent
 first on even pair indices and change first on odd ones, so drift on the
@@ -26,6 +30,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,6 +54,20 @@ def unpack(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def copy_checkout(root: str, dest: str) -> None:
+    """The files of the git checkout ``root`` that ``git ls-files --cached
+    --others --exclude-standard`` lists, as they are on disk, copied into the
+    directory ``dest``; a tracked file deleted from disk is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, check=True,
+                            capture_output=True).stdout.decode().split("\0")
+    for rel in filter(None, listed):
+        path, copy = os.path.join(root, rel), os.path.join(dest, rel)
+        if os.path.isfile(path):
+            os.makedirs(os.path.dirname(copy), exist_ok=True)
+            shutil.copy2(path, copy)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -151,21 +170,26 @@ def main(argv=None) -> int:
     record = {
         "command": " ".join(["python3", *run_args("W", "N")]),
         "parent": {"rev": _git("rev-parse", args.parent)},
-        "change": {"head": _git("rev-parse", "HEAD"), "src_sha256": src_digest(ROOT),
+        "change": {"head": _git("rev-parse", "HEAD"),
                    "uncommitted_src": bool(_git("status", "--porcelain", "--", "src"))},
         "machine": machine(),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
         unpack(args.parent, parent_tree)
+        copy_checkout(ROOT, change_tree)
         record["parent"]["src_sha256"] = src_digest(parent_tree)
+        record["change"]["src_sha256"] = src_digest(change_tree)
+        if record["change"]["src_sha256"] != src_digest(ROOT):
+            raise RuntimeError(f"the copy of {ROOT} in {change_tree} differs from it under src/")
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []
             for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    tree = parent_tree if side == "parent" else ROOT
+                    tree = parent_tree if side == "parent" else change_tree
                     pair[side] = run_once(tree, workload, seed)
                 pair["digests_equal"] = pair["parent"]["digests"] == pair["change"]["digests"]
                 pairs.append(pair)
