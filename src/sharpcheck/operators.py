@@ -12,14 +12,16 @@ sum or max grows chord by chord, and a cylinder's time interval is one running
 op along time first.  Every term is an on-grid value, so a window sum of a
 nonnegative field keeps its rounding error relative to the local sum, node
 counts are exact integers, and the sup over shapes containing a node is exact.
-A family keeps, per grid and radius, the mask, the node counts and the
-reduction plans of the mask and its reflection, so the calls that share it
-check and plan each window once.  Sharp pair sums visit the offset differences
-of all radii's pairs once each: every difference writes its field once, over
-its whole overlap, into one zeroed buffer on a padded grid, and each pair
-feeding a radius's padded accumulator is one flat slice add.  Sampled pairs
-are swapped to a lexicographically positive difference, so ``delta`` and
-``-delta`` share one field; channels sum in a fixed order.
+A family keeps, per grid and radius, the mask, its node counts (summed
+footprint row by footprint row, no reduction) and its one reduction plan, so
+the calls that share it check and plan each window once; a covering max
+reduces the reflected field with that plan and reflects the result back.
+Sharp pair sums visit the offset differences of all radii's pairs once each:
+every difference writes its field once, over its whole overlap and in place,
+into one zeroed buffer on a padded grid, and each pair feeding a radius's
+padded accumulator is one flat slice add.  Sampled pairs are swapped to a
+lexicographically positive difference, so ``delta`` and ``-delta`` share one
+field; channels sum in a fixed order.
 """
 
 from __future__ import annotations
@@ -122,8 +124,10 @@ _SHAPES = ("ball", "cylinder")
 class GeometricFamily:
     """Shapes centered at every grid node with radii from a finite ladder.
 
-    The operators keep each radius's window mask and node counts on the
-    family, per grid, so the calls that share a family count once."""
+    The operators keep each radius's window mask, node counts and one
+    reduction plan on the family, per grid, so the calls that share a family
+    count and plan once; covering maxima reduce the reflected field with the
+    mask's own plan."""
 
     shape: str
     radii: tuple[float, ...]
@@ -158,19 +162,42 @@ def _shape_offsets(grid: Grid, family: GeometricFamily, r: float) -> np.ndarray:
 
 def _window(grid: Grid, family: GeometricFamily, r: float):
     """Read-only mask and node counts of the shapes of radius ``r`` on
-    ``grid``, computed once per family, with the reduction plans of the mask
-    (window sums) and of the reflected mask (covering maxima: the max of
-    ``per_center[c]`` over the centers ``c`` whose shape contains ``x`` has
-    ``c - x`` ranging over the reflected mask)."""
+    ``grid``, with the mask's reduction plan, computed once per family.  The
+    one plan serves window sums and covering maxima alike (``_covering_max``
+    reduces the reflected field with it)."""
     window = family._windows.get((grid, r))
     if window is None:
         mask = _shape_offsets(grid, family, r)
         plan = _reduce_plan(mask, grid.time_axis, grid.shape)
-        counts = _reduce(np.ones(grid.shape), plan, np.add)
+        counts = _node_counts(mask, grid.time_axis, grid.shape)
         mask.flags.writeable = counts.flags.writeable = False
-        window = family._windows[(grid, r)] = (
-            mask, counts, plan, _reduce_plan(np.flip(mask), grid.time_axis, grid.shape))
+        window = family._windows[(grid, r)] = (mask, counts, plan)
     return window
+
+
+def _node_counts(mask: np.ndarray, time_axis: bool, shape) -> np.ndarray:
+    """Per node of a grid of ``shape``, the number of offsets of the
+    chord-form ``mask`` that land on the grid, as exact float64 integers
+    (``_reduce`` of ones, without the reduction): each footprint row adds
+    its lead nodes on the grid times its chord clipped to the last axis,
+    summed by one matmul, and on a time grid that sum is multiplied by the
+    time interval's on-grid steps."""
+    per_step = None
+    if time_axis:
+        on = np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim)))) - mask.shape[0] // 2
+        t = np.arange(shape[0])[:, None] + on
+        per_step = ((t >= 0) & (t < shape[0])).sum(axis=1)
+        mask, shape = mask.any(axis=0), tuple(shape[1:])
+    rows = mask.any(-1)
+    lead, n = shape[:-1], shape[-1]
+    offsets = np.argwhere(rows) - np.array(rows.shape, dtype=int) // 2
+    at = np.indices(lead).reshape(len(lead), math.prod(lead), 1) + offsets.T[:, None, :]
+    inside = ((at >= 0) & (at < np.reshape(lead, (-1, 1, 1)))).all(axis=0)
+    half = mask.sum(-1)[rows][:, None] // 2
+    x = np.arange(n)
+    chord = np.minimum(x + half, n - 1) - np.maximum(x - half, 0) + 1
+    counts = (inside.astype(np.float64) @ chord.astype(np.float64)).reshape(shape)
+    return counts if per_step is None else np.multiply.outer(per_step, counts)
 
 
 class _ReducePlan(NamedTuple):
@@ -208,10 +235,11 @@ def _reduce_plan(mask: np.ndarray, time_axis: bool, shape) -> _ReducePlan:
     pads = np.minimum(np.array(foot.shape[:-1]) // 2, np.array(lead, dtype=int) - 1)
     offsets = np.argwhere(foot.any(-1)) - np.array(foot.shape[:-1]) // 2
     reach = (np.abs(offsets) < lead).all(axis=1)
+    starts = pads - offsets[reach]
     rows: list[list] = [[] for _ in range(widest + 1)]
-    for a, start in zip(np.minimum(half[foot.any(-1)], widest)[reach].tolist(),
-                        (pads - offsets[reach]).tolist()):
-        rows[a].append(tuple(map(slice, start, np.add(start, lead))))
+    for a, start, stop in zip(np.minimum(half[foot.any(-1)], widest)[reach].tolist(),
+                              starts.tolist(), (starts + lead).tolist()):
+        rows[a].append(tuple(map(slice, start, stop)))
     return _ReducePlan(steps, widest, pads, rows)
 
 
@@ -254,6 +282,14 @@ def _reduce(values: np.ndarray, plan: _ReducePlan, op) -> np.ndarray:
     return out[tuple(map(slice, pads, np.add(pads, lead))) + (slice(n),)]
 
 
+def _covering_max(per_center: np.ndarray, plan: _ReducePlan) -> np.ndarray:
+    """Per node ``x``, the max of ``per_center[c]`` over the on-grid centers
+    ``c`` whose planned shape contains ``x``.  Those ``c - x`` range over the
+    reflected mask, so this is the plan's max over the reflected field,
+    reflected back; max is exact, so no order of terms shows in the bits."""
+    return np.flip(_reduce(np.flip(per_center), plan, np.maximum))
+
+
 def _radius_subset(family: GeometricFamily, rho: float | None, mode: str) -> list[float]:
     if mode == "all":
         radii = list(family.radii)
@@ -282,9 +318,8 @@ def geometric_maximal(h: GridFunction, family: GeometricFamily, rho: float | Non
     out = np.full(h.grid.shape, -np.inf)
     absv = np.abs(h.padded())
     for r in _radius_subset(family, rho, mode):
-        _, counts, plan, cover = _window(h.grid, family, r)
-        np.maximum(out, _reduce(_reduce(absv, plan, np.add) / counts, cover, np.maximum),
-                   out=out)
+        _, counts, plan = _window(h.grid, family, r)
+        np.maximum(out, _covering_max(_reduce(absv, plan, np.add) / counts, plan), out=out)
     return GridFunction(h.grid, out)
 
 
@@ -299,20 +334,27 @@ def _pair_windows(shape, a, b) -> np.ndarray:
     return rows[np.lexsort(rows[:, len(shape) - 1::-1].T)].astype(np.int32)
 
 
-def _difference_field(vals: np.ndarray, delta, gamma: float) -> np.ndarray:
-    """``|h(y) - h(y + delta)|**gamma`` at every ``y`` with both nodes on the
-    grid, for ``vals`` of shape grid + (channels,), in the entrywise-l2
-    metric; squared channels sum by halving, ``i + ceil(C/2)`` into ``i``,
-    in an order that does not depend on numpy's build or CPU."""
-    y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, vals.shape))
-    diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))]
-    if diff.shape[-1] == 1:
-        return np.abs(diff[..., 0]) ** gamma
-    sq = list(np.moveaxis(np.multiply(diff, diff, out=diff), -1, 0))
-    while len(sq) > 1:
-        k = -(-len(sq) // 2)
-        sq = [sq[i] + sq[i + k] for i in range(len(sq) - k)] + sq[len(sq) - k:k]
-    return np.sqrt(sq[0]) ** gamma
+def _difference_field(chans: np.ndarray, delta, gamma: float, out: np.ndarray) -> None:
+    """Write ``|h(y) - h(y + delta)|**gamma`` at every ``y`` with both nodes on
+    the grid into ``out``, for channel-first ``chans`` of shape (channels,) +
+    grid, in the entrywise-l2 metric; squared channels sum in place by
+    halving, ``i + ceil(C/2)`` into ``i``, in an order that does not depend
+    on numpy's build or CPU."""
+    y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, chans.shape[1:]))
+    z = tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))
+    a, b = chans[(slice(None), *y)], chans[(slice(None), *z)]
+    if len(chans) == 1:
+        np.abs(np.subtract(a[0], b[0], out=out), out=out)
+    else:
+        sq = np.subtract(a, b)
+        np.multiply(sq, sq, out=sq)
+        m = len(sq)
+        while m > 1:
+            k = -(-m // 2)
+            np.add(sq[:m - k], sq[k:m], out=sq[:m - k])
+            m = k
+        np.sqrt(sq[0], out=out)
+    out **= gamma
 
 
 def _box_counts(shape, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -382,7 +424,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         raise ValueError("pair budget must be positive")
     grid = h.grid
     d = grid.ndim
-    vals = h.padded().reshape(grid.shape + (-1,))
+    chans = np.moveaxis(h.padded().reshape(grid.shape + (-1,)), -1, 0).copy()
     kept = [(r, *_window(grid, family, r)) for r in _radius_subset(family, rho, "at_most")]
     pad = np.minimum(np.max([np.array(mask.shape) // 2 for _, mask, *_ in kept], axis=0),
                      np.array(grid.shape) - 1)
@@ -390,7 +432,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     rng = np.random.default_rng(seed)
     subsampled = False
     plans, cnts, terms, groups = [], [], [], {}
-    for r, mask, counts, _, _ in kept:
+    for r, mask, counts, _ in kept:
         offsets = np.argwhere(mask) - (np.array(mask.shape) - 1) // 2
         m = len(offsets)
         exact = m * (m - 1) // 2 <= pair_budget
@@ -416,8 +458,8 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (delta[1:] != delta[:-1]).any(axis=1)
         starts = np.flatnonzero(new).tolist()
-        for a, b in zip(starts, starts[1:] + [len(rows)]):
-            groups.setdefault(tuple(delta[a].tolist()), []).append((len(plans), a, b))
+        for key, a, b in zip(delta[new].tolist(), starts, starts[1:] + [len(rows)]):
+            groups.setdefault(tuple(key), []).append((len(plans), a, b))
         terms.append(int(np.prod(hi - lo, axis=1, dtype=np.int64).sum()))
         cnts.append(None if exact else _box_counts(grid.shape, lo, hi))
         # flat bounds of each box and the shift flat(a), a being the pair's
@@ -438,10 +480,11 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     accs = [np.zeros(size) for _ in kept]
     field = np.zeros(size)
     region = field.reshape(padded)
+    pads = pad.tolist()
     for delta in sorted(groups):
         at = tuple(slice(p + max(0, -c), p + n - max(0, c))
-                   for p, c, n in zip(pad.tolist(), delta, grid.shape))
-        region[at] = _difference_field(vals, delta, gamma)
+                   for p, c, n in zip(pads, delta, grid.shape))
+        _difference_field(chans, delta, gamma, region[at])
         for k, a, b in groups[delta]:
             acc = accs[k]
             for s, e, t, u in plans[k][a:b].tolist():
@@ -450,14 +493,14 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         region[at] = 0.0
     inner = tuple(map(slice, pad, np.add(pad, grid.shape)))
     out = np.full(grid.shape, -np.inf)
-    for (_, _, counts, _, cover), cnt, acc in zip(kept, cnts, accs):
+    for (_, _, counts, plan), cnt, acc in zip(kept, cnts, accs):
         cnt = counts * (counts - 1) / 2 if cnt is None else cnt
         ordered = counts * counts
         nondiag = ordered - counts
         acc = acc.reshape(padded)[inner]
         with np.errstate(invalid="ignore", divide="ignore"):
             per_center = np.where(cnt > 0, acc / np.maximum(cnt, 1.0) * nondiag / ordered, 0.0)
-        np.maximum(out, _reduce(per_center ** (1.0 / gamma), cover, np.maximum), out=out)
+        np.maximum(out, _covering_max(per_center ** (1.0 / gamma), plan), out=out)
     result = GridFunction(grid, out)
     result.subsampled = subsampled
     return result

@@ -506,6 +506,41 @@ class TestExactPrimitives:
         shape, lo, hi, r, kw = case
         self.assert_window_sums(*gaussian_case(shape, lo, hi, r, **kw))
 
+    @pytest.mark.parametrize("shape", PRIMITIVE_SHAPES)
+    def test_node_counts_equal_reduction_of_ones(self, shape):
+        # the node counts _window keeps, byte for byte against the reduction
+        # of a grid of ones they replace: ball and cylinder masks of a
+        # spacing-1/8 box, the widest (r = 1.3, 21 nodes across) wider than
+        # every axis, and random chord-form masks
+        rng = np.random.default_rng(sum(shape) * 13 + len(shape))
+        cases = chord_masks(rng, len(shape), 12)
+        for kind, time_axis in (("ball", False), ("cylinder", True)):
+            if time_axis and len(shape) < 2:
+                continue
+            box = box_grid((0.0,) * len(shape), (1.0,) * len(shape), (9,) * len(shape),
+                           time_axis=time_axis)
+            cases += [(_shape_offsets(box, GeometricFamily(kind, (r,)), r), time_axis)
+                      for r in (0.13, 0.3, 0.55, 1.3)]
+        for mask, time_axis in cases:
+            want = _window_reduce(np.ones(shape), mask, time_axis, np.add)
+            got = operators._node_counts(mask, time_axis, shape)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [s for s in PRIMITIVE_SHAPES if len(s) > 1])
+    def test_covering_max_of_reflected_field_on_forward_cylinders(self, shape):
+        # a forward cylinder's mask is not symmetric in time, so a covering
+        # max that read the field unreflected would differ
+        rng = np.random.default_rng(sum(shape) * 17 + len(shape))
+        per_center = rng.standard_normal(shape)
+        per_center[rng.random(shape) < 0.25] = -np.inf
+        box = box_grid((0.0,) * len(shape), (1.0,) * len(shape), (9,) * len(shape),
+                       time_axis=True)
+        for r in (0.55, 0.8, 1.3):
+            mask = _shape_offsets(box, GeometricFamily("cylinder", (r,)), r)
+            assert not np.array_equal(mask, np.flip(mask))
+            got = operators._covering_max(per_center, operators._reduce_plan(mask, True, shape))
+            np.testing.assert_array_equal(got, brute_covering_max(per_center, mask))
+
     @pytest.mark.parametrize("mask,time_axis", [
         ([[False, True, True]], False),
         ([[True, True, False], [False, True, False]], False),
@@ -794,17 +829,19 @@ class TestGeometricSharp:
         for shape, deltas in (((12, 13), [(2, -3), (0, 1), (-1, 0)]),
                               ((5, 7, 6), [(1, -2, 0), (0, 0, -3), (2, 1, 1)])):
             vals = rng.standard_normal(shape + channels).reshape(shape + (-1,))
+            chans = np.moveaxis(vals, -1, 0).copy()
             for delta in deltas:
                 y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, shape))
                 diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e)
                                             for s, e in zip(y, delta))]
                 for gamma in (1.0, 0.5, 0.3):
-                    got = _difference_field(vals, delta, gamma)
+                    got, neg = np.full(diff.shape[:-1], np.nan), np.full(diff.shape[:-1], np.nan)
+                    _difference_field(chans, delta, gamma, got)
                     where = f"{shape} {delta} gamma {gamma}"
                     assert got.tobytes() == (halving_norm(diff) ** gamma).tobytes(), where
                     np.testing.assert_array_max_ulp(
                         got, np.linalg.norm(diff, axis=-1) ** gamma, maxulp=4)
-                    neg = _difference_field(vals, tuple(-e for e in delta), gamma)
+                    _difference_field(chans, tuple(-e for e in delta), gamma, neg)
                     assert neg.tobytes() == got.tobytes(), where
 
     @pytest.mark.parametrize("grid,shape,radii,budget,fields", [
@@ -827,9 +864,9 @@ class TestGeometricSharp:
             per_radius.append({tuple(row) for row in rows[:, :grid.ndim].tolist()})
             return rows
 
-        def field_spy(vals, delta, gamma):
+        def field_spy(chans, delta, gamma, out):
             computed.append(tuple(delta))
-            return difference_field(vals, delta, gamma)
+            difference_field(chans, delta, gamma, out)
 
         monkeypatch.setattr(operators, "_pair_windows", windows_spy)
         monkeypatch.setattr(operators, "_difference_field", field_spy)
@@ -892,12 +929,11 @@ class TestGeometricSharp:
         other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
                           time_axis=grid.time_axis)
         counted = []
-        reduce = operators._reduce
+        node_counts = operators._node_counts
 
-        def spy(values, plan, op):
-            if op is np.add and values.dtype == np.float64 and (values == 1.0).all():
-                counted.append(values.shape)
-            return reduce(values, plan, op)
+        def spy(mask, time_axis, shape):
+            counted.append(tuple(shape))
+            return node_counts(mask, time_axis, shape)
 
         fam = GeometricFamily(shape, radii)
         rng = np.random.default_rng(11)
@@ -908,16 +944,16 @@ class TestGeometricSharp:
                      lambda fam: geometric_maximal(f, fam),
                      lambda fam: geometric_maximal(GridFunction(g, f.values ** 2), fam)]
             want = [call(GeometricFamily(shape, radii)).values for call in chain]
-            monkeypatch.setattr(operators, "_reduce", spy)
+            monkeypatch.setattr(operators, "_node_counts", spy)
             got = [call(fam).values for call in chain]
-            monkeypatch.setattr(operators, "_reduce", reduce)
+            monkeypatch.setattr(operators, "_node_counts", node_counts)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         assert counted == [grid.shape] * len(radii) + [other.shape] * len(radii)
 
     @pytest.mark.parametrize("case", sorted(SHARP_CASES))
     def test_reduction_plans_once_per_family_and_grid(self, case, monkeypatch):
-        # OSC's call chain on one family plans each radius's mask and its
-        # reflection once per grid, node counts included, and gives the
+        # OSC's call chain on one family plans each radius's mask once per
+        # grid, for window sums and covering maxima alike, and gives the
         # outputs of a fresh family per call; another grid plans again
         grid, shape, radii = SHARP_CASES[case]
         other = box_grid(grid.lo, grid.hi, tuple(n + 2 for n in grid.shape),
@@ -945,8 +981,7 @@ class TestGeometricSharp:
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
             for r in radii:
                 mask = _shape_offsets(g, fam, r)
-                want_plans += [(g.shape, mask.shape, mask.tobytes()),
-                               (g.shape, mask.shape, np.flip(mask).tobytes())]
+                want_plans.append((g.shape, mask.shape, mask.tobytes()))
         assert planned == want_plans
 
     @pytest.mark.parametrize("case", sorted(PADDED_CASES))

@@ -1,5 +1,5 @@
 """The report comparison in tools/report_diff.py, which gates report changes,
-and the checkout copy that tools/bench_record.py runs the change from."""
+and the checkout copy and pair summary of tools/bench_record.py."""
 
 import math
 import pathlib
@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_record import copy_checkout  # noqa: E402
+from bench_record import copy_checkout, summarize, summary_lines  # noqa: E402
 from report_diff import compare, diff_runs  # noqa: E402
 
 
@@ -102,3 +102,26 @@ def test_checkout_copy_holds_the_disk_state_but_no_ignored_file(tmp_path):
     assert (dest / "src" / "mod.py").read_text() == "x = 2\n"
     assert (dest / "src" / "new.py").read_text() == "y = 3\n"
     assert not (dest / "ignored.txt").exists()
+
+
+def test_pair_change_is_not_split_by_a_host_speed_shift():
+    # the host doubles its times halfway through ten pairs; the change is 1%
+    # faster in every pair but the fifth, whose change run came after the
+    # shift and its parent run before it.  That one pair moves the change's
+    # median into the slow cluster, +32% over the parent's median, while the
+    # median of the per-pair changes stays at -1%
+    def pair(parent, change):
+        return {side: {"metrics": {"wall_s": v}}
+                for side, v in (("parent", parent), ("change", change))}
+
+    pairs = [pair(base, 0.99 * base) for base in (0.1,) * 4 + (0.2,) * 5]
+    pairs.insert(4, pair(0.1, 0.99 * 0.2))
+    spec = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+    summary = summarize(pairs, [spec])
+    got = summary["wall_s"]
+    assert got["median_change"] == pytest.approx(0.198 / 0.15 - 1)
+    assert got["median_pair_change"] == pytest.approx(-0.01)
+    assert (got["change_wins"], got["change_losses"], got["ties"]) == (9, 1, 0)
+    assert summary_lines("geometric", summary) == [
+        "geometric wall_s: median 0.15 -> 0.198 s (median_change +32.0%, "
+        "median_pair_change -1.0%), change won/lost/tied 9/1/0"]

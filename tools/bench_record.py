@@ -16,11 +16,14 @@ first on even pair indices and change first on odd ones, so drift on the
 host lands on both sides alike.  Neither tree's benchmark code is changed.
 
 The output holds each run's end-to-end metrics, correctness and JSON/CSV
-report digests; per metric and side the median and quartiles; the pairs the
-change won, lost and tied; and the machine facts that bound the numbers:
+report digests; per metric and side the median and quartiles; the relative
+change of the medians and the median of the per-pair relative changes,
+which a host speed shift in the middle of a set does not split; the pairs
+the change won, lost and tied; and the machine facts that bound the numbers:
 nproc, RAM, Python, the numpy version and numpy's SIMD baseline, dispatch
 targets and the CPU features it found active.  Report digests are only
-comparable at one numpy build and dispatch level.
+comparable at one numpy build and dispatch level.  After each workload the
+script prints one summary line per metric to standard error.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def _spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the relative
-    change of the medians, and the pairs the change won, lost and tied."""
+    change of the medians, the median of the per-pair relative changes, and
+    the pairs the change won, lost and tied."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -149,14 +153,28 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         ties = sum(c == p for p, c in zip(par, chg))
         ps, cs = _spread(par), _spread(chg)
         base = ps["median"]
+        per_pair = [(c - p) / p for p, c in zip(par, chg) if p]
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": ps, "change": cs,
             "median_change": (cs["median"] - base) / base if base else None,
+            "median_pair_change": statistics.median(per_pair) if per_pair else None,
             "change_wins": wins, "change_losses": len(pairs) - wins - ties, "ties": ties,
             "pairs": len(pairs),
         }
     return out
+
+
+def summary_lines(workload: str, summary: dict) -> list[str]:
+    """One line per metric of ``summarize``'s output: medians, both relative
+    changes and the change's wins, losses and ties."""
+    def pct(v):
+        return "n/a" if v is None else f"{100 * v:+.1f}%"
+    return [f"{workload} {name}: median {m['parent']['median']:.4g} -> "
+            f"{m['change']['median']:.4g} {m['unit']} (median_change {pct(m['median_change'])}, "
+            f"median_pair_change {pct(m['median_pair_change'])}), change "
+            f"won/lost/tied {m['change_wins']}/{m['change_losses']}/{m['ties']}"
+            for name, m in summary.items()]
 
 
 def main(argv=None) -> int:
@@ -196,11 +214,13 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + "  ".join(
                     f"{side} wall_s {pair[side]['metrics']['wall_s']:.4f}"
                     for side in ("parent", "change")), file=sys.stderr)
+            summary = summarize(pairs, BENCH["end_to_end"])
+            print("\n".join(summary_lines(workload, summary)), file=sys.stderr)
             record["workloads"][workload] = {
                 "seeds": seeds,
                 "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                 "digests_equal_pairs": sum(p["digests_equal"] for p in pairs),
-                "metrics": summarize(pairs, BENCH["end_to_end"]),
+                "metrics": summary,
                 "pairs": pairs,
             }
     with open(args.out, "w", encoding="utf-8") as fh:
