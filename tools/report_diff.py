@@ -97,18 +97,21 @@ def diff_runs(parent: dict, change: dict) -> tuple[list[float], list[str]]:
 def golden_sweep() -> dict:
     """Every catalog entry at seed 0, its defaults and its default ladder, in
     one ``run_suite``: per entry the verdict, ``passed()`` and the primary
-    series' equation, lhs, rhs sum and n_emp per step.  Floats keep their
-    ``repr`` digits; an infinite or nan value is its ``repr`` string."""
+    series' equation, lhs, rhs sum and n_emp per step, and under ``extras``
+    the same four for each further series, in report order.  Floats keep
+    their ``repr`` digits; an infinite or nan value is its ``repr`` string."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from sharpcheck.harness import ENTRY_IDS, EstimateSpec, run_suite
 
     def floats(values):
         return [v if math.isfinite(v) else repr(v) for v in map(float, values)]
 
-    return {r.id: {"verdict": r.verdict, "passed": r.passed(),
-                   "equation": r.primary.equation, "lhs": floats(r.primary.lhs),
-                   "rhs_sum": floats(sum(t) for t in r.primary.rhs_terms),
-                   "n_emp": floats(r.primary.n_emp)}
+    def series(s):
+        return {"equation": s.equation, "lhs": floats(s.lhs),
+                "rhs_sum": floats(sum(t) for t in s.rhs_terms), "n_emp": floats(s.n_emp)}
+
+    return {r.id: {"verdict": r.verdict, "passed": r.passed(), **series(r.primary),
+                   "extras": [series(s) for s in r.extras]}
             for r in run_suite([EstimateSpec(id=eid, seed=0) for eid in ENTRY_IDS])}
 
 
