@@ -24,7 +24,6 @@ own one-instance batch bit for bit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ IDENTITY_KEYS = (
 class IdentityReport:
     max_residual: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -135,7 +133,6 @@ def exact_identity_suite(seed: int = 0, n_instances: int = 100,
                          tolerance: float = 1e-12) -> IdentityReport:
     """Run ``n_instances`` random instances on each geometry, one
     :func:`check_instance` call per filtration shape."""
-    start = time.perf_counter()
     report = IdentityReport(max_residual={k: 0.0 for k in IDENTITY_KEYS})
     for gi, geometry in enumerate(("full", "half", "parabolic")):
         groups = {}  # shape -> filtration, instance indices, f, g, threshold factors
@@ -163,5 +160,4 @@ def exact_identity_suite(seed: int = 0, n_instances: int = 100,
                     report.failures.append(
                         {"geometry": geometry, "instance": i, "identity": key,
                          "residual": val, "seed": seed})
-    report.elapsed = time.perf_counter() - start
     return report

@@ -18,10 +18,11 @@ the calls that share it check and plan each window once; a covering max
 reduces the reflected field with that plan and reflects the result back.
 Sharp pair sums visit the offset differences of all radii's pairs once each:
 every difference writes its field once, over its whole overlap and in place,
-into one zeroed buffer on a padded grid, and each pair feeding a radius's
-padded accumulator is one flat slice add.  Sampled pairs are swapped to a
-lexicographically positive difference, so ``delta`` and ``-delta`` share one
-field; channels sum in a fixed order.
+into one zeroed buffer whose rows each end in one gap, and each pair feeding
+a radius's accumulator in that layout is one flat slice add.  Sampled pairs
+are swapped to a lexicographically positive difference, so ``delta`` and
+``-delta`` share one field; channels sum in a fixed order, and a symmetric
+2x2 field is read on its three distinct channels with the same bits.
 """
 
 from __future__ import annotations
@@ -334,27 +335,35 @@ def _pair_windows(shape, a, b) -> np.ndarray:
     return rows[np.lexsort(rows[:, len(shape) - 1::-1].T)].astype(np.int32)
 
 
-def _difference_field(chans: np.ndarray, delta, gamma: float, out: np.ndarray) -> None:
-    """Write ``|h(y) - h(y + delta)|**gamma`` at every ``y`` with both nodes on
-    the grid into ``out``, for channel-first ``chans`` of shape (channels,) +
-    grid, in the entrywise-l2 metric; squared channels sum in place by
+def _difference_field(chans: np.ndarray, delta, gamma: float, out: np.ndarray,
+                      symmetric: bool = False) -> tuple[slice, ...]:
+    """Write ``|h(y) - h(y + delta)|**gamma`` into ``out[y]`` at every ``y``
+    with both nodes on the grid, and return the region ``y``, for
+    channel-first ``chans`` of shape (channels,) + grid and ``out`` of grid
+    shape, in the entrywise-l2 metric.  Squared channels sum in place by
     halving, ``i + ceil(C/2)`` into ``i``, in an order that does not depend
-    on numpy's build or CPU."""
+    on numpy's build or CPU.  ``symmetric`` ``chans`` hold the (0,0), (0,1)
+    and (1,1) channels ``a, b, c`` of a symmetric 2x2 field: one overlapping
+    add forms ``[a^2 + b^2, b^2 + c^2]``, the four-channel halving's first
+    step with the repeated square reused, so the same bits."""
     y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, chans.shape[1:]))
     z = tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))
-    a, b = chans[(slice(None), *y)], chans[(slice(None), *z)]
+    a, b, region = chans[(slice(None), *y)], chans[(slice(None), *z)], out[y]
     if len(chans) == 1:
-        np.abs(np.subtract(a[0], b[0], out=out), out=out)
+        np.abs(np.subtract(a[0], b[0], out=region), out=region)
     else:
         sq = np.subtract(a, b)
         np.multiply(sq, sq, out=sq)
+        if symmetric:
+            sq = sq[:2] + sq[1:]
         m = len(sq)
         while m > 1:
             k = -(-m // 2)
             np.add(sq[:m - k], sq[k:m], out=sq[:m - k])
             m = k
-        np.sqrt(sq[0], out=out)
-    out **= gamma
+        np.sqrt(sq[0], out=region)
+    region **= gamma
+    return y
 
 
 def _box_counts(shape, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -371,13 +380,15 @@ def _box_counts(shape, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _padded_layout(shape, pad) -> tuple[tuple[int, ...], np.ndarray]:
-    """Shape and flat element strides of a grid of ``shape`` padded by
-    ``pad[j]`` nodes on both sides of axis ``j``; refused when a flat index
-    into it would not fit int32."""
-    padded = tuple(int(n) + 2 * int(p) for n, p in zip(shape, pad))
-    if math.prod(padded) > np.iinfo(np.int32).max:
-        raise ValueError(f"geometric sharp's padded grid {padded} has over 2**31 - 1 nodes")
-    return padded, np.cumprod((1,) + padded[:0:-1])[::-1]
+    """Shape and flat element strides of the one-gap layout of a grid of
+    ``shape``: every row along axis ``j >= 1`` holds its ``shape[j]`` nodes
+    followed by a gap of ``pad[j]`` slots, and axis 0 gets no gap, so node
+    ``x`` sits at flat index ``x @ strides``; refused when a flat index into
+    it would not fit int32."""
+    rows = (int(shape[0]),) + tuple(int(n) + int(p) for n, p in zip(shape[1:], pad[1:]))
+    if math.prod(rows) > np.iinfo(np.int32).max:
+        raise ValueError(f"geometric sharp's padded grid {rows} has over 2**31 - 1 nodes")
+    return rows, np.cumprod((1,) + rows[:0:-1])[::-1]
 
 
 def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
@@ -390,16 +401,26 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     ``pair_budget``; beyond that a seeded uniform pair sample is used.  Vector
     or matrix channels are compared in the entrywise-l2 metric.
 
-    Accumulators and the field buffer share one padded layout: the grid
-    padded on each axis by the largest kept window's half-width, clamped to
-    the axis length minus one (no pair with an on-grid center reaches
-    further).  There a pair with offsets ``(a, b)`` and center box
-    ``[lo, hi)`` is one flat slice add ``acc[s:e] += field[s+o:e+o]``, with
-    ``s`` and ``e - 1`` the flat indices of ``lo`` and ``hi - 1`` and ``o``
-    that of ``a``.  Every center in the box gets its term; since ``|a_j|`` is
-    at most the pad, no shift moves a grid node into another row, so every
-    other grid node reads the zeroed buffer and gets ``+0.0``, which leaves
+    Accumulators and the field buffer share one layout
+    (``_padded_layout``): every row along an axis ``j >= 1`` ends in a gap
+    of ``pad[j]`` slots, the largest kept window's half-width on that axis
+    clamped to the axis length minus one (no pair with an on-grid center
+    reaches further), and axis 0 needs none.  There a pair with offsets
+    ``(a, b)`` and center box ``[lo, hi)`` is one flat slice add
+    ``acc[s:e] += field[s+o:e+o]``, with ``s`` and ``e - 1`` the flat
+    indices of ``lo`` and ``hi - 1`` and ``o`` that of ``a``; both slices lie
+    in the layout, since ``lo + a >= 0`` and ``hi - 1 + a <= n - 1`` on
+    every axis.  Every center in the box gets its term.  Any other node
+    ``x`` in ``[s, e)`` reads ``x + a``: a node off the field's region, or,
+    since ``|a_j| <= pad[j]``, a gap slot of its own row or of the row
+    before, never a node of another row.  Both hold ``+0.0``, which leaves
     its nonnegative sum's bits alone.
+
+    A (2, 2) field whose (0,1) and (1,0) channels are equal is copied
+    channel-first as its (0,0), (0,1) and (1,1) channels only, and
+    ``_difference_field`` reuses the repeated square, so its terms keep the
+    bits of the four-channel halving sum; any other field copies every
+    channel.
 
     First every radius draws its pairs, in radius order.  A sampled pair
     ``(a, b)`` with ``b - a <lex 0`` is swapped (exact pairs never are): the
@@ -412,11 +433,11 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
     ``_MAX_PAIR_TERMS`` is refused here, before any field.  Then one pass
     visits the distinct ``delta`` in sorted order: it writes the field
     ``|h(y) - h(y + delta)|**gamma``, channels summed in
-    ``_difference_field``'s halving order, into its region of the buffer,
-    adds every radius's slices in plan order, so each center sums its terms
-    in the order of a per-pair loop, and zeroes the region again.  Held at
-    once: plans, one padded field, padded accumulators, and the pair counts
-    of sampled radii.
+    ``_difference_field``'s halving order, into the grid nodes of its region
+    ``y`` of the buffer, adds every radius's slices in plan order, so each
+    center sums its terms in the order of a per-pair loop, and zeroes ``y``
+    again.  Held at once: plans, one field and the accumulators in the
+    layout, and the pair counts of sampled radii.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -424,11 +445,16 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         raise ValueError("pair budget must be positive")
     grid = h.grid
     d = grid.ndim
-    chans = np.moveaxis(h.padded().reshape(grid.shape + (-1,)), -1, 0).copy()
+    vals = h.padded().reshape(grid.shape + (-1,))
+    # a symmetric 2x2 field keeps channels (0,0), (0,1), (1,1); a signed zero
+    # in (1,0) squares to the bits of its twin, so value equality suffices
+    symmetric = h.channels == (2, 2) and np.array_equal(vals[..., 1], vals[..., 2])
+    keep = [0, 1, 3] if symmetric else list(range(vals.shape[-1]))
+    chans = np.moveaxis(vals, -1, 0)[keep]    # one channel-first copy
     kept = [(r, *_window(grid, family, r)) for r in _radius_subset(family, rho, "at_most")]
     pad = np.minimum(np.max([np.array(mask.shape) // 2 for _, mask, *_ in kept], axis=0),
                      np.array(grid.shape) - 1)
-    padded, strides = _padded_layout(grid.shape, pad)
+    layout, strides = _padded_layout(grid.shape, pad)
     rng = np.random.default_rng(seed)
     subsampled = False
     plans, cnts, terms, groups = [], [], [], {}
@@ -464,8 +490,8 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
         cnts.append(None if exact else _box_counts(grid.shape, lo, hi))
         # flat bounds of each box and the shift flat(a), a being the pair's
         # first offset: rows hold lo + min(a, b), and min(a, b) = a + min(0, delta)
-        start = (lo + pad) @ strides
-        stop = (hi - 1 + pad) @ strides + 1
+        start = lo @ strides
+        stop = (hi - 1) @ strides + 1
         shift = (rows[:, 3 * d:4 * d] - lo - np.minimum(delta, 0)) @ strides
         plans.append(np.stack([start, stop, start + shift, stop + shift], axis=1)
                      .astype(np.int32))
@@ -476,28 +502,25 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
             f"geometric sharp would add {sum(terms):.3g} pair-node terms, over the limit of "
             f"{_MAX_PAIR_TERMS:.3g}; radius {kept[worst][0]:g} alone takes {terms[worst]:.3g} "
             f"at grid spacing ({spacing}) with pair_budget {pair_budget}")
-    size = math.prod(padded)
+    size = math.prod(layout)
     accs = [np.zeros(size) for _ in kept]
     field = np.zeros(size)
-    region = field.reshape(padded)
-    pads = pad.tolist()
+    inner = tuple(map(slice, grid.shape))
+    nodes = field.reshape(layout)[inner]
     for delta in sorted(groups):
-        at = tuple(slice(p + max(0, -c), p + n - max(0, c))
-                   for p, c, n in zip(pads, delta, grid.shape))
-        _difference_field(chans, delta, gamma, region[at])
+        y = _difference_field(chans, delta, gamma, nodes, symmetric)
         for k, a, b in groups[delta]:
             acc = accs[k]
             for s, e, t, u in plans[k][a:b].tolist():
                 view = acc[s:e]
                 np.add(view, field[t:u], out=view)
-        region[at] = 0.0
-    inner = tuple(map(slice, pad, np.add(pad, grid.shape)))
+        nodes[y] = 0.0
     out = np.full(grid.shape, -np.inf)
     for (_, _, counts, plan), cnt, acc in zip(kept, cnts, accs):
         cnt = counts * (counts - 1) / 2 if cnt is None else cnt
         ordered = counts * counts
         nondiag = ordered - counts
-        acc = acc.reshape(padded)[inner]
+        acc = acc.reshape(layout)[inner]
         with np.errstate(invalid="ignore", divide="ignore"):
             per_center = np.where(cnt > 0, acc / np.maximum(cnt, 1.0) * nondiag / ordered, 0.0)
         np.maximum(out, _covering_max(per_center ** (1.0 / gamma), plan), out=out)

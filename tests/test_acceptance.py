@@ -63,11 +63,13 @@ def _check(problems: list, ok: bool, msg: str):
 
 def test_criterion_01_exact_stopping_time_identities(capsys):
     problems = []
+    start = time.perf_counter()
     rep = exact_identity_suite(seed=0, n_instances=100, tolerance=1e-12)
+    elapsed = time.perf_counter() - start
     _check(problems, rep.passed, f"{len(rep.failures)} identity residuals over 1e-12")
     _check(problems, rep.worst() <= 1e-12,
            f"worst residual {rep.worst():.3e} exceeds 1e-12")
-    _check(problems, rep.elapsed < 10.0, f"took {rep.elapsed:.1f}s, budget 10s")
+    _check(problems, elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s")
     _report(capsys, 1,
             "conservation/bound/weak-type/level-set identities exact to 1e-12 "
             "on 100 instances per geometry", problems)

@@ -58,6 +58,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="level range"):
             fl.full_space(1, 2, 1, (0,), (1,))
 
+    def test_level_range_and_box_guards_at_their_boundaries(self):
+        # one materialized level is a range; one level fewer is empty; a side
+        # of zero length is a degenerate box, refused as such before it
+        # could read as zero cells
+        assert fl.full_space(1, 1, 1, (0.0,), (1.0,)).shape == (2,)
+        with pytest.raises(ValueError, match="level range"):
+            fl.full_space(1, 1, 0, (0.0,), (1.0,))
+        with pytest.raises(ValueError, match="degenerate box on axis 1"):
+            fl.full_space(2, 0, 1, (0.0, 0.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("off,aligned", [(0.5, True), (0.9, True), (1.1, False),
+                                             (2.0, False)])
+    def test_aligned_count_tolerance_boundary(self, off, aligned):
+        # a length off a whole number of cells by `off` times the stated
+        # relative tolerance, 1e-9 (`_ALIGN_RTOL`): within it the count is
+        # that whole number, past it refused
+        length = 3.0 * (1.0 + off * 1e-9)
+        if aligned:
+            assert fl._aligned_count(length, 1.0, "side") == 3
+        else:
+            with pytest.raises(ValueError, match="whole number"):
+                fl._aligned_count(length, 1.0, "side")
+
     def test_rejects_incommensurate_box(self):
         with pytest.raises(ValueError, match="whole number"):
             fl.full_space(1, -2, 0, (0.0,), (3.0,))

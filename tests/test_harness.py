@@ -771,6 +771,18 @@ class TestStudyDrivers:
         with pytest.raises(ValueError, match="not dyadic"):
             run_estimate_check(EstimateSpec(id="MAX-LP", ladder=(0.3,)))
 
+    @pytest.mark.parametrize("off,dyadic", [(0.5, True), (0.9, True), (1.1, False),
+                                            (2.0, False)])
+    def test_dyadic_level_tolerance_boundary(self, off, dyadic):
+        # a spacing off 2**-5 by `off` times 1e-9 relative: within that it is
+        # level 5, past it refused
+        h = 2.0 ** -5 * (1.0 + off * 1e-9)
+        if dyadic:
+            assert catalog._dyadic_level(h) == 5
+        else:
+            with pytest.raises(ValueError, match="not dyadic"):
+                catalog._dyadic_level(h)
+
     @pytest.mark.parametrize("entry,ladder", [("IDENTITIES", (0.5,)), ("NEG-EXP", (1.0, -2.0)),
                                               ("MAX-LP", (0.25, float("nan")))])
     def test_ladder_values_an_entry_cannot_run_rejected(self, entry, ladder):

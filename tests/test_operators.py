@@ -710,6 +710,26 @@ PADDED_CASES = {
                      0.4, (3, 3), 0.3, 40),
     "half_cylinder-3d": (SHARP_CASES["half_cylinder-3d"][0],
                          GeometricFamily("cylinder", (0.25, 0.45)), 0.45, (2, 2), 1.0, 40),
+    # the last axis's window is wider than the axis, so its row gap is clamped
+    "ball-window-over-axis-1": (box_grid((-1.0, -0.2), (1.0, 0.2), (17, 3)),
+                                GeometricFamily("ball", (0.3, 0.9)), 0.9, (2, 2), 0.5, 40),
+    # windows one node wide along an axis: no row gap on the last axis, or
+    # nothing to pad on the first
+    "ball-one-node-window-axis-1": (box_grid((-1.0, -1.0), (1.0, 1.0), (25, 5)),
+                                    GeometricFamily("ball", (0.3, 0.45)), 0.45, (), 0.3, 40),
+    "ball-one-node-window-axis-0": (box_grid((-1.0, -1.0), (1.0, 1.0), (5, 25)),
+                                    GeometricFamily("ball", (0.3, 0.45)), 0.45, (2, 2), 0.5,
+                                    10 ** 9),
+    # a time axis of one step: the small cylinder holds one time node, the
+    # large one's interval reaches past the axis
+    "cylinder-one-step-time-over-axis": (box_grid((0.0, -1.0, -1.0), (0.1, 1.0, 1.0),
+                                                  (2, 9, 9), time_axis=True),
+                                         GeometricFamily("cylinder", (0.3, 0.5)), 0.5, (2, 2),
+                                         0.3, 40),
+    "cylinder-one-node-window-axis-2": (box_grid((0.0, -1.0, -1.0), (0.5, 1.0, 0.2),
+                                                 (6, 9, 2), time_axis=True),
+                                        GeometricFamily("cylinder", (0.3, 0.5)), 0.5, (3,),
+                                        1.0, 40),
 }
 
 
@@ -820,11 +840,13 @@ class TestGeometricSharp:
 
     @pytest.mark.parametrize("channels", [(), (2,), (3,), (2, 2), (3, 3)])
     def test_difference_field_channel_sum(self, channels):
-        # 1, 2, 3, 4 and 9 channels: the halving order written out, bit for
-        # bit; numpy's norm within a few ulps; and the field of -delta is the
-        # field of delta shifted by delta, bit for bit (its region starts at
-        # max(0, delta), that of delta at max(0, -delta)), the identity that
-        # lets geometric_sharp swap a sampled pair
+        # 1, 2, 3, 4 and 9 channels: the field goes to out[y] only, y being
+        # the returned region of nodes y with y + delta on the grid; the
+        # halving order written out, bit for bit; numpy's norm within a few
+        # ulps; and the field of -delta is the field of delta shifted by
+        # delta, bit for bit (its region starts at max(0, delta), that of
+        # delta at max(0, -delta)), the identity that lets geometric_sharp
+        # swap a sampled pair
         rng = np.random.default_rng(len(channels) + sum(channels))
         for shape, deltas in (((12, 13), [(2, -3), (0, 1), (-1, 0)]),
                               ((5, 7, 6), [(1, -2, 0), (0, 0, -3), (2, 1, 1)])):
@@ -835,14 +857,76 @@ class TestGeometricSharp:
                 diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e)
                                             for s, e in zip(y, delta))]
                 for gamma in (1.0, 0.5, 0.3):
-                    got, neg = np.full(diff.shape[:-1], np.nan), np.full(diff.shape[:-1], np.nan)
-                    _difference_field(chans, delta, gamma, got)
+                    got, neg = np.full(shape, np.nan), np.full(shape, np.nan)
                     where = f"{shape} {delta} gamma {gamma}"
-                    assert got.tobytes() == (halving_norm(diff) ** gamma).tobytes(), where
+                    assert _difference_field(chans, delta, gamma, got) == y, where
+                    outside = np.ones(shape, dtype=bool)
+                    outside[y] = False
+                    assert np.isnan(got[outside]).all(), where
+                    assert got[y].tobytes() == (halving_norm(diff) ** gamma).tobytes(), where
                     np.testing.assert_array_max_ulp(
-                        got, np.linalg.norm(diff, axis=-1) ** gamma, maxulp=4)
-                    _difference_field(chans, tuple(-e for e in delta), gamma, neg)
-                    assert neg.tobytes() == got.tobytes(), where
+                        got[y], np.linalg.norm(diff, axis=-1) ** gamma, maxulp=4)
+                    back = _difference_field(chans, tuple(-e for e in delta), gamma, neg)
+                    assert neg[back].tobytes() == got[y].tobytes(), where
+
+    @pytest.mark.parametrize("shape,deltas", [
+        ((12, 13), [(2, -3), (0, 1), (-1, 0), (0, 0)]),
+        ((5, 7, 6), [(1, -2, 0), (0, 0, -3), (2, 1, 1), (-4, 6, 5)]),
+    ], ids=["2d", "3d"])
+    def test_three_channel_difference_field_of_a_symmetric_field(self, shape, deltas):
+        # a symmetric 2x2 field read through channels (0,0), (0,1), (1,1)
+        # gives the four-channel halving sum (a^2 + b^2) + (b^2 + c^2) bit
+        # for bit, and the shift identity of -delta holds on it too
+        rng = np.random.default_rng(sum(shape))
+        vals = rng.standard_normal(shape + (2, 2))
+        vals[..., 1, 0] = vals[..., 0, 1]
+        vals = vals.reshape(shape + (4,))
+        three = np.moveaxis(vals, -1, 0)[[0, 1, 3]]
+        for delta in deltas:
+            y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, shape))
+            diff = vals[y] - vals[tuple(slice(s.start + e, s.stop + e)
+                                        for s, e in zip(y, delta))]
+            for gamma in (1.0, 0.5, 0.3):
+                got, neg = np.full(shape, np.nan), np.full(shape, np.nan)
+                where = f"{shape} {delta} gamma {gamma}"
+                assert _difference_field(three, delta, gamma, got, symmetric=True) == y, where
+                assert got[y].tobytes() == (halving_norm(diff) ** gamma).tobytes(), where
+                back = _difference_field(three, tuple(-e for e in delta), gamma, neg,
+                                         symmetric=True)
+                assert neg[back].tobytes() == got[y].tobytes(), where
+
+    @pytest.mark.parametrize("case", sorted(SHARP_CASES))
+    def test_symmetric_hessian_takes_three_channels_with_the_same_bits(self, case,
+                                                                       monkeypatch):
+        # a (2, 2) field with equal off-diagonal channels runs on three
+        # channels; one ulp apart at one node, on four; either way the bits of
+        # the four-channel reference loop, exact and sampled
+        grid, shape, radii = SHARP_CASES[case]
+        fam = GeometricFamily(shape, radii)
+        seen, difference_field = [], operators._difference_field
+
+        def spy(chans, delta, gamma, out, symmetric=False):
+            seen.append((len(chans), symmetric))
+            return difference_field(chans, delta, gamma, out, symmetric)
+
+        monkeypatch.setattr(operators, "_difference_field", spy)
+        vals = np.random.default_rng(sum(map(ord, case))).standard_normal(grid.shape + (2, 2))
+        vals[..., 1, 0] = vals[..., 0, 1]
+        apart = vals.copy()
+        node = tuple(n // 2 for n in grid.shape)
+        apart[node + (1, 0)] = np.nextafter(apart[node + (0, 1)], np.inf)
+        for values, want_path in ((vals, (3, True)), (apart, (4, False))):
+            h = GridFunction(grid, values)
+            for gamma in (1.0, 0.5, 0.3):
+                for budget in (10 ** 9, 40):
+                    seen.clear()
+                    got = geometric_sharp(h, fam, gamma, radii[-1], pair_budget=budget, seed=7)
+                    want, sub = reference_geometric_sharp(h, fam, gamma, radii[-1],
+                                                          pair_budget=budget, seed=7)
+                    where = f"{want_path} gamma {gamma} budget {budget}"
+                    assert set(seen) == {want_path}, where
+                    assert got.values.tobytes() == want.tobytes(), where
+                    assert got.subsampled == sub, where
 
     @pytest.mark.parametrize("grid,shape,radii,budget,fields", [
         (box_grid((-1.5, -1.5), (1.5, 1.5), (51, 51)), "ball",
@@ -864,9 +948,9 @@ class TestGeometricSharp:
             per_radius.append({tuple(row) for row in rows[:, :grid.ndim].tolist()})
             return rows
 
-        def field_spy(chans, delta, gamma, out):
+        def field_spy(chans, delta, gamma, out, symmetric=False):
             computed.append(tuple(delta))
-            difference_field(chans, delta, gamma, out)
+            return difference_field(chans, delta, gamma, out, symmetric)
 
         monkeypatch.setattr(operators, "_pair_windows", windows_spy)
         monkeypatch.setattr(operators, "_difference_field", field_spy)
@@ -1002,7 +1086,7 @@ class TestGeometricSharp:
         assert got.subsampled == sub
         kept = _radius_subset(fam, rho, "at_most")
         assert len(drawn) == len(kept)
-        if case.endswith("-over-axis"):
+        if "-over-axis" in case:
             mask = _shape_offsets(grid, fam, kept[-1])
             assert any(s // 2 > n - 1 for s, n in zip(mask.shape, grid.shape))
             assert any(len(rows) < pairs for pairs, rows in drawn)
@@ -1011,14 +1095,46 @@ class TestGeometricSharp:
         if case == "sampled-repeated-pairs":
             assert sub and len(np.unique(drawn[0][1], axis=0)) < len(drawn[0][1])
 
+    @pytest.mark.parametrize("case", sorted(PADDED_CASES))
+    def test_padded_layout_edge_cases_on_box_held_symmetric_hessians(self, case, monkeypatch):
+        # the same layouts with a symmetric 2x2 field held on a support box
+        # that leaves out each axis's first third: three channels, and the
+        # bits of the four-channel reference loop on the padded twin
+        grid, fam, rho, _, gamma, budget = PADDED_CASES[case]
+        seen, difference_field = set(), operators._difference_field
+
+        def spy(chans, delta, gamma, out, symmetric=False):
+            seen.add((len(chans), symmetric))
+            return difference_field(chans, delta, gamma, out, symmetric)
+
+        monkeypatch.setattr(operators, "_difference_field", spy)
+        box = tuple(slice(n // 3, n) for n in grid.shape)
+        shape = tuple(n - n // 3 for n in grid.shape)
+        vals = np.random.default_rng(sum(map(ord, case))).standard_normal(shape + (2, 2))
+        vals[..., 1, 0] = vals[..., 0, 1]
+        h = GridFunction(grid, vals, box)
+        got = geometric_sharp(h, fam, gamma, rho, pair_budget=budget, seed=3)
+        want, sub = reference_geometric_sharp(GridFunction(grid, h.padded()), fam, gamma, rho,
+                                              pair_budget=budget, seed=3)
+        assert seen == {(3, True)}
+        assert got.values.tobytes() == want.tobytes()
+        assert got.subsampled == sub
+
     def test_padded_layout_refuses_int32_overflow(self):
-        # strides of a padded grid, and the guard on shapes past int32 flat
-        # indexing, checked without allocating the grid
+        # shape and strides of the one-gap layout (a gap of pad[j] after each
+        # row of axis j >= 1, none on axis 0), and the guard on layouts past
+        # int32 flat indexing at its exact boundary, checked without
+        # allocating the grid
         shape, strides = _padded_layout((3, 4, 5), (1, 2, 0))
-        assert shape == (5, 8, 5) and strides.tolist() == [40, 5, 1]
-        assert _padded_layout((46339, 46339), (0, 0))[0] == (46339, 46339)
+        assert shape == (3, 6, 5) and strides.tolist() == [30, 5, 1]
+        assert _padded_layout((2 ** 31 - 1,), (5,))[0] == (2 ** 31 - 1,)
+        assert _padded_layout((2, 2 ** 30 - 2), (0, 1))[0] == (2, 2 ** 30 - 1)
         with pytest.raises(ValueError, match="padded grid"):
-            _padded_layout((46339, 46339), (1, 1))
+            _padded_layout((2, 2 ** 30 - 2), (0, 2))
+        # one gap per row, not two: the two-sided layout refused this one
+        assert _padded_layout((46339, 46339), (1, 1))[0] == (46339, 46340)
+        with pytest.raises(ValueError, match="padded grid"):
+            _padded_layout((46340, 46340), (1, 2))
         with pytest.raises(ValueError, match="padded grid"):
             _padded_layout((1300, 1300, 1300), (4, 4, 4))
 
