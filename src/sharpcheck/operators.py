@@ -342,12 +342,16 @@ def _difference_field(chans: np.ndarray, delta, gamma: float, out: np.ndarray,
     channel-first ``chans`` of shape (channels,) + grid and ``out`` of grid
     shape, in the entrywise-l2 metric.  Squared channels sum in place by
     halving, ``i + ceil(C/2)`` into ``i``, in an order that does not depend
-    on numpy's build or CPU.  ``symmetric`` ``chans`` hold the (0,0), (0,1)
-    and (1,1) channels ``a, b, c`` of a symmetric 2x2 field: one overlapping
-    add forms ``[a^2 + b^2, b^2 + c^2]``, the four-channel halving's first
-    step with the repeated square reused, so the same bits."""
-    y = tuple(slice(max(0, -e), n - max(0, e)) for e, n in zip(delta, chans.shape[1:]))
-    z = tuple(slice(s.start + e, s.stop + e) for s, e in zip(y, delta))
+    on numpy's build or CPU.  With ``symmetric``, ``chans`` holds the
+    (0,0), (0,1) and (1,1) channels ``a, b, c`` of a symmetric 2x2 field, and
+    one add over overlapping slices forms ``[a^2 + b^2, b^2 + c^2]``: the
+    four-channel halving's first step with the repeated square reused, so the
+    same bits."""
+    y, z = [], []
+    for e, n in zip(delta, out.shape):
+        y.append(slice(0, n - e) if e >= 0 else slice(-e, n))
+        z.append(slice(e, n) if e >= 0 else slice(0, n + e))
+    y = tuple(y)
     a, b, region = chans[(slice(None), *y)], chans[(slice(None), *z)], out[y]
     if len(chans) == 1:
         np.abs(np.subtract(a[0], b[0], out=region), out=region)
@@ -513,7 +517,7 @@ def geometric_sharp(h: GridFunction, family: GeometricFamily, gamma: float,
             acc = accs[k]
             for s, e, t, u in plans[k][a:b].tolist():
                 view = acc[s:e]
-                np.add(view, field[t:u], out=view)
+                view += field[t:u]
         nodes[y] = 0.0
     out = np.full(grid.shape, -np.inf)
     for (_, _, counts, plan), cnt, acc in zip(kept, cnts, accs):
