@@ -10,7 +10,7 @@ every other node; the operator image there is +0.0 too, by the premise
 held on that box.  An operator is a callable on stacks of Hessians (and
 their per-axis coordinates) with declared
 ellipticity and Lipschitz bounds: linear trace forms, Bellman suprema over
-coefficient families, the extremal operators with eigenvalue bounds
+coefficient families, the maximal Pucci operator with eigenvalue bounds
 ``[delta, 1/delta]``, and tabulated callables.  The oscillation functional
 measures the averaged distance of an x-dependent operator from a given
 x-independent model over a shape.
@@ -86,9 +86,9 @@ class Grid:
         return tuple(self.axis_nodes(ax)[s].reshape((1,) * ax + (-1,) + (1,) * (self.ndim - 1 - ax))
                      for ax, s in enumerate(box or (slice(None),) * self.ndim))
 
-    def nodes(self, box: tuple[slice, ...] | None = None) -> np.ndarray:
-        """Node coordinates of ``box`` (default: all), shape ``(*box shape, ndim)``."""
-        return np.stack(np.broadcast_arrays(*self.coordinates(box)), axis=-1)
+    def nodes(self) -> np.ndarray:
+        """Node coordinates, shape ``(*shape, ndim)``."""
+        return np.stack(np.broadcast_arrays(*self.coordinates()), axis=-1)
 
 
 def box_grid(lo, hi, shape, time_axis=False) -> Grid:
@@ -374,15 +374,11 @@ def _eigvalsh_2x2(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
-def _extremal(pos: np.ndarray, neg: np.ndarray, delta: float, side: str) -> np.ndarray:
-    if side == "max":
-        return pos / delta + neg * delta
-    return pos * delta + neg / delta
-
-
-def pucci_extremal(H: np.ndarray, delta: float, side: str = "max") -> np.ndarray:
-    """Extremal value of the trace form over coefficient matrices with
-    eigenvalues in ``[delta, 1/delta]``; closed form through eigenvalues.
+def pucci_extremal(H: np.ndarray, delta: float) -> np.ndarray:
+    """Maximal Pucci operator: the supremum of the trace form over
+    coefficient matrices with eigenvalues in ``[delta, 1/delta]``, in closed
+    form ``pos / delta + neg * delta`` through the sums of the positive and
+    negative eigenvalues.
 
     The eigenvalues of 2x2 stacks come from a vectorised port of the path
     ``np.linalg.eigvalsh`` takes through LAPACK: ``dsyevd`` (lower
@@ -396,20 +392,18 @@ def pucci_extremal(H: np.ndarray, delta: float, side: str = "max") -> np.ndarray
     small beside the one output array.
     """
     check_delta(delta)
-    if side not in ("max", "min"):
-        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
     H = np.asarray(H, dtype=np.float64)
     if H.shape[-2:] != (2, 2):
         w = np.linalg.eigvalsh(H)
-        return _extremal(np.clip(w, 0.0, None).sum(axis=-1),
-                         np.clip(w, None, 0.0).sum(axis=-1), delta, side)
+        pos, neg = np.clip(w, 0.0, None).sum(axis=-1), np.clip(w, None, 0.0).sum(axis=-1)
+        return pos / delta + neg * delta
     stack = H.reshape(-1, 2, 2)
     out = np.empty(stack.shape[0])
     for i in range(0, stack.shape[0], _BLOCK_ROWS):
         w1, w2 = _eigvalsh_2x2(stack[i:i + _BLOCK_ROWS])
         pos = np.clip(w1, 0.0, None) + np.clip(w2, 0.0, None)
         neg = np.clip(w1, None, 0.0) + np.clip(w2, None, 0.0)
-        out[i:i + _BLOCK_ROWS] = _extremal(pos, neg, delta, side)
+        out[i:i + _BLOCK_ROWS] = pos / delta + neg * delta
     # [()] gives a scalar for a single matrix, as eigvalsh's path does
     return out.reshape(H.shape[:-2])[()]
 
@@ -459,13 +453,11 @@ def bellman_operator(family, delta: float, **kw) -> Operator:
                     delta, **kw)
 
 
-def pucci_operator(delta: float, side: str = "max", d: int | None = None, **kw) -> Operator:
-    if side not in ("max", "min"):
-        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+def pucci_operator(delta: float, d: int | None = None, **kw) -> Operator:
     check_delta(delta)
     if "k_f" not in kw and d is not None:
         kw["k_f"] = d / delta
-    return Operator(lambda H, x: pucci_extremal(H, delta, side), delta, **kw)
+    return Operator(lambda H, x: pucci_extremal(H, delta), delta, **kw)
 
 
 def tabulated_operator(fn: Callable, delta: float, **kw) -> Operator:
@@ -791,19 +783,6 @@ def _make_gaussian(d, sigma=1.0):
     return ManufacturedFunction(u, du, d2u)
 
 
-def _make_quadratic(d):
-    def u(X):
-        return 0.5 * sum_of_squares(X.T)
-
-    def du(X):
-        return X.copy()
-
-    def d2u(X):
-        return np.broadcast_to(np.eye(d), (X.shape[0], d, d)).copy()
-
-    return ManufacturedFunction(u, du, d2u)
-
-
 def _make_exp_growth(d):
     if d != 1:
         raise ValueError("the exponential-growth input is one dimensional")
@@ -894,7 +873,6 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
     makers = {
         "bump": _make_bump,
         "gaussian": _make_gaussian,
-        "quadratic": _make_quadratic,
         "exp_growth": _make_exp_growth,
         "slab_bump": _make_slab_bump,
         "odd_bump": _make_odd_bump,
@@ -908,25 +886,22 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
     return mf
 
 
-def with_time_profile(mf: ManufacturedFunction, profile: str = "bump",
-                      t_center: float = 0.0, t_radius: float = 1.0) -> ManufacturedFunction:
-    """Space-time input ``q(t) * u(x)`` with an analytic time factor; its
-    samples are evaluated factor by factor (see :class:`ManufacturedFunction`)."""
-    if profile == "const":
-        q = lambda t: np.ones_like(t)
-        q1 = lambda t: np.zeros_like(t)
-        span = (-np.inf, np.inf)
-    elif profile == "bump":
-        check_scale("t_radius", t_radius)
-        span = (t_center - t_radius, t_center + t_radius)
-        def q(t):
-            return _bump_parts(((t - t_center) / t_radius) ** 2)[2]
+def with_time_profile(mf: ManufacturedFunction, t_center: float = 0.0,
+                      t_radius: float = 1.0) -> ManufacturedFunction:
+    """Space-time input ``q(t) * u(x)`` whose time factor ``q`` is the bump
+    ``exp(-1/(1-s))``, ``s = ((t - t_center) / t_radius)**2``, supported on
+    ``[t_center - t_radius, t_center + t_radius]``; its samples are evaluated
+    factor by factor (see :class:`ManufacturedFunction`)."""
+    check_scale("t_radius", t_radius)
+    span = (t_center - t_radius, t_center + t_radius)
 
-        def q1(t):
-            s = ((t - t_center) / t_radius) ** 2
-            _, g1, _ = _bump_profile(s)
-            return g1 * 2.0 * (t - t_center) / t_radius ** 2
-    else:
-        raise ValueError(f"unknown time profile {profile!r}")
+    def q(t):
+        return _bump_parts(((t - t_center) / t_radius) ** 2)[2]
+
+    def q1(t):
+        s = ((t - t_center) / t_radius) ** 2
+        _, g1, _ = _bump_profile(s)
+        return g1 * 2.0 * (t - t_center) / t_radius ** 2
+
     support = None if mf.support is None else (span,) + mf.support
     return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), support=support)

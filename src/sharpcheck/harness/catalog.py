@@ -268,7 +268,7 @@ def build_operator(params: dict):
     if kind == "linear":
         return linear_operator(np.eye(d), delta, k_f=math.sqrt(d))
     if kind == "pucci":
-        return pucci_operator(delta, side="max", d=d)
+        return pucci_operator(delta, d=d)
     if kind == "bellman":
         eigs = np.array([delta if i % 2 else 1.0 / delta for i in range(d)])
         family = (np.eye(d), np.diag(eigs))

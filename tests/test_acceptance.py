@@ -150,13 +150,13 @@ def test_criterion_04_extremal_operator_oracle(capsys):
         for k in range(20):
             A = rng.standard_normal((d, d))
             H = (A + A.T) / 2
-            closed = float(ca.pucci_extremal(H, delta, "max"))
+            closed = float(ca.pucci_extremal(H, delta))
             brute = _sampled_extremal(H, delta, seed=[5, d, k])
             _check(problems, brute <= closed + 1e-12 * abs(closed),
                    f"d={d} #{k}: a sample beat the closed form by {brute - closed:.3e}")
             _check(problems, brute >= closed - 1e-3 * abs(closed),
                    f"d={d} #{k}: sampling reached only {brute / closed:.6f} of closed form")
-    exact = float(ca.pucci_extremal(np.diag([1.0, -1.0]), delta, "max"))
+    exact = float(ca.pucci_extremal(np.diag([1.0, -1.0]), delta))
     _check(problems, abs(exact - 1.5) <= 1e-12,
            f"diag(1,-1) instance gave {exact!r}, expected 3/2")
     _report(capsys, 4,
@@ -194,8 +194,8 @@ def test_criterion_05_finite_difference_orders(capsys):
 
 def test_criterion_06_oscillation_functional(capsys):
     problems = []
-    op = ca.pucci_operator(0.5, "max", d=2)
-    model = lambda H: ca.pucci_extremal(H, 0.5, "max")
+    op = ca.pucci_operator(0.5, d=2)
+    model = lambda H: ca.pucci_extremal(H, 0.5)
     flat = ca.oscillation_theta(op, model, (0.0, 0.0), 0.7, density=10, seed=1).value
     _check(problems, flat <= 1e-12,
            f"frozen-coefficient functional is {flat:.3e}, expected 0 to 1e-12")

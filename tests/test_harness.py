@@ -253,6 +253,16 @@ class TestCatalogRecipes:
         assert 0 < r.notes["coarsest_average"] < 1
         assert r.notes["beta_type_constant"] >= 1.0
 
+    def test_fs_local_pins_its_exponents_below_one(self):
+        # at the defaults gamma = beta = 1 every power of gamma or beta is
+        # the identity; at 0.5 the sharp function's ** gamma moves the n_emp
+        # and the thickness's ** beta moves its note
+        r = run_estimate_check(EstimateSpec(id="FS-LOCAL", params={"gamma": 0.5, "beta": 0.5}))
+        assert r.verdict == BOUNDED
+        assert r.primary.n_emp == pytest.approx(
+            [0.7296772140240605, 0.7261412082667886, 0.7249235499890997], rel=1e-12, abs=0)
+        assert r.notes["beta_type_constant"] == pytest.approx(1.021873799731395, rel=1e-12, abs=0)
+
     def test_homogeneous_scaling_leaves_ratio_invariant(self):
         base = n_emp_of(run_entry("W2P-GLOBAL", 0.05)[0])
         scaled = n_emp_of(run_entry("W2P-GLOBAL", 0.05, amplitude=3.7)[0])

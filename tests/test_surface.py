@@ -15,6 +15,12 @@ Likewise every field of a dataclass or ``NamedTuple`` in ``src/sharpcheck``
 is read as an attribute (``obj.field`` in load context, matched by name) in
 ``src/sharpcheck`` or a root file, string constants of the root files
 included, unless it is kept for an open ROADMAP item.
+
+And every defaulted parameter of a public function or method in
+``src/sharpcheck`` is passed, by keyword or by position, in some call in
+``src/sharpcheck`` or a root file (calls matched by name), unless it is
+kept for an open ROADMAP item: a default nothing overrides is an option
+nothing selects.
 """
 
 import ast
@@ -182,3 +188,64 @@ def test_every_record_field_is_read():
 def test_allowed_fields_exist_and_are_unread():
     # an allowed field that gains a reader, or goes, leaves the list
     assert ALLOWED_FIELDS <= set(unread_fields(kept=set()))
+
+
+# Parameter defaults no call in ``src`` or a root file overrides, each kept
+# for the ROADMAP item that will pass it.
+ALLOWED_DEFAULTS = {
+    "calculus.oscillation_theta.shape",         # item 3: theta over cylinders
+    "calculus.oscillation_theta.tau0",          # item 3
+    "weights.weighted_norm.w",                  # item 4: weighted entries
+    "weights.cube_family.n_sizes",              # item 4
+    "weights.cube_family.anchors_per_axis",     # item 4
+    "weights.ap_divergence_ladder.base_side",   # item 4
+    "weights.ap_divergence_ladder.n_steps",     # item 4
+}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """``(name, positional index)`` of each parameter of ``fn`` with a default
+    (index ``None`` for keyword-only); a method's index counts from the
+    argument after ``self``."""
+    a = fn.args
+    out = [(arg.arg, i - method) for i, arg in enumerate(a.args)
+           if i >= len(a.args) - len(a.defaults)]
+    return out + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+
+
+def unoverridden_defaults(kept: set[str] = ALLOWED_DEFAULTS) -> list[str]:
+    """Defaulted parameters of public functions and methods in ``src`` that
+    no call names by keyword or reaches by position (calls matched by the
+    function's name alone), ``kept`` left out."""
+    params, keywords, positions = {}, set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        mod = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node, node.name, False)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                fns = [(m, f"{node.name}.{m.name}", True) for m in node.body
+                       if isinstance(m, ast.FunctionDef)]
+            else:
+                fns = []
+            for fn, qual, method in fns:
+                if not fn.name.startswith("_"):
+                    params.update({f"{mod}.{qual}.{name}": (fn.name, name, i)
+                                   for name, i in _defaulted(fn, method)})
+    for path in [*sorted(SRC.rglob("*.py")), *ROOT_FILES]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords |= {(fn, k.arg) for k in node.keywords}
+                positions |= {(fn, i) for i in range(len(node.args))}
+    return sorted(q for q, (fn, name, i) in params.items()
+                  if (fn, name) not in keywords and (fn, i) not in positions and q not in kept)
+
+
+def test_every_parameter_default_is_overridden():
+    # a default no caller overrides is an option nothing selects; an allowed
+    # default that gains a caller, or goes, leaves the list
+    unused = unoverridden_defaults()
+    assert unused == [], "defaults no call overrides: " + ", ".join(unused)
+    assert ALLOWED_DEFAULTS <= set(unoverridden_defaults(kept=set()))
