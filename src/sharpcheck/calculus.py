@@ -173,20 +173,12 @@ class Derivatives:
 
     They are held on ``box``, slices of the grid (a support box, or a slab of
     its axis-0 layers in :func:`operator_fields`): ``box_du``, ``box_d2u`` and
-    ``box_dt`` cover its nodes, and every other node's derivatives are +0.0.
-    ``du``, ``d2u`` and ``dt`` are the same padded out to the whole grid, as
-    the geometric operators pad a ``GridFunction`` on ``box`` themselves."""
+    ``box_dt`` cover its nodes, and every other node's derivatives are +0.0."""
 
-    grid: Grid
     box: tuple[slice, ...]
     box_du: np.ndarray           # (*box shape, n_space)
     box_d2u: np.ndarray          # (*box shape, n_space, n_space), exactly symmetric
     box_dt: np.ndarray | None    # (*box shape) on time grids
-
-    du = property(lambda self: GridFunction(self.grid, self.box_du, self.box).padded())
-    d2u = property(lambda self: GridFunction(self.grid, self.box_d2u, self.box).padded())
-    dt = property(lambda self: None if self.box_dt is None
-                  else GridFunction(self.grid, self.box_dt, self.box).padded())
 
 
 def _derivative_box(u: GridFunction) -> tuple[tuple[slice, ...], np.ndarray]:
@@ -239,7 +231,7 @@ def fd_derivatives(u: GridFunction) -> Derivatives:
     dt = np.empty(slab.shape) if g.time_axis else None
     if g.time_axis and slab.size:
         _diff1(slab, 0, g.spacing(0), dt)
-    return Derivatives(g, box, du, d2u, dt)
+    return Derivatives(box, du, d2u, dt)
 
 
 _SLAB_NODES = 2 ** 14
@@ -502,7 +494,7 @@ def operator_fields(op: Operator, u: GridFunction):
         lo, hi = max(min(s.start - pad, m - 4 * pad), 0), min(max(s.stop + pad, 4 * pad), m)
         du, d2u = (a[s.start - lo:s.stop - lo] for a in _difference(vals[lo:hi], g))
         rows = (slice(box[0].start + s.start, box[0].start + s.stop),) + box[1:]
-        slab = Derivatives(g, rows, du, d2u, image[s] if g.time_axis else None)
+        slab = Derivatives(rows, du, d2u, image[s] if g.time_axis else None)
         image[s] = evaluate_operator(op, u, slab).values
         hessian[s], gradient[s] = frobenius(d2u), euclidean(du)
     return box, vals.copy(), image, hessian, gradient
@@ -677,44 +669,44 @@ class ManufacturedFunction:
     ``time`` and the spatial factor's callbacks, and is sampled on time grids
     only, factor by factor: the time factor on the time-axis nodes, the
     callbacks on the nodes of the spatial axes, multiplied once by
-    broadcasting.  ``support`` holds a closed interval per grid axis outside
-    which the function is 0 (``None``: none); :meth:`on_grid` samples only
-    the nodes inside, widened by ``_HALO``.
+    broadcasting; an input without ``time`` is sampled on grids without time
+    only.  ``support`` holds a closed interval per grid axis outside which
+    the function is 0 (``(-inf, inf)`` on an axis where it has no bound);
+    :meth:`on_grid` samples only the nodes inside, widened by ``_HALO``.
     """
 
     u: Callable
     du: Callable
     d2u: Callable
+    support: tuple[tuple[float, float], ...]
     time: tuple[Callable, Callable] | None = None
-    support: tuple[tuple[float, float], ...] | None = None
 
     def _sample(self, grid: Grid, fn: Callable, channels: tuple = (), order: int = 0,
                 box: tuple[slice, ...] | None = None):
         """``fn`` on the nodes of ``box`` (default: all), trailed by ``channels``;
         for a time product, times the time factor's ``order``-th derivative."""
+        if grid.time_axis != (self.time is not None):
+            raise ValueError("a time product is sampled on time grids only" if self.time else
+                             "a space-only input is sampled on grids without time only; "
+                             "with_time_profile makes it a time product")
         axes = [grid.axis_nodes(ax)[s] for ax, s in enumerate(box or (slice(None),) * grid.ndim)]
         if self.time is None:
             return sample_nodes(fn, axes, channels)
-        if not grid.time_axis:
-            raise ValueError("a time product is sampled on time grids only")
         x = sample_nodes(fn, axes[1:], channels)
         return self.time[order](axes[0]).reshape((-1,) + (1,) * x.ndim) * x
 
     def on_grid(self, grid: Grid) -> GridFunction:
         """Samples on the support box; +0.0 at every other node."""
-        support = self.support or ((-np.inf, np.inf),) * grid.ndim
         box = tuple(support_box((x >= a) & (x <= b))[0]
-                    for x, (a, b) in zip(map(grid.axis_nodes, range(grid.ndim)), support))
+                    for x, (a, b) in zip(map(grid.axis_nodes, range(grid.ndim)), self.support))
         return GridFunction(grid, self._sample(grid, self.u, box=box), box)
 
     def derivatives(self, grid: Grid) -> Derivatives:
         ds = grid.n_space
         du = self._sample(grid, self.du, (ds,))
         d2u = self._sample(grid, self.d2u, (ds, ds))
-        dt = None
-        if grid.time_axis:
-            dt = np.zeros(grid.shape) if self.time is None else self._sample(grid, self.u, order=1)
-        return Derivatives(grid, (slice(None),) * grid.ndim, du, d2u, dt)
+        dt = self._sample(grid, self.u, order=1) if grid.time_axis else None
+        return Derivatives((slice(None),) * grid.ndim, du, d2u, dt)
 
 
 def _bump_parts(s: np.ndarray):
@@ -780,7 +772,7 @@ def _make_gaussian(d, sigma=1.0):
         base = u(X)[:, None, None]
         return base * (X[:, :, None] * X[:, None, :] / s2 ** 2 - np.eye(X.shape[1]) / s2)
 
-    return ManufacturedFunction(u, du, d2u)
+    return ManufacturedFunction(u, du, d2u, support=((-np.inf, np.inf),) * d)
 
 
 def _make_exp_growth(d):
@@ -796,7 +788,7 @@ def _make_exp_growth(d):
     def d2u(X):
         return np.exp(X[:, 0])[:, None, None]
 
-    return ManufacturedFunction(u, du, d2u)
+    return ManufacturedFunction(u, du, d2u, support=((-np.inf, np.inf),) * d)
 
 
 def _make_slab_bump(d, centers, radii):
@@ -881,9 +873,7 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
         raise ValueError(f"unknown manufactured input {name!r}; library: {', '.join(makers)}")
     for key in sorted({"radius", "radii", "sigma"} & set(params)):
         check_scale(key, params[key])
-    mf = makers[name](d, **params)
-    mf.support = mf.support or ((-np.inf, np.inf),) * d
-    return mf
+    return makers[name](d, **params)
 
 
 def with_time_profile(mf: ManufacturedFunction, t_center: float = 0.0,
@@ -903,5 +893,4 @@ def with_time_profile(mf: ManufacturedFunction, t_center: float = 0.0,
         _, g1, _ = _bump_profile(s)
         return g1 * 2.0 * (t - t_center) / t_radius ** 2
 
-    support = None if mf.support is None else (span,) + mf.support
-    return ManufacturedFunction(mf.u, mf.du, mf.d2u, time=(q, q1), support=support)
+    return ManufacturedFunction(mf.u, mf.du, mf.d2u, support=(span,) + mf.support, time=(q, q1))

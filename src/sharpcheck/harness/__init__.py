@@ -21,34 +21,3 @@ from .report import (
     suite_to_json,
 )
 from .study import refinement_study, resolve_entry, run_estimate_check, run_suite
-
-__all__ = [
-    "BOUNDED",
-    "DIVERGING",
-    "ERROR",
-    "EXACT_PASS",
-    "INCONCLUSIVE",
-    "SCHEMA_VERSION",
-    "IDENTITY_KEYS",
-    "ENTRIES",
-    "ENTRY_IDS",
-    "CatalogEntry",
-    "EquationCheck",
-    "EstimateSpec",
-    "IdentityReport",
-    "InequalityReport",
-    "TermSeries",
-    "build_operator",
-    "check_instance",
-    "classify_trend",
-    "empirical_constant",
-    "exact_identity_suite",
-    "overall_verdict",
-    "refinement_study",
-    "report_to_dict",
-    "resolve_entry",
-    "run_estimate_check",
-    "run_suite",
-    "suite_to_csv",
-    "suite_to_json",
-]

@@ -243,6 +243,13 @@ class TestPower:
         assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
+def padded_derivatives(g, d):
+    """The gradient, Hessian and time derivative (``None`` on grids without
+    time) of the derivatives ``d`` on every node of ``g``, +0.0 off ``d.box``."""
+    return tuple(None if a is None else ca.GridFunction(g, a, d.box).padded()
+                 for a in (d.box_du, d.box_d2u, d.box_dt))
+
+
 class TestFiniteDifferences:
     def quad_fn(self, X):
         A = np.array([[2.0, 0.5], [0.5, -1.0]])
@@ -254,15 +261,16 @@ class TestFiniteDifferences:
         X = g.nodes().reshape(-1, g.ndim)
         vals, A, b = self.quad_fn(X)
         d = ca.fd_derivatives(ca.GridFunction(g, vals.reshape(g.shape)))
+        du, d2u, _ = padded_derivatives(g, d)
         want_du = (X @ A + b).reshape(g.shape + (2,))
-        assert np.allclose(d.du, want_du, rtol=0, atol=1e-12)
-        assert np.allclose(d.d2u, A, rtol=0, atol=1e-12)
+        assert np.allclose(du, want_du, rtol=0, atol=1e-12)
+        assert np.allclose(d2u, A, rtol=0, atol=1e-12)
 
     def test_hessian_exactly_symmetric(self):
         g = ca.box_grid((0, 0), (1, 1), (12, 11))
         rng = np.random.default_rng(8)
         d = ca.fd_derivatives(ca.GridFunction(g, rng.normal(size=g.shape)))
-        assert np.array_equal(d.d2u[..., 0, 1], d.d2u[..., 1, 0])
+        assert np.array_equal(d.box_d2u[..., 0, 1], d.box_d2u[..., 1, 0])
 
     @pytest.mark.parametrize("fn,d2", [
         (np.sin, lambda x: -np.sin(x)),
@@ -273,8 +281,8 @@ class TestFiniteDifferences:
         for n in (17, 33, 65):
             g = ca.box_grid((0.0,), (1.0,), (n,))
             x = g.axis_nodes(0)
-            der = ca.fd_derivatives(ca.GridFunction(g, fn(x)))
-            errs.append(np.abs(der.d2u[:, 0, 0] - d2(x)).max())
+            _, d2u, _ = padded_derivatives(g, ca.fd_derivatives(ca.GridFunction(g, fn(x))))
+            errs.append(np.abs(d2u[:, 0, 0] - d2(x)).max())
         for a, b in zip(errs, errs[1:]):
             assert 3.5 < a / b < 4.5
 
@@ -283,8 +291,8 @@ class TestFiniteDifferences:
         for n in (17, 33):
             g = ca.box_grid((0.0, 0.0), (1.0, 1.0), (n, 5), time_axis=True)
             T = g.nodes()[..., 0]
-            der = ca.fd_derivatives(ca.GridFunction(g, np.sin(3 * T)))
-            errs.append(np.abs(der.dt - 3 * np.cos(3 * T)).max())
+            _, _, dt = padded_derivatives(g, ca.fd_derivatives(ca.GridFunction(g, np.sin(3 * T))))
+            errs.append(np.abs(dt - 3 * np.cos(3 * T)).max())
         assert 3.5 < errs[0] / errs[1] < 4.5
 
     def test_rejects_two_node_axis(self):
@@ -335,7 +343,7 @@ def whole_grid_derivatives(u):
 
 def whole_grid_samples(mf, g):
     """``mf`` sampled at every node of ``g``, its support ignored."""
-    return dataclasses.replace(mf, support=None).on_grid(g)
+    return dataclasses.replace(mf, support=((-np.inf, np.inf),) * g.ndim).on_grid(g)
 
 
 def recipe_input(d, kind, time, shape):
@@ -362,12 +370,10 @@ def catalog_operators(d):
 
 def assert_whole_grid_bits(u):
     d = ca.fd_derivatives(u)
-    du, d2u, dt = whole_grid_derivatives(u)
-    assert d.du.tobytes() == du.tobytes()
-    assert d.d2u.tobytes() == d2u.tobytes()
-    assert (d.dt is None) == (dt is None)
-    if dt is not None:
-        assert d.dt.tobytes() == dt.tobytes()
+    for have, want in zip(padded_derivatives(u.grid, d), whole_grid_derivatives(u)):
+        assert (have is None) == (want is None)
+        if want is not None:
+            assert have.tobytes() == want.tobytes()
     for op in catalog_operators(u.grid.n_space):
         got = ca.evaluate_operator(op, u, d)
         assert got.box == d.box
@@ -407,7 +413,8 @@ class TestSupportBox:
         u = ca.GridFunction(g, np.zeros(g.shape))
         d = assert_whole_grid_bits(u)
         assert d.box == (slice(0, 0),) * 3 and d.box_d2u.size == 0
-        arrays = [d.du, d.d2u] + ([d.dt] if time_axis else [])
+        arrays = [a for a in padded_derivatives(g, d) if a is not None]
+        assert len(arrays) == 2 + time_axis
         arrays += [ca.evaluate_operator(op, u, d).padded() for op in catalog_operators(g.n_space)]
         for arr in arrays:
             assert arr.shape[:3] == g.shape
@@ -485,15 +492,15 @@ class TestSupportBox:
             for ax in sp:
                 faces = np.moveaxis(v, ax, 0)
                 assert not faces[:3].any() and not faces[-3:].any()
-            der = ca.fd_derivatives(u)
+            du, d2u, _ = padded_derivatives(grid, ca.fd_derivatives(u))
             # the sample vanishes near the faces, so the roll wraps in zeros
             wide = [(np.roll(v, -2, ax) - 2.0 * v + np.roll(v, 2, ax)) / (4.0 * grid.spacing(ax) ** 2)
                     for ax in sp]
             for a in range(len(sp)):
                 for b in range(a):
-                    mixed = (der.d2u[..., b, a] ** 2).sum() / (wide[a] * wide[b]).sum()
+                    mixed = (d2u[..., b, a] ** 2).sum() / (wide[a] * wide[b]).sum()
                     assert abs(mixed - 1.0) <= 1e-12
-            gradient = (der.du ** 2).sum() / -(v * sum(wide)).sum()
+            gradient = (du ** 2).sum() / -(v * sum(wide)).sum()
             assert abs(gradient - 1.0) <= 1e-12
 
     def test_box_samples_reaching_an_interior_box_edge_are_refused(self):
@@ -887,9 +894,9 @@ class TestManufactured:
         errs = []
         for n in (33, 65, 129):
             g = ca.box_grid((-1, -1), (1, 1), (n, n))
-            fd = ca.fd_derivatives(mf.on_grid(g))
-            an = mf.derivatives(g)
-            errs.append(max(np.abs(fd.du - an.du).max(), np.abs(fd.d2u - an.d2u).max()))
+            fd_du, fd_d2u, _ = padded_derivatives(g, ca.fd_derivatives(mf.on_grid(g)))
+            an_du, an_d2u, _ = padded_derivatives(g, mf.derivatives(g))
+            errs.append(max(np.abs(fd_du - an_du).max(), np.abs(fd_d2u - an_d2u).max()))
         assert errs[1] < errs[0] / 2.0
         assert errs[2] < errs[1] / 2.0
 
@@ -916,10 +923,10 @@ class TestManufactured:
         errs_t, errs_x = [], []
         for n in (33, 65):
             g = ca.box_grid((0, -1), (0.8, 1), (2 * n - 1, n), time_axis=True)
-            fd = ca.fd_derivatives(mf.on_grid(g))
-            an = mf.derivatives(g)
-            errs_t.append(np.abs(fd.dt - an.dt).max())
-            errs_x.append(np.abs(fd.d2u - an.d2u).max())
+            _, fd_d2u, fd_dt = padded_derivatives(g, ca.fd_derivatives(mf.on_grid(g)))
+            _, an_d2u, an_dt = padded_derivatives(g, mf.derivatives(g))
+            errs_t.append(np.abs(fd_dt - an_dt).max())
+            errs_x.append(np.abs(fd_d2u - an_d2u).max())
         assert errs_t[1] < errs_t[0] / 3.0
         assert errs_x[1] < errs_x[0] / 3.0
 
@@ -957,6 +964,16 @@ class TestManufactured:
         mf = ca.with_time_profile(ca.manufactured("gaussian", 1))
         with pytest.raises(ValueError, match="time grids"):
             mf.on_grid(ca.box_grid((0, -1), (1, 1), (5, 5)))
+
+    @pytest.mark.parametrize("call", ["on_grid", "derivatives"])
+    def test_space_only_input_needs_a_grid_without_time(self, call):
+        # on_grid would zip the one-axis support with both grid axes and
+        # sample 5 values for the 5x5 grid, and derivatives could not
+        # reshape its samples to the grid
+        mf = ca.manufactured("gaussian", 1, sigma=0.6)
+        g = ca.box_grid((0, -1), (1, 1), (5, 5), time_axis=True)
+        with pytest.raises(ValueError, match="with_time_profile makes it a time product"):
+            getattr(mf, call)(g)
 
 
 def flat_row_product(mf, g):
@@ -1002,14 +1019,13 @@ class TestTimeProduct:
                                   t_radius=t_radius)
         for g in self.grids(d):
             u, du, d2u, dt = flat_row_product(mf, g)
-            got = mf.derivatives(g)
+            got = padded_derivatives(g, mf.derivatives(g))
             # on_grid samples its support box and writes +0.0 at every other
             # node, where the flat-row product of an odd input may give -0.0
             sampled = mf.on_grid(g)
             in_box = np.zeros_like(u)
             in_box[sampled.box] = u[sampled.box]
             np.testing.assert_array_equal(in_box, u)
-            for have, want in [(sampled.padded(), in_box), (got.du, du), (got.d2u, d2u),
-                               (got.dt, dt)]:
+            for have, want in zip((sampled.padded(), *got), (in_box, du, d2u, dt)):
                 assert have.shape == want.shape
                 assert have.tobytes() == want.tobytes()

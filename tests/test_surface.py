@@ -14,7 +14,11 @@ finds surface that nothing but unit tests reads, not every dead path.
 Likewise every field of a dataclass or ``NamedTuple`` in ``src/sharpcheck``
 is read as an attribute (``obj.field`` in load context, matched by name) in
 ``src/sharpcheck`` or a root file, string constants of the root files
-included, unless it is kept for an open ROADMAP item.
+included, unless it is kept for an open ROADMAP item; and so is every name a
+plain class-body assignment binds in any class (``du = property(...)``).
+Matching by name lets such an attribute pass when another class has a read
+field of that name, as a property ``du`` on one class would pass by
+``ManufacturedFunction``'s callback field ``du``.
 
 And every defaulted parameter of a public function or method in
 ``src/sharpcheck`` is passed, by keyword or by position, in some call in
@@ -162,8 +166,20 @@ def _attribute_reads(tree, strings: bool = False) -> set[str]:
     return out
 
 
-def unread_fields(kept: set[str] = ALLOWED_FIELDS) -> list[str]:
-    """Record fields whose name no attribute read of ``src`` or a root file
+def _bound(node: ast.ClassDef, attributes: bool) -> list[str]:
+    """The record fields of ``node`` or, with ``attributes``, the names its
+    plain class-body assignments bind."""
+    if attributes:
+        targets = [t for s in node.body if isinstance(s, ast.Assign) for t in s.targets]
+    else:
+        targets = [s.target for s in node.body
+                   if isinstance(s, ast.AnnAssign) and _is_record(node)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_fields(kept: set[str] = ALLOWED_FIELDS, attributes: bool = False) -> list[str]:
+    """Record fields (with ``attributes``, names bound by plain class-body
+    assignments) whose name no attribute read of ``src`` or a root file
     names, ``kept`` left out."""
     fields, reads = {}, set()
     for path in sorted(SRC.rglob("*.py")):
@@ -171,10 +187,9 @@ def unread_fields(kept: set[str] = ALLOWED_FIELDS) -> list[str]:
         mod = ".".join(path.relative_to(SRC).with_suffix("").parts)
         reads |= _attribute_reads(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_record(node):
-                fields.update((f"{mod}.{node.name}.{s.target.id}", s.target.id)
-                              for s in node.body
-                              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                fields.update((f"{mod}.{node.name}.{name}", name)
+                              for name in _bound(node, attributes))
     for path in ROOT_FILES:
         reads |= _attribute_reads(ast.parse(path.read_text()), strings=True)
     return sorted(q for q, name in fields.items() if name not in reads and q not in kept)
@@ -183,6 +198,11 @@ def unread_fields(kept: set[str] = ALLOWED_FIELDS) -> list[str]:
 def test_every_record_field_is_read():
     unread = unread_fields()
     assert unread == [], "fields no code reads: " + ", ".join(unread)
+
+
+def test_every_class_attribute_is_read():
+    unread = unread_fields(attributes=True)
+    assert unread == [], "class attributes no code reads: " + ", ".join(unread)
 
 
 def test_allowed_fields_exist_and_are_unread():

@@ -1,5 +1,6 @@
 """The report comparison in tools/report_diff.py, which gates report changes,
-and the checkout copy and pair summary of tools/bench_record.py."""
+the checkout copy and pair summary of tools/bench_record.py, and their import
+in a tree without BENCHMARK.json."""
 
 import math
 import pathlib
@@ -125,3 +126,16 @@ def test_pair_change_is_not_split_by_a_host_speed_shift():
     assert summary_lines("geometric", summary) == [
         "geometric wall_s: median 0.15 -> 0.198 s (median_change +32.0%, "
         "median_pair_change -1.0%), change won/lost/tied 9/1/0"]
+
+
+def test_report_diff_imports_in_a_tree_without_benchmark_json(tmp_path):
+    # a copied tree may hold tools/ alone; BENCHMARK.json is read only by
+    # the benchmark runs that need it
+    tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
+    copy = tmp_path / "tools"
+    copy.mkdir()
+    for path in tools.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    proc = subprocess.run([sys.executable, "-c", "import report_diff"], cwd=copy,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

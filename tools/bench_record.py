@@ -43,8 +43,13 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600
-with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
-    BENCH = json.load(_fh)
+
+
+def benchmark() -> dict:
+    """The checkout's BENCHMARK.json, read when a run needs it, so the
+    module imports in a tree without one."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _git(*args: str) -> str:
@@ -110,7 +115,7 @@ def machine() -> dict:
 
 def run_args(workload: str, seed) -> list[str]:
     return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{BENCH['run_seconds']:g}", "--trace", "0"]
+            "--seconds", f"{benchmark()['run_seconds']:g}", "--trace", "0"]
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
@@ -184,7 +189,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="output JSON path")
     args = ap.parse_args(argv)
 
-    seeds = parse_seeds(args.seeds)
+    seeds, bench = parse_seeds(args.seeds), benchmark()
     record = {
         "command": " ".join(["python3", *run_args("W", "N")]),
         "parent": {"rev": _git("rev-parse", args.parent)},
@@ -201,7 +206,7 @@ def main(argv=None) -> int:
         record["change"]["src_sha256"] = src_digest(change_tree)
         if record["change"]["src_sha256"] != src_digest(ROOT):
             raise RuntimeError(f"the copy of {ROOT} in {change_tree} differs from it under src/")
-        for workload in (w["name"] for w in BENCH["workloads"]):
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + "  ".join(
                     f"{side} wall_s {pair[side]['metrics']['wall_s']:.4f}"
                     for side in ("parent", "change")), file=sys.stderr)
-            summary = summarize(pairs, BENCH["end_to_end"])
+            summary = summarize(pairs, bench["end_to_end"])
             print("\n".join(summary_lines(workload, summary)), file=sys.stderr)
             record["workloads"][workload] = {
                 "seeds": seeds,
