@@ -13,13 +13,15 @@ ellipticity and Lipschitz bounds: linear trace forms, Bellman suprema over
 coefficient families, the maximal Pucci operator with eigenvalue bounds
 ``[delta, 1/delta]``, and tabulated callables.  The oscillation functional
 measures the averaged distance of an x-dependent operator from a given
-x-independent model over a shape.
+x-independent model over a shape.  Manufactured inputs carry analytic
+derivatives; the slab bump, the odd bump and the exponential are built
+from one-axis factors and the radial bump by one product rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -671,8 +673,11 @@ class ManufacturedFunction:
     callbacks on the nodes of the spatial axes, multiplied once by
     broadcasting; an input without ``time`` is sampled on grids without time
     only.  ``support`` holds a closed interval per grid axis outside which
-    the function is 0 (``(-inf, inf)`` on an axis where it has no bound);
-    :meth:`on_grid` samples only the nodes inside, widened by ``_HALO``.
+    the function is 0 (``(-inf, inf)`` on an axis where it has no bound), and
+    a grid of another number of axes is refused; :meth:`on_grid` samples only
+    the nodes inside, widened by ``_HALO``.  The slab bump, the odd bump and
+    the exponential are built from one-axis factors (:func:`_axis_factor`)
+    and the radial bump by one product rule (:func:`_product`).
     """
 
     u: Callable
@@ -689,6 +694,9 @@ class ManufacturedFunction:
             raise ValueError("a time product is sampled on time grids only" if self.time else
                              "a space-only input is sampled on grids without time only; "
                              "with_time_profile makes it a time product")
+        if len(self.support) != grid.ndim:
+            raise ValueError(f"an input on {len(self.support)} axes is sampled on a grid of "
+                             f"{grid.ndim} axes")
         axes = [grid.axis_nodes(ax)[s] for ax, s in enumerate(box or (slice(None),) * grid.ndim)]
         if self.time is None:
             return sample_nodes(fn, axes, channels)
@@ -717,46 +725,81 @@ def _bump_parts(s: np.ndarray):
 
 
 def _bump_profile(s: np.ndarray):
-    # g with its first two derivatives
+    # g's first two derivatives
     safe, t, g = _bump_parts(s)
-    g1 = np.where(safe, -g / t ** 2, 0.0)
-    g2 = np.where(safe, g * (1.0 / t ** 4 - 2.0 / t ** 3), 0.0)
-    return g, g1, g2
+    return np.where(safe, -g / t ** 2, 0.0), np.where(safe, g * (1.0 / t ** 4 - 2.0 / t ** 3), 0.0)
 
 
-def _radial_bump(center, radius, amplitude):
-    c = np.asarray(center, dtype=np.float64)
-    R2 = float(radius) ** 2
+def _bump_1d(c, r):
+    """``q(x) = g(((x - c) / r)**2)``, supported on ``[c - r, c + r]``, with
+    ``q'`` and ``q''``: a slab bump's factor and a time profile."""
+    def q1(x):
+        return _bump_profile(((x - c) / r) ** 2)[0] * 2.0 * (x - c) / r ** 2
 
-    def scaled(X):
-        Y = X - c
-        return Y, sum_of_squares(Y.T) / R2
+    def q2(x):
+        g1, g2 = _bump_profile(((x - c) / r) ** 2)
+        return g2 * (2.0 * (x - c) / r ** 2) ** 2 + g1 * (2.0 / r ** 2)
 
-    def u(X):
-        _, s = scaled(X)
-        return amplitude * _bump_parts(s)[2]
+    return lambda x: _bump_parts(((x - c) / r) ** 2)[2], q1, q2
 
+
+def _axis_factor(d, ax, q, q1, q2, span=(-np.inf, np.inf)) -> ManufacturedFunction:
+    """``q(x_ax)`` in ``d`` dimensions from the 1-D callables ``q``, ``q'``
+    and ``q''``, 0 off ``span`` on axis ``ax``."""
     def du(X):
-        Y, s = scaled(X)
-        _, g1, _ = _bump_profile(s)
-        return amplitude * g1[:, None] * (2.0 * Y / R2)
-
-    def d2u(X):
-        Y, s = scaled(X)
-        _, g1, g2 = _bump_profile(s)
-        ds = Y.shape[1]
-        grad_s = 2.0 * Y / R2
-        out = amplitude * g2[:, None, None] * grad_s[:, :, None] * grad_s[:, None, :]
-        out += amplitude * g1[:, None, None] * (2.0 / R2) * np.eye(ds)
+        out = np.zeros(X.shape)
+        out[:, ax] = q1(X[:, ax])
         return out
 
-    return u, du, d2u
+    def d2u(X):
+        out = np.zeros(X.shape + (d,))
+        out[:, ax, ax] = q2(X[:, ax])
+        return out
+
+    support = ((-np.inf, np.inf),) * ax + (span,) + ((-np.inf, np.inf),) * (d - 1 - ax)
+    return ManufacturedFunction(lambda X: q(X[:, ax]), du, d2u, support)
+
+
+def _product(f: ManufacturedFunction, g: ManufacturedFunction) -> ManufacturedFunction:
+    """``f * g`` by the product rule, 0 off the intersection of the supports;
+    the Hessian's cross terms are summed symmetric first, so it is symmetric
+    to the last bit where the factors' Hessians are."""
+    if len(f.support) != len(g.support):
+        raise ValueError(f"factors of {len(f.support)} and {len(g.support)} dimensions "
+                         "have no product")
+
+    def du(X):
+        return f.du(X) * g.u(X)[:, None] + f.u(X)[:, None] * g.du(X)
+
+    def d2u(X):
+        cross = f.du(X)[:, :, None] * g.du(X)[:, None, :]
+        return (f.d2u(X) * g.u(X)[:, None, None] + (cross + np.swapaxes(cross, 1, 2))
+                + f.u(X)[:, None, None] * g.d2u(X))
+
+    support = tuple((max(a, c), min(b, e)) for (a, b), (c, e) in zip(f.support, g.support))
+    return ManufacturedFunction(lambda X: f.u(X) * g.u(X), du, d2u, support)
 
 
 def _make_bump(d, center=None, radius=1.0, amplitude=1.0):
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64)
-    u, du, d2u = _radial_bump(center, radius, amplitude)
-    return ManufacturedFunction(u, du, d2u, support=tuple(zip(center - radius, center + radius)))
+    c = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64)
+    R2 = float(radius) ** 2
+
+    def u(X):
+        return amplitude * _bump_parts(sum_of_squares((X - c).T) / R2)[2]
+
+    def du(X):
+        Y = X - c
+        return amplitude * _bump_profile(sum_of_squares(Y.T) / R2)[0][:, None] * (2.0 * Y / R2)
+
+    def d2u(X):
+        Y = X - c
+        g1, g2 = _bump_profile(sum_of_squares(Y.T) / R2)
+        grad_s = 2.0 * Y / R2
+        out = amplitude * g2[:, None, None] * grad_s[:, :, None] * grad_s[:, None, :]
+        out += amplitude * g1[:, None, None] * (2.0 / R2) * np.eye(d)
+        return out
+
+    return ManufacturedFunction(u, du, d2u, support=tuple(zip(c - radius, c + radius)))
 
 
 def _make_gaussian(d, sigma=1.0):
@@ -778,17 +821,7 @@ def _make_gaussian(d, sigma=1.0):
 def _make_exp_growth(d):
     if d != 1:
         raise ValueError("the exponential-growth input is one dimensional")
-
-    def u(X):
-        return np.exp(X[:, 0])
-
-    def du(X):
-        return np.exp(X[:, 0])[:, None]
-
-    def d2u(X):
-        return np.exp(X[:, 0])[:, None, None]
-
-    return ManufacturedFunction(u, du, d2u, support=((-np.inf, np.inf),) * d)
+    return _axis_factor(1, 0, np.exp, np.exp, np.exp)
 
 
 def _make_slab_bump(d, centers, radii):
@@ -796,68 +829,15 @@ def _make_slab_bump(d, centers, radii):
     radii = np.asarray(radii, dtype=np.float64)
     if centers.size != d or radii.size != d:
         raise ValueError("slab bump needs one center and radius per axis")
-
-    def parts(X):
-        s = ((X - centers) / radii) ** 2
-        g, g1, g2 = _bump_profile(s)
-        dsdx = 2.0 * (X - centers) / radii ** 2
-        b1 = g1 * dsdx
-        b2 = g2 * dsdx ** 2 + g1 * (2.0 / radii ** 2)
-        return g, b1, b2
-
-    def u(X):
-        g, _, _ = parts(X)
-        return g.prod(axis=1)
-
-    def _others(g, skip):
-        rest = np.ones(g.shape[0])
-        for a in range(g.shape[1]):
-            if a not in skip:
-                rest = rest * g[:, a]
-        return rest
-
-    def du(X):
-        g, b1, _ = parts(X)
-        n, ds = X.shape
-        out = np.empty((n, ds))
-        for i in range(ds):
-            out[:, i] = b1[:, i] * _others(g, {i})
-        return out
-
-    def d2u(X):
-        g, b1, b2 = parts(X)
-        n, ds = X.shape
-        out = np.empty((n, ds, ds))
-        for i in range(ds):
-            for j in range(ds):
-                fac = b2[:, i] if i == j else b1[:, i] * b1[:, j]
-                out[:, i, j] = fac * _others(g, {i, j})
-        return out
-
-    return ManufacturedFunction(u, du, d2u, support=tuple(zip(centers - radii, centers + radii)))
+    return reduce(_product, (_axis_factor(d, ax, *_bump_1d(c, r), (c - r, c + r))
+                             for ax, (c, r) in enumerate(zip(centers, radii))))
 
 
 def _make_odd_bump(d, radius=1.0):
     # x_1 times a radial bump centered on the boundary plane: odd in x_1,
     # identically zero on {x_1 = 0}, supported in the centered ball
-    b, db, d2b = _radial_bump(np.zeros(d), radius, 1.0)
-
-    def u(X):
-        return X[:, 0] * b(X)
-
-    def du(X):
-        out = X[:, 0][:, None] * db(X)
-        out[:, 0] += b(X)
-        return out
-
-    def d2u(X):
-        B1 = db(X)
-        out = X[:, 0][:, None, None] * d2b(X)
-        out[:, 0, :] += B1
-        out[:, :, 0] += B1
-        return out
-
-    return ManufacturedFunction(u, du, d2u, support=((-radius, radius),) * d)
+    x1 = _axis_factor(d, 0, lambda x: x, np.ones_like, np.zeros_like)
+    return _product(x1, _make_bump(d, radius=radius))
 
 
 def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
@@ -878,19 +858,10 @@ def manufactured(name: str, d: int, **params) -> ManufacturedFunction:
 
 def with_time_profile(mf: ManufacturedFunction, t_center: float = 0.0,
                       t_radius: float = 1.0) -> ManufacturedFunction:
-    """Space-time input ``q(t) * u(x)`` whose time factor ``q`` is the bump
-    ``exp(-1/(1-s))``, ``s = ((t - t_center) / t_radius)**2``, supported on
-    ``[t_center - t_radius, t_center + t_radius]``; its samples are evaluated
-    factor by factor (see :class:`ManufacturedFunction`)."""
+    """Space-time input ``q(t) * u(x)`` whose time factor ``q`` is the 1-D
+    bump ``g(((t - t_center) / t_radius)**2)`` (:func:`_bump_1d`); its samples
+    are evaluated factor by factor (see :class:`ManufacturedFunction`)."""
     check_scale("t_radius", t_radius)
+    q, q1, _ = _bump_1d(t_center, t_radius)
     span = (t_center - t_radius, t_center + t_radius)
-
-    def q(t):
-        return _bump_parts(((t - t_center) / t_radius) ** 2)[2]
-
-    def q1(t):
-        s = ((t - t_center) / t_radius) ** 2
-        _, g1, _ = _bump_profile(s)
-        return g1 * 2.0 * (t - t_center) / t_radius ** 2
-
     return ManufacturedFunction(mf.u, mf.du, mf.d2u, support=(span,) + mf.support, time=(q, q1))

@@ -86,6 +86,7 @@ from ..calculus import (
 )
 from ..filtration import _aligned_count, full_space, level_means
 from ..operators import (
+    check_dyadic_pairs,
     dyadic_maximal,
     dyadic_sharp,
     family_for_grid,
@@ -650,11 +651,20 @@ def _run_max_weak(params, h, seed):
 # ---------------------------------------------------------------------------
 # local Fefferman-Stein bound on a dyadic filtration
 
+def _fs_filtration(h):
+    return full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0))
+
+
 def _fs_local_step(p, h):
-    """The sharp function's floor level m is one of the filtration's levels."""
-    n_max = _dyadic_level(h)
-    _need(0 <= p["m"] <= n_max, f"m = {p['m']} must lie in [0, {n_max}], the levels "
-                                f"at ladder spacing {h}")
+    """The sharp function's floor level m is one of the filtration's levels,
+    and its pair arrays stay within ``check_dyadic_pairs``'s limits."""
+    filt = _fs_filtration(h)
+    _need(0 <= p["m"] <= filt.n_max, f"m = {p['m']} must lie in [0, {filt.n_max}], the levels "
+                                     f"at ladder spacing {h}")
+    try:
+        check_dyadic_pairs(filt, p["gamma"], p["m"])
+    except ValueError as e:
+        raise ValueError(f"at ladder spacing {h}, {e}") from None
 
 
 @_register(
@@ -673,7 +683,7 @@ def _run_fs_local(params, h, seed):
     """Weighted bound of an Lp mass by the interpolation of the full maximal
     function against the level-floored sharp plus capped maximal combination."""
     p, gamma, beta, m = (params[k] for k in ("p", "gamma", "beta", "m"))
-    filt = full_space(2, 0, _dyadic_level(h), (0.0, 0.0), (1.0, 1.0))
+    filt = _fs_filtration(h)
     shape = {"center": (0.5, 0.5), "radius": params["radius"]}
     mf = manufactured("bump", 2, **shape)
     w = PowerX1(params["q"], axis=0)

@@ -42,6 +42,10 @@ _PAIR_CHUNK = 1 << 22
 # Pair-node terms (destination nodes summed over pair windows) that one
 # geometric_sharp call may add; OSC-P's finest default step takes 4.1e8.
 _MAX_PAIR_TERMS = 2 ** 31
+# Pairs of one cell that dyadic_sharp forms as arrays below gamma = 1: three
+# float64 copies are alive at once, 1.5 GiB at this cap, a fifth of a 7 GB host;
+# all levels' pairs take _MAX_PAIR_TERMS, 15 s at 7 ns a pair on that host.
+_MAX_CELL_PAIRS = 2 ** 26
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +66,15 @@ def dyadic_maximal(f: DiscreteField, m: int | None = None) -> DiscreteField:
 
 def _coarse_to_fine(filt, start: int, top: int, empty: float, level) -> np.ndarray:
     """Read-only finest-grid max of ``empty`` and the cell values ``level(n)``
-    over levels ``start..top``, taken at each level's resolution: each finest
-    cell sees a finest-grid loop's operands in its order, so the same bits."""
+    over levels ``start..top`` (none: ``empty``), taken at each level's resolution:
+    each finest cell sees a finest-grid loop's operands in its order, so the same bits."""
     step = tuple(2 ** k for k in filt.k)
     out = None
     for n in range(start, top + 1):
         values = level(n)
         out = np.full(values.shape, empty) if out is None else _block_expand(out, step)
         np.maximum(out, values, out=out)
-    out = _block_expand(out, filt.block_factors(top))
+    out = np.full(filt.shape, empty) if out is None else _block_expand(out, filt.block_factors(top))
     out.flags.writeable = False
     return out
 
@@ -94,15 +98,28 @@ def _pair_mean_power(blocks: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
+def check_dyadic_pairs(filt, gamma: float, m: int) -> None:
+    """Refuse a ``dyadic_sharp(u, gamma, m)`` on ``filt`` whose pair arrays
+    (``gamma < 1`` only) pass ``_MAX_CELL_PAIRS`` in one cell or
+    ``_MAX_PAIR_TERMS`` in all, naming ``gamma`` and ``m``."""
+    cells = [math.prod(filt.block_factors(n)) for n in range(max(m, filt.n_min), filt.n_max)]
+    total, worst = math.prod(filt.shape) * sum(cells), max(cells, default=0) ** 2
+    if gamma < 1 and (total > _MAX_PAIR_TERMS or worst > _MAX_CELL_PAIRS):
+        raise ValueError(f"gamma = {gamma} < 1 with m = {m} forms {total:.3g} pairs below level "
+                         f"{filt.n_max}, {worst:.3g} in one cell, past the limits "
+                         f"{_MAX_PAIR_TERMS:.3g} and {_MAX_CELL_PAIRS:.3g}: raise m or gamma")
+
+
 def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
     """Largest mean oscillation over cells of levels ``>= m`` containing the
     point: per cell, the double average of ``|u(y) - u(z)|**gamma`` over its
-    finest subcells, raised to ``1/gamma``."""
+    finest subcells, raised to ``1/gamma``.  Finest cells give 0 and are skipped."""
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     filt = u.filtration
     if m > filt.n_max:
         raise ValueError(f"level floor {m} lies above the finest level {filt.n_max}")
+    check_dyadic_pairs(filt, gamma, m)
 
     def level(n):
         factors = filt.block_factors(n)
@@ -112,7 +129,7 @@ def dyadic_sharp(u: DiscreteField, gamma: float, m: int) -> DiscreteField:
         return per_cell.reshape([s // f for s, f in zip(filt.shape, factors)])
 
     return DiscreteField(filt, _coarse_to_fine(filt, max(m, filt.n_min),
-                                               filt.n_max, 0.0, level))
+                                               filt.n_max - 1, 0.0, level))
 
 
 # ---------------------------------------------------------------------------

@@ -881,24 +881,28 @@ class TestOscillation:
 
 
 class TestManufactured:
-    @pytest.mark.parametrize("name,kw", [
-        ("bump", dict(radius=0.9)),
-        ("gaussian", dict(sigma=0.5)),
-        ("odd_bump", dict(radius=0.9)),
-        ("slab_bump", dict(centers=(0.2, 0.0), radii=(0.5, 0.8))),
+    @pytest.mark.parametrize("name,d,kw,sizes", [
+        ("bump", 2, dict(radius=0.9), (33, 65, 129)),
+        ("gaussian", 2, dict(sigma=0.5), (33, 65, 129)),
+        ("odd_bump", 2, dict(radius=0.9), (33, 65, 129)),
+        ("slab_bump", 2, dict(centers=(0.2, 0.0), radii=(0.5, 0.8)), (33, 65, 129)),
+        # one halving in d = 3, where the cross terms of three factors meet
+        ("odd_bump", 3, dict(radius=0.9), (41, 81)),
+        ("slab_bump", 3, dict(centers=(0.2, 0.0, -0.1), radii=(0.5, 0.8, 0.7)), (41, 81)),
     ])
-    def test_callbacks_match_refined_fd(self, name, kw):
+    def test_callbacks_match_refined_fd(self, name, d, kw, sizes):
         # mollifier profiles have large high-order derivatives near the
-        # support edge, so only a factor-2 preasymptotic decay is demanded
-        mf = ca.manufactured(name, 2, **kw)
+        # support edge, so only a factor-2 preasymptotic decay per halving
+        # of the spacing is demanded
+        mf = ca.manufactured(name, d, **kw)
         errs = []
-        for n in (33, 65, 129):
-            g = ca.box_grid((-1, -1), (1, 1), (n, n))
+        for n in sizes:
+            g = ca.box_grid((-1,) * d, (1,) * d, (n,) * d)
             fd_du, fd_d2u, _ = padded_derivatives(g, ca.fd_derivatives(mf.on_grid(g)))
             an_du, an_d2u, _ = padded_derivatives(g, mf.derivatives(g))
             errs.append(max(np.abs(fd_du - an_du).max(), np.abs(fd_d2u - an_d2u).max()))
-        assert errs[1] < errs[0] / 2.0
-        assert errs[2] < errs[1] / 2.0
+        for coarse, fine in zip(errs, errs[1:]):
+            assert fine < coarse / 2.0
 
     def test_bump_supported_in_ball(self):
         mf = ca.manufactured("bump", 2, radius=0.5)
@@ -913,9 +917,53 @@ class TestManufactured:
         assert np.all(mf.on_grid(g).padded()[0] == 0.0)
 
     def test_exp_growth_solves_zeroth_order_identity(self):
+        # u = u' = u'' bit for bit, and the derivatives have their shapes
         mf = ca.manufactured("exp_growth", 1)
         X = np.linspace(0, 3, 50)[:, None]
-        assert np.array_equal(mf.d2u(X)[:, 0, 0], mf.u(X))
+        assert mf.du(X).shape == (50, 1) and mf.d2u(X).shape == (50, 1, 1)
+        assert mf.du(X)[:, 0].tobytes() == mf.u(X).tobytes()
+        assert mf.d2u(X)[:, 0, 0].tobytes() == mf.u(X).tobytes()
+
+    def test_product_support_is_the_intersection(self):
+        # a slab factor on [-0.25, 0.5] along x_1 times a ball of radius 0.25
+        # about (0.5, 0): the product is 0 off [0.25, 0.5] x [-0.25, 0.25]
+        f = ca._axis_factor(2, 0, *ca._bump_1d(0.125, 0.375), (-0.25, 0.5))
+        g = ca.manufactured("bump", 2, center=(0.5, 0.0), radius=0.25)
+        fg = ca._product(f, g)
+        assert fg.support == ((0.25, 0.5), (-0.25, 0.25))
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(400, 2))
+        assert fg.u(X).tobytes() == (f.u(X) * g.u(X)).tobytes()
+        lo, hi = np.array(fg.support).T
+        assert not fg.u(X)[((X < lo) | (X > hi)).any(axis=1)].any()
+
+    def test_product_hessian_is_symmetric(self):
+        mf = ca.manufactured("slab_bump", 3, centers=(0.1, -0.2, 0.0), radii=(0.7, 0.9, 0.8))
+        H = mf.d2u(np.random.default_rng(5).uniform(-0.8, 0.8, size=(500, 3)))
+        assert H.tobytes() == np.swapaxes(H, 1, 2).tobytes()
+
+    def test_factor_values_evaluate_no_derivatives(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a value callback evaluated a derivative")
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(64, 2))
+        f = ca._axis_factor(2, 1, np.sin, refuse, refuse)
+        assert f.u(X).tobytes() == np.sin(X[:, 1]).tobytes()
+        monkeypatch.setattr(ca, "_bump_profile", refuse)
+        ca.manufactured("slab_bump", 2, centers=(0.0, 0.1), radii=(0.9, 0.8)).u(X)
+        ca.manufactured("odd_bump", 2, radius=0.9).u(X)
+        ca.with_time_profile(ca.manufactured("bump", 1)).time[0](X[:, 0])
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 1), (3, 2)])
+    def test_rank_mismatch_is_refused(self, dims):
+        # a 2-D input on a 3-D grid used to give (9, 9) values, which padded()
+        # broadcast along the third axis, and on a 1-D grid shape (9,)
+        d, n = dims
+        mf = ca.manufactured("bump", d, radius=0.5)
+        g = ca.box_grid((-1,) * n, (1,) * n, (9,) * n)
+        for call in (mf.on_grid, mf.derivatives):
+            with pytest.raises(ValueError, match=f"input on {d} axes .* grid of {n} axes"):
+                call(g)
+        with pytest.raises(ValueError, match=f"factors of {d} and {n} dimensions"):
+            ca._product(mf, ca.manufactured("gaussian", n))
 
     def test_time_profile_derivative(self):
         mf = ca.with_time_profile(ca.manufactured("gaussian", 1, sigma=0.6),
@@ -974,6 +1022,74 @@ class TestManufactured:
         g = ca.box_grid((0, -1), (1, 1), (5, 5), time_axis=True)
         with pytest.raises(ValueError, match="with_time_profile makes it a time product"):
             getattr(mf, call)(g)
+
+
+def parent_bump(s):
+    """The mollifier ``exp(-1/(1-s))`` on ``s < 1`` and its first derivative,
+    as the hand-written inputs formed them before the product rule."""
+    safe = s < 1.0 - 1e-8
+    t = np.where(safe, 1.0 - s, 1.0)
+    g = np.where(safe, np.exp(-1.0 / t), 0.0)
+    return g, np.where(safe, -g / t ** 2, 0.0)
+
+
+def parent_values(name, X, **kw):
+    """``u`` of each manufactured kind by its formula before the product rule."""
+    if name == "exp_growth":
+        return np.exp(X[:, 0])
+    if name == "gaussian":
+        return np.exp(-ca.sum_of_squares(X.T) / (2 * float(kw["sigma"]) ** 2))
+    if name == "slab_bump":
+        centers, radii = np.asarray(kw["centers"]), np.asarray(kw["radii"])
+        return parent_bump(((X - centers) / radii) ** 2)[0].prod(axis=1)
+    center = np.asarray(kw.get("center", np.zeros(X.shape[1])), dtype=np.float64)
+    radial = kw.get("amplitude", 1.0) * parent_bump(
+        ca.sum_of_squares((X - center).T) / float(kw["radius"]) ** 2)[0]
+    return X[:, 0] * radial if name == "odd_bump" else radial
+
+
+class TestParentFormulas:
+    """Every kind's values, the exponential's derivatives and the time
+    profile's (q, q') keep their bits through the one-axis factors and the
+    product rule; only the slab and odd bumps' analytic derivatives, which
+    no report reads, change association."""
+
+    @staticmethod
+    def points(d):
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-1.3, 1.3, size=(3000, d))
+        X[:40, 0] = 0.0                                    # the odd bump's zero plane
+        X[40:80] = rng.choice([-0.9, -0.5, 0.0, 0.3, 0.7], size=(40, d))   # support edges
+        return X
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_values_keep_their_bits(self, d):
+        X = self.points(d)
+        kinds = {"bump": dict(center=np.linspace(-0.2, 0.3, d), radius=0.9, amplitude=3.7),
+                 "gaussian": dict(sigma=0.6), "odd_bump": dict(radius=0.9),
+                 "slab_bump": dict(centers=np.linspace(0.2, -0.2, d), radii=(0.5, 0.7, 0.9)[:d])}
+        if d == 1:
+            kinds["exp_growth"] = {}
+        for name, kw in kinds.items():
+            got = ca.manufactured(name, d, **kw).u(X)
+            assert got.tobytes() == parent_values(name, X, **kw).tobytes(), name
+
+    def test_exp_growth_derivatives_keep_their_bits(self):
+        X = self.points(1) * 3.0
+        mf = ca.manufactured("exp_growth", 1)
+        assert mf.du(X).tobytes() == np.exp(X[:, 0])[:, None].tobytes()
+        assert mf.d2u(X).tobytes() == np.exp(X[:, 0])[:, None, None].tobytes()
+
+    # radii that are no power of two, where dividing by r ** 2 rounds
+    @pytest.mark.parametrize("window", [(0.7, 0.6), (1.3, 0.3), (0.75, 1.7), (0.0, 1.0)])
+    def test_time_profile_keeps_its_bits(self, window):
+        c, r = window
+        t = np.concatenate([np.random.default_rng(11).uniform(-1.5, 3.0, 2000),
+                            [c - r, c, c + r]])
+        q, q1 = ca.with_time_profile(ca.manufactured("bump", 1), c, r).time
+        g, g1 = parent_bump(((t - c) / r) ** 2)
+        assert q(t).tobytes() == g.tobytes()
+        assert q1(t).tobytes() == (g1 * 2.0 * (t - c) / r ** 2).tobytes()
 
 
 def flat_row_product(mf, g):

@@ -332,6 +332,16 @@ class TestConfigDiagnostics:
                                        f"[suite]\nname = ok\n\n[estimate:{section}]\n{line}"))
         assert cfg.blocks == [(section, {} if q is None else {"q": q}, ())]
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_fs_local_pair_arrays_refused_at_load(self, tmp_path, m):
+        # gamma = 0.5 at 2^-9 would form a 512 GiB (m = 0) or 16 2 GiB (m = 2)
+        # pair arrays; only the load runs here
+        path = write_cfg(tmp_path, "[suite]\nname = bad\n\n[estimate:FS-LOCAL]\ngamma = 0.5\n"
+                                   f"m = {m}\nladder = 0.001953125\n")
+        with pytest.raises(cli.ConfigError, match=f"line 7: at ladder spacing 0.001953125, "
+                                                  f"gamma = 0.5 < 1 with m = {m} forms"):
+            cli.load_suite(path)
+
     @pytest.mark.parametrize("n", [-1, 3])
     def test_slabs_meeting_the_support_load(self, tmp_path, n):
         cfg = cli.load_suite(write_cfg(

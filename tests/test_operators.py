@@ -261,6 +261,64 @@ class TestCoarseToFine:
                 got = dyadic_sharp(u, gamma, m).values
                 assert got.tobytes() == level_by_level_sharp(u, gamma, m).tobytes()
 
+    @pytest.mark.parametrize("n_max,gamma", [(9, 1.0), (4, 0.5)])
+    def test_sharp_skips_the_finest_level(self, monkeypatch, n_max, gamma):
+        # a finest cell oscillates by 0, so its level is never formed, and the
+        # bits (signed zeros included) are those of the loop through it: on
+        # 512 x 512 at gamma = 1 and 16 x 16 at gamma = 0.5, on a bump, a
+        # signed field and mixed +0.0/-0.0.  The finest level's +0.0 came
+        # last in every cell's max, and np.maximum(-0.0, +0.0) is +0.0, so
+        # the zeros hold only while no coarser level's mean is -0.0
+        filt = full_space(2, 0, n_max, (0.0, 0.0), (1.0, 1.0))
+        x, y = np.moveaxis(filt.cell_centers(), -1, 0)
+        bump = np.where((x - 0.5) ** 2 + (y - 0.4) ** 2 < 0.16, np.cos(3 * x) * np.sin(y), 0.0)
+        seen = []
+        blocks = operators.cell_blocks
+        monkeypatch.setattr(operators, "cell_blocks",
+                            lambda values, factors: seen.append(factors) or blocks(values, factors))
+        rng = np.random.default_rng(37)
+        zeros = np.where(rng.random(filt.shape) < 0.5, 0.0, -0.0)
+        for u in map(filt.field, (bump, signed_values(rng, filt.shape), zeros)):
+            for m in (0, 2, n_max - 1):
+                got = dyadic_sharp(u, gamma, m).values
+                assert got.tobytes() == level_by_level_sharp(u, gamma, m).tobytes()
+            assert (1, 1) not in seen
+            # at m = n_max only the finest level remains: +0.0 at every cell
+            top = dyadic_sharp(u, gamma, n_max).values
+            assert top.shape == filt.shape and not top.any() and not np.signbit(top).any()
+            assert top.tobytes() == level_by_level_sharp(u, gamma, n_max).tobytes()
+
+
+class TestDyadicPairCap:
+    """Below gamma = 1 the pair arrays of dyadic_sharp are refused up front
+    when one cell's or all levels' would pass the caps; only the check runs."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_finest_supported_step_refused(self, m):
+        # FS-LOCAL's 512 x 512 at 2^-9: m = 0 forms one 512 GiB array, m = 2
+        # a 2 GiB array in each of 16 cells
+        filt = full_space(2, 0, 9, (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match=f"gamma = 0.5 < 1 with m = {m} forms"):
+            operators.check_dyadic_pairs(filt, 0.5, m)
+
+    def test_caps_admit_gamma_one_and_small_steps(self):
+        for n_max, m, gamma in [(9, 0, 1.0), (9, 3, 0.5), (7, 2, 0.5), (9, 9, 0.5), (0, 0, 0.5)]:
+            operators.check_dyadic_pairs(full_space(2, 0, n_max, (0.0, 0.0), (1.0, 1.0)), gamma, m)
+
+    def test_counts_against_each_cap(self, monkeypatch):
+        # levels 1..3 of a 16 x 16 filtration: 256 * (64 + 16 + 4) pairs in
+        # all, 64 ** 2 in the coarsest cell
+        filt = full_space(2, 0, 4, (0.0, 0.0), (1.0, 1.0))
+        monkeypatch.setattr(operators, "_MAX_PAIR_TERMS", 256 * 84)
+        monkeypatch.setattr(operators, "_MAX_CELL_PAIRS", 64 ** 2)
+        operators.check_dyadic_pairs(filt, 0.5, 1)
+        for name, cap in (("_MAX_PAIR_TERMS", 256 * 84 - 1), ("_MAX_CELL_PAIRS", 64 ** 2 - 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(operators, name, cap)
+                with pytest.raises(ValueError,
+                                   match=r"2.15e\+04 pairs below level 4, 4.1e\+03 in one cell"):
+                    operators.check_dyadic_pairs(filt, 0.5, 1)
+
 
 # ---------------------------------------------------------------------------
 # geometric maximal
