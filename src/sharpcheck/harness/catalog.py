@@ -1,6 +1,6 @@
 """Catalog of inequality checks runnable over a refinement ladder.
 
-Each entry binds an id to a recipe that evaluates every norm term of one
+Each entry binds an id to a runner that evaluates every norm term of one
 inequality (or a small family sharing a setup) on a manufactured input, at
 one ladder value ``x`` (a grid spacing, a window length, or an instance
 count).  A runner returns one :class:`EquationCheck` per inequality; the
@@ -26,21 +26,22 @@ forward cylinder ``[0, r^2) x B_r``; and the collar term (``_collar_hessian``)
 is ``tau0^p`` times that region's weighted mass at radius ``R + r0``.  Only
 an entry with a collar term takes all three of ``R``, ``r0`` and ``tau0``.
 
-A finite-difference entry's input is one recipe ``(side, kind, wall, time,
-shape)`` (``_sampled``): ``manufactured(kind, d, **shape)`` on [-side, side]^d,
-with the first space axis [0, wall] when ``wall`` is set, behind a time axis
-[0, T] with a bump time profile when ``time = (T, t_center, t_radius)`` is
-set.  The wall is the box: a half-space recipe is one whose box starts at 0 on
-the first space axis, and the grid carries no other mark of it.  An input with
-no nonzero sample tests nothing, and is refused.  The entries take their grid,
-input samples, operator image and derivative magnitudes from ``_fields``, as
-one set per recipe and spacing (OSC, OSC-P and INTERP-LOCAL difference the
-samples themselves); a set with a wall is checked once, when built, to vanish
-on the wall's face.  A set is held only on the input's support box
-(``calculus.support_box``), with its slices: elsewhere the derivatives vanish,
-and so does the operator image, since every ``build_operator`` kind is
-positively homogeneous, so ``F(0, x) = 0``.  The input is sampled on its
-analytic support and the set built slab by slab
+A finite-difference entry registers its input as one recipe ``(side, kind,
+wall, time, shape)`` (see ``_sampled``): ``CatalogEntry.recipe(params)``,
+computed from the parameters alone and handed on by the entry's runner, so no
+runner states a length or shape of its own.  The wall is the box: a half-space
+recipe is one whose box starts at 0 on the first space axis, and the grid
+carries no other mark of it.  Load refuses a recipe whose input's compact
+support leaves its box (``_boxed_input``), and a run an input with no nonzero
+sample: the one is cut off, the other tests nothing.  The entries take their
+grid, input samples, operator image and derivative magnitudes from
+``_fields``, as one set per recipe and spacing (OSC, OSC-P and INTERP-LOCAL
+difference the samples themselves); a set with a wall is checked once, when
+built, to vanish on the wall's face.  A set is held only on the input's
+support box (``calculus.support_box``), with its slices: elsewhere the
+derivatives vanish, and so does the operator image, since every
+``build_operator`` kind is positively homogeneous, so ``F(0, x) = 0``.  The
+input is sampled on its analytic support and the set built slab by slab
 (``calculus.operator_fields``).  The runners form masses, masks and integrands
 on the box from the grid's axis nodes, so every per-node value is the whole
 grid's, bit for bit, and accumulate integrands one slab of axis-0 layers at a
@@ -58,7 +59,7 @@ from __future__ import annotations
 import contextvars
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Callable
 
@@ -127,6 +128,7 @@ class CatalogEntry:
     validate: Callable | None = None
     min_spacing: float = 1.0 / 512
     check_step: Callable | None = None    # (params, x): refuses a step params cannot run
+    recipe: Callable | None = None        # params -> the input recipe (see ``_sampled``)
 
     def check_ladder(self, ladder, params: dict) -> tuple[float, ...]:
         """The ladder as floats; a step this entry cannot run at ``params``
@@ -187,17 +189,24 @@ ENTRIES: dict[str, CatalogEntry] = {}
 
 def _register(**kw):
     """Add an entry.  Its ``validate`` runs on ``merged``'s typed parameters:
-    first the rule of each name in ``_NAME_RULES``, then the entry's own
-    validator.  An estimate's exponent and weight-class hypotheses are one
-    ``_hypotheses`` rule, in its validator."""
+    the rule of each name in ``_NAME_RULES``, the entry's own validator (an
+    estimate's hypotheses are one ``_hypotheses`` rule in it) and, for an
+    entry with a ``recipe``, ``_boxed_input``'s support rule.  Such an entry's
+    runner hands ``fn`` the recipe of its parameters as a fourth argument."""
     rules = [rule for key, rule in _NAME_RULES if key in kw["defaults"]]
-    own = kw.get("validate") or (lambda params: None)
-    kw["validate"] = lambda params: (*(rule(params) for rule in rules), own(params))
+    rules.append(kw.get("validate") or (lambda params: None))
+    if "recipe" in kw:
+        rules.append(lambda params: _boxed_input(params["d"], kw["recipe"](params)))
+    kw["validate"] = lambda params: [rule(params) for rule in rules]
 
     def deco(fn):
         entry = CatalogEntry(runner=fn, **kw)
+        recipe = entry.recipe
+        if recipe is not None:
+            entry = replace(entry, runner=lambda params, x, seed:
+                            fn(params, x, seed, recipe(params)))
         ENTRIES[entry.id] = entry
-        return fn
+        return entry.runner
     return deco
 
 
@@ -317,12 +326,14 @@ def shared_fields():
         _SHARED.reset(token)
 
 
-def _sampled(d: int, h: float, side: float, kind: str, wall=None, time=None, **shape):
-    """``(grid, u)``: the grid of one input recipe and ``manufactured(kind, d,
-    **shape)`` sampled on it.  The grid is [-side, side]^d, its first space
-    axis [0, wall] when ``wall`` is set, behind a time axis [0, T] when
-    ``time = (T, t_center, t_radius)`` is set, where the input takes a bump
-    time profile centred at ``t_center`` of radius ``t_radius``."""
+def _boxed_input(d: int, recipe):
+    """``(mf, lo, hi, shape)``: the input of ``recipe`` (see ``_sampled``), its
+    grid box, and its shape with its time profile's centre and radius.  A
+    recipe is refused when a finite end of its input's support, the time
+    profile's span included, lies outside the closed box, which would cut the
+    input off; an end may lie below the wall face x_1 = 0 of a half-space
+    recipe, which odd inputs cross by design."""
+    side, kind, wall, time, shape = recipe
     mf = manufactured(kind, d, **shape)
     lo, hi = [-side] * d, [side] * d
     if wall is not None:
@@ -331,10 +342,29 @@ def _sampled(d: int, h: float, side: float, kind: str, wall=None, time=None, **s
         t_end, t_center, t_radius = time
         mf = with_time_profile(mf, t_center=t_center, t_radius=t_radius)
         lo, hi = [0.0] + lo, [t_end] + hi
-    grid = _grid(lo, hi, h, time_axis=time is not None)
+        shape = dict(shape, t_center=t_center, t_radius=t_radius)
+    first = len(lo) - d                   # the first space axis
+    for ax, (ends, a, b) in enumerate(zip(mf.support, lo, hi)):
+        floor = -math.inf if wall is not None and ax == first else a
+        if not all(floor <= e <= b for e in ends if math.isfinite(e)):
+            args = ", ".join(f"{k}={v!r}" for k, v in shape.items())
+            axis = "t" if ax < first else f"x_{ax - first + 1}"
+            raise ValueError(f"the input {kind}({args}) has support [{ends[0]:.12g}, "
+                             f"{ends[1]:.12g}] in {axis}, past its grid box [{a:.12g}, {b:.12g}]")
+    return mf, lo, hi, shape
+
+
+def _sampled(d: int, h: float, recipe):
+    """``(grid, u)``: the grid of the input recipe ``(side, kind, wall, time,
+    shape)`` and ``manufactured(kind, d, **shape)`` sampled on it.  The grid
+    is [-side, side]^d, its first space axis [0, wall] when ``wall`` is set,
+    behind a time axis [0, T] when ``time = (T, t_center, t_radius)`` is set,
+    where the input takes a bump time profile centred at ``t_center`` of
+    radius ``t_radius``."""
+    mf, lo, hi, shape = _boxed_input(d, recipe)
+    grid = _grid(lo, hi, h, time_axis=mf.time is not None)
     u = mf.on_grid(grid)
-    _refuse_vacuous(u.values, kind, shape if time is None
-                    else dict(shape, t_center=t_center, t_radius=t_radius), h)
+    _refuse_vacuous(u.values, recipe[1], shape, h)
     return grid, u
 
 
@@ -348,30 +378,28 @@ def _refuse_vacuous(values, kind: str, shape: dict, h: float):
                          "so it tests nothing")
 
 
-def _fields(params: dict, h: float, side: float, kind: str, wall=None, time=None, **shape):
-    """``(grid, box, u, fv, d2, d1)`` of the input recipe ``(side, kind, wall,
-    time, shape)`` (see ``_sampled``): the grid, the input's support box and,
-    as read-only arrays on it, samples, operator image and Hessian and
-    gradient magnitudes, never padded.  Shared in a ``shared_fields`` block
-    under the recipe, the operator, delta and d."""
+def _fields(params: dict, h: float, recipe):
+    """``(grid, box, u, fv, d2, d1)`` of the input ``recipe`` (see
+    ``_sampled``): the grid, the input's support box and, as read-only arrays
+    on it, samples, operator image and Hessian and gradient magnitudes, never
+    padded.  Shared in a ``shared_fields`` block under the recipe, the
+    operator, delta and d."""
     store = _SHARED.get()
-    compute = partial(_field_set, params, h, side, kind, wall, time, shape)
+    compute = partial(_field_set, params, h, recipe)
     if store is None:
         return compute()
-    recipe = (side, kind, wall, time, tuple(sorted(shape.items())), params["operator"],
-              params["delta"], params["d"])
-    return store.get(recipe, h, compute)
+    return store.get((recipe, params["operator"], params["delta"], params["d"]), h, compute)
 
 
-def _field_set(params, h, side, kind, wall, time, shape):
-    """``_fields``' set, computed; a ``wall`` recipe's input is checked to
-    vanish on the boundary face."""
-    grid, u = _sampled(params["d"], h, side, kind, wall, time, **shape)
+def _field_set(params, h, recipe):
+    """``_fields``' set, computed; a recipe with a wall has its input checked
+    to vanish on the boundary face."""
+    grid, u = _sampled(params["d"], h, recipe)
     box, *arrays = operator_fields(build_operator(params), u)
     for arr in arrays:
         arr.flags.writeable = False
     fields = (grid, box, *arrays)
-    return fields if wall is None else _zero_trace(fields)
+    return fields if recipe[2] is None else _zero_trace(fields)
 
 
 def _integral(arr, mass) -> float:
@@ -551,9 +579,6 @@ def _cylinder_support(p):
     """The input's support stays inside the cylinder of radius R and height R^2."""
     _need(p["radius"] < p["R"],
           f"the space support must stay inside R, got radius = {p['radius']!r}, R = {p['R']!r}")
-    _need(p["t_center"] - p["t_radius"] >= 0,
-          "the time support must start at t >= 0, got t_center - t_radius = "
-          f"{p['t_center'] - p['t_radius']!r}")
     _need(p["t_center"] + p["t_radius"] <= p["R"] ** 2,
           f"the time support must stay inside the cylinder, ending by R^2 = {p['R'] ** 2!r}")
 
@@ -729,11 +754,10 @@ def _osc_validate(p):
     _need(b in range(1, cap + 1), f"pair_budget must be an integer from 1 to {cap}, got {b!r}")
 
 
-def _sharp_pointwise(params, h, seed, side: float, time, e: int, amp_power: int):
-    """Hessian sharp function of a bump (recipe ``side``, ``time``) by covering
-    maximals of ``|F|^e`` and of the Hessian, amplified by
-    ``nu ** (amp_power / gamma)``."""
-    grid, u = _sampled(params["d"], h, side, "bump", time=time, radius=params["radius"])
+def _sharp_pointwise(params, h, seed, recipe, e: int, amp_power: int):
+    """Hessian sharp function of the input ``recipe`` by covering maximals of
+    ``|F|^e`` and of the Hessian, amplified by ``nu ** (amp_power / gamma)``."""
+    grid, u = _sampled(params["d"], h, recipe)
     derivs = fd_derivatives(u)
     fv = evaluate_operator(build_operator(params), u, derivs)
     nu, mu, xi, gamma = (params[k] for k in ("nu", "mu", "xi", "gamma"))
@@ -762,12 +786,13 @@ def _sharp_pointwise(params, h, seed, side: float, time, e: int, amp_power: int)
     ladder=(0.12, 0.06, 0.03),
     validate=_osc_validate,
     min_spacing=0.01,
+    recipe=lambda p: (1.5, "bump", None, None, {"radius": p["radius"]}),
 )
-def _run_osc(params, h, seed):
+def _run_osc(params, h, seed, recipe):
     """Pointwise bound of the Hessian sharp function over small balls by
     covering maximal functions of the operator image and the Hessian itself."""
     d = params["d"]
-    return _sharp_pointwise(params, h, seed, 1.5, None, e=d, amp_power=d)
+    return _sharp_pointwise(params, h, seed, recipe, e=d, amp_power=d)
 
 
 @_register(
@@ -776,12 +801,13 @@ def _run_osc(params, h, seed):
     ladder=(0.15, 0.1, 0.05),
     validate=_osc_validate,
     min_spacing=0.02,
+    recipe=lambda p: (1.2, "bump", None, (1.5, 0.7, 0.5), {"radius": p["radius"]}),
 )
-def _run_osc_p(params, h, seed):
+def _run_osc_p(params, h, seed, recipe):
     """Space-time twin of the Hessian sharp bound over forward cylinders, with
     the time derivative folded into the operator image."""
     d = params["d"]
-    return _sharp_pointwise(params, h, seed, 1.2, (1.5, 0.7, 0.5), e=d + 1, amp_power=d + 2)
+    return _sharp_pointwise(params, h, seed, recipe, e=d + 1, amp_power=d + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -800,18 +826,18 @@ def _run_osc_p(params, h, seed):
         _hypotheses(dim="1", weighted="p")(p),
     ),
     min_spacing=0.01,
+    recipe=lambda p: (2.0, "gaussian", None,
+                      (2.0, 1.0, 0.8) if p["geometry"] == "parabolic" else None,
+                      {"sigma": p["sigma"]}),
 )
-def _run_interp(params, h, seed):
+def _run_interp(params, h, seed, recipe):
     """Interpolation inequalities bounding gradients between the Hessian and the
     function through maximal functions over windows of at least a threshold
     radius, plus their weighted integral form."""
     d = params["d"]
-    parabolic = params["geometry"] == "parabolic"
-    grid, box, u, fv, d2, d1 = _fields(params, h, 2.0, "gaussian",
-                                       time=(2.0, 1.0, 0.8) if parabolic else None,
-                                       sigma=params["sigma"])
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     rho, gamma, p = (params[k] for k in ("rho", "gamma", "p"))
-    ed = d + 1 if parabolic else d
+    ed = d + 1 if grid.time_axis else d
     # three windows at and above the threshold radius keep the covering
     # maxima representative without quadratic footprint cost
     family = family_for_grid(grid, radii=(rho, 1.42 * rho, 2.02 * rho))
@@ -848,13 +874,14 @@ def _run_interp(params, h, seed):
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p", dim="1", weighted="p"),
     min_spacing=0.005,
+    recipe=lambda p: (1.0, "gaussian", None, None, {"sigma": p["sigma"]}),
 )
-def _run_interp_local(params, h, seed):
+def _run_interp_local(params, h, seed, recipe):
     """Localized gradient interpolation on concentric balls, with the epsilon
     split between the Hessian and zeroth-order terms, and its two-radius
     corollary."""
     # a gaussian: the samples span the grid
-    grid, u = _sampled(params["d"], h, 1.0, "gaussian", sigma=params["sigma"])
+    grid, u = _sampled(params["d"], h, recipe)
     derivs = fd_derivatives(u)
     box = derivs.box
     u, d2, d1 = u.values[box], frobenius(derivs.box_d2u), euclidean(derivs.box_du)
@@ -890,14 +917,14 @@ def _run_interp_local(params, h, seed):
         _need(math.isfinite(p["amplitude"]) and p["amplitude"] != 0,
               f"amplitude must be finite and nonzero, got {p['amplitude']!r}"),
     ),
+    recipe=lambda p: (p["R"] + p["r0"] + 0.25, "bump", None, None,
+                      {"radius": p["radius"], "amplitude": p["amplitude"]}),
 )
-def _run_w2p_global(params, h, seed):
+def _run_w2p_global(params, h, seed, recipe):
     """Global weighted Hessian bound for compactly supported inputs by the
     operator image, the function, and the oscillation-budget collar term."""
-    r0 = params["r0"]
-    fields = _fields(params, h, params["R"] + r0 + 0.25, "bump",
-                     radius=params["radius"], amplitude=params["amplitude"])
-    return [_collar_hessian("global_hessian", params, fields, r0 ** (-2 * params["p"]))]
+    return [_collar_hessian("global_hessian", params, _fields(params, h, recipe),
+                            params["r0"] ** (-2 * params["p"]))]
 
 
 @_register(
@@ -925,6 +952,10 @@ _APRIORI_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
                      "q": None, "radius": 1.2, "extent": 2.5}
 
 
+def _extent_bump(p):
+    return p["extent"], "bump", None, None, {"radius": p["radius"]}
+
+
 def _apriori_pair(params, fields):
     """Absorbed-defect form and gradient pair over the whole grid box."""
     p = params["p"]
@@ -939,12 +970,12 @@ def _apriori_pair(params, fields):
     defaults=_APRIORI_DEFAULTS,
     ladder=(0.125, 0.0625, 0.03125),
     validate=_ELLIPTIC,
+    recipe=_extent_bump,
 )
-def _run_apriori(params, h, seed):
+def _run_apriori(params, h, seed, recipe):
     """Full-space weighted a priori bounds: Hessian and gradient by operator
     image plus function, and all three orders by the absorbed defect."""
-    fields = _fields(params, h, params["extent"], "bump", radius=params["radius"])
-    return _apriori_pair(params, fields)
+    return _apriori_pair(params, _fields(params, h, recipe))
 
 
 @_register(
@@ -953,15 +984,19 @@ def _run_apriori(params, h, seed):
               "radius": 1.2, "extent": 2.5},
     ladder=(0.125, 0.0625, 0.03125),
     validate=_hypotheses("p1", "p2", plane=True),
+    recipe=_extent_bump,
 )
-def _run_mixed(params, h, seed):
+def _run_mixed(params, h, seed, recipe):
     """Iterated-norm version of the absorbed a priori bound with one exponent
     per axis, innermost axis first."""
     p1, p2 = params["p1"], params["p2"]
-    grid, box, u, fv, d2, d1 = _fields(params, h, params["extent"], "bump",
-                                       radius=params["radius"])
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
     return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p1, d2, d1, u), u, fv)]
+
+
+def _padded_gaussian(p):
+    return p["R"] + 0.2, "gaussian", None, None, {"sigma": p["sigma"]}
 
 
 @_register(
@@ -973,12 +1008,13 @@ def _run_mixed(params, h, seed):
         _ELLIPTIC(p),
         _need(p["r"] >= p["R"] - 1, "the two-radius form needs r >= R - 1"),
     ),
+    recipe=_padded_gaussian,
 )
-def _run_local_w2p(params, h, seed):
+def _run_local_w2p(params, h, seed, recipe):
     """Interior weighted Hessian and gradient bounds on concentric balls with
     the inverse-gap coefficients of the cutoff argument."""
     p, r, R = (params[k] for k in ("p", "r", "R"))
-    grid, box, u, fv, d2, d1 = _fields(params, h, R + 0.2, "gaussian", sigma=params["sigma"])
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)[:]
     inner = _origin_mask(grid, r, box) * mass
     outer = _origin_mask(grid, R, box) * mass
@@ -1004,12 +1040,13 @@ def _run_local_w2p(params, h, seed):
               "p2": 3.0, "r": 1.0, "R": 1.4, "sigma": 0.55},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p1", "p2", plane=True),
+    recipe=_padded_gaussian,
 )
-def _run_local_mixed(params, h, seed):
+def _run_local_mixed(params, h, seed, recipe):
     """Interior iterated-norm bound: Hessian and gradient on the inner ball by
     the operator image and function on the outer ball."""
     p1, p2, r, R = (params[k] for k in ("p1", "p2", "r", "R"))
-    grid, box, u, fv, d2, d1 = _fields(params, h, R + 0.2, "gaussian", sigma=params["sigma"])
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     inner = _origin_mask(grid, r, box)
     outer = _origin_mask(grid, R, box)
     spec = MixedNormSpec(groups=((1,), (0,)), exponents=(p2, p1))
@@ -1024,12 +1061,15 @@ _HS_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0,
                 "q": 0.25, "n": 0, "eps": 0.5}
 
 
-def _slab_fields(params, h, wall=4.0, center=1.2, radii=(1.0, 1.6)):
+def _slab_bump(d, wall, center, across, along):
     """A slab bump centred at ``center`` on the half axis [0, wall] and at 0 on
-    the others, with radius ``radii[0]`` across the wall and ``radii[1]`` along it."""
-    others = params["d"] - 1
-    return _fields(params, h, 2.0, "slab_bump", wall, centers=(center,) + (0.0,) * others,
-                   radii=(radii[0],) + (radii[1],) * others)
+    the others, with radius ``across`` across the wall and ``along`` along it."""
+    return 2.0, "slab_bump", wall, None, {"centers": (center,) + (0.0,) * (d - 1),
+                                         "radii": (across,) + (along,) * (d - 1)}
+
+
+def _hatted_slab(p):
+    return _slab_bump(p["d"], 3.0, 1.0, 0.7, 1.5)
 
 
 @_register(
@@ -1043,13 +1083,14 @@ def _slab_fields(params, h, wall=4.0, center=1.2, radii=(1.0, 1.6)):
     ),
     check_step=lambda p, h: _need(2.0 ** -p["n"] >= h, f"n = {p['n']}: the slab's width "
                                   f"2^-n is below ladder spacing {h}, so it may hold no node"),
+    recipe=lambda p: _slab_bump(p["d"], 4.0, 1.2, 1.0, 1.6),
 )
-def _run_hs_slab(params, h, seed):
+def _run_hs_slab(params, h, seed, recipe):
     """Dyadic-slab bounds near the boundary: Hessian and gradient on a slab by
     the defect, gradient and function on the enlarged slab, plus their far-field
     versions."""
     p, n, eps = params["p"], params["n"], params["eps"]
-    grid, box, u, fv, d2, d1 = _slab_fields(params, h)
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)[:]
     x1 = grid.coordinates(box)[0]
 
@@ -1078,13 +1119,14 @@ def _run_hs_slab(params, h, seed):
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_hypotheses("p")(p), _integrable_weight(p)),
+    recipe=_hatted_slab,
 )
-def _run_hs_weighted(params, h, seed):
+def _run_hs_weighted(params, h, seed, recipe):
     """Boundary-weighted second-order bound: the capped-distance factor
     multiplies the Hessian and the defect, and its inverse multiplies the
     function."""
     p, q = params["p"], params["q"]
-    grid, box, u, fv, d2, d1 = _slab_fields(params, h, wall=3.0, center=1.0, radii=(0.7, 1.5))
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     mass = NodeMasses(grid, _axis_weight(q, grid, HattedPowerX1), box)
     hat = _slab_hat(grid, box)
     return [EquationCheck(
@@ -1100,12 +1142,13 @@ def _run_hs_weighted(params, h, seed):
               "p2": 3.0, "q": 1.0},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_hypotheses("p1", "p2")(p), _integrable_weight(p)),
+    recipe=_hatted_slab,
 )
-def _run_hs_mixed(params, h, seed):
+def _run_hs_mixed(params, h, seed, recipe):
     """Iterated-norm version of the boundary-weighted bound: inner norm across
     the boundary-parallel axes, outer weighted norm in the distance axis."""
     d, p1, p2, q = (params[k] for k in ("d", "p1", "p2", "q"))
-    grid, box, u, fv, d2, d1 = _slab_fields(params, h, wall=3.0, center=1.0, radii=(0.7, 1.5))
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     hat = _slab_hat(grid, box)
     spec = MixedNormSpec(groups=((0,), tuple(range(1, d))), exponents=(p2, p1),
                          weights=(_axis_weight(q, grid, HattedPowerX1), None))
@@ -1117,6 +1160,11 @@ def _run_hs_mixed(params, h, seed):
 # ---------------------------------------------------------------------------
 # half-space bounds with a vanishing boundary trace
 
+def _half_box(side, kind, radius):
+    """The input ``kind`` of ``radius`` on [0, side] x [-side, side]^(d - 1)."""
+    return side, kind, side, None, {"radius": radius}
+
+
 @_register(
     id="HS-DIRICHLET",
     defaults={"d": 2, "operator": "pucci", "delta": 0.5, "p": 3.0, "q": 0.25,
@@ -1127,14 +1175,14 @@ def _run_hs_mixed(params, h, seed):
         _need(p["input"] in ("odd_bump", "bump"),
               f"unknown manufactured input {p['input']!r} for a boundary entry"),
     ),
+    recipe=lambda p: _half_box(p["R"] + 0.1, p["input"], p["R"]),
 )
-def _run_hs_dirichlet(params, h, seed):
+def _run_hs_dirichlet(params, h, seed, recipe):
     """Half-space bounds for inputs vanishing on the boundary plane:
     compact-support Hessian bound with the collar term, the gradient pair, and
     the absorbed-defect form."""
-    p, R = params["p"], params["R"]
-    side = R + 0.1
-    fields = _fields(params, h, side, params["input"], side, radius=R)
+    p = params["p"]
+    fields = _fields(params, h, recipe)
     grid, box, u, fv, d2, d1 = fields
     mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)
     return [_collar_hessian("support_hessian", params, fields),
@@ -1148,14 +1196,14 @@ def _run_hs_dirichlet(params, h, seed):
               "p2": 3.0, "q": 0.25, "radius": 1.5},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p1", "p2", weighted="p2"),
+    recipe=lambda p: _half_box(p["radius"] + 0.1, "odd_bump", p["radius"]),
 )
-def _run_hs_dirichlet_mixed(params, h, seed):
+def _run_hs_dirichlet_mixed(params, h, seed, recipe):
     """Iterated-norm boundary bound for trace-zero inputs with a capped power
     weight in the distance axis, and the plain-power scaling variant for
     translation-invariant operators."""
-    d, p1, p2, q, radius = (params[k] for k in ("d", "p1", "p2", "q", "radius"))
-    side = radius + 0.1
-    grid, box, u, fv, d2, d1 = _fields(params, h, side, "odd_bump", side, radius=radius)
+    d, p1, p2, q = (params[k] for k in ("d", "p1", "p2", "q"))
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     uu = np.abs(u)
     groups = ((0,), tuple(range(1, d)))
 
@@ -1176,13 +1224,13 @@ def _run_hs_dirichlet_mixed(params, h, seed):
               "r": 1.0, "R": 1.5, "radius": 1.8},
     ladder=(0.1, 0.05, 0.025),
     validate=_ELLIPTIC,
+    recipe=lambda p: _half_box(max(p["R"], p["radius"]) + 0.2, "odd_bump", p["radius"]),
 )
-def _run_hs_local(params, h, seed):
+def _run_hs_local(params, h, seed, recipe):
     """Interior-to-boundary localized Hessian bound on half balls with the
     inverse-gap lower-order combination."""
-    p, r, R, radius = (params[k] for k in ("p", "r", "R", "radius"))
-    side = max(R, radius) + 0.2
-    grid, box, u, fv, d2, d1 = _fields(params, h, side, "odd_bump", side, radius=radius)
+    p, r, R = (params[k] for k in ("p", "r", "R"))
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)[:]
     inner = _origin_mask(grid, r, box) * mass
     outer = _origin_mask(grid, R, box) * mass
@@ -1197,11 +1245,8 @@ _PARA_DEFAULTS = {"d": 2, "operator": "pucci", "delta": 0.5, "p": 4.0,
 _PARA_COLLAR = {"R": 1.2, "r0": 1.0, "tau0": 0.0}   # of the entries with a collar term
 
 
-def _para_fields(params, h, side=1.4, t_end=1.6, kind="bump", wall=None):
-    """The input ``kind`` of the parameters' radius under their time profile,
-    on [0, t_end] in time."""
-    return _fields(params, h, side, kind, wall, (t_end, params["t_center"], params["t_radius"]),
-                   radius=params["radius"])
+def _para_bump(p):
+    return 1.4, "bump", None, (1.6, p["t_center"], p["t_radius"]), {"radius": p["radius"]}
 
 
 @_register(
@@ -1209,11 +1254,12 @@ def _para_fields(params, h, side=1.4, t_end=1.6, kind="bump", wall=None):
     defaults={**_PARA_DEFAULTS, **_PARA_COLLAR},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
+    recipe=_para_bump,
 )
-def _run_para_global(params, h, seed):
+def _run_para_global(params, h, seed, recipe):
     """Space-time Hessian bound for inputs supported in a forward cylinder, by
     the heat-operator image, the function, and the collar term."""
-    return [_collar_hessian("parabolic_hessian", params, _para_fields(params, h))]
+    return [_collar_hessian("parabolic_hessian", params, _fields(params, h, recipe))]
 
 
 @_register(
@@ -1221,11 +1267,12 @@ def _run_para_global(params, h, seed):
     defaults=_PARA_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=_PARABOLIC,
+    recipe=_para_bump,
 )
-def _run_para_apriori(params, h, seed):
+def _run_para_apriori(params, h, seed, recipe):
     """Space-time a priori bounds on the forward half-line in time: the
     absorbed-defect form and the gradient pair."""
-    return _apriori_pair(params, _para_fields(params, h))
+    return _apriori_pair(params, _fields(params, h, recipe))
 
 
 @_register(
@@ -1235,12 +1282,13 @@ def _run_para_apriori(params, h, seed):
               "t_radius": 0.6},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p0", "p1", "p2", dim="d + 1", plane=True),
+    recipe=_para_bump,
 )
-def _run_para_mixed(params, h, seed):
+def _run_para_mixed(params, h, seed, recipe):
     """Iterated-norm space-time bound with one exponent per axis, innermost in
     time."""
     p0, p1, p2 = (params[k] for k in ("p0", "p1", "p2"))
-    grid, box, u, fv, d2, d1 = _para_fields(params, h)
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
     return [_mixed_absorbed("mixed_triple", grid, box, spec, _stack(p0, d2, d1, u), u, fv)]
 
@@ -1252,13 +1300,15 @@ def _run_para_mixed(params, h, seed):
               "t_center": 0.3, "t_radius": 0.3},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p0", "p1", "p2", dim="d + 1", plane=True),
+    recipe=lambda p: (1.2, "bump", None, (1.0, p["t_center"], p["t_radius"]),
+                      {"radius": p["radius"]}),
 )
-def _run_para_local_mixed(params, h, seed):
+def _run_para_local_mixed(params, h, seed, recipe):
     """Iterated-norm bound on nested forward cylinders: Hessian and gradient
     inside the small cylinder by the heat-operator image and function inside the
     large one."""
     p0, p1, p2, r, R = (params[k] for k in ("p0", "p1", "p2", "r", "R"))
-    grid, box, u, fv, d2, d1 = _para_fields(params, h, side=1.2, t_end=1.0)
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     inner = _origin_mask(grid, r, box)
     outer = _origin_mask(grid, R, box)
     spec = MixedNormSpec(groups=((2,), (1,), (0,)), exponents=(p2, p1, p0))
@@ -1272,17 +1322,21 @@ def _run_para_local_mixed(params, h, seed):
 _PARA_HS_DEFAULTS = {**_PARA_DEFAULTS, "q": 0.25, "radius": 1.1}
 
 
+def _para_odd(p):
+    return 1.3, "odd_bump", 1.3, (1.6, p["t_center"], p["t_radius"]), {"radius": p["radius"]}
+
+
 @_register(
     id="PARA-HS",
     defaults={**_PARA_HS_DEFAULTS, **_PARA_COLLAR},
     ladder=(0.1, 0.05, 0.025),
     validate=lambda p: (_PARABOLIC(p), _cylinder_support(p)),
+    recipe=_para_odd,
 )
-def _run_para_hs(params, h, seed):
+def _run_para_hs(params, h, seed, recipe):
     """Space-time boundary Hessian bound for trace-zero inputs supported in a
     forward half-cylinder."""
-    fields = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
-    return [_collar_hessian("boundary_hessian", params, fields)]
+    return [_collar_hessian("boundary_hessian", params, _fields(params, h, recipe))]
 
 
 @_register(
@@ -1290,12 +1344,13 @@ def _run_para_hs(params, h, seed):
     defaults=_PARA_HS_DEFAULTS,
     ladder=(0.1, 0.05, 0.025),
     validate=_PARABOLIC,
+    recipe=_para_odd,
 )
-def _run_para_hs_full(params, h, seed):
+def _run_para_hs_full(params, h, seed, recipe):
     """Space-time boundary bound of all three derivative orders by the absorbed
     defect for trace-zero inputs."""
     p = params["p"]
-    grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     mass = NodeMasses(grid, _axis_weight(params["q"], grid), box)
     return [_absorbed("boundary_absorbed", p, mass, d2, d1, u, fv)]
 
@@ -1307,13 +1362,14 @@ def _run_para_hs_full(params, h, seed):
               "radius": 1.1, "t_center": 0.7, "t_radius": 0.6},
     ladder=(0.1, 0.05, 0.025),
     validate=_hypotheses("p1", "p2", "p3", dim="d + 1", weighted="p1", plane=True),
+    recipe=_para_odd,
 )
-def _run_para_hs_mixed(params, h, seed):
+def _run_para_hs_mixed(params, h, seed, recipe):
     """Iterated-norm space-time boundary bounds for trace-zero inputs with a
     power weight in the wall distance: time-outer and space-outer cylinder forms
     plus the full triple form."""
     d, p1, p2, p3, q, r, R = (params[k] for k in ("d", "p1", "p2", "p3", "q", "r", "R"))
-    grid, box, u, fv, d2, d1 = _para_fields(params, h, 1.3, kind="odd_bump", wall=1.3)
+    grid, box, u, fv, d2, d1 = _fields(params, h, recipe)
     uu = np.abs(u)
     inner = _origin_mask(grid, r, box)
     outer = _origin_mask(grid, R, box)

@@ -459,8 +459,8 @@ class TestSupportBox:
         params = {"operator": kind, "delta": 0.5, "d": d}
         op = catalog.build_operator(params)
         for h in (0.2, 0.1) if d == 3 else (0.1, 0.05):
-            grid, box, u, fv, d2, d1 = catalog._fields(params, h, side, name, wall, time,
-                                                       **shape)
+            grid, box, u, fv, d2, d1 = catalog._fields(params, h, (side, name, wall, time,
+                                                                   shape))
             assert grid.time_axis == (time is not None)
             # the wall is the box: the first space axis starts at 0
             first = grid.ndim - d
@@ -487,7 +487,7 @@ class TestSupportBox:
         from sharpcheck.harness import catalog
         d, side, name, wall, time, shape = self.RECIPES[recipe]
         for h in (0.2, 0.1) if d == 3 else (0.1, 0.05):
-            grid, u = catalog._sampled(d, h, side, name, wall, time, **shape)
+            grid, u = catalog._sampled(d, h, (side, name, wall, time, shape))
             v, sp = u.padded(), grid.space_axes
             for ax in sp:
                 faces = np.moveaxis(v, ax, 0)
@@ -552,7 +552,7 @@ class TestSupportBox:
             if entry.ladder_kind == "spacing":
                 run_estimate_check(EstimateSpec(id=entry.id, ladder=entry.ladder[:2]))
         kinds = set()
-        for (params, h, side, name, wall, time, shape), fields in calls:
+        for (params, h, (side, name, wall, time, shape)), fields in calls:
             grid, box, u, fv, d2, d1 = fields
             mf = recipe_input(params["d"], name, time, shape)
             want = whole_grid_samples(mf, grid)

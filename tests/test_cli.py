@@ -8,6 +8,7 @@ contract 0 = all checks passed, 1 = a check failed or errored at runtime,
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -340,6 +341,29 @@ class TestConfigDiagnostics:
                                    f"m = {m}\nladder = 0.001953125\n")
         with pytest.raises(cli.ConfigError, match=f"line 7: at ladder spacing 0.001953125, "
                                                   f"gamma = 0.5 < 1 with m = {m} forms"):
+            cli.load_suite(path)
+
+    # each of these loaded and ran an input cut off at its grid box's edge (an
+    # APRIORI bump of radius 3 on [-2.5, 2.5]^2 reported "bounded"); only the
+    # load runs here
+    @pytest.mark.parametrize("section,lines,needle", [
+        ("APRIORI", "radius = 3.0",
+         "bump(radius=3.0) has support [-3, 3] in x_1, past its grid box [-2.5, 2.5]"),
+        ("MIXED", "radius = 2.6",
+         "bump(radius=2.6) has support [-2.6, 2.6] in x_1, past its grid box [-2.5, 2.5]"),
+        ("PARA-GLOBAL", "R = 2.0\nradius = 1.8",
+         "bump(radius=1.8, t_center=0.7, t_radius=0.6) has support [-1.8, 1.8] in x_1, "
+         "past its grid box [-1.4, 1.4]"),
+        ("OSC", "radius = 1.7",
+         "bump(radius=1.7) has support [-1.7, 1.7] in x_1, past its grid box [-1.5, 1.5]"),
+        ("PARA-LOCAL-MIXED", "t_center = 0.9\nt_radius = 0.3",
+         "bump(radius=0.9, t_center=0.9, t_radius=0.3) has support [0.6, 1.2] in t, "
+         "past its grid box [0, 1]"),
+    ])
+    def test_input_past_its_grid_box_refused_at_load(self, tmp_path, section, lines, needle):
+        path = write_cfg(tmp_path, f"[suite]\nname = bad\n\n[estimate:{section}]\n{lines}\n")
+        with pytest.raises(cli.ConfigError, match=re.escape(
+                f"line 4: invalid parameters for {section}: the input {needle}")):
             cli.load_suite(path)
 
     @pytest.mark.parametrize("n", [-1, 3])

@@ -146,6 +146,11 @@ def run_entry(eid: str, x: float, seed: int = 0, **overrides):
     return entry.runner(params, x, seed)
 
 
+def recipe_fields(eid: str, params: dict, h: float):
+    """The field set of entry ``eid``'s registered recipe at ``params``."""
+    return catalog._fields(params, h, ENTRIES[eid].recipe(params))
+
+
 # ---------------------------------------------------------------------------
 # trend classification and ratio conventions
 
@@ -311,9 +316,11 @@ class TestCatalogRecipes:
         # HS-SLAB, HS-WEIGHTED and HS-MIXED too: one centred on the face is
         # refused, and at its default centre the same recipe builds
         params = ENTRIES["HS-SLAB"].merged({})
+        side, kind, wall, time, shape = ENTRIES["HS-SLAB"].recipe(params)
+        on_face = (side, kind, wall, time, dict(shape, centers=(0.0, 0.0)))
         with pytest.raises(ValueError, match="vanish on the boundary"):
-            catalog._slab_fields(params, 0.1, center=0.0)
-        assert catalog._slab_fields(params, 0.1)[2].any()
+            catalog._fields(params, 0.1, on_face)
+        assert catalog._fields(params, 0.1, ENTRIES["HS-SLAB"].recipe(params))[2].any()
 
     def test_zero_trace_reads_the_half_axis_face(self):
         # the trace is the box's first layer along the first space axis: axis
@@ -578,9 +585,8 @@ class TestBoxHelpers:
     def test_catalog_support_boxes_equal_whole_grid_sliced(self):
         # the boxes two entries meet: PARA-GLOBAL's, inside the grid, and
         # PARA-HS's, on the boundary face of its half axis
-        for fields in (catalog._para_fields(ENTRIES["PARA-GLOBAL"].defaults, 0.05),
-                       catalog._para_fields(ENTRIES["PARA-HS"].defaults, 0.05, 1.3,
-                                            kind="odd_bump", wall=1.3)):
+        for fields in (recipe_fields("PARA-GLOBAL", ENTRIES["PARA-GLOBAL"].defaults, 0.05),
+                       recipe_fields("PARA-HS", ENTRIES["PARA-HS"].defaults, 0.05)):
             grid, box = fields[:2]
             assert 0 < fields[2].size < math.prod(grid.shape)
             for w in box_weights(grid):
@@ -753,15 +759,19 @@ class TestStudyDrivers:
             run_estimate_check(EstimateSpec(id=eid, params=params, ladder=(0.1,)))
 
     # each of these sampled an input that is 0 at every node and passed as
-    # "bounded" with n_emp 0, 0, 0: a time profile centred off [0, T], or not
-    # at a finite time, a time support between two time nodes, or a bump
-    # narrower than the spacing
+    # "bounded" with n_emp 0, 0, 0: a time profile centred off [0, T] (its
+    # span leaves the recipe's time box, refused at load), or not at a finite
+    # time, a time support between two time nodes, or a bump narrower than
+    # the spacing
     @pytest.mark.parametrize("eid,params,stage,needle", [
         *((eid, {"t_center": t}, "load", "t_center must be finite")
           for eid in TIMED_ENTRIES for t in (math.nan, math.inf)),
-        *((eid, {"t_center": t}, "run", "tests nothing")
-          for eid in TIMED_ENTRIES for t in (5.0, -3.0)),
-        *((eid, {"t_center": -3.0}, "load", "time support must start at t >= 0")
+        *((eid, {"t_center": t}, "load", f"t_center={t}, t_radius={r}) has support "
+                                         f"[{t - r:.12g}, {t + r:.12g}] in t, past its grid box")
+          for eid in TIMED_ENTRIES for r in [ENTRIES[eid].defaults["t_radius"]]
+          for t in (5.0, -3.0)),
+        *((eid, {"t_center": -3.0}, "load", "t_center=-3.0, t_radius=0.6) has support "
+                                            "[-3.6, -2.4] in t, past its grid box [0, 1.6]")
           for eid in ("PARA-GLOBAL", "PARA-HS")),
         ("PARA-APRIORI", {"t_radius": 0.001, "t_center": 0.73}, "run", "tests nothing"),
         ("HS-LOCAL", {"radius": 0.01}, "run", "tests nothing"),
@@ -960,8 +970,14 @@ def test_catalog_casts_no_parameter():
     assert casts == [], f"catalog.py casts a parameter at lines {casts}"
 
 
-def test_catalog_draws_difference_inputs_through_the_recipe():
-    # every finite-difference input is one recipe sampled by _sampled; only
+# the entries that draw no recipe input: FS-LOCAL samples a dyadic filtration,
+# ZEROTH-1D and NEG-EXP take analytic derivatives, and MAX-LP, MAX-WEAK and
+# IDENTITIES draw no manufactured input
+NO_RECIPE = ("FS-LOCAL", "IDENTITIES", "MAX-LP", "MAX-WEAK", "NEG-EXP", "ZEROTH-1D")
+
+
+def test_catalog_draws_difference_inputs_through_the_recipe(monkeypatch):
+    # every finite-difference input is one recipe built by _boxed_input; only
     # FS-LOCAL (a dyadic filtration) and ZEROTH-1D and NEG-EXP (analytic
     # derivatives) draw their own
     tree = ast.parse(pathlib.Path(catalog.__file__).read_text())
@@ -971,11 +987,118 @@ def test_catalog_draws_difference_inputs_through_the_recipe():
                 and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
                 in ("manufactured", "with_time_profile")}
 
-    allowed = ("_sampled", "_run_fs_local", "_run_zeroth_1d", "_run_neg_exp")
-    inside = set().union(*(draws(fn) for fn in ast.walk(tree)
-                           if isinstance(fn, ast.FunctionDef) and fn.name in allowed))
+    allowed = ("_boxed_input", "_run_fs_local", "_run_zeroth_1d", "_run_neg_exp")
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    inside = set().union(*(draws(fn) for fn in functions if fn.name in allowed))
     outside = sorted(draws(tree) - inside)
     assert outside == [], f"catalog.py draws an input outside the recipe at lines {outside}"
+
+    # every _fields and _sampled call passes on the recipe its function was
+    # handed, which only a registered runner hands out, as recipe(params):
+    # no call states a side, kind, wall, time window or shape
+    calls = [(fn, call) for fn in functions for call in ast.walk(fn)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None)
+             in ("_fields", "_sampled")]
+    assert calls
+    for fn, call in calls:
+        where = (fn.name, call.lineno)
+        assert len(call.args) == 3 and not call.keywords, where
+        assert isinstance(call.args[2], ast.Name) and call.args[2].id == "recipe", where
+        assert "recipe" in [arg.arg for arg in fn.args.args], where
+        assert not any(isinstance(node, ast.Constant) and not isinstance(node.value, str)
+                       for node in ast.walk(call)), where
+
+    # every entry that samples through _sampled declares a recipe, and is
+    # handed the recipe it declares; the others draw nothing through it
+    class Drawn(Exception):
+        pass
+
+    drawn = {}
+
+    def spy(d, h, recipe):
+        drawn[eid] = (d, recipe)
+        raise Drawn
+
+    monkeypatch.setattr(catalog, "_sampled", spy)
+    for eid, entry in ENTRIES.items():
+        params = entry.merged({})
+        x = 1.0 if entry.ladder_kind == "instances" else entry.ladder[0]
+        if entry.recipe is None:
+            entry.runner(params, x, 0)
+        else:
+            with pytest.raises(Drawn):
+                entry.runner(params, x, 0)
+            assert drawn[eid] == (params["d"], entry.recipe(params)), eid
+    assert sorted(ENTRIES.keys() - drawn.keys()) == list(NO_RECIPE)
+    assert sorted(eid for eid, e in ENTRIES.items() if e.recipe is None) == list(NO_RECIPE)
+
+
+# One non-default parameter set per entry with a recipe, moving every
+# parameter its recipe reads (R past radius for HS-LOCAL, R and r0 for
+# W2P-GLOBAL, extent for APRIORI and MIXED, the parabolic geometry for INTERP,
+# the time profile and radius for the PARA entries), and the recipe
+# ``(side, kind, wall, time, shape)`` the runners wrote as literals before
+# recipes were registered: a side is computed as they computed it.
+PINNED_RECIPES = [
+    ("OSC", {"radius": 1.1}, (1.5, "bump", None, None, {"radius": 1.1})),
+    ("OSC-P", {"radius": 0.9}, (1.2, "bump", None, (1.5, 0.7, 0.5), {"radius": 0.9})),
+    ("INTERP", {"geometry": "parabolic", "sigma": 0.55},
+     (2.0, "gaussian", None, (2.0, 1.0, 0.8), {"sigma": 0.55})),
+    ("INTERP-LOCAL", {"sigma": 0.45}, (1.0, "gaussian", None, None, {"sigma": 0.45})),
+    ("W2P-GLOBAL", {"R": 1.2, "r0": 1.4, "radius": 0.8, "amplitude": 2.5},
+     (1.2 + 1.4 + 0.25, "bump", None, None, {"radius": 0.8, "amplitude": 2.5})),
+    ("APRIORI", {"extent": 2.75, "radius": 1.3}, (2.75, "bump", None, None, {"radius": 1.3})),
+    ("MIXED", {"extent": 3.0, "radius": 1.4}, (3.0, "bump", None, None, {"radius": 1.4})),
+    ("LOCAL-W2P", {"R": 1.45, "sigma": 0.65},
+     (1.45 + 0.2, "gaussian", None, None, {"sigma": 0.65})),
+    ("LOCAL-MIXED", {"R": 1.3, "sigma": 0.5}, (1.3 + 0.2, "gaussian", None, None, {"sigma": 0.5})),
+    ("HS-SLAB", {"d": 3, "p": 4.0}, (2.0, "slab_bump", 4.0, None, {
+        "centers": (1.2, 0.0, 0.0), "radii": (1.0, 1.6, 1.6)})),
+    ("HS-WEIGHTED", {"d": 3, "p": 4.0}, (2.0, "slab_bump", 3.0, None, {
+        "centers": (1.0, 0.0, 0.0), "radii": (0.7, 1.5, 1.5)})),
+    ("HS-MIXED", {"d": 3, "p1": 4.0, "p2": 4.0}, (2.0, "slab_bump", 3.0, None, {
+        "centers": (1.0, 0.0, 0.0), "radii": (0.7, 1.5, 1.5)})),
+    ("HS-DIRICHLET", {"R": 1.3}, (1.3 + 0.1, "odd_bump", 1.3 + 0.1, None, {"radius": 1.3})),
+    ("HS-DIRICHLET-MIXED", {"radius": 1.2},
+     (1.2 + 0.1, "odd_bump", 1.2 + 0.1, None, {"radius": 1.2})),
+    ("HS-LOCAL", {"R": 2.0, "radius": 1.6},
+     (2.0 + 0.2, "odd_bump", 2.0 + 0.2, None, {"radius": 1.6})),
+    ("PARA-GLOBAL", {"t_center": 0.75, "t_radius": 0.5, "radius": 0.95},
+     (1.4, "bump", None, (1.6, 0.75, 0.5), {"radius": 0.95})),
+    ("PARA-APRIORI", {"t_center": 0.8, "t_radius": 0.55, "radius": 1.05},
+     (1.4, "bump", None, (1.6, 0.8, 0.55), {"radius": 1.05})),
+    ("PARA-MIXED", {"t_center": 0.65, "t_radius": 0.5, "radius": 1.15},
+     (1.4, "bump", None, (1.6, 0.65, 0.5), {"radius": 1.15})),
+    ("PARA-LOCAL-MIXED", {"t_center": 0.45, "t_radius": 0.4, "radius": 0.85},
+     (1.2, "bump", None, (1.0, 0.45, 0.4), {"radius": 0.85})),
+    ("PARA-HS", {"t_center": 0.75, "t_radius": 0.45, "radius": 1.05},
+     (1.3, "odd_bump", 1.3, (1.6, 0.75, 0.45), {"radius": 1.05})),
+    ("PARA-HS-FULL", {"t_center": 0.8, "t_radius": 0.5, "radius": 1.2},
+     (1.3, "odd_bump", 1.3, (1.6, 0.8, 0.5), {"radius": 1.2})),
+    ("PARA-HS-MIXED", {"t_center": 0.6, "t_radius": 0.55, "radius": 1.0},
+     (1.3, "odd_bump", 1.3, (1.6, 0.6, 0.55), {"radius": 1.0})),
+    # the input, which HS-DIRICHLET alone reads; a trace that does not
+    # vanish is refused when sampled, not at load
+    ("HS-DIRICHLET", {"input": "bump"}, (1.6, "bump", 1.6, None, {"radius": 1.5})),
+]
+
+
+def test_recipes_pin_their_parameter_mapping():
+    assert sorted({eid for eid, _, _ in PINNED_RECIPES}) == sorted(
+        eid for eid, e in ENTRIES.items() if e.recipe is not None)
+    moved = {}
+    for eid, overrides, want in PINNED_RECIPES:
+        entry = ENTRIES[eid]
+        assert all(entry.defaults[k] != v for k, v in overrides.items()), eid
+        params = entry.merged(overrides)
+        entry.validate(params)
+        assert entry.recipe(params) == want, eid
+        moved.setdefault(eid, set()).update(overrides)
+    # every parameter a recipe reads is moved by one of its entry's sets
+    for eid in moved:
+        params = ReadRecorder(ENTRIES[eid].merged({}))
+        ENTRIES[eid].recipe(params)
+        assert params.read <= moved[eid], (eid, params.read)
 
 
 @pytest.mark.parametrize("eid", ["W2P-GLOBAL", "HS-DIRICHLET", "PARA-GLOBAL", "PARA-HS"])
@@ -1057,12 +1180,12 @@ class TestSharedFields:
         running, built, handed, lead_sets, traces = [None], [], [], {}, []
         field_set, fields, zero_trace = catalog._field_set, catalog._fields, catalog._zero_trace
 
-        def build(params, h, side, kind, wall, time, shape):
-            built.append((running[0], h, wall is not None))
-            return field_set(params, h, side, kind, wall, time, shape)
+        def build(params, h, recipe):
+            built.append((running[0], h, recipe[2] is not None))
+            return field_set(params, h, recipe)
 
-        def hand(params, h, *recipe, **shape):
-            out = fields(params, h, *recipe, **shape)
+        def hand(params, h, recipe):
+            out = fields(params, h, recipe)
             eid = running[0]
             if leader.get(eid) == eid:
                 lead_sets[h] = out            # held for the group's run only
@@ -1097,17 +1220,18 @@ class TestSharedFields:
     def test_sets_are_shared_read_only_and_kept_for_one_recipe(self):
         para = ENTRIES["PARA-GLOBAL"].merged({})
         with catalog.shared_fields():
-            first = catalog._para_fields(para, 0.1)
-            assert catalog._para_fields(dict(para), 0.1) is first
-            assert catalog._para_fields(para, 0.05) is not first
-            assert catalog._para_fields(para, 0.1) is first
+            first = recipe_fields("PARA-GLOBAL", para, 0.1)
+            assert recipe_fields("PARA-GLOBAL", dict(para), 0.1) is first
+            assert recipe_fields("PARA-GLOBAL", para, 0.05) is not first
+            assert recipe_fields("PARA-GLOBAL", para, 0.1) is first
             for arr in first[2:]:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[(0,) * arr.ndim] = 1.0
-            assert catalog._para_fields(dict(para, delta=0.4), 0.1) is not first
-            assert catalog._para_fields(para, 0.1) is not first
+            assert recipe_fields("PARA-GLOBAL", dict(para, delta=0.4), 0.1) is not first
+            assert recipe_fields("PARA-GLOBAL", para, 0.1) is not first
         assert catalog._SHARED.get() is None
-        assert catalog._para_fields(para, 0.1) is not catalog._para_fields(para, 0.1)
+        assert recipe_fields("PARA-GLOBAL", para, 0.1) is not \
+            recipe_fields("PARA-GLOBAL", para, 0.1)
 
     def test_para_global_finest_set_peaks_below_3_1_node_arrays(self):
         # PARA-GLOBAL's set at h = 0.025, 65 x 113 x 113 nodes: the input
@@ -1117,10 +1241,10 @@ class TestSharedFields:
         # margin.  Whole-grid samples and derivatives held on the whole box
         # at once peaked at 6.0, and differencing every node at 13
         para = ENTRIES["PARA-GLOBAL"].merged({})
-        catalog._para_fields(para, 0.1)
+        recipe_fields("PARA-GLOBAL", para, 0.1)
         tracemalloc.start()
         try:
-            grid = catalog._para_fields(para, 0.025)[0]
+            grid = recipe_fields("PARA-GLOBAL", para, 0.025)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1139,7 +1263,7 @@ class TestSharedFields:
         tracemalloc.start()
         try:
             with catalog.shared_fields():
-                grid = catalog._para_fields(para, 0.025)[0]
+                grid = recipe_fields("PARA-GLOBAL", para, 0.025)[0]
                 tracemalloc.reset_peak()
                 catalog._run_para_global(para, 0.025, 0)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -1188,7 +1312,7 @@ class TestSharedFields:
         # fv, d2 and d1 on the support box at every step but the finest) and
         # 64 KB for the Python objects around them
         entry = ENTRIES["PARA-GLOBAL"]
-        kept = sum(4 * 8 * catalog._para_fields(entry.defaults, h)[2].size
+        kept = sum(4 * 8 * recipe_fields("PARA-GLOBAL", entry.defaults, h)[2].size
                    for h in entry.ladder[:-1])
         run_estimate_check(EstimateSpec(id="PARA-GLOBAL", ladder=(0.1,)))
         three = [EstimateSpec(id=eid) for eid in ("PARA-GLOBAL", "PARA-APRIORI", "PARA-MIXED")]
